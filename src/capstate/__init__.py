@@ -8,6 +8,4 @@ leave-one-subject-out evaluation -> (U, O) state-space trajectory analysis.
 
 __version__ = "0.1.0"
 
-from ._accel import NUMBA_ENABLED
-
-__all__ = ["NUMBA_ENABLED", "__version__"]
+__all__ = ["__version__"]

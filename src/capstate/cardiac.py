@@ -3,18 +3,18 @@
 The R-peak detector follows the classic Pan-Tompkins stages (band-pass,
 derivative, squaring, moving-window integration, adaptive dual threshold with
 refractory and search-back), with the final peak time refined to the local ECG
-maximum. The adaptive threshold scan is a numba kernel.
+maximum.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import jit_kernel
 from .dsp import (
     NaturalCubicSpline,
     Spectrum,
     UniformSeries,
+    _next_pow2,
     band_power,
     butterworth_bandpass,
     spline_fill,
@@ -156,9 +156,6 @@ def _pt_scan_loop(cand_idx, cand_val, refr_samples, spki0, npki0):
     return accepted[:n_acc]
 
 
-_pt_scan_kernel = jit_kernel(_pt_scan_loop)
-
-
 def _moving_window_integral(x: np.ndarray, half_width: int) -> np.ndarray:
     """Centered moving average via cumulative sums."""
     n = len(x)
@@ -191,14 +188,7 @@ def detect_r_peaks(ecg: UniformSeries) -> PeakList:
     init = mwi[: int(2.0 * rate)]
     spki0 = 0.5 * init.max()
     npki0 = 0.5 * init.mean()
-    fiducials = _pt_scan_kernel(
-        np.ascontiguousarray(cand_idx, dtype=np.int64),
-        np.ascontiguousarray(cand_val, dtype=np.float64),
-        0.2 * rate,
-        float(spki0),
-        float(npki0),
-    )
-    fiducials = np.sort(fiducials)
+    fiducials = np.sort(_pt_scan_loop(cand_idx, cand_val, 0.2 * rate, float(spki0), float(npki0)))
 
     half = int(round(0.05 * rate))
     refined = []
@@ -283,7 +273,7 @@ def hrv_frequency_features(window: UniformSeries, segment_len: int = 64, nfft: i
     """LF, HF, LF/HF and total band power of the mean-removed window."""
     centered = window.replace_values(window.values - window.values.mean())
     seg = min(segment_len, len(centered.values))
-    spec = welch_psd(centered, seg, 0.5, nfft=max(nfft, _pow2_at_least(seg)))
+    spec = welch_psd(centered, seg, 0.5, nfft=max(nfft, _next_pow2(seg)))
     return band_powers_from_spectrum(spec)
 
 
@@ -293,13 +283,6 @@ def band_powers_from_spectrum(spec: Spectrum) -> np.ndarray:
     total = band_power(spec, *TOTAL_BAND)
     ratio = lf / hf if hf > 1e-12 else 0.0
     return np.array([lf, hf, ratio, total])
-
-
-def _pow2_at_least(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
 
 
 def hrv_nonlinear_features(window: np.ndarray) -> np.ndarray:

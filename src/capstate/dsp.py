@@ -1,15 +1,12 @@
 """Shared signal-processing primitives.
 
 Everything operates on :class:`UniformSeries` (a uniformly sampled float64
-trace with an absolute start time). The heavier kernels (IIR cascade, radix-2
-FFT) are numba-compiled when available; see :mod:`capstate._accel`.
+trace with an absolute start time).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from ._accel import NUMBA_ENABLED, jit_kernel
 
 
 @dataclass(frozen=True)
@@ -152,6 +149,8 @@ def _butter_sos(order: int, cutoff_hz: float, rate_hz: float, btype: str) -> np.
 
 
 def _sosfilt_loop(sos, x, zi):
+    """Cascade of direct-form II transposed biquads from per-section state
+    ``zi`` (the semantics of ``scipy.signal.sosfilt(sos, x, zi=zi)``)."""
     n = x.shape[0]
     nsec = sos.shape[0]
     y = x.copy()
@@ -170,9 +169,6 @@ def _sosfilt_loop(sos, x, zi):
             w2 = b2 * xn - a2 * yn
             y[i] = yn
     return y
-
-
-_sosfilt_kernel = jit_kernel(_sosfilt_loop)
 
 
 def _sos_steady_zi(sos: np.ndarray) -> np.ndarray:
@@ -200,10 +196,8 @@ def _sosfiltfilt(sos: np.ndarray, x: np.ndarray, pad_samples: int = 0) -> np.nda
     else:
         ext = x.astype(np.float64)
     zi = _sos_steady_zi(sos)
-    ext = np.ascontiguousarray(ext, dtype=np.float64)
-    y = _sosfilt_kernel(sos, ext, np.ascontiguousarray(zi * ext[0]))
-    y = np.ascontiguousarray(y[::-1])
-    y = _sosfilt_kernel(sos, y, np.ascontiguousarray(zi * y[0]))[::-1]
+    y = _sosfilt_loop(sos, ext, zi * ext[0])[::-1]
+    y = _sosfilt_loop(sos, y, zi * y[0])[::-1]
     return y[padlen : padlen + n].copy()
 
 
@@ -383,7 +377,7 @@ def _bitrev_indices(n: int) -> np.ndarray:
     return rev
 
 
-def _fft_stages_numpy(a: np.ndarray) -> np.ndarray:
+def _fft_stages(a: np.ndarray) -> np.ndarray:
     """Iterative radix-2 butterflies on bit-reversed rows; a is (B, n) complex."""
     n = a.shape[-1]
     size = 2
@@ -399,48 +393,14 @@ def _fft_stages_numpy(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _fft_rows_loop(a, rev):
-    nb, n = a.shape
-    out = np.empty_like(a)
-    for r in range(nb):
-        for i in range(n):
-            out[r, i] = a[r, rev[i]]
-    # twiddles for the largest stage; stage `size` strides through them
-    tw = np.empty(n // 2, dtype=np.complex128)
-    for k in range(n // 2):
-        ang = -2.0 * np.pi * k / n
-        tw[k] = complex(np.cos(ang), np.sin(ang))
-    size = 2
-    while size <= n:
-        half = size // 2
-        stride = n // size
-        for r in range(nb):
-            for start in range(0, n, size):
-                for k in range(half):
-                    w = tw[k * stride]
-                    e = out[r, start + k]
-                    o = out[r, start + half + k] * w
-                    out[r, start + k] = e + o
-                    out[r, start + half + k] = e - o
-        size *= 2
-    return out
-
-
-_fft_rows_kernel = jit_kernel(_fft_rows_loop)
-
-
 def fft_radix2(x: np.ndarray) -> np.ndarray:
     """Radix-2 Cooley-Tukey FFT over the last axis; length must be a power of two."""
     x = np.asarray(x)
     n = x.shape[-1]
     if n == 0 or (n & (n - 1)) != 0:
         raise ValueError(f"fft_radix2 needs a power-of-two length, got {n}")
-    a = np.ascontiguousarray(x.reshape(-1, n).astype(np.complex128))
-    if NUMBA_ENABLED:
-        out = _fft_rows_kernel(a, _bitrev_indices(n))
-    else:
-        out = _fft_stages_numpy(a[:, _bitrev_indices(n)].copy())
-    return out.reshape(x.shape)
+    a = np.ascontiguousarray(x.reshape(-1, n)[:, _bitrev_indices(n)], dtype=np.complex128)
+    return _fft_stages(a).reshape(x.shape)
 
 
 def _next_pow2(n: int) -> int:

@@ -3,12 +3,10 @@
 A :class:`Tensor` records its parents and a closure that scatters the incoming
 gradient; ``backward`` walks the tape in reverse topological order. Sequential
 hot paths (LSTM recurrence, dilated causal convolution) are fused single-node
-ops backed by numba kernels with vectorized numpy fallbacks.
+ops over vectorized numpy kernels.
 """
 
 import numpy as np
-
-from .._accel import NUMBA_ENABLED, jit_kernel
 
 
 class Tensor:
@@ -267,7 +265,7 @@ def last_step(a) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _conv1d_fwd_numpy(x, w, b, dilation):
+def _conv1d_fwd(x, w, b, dilation):
     bsz, t, _ = x.shape
     k, _, co = w.shape
     y = np.broadcast_to(b, (bsz, t, co)).copy()
@@ -278,7 +276,7 @@ def _conv1d_fwd_numpy(x, w, b, dilation):
     return y
 
 
-def _conv1d_bwd_numpy(g, x, w, dilation):
+def _conv1d_bwd(g, x, w, dilation):
     bsz, t, ci = x.shape
     k, _, co = w.shape
     dx = np.zeros_like(x)
@@ -292,63 +290,15 @@ def _conv1d_bwd_numpy(g, x, w, dilation):
     return dx, dw, db
 
 
-def _conv1d_fwd_loop(x, w, b, dilation):
-    bsz, t, ci = x.shape
-    k, _, co = w.shape
-    y = np.empty((bsz, t, co))
-    for n in range(bsz):
-        for i in range(t):
-            for o in range(co):
-                acc = b[o]
-                for tap in range(k):
-                    j = i - dilation * tap
-                    if j >= 0:
-                        for c in range(ci):
-                            acc += x[n, j, c] * w[tap, c, o]
-                y[n, i, o] = acc
-    return y
-
-
-def _conv1d_bwd_loop(g, x, w, dilation):
-    bsz, t, ci = x.shape
-    k, _, co = w.shape
-    dx = np.zeros((bsz, t, ci))
-    dw = np.zeros((k, ci, co))
-    db = np.zeros(co)
-    for n in range(bsz):
-        for i in range(t):
-            for o in range(co):
-                go = g[n, i, o]
-                db[o] += go
-                for tap in range(k):
-                    j = i - dilation * tap
-                    if j >= 0:
-                        for c in range(ci):
-                            dx[n, j, c] += go * w[tap, c, o]
-                            dw[tap, c, o] += go * x[n, j, c]
-    return dx, dw, db
-
-
-_conv1d_fwd_kernel = jit_kernel(_conv1d_fwd_loop)
-_conv1d_bwd_kernel = jit_kernel(_conv1d_bwd_loop)
-
-
 def conv1d_causal(x, w, b, dilation: int = 1) -> Tensor:
     """Causal dilated convolution: y_t = b + sum_k x_{t - d k} @ w[k]."""
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     xd = np.ascontiguousarray(x.data)
     wd = np.ascontiguousarray(w.data)
-    if NUMBA_ENABLED:
-        out = _conv1d_fwd_kernel(xd, wd, b.data, dilation)
-    else:
-        out = _conv1d_fwd_numpy(xd, wd, b.data, dilation)
+    out = _conv1d_fwd(xd, wd, b.data, dilation)
 
     def bwd(g):
-        g = np.ascontiguousarray(g)
-        if NUMBA_ENABLED:
-            dx, dw, db = _conv1d_bwd_kernel(g, xd, wd, dilation)
-        else:
-            dx, dw, db = _conv1d_bwd_numpy(g, xd, wd, dilation)
+        dx, dw, db = _conv1d_bwd(np.ascontiguousarray(g), xd, wd, dilation)
         _accum(x, dx)
         _accum(w, dw)
         _accum(b, db)
@@ -361,7 +311,7 @@ def conv1d_causal(x, w, b, dilation: int = 1) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _lstm_fwd_py(x, wx, wh, b):
+def _lstm_fwd(x, wx, wh, b):
     bsz, t, _ = x.shape
     hdim = wh.shape[0]
     hs = np.zeros((bsz, t, hdim))
@@ -389,7 +339,7 @@ def _lstm_fwd_py(x, wx, wh, b):
     return hs, gi, gf, gg, go, cs
 
 
-def _lstm_bwd_py(grad_hs, x, wx, wh, gi, gf, gg, go, cs):
+def _lstm_bwd(grad_hs, x, wx, wh, hs, gi, gf, gg, go, cs):
     bsz, t, _ = x.shape
     hdim = wh.shape[0]
     dx = np.zeros_like(x)
@@ -414,96 +364,12 @@ def _lstm_bwd_py(grad_hs, x, wx, wh, gi, gf, gg, go, cs):
         dz[:, 3 * hdim :] = dh * tc * o * (1.0 - o)
         dwx += x[:, step, :].T @ dz
         if step > 0:
-            dwh += _lstm_hprev(step, cs, go, bsz, hdim).T @ dz
+            dwh += hs[:, step - 1, :].T @ dz
         db += dz.sum(axis=0)
         dx[:, step, :] = dz @ wx.T
         dh_carry = dz @ wh.T
         dc_carry = dc * f
     return dx, dwx, dwh, db
-
-
-def _lstm_hprev(step, cs, go, bsz, hdim):
-    return go[:, step - 1, :] * np.tanh(cs[:, step - 1, :])
-
-
-def _lstm_fwd_loop(x, wx, wh, b):
-    bsz, t, cin = x.shape
-    hdim = wh.shape[0]
-    hs = np.zeros((bsz, t, hdim))
-    gi = np.zeros((bsz, t, hdim))
-    gf = np.zeros((bsz, t, hdim))
-    gg = np.zeros((bsz, t, hdim))
-    go = np.zeros((bsz, t, hdim))
-    cs = np.zeros((bsz, t, hdim))
-    h = np.zeros((bsz, hdim))
-    c = np.zeros((bsz, hdim))
-    for step in range(t):
-        z = np.dot(x[:, step, :].copy(), wx) + np.dot(h, wh)
-        for n in range(bsz):
-            for j in range(4 * hdim):
-                z[n, j] += b[j]
-        for n in range(bsz):
-            for j in range(hdim):
-                i = 1.0 / (1.0 + np.exp(-z[n, j]))
-                f = 1.0 / (1.0 + np.exp(-z[n, hdim + j]))
-                g = np.tanh(z[n, 2 * hdim + j])
-                o = 1.0 / (1.0 + np.exp(-z[n, 3 * hdim + j]))
-                cval = f * c[n, j] + i * g
-                hval = o * np.tanh(cval)
-                c[n, j] = cval
-                h[n, j] = hval
-                gi[n, step, j] = i
-                gf[n, step, j] = f
-                gg[n, step, j] = g
-                go[n, step, j] = o
-                cs[n, step, j] = cval
-                hs[n, step, j] = hval
-    return hs, gi, gf, gg, go, cs
-
-
-def _lstm_bwd_loop(grad_hs, x, wx, wh, gi, gf, gg, go, cs):
-    bsz, t, cin = x.shape
-    hdim = wh.shape[0]
-    dx = np.zeros((bsz, t, cin))
-    dwx = np.zeros((cin, 4 * hdim))
-    dwh = np.zeros((hdim, 4 * hdim))
-    db = np.zeros(4 * hdim)
-    dh_carry = np.zeros((bsz, hdim))
-    dc_carry = np.zeros((bsz, hdim))
-    dz = np.zeros((bsz, 4 * hdim))
-    hprev = np.zeros((bsz, hdim))
-    for step in range(t - 1, -1, -1):
-        for n in range(bsz):
-            for j in range(hdim):
-                i = gi[n, step, j]
-                f = gf[n, step, j]
-                g = gg[n, step, j]
-                o = go[n, step, j]
-                tc = np.tanh(cs[n, step, j])
-                dh = grad_hs[n, step, j] + dh_carry[n, j]
-                dc = dh * o * (1.0 - tc * tc) + dc_carry[n, j]
-                c_prev = cs[n, step - 1, j] if step > 0 else 0.0
-                dz[n, j] = dc * g * i * (1.0 - i)
-                dz[n, hdim + j] = dc * c_prev * f * (1.0 - f)
-                dz[n, 2 * hdim + j] = dc * i * (1.0 - g * g)
-                dz[n, 3 * hdim + j] = dh * tc * o * (1.0 - o)
-                dc_carry[n, j] = dc * f
-        dwx += np.dot(x[:, step, :].copy().T, dz)
-        if step > 0:
-            for n in range(bsz):
-                for j in range(hdim):
-                    hprev[n, j] = go[n, step - 1, j] * np.tanh(cs[n, step - 1, j])
-            dwh += np.dot(hprev.T.copy(), dz)
-        for n in range(bsz):
-            for j in range(4 * hdim):
-                db[j] += dz[n, j]
-        dx[:, step, :] = np.dot(dz, wx.T.copy())
-        dh_carry = np.dot(dz, wh.T.copy())
-    return dx, dwx, dwh, db
-
-
-_lstm_fwd_kernel = jit_kernel(_lstm_fwd_loop)
-_lstm_bwd_kernel = jit_kernel(_lstm_bwd_loop)
 
 
 def lstm(x, wx, wh, b) -> Tensor:
@@ -513,17 +379,10 @@ def lstm(x, wx, wh, b) -> Tensor:
     xd = np.ascontiguousarray(x.data)
     wxd = np.ascontiguousarray(wx.data)
     whd = np.ascontiguousarray(wh.data)
-    if NUMBA_ENABLED:
-        hs, gi, gf, gg, go, cs = _lstm_fwd_kernel(xd, wxd, whd, b.data)
-    else:
-        hs, gi, gf, gg, go, cs = _lstm_fwd_py(xd, wxd, whd, b.data)
+    hs, gi, gf, gg, go, cs = _lstm_fwd(xd, wxd, whd, b.data)
 
     def bwd(g):
-        g = np.ascontiguousarray(g)
-        if NUMBA_ENABLED:
-            dx, dwx, dwh, db = _lstm_bwd_kernel(g, xd, wxd, whd, gi, gf, gg, go, cs)
-        else:
-            dx, dwx, dwh, db = _lstm_bwd_py(g, xd, wxd, whd, gi, gf, gg, go, cs)
+        dx, dwx, dwh, db = _lstm_bwd(np.ascontiguousarray(g), xd, wxd, whd, hs, gi, gf, gg, go, cs)
         _accum(x, dx)
         _accum(wx, dwx)
         _accum(wh, dwh)

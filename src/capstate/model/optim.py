@@ -59,11 +59,3 @@ class AdamW:
             v_hat = v / bc2
             out[key] = theta - self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * theta)
         return out
-
-
-def adamw_step(params, grads, state: AdamW, t_expected: int | None = None):
-    """Functional wrapper around :class:`AdamW` so the step index is explicit."""
-    new_params = state.step(params, grads)
-    if t_expected is not None and state.t != t_expected:
-        raise ValueError(f"optimizer step index {state.t} != expected {t_expected}")
-    return new_params, state

@@ -16,8 +16,6 @@ from .evaluation.loso import FoldResult, fold_metrics
 from .model.train import TrainHistory
 from .pipeline import WindowedDataset, concat_datasets
 
-WINDOW_LEN = 120
-
 
 def _window_header(window_len: int) -> list[str]:
     cols = ["subject", "condition", "window_start_s", "stress", "effort", "mask"]

@@ -1,5 +1,7 @@
 """Engine-level checks for the reverse-mode tape and its fused kernels."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -110,26 +112,21 @@ class TestFusedKernels:
         assert np.array_equal(base[0, :7], pert[0, :7])
         assert not np.array_equal(base[0, 7:], pert[0, 7:])
 
-    def test_conv1d_numba_matches_numpy(self, rng):
-        from capstate.model.autograd import (
-            _conv1d_bwd_numpy,
-            _conv1d_fwd_numpy,
-        )
-
-        x = np.ascontiguousarray(rng.normal(size=(3, 9, 2)))
-        w = np.ascontiguousarray(rng.normal(size=(3, 2, 4)))
+    def test_conv1d_matches_direct_sum(self, rng):
+        x = rng.normal(size=(3, 9, 2))
+        w = rng.normal(size=(3, 2, 4))
         b = rng.normal(size=(4,))
-        out_t = ag.conv1d_causal(Tensor(x), Tensor(w), Tensor(b), dilation=2)
-        assert np.allclose(out_t.data, _conv1d_fwd_numpy(x, w, b, 2), atol=1e-12)
-        g = rng.normal(size=out_t.data.shape)
-        dx, dw, db = _conv1d_bwd_numpy(g, x, w, 2)
-        t_x, t_w, t_b = Tensor(x), Tensor(w), Tensor(b)
-        out2 = ag.conv1d_causal(t_x, t_w, t_b, dilation=2)
-        loss = ag.tsum(ag.mul(Tensor(g), out2))
-        loss.backward()
-        assert np.allclose(t_x.grad, dx, atol=1e-12)
-        assert np.allclose(t_w.grad, dw, atol=1e-12)
-        assert np.allclose(t_b.grad, db, atol=1e-12)
+        for dilation in (1, 2, 4):
+            want = np.zeros((3, 9, 4))
+            for n in range(3):
+                for t in range(9):
+                    acc = b.copy()
+                    for k in range(3):
+                        if t - dilation * k >= 0:
+                            acc = acc + x[n, t - dilation * k] @ w[k]
+                    want[n, t] = acc
+            got = ag.conv1d_causal(Tensor(x), Tensor(w), Tensor(b), dilation).data
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_lstm_gradients(self, rng):
         x = rng.normal(size=(2, 6, 3)) * 0.5
@@ -139,24 +136,31 @@ class TestFusedKernels:
         b = rng.normal(size=(4 * h,)) * 0.2
         check_op(lambda a, c, d, e: ag.lstm(a, c, d, e), x, wx, wh, b, tol=5e-6)
 
-    def test_lstm_numba_matches_python(self, rng):
-        from capstate.model.autograd import _lstm_bwd_py, _lstm_fwd_py
+    def test_lstm_matches_scalar_reference(self, rng):
+        x = rng.normal(size=(3, 8, 2))
+        hdim = 5
+        wx = rng.normal(size=(2, 4 * hdim)) * 0.5
+        wh = rng.normal(size=(hdim, 4 * hdim)) * 0.5
+        b = rng.normal(size=(4 * hdim,)) * 0.3
 
-        x = np.ascontiguousarray(rng.normal(size=(3, 8, 2)))
-        h = 5
-        wx = np.ascontiguousarray(rng.normal(size=(2, 4 * h)) * 0.5)
-        wh = np.ascontiguousarray(rng.normal(size=(h, 4 * h)) * 0.5)
-        b = rng.normal(size=(4 * h,)) * 0.3
-        hs_ref, *cache_ref = _lstm_fwd_py(x, wx, wh, b)
-        out = ag.lstm(Tensor(x), Tensor(wx), Tensor(wh), Tensor(b))
-        assert np.allclose(out.data, hs_ref, atol=1e-12)
-        g = rng.normal(size=hs_ref.shape)
-        dref = _lstm_bwd_py(g, x, wx, wh, *cache_ref)
-        tx, twx, twh, tb = Tensor(x), Tensor(wx), Tensor(wh), Tensor(b)
-        out2 = ag.lstm(tx, twx, twh, tb)
-        ag.tsum(ag.mul(Tensor(g), out2)).backward()
-        for got, want in zip((tx.grad, twx.grad, twh.grad, tb.grad), dref):
-            assert np.allclose(got, want, atol=1e-10)
+        def sig(v):
+            return 1.0 / (1.0 + math.exp(-v))
+
+        want = np.zeros((3, 8, hdim))
+        for n in range(3):
+            h = [0.0] * hdim
+            c = [0.0] * hdim
+            for t in range(8):
+                z = [b[j] + sum(x[n, t, k] * wx[k, j] for k in range(2))
+                     + sum(h[m] * wh[m, j] for m in range(hdim)) for j in range(4 * hdim)]
+                for j in range(hdim):
+                    i, f = sig(z[j]), sig(z[hdim + j])
+                    g, o = math.tanh(z[2 * hdim + j]), sig(z[3 * hdim + j])
+                    c[j] = f * c[j] + i * g
+                    h[j] = o * math.tanh(c[j])
+                want[n, t] = h
+        got = ag.lstm(Tensor(x), Tensor(wx), Tensor(wh), Tensor(b)).data
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_dropout_inverted_scaling(self, rng):
         x = np.ones((200, 50))

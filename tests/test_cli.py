@@ -1,11 +1,15 @@
 """CLI surface: config handling, command round-trips, digests, exit codes."""
 
 import json
-
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import capstate
 from capstate.cli import main
 from capstate.config import (
     PipelineConfig,
@@ -79,6 +83,24 @@ class TestConfig:
         assert arch.modalities == ("ibi",)
         assert arch.backbone == "tcn"
         assert not arch.use_handcrafted_features
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """Every installed distribution that importing the package loads is numpy.
+
+    Runs in a fresh interpreter: other tests import scipy into this one."""
+    code = "\n".join([
+        "import sys, importlib.metadata as md",
+        "before = set(sys.modules)",
+        "import capstate.cli, capstate.model, capstate.evaluation",
+        "dists = md.packages_distributions()",
+        "loaded = {d for m in set(sys.modules) - before for d in dists.get(m.split('.')[0], [])}",
+        "print(sorted(loaded - {'numpy', 'capstate'}))",
+    ])
+    src = str(Path(capstate.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 class TestWindowsCsv:

@@ -7,6 +7,9 @@ from capstate.dsp import (
     NaturalCubicSpline,
     UniformSeries,
     WindowingPlan,
+    _butter_sos,
+    _sos_steady_zi,
+    _sosfilt_loop,
     butterworth_lowpass,
     detrend_linear,
     fft_radix2,
@@ -71,6 +74,37 @@ class TestButterworth:
             butterworth_lowpass(x, 4, 16.0)
         with pytest.raises(ValueError):
             butterworth_lowpass(x, 0, 1.0)
+
+
+IIR_CASES = [(4, 15.0, 2048.0, "lowpass"), (2, 5.0, 512.0, "highpass"), (3, 1.0, 32.0, "lowpass")]
+
+
+class TestIirOracle:
+    """The time-domain IIR against scipy.signal (a test-only oracle)."""
+
+    @pytest.mark.parametrize("order,cutoff,rate,btype", IIR_CASES)
+    def test_sosfilt_matches_scipy(self, rng, order, cutoff, rate, btype):
+        signal = pytest.importorskip("scipy.signal")
+        sos = _butter_sos(order, cutoff, rate, btype)
+        x = rng.normal(size=4096) + np.sin(np.arange(4096) * 0.01)
+        zi = rng.normal(size=(sos.shape[0], 2))
+        want, _ = signal.sosfilt(sos, x, zi=zi)
+        assert np.abs(_sosfilt_loop(sos, x, zi) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("order,cutoff,rate,btype", IIR_CASES)
+    def test_steady_state_matches_scipy(self, order, cutoff, rate, btype):
+        signal = pytest.importorskip("scipy.signal")
+        sos = _butter_sos(order, cutoff, rate, btype)
+        assert np.abs(_sos_steady_zi(sos) - signal.sosfilt_zi(sos)).max() <= 1e-12
+
+    @pytest.mark.parametrize("order,cutoff,rate,btype", IIR_CASES)
+    def test_design_response_matches_scipy(self, order, cutoff, rate, btype):
+        signal = pytest.importorskip("scipy.signal")
+        ours = _butter_sos(order, cutoff, rate, btype)
+        ref = signal.butter(order, cutoff, btype=btype, fs=rate, output="sos")
+        _, h_ours = signal.sosfreqz(ours, worN=512, fs=rate)
+        _, h_ref = signal.sosfreqz(ref, worN=512, fs=rate)
+        assert np.abs(h_ours - h_ref).max() <= 1e-12
 
 
 class TestDetrend:
