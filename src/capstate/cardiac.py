@@ -319,20 +319,24 @@ def hrv_features(window: UniformSeries) -> HrvFeatures:
 def normalize_per_subject(features: np.ndarray, subjects) -> tuple[np.ndarray, dict]:
     """Z-score each feature dimension within each subject.
 
-    Uses the subject's own label-free statistics (population SD, guarded at
-    1e-8 so constant columns map to zero). Returns the normalized matrix and
-    the per-subject (mean, sd) audit record.
+    ``features`` has one row per window and the feature dimension last; the
+    statistics pool every other axis, so an (N, d) matrix gets per-column
+    stats and an (N, T, 1) series one scalar per subject. Uses the subject's
+    own label-free statistics (population SD, guarded at 1e-8 so constant
+    dimensions map to zero). Returns the normalized array and the per-subject
+    (mean, sd) audit record.
     """
     features = np.asarray(features, dtype=np.float64)
     subjects = np.asarray(subjects)
+    axes = tuple(range(features.ndim - 1))
     out = np.empty_like(features)
     stats = {}
     for subj in np.unique(subjects):
         rows = np.nonzero(subjects == subj)[0]
         if len(rows) < 2:
             raise ValueError(f"subject {subj!r} has fewer than 2 windows")
-        mu = features[rows].mean(axis=0)
-        sd = features[rows].std(axis=0)
+        mu = features[rows].mean(axis=axes)
+        sd = features[rows].std(axis=axes)
         out[rows] = (features[rows] - mu) / np.maximum(sd, 1e-8)
         stats[str(subj)] = (mu, sd)
     return out, stats

@@ -36,7 +36,6 @@ class SynthConfig:
     n_subjects: int = 10
     duration_s: float = 360.0
     ecg_rate_hz: float = 512.0
-    eda_rate_hz: float = 32.0
 
 
 @dataclass(frozen=True)

@@ -414,7 +414,6 @@ def welch_psd(
     x: UniformSeries,
     segment_len: int,
     segment_overlap: float,
-    taper: str = "hann",
     nfft: int | None = None,
 ) -> Spectrum:
     """Welch PSD: averaged Hann-tapered periodograms of overlapping segments.
@@ -425,8 +424,6 @@ def welch_psd(
     zero-padded to ``nfft`` (default: next power of two) for the in-repo
     radix-2 FFT.
     """
-    if taper.lower() != "hann":
-        raise ValueError("only the Hann taper is supported")
     n = len(x.values)
     if segment_len > n:
         raise ValueError(f"segment_len {segment_len} exceeds signal length {n}")

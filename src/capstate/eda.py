@@ -429,11 +429,3 @@ class LogTransform:
         for j in np.nonzero(self.flags)[0]:
             f[:, j] = np.log(np.maximum(1.0 + f[:, j] - self.shifts[j], 1e-12))
         return f
-
-
-def log_transform_high_cv(train_features: np.ndarray, cv_threshold: float = 0.8):
-    """Fit on training windows and transform them; returns (transformed,
-    flags, transform) where ``transform`` applies the identical mapping to
-    held-out data."""
-    tr = LogTransform.fit(train_features, cv_threshold)
-    return tr.apply(train_features), tr.flags.copy(), tr

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..ingest import LabelScheme
+from ..ingest import LabelScheme, relabel_stress
 from ..model.network import ArchConfig, forward, substream_seed
 from ..model.train import TrainConfig, TrainHistory, train_fold
 from ..pipeline import WindowedDataset, apply_fold_transform, fit_fold_transform
@@ -95,13 +95,13 @@ def _run_single_fold(args) -> FoldResult:
 
     fold_cfg = replace(cfg, seed=substream_seed(cfg.seed, "fold", held))
     params, history = train_fold(
-        train_norm.for_subjects(inner_train).to_batch(),
-        train_norm.for_subjects(val_subjects).to_batch(),
+        train_norm.for_subjects(inner_train),
+        train_norm.for_subjects(val_subjects),
         arch,
         fold_cfg,
     )
 
-    out = forward(params, arch, held_norm.to_batch(), train_mode=False)
+    out = forward(params, arch, held_norm, train_mode=False)
     metrics, n_eff = fold_metrics(out.u, out.o, held_norm.stress, held_norm.effort, held_norm.mask)
     return FoldResult(
         subject_id=held,
@@ -146,8 +146,7 @@ def run_loso(
         conds = set(dataset.condition[dataset.subject == s].tolist())
         if len(conds) < 2:
             raise ValueError(f"subject {s!r} has windows from fewer than 2 conditions")
-    if scheme is not LabelScheme.PRIMARY:
-        dataset = dataset.relabel(scheme)
+    dataset = replace(dataset, stress=relabel_stress(dataset.stress, dataset.condition, scheme))
 
     jobs = [(dataset, held, arch, cfg, normalization_mode, heldout_perturbation) for held in subjects]
     if parallel_folds > 1:
@@ -162,8 +161,6 @@ def resensitize_fold_metrics(fold: FoldResult, scheme: LabelScheme) -> dict:
     """Recompute a fold's metrics under a relabeling scheme without retraining:
     only stress labels of c2 windows can change, so effort metrics are
     untouched by construction."""
-    stress = fold.stress.copy()
-    if scheme is LabelScheme.C2_STRESS_LOW:
-        stress[fold.condition == "c2"] = 0
+    stress = relabel_stress(fold.stress, fold.condition, scheme)
     metrics, _ = fold_metrics(fold.u, fold.o, stress, fold.effort, fold.mask)
     return metrics

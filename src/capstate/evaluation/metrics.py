@@ -41,7 +41,12 @@ def classification_metrics(pred_labels, true_labels) -> Metrics:
     confusion = np.zeros((2, 2), dtype=np.int64)
     for t, p in zip(true, pred):
         confusion[t, p] += 1
+    return metrics_from_confusion(confusion)
 
+
+def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
+    """Metrics of a 2x2 count matrix (rows = true class). Raises when a class
+    has no support (BA undefined); a class never predicted gets precision 0."""
     recalls = []
     precisions = []
     f1s = []

@@ -3,7 +3,7 @@
 import numpy as np
 
 from .loso import FoldResult
-from .metrics import Metrics
+from .metrics import Metrics, metrics_from_confusion
 from .stats import bonferroni, cohens_d, one_sample_t, paired_t, rm_anova_oneway
 from .statespace import condition_centroids, quadrant_occupancy
 
@@ -74,26 +74,20 @@ def aggregate_classification(folds: list[FoldResult]) -> dict:
             if m is not None:
                 confusion += m.confusion
         n_total = int(confusion.sum())
-        if n_total == 0 or confusion.sum(axis=1).min() == 0:
+        try:
+            pooled = metrics_from_confusion(confusion)
+        except ValueError:
             out[head] = {"n_total": n_total, "undefined": True}
             continue
-        recalls = [float(confusion[c, c] / confusion[c].sum()) for c in (0, 1)]
-        precisions = [
-            float(confusion[c, c] / confusion[:, c].sum()) if confusion[:, c].sum() else 0.0
-            for c in (0, 1)
-        ]
-        f1s = [
-            (2 * p * r / (p + r)) if (p + r) > 0 else 0.0 for p, r in zip(precisions, recalls)
-        ]
         out[head] = {
             "n_total": n_total,
             "confusion": confusion.tolist(),
-            "recall_low": recalls[0],
-            "recall_high": recalls[1],
-            "ba": float(np.mean(recalls)),
-            "precision": float(np.mean(precisions)),
-            "recall": float(np.mean(recalls)),
-            "macro_f1": float(np.mean(f1s)),
+            "recall_low": pooled.per_class_recall[0],
+            "recall_high": pooled.per_class_recall[1],
+            "ba": pooled.ba,
+            "precision": pooled.precision,
+            "recall": pooled.recall,
+            "macro_f1": pooled.macro_f1,
         }
     return out
 

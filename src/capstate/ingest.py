@@ -83,12 +83,14 @@ class LabelScheme(enum.Enum):
     C2_STRESS_LOW = "c2_stress_low"
 
 
-def relabel_for_sensitivity(condition: Condition, labels: LabelPair, scheme: LabelScheme) -> LabelPair:
-    """Sensitivity relabeling: under C2_STRESS_LOW every c2 window's stress
-    label becomes low; everything else is untouched."""
-    if scheme is LabelScheme.C2_STRESS_LOW and condition is Condition.C2:
-        return LabelPair(Level.LOW, labels.effort, labels.mask)
-    return labels
+def relabel_stress(stress: np.ndarray, condition: np.ndarray, scheme: LabelScheme) -> np.ndarray:
+    """Sensitivity relabeling of per-window stress labels (a new array): under
+    C2_STRESS_LOW every c2 window's stress label becomes low; everything else,
+    effort and mask included, is untouched."""
+    stress = np.array(stress, copy=True)
+    if scheme is LabelScheme.C2_STRESS_LOW:
+        stress[np.asarray(condition) == Condition.C2.value] = Level.LOW.value
+    return stress
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ and stress probability O are the "high" class probabilities.
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class ArchConfig:
     tcn_dilations: tuple = (1, 2, 4, 8, 16)
     tcn_channels: int = 24
     tcn_kernel: int = 3
-    tcn_pool: str = "last"  # "last" (causal) or "mean"
     lstm_hidden: int = 32
     feat_hidden: int = 32  # phi (HRV) and psi (EDA) projection width
     fusion_hidden: int = 64
@@ -75,8 +74,8 @@ class ArchConfig:
 
 @dataclass
 class Batch:
-    x_ibi: np.ndarray  # (B, T)
-    x_eda: np.ndarray  # (B, T)
+    x_ibi: np.ndarray  # (B, T) ms
+    x_eda: np.ndarray  # (B, T) uS (detrended scale)
     f_hrv: np.ndarray  # (B, 14)
     f_eda: np.ndarray  # (B, 12)
     stress: np.ndarray | None = None  # int in {0, 1}
@@ -85,6 +84,11 @@ class Batch:
 
     def __len__(self):
         return self.x_ibi.shape[0]
+
+    def select(self, rows: np.ndarray):
+        """The same table restricted to ``rows``; absent label fields stay None."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return type(self)(**{k: v if v is None else v[rows] for k, v in values.items()})
 
 
 @dataclass(frozen=True)
@@ -219,9 +223,7 @@ def _tcn(p, arch, mod, h, collect):
         h = act(ag.add(u, res))
         if collect is not None:
             collect[f"{mod}.tcn{i}"] = h
-    if arch.tcn_pool == "mean":
-        return ag.tmean(h, axis=1)
-    return ag.last_step(h)
+    return ag.last_step(h)  # causal pooling: the last step sees the whole window
 
 
 def build_graph(

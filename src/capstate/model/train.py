@@ -83,18 +83,6 @@ class TrainHistory:
                 )
 
 
-def _subset(batch: Batch, idx: np.ndarray) -> Batch:
-    return Batch(
-        x_ibi=batch.x_ibi[idx],
-        x_eda=batch.x_eda[idx],
-        f_hrv=batch.f_hrv[idx],
-        f_eda=batch.f_eda[idx],
-        stress=batch.stress[idx] if batch.stress is not None else None,
-        effort=batch.effort[idx] if batch.effort is not None else None,
-        mask=batch.mask[idx] if batch.mask is not None else None,
-    )
-
-
 def _ba_or_nan(true_labels: np.ndarray, pred_labels: np.ndarray) -> float:
     """Mean per-class recall, NaN when a class is absent from the true labels."""
     recalls = []
@@ -188,7 +176,7 @@ def train_fold(
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             total, _, _, grads = loss_and_grads(
-                params, arch, cfg, _subset(train, idx),
+                params, arch, cfg, train.select(idx),
                 train_mode=True,
                 dropout_seed=substream_seed(cfg.seed, "dropout", epoch, bi),
             )

@@ -2,12 +2,15 @@
 
 A windowed sample is one 60 s (120-sample at 2 Hz) slice carrying the IBI and
 EDA time series, the 14 + 12 handcrafted features, the condition labels and
-the effort-validity mask. Features stored on disk and in :class:`WindowedDataset`
-are raw; the CV-gated log transform and the per-subject z-scoring are applied
-per evaluation fold (they depend on fold membership).
+the effort-validity mask. :class:`WindowedDataset` is the one table of such
+rows: it is a model :class:`~capstate.model.network.Batch` plus subject,
+condition and window start, so it goes straight into training and inference.
+Features stored on disk and in the table are raw; the CV-gated log transform
+and the per-subject z-scoring are applied per evaluation fold (they depend on
+fold membership).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -15,14 +18,10 @@ from . import cardiac, eda
 from .dsp import UniformSeries, WindowingPlan, window_segment
 from .ingest import (
     Condition,
-    LabelPair,
-    LabelScheme,
-    Level,
     RawRecording,
     SyntheticSpec,
     assign_labels,
     generate_synthetic_recording,
-    relabel_for_sensitivity,
 )
 from .model.network import Batch
 
@@ -31,78 +30,28 @@ N_EDA_FEATURES = len(eda.EDA_FEATURE_NAMES)
 N_HRV_FEATURES = len(cardiac.HRV_FEATURE_NAMES)
 
 
-@dataclass
-class WindowedDataset:
-    """Column-oriented window store for a set of subjects."""
+@dataclass(kw_only=True)
+class WindowedDataset(Batch):
+    """Column-oriented window store for a set of subjects: the model batch
+    columns (x_ibi, x_eda, f_hrv, f_eda, stress, effort, mask) plus these."""
 
-    x_ibi: np.ndarray  # (N, 120) ms
-    x_eda: np.ndarray  # (N, 120) uS (detrended scale)
-    f_hrv: np.ndarray  # (N, 14) raw features
-    f_eda: np.ndarray  # (N, 12) raw features
-    stress: np.ndarray  # (N,) int
-    effort: np.ndarray  # (N,) int, -1 undefined
-    mask: np.ndarray  # (N,) int
     subject: np.ndarray  # (N,) str
     condition: np.ndarray  # (N,) str c1/c2/c3
     window_start_s: np.ndarray  # (N,)
 
-    def __len__(self):
-        return len(self.x_ibi)
-
     def subjects(self) -> list[str]:
         return sorted(set(self.subject.tolist()))
-
-    def select(self, rows: np.ndarray) -> "WindowedDataset":
-        return WindowedDataset(**{k: getattr(self, k)[rows] for k in _FIELDS})
 
     def for_subjects(self, subjects) -> "WindowedDataset":
         wanted = set(subjects)
         rows = np.array([s in wanted for s in self.subject])
         return self.select(rows)
 
-    def to_batch(self) -> Batch:
-        return Batch(
-            x_ibi=self.x_ibi,
-            x_eda=self.x_eda,
-            f_hrv=self.f_hrv,
-            f_eda=self.f_eda,
-            stress=self.stress,
-            effort=self.effort,
-            mask=self.mask,
-        )
-
-    def relabel(self, scheme: LabelScheme) -> "WindowedDataset":
-        """Apply the sensitivity relabeling window-wise (stress only)."""
-        stress = self.stress.copy()
-        for i in range(len(self)):
-            cond = Condition(self.condition[i])
-            pair = LabelPair(
-                Level(int(self.stress[i])),
-                Level(int(self.effort[i])) if self.mask[i] else Level.UNDEFINED,
-                int(self.mask[i]),
-            )
-            stress[i] = relabel_for_sensitivity(cond, pair, scheme).stress.value
-        out = self.select(np.arange(len(self)))
-        out.stress = stress
-        return out
-
-
-_FIELDS = [
-    "x_ibi",
-    "x_eda",
-    "f_hrv",
-    "f_eda",
-    "stress",
-    "effort",
-    "mask",
-    "subject",
-    "condition",
-    "window_start_s",
-]
-
 
 def concat_datasets(parts: list[WindowedDataset]) -> WindowedDataset:
-    return WindowedDataset(**{k: np.concatenate([getattr(p, k) for p in parts]) for k in _FIELDS})
+    return WindowedDataset(
+        **{f.name: np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(WindowedDataset)}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +62,13 @@ def concat_datasets(parts: list[WindowedDataset]) -> WindowedDataset:
 def window_recording(
     rec: RawRecording,
     plan: WindowingPlan = WindowingPlan(),
-    labels: LabelPair | None = None,
     trim_head_s: float = 0.0,
     trim_tail_s: float = 0.0,
     cvx_params: eda.CvxEdaParams = eda.CvxEdaParams(),
 ) -> WindowedDataset:
     """Full per-recording chain: R peaks -> corrected IBI at 2 Hz; EDA
     conditioning -> cvxEDA split -> SCR events; aligned windowing; features."""
-    if labels is None:
-        labels = assign_labels(rec.condition)
+    labels = assign_labels(rec.condition)
 
     ecg = UniformSeries(rec.ecg, rec.ecg_rate_hz)
     eda_raw = UniformSeries(rec.eda, rec.eda_rate_hz)
@@ -221,20 +168,27 @@ class FoldTransform:
         return self.log_transform.flags.copy()
 
 
+def _fold_blocks(ds: WindowedDataset, log_tr: eda.LogTransform) -> dict[str, np.ndarray]:
+    """The four blocks a fold transform z-scores, each normalized over every
+    axis but the last: features per column, and the time series, shaped
+    (N, T, 1), as one scalar channel over all samples of all windows."""
+    return {
+        "f_hrv": ds.f_hrv,
+        "f_eda": log_tr.apply(ds.f_eda),
+        "x_ibi": ds.x_ibi[:, :, None],
+        "x_eda": ds.x_eda[:, :, None],
+    }
+
+
 def fit_fold_transform(train: WindowedDataset, normalization_mode: str = "self_per_subject") -> FoldTransform:
     if normalization_mode not in ("self_per_subject", "train_fold_stats"):
         raise ValueError(f"unknown normalization mode {normalization_mode!r}")
     log_tr = eda.LogTransform.fit(train.f_eda)
     pooled = {}
     if normalization_mode == "train_fold_stats":
-        f_eda_t = log_tr.apply(train.f_eda)
-        for name, arr in (
-            ("f_hrv", train.f_hrv),
-            ("f_eda", f_eda_t),
-            ("x_ibi", train.x_ibi.reshape(-1, 1)),
-            ("x_eda", train.x_eda.reshape(-1, 1)),
-        ):
-            pooled[name] = (arr.mean(axis=0), np.maximum(arr.std(axis=0), 1e-8))
+        for name, block in _fold_blocks(train, log_tr).items():
+            axes = tuple(range(block.ndim - 1))
+            pooled[name] = (block.mean(axis=axes), np.maximum(block.std(axis=axes), 1e-8))
     return FoldTransform(log_tr, normalization_mode, pooled)
 
 
@@ -245,32 +199,15 @@ def apply_fold_transform(ds: WindowedDataset, tr: FoldTransform) -> WindowedData
     label-free statistics; in train_fold_stats mode pooled training statistics
     are applied to everyone (held-out subjects included).
     """
-    out = ds.select(np.arange(len(ds)))
-    out.f_eda = tr.log_transform.apply(ds.f_eda)
-    if tr.normalization_mode == "self_per_subject":
-        out.f_hrv, _ = cardiac.normalize_per_subject(ds.f_hrv, ds.subject)
-        out.f_eda, _ = cardiac.normalize_per_subject(out.f_eda, ds.subject)
-        for name in ("x_ibi", "x_eda"):
-            # per-subject scalar channel stats over all samples of all windows
-            arr = getattr(ds, name)
-            norm = np.empty_like(arr)
-            for subj in ds.subjects():
-                rows = np.nonzero(ds.subject == subj)[0]
-                if len(rows) < 2:
-                    raise ValueError(f"subject {subj!r} has fewer than 2 windows")
-                mu = arr[rows].mean()
-                sd = max(arr[rows].std(), 1e-8)
-                norm[rows] = (arr[rows] - mu) / sd
-            setattr(out, name, norm)
-    else:
-        mu, sd = tr.pooled_stats["f_hrv"]
-        out.f_hrv = (ds.f_hrv - mu) / sd
-        mu, sd = tr.pooled_stats["f_eda"]
-        out.f_eda = (out.f_eda - mu) / sd
-        for name in ("x_ibi", "x_eda"):
+    normalized = {}
+    for name, block in _fold_blocks(ds, tr.log_transform).items():
+        if tr.normalization_mode == "self_per_subject":
+            z, _ = cardiac.normalize_per_subject(block, ds.subject)
+        else:
             mu, sd = tr.pooled_stats[name]
-            setattr(out, name, (getattr(ds, name) - float(mu[0])) / float(sd[0]))
-    return out
+            z = (block - mu) / sd
+        normalized[name] = z.reshape(getattr(ds, name).shape)
+    return replace(ds, **normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +272,8 @@ def make_synthetic_recordings(
                 ecg_rate_hz=ecg_rate_hz,
             )
             rec, _ = generate_synthetic_recording(spec)
-            recordings.append(replace_identity(rec, subject, cond))
+            recordings.append(replace(rec, subject_id=subject, condition=cond))
     return recordings
-
-
-def replace_identity(rec: RawRecording, subject_id: str, condition: Condition) -> RawRecording:
-    return replace(rec, subject_id=subject_id, condition=condition)
 
 
 def build_dataset(

@@ -14,7 +14,7 @@ from .eda import EDA_FEATURE_NAMES
 from .errors import DataError
 from .evaluation.loso import FoldResult, fold_metrics
 from .model.train import TrainHistory
-from .pipeline import WindowedDataset, concat_datasets
+from .pipeline import WindowedDataset, _empty_dataset, concat_datasets
 
 
 def _window_header(window_len: int) -> list[str]:
@@ -60,19 +60,7 @@ def read_windows_csv(path) -> WindowedDataset:
     expected = _window_header(window_len)
     if header != expected:
         raise DataError(f"{path}: unexpected window CSV header")
-    n = len(rows)
-    ds = WindowedDataset(
-        x_ibi=np.zeros((n, window_len)),
-        x_eda=np.zeros((n, window_len)),
-        f_hrv=np.zeros((n, len(HRV_FEATURE_NAMES))),
-        f_eda=np.zeros((n, len(EDA_FEATURE_NAMES))),
-        stress=np.zeros(n, dtype=np.int64),
-        effort=np.zeros(n, dtype=np.int64),
-        mask=np.zeros(n, dtype=np.int64),
-        subject=np.empty(n, dtype=object),
-        condition=np.empty(n, dtype=object),
-        window_start_s=np.zeros(n),
-    )
+    ds = _empty_dataset(len(rows), window_len)
     for i, row in enumerate(rows):
         try:
             ds.subject[i] = row[0]

@@ -1,5 +1,7 @@
 """CLI surface: config handling, command round-trips, digests, exit codes."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -103,6 +105,21 @@ def test_numpy_is_the_only_runtime_dependency():
     assert out.stdout.strip() == "[]"
 
 
+def test_perfbench_targets_resolve():
+    """Every function the benchmark's traced run wraps still exists."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    targets = layers.targets()
+    assert targets
+    for module, attr, _, _ in targets:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"{module}.{attr}"
+
+
 class TestWindowsCsv:
     def test_round_trip(self, tmp_path):
         ds = make_feature_dataset(n_subjects=2, per_cond=3, seed=1)
@@ -190,6 +207,7 @@ class TestCommandChain:
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
         assert main(["evaluate", "--set", "not.a.key=1"]) == 2
+        assert main(["synth", "--set", "synth.eda_rate_hz=64"]) == 2  # synthetic EDA is always 32 Hz
         assert main(["preprocess", "--config", str(tmp_path / "missing.json")]) == 2
 
     def test_data_error_is_3(self, tmp_path):

@@ -10,7 +10,6 @@ from capstate.eda import (
     detect_scrs,
     eda_features,
     events_in_window,
-    log_transform_high_cv,
     preprocess_eda,
 )
 from capstate.ingest import bateman_kernel
@@ -205,8 +204,9 @@ class TestEdaFeatures:
 class TestLogTransform:
     def test_low_cv_unchanged(self, rng):
         train = np.column_stack([rng.normal(10.0, 1.0, 200), rng.normal(1.0, 5.0, 200)])
-        transformed, flags, tr = log_transform_high_cv(train)
-        assert not flags[0] and flags[1]
+        tr = LogTransform.fit(train)
+        assert not tr.flags[0] and tr.flags[1]
+        transformed = tr.apply(train)
         assert np.array_equal(transformed[:, 0], train[:, 0])
         assert not np.array_equal(transformed[:, 1], train[:, 1])
 

@@ -11,7 +11,7 @@ from capstate.ingest import (
     assign_labels,
     generate_synthetic_recording,
     load_recording,
-    relabel_for_sensitivity,
+    relabel_stress,
     write_recording_csvs,
     write_sessions_csv,
 )
@@ -29,27 +29,32 @@ class TestLabels:
         with pytest.raises(ValueError):
             LabelPair(Level.HIGH, Level.LOW, 0)
 
+    CONDITIONS = np.array(["c1", "c2", "c3", "c2", "c1", "c3"], dtype=object)
+
+    def _stress(self):
+        return np.array([assign_labels(Condition(c)).stress.value for c in self.CONDITIONS])
+
     def test_relabel_c2_stress_low(self):
-        original = assign_labels(Condition.C2)
-        out = relabel_for_sensitivity(Condition.C2, original, LabelScheme.C2_STRESS_LOW)
-        assert out == LabelPair(Level.LOW, Level.UNDEFINED, 0)
+        out = relabel_stress(self._stress(), self.CONDITIONS, LabelScheme.C2_STRESS_LOW)
+        assert out.tolist() == [0, 0, 1, 0, 0, 1]
 
     def test_relabel_identity_cases(self):
-        for cond in (Condition.C1, Condition.C3):
-            original = assign_labels(cond)
-            assert relabel_for_sensitivity(cond, original, LabelScheme.C2_STRESS_LOW) == original
-        for cond in Condition:
-            original = assign_labels(cond)
-            assert relabel_for_sensitivity(cond, original, LabelScheme.PRIMARY) == original
+        stress = self._stress()
+        out = relabel_stress(stress, self.CONDITIONS, LabelScheme.PRIMARY)
+        assert np.array_equal(out, stress)
+        out = relabel_stress(stress, self.CONDITIONS, LabelScheme.C2_STRESS_LOW)
+        keep = self.CONDITIONS != "c2"
+        assert np.array_equal(out[keep], stress[keep])
 
     def test_relabel_touches_only_c2_stress_fields(self, rng):
-        for cond in Condition:
-            original = assign_labels(cond)
-            out = relabel_for_sensitivity(cond, original, LabelScheme.C2_STRESS_LOW)
-            assert out.effort == original.effort
-            assert out.mask == original.mask
-            if cond is not Condition.C2:
-                assert out.stress == original.stress
+        # arbitrary stress values: only c2 rows change, and the input is not mutated
+        stress = rng.integers(0, 2, len(self.CONDITIONS))
+        before = stress.copy()
+        out = relabel_stress(stress, self.CONDITIONS, LabelScheme.C2_STRESS_LOW)
+        assert np.array_equal(stress, before)
+        assert out is not stress
+        assert np.all(out[self.CONDITIONS == "c2"] == Level.LOW.value)
+        assert np.array_equal(out[self.CONDITIONS != "c2"], before[self.CONDITIONS != "c2"])
 
 
 class TestSyntheticGeneration:

@@ -115,6 +115,29 @@ class TestLeakage:
         assert np.allclose(out.f_hrv, (held_ds.f_hrv - mu) / sd)
 
 
+class TestFoldTransform:
+    def test_self_per_subject_zscores_features_and_series(self):
+        ds = make_feature_dataset(n_subjects=3, per_cond=5, seed=9)
+        ds.f_hrv[:, 3] = 7.0  # a constant column maps to 0
+        out = apply_fold_transform(ds, fit_fold_transform(ds, "self_per_subject"))
+        for subj in ds.subjects():
+            rows = ds.subject == subj
+            for name in ("f_hrv", "f_eda"):
+                block = getattr(out, name)[rows]
+                const = getattr(ds, name)[rows].std(axis=0) == 0
+                assert np.allclose(block.mean(axis=0), 0.0, atol=1e-12)
+                assert np.allclose(block.std(axis=0)[~const], 1.0, atol=1e-12)
+                assert np.all(block[:, const] == 0.0)
+            assert np.all(out.f_hrv[rows, 3] == 0.0)
+            for name in ("x_ibi", "x_eda"):
+                # one scalar mean/SD per subject over every sample of every window
+                series = getattr(out, name)[rows]
+                assert series.shape == getattr(ds, name)[rows].shape
+                assert abs(series.mean()) < 1e-12
+                assert series.std() == pytest.approx(1.0, abs=1e-12)
+                assert not np.allclose(series.mean(axis=0), 0.0)
+
+
 class TestSensitivity:
     def test_relabel_changes_only_stress_metrics(self):
         ds = make_feature_dataset(n_subjects=3, per_cond=6, seed=4)
@@ -131,13 +154,17 @@ class TestSensitivity:
                 assert not np.array_equal(re["stress"].confusion, f.metrics["stress"].confusion)
 
     def test_scheme_applied_to_dataset_labels(self):
+        # run_loso trains and scores on relabel_stress(...); the fold labels show it
         ds = make_feature_dataset(n_subjects=3, per_cond=4, seed=4)
-        relabeled = ds.relabel(LabelScheme.C2_STRESS_LOW)
-        c2 = relabeled.condition == "c2"
-        assert np.all(relabeled.stress[c2] == 0)
-        assert np.all(relabeled.stress[~c2] == ds.stress[~c2])
-        assert np.array_equal(relabeled.mask, ds.mask)
-        assert np.array_equal(relabeled.effort, ds.effort)
+        folds = run_loso(ds, FAST_ARCH, FAST_CFG, scheme=LabelScheme.C2_STRESS_LOW)
+        for f in folds:
+            rows = ds.subject == f.subject_id
+            c2 = f.condition == "c2"
+            assert np.all(f.stress[c2] == 0)
+            assert np.array_equal(f.stress[~c2], ds.stress[rows][~c2])
+            assert np.array_equal(f.mask, ds.mask[rows])
+            assert np.array_equal(f.effort, ds.effort[rows])
+        assert np.all(ds.stress[ds.condition == "c2"] == 1)  # the caller's table is not relabeled
 
 
 class TestReportAggregation:

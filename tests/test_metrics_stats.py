@@ -9,7 +9,11 @@ from capstate.evaluation import (
     partial_eta_sq_from_f,
     rm_anova_oneway,
 )
+from capstate.evaluation.loso import FoldResult, fold_metrics
+from capstate.evaluation.metrics import metrics_from_confusion
+from capstate.evaluation.report import aggregate_classification
 from capstate.evaluation.stats import f_p_value, incomplete_beta, t_p_two_sided
+from capstate.model.train import TrainHistory
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +97,37 @@ class TestClassificationMetrics:
     def test_absent_class_rejected(self):
         with pytest.raises(ValueError):
             classification_metrics([0, 1], [1, 1])
+        with pytest.raises(ValueError):
+            metrics_from_confusion(np.array([[0, 0], [3, 4]]))
+
+
+def _fold(rng, n, mask):
+    u, o = rng.uniform(size=n), rng.uniform(size=n)
+    stress, effort = rng.integers(0, 2, n), rng.integers(0, 2, n)
+    stress[:2] = (0, 1)
+    effort[:2] = (0, 1)
+    metrics, n_eff = fold_metrics(u, o, stress, effort, mask)
+    return FoldResult("s01", np.array(["c1"] * n, dtype=object), np.zeros(n), u, o, stress, effort,
+                      mask, metrics, n_eff, TrainHistory(), {})
+
+
+class TestAggregateClassification:
+    def test_single_fold_matches_fold_metrics(self, rng):
+        for _ in range(20):
+            f = _fold(rng, 30, np.ones(30, dtype=int))
+            agg = aggregate_classification([f])
+            for head in ("stress", "effort"):
+                m, a = f.metrics[head], agg[head]
+                assert a["confusion"] == m.confusion.tolist()
+                assert a["n_total"] == 30
+                assert (a["recall_low"], a["recall_high"]) == m.per_class_recall
+                assert (a["ba"], a["precision"], a["recall"], a["macro_f1"]) == (
+                    m.ba, m.precision, m.recall, m.macro_f1)
+
+    def test_undefined_head(self, rng):
+        f = _fold(rng, 12, np.zeros(12, dtype=int))  # effort masked out everywhere
+        assert f.metrics["effort"] is None
+        assert aggregate_classification([f])["effort"] == {"n_total": 0, "undefined": True}
 
 
 class TestIncompleteBeta:

@@ -274,8 +274,8 @@ class TestTrainFold:
     def _sets(self, seed=0, n_subjects=3, per_cond=8):
         ds = make_feature_dataset(n_subjects=n_subjects, per_cond=per_cond, seed=seed)
         subjects = ds.subjects()
-        train = ds.for_subjects(subjects[:-1]).to_batch()
-        val = ds.for_subjects(subjects[-1:]).to_batch()
+        train = ds.for_subjects(subjects[:-1])
+        val = ds.for_subjects(subjects[-1:])
         return train, val
 
     def test_deterministic_history(self):
@@ -356,8 +356,8 @@ class TestTrainFold:
     def test_loss_decreases_on_separable_set(self):
         ds = make_feature_dataset(n_subjects=3, per_cond=10, seed=4, separation=2.0)
         subs = ds.subjects()
-        train = ds.for_subjects(subs[:2]).to_batch()
-        val = ds.for_subjects(subs[2:]).to_batch()
+        train = ds.for_subjects(subs[:2])
+        val = ds.for_subjects(subs[2:])
         cfg = TrainConfig(max_epochs=200, lr=3e-3, batch_size=30, early_stop_warmup=200,
                           early_stop_patience=200, plateau_patience=1000, seed=2)
         _, history = train_fold(train, val, tiny_arch(), cfg)
