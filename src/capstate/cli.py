@@ -97,13 +97,19 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
         )
         inputs[row["ecg_file"]] = cfgmod.sha256_file(root / row["ecg_file"])
         inputs[row["eda_file"]] = cfgmod.sha256_file(root / row["eda_file"])
-        part = pipeline.window_recording(
-            rec,
-            cfg.windowing,
-            trim_head_s=cfg.trim_head_s,
-            trim_tail_s=cfg.trim_tail_s,
-            cvx_params=cfg.cvxeda,
-        )
+        where = f"subject {subject} condition {cond.value} ({row['ecg_file']}, {row['eda_file']})"
+        try:
+            part = pipeline.window_recording(
+                rec,
+                cfg.windowing,
+                trim_head_s=cfg.trim_head_s,
+                trim_tail_s=cfg.trim_tail_s,
+                cvx_params=cfg.cvxeda,
+            )
+        except ValueError as exc:  # a signal the chain cannot use, e.g. a flat ECG
+            raise DataError(f"{where}: {exc}") from exc
+        except NumericalError as exc:
+            raise NumericalError(f"{where}: {exc}") from exc
         by_subject.setdefault(subject, []).append(part)
     outputs = {}
     for subject in sorted(by_subject):

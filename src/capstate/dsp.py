@@ -148,27 +148,66 @@ def _butter_sos(order: int, cutoff_hz: float, rate_hz: float, btype: str) -> np.
     return sos
 
 
-def _sosfilt_loop(sos, x, zi):
+# Samples per block of the state-space IIR. GEMM work grows with it and the
+# Python carry loop with n / block; 128 was the fastest of 64-512 on 2048 Hz ECG.
+_IIR_BLOCK = 128
+
+
+def _biquad_block_matrices(section: np.ndarray):
+    """Block state-space form (Burrus 1972) of one DF2T biquad over blocks of
+    L = ``_IIR_BLOCK`` samples.
+
+    With state ``s = (w1, w2)`` the biquad is ``y = s[0] + b0 x`` and
+    ``s' = A s + B x``, ``A = [[-a1, 1], [-a2, 0]]``, ``B = (b1 - a1 b0, b2 - a2 b0)``.
+    For one block ``x`` (a row) entered with state ``s``:
+
+        y  = x @ toeplitz + s @ carry_out
+        s' = a_pow_l @ s + x @ drive
+
+    ``toeplitz[j, k] = h[k - j]`` (zero below the diagonal) holds the impulse
+    response, ``carry_out[:, k]`` is the first row of ``A^k`` and ``drive[j]``
+    is ``A^(L-1-j) B``.
+    """
+    b0, b1, b2, _, a1, a2 = section.tolist()
+    n = _IIR_BLOCK
+    rows = [(1.0, 0.0)]  # rows[k] = first row of A^k
+    for _ in range(n):
+        r0, r1 = rows[-1]
+        rows.append((-a1 * r0 - a2 * r1, r0))
+    rows = np.array(rows)
+    powers = np.empty((n + 1, 2, 2))  # A^k; its second row is -a2 times the first row of A^(k-1)
+    powers[:, 0] = rows
+    powers[0, 1] = 0.0, 1.0
+    powers[1:, 1] = -a2 * rows[:-1]
+    pow_b = powers @ np.array([b1 - a1 * b0, b2 - a2 * b0])  # A^k B
+    h = np.concatenate([np.zeros(n - 1), [b0], pow_b[: n - 1, 0]])  # h[k] at index n - 1 + k
+    toeplitz = np.lib.stride_tricks.sliding_window_view(h, n)[::-1].copy()
+    return toeplitz, rows[:n].T.copy(), powers[n], pow_b[n - 1 :: -1].copy()
+
+
+def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
     """Cascade of direct-form II transposed biquads from per-section state
-    ``zi`` (the semantics of ``scipy.signal.sosfilt(sos, x, zi=zi)``)."""
+    ``zi`` (the semantics of ``scipy.signal.sosfilt(sos, x, zi=zi)``), in
+    blocks: per section, one GEMM for the zero-state response of every block,
+    a 2-state carry from block to block, and one GEMM for the carry's effect."""
     n = x.shape[0]
-    nsec = sos.shape[0]
-    y = x.copy()
-    for s in range(nsec):
-        b0 = sos[s, 0]
-        b1 = sos[s, 1]
-        b2 = sos[s, 2]
-        a1 = sos[s, 4]
-        a2 = sos[s, 5]
-        w1 = zi[s, 0]
-        w2 = zi[s, 1]
-        for i in range(n):
-            xn = y[i]
-            yn = b0 * xn + w1
-            w1 = b1 * xn - a1 * yn + w2
-            w2 = b2 * xn - a2 * yn
-            y[i] = yn
-    return y
+    n_blocks = -(-n // _IIR_BLOCK)
+    blocks = np.zeros(n_blocks * _IIR_BLOCK)
+    blocks[:n] = x
+    blocks = blocks.reshape(n_blocks, _IIR_BLOCK)
+    out = np.empty_like(blocks)
+    for s in range(sos.shape[0]):
+        toeplitz, carry_out, a_pow_l, drive = _biquad_block_matrices(sos[s])
+        (m00, m01), (m10, m11) = a_pow_l.tolist()
+        s0, s1 = zi[s].tolist()
+        states = []
+        for d0, d1 in (blocks @ drive).tolist():
+            states.append((s0, s1))
+            s0, s1 = m00 * s0 + m01 * s1 + d0, m10 * s0 + m11 * s1 + d1
+        np.matmul(blocks, toeplitz, out=out)
+        out += np.array(states).reshape(n_blocks, 2) @ carry_out
+        blocks, out = out, blocks
+    return blocks.reshape(-1)[:n].copy()
 
 
 def _sos_steady_zi(sos: np.ndarray) -> np.ndarray:
@@ -196,8 +235,8 @@ def _sosfiltfilt(sos: np.ndarray, x: np.ndarray, pad_samples: int = 0) -> np.nda
     else:
         ext = x.astype(np.float64)
     zi = _sos_steady_zi(sos)
-    y = _sosfilt_loop(sos, ext, zi * ext[0])[::-1]
-    y = _sosfilt_loop(sos, y, zi * y[0])[::-1]
+    y = _sosfilt(sos, ext, zi * ext[0])[::-1]
+    y = _sosfilt(sos, y, zi * y[0])[::-1]
     return y[padlen : padlen + n].copy()
 
 

@@ -9,8 +9,11 @@ On-disk layout (one directory per subject under the dataset root):
 
 import csv
 import enum
+import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -99,28 +102,58 @@ def relabel_stress(stress: np.ndarray, condition: np.ndarray, scheme: LabelSchem
 
 
 def _read_two_column_csv(path: Path, value_header: str):
+    """``(t, v)`` from a ``t_s,<value_header>`` CSV with at least two rows of
+    finite samples and strictly increasing timestamps; anything else raises
+    :class:`DataError` naming the file (and its first bad line)."""
     if not path.exists():
         raise DataError(f"missing file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t_s", value_header]:
+    with open(path, encoding="utf-8", errors="replace") as fh:  # bad bytes fail as a bad field
+        header = fh.readline().rstrip("\n").split(",")
+        if [h.strip() for h in header] != ["t_s", value_header]:
             raise DataError(f"{path}: expected header 't_s,{value_header}', got {header}")
-        t, v = [], []
-        for rownum, row in enumerate(reader, start=2):
-            try:
-                t.append(float(row[0]))
-                v.append(float(row[1]))
-            except (ValueError, IndexError):
-                raise DataError(f"{path}: malformed row {rownum}: {row}") from None
-    t = np.asarray(t)
-    v = np.asarray(v)
-    if len(t) < 2:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "no data": reported below
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = np.empty((0, 0))
+        if (
+            data.shape[1] != 2
+            or len(data) < 2
+            or not np.isfinite(data).all()
+            or np.any(np.diff(data[:, 0]) <= 0)
+        ):
+            _raise_first_bad_line(path, fh)
+    return data[:, 0].copy(), data[:, 1].copy()
+
+
+def _raise_first_bad_line(path: Path, fh) -> NoReturn:
+    """Re-read a file the vectorised parse rejected, one line at a time, and
+    raise :class:`DataError` for the first line at fault."""
+    fh.seek(0)
+    next(fh)
+    prev_t = -math.inf
+    rows = 0
+    for lineno, line in enumerate(fh, start=2):
+        text = line.rstrip("\n")
+        if not text:
+            continue  # blank lines are skipped by the parse as well
+        fields = text.split(",")
+        try:
+            if len(fields) != 2 or "_" in text:  # float() takes "1_0", the parse does not
+                raise ValueError
+            t, v = float(fields[0]), float(fields[1])
+        except ValueError:
+            raise DataError(f"{path}: malformed line {lineno}: {text[:80]!r} (want 2 numeric fields)") from None
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise DataError(f"{path}: non-finite sample on line {lineno}: {text[:80]!r}")
+        if t <= prev_t:
+            raise DataError(f"{path}: non-monotonic timestamps on line {lineno}")
+        prev_t = t
+        rows += 1
+    if rows < 2:
         raise DataError(f"{path}: fewer than 2 samples")
-    bad = np.nonzero(np.diff(t) <= 0)[0]
-    if len(bad):
-        raise DataError(f"{path}: non-monotonic timestamps at row {int(bad[0]) + 3}")
-    return t, v
+    raise DataError(f"{path}: unparseable data")
 
 
 def _check_rate(path: Path, t: np.ndarray, nominal_hz: float) -> float:

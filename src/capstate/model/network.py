@@ -317,7 +317,12 @@ def arch_to_json(arch: ArchConfig) -> str:
 
 
 def arch_from_json(text: str) -> ArchConfig:
+    """Inverse of :func:`arch_to_json`; keys ``ArchConfig`` does not have
+    (from a checkpoint of another version) raise ``ValueError`` naming them."""
     d = json.loads(text)
+    unknown = sorted(set(d) - {f.name for f in fields(ArchConfig)})
+    if unknown:
+        raise ValueError(f"checkpoint architecture has unknown keys {unknown}")
     for k in ("tcn_dilations", "modalities"):
         if k in d:
             d[k] = tuple(d[k])

@@ -25,6 +25,20 @@ def butterworth_power_response(f_hz: float, cutoff_hz: float, order: int, rate_h
     return 1.0 / (1.0 + (w / wc) ** (2 * order))
 
 
+def sosfilt_reference(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """Cascade of direct-form II transposed biquads, one sample at a time
+    from per-section state ``zi`` (``scipy.signal.sosfilt(sos, x, zi=zi)``)."""
+    y = np.array(x, dtype=np.float64)
+    for (b0, b1, b2, _, a1, a2), (w1, w2) in zip(sos.tolist(), zi.tolist()):
+        for i in range(len(y)):
+            xn = y[i]
+            yn = b0 * xn + w1
+            w1 = b1 * xn - a1 * yn + w2
+            w2 = b2 * xn - a2 * yn
+            y[i] = yn
+    return y
+
+
 def direct_periodogram(x: np.ndarray, fs: float, nfft: int) -> tuple[np.ndarray, np.ndarray]:
     """Single-segment Hann periodogram by explicit DFT sums, mean removed and
     reassigned to the DC bin (same spectral conventions as welch_psd, but an

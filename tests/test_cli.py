@@ -213,6 +213,25 @@ class TestExitCodes:
     def test_data_error_is_3(self, tmp_path):
         assert run_cli(tmp_path, "preprocess") == 3  # no synth tree yet
 
+    def test_corrupted_tree_is_3(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "synth") == 0
+        first = (tmp_path / "data" / "sessions.csv").read_text().splitlines()[1].split(",")
+        subject, cond, ecg, eda = first
+        for rel, corrupt, expect in (
+            (eda, lambda lines: lines[:5] + [lines[5].split(",")[0] + ",nan"] + lines[6:],
+             f"{eda}: non-finite sample on line 6"),
+            (ecg, lambda lines: lines[:3] + [lines[3] + ",0.0"] + lines[4:], f"{ecg}: malformed line 4"),
+            (ecg, lambda lines: lines[:1] + [line.split(",")[0] + ",0.0" for line in lines[1:]],
+             f"subject {subject} condition {cond} ({ecg}, {eda})"),  # a flat ECG has no beats
+        ):
+            path = tmp_path / "data" / rel
+            original = path.read_text()
+            path.write_text("\n".join(corrupt(original.splitlines())) + "\n")
+            capsys.readouterr()
+            assert run_cli(tmp_path, "preprocess") == 3
+            assert expect in capsys.readouterr().err
+            path.write_text(original)
+
     def test_numerical_error_is_4(self, tmp_path, monkeypatch):
         import capstate.cli as cli_mod
         from capstate.errors import NumericalError

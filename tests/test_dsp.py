@@ -1,15 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import capstate
 from capstate.dsp import (
     NaturalCubicSpline,
     UniformSeries,
     WindowingPlan,
+    _IIR_BLOCK,
     _butter_sos,
     _sos_steady_zi,
-    _sosfilt_loop,
+    _sosfilt,
     butterworth_lowpass,
     detrend_linear,
     fft_radix2,
@@ -18,7 +25,7 @@ from capstate.dsp import (
     welch_psd,
     window_segment,
 )
-from conftest import butterworth_power_response, direct_periodogram
+from conftest import butterworth_power_response, direct_periodogram, sosfilt_reference
 
 
 def sine(f_hz, rate_hz, dur_s, amp=1.0, phase=0.0):
@@ -79,8 +86,16 @@ class TestButterworth:
 IIR_CASES = [(4, 15.0, 2048.0, "lowpass"), (2, 5.0, 512.0, "highpass"), (3, 1.0, 32.0, "lowpass")]
 
 
+# The ECG band-pass of cardiac.detect_r_peaks at the SWELL-KW rate.
+ECG_BAND_SECTIONS = [(2, 5.0, 2048.0, "highpass"), (2, 15.0, 2048.0, "lowpass")]
+# The block kernel sums each block's impulse response in another order than
+# the per-sample recursion; measured deviation is <= 1e-13 of max|y|.
+IIR_REL_TOL = 1e-12
+
+
 class TestIirOracle:
-    """The time-domain IIR against scipy.signal (a test-only oracle)."""
+    """The block IIR kernel against the per-sample DF2T recursion
+    (``conftest.sosfilt_reference``) and scipy.signal (test-only oracles)."""
 
     @pytest.mark.parametrize("order,cutoff,rate,btype", IIR_CASES)
     def test_sosfilt_matches_scipy(self, rng, order, cutoff, rate, btype):
@@ -89,7 +104,58 @@ class TestIirOracle:
         x = rng.normal(size=4096) + np.sin(np.arange(4096) * 0.01)
         zi = rng.normal(size=(sos.shape[0], 2))
         want, _ = signal.sosfilt(sos, x, zi=zi)
-        assert np.abs(_sosfilt_loop(sos, x, zi) - want).max() <= 1e-12
+        assert np.abs(_sosfilt(sos, x, zi) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("order,cutoff,rate,btype", IIR_CASES)
+    def test_sosfilt_matches_reference(self, rng, order, cutoff, rate, btype):
+        sos = _butter_sos(order, cutoff, rate, btype)
+        x = rng.normal(size=4096) + np.sin(np.arange(4096) * 0.01)
+        zi = rng.normal(size=(sos.shape[0], 2))
+        assert np.abs(_sosfilt(sos, x, zi) - sosfilt_reference(sos, x, zi)).max() <= 1e-12
+
+    @pytest.mark.parametrize("order,cutoff,rate,btype", ECG_BAND_SECTIONS)
+    def test_ecg_band_sections_match_reference(self, rng, order, cutoff, rate, btype):
+        sos = _butter_sos(order, cutoff, rate, btype)
+        n = 20 * 2048 + 77  # not a whole number of blocks
+        x = rng.normal(size=n) + 5.0 * np.sin(2 * np.pi * 1.2 * np.arange(n) / rate)
+        zi = rng.normal(size=(sos.shape[0], 2))
+        want = sosfilt_reference(sos, x, zi)
+        assert np.abs(_sosfilt(sos, x, zi) - want).max() <= IIR_REL_TOL * np.abs(want).max()
+
+    @given(
+        n=st.integers(1, 3 * _IIR_BLOCK + 7),
+        case=st.sampled_from(IIR_CASES + ECG_BAND_SECTIONS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_length_matches_reference(self, n, case, seed):
+        rng = np.random.default_rng(seed)
+        sos = _butter_sos(*case)
+        x = rng.normal(size=n)
+        zi = rng.normal(size=(sos.shape[0], 2))
+        got = _sosfilt(sos, x, zi)
+        want = sosfilt_reference(sos, x, zi)
+        assert got.shape == (n,)
+        assert np.abs(got - want).max() <= IIR_REL_TOL * max(np.abs(want).max(), 1.0)
+
+    def test_filtered_digest_independent_of_blas_threads(self):
+        # the block GEMMs must not depend on how BLAS splits them over threads
+        script = (
+            "import hashlib, numpy as np\n"
+            "from capstate.dsp import _butter_sos, _sosfiltfilt\n"
+            f"sos = np.vstack([_butter_sos(*case) for case in {ECG_BAND_SECTIONS!r}])\n"
+            "x = np.random.default_rng(3).normal(size=60 * 2048)\n"
+            "y = _sosfiltfilt(sos, x, pad_samples=1228)\n"
+            "print(hashlib.sha256(y.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(capstate.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120, check=True)
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
     @pytest.mark.parametrize("order,cutoff,rate,btype", IIR_CASES)
     def test_steady_state_matches_scipy(self, order, cutoff, rate, btype):

@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capstate.errors import DataError
 from capstate.ingest import (
+    _read_two_column_csv,
     Condition,
     LabelPair,
     LabelScheme,
@@ -143,3 +148,81 @@ class TestLoadRecording:
         path.write_text("time,value\n" + "\n".join(body) + "\n")
         with pytest.raises(DataError, match="header"):
             load_recording(tree, "pp01", Condition.C1, ecg_nominal_hz=256.0)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# increasing timestamps written with repr stay increasing after the round trip
+TIMES = st.lists(FINITE, min_size=2, max_size=40, unique=True).map(sorted)
+FORMATS = ("{!r}", "{:.6g}", "{:.3e}", " {!r}", "{!r} ")
+
+
+def _write(path, rows, header="t_s,mv"):
+    path.write_text(header + "\n" + "".join(line + "\n" for line in rows))
+    return path
+
+
+# Each corruption rewrites data row i (1 <= i < n) given its and the previous row's timestamp.
+CORRUPTIONS = {
+    "truncated": (lambda t, prev: f"{t!r}", "malformed"),
+    "truncated_after_comma": (lambda t, prev: f"{t!r},", "malformed"),
+    "extra_field": (lambda t, prev: f"{t!r},1.0,2.0", "malformed"),
+    "non_numeric": (lambda t, prev: f"{t!r},abc", "malformed"),
+    "digit_groups": (lambda t, prev: f"{t!r},1_000", "malformed"),
+    "nan_value": (lambda t, prev: f"{t!r},nan", "non-finite"),
+    "inf_value": (lambda t, prev: f"{t!r},-inf", "non-finite"),
+    "inf_time": (lambda t, prev: "inf,1.0", "non-finite"),
+    "duplicate_time": (lambda t, prev: f"{prev!r},1.0", "non-monotonic"),
+    "decreasing_time": (lambda t, prev: f"{prev - 1.0!r},1.0", "non-monotonic"),
+}
+
+
+class TestCsvReader:
+    """The vectorised two-column reader, and the line it names when it refuses a file."""
+
+    @given(times=TIMES, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_valid_file_parses_like_float(self, tmp_path_factory, times, data):
+        # bounded so that no format rounds a value past the largest float
+        values = data.draw(st.lists(st.floats(-1e300, 1e300), min_size=len(times), max_size=len(times)))
+        fmt = data.draw(st.sampled_from(FORMATS))
+        fields = [(repr(t), fmt.format(v)) for t, v in zip(times, values)]
+        path = _write(tmp_path_factory.mktemp("csv") / "x.csv", [f"{a},{b}" for a, b in fields])
+        t, v = _read_two_column_csv(path, "mv")
+        assert t.tobytes() == np.array([float(a) for a, _ in fields]).tobytes()
+        assert v.tobytes() == np.array([float(b) for _, b in fields]).tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    @given(times=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40, unique=True).map(sorted),
+           data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_corrupt_row_names_path_and_line(self, tmp_path_factory, kind, times, data):
+        make, reason = CORRUPTIONS[kind]
+        i = data.draw(st.integers(1, len(times) - 1))
+        rows = [f"{t!r},0.5" for t in times]
+        rows[i] = make(times[i], times[i - 1])
+        path = _write(tmp_path_factory.mktemp("csv") / "x.csv", rows)
+        with pytest.raises(DataError, match=re.escape(str(path))) as err:
+            _read_two_column_csv(path, "mv")
+        assert f"{reason}" in str(err.value) and f"line {i + 2}" in str(err.value)
+
+    def test_extra_field_on_every_row_rejected(self, tmp_path):
+        path = _write(tmp_path / "x.csv", ["0.0,1.0,9", "0.5,1.0,9", "1.0,1.0,9"])
+        with pytest.raises(DataError, match="malformed line 2"):
+            _read_two_column_csv(path, "mv")
+
+    def test_undecodable_bytes_name_the_line(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"t_s,mv\n0.0,1.0\n0.5,\xff\xfe\n1.0,1.0\n")
+        with pytest.raises(DataError, match="malformed line 3"):
+            _read_two_column_csv(path, "mv")
+
+    def test_wrong_header_rejected(self, tmp_path):
+        path = _write(tmp_path / "x.csv", ["0.0,1.0", "0.5,1.0"], header="t_s,us")
+        with pytest.raises(DataError, match=re.escape(str(path)) + ".*header"):
+            _read_two_column_csv(path, "mv")
+
+    @pytest.mark.parametrize("rows", [[], ["0.0,1.0"]])
+    def test_fewer_than_two_rows_rejected(self, tmp_path, rows):
+        path = _write(tmp_path / "x.csv", rows)
+        with pytest.raises(DataError, match=re.escape(str(path)) + ".*fewer than 2 samples"):
+            _read_two_column_csv(path, "mv")

@@ -1,5 +1,7 @@
 """Network forward contracts, losses, optimizer, and the training loop."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from capstate.model import (
 )
 from capstate.model.losses import focal_loss_vector, masked_multitask_loss
 from capstate.model.autograd import Tensor
-from capstate.model.network import collect_activations
+from capstate.model.network import arch_from_json, arch_to_json, collect_activations
 from capstate.model.train import loss_and_grads
 from conftest import TINY_ARCH, make_feature_dataset
 
@@ -376,3 +378,10 @@ class TestCheckpoint:
         assert set(loaded) == set(params)
         for k in params:
             assert np.array_equal(loaded[k], params[k])
+
+    def test_unknown_arch_key_named(self):
+        # a checkpoint saved when ArchConfig still had tcn_pool
+        d = json.loads(arch_to_json(tiny_arch()))
+        d["tcn_pool"] = "last"
+        with pytest.raises(ValueError, match="tcn_pool"):
+            arch_from_json(json.dumps(d))
