@@ -85,13 +85,13 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
     out_dir = Path(cfg.output_root) / "windows"
     out_dir.mkdir(parents=True, exist_ok=True)
     sessions = ingest.read_sessions(root)
-    inputs = {"sessions.csv": cfgmod.sha256_file(root / "sessions.csv")}
+    inputs = {"sessions.csv": cfgmod.sha256_file(sessions.path)}
     by_subject: dict[str, list] = {}
-    for row in sessions:
+    for row in sessions.rows:
         subject = row["subject_id"]
         cond = Condition.parse(row["condition"])
         rec = ingest.load_recording(
-            root, subject, cond,
+            sessions, subject, cond,
             ecg_nominal_hz=cfg.ecg_nominal_hz,
             eda_nominal_hz=cfg.eda_nominal_hz,
         )

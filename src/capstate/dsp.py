@@ -249,11 +249,7 @@ def butterworth_lowpass(x: UniformSeries, order: int, cutoff_hz: float) -> Unifo
     untouched, and this suppresses edge transients on drifting signals.
     """
     sos = _butter_sos(order, cutoff_hz, x.rate_hz, "lowpass")
-    n = len(x.values)
-    t = np.arange(n, dtype=np.float64)
-    t -= t.mean()
-    mean = x.values.mean()
-    slope = (t @ (x.values - mean)) / (t @ t) if n > 1 else 0.0
+    t, mean, slope = linear_fit(x.values)
     line = mean + slope * t
     pad = int(3.0 * x.rate_hz / cutoff_hz)
     resid = _sosfiltfilt(sos, x.values - line, pad_samples=pad)
@@ -277,16 +273,26 @@ def butterworth_bandpass(x: UniformSeries, order: int, low_hz: float, high_hz: f
 # ---------------------------------------------------------------------------
 
 
+def linear_fit(v: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Least-squares line through ``v``: the centred sample index ``t``, the
+    mean and the slope per sample (0 for fewer than 2 samples).
+
+    The sums are numpy reductions, not ``t @ r``: OpenBLAS splits a long
+    ``ddot`` over its threads, which makes the bits depend on the thread count.
+    """
+    t = np.arange(len(v), dtype=np.float64)
+    t -= t.mean()
+    mean = v.mean()
+    slope = np.sum(t * (v - mean)) / np.sum(t * t) if len(v) > 1 else 0.0
+    return t, mean, slope
+
+
 def detrend_linear(x: UniformSeries) -> UniformSeries:
     """Subtract the least-squares line; result has zero mean and zero LS slope."""
-    n = len(x.values)
-    if n < 2:
+    if len(x.values) < 2:
         raise ValueError("detrend_linear needs at least 2 samples")
-    t = np.arange(n, dtype=np.float64)
-    t -= t.mean()
-    v = x.values
-    slope = (t @ (v - v.mean())) / (t @ t)
-    return x.replace_values(v - v.mean() - slope * t)
+    t, mean, slope = linear_fit(x.values)
+    return x.replace_values(x.values - mean - slope * t)
 
 
 def resample_uniform(x: UniformSeries, target_hz: float, antialias_order: int = 4) -> UniformSeries:

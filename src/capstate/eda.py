@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import UniformSeries, butterworth_lowpass, detrend_linear, resample_uniform
+from .dsp import UniformSeries, butterworth_lowpass, detrend_linear, linear_fit, resample_uniform
 from .errors import NumericalError
 from .ingest import bateman_kernel
 
@@ -363,9 +363,6 @@ def eda_features(
 
     raw = window_raw.values
     scl = window_tonic.values
-    t = np.arange(len(scl)) / window_raw.rate_hz
-    tc = t - t.mean()
-    slope = float((tc @ (scl - scl.mean())) / (tc @ tc))
 
     amps = np.array([e.amplitude_us for e in events_in_window])
     if len(events_in_window):
@@ -385,7 +382,7 @@ def eda_features(
         raw_max=float(raw.max()),
         scl_mean=float(scl.mean()),
         scl_sd=float(scl.std()),
-        scl_slope=slope,
+        scl_slope=float(linear_fit(scl)[2] * window_raw.rate_hz),  # uS per second
         scl_range=float(scl.max() - scl.min()),
         scr_amp_mean=float(amps.mean()) if len(amps) else 0.0,
         scr_amp_sd=float(amps.std()) if len(amps) else 0.0,

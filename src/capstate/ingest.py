@@ -165,7 +165,21 @@ def _check_rate(path: Path, t: np.ndarray, nominal_hz: float) -> float:
     return float(rate)
 
 
-def read_sessions(root_path) -> list[dict]:
+@dataclass(frozen=True)
+class Sessions:
+    """The checked rows of ``<root>/sessions.csv``; read once per dataset."""
+
+    root: Path
+    rows: list[dict]
+
+    @property
+    def path(self) -> Path:
+        return self.root / "sessions.csv"
+
+
+def read_sessions(root_path) -> Sessions:
+    """Read ``<root>/sessions.csv``; every row must name a subject, a known
+    condition and both files, else :class:`DataError` names the file and row."""
     root = Path(root_path)
     manifest = root / "sessions.csv"
     if not manifest.exists():
@@ -176,30 +190,35 @@ def read_sessions(root_path) -> list[dict]:
     for i, row in enumerate(rows, start=2):
         if not needed.issubset(row.keys()) or any(row[k] in (None, "") for k in needed):
             raise DataError(f"{manifest}: malformed row {i}: {row}")
-    return rows
+        try:
+            Condition.parse(row["condition"])
+        except DataError as exc:
+            raise DataError(f"{manifest}: row {i}: {exc}") from None
+    return Sessions(root, rows)
 
 
 def load_recording(
-    root_path,
+    sessions: Sessions,
     subject_id: str,
     condition: Condition,
     ecg_nominal_hz: float = 2048.0,
     eda_nominal_hz: float = 32.0,
 ) -> RawRecording:
-    """Load one subject/condition pair from the canonical tree.
+    """Load one subject/condition pair listed in ``sessions`` (see :func:`read_sessions`).
 
-    Raises :class:`DataError` naming the offending file for missing files,
-    non-monotonic timestamps, or a sampling rate off nominal by more than 5%.
+    Raises :class:`DataError` naming the offending file for a pair missing from
+    ``sessions.csv``, missing files, non-monotonic timestamps, or a sampling
+    rate off nominal by more than 5%.
     """
-    root = Path(root_path)
+    root = sessions.root
     rows = [
         r
-        for r in read_sessions(root)
+        for r in sessions.rows
         if r["subject_id"] == subject_id and Condition.parse(r["condition"]) is condition
     ]
     if not rows:
         raise DataError(
-            f"{root / 'sessions.csv'}: no entry for subject {subject_id!r} condition {condition.value}"
+            f"{sessions.path}: no entry for subject {subject_id!r} condition {condition.value}"
         )
     row = rows[0]
     ecg_t, ecg_v = _read_two_column_csv(root / row["ecg_file"], "mv")

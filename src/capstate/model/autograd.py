@@ -285,7 +285,7 @@ def _conv1d_bwd(g, x, w, dilation):
         s = dilation * tap
         if s < t:
             dx[:, : t - s, :] += g[:, s:, :] @ w[tap].T
-            dw[tap] = np.einsum("btc,bto->co", x[:, : t - s, :], g[:, s:, :])
+            dw[tap] = x[:, : t - s].reshape(-1, ci).T @ g[:, s:].reshape(-1, co)
     db = g.sum(axis=(0, 1))
     return dx, dw, db
 

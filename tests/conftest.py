@@ -1,8 +1,14 @@
 """Shared fixtures and independent reference implementations (oracles)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import capstate
 from capstate.pipeline import WindowedDataset
 
 
@@ -37,6 +43,19 @@ def sosfilt_reference(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndar
             w2 = b2 * xn - a2 * yn
             y[i] = yn
     return y
+
+
+def digests_by_blas_threads(script: str) -> list[str]:
+    """stdout of ``python -c script`` run once with ``OPENBLAS_NUM_THREADS=1``
+    and once with ``=2`` (the script prints digests of what it computes)."""
+    src = str(Path(capstate.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        out.append(proc.stdout.strip())
+    return out
 
 
 def direct_periodogram(x: np.ndarray, fs: float, nfft: int) -> tuple[np.ndarray, np.ndarray]:

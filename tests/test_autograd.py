@@ -7,6 +7,7 @@ import pytest
 
 import capstate.model.autograd as ag
 from capstate.model.autograd import Tensor
+from conftest import digests_by_blas_threads
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -127,6 +128,41 @@ class TestFusedKernels:
                     want[n, t] = acc
             got = ag.conv1d_causal(Tensor(x), Tensor(w), Tensor(b), dilation).data
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_conv1d_backward_matches_direct_sum(self, rng):
+        # dilation 5 puts the last tap at 10 >= T = 9: it sees no input, so its dw is exactly 0
+        x = rng.normal(size=(3, 9, 2))
+        w = rng.normal(size=(3, 2, 4))
+        b = rng.normal(size=(4,))
+        g = rng.normal(size=(3, 9, 4))
+        for dilation in (1, 2, 4, 5):
+            want_dx, want_dw, want_db = np.zeros_like(x), np.zeros_like(w), np.zeros_like(b)
+            for n in range(3):
+                for t in range(9):
+                    want_db += g[n, t]
+                    for k in range(3):
+                        if t - dilation * k >= 0:
+                            want_dx[n, t - dilation * k] += w[k] @ g[n, t]
+                            want_dw[k] += np.outer(x[n, t - dilation * k], g[n, t])
+            xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
+            ag.tsum(ag.mul(ag.conv1d_causal(xt, wt, bt, dilation), Tensor(g))).backward()
+            for got, want in ((xt.grad, want_dx), (wt.grad, want_dw), (bt.grad, want_db)):
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+            if dilation == 5:
+                assert not wt.grad[2].any()
+
+    def test_conv1d_backward_digest_independent_of_blas_threads(self):
+        script = (
+            "import hashlib, numpy as np\n"
+            "from capstate.model.autograd import _conv1d_bwd\n"
+            "rng = np.random.default_rng(5)\n"
+            "x, g = rng.normal(size=(2, 64, 120, 24))\n"
+            "w = rng.normal(size=(3, 24, 24))\n"
+            "parts = _conv1d_bwd(g, x, w, 16)\n"
+            "print(hashlib.sha256(b''.join(p.tobytes() for p in parts)).hexdigest())\n"
+        )
+        one, two = digests_by_blas_threads(script)
+        assert len(one) == 64 and one == two
 
     def test_lstm_gradients(self, rng):
         x = rng.normal(size=(2, 6, 3)) * 0.5

@@ -223,6 +223,8 @@ class TestExitCodes:
             (ecg, lambda lines: lines[:3] + [lines[3] + ",0.0"] + lines[4:], f"{ecg}: malformed line 4"),
             (ecg, lambda lines: lines[:1] + [line.split(",")[0] + ",0.0" for line in lines[1:]],
              f"subject {subject} condition {cond} ({ecg}, {eda})"),  # a flat ECG has no beats
+            ("sessions.csv", lambda lines: lines[:1] + [lines[1].replace(f",{cond},", ",c9,")] + lines[2:],
+             "sessions.csv: row 2: unknown condition 'c9'"),
         ):
             path = tmp_path / "data" / rel
             original = path.read_text()
@@ -231,6 +233,28 @@ class TestExitCodes:
             assert run_cli(tmp_path, "preprocess") == 3
             assert expect in capsys.readouterr().err
             path.write_text(original)
+
+    def test_preprocess_reads_sessions_once(self, tmp_path, monkeypatch):
+        import capstate.cli as cli_mod
+
+        assert run_cli(tmp_path, "synth") == 0
+        calls = []
+
+        def counting(name):
+            real = getattr(cli_mod.ingest, name)
+
+            def wrapper(*args, **kwargs):
+                out = real(*args, **kwargs)
+                calls.append((name, type(out).__name__))
+                return out
+
+            return wrapper
+
+        for name in ("read_sessions", "load_recording"):
+            monkeypatch.setattr(cli_mod.ingest, name, counting(name))
+        assert run_cli(tmp_path, "preprocess") == 0
+        # 3 subjects x 3 conditions, each loaded through the module, one sessions.csv read
+        assert sorted(calls) == [("load_recording", "RawRecording")] * 9 + [("read_sessions", "Sessions")]
 
     def test_numerical_error_is_4(self, tmp_path, monkeypatch):
         import capstate.cli as cli_mod

@@ -1,14 +1,8 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import capstate
 from capstate.dsp import (
     NaturalCubicSpline,
     UniformSeries,
@@ -25,7 +19,7 @@ from capstate.dsp import (
     welch_psd,
     window_segment,
 )
-from conftest import butterworth_power_response, direct_periodogram, sosfilt_reference
+from conftest import butterworth_power_response, digests_by_blas_threads, direct_periodogram, sosfilt_reference
 
 
 def sine(f_hz, rate_hz, dur_s, amp=1.0, phase=0.0):
@@ -139,23 +133,18 @@ class TestIirOracle:
         assert np.abs(got - want).max() <= IIR_REL_TOL * max(np.abs(want).max(), 1.0)
 
     def test_filtered_digest_independent_of_blas_threads(self):
-        # the block GEMMs must not depend on how BLAS splits them over threads
+        # neither the block GEMMs nor the band-pass line fit may depend on how BLAS splits them
         script = (
             "import hashlib, numpy as np\n"
-            "from capstate.dsp import _butter_sos, _sosfiltfilt\n"
+            "from capstate.dsp import UniformSeries, _butter_sos, _sosfiltfilt, butterworth_bandpass\n"
             f"sos = np.vstack([_butter_sos(*case) for case in {ECG_BAND_SECTIONS!r}])\n"
             "x = np.random.default_rng(3).normal(size=60 * 2048)\n"
             "y = _sosfiltfilt(sos, x, pad_samples=1228)\n"
-            "print(hashlib.sha256(y.tobytes()).hexdigest())\n"
+            "band = butterworth_bandpass(UniformSeries(x, 2048.0), 2, 5.0, 15.0).values\n"
+            "print(hashlib.sha256(y.tobytes()).hexdigest(), hashlib.sha256(band.tobytes()).hexdigest())\n"
         )
-        src = str(Path(capstate.__file__).resolve().parents[1])
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                  text=True, timeout=120, check=True)
-            digests.append(proc.stdout.strip())
-        assert len(digests[0]) == 64 and digests[0] == digests[1]
+        one, two = digests_by_blas_threads(script)
+        assert len(one.split()) == 2 and one == two
 
     @pytest.mark.parametrize("order,cutoff,rate,btype", IIR_CASES)
     def test_steady_state_matches_scipy(self, order, cutoff, rate, btype):

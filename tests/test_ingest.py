@@ -16,6 +16,7 @@ from capstate.ingest import (
     assign_labels,
     generate_synthetic_recording,
     load_recording,
+    read_sessions,
     relabel_stress,
     write_recording_csvs,
     write_sessions_csv,
@@ -119,7 +120,7 @@ class TestLoadRecording:
         return tmp_path
 
     def test_round_trip(self, tree):
-        rec = load_recording(tree, "pp01", Condition.C1, ecg_nominal_hz=256.0, eda_nominal_hz=32.0)
+        rec = load_recording(read_sessions(tree), "pp01", Condition.C1, ecg_nominal_hz=256.0, eda_nominal_hz=32.0)
         assert rec.subject_id == "pp01"
         assert rec.condition is Condition.C1
         assert rec.ecg_rate_hz == pytest.approx(256.0, rel=1e-6)
@@ -128,7 +129,7 @@ class TestLoadRecording:
 
     def test_missing_file_reported_with_name(self, tree):
         with pytest.raises(DataError, match="sessions.csv"):
-            load_recording(tree, "nobody", Condition.C1)
+            load_recording(read_sessions(tree), "nobody", Condition.C1)
 
     def test_non_monotonic_timestamps_rejected(self, tree):
         path = tree / "pp01" / "ecg_c1.csv"
@@ -136,18 +137,18 @@ class TestLoadRecording:
         lines[5], lines[6] = lines[6], lines[5]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="non-monotonic"):
-            load_recording(tree, "pp01", Condition.C1, ecg_nominal_hz=256.0)
+            load_recording(read_sessions(tree), "pp01", Condition.C1, ecg_nominal_hz=256.0)
 
     def test_rate_mismatch_rejected(self, tree):
         with pytest.raises(DataError, match="rate mismatch"):
-            load_recording(tree, "pp01", Condition.C1, ecg_nominal_hz=2048.0)
+            load_recording(read_sessions(tree), "pp01", Condition.C1, ecg_nominal_hz=2048.0)
 
     def test_bad_header_rejected(self, tree):
         path = tree / "pp01" / "eda_c1.csv"
         body = path.read_text().splitlines()[1:]
         path.write_text("time,value\n" + "\n".join(body) + "\n")
         with pytest.raises(DataError, match="header"):
-            load_recording(tree, "pp01", Condition.C1, ecg_nominal_hz=256.0)
+            load_recording(read_sessions(tree), "pp01", Condition.C1, ecg_nominal_hz=256.0)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
