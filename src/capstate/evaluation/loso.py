@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..errors import DataError
 from ..ingest import LabelScheme, relabel_stress
 from ..model.network import ArchConfig, forward, substream_seed
 from ..model.train import TrainConfig, TrainHistory, train_fold
@@ -86,7 +87,7 @@ def _run_single_fold(args) -> FoldResult:
             val_subjects = candidate
             break
     if val_subjects is None:
-        raise ValueError(f"no viable inner validation split for fold {held!r}")
+        raise DataError(f"no viable inner validation split for fold {held!r} (training subjects {train_subjects})")
     inner_train = [s for s in train_subjects if s not in val_subjects]
 
     transform = fit_fold_transform(train_ds, normalization_mode)
@@ -138,14 +139,16 @@ def run_loso(
 
     With ``parallel_folds > 1`` folds run in separate processes, so the
     dataset, configs, and any ``heldout_perturbation`` must be picklable
-    (module-level functions, not closures)."""
+    (module-level functions, not closures). Fewer than 3 subjects, a subject
+    with windows from fewer than 2 conditions, or a fold without a usable
+    validation split raise ``DataError`` naming the subject or fold."""
     subjects = dataset.subjects()
     if len(subjects) < 3:
-        raise ValueError(f"LOSO needs at least 3 subjects, got {len(subjects)}")
+        raise DataError(f"LOSO needs at least 3 subjects, got {len(subjects)}: {subjects}")
     for s in subjects:
-        conds = set(dataset.condition[dataset.subject == s].tolist())
+        conds = sorted(set(dataset.condition[dataset.subject == s].tolist()))
         if len(conds) < 2:
-            raise ValueError(f"subject {s!r} has windows from fewer than 2 conditions")
+            raise DataError(f"subject {s!r} has windows from fewer than 2 conditions: {conds}")
     dataset = replace(dataset, stress=relabel_stress(dataset.stress, dataset.condition, scheme))
 
     jobs = [(dataset, held, arch, cfg, normalization_mode, heldout_perturbation) for held in subjects]

@@ -4,6 +4,11 @@ A :class:`Tensor` records its parents and a closure that scatters the incoming
 gradient; ``backward`` walks the tape in reverse topological order. Sequential
 hot paths (LSTM recurrence, dilated causal convolution) are fused single-node
 ops over vectorized numpy kernels.
+
+Sequences are time-major, ``(T, B, C)``: one time step ``x[t]`` is a
+contiguous ``(B, C)`` block, so the LSTM reads and writes whole blocks per
+step, and a conv tap shifted by ``s`` steps is the flat row range
+``x.reshape(-1, C)[: (T - s) * B]`` with no copy.
 """
 
 import numpy as np
@@ -66,8 +71,10 @@ def _wrap(x) -> Tensor:
 
 def _accum(t: Tensor, g: np.ndarray):
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy, because g may be shared with another parent or be a view
+        t.grad = np.array(g, dtype=np.float64).reshape(t.data.shape)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -249,15 +256,15 @@ def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 def last_step(a) -> Tensor:
-    """Select the final time step of a (B, T, C) sequence."""
+    """Select the final time step of a (T, B, C) sequence; returns (B, C)."""
     a = _wrap(a)
 
     def bwd(g):
         full = np.zeros_like(a.data)
-        full[:, -1, :] = g
+        full[-1] = g
         _accum(a, full)
 
-    return Tensor(a.data[:, -1, :].copy(), (a,), bwd)
+    return Tensor(a.data[-1], (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -266,32 +273,38 @@ def last_step(a) -> Tensor:
 
 
 def _conv1d_fwd(x, w, b, dilation):
-    bsz, t, _ = x.shape
+    t, bsz, ci = x.shape
     k, _, co = w.shape
-    y = np.broadcast_to(b, (bsz, t, co)).copy()
-    for tap in range(k):
+    xf = x.reshape(-1, ci)
+    y = xf @ w[0]
+    y += b
+    for tap in range(1, k):
         s = dilation * tap
         if s < t:
-            y[:, s:, :] += x[:, : t - s, :] @ w[tap]
-    return y
+            y[s * bsz :] += xf[: (t - s) * bsz] @ w[tap]
+    return y.reshape(t, bsz, co)
 
 
 def _conv1d_bwd(g, x, w, dilation):
-    bsz, t, ci = x.shape
+    t, bsz, ci = x.shape
     k, _, co = w.shape
-    dx = np.zeros_like(x)
+    xf = x.reshape(-1, ci)
+    gf = g.reshape(-1, co)
+    dx = gf @ w[0].T
     dw = np.zeros_like(w)
-    for tap in range(k):
+    dw[0] = xf.T @ gf
+    for tap in range(1, k):
         s = dilation * tap
         if s < t:
-            dx[:, : t - s, :] += g[:, s:, :] @ w[tap].T
-            dw[tap] = x[:, : t - s].reshape(-1, ci).T @ g[:, s:].reshape(-1, co)
-    db = g.sum(axis=(0, 1))
-    return dx, dw, db
+            dx[: (t - s) * bsz] += gf[s * bsz :] @ w[tap].T
+            dw[tap] = xf[: (t - s) * bsz].T @ gf[s * bsz :]
+    db = gf.sum(axis=0)
+    return dx.reshape(x.shape), dw, db
 
 
 def conv1d_causal(x, w, b, dilation: int = 1) -> Tensor:
-    """Causal dilated convolution: y_t = b + sum_k x_{t - d k} @ w[k]."""
+    """Causal dilated convolution over a (T, B, C_in) sequence with w of shape
+    (K, C_in, C_out): y[t] = b + sum_k x[t - d k] @ w[k]; returns (T, B, C_out)."""
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     xd = np.ascontiguousarray(x.data)
     wd = np.ascontiguousarray(w.data)
@@ -312,35 +325,35 @@ def conv1d_causal(x, w, b, dilation: int = 1) -> Tensor:
 
 
 def _lstm_fwd(x, wx, wh, b):
-    bsz, t, _ = x.shape
+    t, bsz, _ = x.shape
     hdim = wh.shape[0]
-    hs = np.zeros((bsz, t, hdim))
-    gi = np.zeros((bsz, t, hdim))
-    gf = np.zeros((bsz, t, hdim))
-    gg = np.zeros((bsz, t, hdim))
-    go = np.zeros((bsz, t, hdim))
-    cs = np.zeros((bsz, t, hdim))
+    hs = np.zeros((t, bsz, hdim))
+    gi = np.zeros((t, bsz, hdim))
+    gf = np.zeros((t, bsz, hdim))
+    gg = np.zeros((t, bsz, hdim))
+    go = np.zeros((t, bsz, hdim))
+    cs = np.zeros((t, bsz, hdim))
     h = np.zeros((bsz, hdim))
     c = np.zeros((bsz, hdim))
     for step in range(t):
-        z = x[:, step, :] @ wx + h @ wh + b
+        z = x[step] @ wx + h @ wh + b
         i = 1.0 / (1.0 + np.exp(-z[:, :hdim]))
         f = 1.0 / (1.0 + np.exp(-z[:, hdim : 2 * hdim]))
         g = np.tanh(z[:, 2 * hdim : 3 * hdim])
         o = 1.0 / (1.0 + np.exp(-z[:, 3 * hdim :]))
         c = f * c + i * g
         h = o * np.tanh(c)
-        gi[:, step, :] = i
-        gf[:, step, :] = f
-        gg[:, step, :] = g
-        go[:, step, :] = o
-        cs[:, step, :] = c
-        hs[:, step, :] = h
+        gi[step] = i
+        gf[step] = f
+        gg[step] = g
+        go[step] = o
+        cs[step] = c
+        hs[step] = h
     return hs, gi, gf, gg, go, cs
 
 
 def _lstm_bwd(grad_hs, x, wx, wh, hs, gi, gf, gg, go, cs):
-    bsz, t, _ = x.shape
+    t, bsz, _ = x.shape
     hdim = wh.shape[0]
     dx = np.zeros_like(x)
     dwx = np.zeros_like(wx)
@@ -350,30 +363,30 @@ def _lstm_bwd(grad_hs, x, wx, wh, hs, gi, gf, gg, go, cs):
     dc_carry = np.zeros((bsz, hdim))
     dz = np.zeros((bsz, 4 * hdim))
     for step in range(t - 1, -1, -1):
-        dh = grad_hs[:, step, :] + dh_carry
-        i = gi[:, step, :]
-        f = gf[:, step, :]
-        g = gg[:, step, :]
-        o = go[:, step, :]
-        tc = np.tanh(cs[:, step, :])
+        dh = grad_hs[step] + dh_carry
+        i = gi[step]
+        f = gf[step]
+        g = gg[step]
+        o = go[step]
+        tc = np.tanh(cs[step])
         dc = dh * o * (1.0 - tc * tc) + dc_carry
-        c_prev = cs[:, step - 1, :] if step > 0 else np.zeros((bsz, hdim))
+        c_prev = cs[step - 1] if step > 0 else np.zeros((bsz, hdim))
         dz[:, :hdim] = dc * g * i * (1.0 - i)
         dz[:, hdim : 2 * hdim] = dc * c_prev * f * (1.0 - f)
         dz[:, 2 * hdim : 3 * hdim] = dc * i * (1.0 - g * g)
         dz[:, 3 * hdim :] = dh * tc * o * (1.0 - o)
-        dwx += x[:, step, :].T @ dz
+        dwx += x[step].T @ dz
         if step > 0:
-            dwh += hs[:, step - 1, :].T @ dz
+            dwh += hs[step - 1].T @ dz
         db += dz.sum(axis=0)
-        dx[:, step, :] = dz @ wx.T
+        dx[step] = dz @ wx.T
         dh_carry = dz @ wh.T
         dc_carry = dc * f
     return dx, dwx, dwh, db
 
 
 def lstm(x, wx, wh, b) -> Tensor:
-    """Full LSTM pass over (B, T, C) input; returns the (B, T, H) hidden
+    """Full LSTM pass over a (T, B, C) sequence; returns the (T, B, H) hidden
     sequence. Gates are cached inside the node for one-shot BPTT."""
     x, wx, wh, b = _wrap(x), _wrap(wx), _wrap(wh), _wrap(b)
     xd = np.ascontiguousarray(x.data)

@@ -206,9 +206,9 @@ def _lstm_attention(p, arch, mod, h, collect):
     seq = ag.lstm(h, p[f"{mod}.lstm.Wx"], p[f"{mod}.lstm.Wh"], p[f"{mod}.lstm.b"])
     if collect is not None:
         collect[f"{mod}.lstm_seq"] = seq
-    scores = ag.matmul(ag.tanh(_linear(p, f"{mod}.attn", seq)), p[f"{mod}.attn.v"])  # (B,T,1)
-    alpha = ag.softmax(scores, axis=1)
-    return ag.tsum(ag.mul(alpha, seq), axis=1)
+    scores = ag.matmul(ag.tanh(_linear(p, f"{mod}.attn", seq)), p[f"{mod}.attn.v"])  # (T,B,1)
+    alpha = ag.softmax(scores, axis=0)
+    return ag.tsum(ag.mul(alpha, seq), axis=0)
 
 
 def _tcn(p, arch, mod, h, collect):
@@ -242,7 +242,7 @@ def build_graph(
         raw = batch.x_ibi if mod == "ibi" else batch.x_eda
         if not np.all(np.isfinite(raw)):
             raise ValueError(f"non-finite values in {mod} time series")
-        x = Tensor(raw[:, :, None])
+        x = Tensor(np.ascontiguousarray(raw.T)[:, :, None])  # (T, B, 1): sequences are time-major
         h = _conv_stack(params_t, arch, mod, x, collect)
         if arch.backbone == "lstm":
             pooled = _lstm_attention(params_t, arch, mod, h, collect)
@@ -304,11 +304,11 @@ def forward(
 
 
 def collect_activations(params, arch, batch) -> dict[str, np.ndarray]:
-    """Inference-mode forward that exposes internal sequence activations
-    (used by the causality/receptive-field probes)."""
+    """Inference-mode forward that exposes internal sequence activations as
+    (B, T, C) arrays (used by the causality/receptive-field probes)."""
     acts: dict = {}
     build_graph(wrap_params(params), arch, batch, train_mode=False, collect=acts)
-    return {k: v.data for k, v in acts.items()}
+    return {k: v.data.swapaxes(0, 1) for k, v in acts.items()}
 
 
 def arch_to_json(arch: ArchConfig) -> str:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import NumericalError
+from ..errors import DataError, NumericalError
 from .losses import masked_multitask_loss
 from .network import (
     ArchConfig,
@@ -149,11 +149,12 @@ def train_fold(
 ) -> tuple[dict[str, np.ndarray], TrainHistory]:
     """Mini-batch training with early stopping on mean validation BA
     (warmup + patience) and reduce-on-plateau LR; returns the parameters from
-    the best epoch."""
+    the best epoch. An empty or single-class validation set raises
+    ``DataError``."""
     if len(val) == 0:
-        raise ValueError("validation set is empty")
+        raise DataError("validation set is empty")
     if len(np.unique(val.stress)) < 2 and len(np.unique(val.effort[val.mask > 0])) < 2:
-        raise ValueError("validation set has a single class on both heads; BA undefined")
+        raise DataError("validation set has a single class on both heads; BA undefined")
 
     params = init_params(arch, cfg.seed)
     opt = AdamW(

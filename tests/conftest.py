@@ -45,6 +45,61 @@ def sosfilt_reference(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndar
     return y
 
 
+def lstm_reference(x, wx, wh, b, grad_hs):
+    """Batch-major LSTM over (B, T, C): the forward caches (hs, i, f, g, o, c),
+    each (B, T, H), and BPTT of ``grad_hs`` to (dx, dWx, dWh, db), one strided
+    ``[:, step, :]`` slice per step. Same arithmetic, step by step, as the
+    time-major kernel in ``capstate.model.autograd``."""
+    bsz, t, _ = x.shape
+    hdim = wh.shape[0]
+    hs, gi, gf, gg, go, cs = (np.zeros((bsz, t, hdim)) for _ in range(6))
+    h = np.zeros((bsz, hdim))
+    c = np.zeros((bsz, hdim))
+    for step in range(t):
+        z = x[:, step, :] @ wx + h @ wh + b
+        i = 1.0 / (1.0 + np.exp(-z[:, :hdim]))
+        f = 1.0 / (1.0 + np.exp(-z[:, hdim : 2 * hdim]))
+        g = np.tanh(z[:, 2 * hdim : 3 * hdim])
+        o = 1.0 / (1.0 + np.exp(-z[:, 3 * hdim :]))
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        gi[:, step, :] = i
+        gf[:, step, :] = f
+        gg[:, step, :] = g
+        go[:, step, :] = o
+        cs[:, step, :] = c
+        hs[:, step, :] = h
+
+    dx = np.zeros_like(x)
+    dwx = np.zeros_like(wx)
+    dwh = np.zeros_like(wh)
+    db = np.zeros(4 * hdim)
+    dh_carry = np.zeros((bsz, hdim))
+    dc_carry = np.zeros((bsz, hdim))
+    dz = np.zeros((bsz, 4 * hdim))
+    for step in range(t - 1, -1, -1):
+        dh = grad_hs[:, step, :] + dh_carry
+        i = gi[:, step, :]
+        f = gf[:, step, :]
+        g = gg[:, step, :]
+        o = go[:, step, :]
+        tc = np.tanh(cs[:, step, :])
+        dc = dh * o * (1.0 - tc * tc) + dc_carry
+        c_prev = cs[:, step - 1, :] if step > 0 else np.zeros((bsz, hdim))
+        dz[:, :hdim] = dc * g * i * (1.0 - i)
+        dz[:, hdim : 2 * hdim] = dc * c_prev * f * (1.0 - f)
+        dz[:, 2 * hdim : 3 * hdim] = dc * i * (1.0 - g * g)
+        dz[:, 3 * hdim :] = dh * tc * o * (1.0 - o)
+        dwx += x[:, step, :].T @ dz
+        if step > 0:
+            dwh += hs[:, step - 1, :].T @ dz
+        db += dz.sum(axis=0)
+        dx[:, step, :] = dz @ wx.T
+        dh_carry = dz @ wh.T
+        dc_carry = dc * f
+    return (hs, gi, gf, gg, go, cs), (dx, dwx, dwh, db)
+
+
 def digests_by_blas_threads(script: str) -> list[str]:
     """stdout of ``python -c script`` run once with ``OPENBLAS_NUM_THREADS=1``
     and once with ``=2`` (the script prints digests of what it computes)."""

@@ -7,7 +7,7 @@ import pytest
 
 import capstate.model.autograd as ag
 from capstate.model.autograd import Tensor
-from conftest import digests_by_blas_threads
+from conftest import digests_by_blas_threads, lstm_reference
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -85,7 +85,9 @@ class TestElementwiseOps:
         assert np.array_equal(t.grad, [0.0, 1.0])
 
     def test_last_step(self, rng):
-        check_op(ag.last_step, rng.normal(size=(2, 5, 3)))
+        x = rng.normal(size=(5, 2, 3))  # (T, B, C)
+        assert np.array_equal(ag.last_step(Tensor(x)).data, x[4])
+        check_op(ag.last_step, x)
 
     def test_grad_accumulates_on_reuse(self):
         t = Tensor(np.array([2.0]))
@@ -97,53 +99,56 @@ class TestElementwiseOps:
 class TestFusedKernels:
     def test_conv1d_gradients(self, rng):
         for dilation in (1, 2, 4):
-            x = rng.normal(size=(2, 10, 3))
+            x = rng.normal(size=(10, 2, 3))
             w = rng.normal(size=(3, 3, 2))
             b = rng.normal(size=(2,))
             check_op(lambda xx, ww, bb: ag.conv1d_causal(xx, ww, bb, dilation), x, w, b)
 
     def test_conv1d_causality(self, rng):
-        x = rng.normal(size=(1, 12, 1))
+        # time is axis 0: perturbing step 7 of one sequence leaves steps 0-6 and the
+        # other sequences exactly as they were, and changes that sequence from step 7 on
+        x = rng.normal(size=(12, 3, 1))
         w = rng.normal(size=(3, 1, 1))
         b = np.zeros(1)
         base = ag.conv1d_causal(Tensor(x), Tensor(w), Tensor(b), dilation=2).data
         x2 = x.copy()
-        x2[0, 7, 0] += 5.0
+        x2[7, 1, 0] += 5.0
         pert = ag.conv1d_causal(Tensor(x2), Tensor(w), Tensor(b), dilation=2).data
-        assert np.array_equal(base[0, :7], pert[0, :7])
-        assert not np.array_equal(base[0, 7:], pert[0, 7:])
+        assert np.array_equal(base[:7], pert[:7])
+        assert np.array_equal(base[:, [0, 2]], pert[:, [0, 2]])
+        assert not np.array_equal(base[7:, 1], pert[7:, 1])
 
     def test_conv1d_matches_direct_sum(self, rng):
-        x = rng.normal(size=(3, 9, 2))
+        x = rng.normal(size=(9, 3, 2))  # (T, B, C)
         w = rng.normal(size=(3, 2, 4))
         b = rng.normal(size=(4,))
         for dilation in (1, 2, 4):
-            want = np.zeros((3, 9, 4))
+            want = np.zeros((9, 3, 4))
             for n in range(3):
                 for t in range(9):
                     acc = b.copy()
                     for k in range(3):
                         if t - dilation * k >= 0:
-                            acc = acc + x[n, t - dilation * k] @ w[k]
-                    want[n, t] = acc
+                            acc = acc + x[t - dilation * k, n] @ w[k]
+                    want[t, n] = acc
             got = ag.conv1d_causal(Tensor(x), Tensor(w), Tensor(b), dilation).data
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_conv1d_backward_matches_direct_sum(self, rng):
         # dilation 5 puts the last tap at 10 >= T = 9: it sees no input, so its dw is exactly 0
-        x = rng.normal(size=(3, 9, 2))
+        x = rng.normal(size=(9, 3, 2))  # (T, B, C)
         w = rng.normal(size=(3, 2, 4))
         b = rng.normal(size=(4,))
-        g = rng.normal(size=(3, 9, 4))
+        g = rng.normal(size=(9, 3, 4))
         for dilation in (1, 2, 4, 5):
             want_dx, want_dw, want_db = np.zeros_like(x), np.zeros_like(w), np.zeros_like(b)
             for n in range(3):
                 for t in range(9):
-                    want_db += g[n, t]
+                    want_db += g[t, n]
                     for k in range(3):
                         if t - dilation * k >= 0:
-                            want_dx[n, t - dilation * k] += w[k] @ g[n, t]
-                            want_dw[k] += np.outer(x[n, t - dilation * k], g[n, t])
+                            want_dx[t - dilation * k, n] += w[k] @ g[t, n]
+                            want_dw[k] += np.outer(x[t - dilation * k, n], g[t, n])
             xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
             ag.tsum(ag.mul(ag.conv1d_causal(xt, wt, bt, dilation), Tensor(g))).backward()
             for got, want in ((xt.grad, want_dx), (wt.grad, want_dw), (bt.grad, want_db)):
@@ -156,7 +161,7 @@ class TestFusedKernels:
             "import hashlib, numpy as np\n"
             "from capstate.model.autograd import _conv1d_bwd\n"
             "rng = np.random.default_rng(5)\n"
-            "x, g = rng.normal(size=(2, 64, 120, 24))\n"
+            "x, g = rng.normal(size=(2, 120, 64, 24))\n"
             "w = rng.normal(size=(3, 24, 24))\n"
             "parts = _conv1d_bwd(g, x, w, 16)\n"
             "print(hashlib.sha256(b''.join(p.tobytes() for p in parts)).hexdigest())\n"
@@ -165,7 +170,7 @@ class TestFusedKernels:
         assert len(one) == 64 and one == two
 
     def test_lstm_gradients(self, rng):
-        x = rng.normal(size=(2, 6, 3)) * 0.5
+        x = rng.normal(size=(6, 2, 3)) * 0.5
         h = 4
         wx = rng.normal(size=(3, 4 * h)) * 0.4
         wh = rng.normal(size=(h, 4 * h)) * 0.4
@@ -173,7 +178,7 @@ class TestFusedKernels:
         check_op(lambda a, c, d, e: ag.lstm(a, c, d, e), x, wx, wh, b, tol=5e-6)
 
     def test_lstm_matches_scalar_reference(self, rng):
-        x = rng.normal(size=(3, 8, 2))
+        x = rng.normal(size=(8, 3, 2))  # (T, B, C)
         hdim = 5
         wx = rng.normal(size=(2, 4 * hdim)) * 0.5
         wh = rng.normal(size=(hdim, 4 * hdim)) * 0.5
@@ -182,21 +187,38 @@ class TestFusedKernels:
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
 
-        want = np.zeros((3, 8, hdim))
+        want = np.zeros((8, 3, hdim))
         for n in range(3):
             h = [0.0] * hdim
             c = [0.0] * hdim
             for t in range(8):
-                z = [b[j] + sum(x[n, t, k] * wx[k, j] for k in range(2))
+                z = [b[j] + sum(x[t, n, k] * wx[k, j] for k in range(2))
                      + sum(h[m] * wh[m, j] for m in range(hdim)) for j in range(4 * hdim)]
                 for j in range(hdim):
                     i, f = sig(z[j]), sig(z[hdim + j])
                     g, o = math.tanh(z[2 * hdim + j]), sig(z[3 * hdim + j])
                     c[j] = f * c[j] + i * g
                     h[j] = o * math.tanh(c[j])
-                want[n, t] = h
+                want[t, n] = h
         got = ag.lstm(Tensor(x), Tensor(wx), Tensor(wh), Tensor(b)).data
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_lstm_bit_identical_to_batch_major_reference(self, rng):
+        # same arithmetic per step, so the time-major layout must not move one bit
+        bsz, t, c, hdim = 5, 11, 3, 4
+        x = rng.normal(size=(bsz, t, c))
+        wx = rng.normal(size=(c, 4 * hdim)) * 0.5
+        wh = rng.normal(size=(hdim, 4 * hdim)) * 0.5
+        b = rng.normal(size=(4 * hdim,)) * 0.3
+        grad_hs = rng.normal(size=(bsz, t, hdim))
+        want_caches, want_grads = lstm_reference(x, wx, wh, b, grad_hs)
+        caches = ag._lstm_fwd(x.transpose(1, 0, 2).copy(), wx, wh, b)
+        for got, want in zip(caches, want_caches, strict=True):
+            assert np.array_equal(got.transpose(1, 0, 2), want)
+        dx, dwx, dwh, db = ag._lstm_bwd(grad_hs.transpose(1, 0, 2).copy(), x.transpose(1, 0, 2).copy(),
+                                        wx, wh, *caches)
+        for got, want in zip((dx.transpose(1, 0, 2), dwx, dwh, db), want_grads, strict=True):
+            assert np.array_equal(got, want)
 
     def test_dropout_inverted_scaling(self, rng):
         x = np.ones((200, 50))

@@ -234,6 +234,26 @@ class TestExitCodes:
             assert expect in capsys.readouterr().err
             path.write_text(original)
 
+    def test_evaluate_unusable_cohort_is_3(self, tmp_path, capsys):
+        windows = tmp_path / "out" / "windows"
+        windows.mkdir(parents=True)
+        ds = make_feature_dataset(n_subjects=3, per_cond=3)
+        one_condition = ~((ds.subject == "s02") & (ds.condition != "c1"))
+        for rows, expect in (
+            (ds.subject != "s02", "LOSO needs at least 3 subjects, got 2: ['s00', 's01']"),
+            (one_condition, "subject 's02' has windows from fewer than 2 conditions: ['c1']"),
+        ):
+            part = ds.select(np.nonzero(rows)[0])
+            for p in windows.glob("windows_*.csv"):
+                p.unlink()
+            for subject in part.subjects():
+                write_windows_csv(windows / f"windows_{subject}.csv",
+                                  part.select(np.nonzero(part.subject == subject)[0]))
+            capsys.readouterr()
+            assert run_cli(tmp_path, "evaluate") == 3
+            err = capsys.readouterr().err
+            assert expect in err and "Traceback" not in err
+
     def test_preprocess_reads_sessions_once(self, tmp_path, monkeypatch):
         import capstate.cli as cli_mod
 

@@ -4,6 +4,7 @@ the pipeline integration from raw synthetic recordings."""
 import numpy as np
 import pytest
 
+from capstate.errors import DataError
 from capstate.evaluation import resensitize_fold_metrics, run_loso
 from capstate.evaluation.report import build_stats_report, per_subject_rows, summary_table
 from capstate.ingest import LabelScheme
@@ -37,14 +38,22 @@ class TestRunLoso:
 
     def test_too_few_subjects_rejected(self):
         ds = make_feature_dataset(n_subjects=2, per_cond=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="at least 3 subjects, got 2"):
             run_loso(ds, FAST_ARCH, FAST_CFG)
 
     def test_single_condition_subject_rejected(self):
         ds = make_feature_dataset(n_subjects=3, per_cond=4)
         keep = ~((ds.subject == "s00") & (ds.condition != "c1"))
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="subject 's00' has windows from fewer than 2 conditions"):
             run_loso(ds.select(np.nonzero(keep)[0]), FAST_ARCH, FAST_CFG)
+
+    def test_no_viable_validation_split_names_fold(self):
+        # c2 and c3 windows only: stress is always high and effort always high once
+        # masked, so no inner validation subject has two classes on either head
+        ds = make_feature_dataset(n_subjects=3, per_cond=4)
+        keep = np.nonzero(ds.condition != "c1")[0]
+        with pytest.raises(DataError, match="no viable inner validation split for fold 's00'"):
+            run_loso(ds.select(keep), FAST_ARCH, FAST_CFG)
 
     def test_deterministic(self):
         ds = make_feature_dataset(n_subjects=3, per_cond=5, seed=3)

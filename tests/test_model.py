@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from capstate.errors import NumericalError
+from capstate.errors import DataError, NumericalError
 from capstate.model import (
     AdamW,
     ArchConfig,
@@ -23,7 +23,7 @@ from capstate.model.losses import focal_loss_vector, masked_multitask_loss
 from capstate.model.autograd import Tensor
 from capstate.model.network import arch_from_json, arch_to_json, collect_activations
 from capstate.model.train import loss_and_grads
-from conftest import TINY_ARCH, make_feature_dataset
+from conftest import TINY_ARCH, digests_by_blas_threads, make_feature_dataset
 
 
 def tiny_arch(**kw):
@@ -68,30 +68,36 @@ class TestForward:
         assert np.allclose(out2.p_stress, out1.p_stress[perm], atol=1e-12)
         assert np.allclose(out2.p_effort, out1.p_effort[perm], atol=1e-12)
 
-    def test_tcn_causality_probe(self, rng):
-        arch = tiny_arch(backbone="tcn")
+    def _time_probe(self, backbone, t_perturb):
+        """Activations before and after perturbing IBI step ``t_perturb`` of
+        sequence 1 of 3; with B = 3 and T = 20 the shape check pins axis 1 as time."""
+        arch = tiny_arch(backbone=backbone)
         params = init_params(arch, 2)
-        batch = rand_batch(rng, n=2, t=20)
+        batch = rand_batch(rng=np.random.default_rng(9), n=3, t=20)
         acts = collect_activations(params, arch, batch)
+        batch.x_ibi = batch.x_ibi.copy()
+        batch.x_ibi[1, t_perturb] += 3.0
+        acts2 = collect_activations(params, arch, batch)
+        for name, a in acts.items():
+            assert a.shape[:2] == (3, 20), name
+        return acts, acts2
+
+    def test_tcn_causality_probe(self):
         t_perturb = 11
-        batch2 = Batch(**{**batch.__dict__})
-        batch2.x_ibi = batch.x_ibi.copy()
-        batch2.x_ibi[:, t_perturb] += 3.0
-        acts2 = collect_activations(params, arch, batch2)
+        acts, acts2 = self._time_probe("tcn", t_perturb)
         for name in acts:
             if name.startswith("ibi."):
                 assert np.array_equal(acts[name][:, :t_perturb, :], acts2[name][:, :t_perturb, :]), name
+                assert np.array_equal(acts[name][[0, 2]], acts2[name][[0, 2]]), name
+                assert not np.array_equal(acts[name][1, t_perturb:], acts2[name][1, t_perturb:]), name
             if name.startswith("eda."):
                 assert np.array_equal(acts[name], acts2[name]), name
 
-    def test_lstm_cannot_see_future_either(self, rng):
-        arch = tiny_arch(backbone="lstm")
-        params = init_params(arch, 2)
-        batch = rand_batch(rng, n=2, t=20)
-        acts = collect_activations(params, arch, batch)
-        batch.x_ibi[:, 15] += 2.0
-        acts2 = collect_activations(params, arch, batch)
-        assert np.array_equal(acts["ibi.lstm_seq"][:, :15], acts2["ibi.lstm_seq"][:, :15])
+    def test_lstm_cannot_see_future_either(self):
+        acts, acts2 = self._time_probe("lstm", 15)
+        seq, seq2 = acts["ibi.lstm_seq"], acts2["ibi.lstm_seq"]
+        assert np.array_equal(seq[:, :15], seq2[:, :15])
+        assert not np.array_equal(seq[1, 15:], seq2[1, 15:])
 
     def test_modality_ablation_excludes_input(self, rng):
         arch = tiny_arch(modalities=("ibi",))
@@ -231,6 +237,29 @@ class TestMaskedLoss:
         for key in g1:
             assert np.allclose(g1[key], g2[key], atol=1e-12), key
 
+    @pytest.mark.parametrize("backbone", ["lstm", "tcn"])
+    def test_loss_and_grads_digest_independent_of_blas_threads(self, backbone):
+        script = (
+            "import hashlib, numpy as np\n"
+            "from capstate.model import ArchConfig, Batch, TrainConfig, init_params\n"
+            "from capstate.model.train import loss_and_grads\n"
+            "rng = np.random.default_rng(3)\n"
+            "n, t = 64, 120\n"
+            "batch = Batch(x_ibi=rng.normal(size=(n, t)), x_eda=rng.normal(size=(n, t)),\n"
+            "              f_hrv=rng.normal(size=(n, 14)), f_eda=rng.normal(size=(n, 12)),\n"
+            "              stress=rng.integers(0, 2, n), effort=rng.integers(0, 2, n),\n"
+            "              mask=rng.integers(0, 2, n))\n"
+            f"arch = ArchConfig(backbone={backbone!r})\n"
+            "total, _, _, grads = loss_and_grads(init_params(arch, 4), arch, TrainConfig(), batch,\n"
+            "                                    train_mode=True, dropout_seed=6)\n"
+            "h = hashlib.sha256(np.float64(total).tobytes())\n"
+            "for key in sorted(grads):\n"
+            "    h.update(grads[key].tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        one, two = digests_by_blas_threads(script)
+        assert len(one) == 64 and one == two
+
     def test_nonfinite_gradient_names_parameter(self, rng):
         arch = tiny_arch()
         params = init_params(arch, 7)
@@ -347,12 +376,12 @@ class TestTrainFold:
             f_hrv=np.zeros((0, 14)), f_eda=np.zeros((0, 12)),
             stress=np.zeros(0, dtype=int), effort=np.zeros(0, dtype=int), mask=np.zeros(0, dtype=int),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="validation set is empty"):
             train_fold(train, empty, arch, cfg)
         single = self._sets()[1]
         single.stress[:] = 1
         single.effort[:] = 1
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="single class on both heads"):
             train_fold(train, single, arch, cfg)
 
     def test_loss_decreases_on_separable_set(self):
