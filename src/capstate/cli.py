@@ -6,17 +6,14 @@ sha256 digests of its inputs and outputs.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import config as cfgmod
 from . import ingest, pipeline, storage
 from .errors import ConfigError, DataError, NumericalError
-from .evaluation import report as repmod
 from .evaluation.loso import run_loso
+from .evaluation.report import write_report
 from .ingest import Condition
 
 
@@ -139,6 +136,8 @@ def cmd_evaluate(cfg: cfgmod.PipelineConfig) -> int:
         scheme=cfg.label_scheme(),
         parallel_folds=cfg.parallel_folds,
     )
+    for stale in [*results_dir.glob("fold_*.csv"), *results_dir.glob("history_*.csv")]:
+        stale.unlink()  # report aggregates every fold_*.csv it finds
     outputs = {}
     for fold in folds:
         fpath = results_dir / f"fold_{fold.subject_id}.csv"
@@ -147,25 +146,8 @@ def cmd_evaluate(cfg: cfgmod.PipelineConfig) -> int:
         hpath = results_dir / f"history_{fold.subject_id}.csv"
         fold.history.to_csv(hpath)
         outputs[f"results/{hpath.name}"] = cfgmod.sha256_file(hpath)
-    rows = repmod.per_subject_rows(folds)
-    storage.write_summary_csv(results_dir / "summary.csv", rows)
-    outputs["results/summary.csv"] = cfgmod.sha256_file(results_dir / "summary.csv")
-    stats = {
-        "summary": repmod.summary_table(folds),
-        "aggregate_classification": repmod.aggregate_classification(folds),
-        **repmod.build_stats_report(folds),
-    }
-    (results_dir / "stats.json").write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
-    outputs["results/stats.json"] = cfgmod.sha256_file(results_dir / "stats.json")
+        print(f"{fold.subject_id}: stress BA {fold.ba('stress'):.3f} effort BA {fold.ba('effort'):.3f}")
     cfgmod.write_manifest(Path(cfg.output_root), "evaluate", cfg, inputs, outputs, started)
-    for row in rows:
-        print(
-            f"{row['subject']}: stress BA {row['stress_ba']:.3f} effort BA {row['effort_ba']:.3f}"
-        )
-    means = stats["summary"]
-    print(
-        f"mean stress BA {means['stress']['mean']:.3f}, mean effort BA {means['effort']['mean']:.3f}"
-    )
     return 0
 
 
@@ -174,136 +156,11 @@ def cmd_report(cfg: cfgmod.PipelineConfig, results_dir: str | None) -> int:
     rdir = Path(results_dir) if results_dir else Path(cfg.output_root) / "results"
     folds = storage.read_folds_dir(rdir)
     inputs = {p.name: cfgmod.sha256_file(p) for p in sorted(rdir.glob("fold_*.csv"))}
-
-    summary = repmod.summary_table(folds)
-    rows = repmod.per_subject_rows(folds)
-    agg = repmod.aggregate_classification(folds)
-    stats = repmod.build_stats_report(folds)
-
-    out_dir = rdir / "report"
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    _write_table2(out_dir / "table2_summary.csv", summary)
-    storage.write_summary_csv(out_dir / "table3_per_subject.csv", rows)
-    _write_table4(out_dir / "table4_classification.csv", agg)
-    _write_trajectories(out_dir / "trajectory_distribution.csv", stats["trajectory_patterns"])
-    (out_dir / "stats.json").write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
-    text = _render_text_report(summary, rows, agg, stats)
-    (out_dir / "report.txt").write_text(text)
-    print(text)
-
-    outputs = {f"report/{p.name}": cfgmod.sha256_file(p) for p in sorted(out_dir.iterdir())}
+    paths = write_report(folds, rdir)
+    outputs = {name: cfgmod.sha256_file(path) for name, path in sorted(paths.items())}
     cfgmod.write_manifest(rdir, "report", cfg, inputs, outputs, started)
+    print(paths["report/report.txt"].read_text())
     return 0
-
-
-def _fmt(v, digits=3):
-    if v is None:
-        return "n/a"
-    if isinstance(v, float) and not np.isfinite(v):
-        return "n/a"
-    return f"{v:.{digits}f}"
-
-
-def _write_table2(path, summary):
-    with open(path, "w") as fh:
-        fh.write("output,n,mean_ba,sd,median_ba,range_lo,range_hi\n")
-        for key, label in (("stress", "stress"), ("effort", "effort"), ("joint_average", "joint_average")):
-            s = summary[key]
-            rng = s["range"] or [None, None]
-            fh.write(
-                f"{label},{s['n']},{_fmt(s['mean'])},{_fmt(s['sd'])},{_fmt(s['median'])},"
-                f"{_fmt(rng[0])},{_fmt(rng[1])}\n"
-            )
-
-
-def _write_table4(path, agg):
-    with open(path, "w") as fh:
-        fh.write("axis,precision,recall,f1,recall_low,recall_high,ba,n_total\n")
-        for head in ("stress", "effort"):
-            a = agg[head]
-            if a.get("undefined"):
-                fh.write(f"{head},n/a,n/a,n/a,n/a,n/a,n/a,{a['n_total']}\n")
-            else:
-                fh.write(
-                    f"{head},{_fmt(a['precision'])},{_fmt(a['recall'])},{_fmt(a['macro_f1'])},"
-                    f"{_fmt(a['recall_low'], 2)},{_fmt(a['recall_high'], 2)},{_fmt(a['ba'])},{a['n_total']}\n"
-                )
-
-
-def _write_trajectories(path, patterns):
-    counts = patterns["counts"]
-    n_classified = sum(counts.values())
-    with open(path, "w") as fh:
-        fh.write("pattern,count,share_of_classified\n")
-        for name in ("monotonic", "rising", "peak_c2", "flat_ceiling", "inverted"):
-            c = counts.get(name, 0)
-            share = c / n_classified if n_classified else 0.0
-            fh.write(f"{name},{c},{_fmt(share)}\n")
-        fh.write(f"unclassified,{len(patterns['subjects_without_pattern'])},n/a\n")
-
-
-def _render_text_report(summary, rows, agg, stats) -> str:
-    lines = []
-    lines.append("== Group summary (balanced accuracy) ==")
-    for key in ("stress", "effort", "joint_average"):
-        s = summary[key]
-        rng = s["range"] or [None, None]
-        lines.append(
-            f"  {key:14s} n={s['n']:2d} mean={_fmt(s['mean'])} sd={_fmt(s['sd'])} "
-            f"median={_fmt(s['median'])} range=[{_fmt(rng[0])}, {_fmt(rng[1])}]"
-        )
-    for head in ("stress", "effort"):
-        t = stats.get(f"one_sample_vs_chance_{head}")
-        if t:
-            lines.append(
-                f"  {head} vs chance: t({t['df']})={t['t']:.2f}, p={t['p']:.2g}, d={t['cohens_d']:.2f}"
-            )
-    lines.append("")
-    lines.append("== Per-subject (sorted by average BA) ==")
-    lines.append("  subject  stress_ba  effort_ba  avg_ba  stress_f1  effort_f1  n_eff")
-    for r in rows:
-        lines.append(
-            f"  {r['subject']:8s} {_fmt(r['stress_ba']):>8s} {_fmt(r['effort_ba']):>9s} "
-            f"{_fmt(r['avg_ba']):>7s} {_fmt(r['stress_f1']):>9s} {_fmt(r['effort_f1']):>9s} {r['n_eff']:5d}"
-        )
-    lines.append("")
-    lines.append("== Aggregated per-class structure ==")
-    for head in ("stress", "effort"):
-        a = agg[head]
-        if a.get("undefined"):
-            lines.append(f"  {head}: undefined (no complete folds)")
-        else:
-            lines.append(
-                f"  {head}: precision={_fmt(a['precision'])} recall={_fmt(a['recall'])} "
-                f"F1={_fmt(a['macro_f1'])} recall_low={_fmt(a['recall_low'], 2)} "
-                f"recall_high={_fmt(a['recall_high'], 2)} n={a['n_total']}"
-            )
-    lines.append("")
-    lines.append("== Trajectory patterns ==")
-    counts = stats["trajectory_patterns"]["counts"]
-    n_classified = sum(counts.values())
-    for name in ("monotonic", "rising", "peak_c2", "flat_ceiling", "inverted"):
-        c = counts.get(name, 0)
-        lines.append(f"  {name:13s} {c:3d}" + (f"  ({100.0 * c / n_classified:.0f}%)" if n_classified else ""))
-    missing = stats["trajectory_patterns"]["subjects_without_pattern"]
-    if missing:
-        lines.append(f"  no pattern (incomplete conditions): {', '.join(missing)}")
-    theory = counts.get("monotonic", 0) + counts.get("rising", 0)
-    if n_classified:
-        lines.append(f"  theory-consistent (monotonic+rising): {theory}/{n_classified} "
-                     f"({100.0 * theory / n_classified:.0f}%)")
-    lines.append("")
-    for axis in ("U", "O"):
-        eff = stats.get(f"condition_effects_{axis}", {})
-        anova = eff.get("rm_anova")
-        if anova:
-            lines.append(
-                f"== Condition effect on {axis} (RM-ANOVA, n={eff['n_complete_subjects']}) == "
-                f"F({anova['df1']},{anova['df2']})={anova['F']:.2f}, p={anova['p']:.3g}, "
-                f"eta_p^2={anova['partial_eta_sq']:.2f}"
-            )
-    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:

@@ -1,28 +1,52 @@
-"""Aggregation of fold results into summary tables and the statistics report."""
+"""Aggregation of fold results into summary tables and the statistics report,
+and their rendering. ``write_report`` is the one place that aggregates: it
+computes every statistic once and writes ``stats.json`` and ``report/``."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 
 from .loso import FoldResult
 from .metrics import Metrics, metrics_from_confusion
 from .stats import bonferroni, cohens_d, one_sample_t, paired_t, rm_anova_oneway
-from .statespace import condition_centroids, quadrant_occupancy
+from .statespace import TrajectoryPattern, condition_centroids, quadrant_occupancy
 
 CONDITIONS = ("c1", "c2", "c3")
+HEADS = ("stress", "effort")
+SUMMARY_KEYS = (*HEADS, "joint_average")
+
+
+def _fold_bas(f: FoldResult) -> dict[str, float]:
+    """A fold's BA per head, plus the joint average over its finite heads
+    (NaN when neither head is defined)."""
+    bas = {head: f.ba(head) for head in HEADS}
+    pair = [b for b in bas.values() if np.isfinite(b)]
+    bas["joint_average"] = float(np.mean(pair)) if pair else float("nan")
+    return bas
+
+
+def _finite_bas(folds: list[FoldResult]) -> dict[str, np.ndarray]:
+    """Per head and for the joint average, the finite fold BAs in fold order."""
+    per_fold = [_fold_bas(f) for f in folds]
+    out = {}
+    for key in SUMMARY_KEYS:
+        vals = np.array([b[key] for b in per_fold])
+        out[key] = vals[np.isfinite(vals)]
+    return out
 
 
 def per_subject_rows(folds: list[FoldResult]) -> list[dict]:
     """Table-3-style rows sorted by descending average BA."""
     rows = []
     for f in folds:
-        ba_s = f.ba("stress")
-        ba_e = f.ba("effort")
-        pair = [b for b in (ba_s, ba_e) if np.isfinite(b)]
+        bas = _fold_bas(f)
         rows.append(
             {
                 "subject": f.subject_id,
-                "stress_ba": ba_s,
-                "effort_ba": ba_e,
-                "avg_ba": float(np.mean(pair)) if pair else float("nan"),
+                "stress_ba": bas["stress"],
+                "effort_ba": bas["effort"],
+                "avg_ba": bas["joint_average"],
                 "stress_f1": f.metrics["stress"].macro_f1 if f.metrics["stress"] else float("nan"),
                 "effort_f1": f.metrics["effort"].macro_f1 if f.metrics["effort"] else float("nan"),
                 "n_eff": f.n_eff,
@@ -34,20 +58,7 @@ def per_subject_rows(folds: list[FoldResult]) -> list[dict]:
 def summary_table(folds: list[FoldResult]) -> dict:
     """Table-2-style group summary: mean/SD/median/range per head plus the
     joint average."""
-    out = {}
-    arrays = {}
-    for head in ("stress", "effort"):
-        vals = np.array([f.ba(head) for f in folds])
-        vals = vals[np.isfinite(vals)]
-        arrays[head] = vals
-        out[head] = _dist_stats(vals)
-    joint = []
-    for f in folds:
-        pair = [b for b in (f.ba("stress"), f.ba("effort")) if np.isfinite(b)]
-        if pair:
-            joint.append(float(np.mean(pair)))
-    out["joint_average"] = _dist_stats(np.asarray(joint))
-    return out
+    return {key: _dist_stats(vals) for key, vals in _finite_bas(folds).items()}
 
 
 def _dist_stats(vals: np.ndarray) -> dict:
@@ -67,7 +78,7 @@ def aggregate_classification(folds: list[FoldResult]) -> dict:
     per-class recall and macro precision/recall/F1 recomputed from the pooled
     counts."""
     out = {}
-    for head in ("stress", "effort"):
+    for head in HEADS:
         confusion = np.zeros((2, 2), dtype=np.int64)
         for f in folds:
             m: Metrics | None = f.metrics[head]
@@ -104,9 +115,9 @@ def build_stats_report(folds: list[FoldResult]) -> dict:
     trajectory-pattern distribution, and per-condition quadrant occupancy."""
     report = {"n_folds": len(folds)}
 
-    for head in ("stress", "effort"):
-        vals = np.array([f.ba(head) for f in folds])
-        vals = vals[np.isfinite(vals)]
+    bas = _finite_bas(folds)
+    for head in HEADS:
+        vals = bas[head]
         if len(vals) >= 2 and vals.std(ddof=1) > 0:
             t, df, p = one_sample_t(vals, 0.5)
             report[f"one_sample_vs_chance_{head}"] = {
@@ -120,9 +131,7 @@ def build_stats_report(folds: list[FoldResult]) -> dict:
             report[f"one_sample_vs_chance_{head}"] = None
 
     summaries = trajectory_summaries(folds)
-    centroid_map = {}
-    for s in summaries:
-        centroid_map[s.subject_id] = s.centroids
+    centroid_map = {s.subject_id: s.centroids for s in summaries}
 
     for axis in ("u", "o"):
         complete = [
@@ -184,3 +193,138 @@ def build_stats_report(folds: list[FoldResult]) -> dict:
         occupancy[cond] = quadrant_occupancy(u, o) if len(u) else None
     report["quadrant_occupancy_by_condition"] = occupancy
     return report
+
+
+def write_report(folds: list[FoldResult], results_dir) -> dict[str, Path]:
+    """Aggregate the folds once and write ``stats.json`` (every statistic)
+    and the ``report/`` tables and text. Returns {name under
+    ``results_dir``: path}."""
+    results_dir = Path(results_dir)
+    summary = summary_table(folds)
+    agg = aggregate_classification(folds)
+    stats = {"summary": summary, "aggregate_classification": agg, **build_stats_report(folds)}
+    rows = per_subject_rows(folds)
+    texts = {
+        "stats.json": json.dumps(stats, indent=2, sort_keys=True) + "\n",
+        "report/table2_summary.csv": _table2(summary),
+        "report/table3_per_subject.csv": _table3(rows),
+        "report/table4_classification.csv": _table4(agg),
+        "report/trajectory_distribution.csv": _trajectory_table(stats["trajectory_patterns"]),
+        "report/report.txt": _render_text_report(stats, rows),
+    }
+    (results_dir / "report").mkdir(parents=True, exist_ok=True)
+    paths = {name: results_dir / name for name in texts}
+    for name, text in texts.items():
+        paths[name].write_text(text)
+    return paths
+
+
+def _fmt(v, digits=3) -> str:
+    if v is None or (isinstance(v, float) and not np.isfinite(v)):
+        return "n/a"
+    return f"{v:.{digits}f}"
+
+
+def _dist_cells(s: dict) -> list[str]:
+    """Formatted mean, SD, median and range ends of one summary entry."""
+    lo, hi = s["range"] or (None, None)
+    return [_fmt(v) for v in (s["mean"], s["sd"], s["median"], lo, hi)]
+
+
+def _table2(summary: dict) -> str:
+    lines = ["output,n,mean_ba,sd,median_ba,range_lo,range_hi"]
+    lines += [",".join([key, str(summary[key]["n"]), *_dist_cells(summary[key])]) for key in SUMMARY_KEYS]
+    return "\n".join(lines) + "\n"
+
+
+def _table3(rows: list[dict]) -> str:
+    """Per-subject rows with floats in shortest round-trip form."""
+    cols = ["subject", "stress_ba", "effort_ba", "avg_ba", "stress_f1", "effort_f1", "n_eff"]
+
+    def cell(v) -> str:
+        if isinstance(v, float):
+            return repr(v) if np.isfinite(v) else "nan"
+        return str(v)
+
+    lines = [",".join(cols)] + [",".join(cell(r[c]) for c in cols) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _table4(agg: dict) -> str:
+    lines = ["axis,precision,recall,f1,recall_low,recall_high,ba,n_total"]
+    lines += [_pooled_lines(head, agg[head])[0] for head in HEADS]
+    return "\n".join(lines) + "\n"
+
+
+def _pooled_lines(head: str, a: dict) -> tuple[str, str]:
+    """One head's Table 4 CSV row and its report line."""
+    if a.get("undefined"):
+        return f"{head},n/a,n/a,n/a,n/a,n/a,n/a,{a['n_total']}", f"  {head}: undefined (no complete folds)"
+    p, r, f1, ba = (_fmt(a[k]) for k in ("precision", "recall", "macro_f1", "ba"))
+    lo, hi = _fmt(a["recall_low"], 2), _fmt(a["recall_high"], 2)
+    return (
+        f"{head},{p},{r},{f1},{lo},{hi},{ba},{a['n_total']}",
+        f"  {head}: precision={p} recall={r} F1={f1} recall_low={lo} recall_high={hi} n={a['n_total']}",
+    )
+
+
+def _pattern_counts(patterns: dict) -> tuple[dict[str, int], int]:
+    """Subjects per pattern, in pattern order, and the number of subjects
+    with a pattern."""
+    counts = {p.value: patterns["counts"].get(p.value, 0) for p in TrajectoryPattern}
+    return counts, sum(counts.values())
+
+
+def _trajectory_table(patterns: dict) -> str:
+    counts, n_classified = _pattern_counts(patterns)
+    lines = ["pattern,count,share_of_classified"]
+    lines += [f"{name},{c},{_fmt(c / n_classified if n_classified else 0.0)}" for name, c in counts.items()]
+    lines.append(f"unclassified,{len(patterns['subjects_without_pattern'])},n/a")
+    return "\n".join(lines) + "\n"
+
+
+def _render_text_report(stats: dict, rows: list[dict]) -> str:
+    lines = ["== Group summary (balanced accuracy) =="]
+    for key in SUMMARY_KEYS:
+        s = stats["summary"][key]
+        mean, sd, median, lo, hi = _dist_cells(s)
+        lines.append(
+            f"  {key:14s} n={s['n']:2d} mean={mean} sd={sd} median={median} range=[{lo}, {hi}]"
+        )
+    for head in HEADS:
+        t = stats[f"one_sample_vs_chance_{head}"]
+        if t:
+            lines.append(
+                f"  {head} vs chance: t({t['df']})={t['t']:.2f}, p={t['p']:.2g}, d={t['cohens_d']:.2f}"
+            )
+    lines += ["", "== Per-subject (sorted by average BA) ==",
+              "  subject  stress_ba  effort_ba  avg_ba  stress_f1  effort_f1  n_eff"]
+    for r in rows:
+        lines.append(
+            f"  {r['subject']:8s} {_fmt(r['stress_ba']):>8s} {_fmt(r['effort_ba']):>9s} "
+            f"{_fmt(r['avg_ba']):>7s} {_fmt(r['stress_f1']):>9s} {_fmt(r['effort_f1']):>9s} {r['n_eff']:5d}"
+        )
+    lines += ["", "== Aggregated per-class structure =="]
+    lines += [_pooled_lines(head, stats["aggregate_classification"][head])[1] for head in HEADS]
+    lines += ["", "== Trajectory patterns =="]
+    counts, n_classified = _pattern_counts(stats["trajectory_patterns"])
+    for name, c in counts.items():
+        lines.append(f"  {name:13s} {c:3d}" + (f"  ({100.0 * c / n_classified:.0f}%)" if n_classified else ""))
+    missing = stats["trajectory_patterns"]["subjects_without_pattern"]
+    if missing:
+        lines.append(f"  no pattern (incomplete conditions): {', '.join(missing)}")
+    if n_classified:
+        theory = counts["monotonic"] + counts["rising"]
+        lines.append(f"  theory-consistent (monotonic+rising): {theory}/{n_classified} "
+                     f"({100.0 * theory / n_classified:.0f}%)")
+    lines.append("")
+    for axis in ("U", "O"):
+        eff = stats[f"condition_effects_{axis}"]
+        anova = eff.get("rm_anova")
+        if anova:
+            lines.append(
+                f"== Condition effect on {axis} (RM-ANOVA, n={eff['n_complete_subjects']}) == "
+                f"F({anova['df1']},{anova['df2']})={anova['F']:.2f}, p={anova['p']:.3g}, "
+                f"eta_p^2={anova['partial_eta_sq']:.2f}"
+            )
+    return "\n".join(lines) + "\n"

@@ -148,16 +148,6 @@ def tanh(a) -> Tensor:
     return Tensor(out, (a,), bwd)
 
 
-def sigmoid(a) -> Tensor:
-    a = _wrap(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bwd(g):
-        _accum(a, g * out * (1.0 - out))
-
-    return Tensor(out, (a,), bwd)
-
-
 def log(a) -> Tensor:
     a = _wrap(a)
 

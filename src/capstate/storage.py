@@ -1,4 +1,4 @@
-"""CSV round-trips for windowed datasets, fold results, and summaries.
+"""CSV round-trips for windowed datasets and fold results.
 
 Floats are written with ``repr`` (shortest round-trip form), so identical
 runs produce byte-identical files and manifest digests.
@@ -148,17 +148,3 @@ def read_folds_dir(results_dir) -> list[FoldResult]:
         raise DataError(f"no fold_*.csv files under {results_dir}")
     return [read_fold_csv(p) for p in paths]
 
-
-def write_summary_csv(path, rows: list[dict]) -> None:
-    cols = ["subject", "stress_ba", "effort_ba", "avg_ba", "stress_f1", "effort_f1", "n_eff"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for r in rows:
-            out = []
-            for c in cols:
-                v = r[c]
-                if isinstance(v, float):
-                    out.append("nan" if not np.isfinite(v) else repr(v))
-                else:
-                    out.append(str(v))
-            fh.write(",".join(out) + "\n")

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import capstate
+from capstate.evaluation.loso import FoldResult, fold_metrics
+from capstate.model.train import TrainHistory
 from capstate.pipeline import WindowedDataset
 
 
@@ -213,6 +215,20 @@ def make_feature_dataset(n_subjects=4, per_cond=12, seed=0, separation=1.2) -> W
         condition=np.array(parts["condition"], dtype=object),
         window_start_s=np.array(parts["window_start_s"]),
     )
+
+
+def make_fold(subject, centroids, conditions=("c1", "c2", "c3"), per_cond=4) -> FoldResult:
+    """A fold result whose (U, O) output sits at ``centroids[condition]`` for
+    every window of that condition, with the protocol's labels and mask."""
+    cond = np.array([c for c in conditions for _ in range(per_cond)], dtype=object)
+    u = np.array([centroids[c][0] for c in cond])
+    o = np.array([centroids[c][1] for c in cond])
+    stress = (cond != "c1").astype(int)
+    effort = np.where(cond == "c2", -1, (cond == "c3").astype(int))
+    mask = (cond != "c2").astype(int)
+    metrics, n_eff = fold_metrics(u, o, stress, effort, mask)
+    return FoldResult(subject, cond, np.zeros(len(u)), u, o, stress, effort, mask, metrics, n_eff,
+                      TrainHistory(), {})
 
 
 TINY_ARCH = dict(

@@ -22,8 +22,14 @@ from capstate.config import (
     load_config,
 )
 from capstate.errors import ConfigError
-from capstate.storage import read_fold_csv, read_windows_csv, read_windows_dir, write_windows_csv
-from conftest import make_feature_dataset
+from capstate.storage import (
+    read_fold_csv,
+    read_windows_csv,
+    read_windows_dir,
+    write_fold_csv,
+    write_windows_csv,
+)
+from conftest import make_feature_dataset, make_fold
 
 FAST_OVERRIDES = [
     "--set", "synth.n_subjects=3",
@@ -148,18 +154,26 @@ class TestCommandChain:
         ds = read_windows_dir(out_dir / "windows")
         assert len(ds.subjects()) == 3
 
-        assert run_cli(tmp_path, "evaluate") == 0
         results = out_dir / "results"
+        results.mkdir()
+        # folds left by an earlier run on another cohort must not reach the report
+        write_fold_csv(results / "fold_ghost.csv", make_fold("ghost", {c: (0.5, 0.5) for c in ("c1", "c2", "c3")}))
+        (results / "history_ghost.csv").write_text("epoch\n")
+        assert run_cli(tmp_path, "evaluate") == 0
+        assert not (results / "fold_ghost.csv").exists() and not (results / "history_ghost.csv").exists()
         folds = sorted(results.glob("fold_*.csv"))
         assert len(folds) == 3
-        stats = json.loads((results / "stats.json").read_text())
-        assert "trajectory_patterns" in stats
-        assert (results / "summary.csv").exists()
+        evaluated = json.loads((out_dir / "manifest_evaluate.json").read_text())["outputs"]
+        assert sorted(evaluated) == sorted(f"results/{p.name}" for p in results.glob("*_*.csv"))
+        assert not (results / "stats.json").exists()  # evaluate trains; report aggregates
 
         fold = read_fold_csv(folds[0])
         assert np.all((fold.u >= 0) & (fold.u <= 1))
 
         assert run_cli(tmp_path, "report") == 0
+        stats = json.loads((results / "stats.json").read_text())
+        assert stats["n_folds"] == 3
+        assert {"summary", "aggregate_classification", "trajectory_patterns"} <= set(stats)
         report_dir = results / "report"
         for name in (
             "report.txt",
@@ -167,11 +181,16 @@ class TestCommandChain:
             "table3_per_subject.csv",
             "table4_classification.csv",
             "trajectory_distribution.csv",
-            "stats.json",
         ):
             assert (report_dir / name).exists(), name
+        assert not (results / "summary.csv").exists()
+        assert not (report_dir / "stats.json").exists()
         text = (report_dir / "report.txt").read_text()
         assert "Group summary" in text and "Trajectory patterns" in text
+        reported = json.loads((results / "manifest_report.json").read_text())["outputs"]
+        assert sorted(reported) == sorted(["stats.json", *(f"report/{p.name}" for p in report_dir.iterdir())])
+        assert run_cli(tmp_path, "report") == 0
+        assert json.loads((results / "manifest_report.json").read_text())["outputs"] == reported
 
     def test_sensitivity_scheme_changes_fold_labels(self, tmp_path):
         assert run_cli(tmp_path, "synth") == 0
@@ -276,14 +295,11 @@ class TestExitCodes:
         # 3 subjects x 3 conditions, each loaded through the module, one sessions.csv read
         assert sorted(calls) == [("load_recording", "RawRecording")] * 9 + [("read_sessions", "Sessions")]
 
-    def test_numerical_error_is_4(self, tmp_path, monkeypatch):
-        import capstate.cli as cli_mod
-        from capstate.errors import NumericalError
-
+    def test_numerical_error_is_4(self, tmp_path, capsys):
         assert run_cli(tmp_path, "synth") == 0
-
-        def boom(*a, **kw):
-            raise NumericalError("solver diverged")
-
-        monkeypatch.setattr(cli_mod.pipeline, "window_recording", boom)
-        assert run_cli(tmp_path, "preprocess") == 4
+        capsys.readouterr()
+        assert run_cli(tmp_path, "preprocess", "--set", "cvxeda.max_iters=2") == 4
+        err = capsys.readouterr().err
+        assert ("subject sim01 condition c1 (sim01/ecg_c1.csv, sim01/eda_c1.csv): "
+                "cvxeda_decompose: no convergence in 2 iterations") in err
+        assert "Traceback" not in err

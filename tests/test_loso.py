@@ -16,7 +16,7 @@ from capstate.pipeline import (
     fit_fold_transform,
     make_synthetic_recordings,
 )
-from conftest import TINY_ARCH, make_feature_dataset
+from conftest import TINY_ARCH, make_feature_dataset, make_fold
 
 FAST_ARCH = ArchConfig(**TINY_ARCH)
 FAST_CFG = TrainConfig(
@@ -237,27 +237,6 @@ class TestEdgeCases:
         assert summary["stress"]["sd"] is None
 
     def test_trajectory_distribution_counts_with_missing_subject(self):
-        from capstate.evaluation.loso import FoldResult, fold_metrics
-        from capstate.model.train import TrainHistory
-
-        def fake_fold(subject, centroids, conditions=("c1", "c2", "c3")):
-            cond, u, o = [], [], []
-            for c in conditions:
-                cu, co = centroids[c]
-                for _ in range(4):
-                    cond.append(c)
-                    u.append(cu)
-                    o.append(co)
-            cond = np.array(cond, dtype=object)
-            u = np.array(u)
-            o = np.array(o)
-            stress = (cond != "c1").astype(int)
-            effort = np.where(cond == "c2", -1, (cond == "c3").astype(int))
-            mask = (cond != "c2").astype(int)
-            metrics, n_eff = fold_metrics(u, o, stress, effort, mask)
-            return FoldResult(subject, cond, np.zeros(len(u)), u, o, stress, effort,
-                              mask, metrics, n_eff, TrainHistory(), {})
-
         shapes = {
             "monotonic": {"c1": (0.2, 0.2), "c2": (0.4, 0.4), "c3": (0.6, 0.6)},
             "rising": {"c1": (0.3, 0.3), "c2": (0.25, 0.35), "c3": (0.6, 0.6)},
@@ -265,8 +244,8 @@ class TestEdgeCases:
             "flat_ceiling": {"c1": (0.9, 0.9), "c2": (0.91, 0.9), "c3": (0.92, 0.91)},
             "inverted": {"c1": (0.7, 0.7), "c2": (0.5, 0.5), "c3": (0.3, 0.3)},
         }
-        folds = [fake_fold(f"t{i}_{name}", c) for i, (name, c) in enumerate(shapes.items())]
-        folds.append(fake_fold("t_missing", shapes["monotonic"], conditions=("c1", "c3")))
+        folds = [make_fold(f"t{i}_{name}", c) for i, (name, c) in enumerate(shapes.items())]
+        folds.append(make_fold("t_missing", shapes["monotonic"], conditions=("c1", "c3")))
         report = build_stats_report(folds)
         counts = report["trajectory_patterns"]["counts"]
         assert counts == {k: 1 for k in shapes}
