@@ -75,27 +75,6 @@ class IbiSeries:
             raise ValueError("ibis length must be number of beats - 1")
 
 
-@dataclass(frozen=True)
-class HrvFeatures:
-    mean_ibi_ms: float
-    sdnn_ms: float
-    rmssd_ms: float
-    pnn50_pct: float
-    cv: float
-    mean_hr_bpm: float
-    sd_hr_bpm: float
-    lf_power: float
-    hf_power: float
-    lf_hf_ratio: float
-    total_power: float
-    sd1_ms: float
-    sd2_ms: float
-    sd1_sd2_ratio: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, n) for n in HRV_FEATURE_NAMES])
-
-
 # ---------------------------------------------------------------------------
 # Pan-Tompkins R-peak detection
 # ---------------------------------------------------------------------------
@@ -303,12 +282,13 @@ def hrv_nonlinear_features(window: np.ndarray) -> np.ndarray:
     return np.array([sd1, sd2, ratio])
 
 
-def hrv_features(window: UniformSeries) -> HrvFeatures:
-    """All 14 HRV features for one 2 Hz IBI window."""
+def hrv_features(window: UniformSeries) -> np.ndarray:
+    """All 14 HRV features for one 2 Hz IBI window, in ``HRV_FEATURE_NAMES``
+    order."""
     t7 = hrv_time_features(window.values)
     f4 = hrv_frequency_features(window)
     n3 = hrv_nonlinear_features(window.values)
-    return HrvFeatures(*np.concatenate([t7, f4, n3]))
+    return np.concatenate([t7, f4, n3])
 
 
 # ---------------------------------------------------------------------------

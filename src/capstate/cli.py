@@ -144,7 +144,7 @@ def cmd_evaluate(cfg: cfgmod.PipelineConfig) -> int:
         storage.write_fold_csv(fpath, fold)
         outputs[f"results/{fpath.name}"] = cfgmod.sha256_file(fpath)
         hpath = results_dir / f"history_{fold.subject_id}.csv"
-        fold.history.to_csv(hpath)
+        storage.write_history_csv(hpath, fold.history)
         outputs[f"results/{hpath.name}"] = cfgmod.sha256_file(hpath)
         print(f"{fold.subject_id}: stress BA {fold.ba('stress'):.3f} effort BA {fold.ba('effort'):.3f}")
     cfgmod.write_manifest(Path(cfg.output_root), "evaluate", cfg, inputs, outputs, started)

@@ -22,12 +22,14 @@ from .model.train import TrainConfig
 
 @dataclass(frozen=True)
 class AblationConfig:
-    backbone: str | None = None  # None -> use arch.backbone
-    modalities: tuple = ("ibi", "eda")
-    use_handcrafted_features: bool = True
+    """Each field overrides the same ``arch`` field when set; None keeps it."""
+
+    backbone: str | None = None
+    modalities: tuple | None = None
+    use_handcrafted_features: bool | None = None
 
     def __post_init__(self):
-        if not self.modalities:
+        if self.modalities is not None and not self.modalities:
             raise ConfigError("ablation.modalities must be non-empty")
 
 

@@ -79,25 +79,6 @@ EDA_FEATURE_NAMES = [
 ]
 
 
-@dataclass(frozen=True)
-class EdaFeatures:
-    raw_mean: float
-    raw_sd: float
-    raw_min: float
-    raw_max: float
-    scl_mean: float
-    scl_sd: float
-    scl_slope: float
-    scl_range: float
-    scr_amp_mean: float
-    scr_amp_sd: float
-    scr_count: float
-    scr_peak_mean: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, n) for n in EDA_FEATURE_NAMES])
-
-
 # ---------------------------------------------------------------------------
 # Conditioning
 # ---------------------------------------------------------------------------
@@ -353,8 +334,9 @@ def eda_features(
     window_tonic: UniformSeries,
     window_phasic: UniformSeries,
     events_in_window: list[ScrEvent],
-) -> EdaFeatures:
-    """The 12 EDA features for aligned raw/tonic/phasic windows."""
+) -> np.ndarray:
+    """The 12 EDA features for aligned raw/tonic/phasic windows, in
+    ``EDA_FEATURE_NAMES`` order."""
     for other in (window_tonic, window_phasic):
         if len(other.values) != len(window_raw.values) or other.rate_hz != window_raw.rate_hz:
             raise ValueError("raw/tonic/phasic windows are misaligned")
@@ -375,20 +357,20 @@ def eda_features(
     else:
         peak_mean = 0.0
 
-    return EdaFeatures(
-        raw_mean=float(raw.mean()),
-        raw_sd=float(raw.std()),
-        raw_min=float(raw.min()),
-        raw_max=float(raw.max()),
-        scl_mean=float(scl.mean()),
-        scl_sd=float(scl.std()),
-        scl_slope=float(linear_fit(scl)[2] * window_raw.rate_hz),  # uS per second
-        scl_range=float(scl.max() - scl.min()),
-        scr_amp_mean=float(amps.mean()) if len(amps) else 0.0,
-        scr_amp_sd=float(amps.std()) if len(amps) else 0.0,
-        scr_count=float(len(amps)),
-        scr_peak_mean=peak_mean,
-    )
+    return np.array([
+        raw.mean(),
+        raw.std(),
+        raw.min(),
+        raw.max(),
+        scl.mean(),
+        scl.std(),
+        linear_fit(scl)[2] * window_raw.rate_hz,  # SCL slope in uS per second
+        scl.max() - scl.min(),
+        amps.mean() if len(amps) else 0.0,
+        amps.std() if len(amps) else 0.0,
+        len(amps),
+        peak_mean,
+    ], dtype=float)
 
 
 def events_in_window(events: list[ScrEvent], start_s: float, duration_s: float) -> list[ScrEvent]:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..storage import format_table
 from .loso import FoldResult
 from .metrics import Metrics, metrics_from_confusion
 from .stats import bonferroni, cohens_d, one_sample_t, paired_t, rm_anova_oneway
@@ -238,16 +239,8 @@ def _table2(summary: dict) -> str:
 
 
 def _table3(rows: list[dict]) -> str:
-    """Per-subject rows with floats in shortest round-trip form."""
     cols = ["subject", "stress_ba", "effort_ba", "avg_ba", "stress_f1", "effort_f1", "n_eff"]
-
-    def cell(v) -> str:
-        if isinstance(v, float):
-            return repr(v) if np.isfinite(v) else "nan"
-        return str(v)
-
-    lines = [",".join(cols)] + [",".join(cell(r[c]) for c in cols) for r in rows]
-    return "\n".join(lines) + "\n"
+    return format_table({c: np.array([r[c] for r in rows]) for c in cols})
 
 
 def _table4(agg: dict) -> str:

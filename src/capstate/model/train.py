@@ -70,18 +70,6 @@ class TrainHistory:
             }
         )
 
-    def metric_sequence(self) -> list:
-        return [_mean_defined(r["val_ba_stress"], r["val_ba_effort"]) for r in self.rows]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("epoch,train_loss,val_ba_stress,val_ba_effort,lr\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r['epoch']},{r['train_loss']!r},{r['val_ba_stress']!r},"
-                    f"{r['val_ba_effort']!r},{r['lr']!r}\n"
-                )
-
 
 def _ba_or_nan(true_labels: np.ndarray, pred_labels: np.ndarray) -> float:
     """Mean per-class recall, NaN when a class is absent from the true labels."""

@@ -109,8 +109,8 @@ def window_recording(
         evs = eda.events_in_window(events, w_ibi.start_s, window_dur)
         out.x_ibi[i] = w_ibi.values
         out.x_eda[i] = windows["eda"][i].values
-        out.f_hrv[i] = cardiac.hrv_features(w_ibi).as_array()
-        out.f_eda[i] = eda.eda_features(w_raw, w_ton, w_pha, evs).as_array()
+        out.f_hrv[i] = cardiac.hrv_features(w_ibi)
+        out.f_eda[i] = eda.eda_features(w_raw, w_ton, w_pha, evs)
         out.window_start_s[i] = w_ibi.start_s
     out.stress[:] = labels.stress.value
     out.effort[:] = labels.effort.value

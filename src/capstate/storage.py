@@ -1,10 +1,13 @@
-"""CSV round-trips for windowed datasets and fold results.
+"""The one table format: CSV files of windows, fold results and training
+histories, written by ``format_table`` and read back by ``read_table``.
 
-Floats are written with ``repr`` (shortest round-trip form), so identical
+A table is a header line and one unquoted line per row. Each column's cells
+are formatted by its dtype: floats with ``repr`` (the shortest form that
+reads back to the same float), everything else with ``str``, so identical
 runs produce byte-identical files and manifest digests.
 """
 
-import csv
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -13,72 +16,96 @@ from .cardiac import HRV_FEATURE_NAMES
 from .eda import EDA_FEATURE_NAMES
 from .errors import DataError
 from .evaluation.loso import FoldResult, fold_metrics
+from .ingest import Condition
 from .model.train import TrainHistory
-from .pipeline import WindowedDataset, _empty_dataset, concat_datasets
+from .pipeline import N_EDA_FEATURES, N_HRV_FEATURES, WindowedDataset, concat_datasets
 
 
-def _window_header(window_len: int) -> list[str]:
-    cols = ["subject", "condition", "window_start_s", "stress", "effort", "mask"]
-    cols += [f"x_ibi_{i:03d}" for i in range(window_len)]
-    cols += [f"x_eda_{i:03d}" for i in range(window_len)]
-    cols += [f"hrv_{n}" for n in HRV_FEATURE_NAMES]
-    cols += [f"eda_{n}" for n in EDA_FEATURE_NAMES]
-    return cols
+def format_table(columns: dict[str, np.ndarray]) -> str:
+    """Header line plus one line per row of equal-length 1-D columns."""
+    runs = []  # each run of adjacent float or non-float columns, formatted row by row
+    for is_float, run in groupby(map(np.asarray, columns.values()), key=lambda c: c.dtype.kind == "f"):
+        fmt = repr if is_float else str
+        runs.append([",".join(map(fmt, row)) for row in np.array(list(run)).T.tolist()])
+    return "".join(",".join(line) + "\n" for line in [list(columns), *zip(*runs)])
+
+
+def write_table(path, columns: dict[str, np.ndarray]) -> None:
+    Path(path).write_text(format_table(columns))
+
+
+def read_table(path, expected_header) -> dict[str, np.ndarray]:
+    """The columns of a table file by name. ``expected_header`` maps each
+    column name to the type its cells parse as (``float``, ``int`` or
+    ``object`` for text); for a table whose width the file sets, it is a
+    function of the file's header row returning that map. A missing file,
+    another header, no rows, a row of the wrong width or a cell that does
+    not parse raises ``DataError`` naming the file."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"missing file: {path}")
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file: {exc}") from None
+    header, *rows = [line.split(",") for line in text.splitlines()] or [[]]
+    if callable(expected_header):
+        expected_header = expected_header(header)
+    if header != list(expected_header):
+        raise DataError(f"{path}: unexpected header")
+    if not rows:
+        raise DataError(f"{path}: no rows")
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path}: line {line}: {len(row)} cells, the header has {len(header)}")
+    columns = {}
+    for (name, kind), cells in zip(expected_header.items(), zip(*rows)):
+        try:
+            columns[name] = np.array(cells, dtype=kind)
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"{path}: column {name}: {exc}") from None
+    return columns
+
+
+def _reject_rows(path, bad: np.ndarray, what: str) -> None:
+    if bad.any():
+        raise DataError(f"{path}: line {int(np.argmax(bad)) + 2}: {what}")
+
+
+_WINDOW_LABELS = dict(subject=object, condition=object, window_start_s=float, stress=int, effort=int, mask=int)
+
+
+def _window_header(window_len: int) -> dict:
+    """The labels, then the float columns of the IBI and EDA series and of
+    the HRV and EDA features."""
+    series = [f"{i:03d}" for i in range(window_len)]
+    values = ([f"x_ibi_{s}" for s in series] + [f"x_eda_{s}" for s in series]
+              + [f"hrv_{n}" for n in HRV_FEATURE_NAMES] + [f"eda_{n}" for n in EDA_FEATURE_NAMES])
+    return {**_WINDOW_LABELS, **dict.fromkeys(values, float)}
 
 
 def write_windows_csv(path, ds: WindowedDataset) -> None:
-    window_len = ds.x_ibi.shape[1]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_window_header(window_len)) + "\n")
-        for i in range(len(ds)):
-            row = [
-                str(ds.subject[i]),
-                str(ds.condition[i]),
-                repr(float(ds.window_start_s[i])),
-                str(int(ds.stress[i])),
-                str(int(ds.effort[i])),
-                str(int(ds.mask[i])),
-            ]
-            row += [repr(float(v)) for v in ds.x_ibi[i]]
-            row += [repr(float(v)) for v in ds.x_eda[i]]
-            row += [repr(float(v)) for v in ds.f_hrv[i]]
-            row += [repr(float(v)) for v in ds.f_eda[i]]
-            fh.write(",".join(row) + "\n")
+    columns = {name: getattr(ds, name) for name in _WINDOW_LABELS}
+    value_names = list(_window_header(ds.x_ibi.shape[1]))[len(columns):]
+    columns.update(zip(value_names, np.hstack([ds.x_ibi, ds.x_eda, ds.f_hrv, ds.f_eda]).T))
+    write_table(path, columns)
 
 
 def read_windows_csv(path) -> WindowedDataset:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        rows = list(reader)
-    if not rows:
-        raise DataError(f"{path}: no windows")
-    window_len = sum(1 for h in header if h.startswith("x_ibi_"))
-    expected = _window_header(window_len)
-    if header != expected:
-        raise DataError(f"{path}: unexpected window CSV header")
-    ds = _empty_dataset(len(rows), window_len)
-    for i, row in enumerate(rows):
-        try:
-            ds.subject[i] = row[0]
-            ds.condition[i] = row[1]
-            ds.window_start_s[i] = float(row[2])
-            ds.stress[i] = int(row[3])
-            ds.effort[i] = int(row[4])
-            ds.mask[i] = int(row[5])
-            k = 6
-            ds.x_ibi[i] = [float(v) for v in row[k : k + window_len]]
-            k += window_len
-            ds.x_eda[i] = [float(v) for v in row[k : k + window_len]]
-            k += window_len
-            ds.f_hrv[i] = [float(v) for v in row[k : k + len(HRV_FEATURE_NAMES)]]
-            k += len(HRV_FEATURE_NAMES)
-            ds.f_eda[i] = [float(v) for v in row[k : k + len(EDA_FEATURE_NAMES)]]
-        except (ValueError, IndexError):
-            raise DataError(f"{path}: malformed row {i + 2}") from None
+    """One window table. Every series and feature value must be finite, the
+    condition one of c1/c2/c3, stress and mask 0 or 1, and effort 0 or 1
+    where mask is 1 and -1 where mask is 0."""
+    columns = read_table(path, lambda header: _window_header(sum(n.startswith("x_ibi_") for n in header)))
+    labels = {name: columns.pop(name) for name in _WINDOW_LABELS}
+    values = np.column_stack(list(columns.values()))
+    window_len = (values.shape[1] - N_HRV_FEATURES - N_EDA_FEATURES) // 2
+    x_ibi, x_eda, f_hrv, f_eda = np.split(values, np.cumsum([window_len, window_len, N_HRV_FEATURES]), axis=1)
+    ds = WindowedDataset(x_ibi=x_ibi, x_eda=x_eda, f_hrv=f_hrv, f_eda=f_eda, **labels)
+    _reject_rows(path, ~np.isfinite(values).all(axis=1), "non-finite series or feature value")
+    _reject_rows(path, ~np.isin(ds.condition, [c.value for c in Condition]), "condition is not c1, c2 or c3")
+    _reject_rows(path, ~np.isin(ds.stress, (0, 1)), "stress is not 0 or 1")
+    effort_ok = np.where(ds.mask == 1, np.isin(ds.effort, (0, 1)), (ds.mask == 0) & (ds.effort == -1))
+    _reject_rows(path, ~effort_ok, "mask is not 0 or 1, or effort is not 0 or 1 with mask 1 and -1 with mask 0")
     return ds
 
 
@@ -89,57 +116,25 @@ def read_windows_dir(windows_dir) -> WindowedDataset:
     return concat_datasets([read_windows_csv(p) for p in paths])
 
 
-# ---------------------------------------------------------------------------
-# Fold results
-# ---------------------------------------------------------------------------
-
-FOLD_HEADER = ["subject", "condition", "window_start_s", "U", "O", "stress_label", "effort_label", "mask"]
+FOLD_COLUMNS = dict(subject=object, condition=object, window_start_s=float, U=float, O=float,
+                    stress_label=int, effort_label=int, mask=int)
+HISTORY_COLUMNS = dict(epoch=int, train_loss=float, val_ba_stress=float, val_ba_effort=float, lr=float)
 
 
 def write_fold_csv(path, fold: FoldResult) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(FOLD_HEADER) + "\n")
-        for i in range(len(fold.u)):
-            fh.write(
-                f"{fold.subject_id},{fold.condition[i]},{float(fold.window_start_s[i])!r},"
-                f"{float(fold.u[i])!r},{float(fold.o[i])!r},"
-                f"{int(fold.stress[i])},{int(fold.effort[i])},{int(fold.mask[i])}\n"
-            )
+    values = (np.full(len(fold.u), fold.subject_id, dtype=object), fold.condition, fold.window_start_s,
+              fold.u, fold.o, fold.stress, fold.effort, fold.mask)
+    write_table(path, {name: np.asarray(v, dtype=kind) for (name, kind), v in zip(FOLD_COLUMNS.items(), values)})
 
 
 def read_fold_csv(path) -> FoldResult:
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FOLD_HEADER:
-            raise DataError(f"{path}: unexpected fold CSV header")
-        rows = list(reader)
-    if not rows:
-        raise DataError(f"{path}: empty fold file")
-    subject = rows[0][0]
-    condition = np.array([r[1] for r in rows], dtype=object)
-    start = np.array([float(r[2]) for r in rows])
-    u = np.array([float(r[3]) for r in rows])
-    o = np.array([float(r[4]) for r in rows])
-    stress = np.array([int(r[5]) for r in rows])
-    effort = np.array([int(r[6]) for r in rows])
-    mask = np.array([int(r[7]) for r in rows])
+    """One fold table. U and O must lie in [0, 1], and every row must name
+    the same subject."""
+    subject, condition, start, u, o, stress, effort, mask = read_table(path, FOLD_COLUMNS).values()
+    _reject_rows(path, ~((u >= 0) & (u <= 1) & (o >= 0) & (o <= 1)), "U or O outside [0, 1]")
+    _reject_rows(path, subject != subject[0], f"subject differs from {subject[0]!r} on line 2")
     metrics, n_eff = fold_metrics(u, o, stress, effort, mask)
-    return FoldResult(
-        subject_id=subject,
-        condition=condition,
-        window_start_s=start,
-        u=u,
-        o=o,
-        stress=stress,
-        effort=effort,
-        mask=mask,
-        metrics=metrics,
-        n_eff=n_eff,
-        history=TrainHistory(),
-        audit={},
-    )
+    return FoldResult(subject[0], condition, start, u, o, stress, effort, mask, metrics, n_eff, TrainHistory(), {})
 
 
 def read_folds_dir(results_dir) -> list[FoldResult]:
@@ -148,3 +143,8 @@ def read_folds_dir(results_dir) -> list[FoldResult]:
         raise DataError(f"no fold_*.csv files under {results_dir}")
     return [read_fold_csv(p) for p in paths]
 
+
+def write_history_csv(path, history: TrainHistory) -> None:
+    """One row per epoch: training loss, validation BA per head, learning rate."""
+    write_table(path, {name: np.array([r[name] for r in history.rows], dtype=kind)
+                       for name, kind in HISTORY_COLUMNS.items()})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from capstate.cardiac import (
+    HRV_FEATURE_NAMES,
     IBI_MAX_MS,
     IBI_MIN_MS,
     PeakList,
@@ -182,8 +183,15 @@ class TestHrvNonlinear:
     def test_all_features_finite_on_fuzzed_windows(self, rng):
         for _ in range(200):
             vals = rng.uniform(350.0, 1800.0, 120)
-            feats = hrv_features(UniformSeries(vals, 2.0)).as_array()
+            feats = hrv_features(UniformSeries(vals, 2.0))
             assert np.all(np.isfinite(feats))
+
+    def test_hrv_features_is_time_frequency_nonlinear(self, rng):
+        w = UniformSeries(rng.uniform(600.0, 1100.0, 120), 2.0)
+        expected = np.concatenate(
+            [hrv_time_features(w.values), hrv_frequency_features(w), hrv_nonlinear_features(w.values)])
+        assert np.array_equal(hrv_features(w), expected)
+        assert len(expected) == len(HRV_FEATURE_NAMES)
 
 
 class TestNormalizePerSubject:

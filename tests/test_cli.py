@@ -21,12 +21,18 @@ from capstate.config import (
     config_to_dict,
     load_config,
 )
-from capstate.errors import ConfigError
+from capstate.errors import ConfigError, DataError
+from capstate.model import ArchConfig
+from capstate.model.train import TrainHistory
 from capstate.storage import (
+    HISTORY_COLUMNS,
     read_fold_csv,
+    read_table,
     read_windows_csv,
     read_windows_dir,
     write_fold_csv,
+    write_history_csv,
+    write_table,
     write_windows_csv,
 )
 from conftest import make_feature_dataset, make_fold
@@ -92,6 +98,22 @@ class TestConfig:
         assert arch.backbone == "tcn"
         assert not arch.use_handcrafted_features
 
+    @pytest.mark.parametrize("key, arch_value, ablation_value", [
+        ("backbone", "tcn", "lstm"),
+        ("modalities", ("ibi",), ("eda",)),
+        ("use_handcrafted_features", False, True),
+    ])
+    def test_arch_key_reaches_effective_arch(self, key, arch_value, ablation_value):
+        assert PipelineConfig().effective_arch() == ArchConfig()
+
+        def literal(value):
+            return json.dumps(list(value) if isinstance(value, tuple) else value)
+
+        cfg = apply_overrides(PipelineConfig(), [f"arch.{key}={literal(arch_value)}"])
+        assert getattr(cfg.effective_arch(), key) == arch_value
+        cfg = apply_overrides(cfg, [f"ablation.{key}={literal(ablation_value)}"])  # ablation.* wins when set
+        assert getattr(cfg.effective_arch(), key) == ablation_value
+
 
 def test_numpy_is_the_only_runtime_dependency():
     """Every installed distribution that importing the package loads is numpy.
@@ -126,16 +148,55 @@ def test_perfbench_targets_resolve():
         assert callable(obj), f"{module}.{attr}"
 
 
+def _history() -> TrainHistory:
+    history = TrainHistory()
+    history.append(1, 0.6931471805599453, 0.5, float("nan"), 2e-4)
+    history.append(2, 1 / 3, 0.625, 0.75, 1e-4)
+    return history
+
+
 class TestWindowsCsv:
-    def test_round_trip(self, tmp_path):
-        ds = make_feature_dataset(n_subjects=2, per_cond=3, seed=1)
-        path = tmp_path / "windows_x.csv"
-        write_windows_csv(path, ds)
-        back = read_windows_csv(path)
-        assert np.array_equal(back.x_ibi, ds.x_ibi)
-        assert np.array_equal(back.f_eda, ds.f_eda)
-        assert np.array_equal(back.stress, ds.stress)
-        assert back.subject.tolist() == ds.subject.tolist()
+    @pytest.mark.parametrize("table", ["windows", "fold", "history"])
+    def test_round_trip(self, tmp_path, table):
+        """Write, read and write again: the values read back equal the ones
+        written, and the two files are byte-identical."""
+        make, write, read, write_again, values = {
+            "windows": (lambda: make_feature_dataset(n_subjects=2, per_cond=3, seed=1),
+                        write_windows_csv, read_windows_csv, write_windows_csv,
+                        lambda ds: [ds.x_ibi, ds.x_eda, ds.f_hrv, ds.f_eda, ds.stress, ds.effort, ds.mask,
+                                    ds.window_start_s, ds.subject, ds.condition]),
+            "fold": (lambda: make_fold("s07", {"c1": (0.1, 0.7), "c2": (1 / 3, 2 / 3), "c3": (0.1 + 0.2, 1.0)}),
+                     write_fold_csv, read_fold_csv, write_fold_csv,
+                     lambda f: [[f.subject_id], f.condition, f.window_start_s, f.u, f.o, f.stress, f.effort, f.mask]),
+            "history": (_history, write_history_csv, lambda p: read_table(p, HISTORY_COLUMNS), write_table,
+                        lambda h: [[r[k] for r in h.rows] for k in HISTORY_COLUMNS] if isinstance(h, TrainHistory)
+                        else list(h.values())),
+        }[table]
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        original = make()
+        write(first, original)
+        back = read(first)
+        for want, got in zip(values(original), values(back), strict=True):
+            np.testing.assert_array_equal(got, want)
+        write_again(second, back)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("content, expect", [
+        (None, "missing file"),
+        (b"epoch,lr\n1,0.1\n", "unexpected header"),
+        (b"epoch,train_loss,val_ba_stress,val_ba_effort,lr\n", "no rows"),
+        (b"epoch,train_loss,val_ba_stress,val_ba_effort,lr\n1,0.5,0.5,0.5\n", "line 2: 4 cells"),
+        (b"epoch,train_loss,val_ba_stress,val_ba_effort,lr\n1.5,0.5,0.5,0.5,0.1\n", "column epoch"),
+        (b"epoch,train_loss,val_ba_stress,val_ba_effort,lr\n99999999999999999999,0.5,0.5,0.5,0.1\n", "column epoch"),
+        (b"\xff\xfe\n", "not a text file"),
+    ], ids=["missing", "header", "no-rows", "width", "cell", "int-overflow", "binary"])
+    def test_read_table_rejects(self, tmp_path, content, expect):
+        path = tmp_path / "history_x.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(DataError, match=expect) as err:
+            read_table(path, HISTORY_COLUMNS)
+        assert str(path) in str(err.value)
 
 
 @pytest.mark.slow
@@ -272,6 +333,45 @@ class TestExitCodes:
             assert run_cli(tmp_path, "evaluate") == 3
             err = capsys.readouterr().err
             assert expect in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, table, edits", [
+        ("report", "fold", {"U": "1.5"}),
+        ("report", "fold", {"U": "abc"}),
+        ("evaluate", "windows", {"x_ibi_005": "nan"}),
+        ("evaluate", "windows", {"stress": "7"}),
+        ("evaluate", "windows", None),  # the row loses its last cell
+        ("report", "fold", {"subject": "s09"}),
+        ("evaluate", "windows", {"condition": "c9"}),
+        ("evaluate", "windows", {"mask": "0"}),  # effort stays 0
+        ("evaluate", "windows", {"mask": "2", "effort": "-1"}),
+    ], ids=["fold-U-1.5", "fold-U-abc", "windows-nan-series", "windows-stress-7", "windows-short-row",
+            "fold-two-subjects", "windows-condition-c9", "windows-effort-without-mask", "windows-mask-2"])
+    def test_bad_table_is_3(self, tmp_path, capsys, command, table, edits):
+        """One row of one subject's table is edited; the command exits 3,
+        naming the file, without a traceback."""
+        ds = make_feature_dataset(n_subjects=3, per_cond=3)
+        directory = tmp_path / "out" / ("results" if table == "fold" else "windows")
+        directory.mkdir(parents=True)
+        for subject in ds.subjects():
+            if table == "fold":
+                write_fold_csv(directory / f"fold_{subject}.csv",
+                               make_fold(subject, {"c1": (0.2, 0.2), "c2": (0.4, 0.4), "c3": (0.6, 0.6)}))
+            else:
+                write_windows_csv(directory / f"windows_{subject}.csv",
+                                  ds.select(np.nonzero(ds.subject == subject)[0]))
+        path = directory / f"{table}_s01.csv"
+        header, *rows = path.read_text().splitlines()
+        cells = rows[1].split(",")
+        if edits is None:
+            cells.pop()
+        for column, value in (edits or {}).items():
+            cells[header.split(",").index(column)] = value
+        rows[1] = ",".join(cells)
+        path.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        assert run_cli(tmp_path, command) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and "Traceback" not in err
 
     def test_preprocess_reads_sessions_once(self, tmp_path, monkeypatch):
         import capstate.cli as cli_mod

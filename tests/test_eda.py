@@ -3,6 +3,7 @@ import pytest
 
 from capstate.dsp import UniformSeries
 from capstate.eda import (
+    EDA_FEATURE_NAMES,
     CvxEdaParams,
     LogTransform,
     ScrEvent,
@@ -163,20 +164,21 @@ class TestEdaFeatures:
     def _series(self, values, start=0.0):
         return UniformSeries(np.asarray(values, dtype=float), 2.0, start)
 
+    def _named(self, *args):
+        return dict(zip(EDA_FEATURE_NAMES, eda_features(*args), strict=True))
+
     def test_constants_no_events(self):
         w = self._series(np.full(120, 3.0))
         out = eda_features(w, w, self._series(np.zeros(120)), [])
-        assert np.allclose(
-            out.as_array(), [3, 0, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0]
-        )
+        assert np.allclose(out, [3, 0, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0])
 
     def test_tonic_slope_and_range(self):
         t = np.arange(120) / 2.0
         tonic = self._series(0.1 * t)
         raw = self._series(np.full(120, 1.0))
-        out = eda_features(raw, tonic, self._series(np.zeros(120)), [])
-        assert out.scl_slope == pytest.approx(0.1, rel=1e-9)
-        assert out.scl_range == pytest.approx(0.1 * 119 / 2.0, rel=1e-9)
+        out = self._named(raw, tonic, self._series(np.zeros(120)), [])
+        assert out["scl_slope"] == pytest.approx(0.1, rel=1e-9)
+        assert out["scl_range"] == pytest.approx(0.1 * 119 / 2.0, rel=1e-9)
 
     def test_two_events_amplitude_stats(self):
         w = self._series(np.full(120, 1.0))
@@ -185,11 +187,11 @@ class TestEdaFeatures:
             ScrEvent(onset_s=10.0, peak_s=11.0, amplitude_us=0.5),
             ScrEvent(onset_s=40.0, peak_s=41.0, amplitude_us=0.8),
         ]
-        out = eda_features(w, w, phasic, events)
-        assert out.scr_amp_mean == pytest.approx(0.65)
-        assert out.scr_count == 2
-        assert out.scr_amp_sd == pytest.approx(0.15)
-        assert out.scr_peak_mean > 0
+        out = self._named(w, w, phasic, events)
+        assert out["scr_amp_mean"] == pytest.approx(0.65)
+        assert out["scr_count"] == 2
+        assert out["scr_amp_sd"] == pytest.approx(0.15)
+        assert out["scr_peak_mean"] > 0
 
     def test_misaligned_windows_rejected(self):
         a = self._series(np.zeros(120))

@@ -315,7 +315,7 @@ class TestTrainFold:
         cfg = TrainConfig(max_epochs=4, lr=1e-3, batch_size=16, val_subjects=1, seed=11)
         p1, h1 = train_fold(train, val, arch, cfg)
         p2, h2 = train_fold(train, val, arch, cfg)
-        assert h1.metric_sequence() == h2.metric_sequence()
+        assert h1.rows == h2.rows
         for k in p1:
             assert np.array_equal(p1[k], p2[k])
 
