@@ -1,4 +1,4 @@
-from .metrics import Metrics, classification_metrics
+from ..metrics import Metrics, classification_metrics
 from .stats import (
     cohens_d,
     incomplete_beta,

@@ -9,16 +9,16 @@ parameters must be unchanged, and no other fold may move at all.
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..errors import DataError
 from ..ingest import LabelScheme, relabel_stress
+from ..metrics import effort_scored, head_metrics, some_head_defined
 from ..model.network import ArchConfig, forward, substream_seed
 from ..model.train import TrainConfig, TrainHistory, train_fold
 from ..pipeline import WindowedDataset, apply_fold_transform, fit_fold_transform
-from .metrics import metrics_or_none
 
 
 @dataclass
@@ -31,10 +31,14 @@ class FoldResult:
     stress: np.ndarray
     effort: np.ndarray
     mask: np.ndarray
-    metrics: dict  # {"stress": Metrics|None, "effort": Metrics|None}
-    n_eff: int
-    history: TrainHistory
-    audit: dict
+    history: TrainHistory = field(default_factory=TrainHistory)
+    audit: dict = field(default_factory=dict)
+    metrics: dict = field(init=False)  # {"stress": Metrics|None, "effort": Metrics|None}, from the columns
+    n_eff: int = field(init=False)  # windows the effort head is scored on
+
+    def __post_init__(self):
+        self.metrics = head_metrics(self.u, self.o, self.stress, self.effort, self.mask)
+        self.n_eff = int(effort_scored(self.mask).sum())
 
     def ba(self, head: str) -> float:
         m = self.metrics.get(head)
@@ -47,20 +51,6 @@ def _params_digest(params: dict) -> str:
         h.update(key.encode())
         h.update(np.ascontiguousarray(params[key]).tobytes())
     return h.hexdigest()
-
-
-def fold_metrics(u, o, stress, effort, mask) -> tuple[dict, int]:
-    """Stress metrics over all windows; effort metrics over mask=1 windows.
-    A head with a single observed class is marked undefined (None)."""
-    pred_stress = (np.asarray(o) >= 0.5).astype(int)
-    stress_m = metrics_or_none(pred_stress, stress)
-    masked = np.asarray(mask) > 0
-    if masked.any():
-        pred_eff = (np.asarray(u)[masked] >= 0.5).astype(int)
-        effort_m = metrics_or_none(pred_eff, np.asarray(effort)[masked])
-    else:
-        effort_m = None
-    return {"stress": stress_m, "effort": effort_m}, int(masked.sum())
 
 
 def _run_single_fold(args) -> FoldResult:
@@ -82,8 +72,7 @@ def _run_single_fold(args) -> FoldResult:
     for _ in range(64):
         candidate = sorted(rng.choice(train_subjects, size=n_val, replace=False).tolist())
         cand_ds = train_ds.for_subjects(candidate)
-        masked_effort = cand_ds.effort[cand_ds.mask > 0]
-        if len(np.unique(cand_ds.stress)) >= 2 or len(np.unique(masked_effort)) >= 2:
+        if some_head_defined(cand_ds.stress, cand_ds.effort, cand_ds.mask):
             val_subjects = candidate
             break
     if val_subjects is None:
@@ -103,7 +92,6 @@ def _run_single_fold(args) -> FoldResult:
     )
 
     out = forward(params, arch, held_norm, train_mode=False)
-    metrics, n_eff = fold_metrics(out.u, out.o, held_norm.stress, held_norm.effort, held_norm.mask)
     return FoldResult(
         subject_id=held,
         condition=held_norm.condition.copy(),
@@ -113,8 +101,6 @@ def _run_single_fold(args) -> FoldResult:
         stress=held_norm.stress.copy(),
         effort=held_norm.effort.copy(),
         mask=held_norm.mask.copy(),
-        metrics=metrics,
-        n_eff=n_eff,
         history=history,
         audit={
             "log_flags": transform.eda_log_flags(),
@@ -164,6 +150,4 @@ def resensitize_fold_metrics(fold: FoldResult, scheme: LabelScheme) -> dict:
     """Recompute a fold's metrics under a relabeling scheme without retraining:
     only stress labels of c2 windows can change, so effort metrics are
     untouched by construction."""
-    stress = relabel_stress(fold.stress, fold.condition, scheme)
-    metrics, _ = fold_metrics(fold.u, fold.o, stress, fold.effort, fold.mask)
-    return metrics
+    return replace(fold, stress=relabel_stress(fold.stress, fold.condition, scheme)).metrics

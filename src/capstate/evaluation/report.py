@@ -7,9 +7,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ..metrics import Metrics, joint_ba, metrics_from_confusion
 from ..storage import format_table
 from .loso import FoldResult
-from .metrics import Metrics, metrics_from_confusion
 from .stats import bonferroni, cohens_d, one_sample_t, paired_t, rm_anova_oneway
 from .statespace import TrajectoryPattern, condition_centroids, quadrant_occupancy
 
@@ -19,12 +19,9 @@ SUMMARY_KEYS = (*HEADS, "joint_average")
 
 
 def _fold_bas(f: FoldResult) -> dict[str, float]:
-    """A fold's BA per head, plus the joint average over its finite heads
-    (NaN when neither head is defined)."""
+    """A fold's BA per head, plus their joint average."""
     bas = {head: f.ba(head) for head in HEADS}
-    pair = [b for b in bas.values() if np.isfinite(b)]
-    bas["joint_average"] = float(np.mean(pair)) if pair else float("nan")
-    return bas
+    return {**bas, "joint_average": joint_ba(bas.values())}
 
 
 def _finite_bas(folds: list[FoldResult]) -> dict[str, np.ndarray]:

@@ -179,7 +179,10 @@ class Sessions:
 
 def read_sessions(root_path) -> Sessions:
     """Read ``<root>/sessions.csv``; every row must name a subject, a known
-    condition and both files, else :class:`DataError` names the file and row."""
+    condition and both files, the subject id must hold no comma, double quote
+    or line break (it becomes a cell of the unquoted output tables), and no
+    subject/condition pair may appear twice, else :class:`DataError` names
+    the file and the rows."""
     root = Path(root_path)
     manifest = root / "sessions.csv"
     if not manifest.exists():
@@ -187,13 +190,22 @@ def read_sessions(root_path) -> Sessions:
     with open(manifest, newline="") as fh:
         rows = list(csv.DictReader(fh))
     needed = {"subject_id", "condition", "ecg_file", "eda_file"}
+    seen = {}
     for i, row in enumerate(rows, start=2):
         if not needed.issubset(row.keys()) or any(row[k] in (None, "") for k in needed):
             raise DataError(f"{manifest}: malformed row {i}: {row}")
+        subject = row["subject_id"]
+        if any(c in subject for c in ',"\r\n'):
+            raise DataError(f"{manifest}: row {i}: subject id {subject!r} holds a comma, a double quote "
+                            "or a line break")
         try:
-            Condition.parse(row["condition"])
+            pair = (subject, Condition.parse(row["condition"]))
         except DataError as exc:
             raise DataError(f"{manifest}: row {i}: {exc}") from None
+        if pair in seen:
+            raise DataError(f"{manifest}: rows {seen[pair]} and {i} both list subject {subject!r} "
+                            f"condition {pair[1].value}")
+        seen[pair] = i
     return Sessions(root, rows)
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DataError, NumericalError
+from ..metrics import head_metrics, joint_ba, some_head_defined
 from .losses import masked_multitask_loss
 from .network import (
     ArchConfig,
@@ -71,22 +72,6 @@ class TrainHistory:
         )
 
 
-def _ba_or_nan(true_labels: np.ndarray, pred_labels: np.ndarray) -> float:
-    """Mean per-class recall, NaN when a class is absent from the true labels."""
-    recalls = []
-    for c in (0, 1):
-        sel = true_labels == c
-        if not sel.any():
-            return float("nan")
-        recalls.append(float((pred_labels[sel] == c).mean()))
-    return float(np.mean(recalls))
-
-
-def _mean_defined(*values) -> float:
-    vals = [v for v in values if np.isfinite(v)]
-    return float(np.mean(vals)) if vals else float("nan")
-
-
 def loss_and_grads(
     params: dict[str, np.ndarray],
     arch: ArchConfig,
@@ -116,17 +101,12 @@ def loss_and_grads(
     return float(total_t.data), stress_val, effort_val, grads
 
 
-def evaluate_balanced_accuracy(params, arch, cfg_or_none, val: Batch) -> tuple[float, float]:
-    """(stress BA, effort BA) on a validation batch; effort is scored over
-    mask=1 windows only. NaN marks an undefined head."""
+def evaluate_balanced_accuracy(params, arch, val: Batch) -> tuple[float, float]:
+    """(stress BA, effort BA) on a validation batch, scored by
+    ``capstate.metrics.head_metrics``. NaN marks an undefined head."""
     out: ForwardOutput = forward(params, arch, val, train_mode=False)
-    ba_s = _ba_or_nan(val.stress, (out.o >= 0.5).astype(int))
-    masked = val.mask > 0
-    if masked.any():
-        ba_e = _ba_or_nan(val.effort[masked], (out.u[masked] >= 0.5).astype(int))
-    else:
-        ba_e = float("nan")
-    return ba_s, ba_e
+    metrics = head_metrics(out.u, out.o, val.stress, val.effort, val.mask)
+    return tuple(float("nan") if m is None else m.ba for m in metrics.values())
 
 
 def train_fold(
@@ -141,7 +121,7 @@ def train_fold(
     ``DataError``."""
     if len(val) == 0:
         raise DataError("validation set is empty")
-    if len(np.unique(val.stress)) < 2 and len(np.unique(val.effort[val.mask > 0])) < 2:
+    if not some_head_defined(val.stress, val.effort, val.mask):
         raise DataError("validation set has a single class on both heads; BA undefined")
 
     params = init_params(arch, cfg.seed)
@@ -174,10 +154,8 @@ def train_fold(
             loss_sum += total * len(idx)
         train_loss = loss_sum / n
 
-        ba_s, ba_e = evaluate_balanced_accuracy(params, arch, cfg, val)
-        metric = _mean_defined(ba_s, ba_e)
-        if not np.isfinite(metric):
-            raise ValueError("validation BA undefined on both heads")
+        ba_s, ba_e = evaluate_balanced_accuracy(params, arch, val)
+        metric = joint_ba((ba_s, ba_e))
         history.append(epoch, train_loss, ba_s, ba_e, lr)
 
         if metric > best_metric:

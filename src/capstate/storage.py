@@ -15,7 +15,7 @@ import numpy as np
 from .cardiac import HRV_FEATURE_NAMES
 from .eda import EDA_FEATURE_NAMES
 from .errors import DataError
-from .evaluation.loso import FoldResult, fold_metrics
+from .evaluation.loso import FoldResult
 from .ingest import Condition
 from .model.train import TrainHistory
 from .pipeline import N_EDA_FEATURES, N_HRV_FEATURES, WindowedDataset, concat_datasets
@@ -72,6 +72,15 @@ def _reject_rows(path, bad: np.ndarray, what: str) -> None:
         raise DataError(f"{path}: line {int(np.argmax(bad)) + 2}: {what}")
 
 
+def _check_labels(path, condition, stress, effort, mask) -> None:
+    """The label rules of window and fold files: condition c1, c2 or c3,
+    stress 0 or 1, and effort 0 or 1 where mask is 1 and -1 where mask is 0."""
+    _reject_rows(path, ~np.isin(condition, [c.value for c in Condition]), "condition is not c1, c2 or c3")
+    _reject_rows(path, ~np.isin(stress, (0, 1)), "stress is not 0 or 1")
+    effort_ok = np.where(mask == 1, np.isin(effort, (0, 1)), (mask == 0) & (effort == -1))
+    _reject_rows(path, ~effort_ok, "mask is not 0 or 1, or effort is not 0 or 1 with mask 1 and -1 with mask 0")
+
+
 _WINDOW_LABELS = dict(subject=object, condition=object, window_start_s=float, stress=int, effort=int, mask=int)
 
 
@@ -92,9 +101,8 @@ def write_windows_csv(path, ds: WindowedDataset) -> None:
 
 
 def read_windows_csv(path) -> WindowedDataset:
-    """One window table. Every series and feature value must be finite, the
-    condition one of c1/c2/c3, stress and mask 0 or 1, and effort 0 or 1
-    where mask is 1 and -1 where mask is 0."""
+    """One window table. Every series and feature value must be finite, and
+    the labels must keep the rules of ``_check_labels``."""
     columns = read_table(path, lambda header: _window_header(sum(n.startswith("x_ibi_") for n in header)))
     labels = {name: columns.pop(name) for name in _WINDOW_LABELS}
     values = np.column_stack(list(columns.values()))
@@ -102,10 +110,7 @@ def read_windows_csv(path) -> WindowedDataset:
     x_ibi, x_eda, f_hrv, f_eda = np.split(values, np.cumsum([window_len, window_len, N_HRV_FEATURES]), axis=1)
     ds = WindowedDataset(x_ibi=x_ibi, x_eda=x_eda, f_hrv=f_hrv, f_eda=f_eda, **labels)
     _reject_rows(path, ~np.isfinite(values).all(axis=1), "non-finite series or feature value")
-    _reject_rows(path, ~np.isin(ds.condition, [c.value for c in Condition]), "condition is not c1, c2 or c3")
-    _reject_rows(path, ~np.isin(ds.stress, (0, 1)), "stress is not 0 or 1")
-    effort_ok = np.where(ds.mask == 1, np.isin(ds.effort, (0, 1)), (ds.mask == 0) & (ds.effort == -1))
-    _reject_rows(path, ~effort_ok, "mask is not 0 or 1, or effort is not 0 or 1 with mask 1 and -1 with mask 0")
+    _check_labels(path, ds.condition, ds.stress, ds.effort, ds.mask)
     return ds
 
 
@@ -128,13 +133,13 @@ def write_fold_csv(path, fold: FoldResult) -> None:
 
 
 def read_fold_csv(path) -> FoldResult:
-    """One fold table. U and O must lie in [0, 1], and every row must name
-    the same subject."""
+    """One fold table. U and O must lie in [0, 1], every row must name the
+    same subject, and the labels must keep the rules of ``_check_labels``."""
     subject, condition, start, u, o, stress, effort, mask = read_table(path, FOLD_COLUMNS).values()
     _reject_rows(path, ~((u >= 0) & (u <= 1) & (o >= 0) & (o <= 1)), "U or O outside [0, 1]")
     _reject_rows(path, subject != subject[0], f"subject differs from {subject[0]!r} on line 2")
-    metrics, n_eff = fold_metrics(u, o, stress, effort, mask)
-    return FoldResult(subject[0], condition, start, u, o, stress, effort, mask, metrics, n_eff, TrainHistory(), {})
+    _check_labels(path, condition, stress, effort, mask)
+    return FoldResult(subject[0], condition, start, u, o, stress, effort, mask)
 
 
 def read_folds_dir(results_dir) -> list[FoldResult]:

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 import capstate
-from capstate.evaluation.loso import FoldResult, fold_metrics
-from capstate.model.train import TrainHistory
+from capstate.evaluation.loso import FoldResult
 from capstate.pipeline import WindowedDataset
 
 
@@ -226,9 +225,7 @@ def make_fold(subject, centroids, conditions=("c1", "c2", "c3"), per_cond=4) -> 
     stress = (cond != "c1").astype(int)
     effort = np.where(cond == "c2", -1, (cond == "c3").astype(int))
     mask = (cond != "c2").astype(int)
-    metrics, n_eff = fold_metrics(u, o, stress, effort, mask)
-    return FoldResult(subject, cond, np.zeros(len(u)), u, o, stress, effort, mask, metrics, n_eff,
-                      TrainHistory(), {})
+    return FoldResult(subject, cond, np.zeros(len(u)), u, o, stress, effort, mask)
 
 
 TINY_ARCH = dict(

@@ -115,14 +115,19 @@ class TestConfig:
         assert getattr(cfg.effective_arch(), key) == ablation_value
 
 
-def test_numpy_is_the_only_runtime_dependency():
+@pytest.mark.parametrize("first", ["capstate.model", "capstate.evaluation", "capstate.storage",
+                                   "capstate.pipeline", "capstate.cli"])
+def test_numpy_is_the_only_runtime_dependency(first):
     """Every installed distribution that importing the package loads is numpy.
 
-    Runs in a fresh interpreter: other tests import scipy into this one."""
+    Runs in a fresh interpreter, importing ``first`` before the rest: other
+    tests import scipy into this one, and an import cycle fails only for
+    some import orders."""
     code = "\n".join([
         "import sys, importlib.metadata as md",
         "before = set(sys.modules)",
-        "import capstate.cli, capstate.model, capstate.evaluation",
+        f"import {first}",
+        "import capstate.cli, capstate.model, capstate.evaluation, capstate.storage, capstate.pipeline",
         "dists = md.packages_distributions()",
         "loaded = {d for m in set(sys.modules) - before for d in dists.get(m.split('.')[0], [])}",
         "print(sorted(loaded - {'numpy', 'capstate'}))",
@@ -305,6 +310,12 @@ class TestExitCodes:
              f"subject {subject} condition {cond} ({ecg}, {eda})"),  # a flat ECG has no beats
             ("sessions.csv", lambda lines: lines[:1] + [lines[1].replace(f",{cond},", ",c9,")] + lines[2:],
              "sessions.csv: row 2: unknown condition 'c9'"),
+            ("sessions.csv", lambda lines: lines[:1] + ['"sim,01"' + lines[1][len(subject):]] + lines[2:],
+             "sessions.csv: row 2: subject id 'sim,01' holds a comma"),
+            ("sessions.csv", lambda lines: lines[:1] + ['"sim""01"' + lines[1][len(subject):]] + lines[2:],
+             "sessions.csv: row 2: subject id 'sim\"01' holds a comma, a double quote"),
+            ("sessions.csv", lambda lines: lines + [f"{subject},{cond},{subject}/ecg_c2.csv,{subject}/eda_c2.csv"],
+             f"sessions.csv: rows 2 and 11 both list subject '{subject}' condition {cond}"),
         ):
             path = tmp_path / "data" / rel
             original = path.read_text()
@@ -344,8 +355,13 @@ class TestExitCodes:
         ("evaluate", "windows", {"condition": "c9"}),
         ("evaluate", "windows", {"mask": "0"}),  # effort stays 0
         ("evaluate", "windows", {"mask": "2", "effort": "-1"}),
+        ("report", "fold", {"stress_label": "7"}),
+        ("report", "fold", {"mask": "5"}),
+        ("report", "fold", {"mask": "0"}),  # effort_label stays 0
+        ("report", "fold", {"condition": "c9"}),
     ], ids=["fold-U-1.5", "fold-U-abc", "windows-nan-series", "windows-stress-7", "windows-short-row",
-            "fold-two-subjects", "windows-condition-c9", "windows-effort-without-mask", "windows-mask-2"])
+            "fold-two-subjects", "windows-condition-c9", "windows-effort-without-mask", "windows-mask-2",
+            "fold-stress-7", "fold-mask-5", "fold-effort-without-mask", "fold-condition-c9"])
     def test_bad_table_is_3(self, tmp_path, capsys, command, table, edits):
         """One row of one subject's table is edited; the command exits 3,
         naming the file, without a traceback."""

@@ -9,11 +9,10 @@ from capstate.evaluation import (
     partial_eta_sq_from_f,
     rm_anova_oneway,
 )
-from capstate.evaluation.loso import FoldResult, fold_metrics
-from capstate.evaluation.metrics import metrics_from_confusion
+from capstate.evaluation.loso import FoldResult
 from capstate.evaluation.report import aggregate_classification
+from capstate.metrics import head_metrics, joint_ba, metrics_from_confusion, some_head_defined
 from capstate.evaluation.stats import f_p_value, incomplete_beta, t_p_two_sided
-from capstate.model.train import TrainHistory
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +100,57 @@ class TestClassificationMetrics:
             metrics_from_confusion(np.array([[0, 0], [3, 4]]))
 
 
+class TestHeadMetrics:
+    def test_stress_on_every_window_effort_on_mask_1(self, rng):
+        for _ in range(20):
+            n = 40
+            u, o = rng.uniform(size=n), rng.uniform(size=n)
+            stress, effort, mask = rng.integers(0, 2, n), rng.integers(0, 2, n), rng.integers(0, 2, n)
+            stress[:2] = effort[:2] = (0, 1)
+            mask[:2] = 1
+            effort[mask == 0] = -1
+            m = head_metrics(u, o, stress, effort, mask)
+            sel = mask == 1
+            for got, pred, true in ((m["stress"], o >= 0.5, stress), (m["effort"], u[sel] >= 0.5, effort[sel])):
+                ref = brute_metrics(pred.astype(int).tolist(), true.tolist())
+                assert (got.ba, got.precision, got.macro_f1) == pytest.approx(
+                    (ref["ba"], ref["precision"], ref["macro_f1"]), abs=1e-15)
+                assert got.confusion.sum() == len(true)
+            assert some_head_defined(stress, effort, mask)
+            assert joint_ba((m["stress"].ba, m["effort"].ba)) == np.mean([m["stress"].ba, m["effort"].ba])
+
+    def test_single_class_head_is_undefined(self):
+        o = u = np.array([0.2, 0.7, 0.9, 0.1])
+        stress, effort = np.array([1, 1, 1, 1]), np.array([0, 1, -1, -1])
+        mask = np.array([1, 1, 0, 0])
+        m = head_metrics(u, o, stress, effort, mask)
+        assert m["stress"] is None and m["effort"].ba == 1.0
+        assert joint_ba((float("nan"), m["effort"].ba)) == 1.0
+        assert some_head_defined(stress, effort, mask)
+        mask = np.array([1, 0, 0, 0])  # effort scored on one window: a single class
+        effort = np.array([0, -1, -1, -1])
+        assert head_metrics(u, o, stress, effort, mask) == {"stress": None, "effort": None}
+        assert not some_head_defined(stress, effort, mask)
+        assert np.isnan(joint_ba((float("nan"), float("nan"))))
+
+    @pytest.mark.parametrize("column, value", [("stress", 7), ("effort", 2), ("u", None)])
+    def test_bad_labels_or_lengths_raise(self, column, value):
+        cols = dict(u=np.full(4, 0.3), o=np.full(4, 0.6), stress=np.array([0, 1, 0, 1]),
+                    effort=np.array([0, 1, 0, 1]), mask=np.ones(4, dtype=int))
+        if value is None:
+            cols[column] = cols[column][:3]
+        else:
+            cols[column][0] = value
+        with pytest.raises(ValueError):
+            head_metrics(**cols)
+
+
 def _fold(rng, n, mask):
     u, o = rng.uniform(size=n), rng.uniform(size=n)
     stress, effort = rng.integers(0, 2, n), rng.integers(0, 2, n)
     stress[:2] = (0, 1)
     effort[:2] = (0, 1)
-    metrics, n_eff = fold_metrics(u, o, stress, effort, mask)
-    return FoldResult("s01", np.array(["c1"] * n, dtype=object), np.zeros(n), u, o, stress, effort,
-                      mask, metrics, n_eff, TrainHistory(), {})
+    return FoldResult("s01", np.array(["c1"] * n, dtype=object), np.zeros(n), u, o, stress, effort, mask)
 
 
 class TestAggregateClassification:

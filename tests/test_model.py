@@ -325,7 +325,7 @@ class TestTrainFold:
         train, val = self._sets()
         calls = {"n": 0}
 
-        def fake_eval(params, arch, cfg, batch):
+        def fake_eval(params, arch, batch):
             calls["n"] += 1
             return 0.7, 0.7
 
@@ -342,7 +342,7 @@ class TestTrainFold:
         train, val = self._sets()
         state = {"m": 0.5}
 
-        def fake_eval(params, arch, cfg, batch):
+        def fake_eval(params, arch, batch):
             state["m"] += 0.001
             return state["m"], state["m"]
 
