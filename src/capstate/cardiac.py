@@ -144,9 +144,22 @@ def _moving_window_integral(x: np.ndarray, half_width: int) -> np.ndarray:
     return (c[hi] - c[lo]) / (hi - lo)
 
 
+def _centered_running_max(x: np.ndarray, half_width: int) -> np.ndarray:
+    """``max(x[i - half_width : i + half_width + 1])`` for every i in O(n):
+    block prefix and suffix maxima (van Herk 1992; Gil & Werman 1993)."""
+    n, w = len(x), 2 * half_width + 1
+    padded = np.full(-(-(n + 2 * half_width) // w) * w, -np.inf)
+    padded[half_width : half_width + n] = x
+    prefix = np.maximum.accumulate(padded.reshape(-1, w), axis=1).ravel()
+    suffix = np.maximum.accumulate(padded[::-1].reshape(-1, w), axis=1).ravel()[::-1]
+    return np.maximum(suffix[:n], prefix[w - 1 : w - 1 + n])
+
+
 def detect_r_peaks(ecg: UniformSeries) -> PeakList:
-    """Pan-Tompkins-style R-peak detection; peak times are refined to the
-    local ECG maximum within +/-50 ms of each accepted fiducial mark."""
+    """Pan-Tompkins-style R-peak detection. Only MWI local maxima that are
+    the largest MWI value within +/-100 ms enter the threshold scan (at high
+    rates one QRS gives several); peak times are refined to the local ECG
+    maximum within +/-50 ms of each accepted fiducial mark."""
     rate = ecg.rate_hz
     if rate < 200.0:
         raise ValueError(f"ECG rate {rate} Hz is below the 200 Hz minimum")
@@ -158,7 +171,8 @@ def detect_r_peaks(ecg: UniformSeries) -> PeakList:
     squared = deriv * deriv
     mwi = _moving_window_integral(squared, int(round(0.075 * rate)))
 
-    interior = (mwi[1:-1] > mwi[:-2]) & (mwi[1:-1] >= mwi[2:])
+    widest = _centered_running_max(mwi, int(round(0.1 * rate)))
+    interior = (mwi[1:-1] > mwi[:-2]) & (mwi[1:-1] >= mwi[2:]) & (mwi[1:-1] == widest[1:-1])
     cand_idx = np.nonzero(interior)[0] + 1
     if len(cand_idx) == 0:
         return PeakList(np.empty(0))
@@ -170,12 +184,8 @@ def detect_r_peaks(ecg: UniformSeries) -> PeakList:
     fiducials = np.sort(_pt_scan_loop(cand_idx, cand_val, 0.2 * rate, float(spki0), float(npki0)))
 
     half = int(round(0.05 * rate))
-    refined = []
-    for f in fiducials:
-        lo = max(f - half, 0)
-        hi = min(f + half + 1, len(ecg.values))
-        refined.append(lo + int(np.argmax(ecg.values[lo:hi])))
-    refined = np.asarray(sorted(set(refined)), dtype=np.int64)
+    near = np.clip(fiducials[:, None] + np.arange(-half, half + 1), 0, len(ecg.values) - 1)
+    refined = near[np.arange(len(near)), np.argmax(ecg.values[near], axis=1)]
 
     # collapse refinements that collided within the refractory window
     if len(refined) > 1:

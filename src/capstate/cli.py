@@ -96,13 +96,7 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
         inputs[row["eda_file"]] = cfgmod.sha256_file(root / row["eda_file"])
         where = f"subject {subject} condition {cond.value} ({row['ecg_file']}, {row['eda_file']})"
         try:
-            part = pipeline.window_recording(
-                rec,
-                cfg.windowing,
-                trim_head_s=cfg.trim_head_s,
-                trim_tail_s=cfg.trim_tail_s,
-                cvx_params=cfg.cvxeda,
-            )
+            part = pipeline.window_recording(rec, cfg.windowing, cfg.cvxeda)
         except ValueError as exc:  # a signal the chain cannot use, e.g. a flat ECG
             raise DataError(f"{where}: {exc}") from exc
         except NumericalError as exc:

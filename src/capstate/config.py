@@ -13,11 +13,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .dsp import WindowingPlan
-from .eda import CvxEdaParams
+from .eda import MIN_DURATION_S, CvxEdaParams
 from .errors import ConfigError
 from .ingest import LabelScheme
 from .model.network import ArchConfig
 from .model.train import TrainConfig
+from .pipeline import NORMALIZATION_MODES
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,12 @@ class SynthConfig:
     duration_s: float = 360.0
     ecg_rate_hz: float = 512.0
 
+    def __post_init__(self):
+        if self.n_subjects < 1:
+            raise ValueError("n_subjects must be >= 1")
+        if self.duration_s < MIN_DURATION_S:
+            raise ValueError(f"duration_s must be >= {MIN_DURATION_S:g}: preprocess needs {MIN_DURATION_S:g} s of EDA")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -48,8 +55,6 @@ class PipelineConfig:
     parallel_folds: int = 1
     ecg_nominal_hz: float = 2048.0
     eda_nominal_hz: float = 32.0
-    trim_head_s: float = 0.0
-    trim_tail_s: float = 0.0
     normalization_mode: str = "self_per_subject"
     sensitivity_scheme: str = "primary"
     windowing: WindowingPlan = field(default_factory=WindowingPlan)
@@ -58,6 +63,11 @@ class PipelineConfig:
     ablation: AblationConfig = field(default_factory=AblationConfig)
     cvxeda: CvxEdaParams = field(default_factory=CvxEdaParams)
     synth: SynthConfig = field(default_factory=SynthConfig)
+
+    def __post_init__(self):
+        if self.normalization_mode not in NORMALIZATION_MODES:
+            raise ValueError(f"normalization_mode must be one of {NORMALIZATION_MODES}, "
+                             f"got {self.normalization_mode!r}")
 
     def effective_arch(self) -> ArchConfig:
         return self.arch.with_ablation(

@@ -70,6 +70,11 @@ class WindowingPlan:
             raise ValueError("derived step is below one sample")
         object.__setattr__(self, "step_samples", step)
 
+    def starts(self, n_samples: int) -> np.ndarray:
+        """First sample of every complete window in a stream of ``n_samples``:
+        0, step, 2*step, ... (empty when the stream is shorter than a window)."""
+        return np.arange(0, n_samples - self.window_len_samples + 1, self.step_samples)
+
 
 # ---------------------------------------------------------------------------
 # Butterworth design (analog prototype + bilinear transform) and zero-phase IIR
@@ -506,26 +511,3 @@ def band_power(spectrum: Spectrum, lo_hz: float, hi_hz: float) -> float:
     if sel.sum() < 2:
         return 0.0
     return float(np.trapezoid(spectrum.power[sel], spectrum.freqs_hz[sel]))
-
-
-# ---------------------------------------------------------------------------
-# Windowing
-# ---------------------------------------------------------------------------
-
-
-def window_segment(x: UniformSeries, plan: WindowingPlan) -> list[UniformSeries]:
-    """Complete sliding windows starting at 0, step, 2*step, ... samples."""
-    n = len(x.values)
-    out = []
-    length, step = plan.window_len_samples, plan.step_samples
-    if n < length:
-        return out
-    for start in range(0, n - length + 1, step):
-        out.append(
-            UniformSeries(
-                x.values[start : start + length].copy(),
-                x.rate_hz,
-                x.start_s + start / x.rate_hz,
-            )
-        )
-    return out

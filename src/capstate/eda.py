@@ -84,10 +84,13 @@ EDA_FEATURE_NAMES = [
 # ---------------------------------------------------------------------------
 
 
+MIN_DURATION_S = 60.0
+
+
 def preprocess_eda(raw: UniformSeries, target_hz: float = 2.0) -> UniformSeries:
     """Detrend -> 4th-order 1 Hz Butterworth low-pass -> resample to 2 Hz."""
-    if raw.duration_s < 60.0:
-        raise ValueError("EDA recording shorter than 60 s")
+    if raw.duration_s < MIN_DURATION_S:
+        raise ValueError(f"EDA recording shorter than {MIN_DURATION_S:g} s")
     return resample_uniform(butterworth_lowpass(detrend_linear(raw), 4, 1.0), target_hz)
 
 

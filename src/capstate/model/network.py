@@ -56,10 +56,13 @@ class ArchConfig:
             b <= a for a, b in zip(dil, dil[1:])
         ):
             raise ValueError("tcn_dilations must be strictly increasing powers of two")
-        for name in ("conv_channels", "tcn_channels", "lstm_hidden", "feat_hidden",
-                     "fusion_hidden", "fusion_out", "head_hidden"):
+        for name in ("ibi_conv_kernel", "eda_conv_kernel", "tcn_kernel", "conv_channels", "tcn_channels",
+                     "lstm_hidden", "feat_hidden", "fusion_hidden", "fusion_out", "head_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("dropout_fusion", "dropout_head"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must lie in [0, 1)")
 
     def with_ablation(self, backbone=None, modalities=None, use_handcrafted_features=None):
         kw = {}

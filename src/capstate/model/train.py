@@ -52,6 +52,9 @@ class TrainConfig:
             raise ValueError("label_smoothing must lie in [0, 0.5)")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        for name in ("batch_size", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass

@@ -13,9 +13,10 @@ fold membership).
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cardiac, eda
-from .dsp import UniformSeries, WindowingPlan, window_segment
+from .dsp import UniformSeries, WindowingPlan
 from .ingest import (
     Condition,
     RawRecording,
@@ -26,8 +27,7 @@ from .ingest import (
 from .model.network import Batch
 
 GRID_HZ = 2.0
-N_EDA_FEATURES = len(eda.EDA_FEATURE_NAMES)
-N_HRV_FEATURES = len(cardiac.HRV_FEATURE_NAMES)
+NORMALIZATION_MODES = ("self_per_subject", "train_fold_stats")
 
 
 @dataclass(kw_only=True)
@@ -62,70 +62,52 @@ def concat_datasets(parts: list[WindowedDataset]) -> WindowedDataset:
 def window_recording(
     rec: RawRecording,
     plan: WindowingPlan = WindowingPlan(),
-    trim_head_s: float = 0.0,
-    trim_tail_s: float = 0.0,
     cvx_params: eda.CvxEdaParams = eda.CvxEdaParams(),
 ) -> WindowedDataset:
     """Full per-recording chain: R peaks -> corrected IBI at 2 Hz; EDA
     conditioning -> cvxEDA split -> SCR events; aligned windowing; features."""
     labels = assign_labels(rec.condition)
-
-    ecg = UniformSeries(rec.ecg, rec.ecg_rate_hz)
     eda_raw = UniformSeries(rec.eda, rec.eda_rate_hz)
-    if trim_head_s > 0 or trim_tail_s > 0:
-        ecg = _trim(ecg, trim_head_s, trim_tail_s)
-        eda_raw = _trim(eda_raw, trim_head_s, trim_tail_s)
-
-    peaks = cardiac.detect_r_peaks(ecg)
-    ibi = cardiac.build_ibi(peaks)
-    ibi_2hz = cardiac.ibi_to_uniform(ibi, GRID_HZ)
-
+    peaks = cardiac.detect_r_peaks(UniformSeries(rec.ecg, rec.ecg_rate_hz))
+    ibi_2hz = cardiac.ibi_to_uniform(cardiac.build_ibi(peaks), GRID_HZ)
     eda_proc = eda.preprocess_eda(eda_raw, GRID_HZ)
-    eda_rawds = eda.downsample_eda_raw(eda_raw, GRID_HZ)
     decomp = eda.cvxeda_decompose(eda_proc, cvx_params)
     events = eda.detect_scrs(decomp.phasic)
 
-    # crop every 2 Hz stream to the common span before windowing
+    # crop every 2 Hz stream to the common span, then cut all of them at the same start indices
     start = max(ibi_2hz.start_s, eda_proc.start_s)
     end = min(ibi_2hz.end_s, eda_proc.end_s)
-    series = {
-        "ibi": _crop(ibi_2hz, start, end),
-        "eda": _crop(eda_proc, start, end),
-        "raw": _crop(eda_rawds, start, end),
-        "tonic": _crop(decomp.tonic, start, end),
-        "phasic": _crop(decomp.phasic, start, end),
-    }
-    n_common = min(len(s.values) for s in series.values())
-    windows = {k: window_segment(s.replace_values(s.values[:n_common]), plan) for k, s in series.items()}
-
-    rows = len(windows["ibi"])
-    out = _empty_dataset(rows, plan.window_len_samples)
+    streams = [_crop(s, start, end) for s in
+               (ibi_2hz, eda_proc, eda.downsample_eda_raw(eda_raw, GRID_HZ), decomp.tonic, decomp.phasic)]
+    n = min(len(s) for s in streams)
+    first = plan.starts(n)
+    if len(first) == 0:
+        raise ValueError(f"the 2 Hz streams share {n} samples ({start:.1f}-{end:.1f} s), "
+                         f"fewer than one {plan.window_len_samples}-sample window")
+    cuts = [sliding_window_view(s.values[:n], plan.window_len_samples)[first] for s in streams]
+    window_starts = [s.start_s + first / GRID_HZ for s in streams]
     window_dur = plan.window_len_samples / GRID_HZ
-    for i in range(rows):
-        w_ibi = windows["ibi"][i]
-        w_raw = windows["raw"][i]
-        w_ton = windows["tonic"][i]
-        w_pha = windows["phasic"][i]
-        evs = eda.events_in_window(events, w_ibi.start_s, window_dur)
-        out.x_ibi[i] = w_ibi.values
-        out.x_eda[i] = windows["eda"][i].values
-        out.f_hrv[i] = cardiac.hrv_features(w_ibi)
-        out.f_eda[i] = eda.eda_features(w_raw, w_ton, w_pha, evs)
-        out.window_start_s[i] = w_ibi.start_s
-    out.stress[:] = labels.stress.value
-    out.effort[:] = labels.effort.value
-    out.mask[:] = labels.mask
-    out.subject[:] = rec.subject_id
-    out.condition[:] = rec.condition.value
-    return out
-
-
-def _trim(x: UniformSeries, head_s: float, tail_s: float) -> UniformSeries:
-    i0 = int(round(head_s * x.rate_hz))
-    i1 = len(x.values) - int(round(tail_s * x.rate_hz))
-    if i1 - i0 < 2:
-        raise ValueError("trimming removes the whole recording")
-    return UniformSeries(x.values[i0:i1].copy(), x.rate_hz, x.start_s + i0 / x.rate_hz)
+    rows = len(first)
+    f_hrv, f_eda = [], []
+    for k in range(rows):
+        ibi_w, raw_w, tonic_w, phasic_w = (
+            UniformSeries(cuts[j][k], GRID_HZ, window_starts[j][k]) for j in (0, 2, 3, 4)
+        )
+        evs = eda.events_in_window(events, ibi_w.start_s, window_dur)
+        f_hrv.append(cardiac.hrv_features(ibi_w))
+        f_eda.append(eda.eda_features(raw_w, tonic_w, phasic_w, evs))
+    return WindowedDataset(
+        x_ibi=cuts[0],
+        x_eda=cuts[1],
+        f_hrv=np.array(f_hrv),
+        f_eda=np.array(f_eda),
+        stress=np.full(rows, labels.stress.value, dtype=np.int64),
+        effort=np.full(rows, labels.effort.value, dtype=np.int64),
+        mask=np.full(rows, labels.mask, dtype=np.int64),
+        subject=np.full(rows, rec.subject_id, dtype=object),
+        condition=np.full(rows, rec.condition.value, dtype=object),
+        window_start_s=window_starts[0],
+    )
 
 
 def _crop(x: UniformSeries, start_s: float, end_s: float) -> UniformSeries:
@@ -133,22 +115,7 @@ def _crop(x: UniformSeries, start_s: float, end_s: float) -> UniformSeries:
     i1 = int(np.floor((end_s - x.start_s) * x.rate_hz + 1e-9)) + 1
     i0 = max(i0, 0)
     i1 = min(i1, len(x.values))
-    return UniformSeries(x.values[i0:i1].copy(), x.rate_hz, x.start_s + i0 / x.rate_hz)
-
-
-def _empty_dataset(rows: int, window_len: int) -> WindowedDataset:
-    return WindowedDataset(
-        x_ibi=np.zeros((rows, window_len)),
-        x_eda=np.zeros((rows, window_len)),
-        f_hrv=np.zeros((rows, N_HRV_FEATURES)),
-        f_eda=np.zeros((rows, N_EDA_FEATURES)),
-        stress=np.zeros(rows, dtype=np.int64),
-        effort=np.zeros(rows, dtype=np.int64),
-        mask=np.zeros(rows, dtype=np.int64),
-        subject=np.array(["?"] * rows, dtype=object),
-        condition=np.array(["c1"] * rows, dtype=object),
-        window_start_s=np.zeros(rows),
-    )
+    return UniformSeries(x.values[i0:i1], x.rate_hz, x.start_s + i0 / x.rate_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +148,7 @@ def _fold_blocks(ds: WindowedDataset, log_tr: eda.LogTransform) -> dict[str, np.
 
 
 def fit_fold_transform(train: WindowedDataset, normalization_mode: str = "self_per_subject") -> FoldTransform:
-    if normalization_mode not in ("self_per_subject", "train_fold_stats"):
+    if normalization_mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {normalization_mode!r}")
     log_tr = eda.LogTransform.fit(train.f_eda)
     pooled = {}
@@ -279,12 +246,6 @@ def make_synthetic_recordings(
 def build_dataset(
     recordings: list[RawRecording],
     plan: WindowingPlan = WindowingPlan(),
-    trim_head_s: float = 0.0,
-    trim_tail_s: float = 0.0,
     cvx_params: eda.CvxEdaParams = eda.CvxEdaParams(),
 ) -> WindowedDataset:
-    parts = [
-        window_recording(rec, plan, trim_head_s=trim_head_s, trim_tail_s=trim_tail_s, cvx_params=cvx_params)
-        for rec in recordings
-    ]
-    return concat_datasets(parts)
+    return concat_datasets([window_recording(rec, plan, cvx_params) for rec in recordings])

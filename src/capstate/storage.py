@@ -18,7 +18,7 @@ from .errors import DataError
 from .evaluation.loso import FoldResult
 from .ingest import Condition
 from .model.train import TrainHistory
-from .pipeline import N_EDA_FEATURES, N_HRV_FEATURES, WindowedDataset, concat_datasets
+from .pipeline import WindowedDataset, concat_datasets
 
 
 def format_table(columns: dict[str, np.ndarray]) -> str:
@@ -106,8 +106,9 @@ def read_windows_csv(path) -> WindowedDataset:
     columns = read_table(path, lambda header: _window_header(sum(n.startswith("x_ibi_") for n in header)))
     labels = {name: columns.pop(name) for name in _WINDOW_LABELS}
     values = np.column_stack(list(columns.values()))
-    window_len = (values.shape[1] - N_HRV_FEATURES - N_EDA_FEATURES) // 2
-    x_ibi, x_eda, f_hrv, f_eda = np.split(values, np.cumsum([window_len, window_len, N_HRV_FEATURES]), axis=1)
+    n_hrv, n_eda = len(HRV_FEATURE_NAMES), len(EDA_FEATURE_NAMES)
+    window_len = (values.shape[1] - n_hrv - n_eda) // 2
+    x_ibi, x_eda, f_hrv, f_eda = np.split(values, np.cumsum([window_len, window_len, n_hrv]), axis=1)
     ds = WindowedDataset(x_ibi=x_ibi, x_eda=x_eda, f_hrv=f_hrv, f_eda=f_eda, **labels)
     _reject_rows(path, ~np.isfinite(values).all(axis=1), "non-finite series or feature value")
     _check_labels(path, ds.condition, ds.stress, ds.effort, ds.mask)

@@ -6,6 +6,7 @@ from capstate.cardiac import (
     IBI_MAX_MS,
     IBI_MIN_MS,
     PeakList,
+    _centered_running_max,
     build_ibi,
     detect_r_peaks,
     hrv_features,
@@ -16,7 +17,8 @@ from capstate.cardiac import (
     normalize_per_subject,
 )
 from capstate.dsp import UniformSeries
-from capstate.ingest import SyntheticSpec, generate_synthetic_recording
+from capstate.ingest import Condition, SyntheticSpec, generate_synthetic_recording
+from capstate.pipeline import synthetic_condition_spec
 from conftest import brute_hrv_time, match_peaks_f1
 
 
@@ -68,6 +70,24 @@ class TestDetectRPeaks:
         base = base[(base > 3.0) & (base < 55.0)]
         for p in base:
             assert np.abs(moved - p).min() <= 1.5 / ecg.rate_hz
+
+    @pytest.mark.parametrize("rate", [1024.0, 2048.0])
+    def test_high_rate_timing_against_ground_truth(self, rate):
+        # at these rates one QRS gives several MWI maxima; the first one above
+        # threshold used to be accepted, up to ~130 ms before the R peak
+        for cond in Condition:
+            spec = synthetic_condition_spec(0, cond, 120.0, seed=100, ecg_rate_hz=rate)
+            rec, truth = generate_synthetic_recording(spec)
+            peaks = detect_r_peaks(UniformSeries(rec.ecg, rate)).times_s
+            assert match_peaks_f1(peaks, truth.r_peak_times_s, tol_s=0.02) >= 0.99
+            errors = np.abs(truth.r_peak_times_s[:, None] - peaks[None, :]).min(axis=0)
+            assert errors.max() <= 0.005
+
+    @pytest.mark.parametrize("n, half", [(1, 0), (1, 3), (50, 0), (97, 4), (200, 11), (31, 40)])
+    def test_centered_running_max_matches_brute_force(self, rng, n, half):
+        x = rng.normal(size=n)
+        expected = [x[max(i - half, 0) : i + half + 1].max() for i in range(n)]
+        assert np.array_equal(_centered_running_max(x, half), expected)
 
 
 class TestBuildIbi:

@@ -295,6 +295,19 @@ class TestExitCodes:
         assert main(["synth", "--set", "synth.eda_rate_hz=64"]) == 2  # synthetic EDA is always 32 Hz
         assert main(["preprocess", "--config", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("command, override, key", [
+        ("synth", "synth.duration_s=20", "duration_s"),
+        ("evaluate", "train.batch_size=0", "batch_size"),
+        ("evaluate", "train.max_epochs=0", "max_epochs"),
+        ("evaluate", "arch.tcn_kernel=0", "tcn_kernel"),
+        ("evaluate", 'normalization_mode="zz"', "normalization_mode"),
+        ("evaluate", "arch.dropout_fusion=1.5", "dropout_fusion"),
+    ])
+    def test_out_of_range_config_is_2(self, tmp_path, capsys, command, override, key):
+        assert run_cli(tmp_path, command, "--set", 'ablation.backbone="tcn"', "--set", override) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
     def test_data_error_is_3(self, tmp_path):
         assert run_cli(tmp_path, "preprocess") == 3  # no synth tree yet
 
@@ -324,6 +337,15 @@ class TestExitCodes:
             assert run_cli(tmp_path, "preprocess") == 3
             assert expect in capsys.readouterr().err
             path.write_text(original)
+
+    def test_recording_without_a_window_is_3(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "synth") == 0
+        capsys.readouterr()
+        assert run_cli(tmp_path, "preprocess", "--set", "windowing.window_len_samples=1000") == 3
+        err = capsys.readouterr().err
+        assert "subject sim01 condition c1 (sim01/ecg_c1.csv, sim01/eda_c1.csv): " in err
+        assert "fewer than one 1000-sample window" in err and "Traceback" not in err
+        assert not list((tmp_path / "out" / "windows").glob("windows_*.csv"))
 
     def test_evaluate_unusable_cohort_is_3(self, tmp_path, capsys):
         windows = tmp_path / "out" / "windows"

@@ -4,10 +4,13 @@ the pipeline integration from raw synthetic recordings."""
 import numpy as np
 import pytest
 
+from capstate.cardiac import build_ibi, detect_r_peaks, ibi_to_uniform
+from capstate.dsp import UniformSeries, WindowingPlan
+from capstate.eda import preprocess_eda
 from capstate.errors import DataError
 from capstate.evaluation import resensitize_fold_metrics, run_loso
 from capstate.evaluation.report import build_stats_report, per_subject_rows, summary_table
-from capstate.ingest import LabelScheme
+from capstate.ingest import Condition, LabelScheme, generate_synthetic_recording
 from capstate.model import ArchConfig, TrainConfig
 from capstate.pipeline import (
     WindowedDataset,
@@ -15,6 +18,8 @@ from capstate.pipeline import (
     build_dataset,
     fit_fold_transform,
     make_synthetic_recordings,
+    synthetic_condition_spec,
+    window_recording,
 )
 from conftest import TINY_ARCH, make_feature_dataset, make_fold
 
@@ -193,6 +198,24 @@ class TestReportAggregation:
             report["trajectory_patterns"]["subjects_without_pattern"]
         )
         assert total == 3
+
+
+class TestWindowRecording:
+    def test_every_stream_on_one_grid(self):
+        rec, _ = generate_synthetic_recording(synthetic_condition_spec(0, Condition.C2, 300.0, seed=4))
+        plan = WindowingPlan()
+        ds = window_recording(rec, plan)
+        # 75% overlap: each row continues the previous one by one 30-sample step
+        for x in (ds.x_ibi, ds.x_eda):
+            assert np.array_equal(x[1:, :90], x[:-1, 30:])
+        assert np.all(np.diff(ds.window_start_s) == 15.0)
+        # as many rows as the plan fits in the common span of the IBI and EDA grids
+        # (the crop to each grid can shorten it by one sample)
+        ibi = ibi_to_uniform(build_ibi(detect_r_peaks(UniformSeries(rec.ecg, rec.ecg_rate_hz))))
+        eda = preprocess_eda(UniformSeries(rec.eda, rec.eda_rate_hz))
+        n = int((min(ibi.end_s, eda.end_s) - max(ibi.start_s, eda.start_s)) * 2.0) + 1
+        assert len(ds) in {len(plan.starts(n - 1)), len(plan.starts(n))}
+        assert len(ds) > 10
 
 
 @pytest.mark.slow
