@@ -14,7 +14,7 @@ from . import ingest, pipeline, storage
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation.loso import run_loso
 from .evaluation.report import write_report
-from .ingest import Condition
+from .ingest import Condition, LabelScheme
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,8 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="dotted-key config override")
-        p.add_argument("--seed", type=int, default=None, help="top-level seed override")
-        p.add_argument("--parallel-folds", type=int, default=None)
         if name == "report":
             p.add_argument("--results-dir", type=str, default=None,
                            help="directory with fold_*.csv (default: <output_root>/results)")
@@ -43,19 +41,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> cfgmod.PipelineConfig:
     cfg = cfgmod.load_config(args.config) if args.config else cfgmod.PipelineConfig()
-    if args.overrides:
-        cfg = cfgmod.apply_overrides(cfg, args.overrides)
-    extra = []
-    if args.seed is not None:
-        extra.append(f"seed={args.seed}")
-    if args.parallel_folds is not None:
-        extra.append(f"parallel_folds={args.parallel_folds}")
-    if extra:
-        cfg = cfgmod.apply_overrides(cfg, extra)
-    return cfg
+    return cfgmod.apply_overrides(cfg, args.overrides)
 
 
 def cmd_synth(cfg: cfgmod.PipelineConfig) -> int:
+    shortest = pipeline.min_synthetic_duration_s(cfg.windowing)
+    if cfg.synth.duration_s < shortest:
+        raise ConfigError(f"synth.duration_s must be >= {shortest:g}, the shortest synthetic recording "
+                          f"that preprocesses into one {cfg.windowing.window_len_samples}-sample window")
     started = cfgmod.now_iso()
     root = Path(cfg.data_root)
     root.mkdir(parents=True, exist_ok=True)
@@ -102,6 +95,8 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
         except NumericalError as exc:
             raise NumericalError(f"{where}: {exc}") from exc
         by_subject.setdefault(subject, []).append(part)
+    for stale in out_dir.glob("windows_*.csv"):
+        stale.unlink()  # evaluate trains on every windows_*.csv it finds
     outputs = {}
     for subject in sorted(by_subject):
         ds = pipeline.concat_datasets(by_subject[subject])
@@ -124,11 +119,12 @@ def cmd_evaluate(cfg: cfgmod.PipelineConfig) -> int:
     dataset = storage.read_windows_dir(windows_dir)
     folds = run_loso(
         dataset,
-        cfg.effective_arch(),
-        cfg.effective_train(),
+        cfg.arch,
+        cfg.train,
         normalization_mode=cfg.normalization_mode,
-        scheme=cfg.label_scheme(),
+        scheme=LabelScheme(cfg.sensitivity_scheme),
         parallel_folds=cfg.parallel_folds,
+        seed=cfg.seed,
     )
     for stale in [*results_dir.glob("fold_*.csv"), *results_dir.glob("history_*.csv")]:
         stale.unlink()  # report aggregates every fold_*.csv it finds

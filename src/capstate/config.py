@@ -1,19 +1,24 @@
 """Run configuration: a single JSON file plus dotted-key command-line overrides.
 
-Every stage embeds the full resolved config in its RunManifest, and all
-randomness flows from ``seed`` through named substreams, so identical
-config + data reruns produce identical output digests.
+:class:`PipelineConfig` is the one resolved and checked description of a
+run. One loader builds it from JSON, section by section, from the dataclass
+fields themselves; every ``__post_init__`` check runs while it is built, so
+a bad value exits 2 naming its key before any stage reads data. Every stage
+embeds the full config in its RunManifest, and all randomness flows from
+``seed`` through named substreams, so identical config + data reruns produce
+identical output digests.
 """
 
 import dataclasses
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .dsp import WindowingPlan
-from .eda import MIN_DURATION_S, CvxEdaParams
+from .eda import CvxEdaParams
 from .errors import ConfigError
 from .ingest import LabelScheme
 from .model.network import ArchConfig
@@ -30,21 +35,21 @@ class AblationConfig:
     use_handcrafted_features: bool | None = None
 
     def __post_init__(self):
-        if self.modalities is not None and not self.modalities:
-            raise ConfigError("ablation.modalities must be non-empty")
+        ArchConfig(**self.overrides())  # each value set must be one ``arch`` accepts
+
+    def overrides(self) -> dict:
+        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
 class SynthConfig:
     n_subjects: int = 10
-    duration_s: float = 360.0
+    duration_s: float = 360.0  # checked against ``windowing`` by the synth stage, the only one that reads it
     ecg_rate_hz: float = 512.0
 
     def __post_init__(self):
         if self.n_subjects < 1:
             raise ValueError("n_subjects must be >= 1")
-        if self.duration_s < MIN_DURATION_S:
-            raise ValueError(f"duration_s must be >= {MIN_DURATION_S:g}: preprocess needs {MIN_DURATION_S:g} s of EDA")
 
 
 @dataclass(frozen=True)
@@ -65,37 +70,20 @@ class PipelineConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
 
     def __post_init__(self):
+        # ablation.* wins over arch.*: fold it in once, so every stage reads cfg.arch
+        object.__setattr__(self, "arch", dataclasses.replace(self.arch, **self.ablation.overrides()))
         if self.normalization_mode not in NORMALIZATION_MODES:
             raise ValueError(f"normalization_mode must be one of {NORMALIZATION_MODES}, "
                              f"got {self.normalization_mode!r}")
-
-    def effective_arch(self) -> ArchConfig:
-        return self.arch.with_ablation(
-            backbone=self.ablation.backbone,
-            modalities=self.ablation.modalities,
-            use_handcrafted_features=self.ablation.use_handcrafted_features,
-        )
-
-    def effective_train(self) -> TrainConfig:
-        return dataclasses.replace(self.train, seed=self.seed)
-
-    def label_scheme(self) -> LabelScheme:
-        try:
-            return LabelScheme(self.sensitivity_scheme)
-        except ValueError:
-            raise ConfigError(f"unknown sensitivity_scheme {self.sensitivity_scheme!r}") from None
-
-
-_SECTIONS = {
-    "windowing": WindowingPlan,
-    "arch": ArchConfig,
-    "train": TrainConfig,
-    "ablation": AblationConfig,
-    "cvxeda": CvxEdaParams,
-    "synth": SynthConfig,
-}
-
-_TUPLE_FIELDS = {"modalities", "tcn_dilations", "heart_rate_profile", "scr_events"}
+        schemes = tuple(s.value for s in LabelScheme)
+        if self.sensitivity_scheme not in schemes:
+            raise ValueError(f"sensitivity_scheme must be one of {schemes}, got {self.sensitivity_scheme!r}")
+        for name in ("ecg_nominal_hz", "eda_nominal_hz"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        usable = len(os.sched_getaffinity(0))
+        if not 1 <= self.parallel_folds <= usable:
+            raise ValueError(f"parallel_folds must lie in [1, {usable}] (the usable CPUs), got {self.parallel_folds}")
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
@@ -114,38 +102,35 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
+    return _build(PipelineConfig, data, "")
+
+
+def _build(cls, data, path: str):
+    """``cls`` from a JSON object: a field whose type is a dataclass is a
+    section, built the same way; every JSON array becomes a tuple. A
+    ``__post_init__`` message starts with the field it names, so a
+    ``ValueError`` becomes a ConfigError naming ``section.key``."""
     if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ConfigError(f"config section {path!r} must be an object" if path else
+                          "config root must be a JSON object")
+    prefix = f"{path}." if path else ""
+    fields = {f.name: f.type for f in dataclasses.fields(cls) if f.init}
     kwargs = {}
-    valid = {f.name for f in dataclasses.fields(PipelineConfig) if f.init}
     for key, value in data.items():
-        if key not in valid:
-            raise ConfigError(f"unknown config key {key!r}")
-        if key in _SECTIONS:
-            kwargs[key] = _section_from_dict(_SECTIONS[key], value, key)
-        else:
-            kwargs[key] = value
-    try:
-        return PipelineConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _section_from_dict(cls, value, section):
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {section!r} must be an object")
-    valid = {f.name for f in dataclasses.fields(cls) if f.init}
-    kwargs = {}
-    for key, v in value.items():
-        if key not in valid:
-            raise ConfigError(f"unknown key {section}.{key!r}")
-        if key in _TUPLE_FIELDS and isinstance(v, list):
-            v = tuple(tuple(e) if isinstance(e, list) else e for e in v)
-        kwargs[key] = v
+        if key not in fields:
+            raise ConfigError(f"unknown config key {prefix + key!r}")
+        section = fields[key]
+        kwargs[key] = _build(section, value, prefix + key) if dataclasses.is_dataclass(section) else _tuples(value)
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"in section {section!r}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+    except TypeError as exc:  # e.g. a string where a number is compared
+        raise ConfigError(f"{path or 'config'}: {exc}") from exc
+
+
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
 def load_config(path) -> PipelineConfig:
@@ -202,7 +187,7 @@ def sha256_file(path) -> str:
 
 
 def write_manifest(out_dir, stage: str, cfg: PipelineConfig, inputs: dict, outputs: dict,
-                   started_at: str, finished_at: str | None = None) -> Path:
+                   started_at: str) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -211,7 +196,7 @@ def write_manifest(out_dir, stage: str, cfg: PipelineConfig, inputs: dict, outpu
         "config": config_to_dict(cfg),
         "seed": cfg.seed,
         "started_at": started_at,
-        "finished_at": finished_at or now_iso(),
+        "finished_at": now_iso(),
         "inputs": dict(sorted(inputs.items())),
         "outputs": dict(sorted(outputs.items())),
     }

@@ -67,7 +67,7 @@ class WindowingPlan:
             raise ValueError("overlap_fraction must lie in [0, 1)")
         step = int(round(self.window_len_samples * (1.0 - self.overlap_fraction)))
         if step < 1:
-            raise ValueError("derived step is below one sample")
+            raise ValueError("window_len_samples x (1 - overlap_fraction) rounds to a step below one sample")
         object.__setattr__(self, "step_samples", step)
 
     def starts(self, n_samples: int) -> np.ndarray:

@@ -36,9 +36,10 @@ class CvxEdaParams:
 
     def __post_init__(self):
         if not (self.tau1_s > self.tau0_s > 0):
-            raise ValueError("need tau1 > tau0 > 0")
-        if self.alpha <= 0 or self.gamma_tonic <= 0:
-            raise ValueError("weights must be positive")
+            raise ValueError("tau1_s must exceed tau0_s, and tau0_s must be > 0")
+        for name in ("alpha", "gamma_tonic"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ def _params_digest(params: dict) -> str:
 
 
 def _run_single_fold(args) -> FoldResult:
-    dataset, held, arch, cfg, normalization_mode, perturb = args
+    dataset, held, arch, cfg, normalization_mode, perturb, seed = args
     subjects = dataset.subjects()
     train_subjects = [s for s in subjects if s != held]
 
@@ -67,7 +67,7 @@ def _run_single_fold(args) -> FoldResult:
     # pathological pick leaves balanced accuracy undefined on both heads
     n_val = min(cfg.val_subjects, len(train_subjects) - 1)
     n_val = max(n_val, 1)
-    rng = np.random.default_rng(substream_seed(cfg.seed, "val-split", held))
+    rng = np.random.default_rng(substream_seed(seed, "val-split", held))
     val_subjects = None
     for _ in range(64):
         candidate = sorted(rng.choice(train_subjects, size=n_val, replace=False).tolist())
@@ -83,12 +83,12 @@ def _run_single_fold(args) -> FoldResult:
     train_norm = apply_fold_transform(train_ds, transform)
     held_norm = apply_fold_transform(held_ds, transform)
 
-    fold_cfg = replace(cfg, seed=substream_seed(cfg.seed, "fold", held))
     params, history = train_fold(
         train_norm.for_subjects(inner_train),
         train_norm.for_subjects(val_subjects),
         arch,
-        fold_cfg,
+        cfg,
+        seed=substream_seed(seed, "fold", held),
     )
 
     out = forward(params, arch, held_norm, train_mode=False)
@@ -120,14 +120,17 @@ def run_loso(
     scheme: LabelScheme = LabelScheme.PRIMARY,
     parallel_folds: int = 1,
     heldout_perturbation=None,
+    seed: int = 42,
 ) -> list[FoldResult]:
-    """One fold per subject, ordered by subject id.
+    """One fold per subject, ordered by subject id; each fold draws its
+    validation split and training randomness from substreams of ``seed``.
 
-    With ``parallel_folds > 1`` folds run in separate processes, so the
-    dataset, configs, and any ``heldout_perturbation`` must be picklable
-    (module-level functions, not closures). Fewer than 3 subjects, a subject
-    with windows from fewer than 2 conditions, or a fold without a usable
-    validation split raise ``DataError`` naming the subject or fold."""
+    With ``parallel_folds > 1`` folds run in up to that many processes (never
+    more than one per subject), so the dataset, configs, and any
+    ``heldout_perturbation`` must be picklable (module-level functions, not
+    closures). Fewer than 3 subjects, a subject with windows from fewer than
+    2 conditions, or a fold without a usable validation split raise
+    ``DataError`` naming the subject or fold."""
     subjects = dataset.subjects()
     if len(subjects) < 3:
         raise DataError(f"LOSO needs at least 3 subjects, got {len(subjects)}: {subjects}")
@@ -137,9 +140,10 @@ def run_loso(
             raise DataError(f"subject {s!r} has windows from fewer than 2 conditions: {conds}")
     dataset = replace(dataset, stress=relabel_stress(dataset.stress, dataset.condition, scheme))
 
-    jobs = [(dataset, held, arch, cfg, normalization_mode, heldout_perturbation) for held in subjects]
-    if parallel_folds > 1:
-        with ProcessPoolExecutor(max_workers=parallel_folds) as pool:
+    jobs = [(dataset, held, arch, cfg, normalization_mode, heldout_perturbation, seed) for held in subjects]
+    workers = min(parallel_folds, len(subjects))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_single_fold, jobs))
     else:
         results = [_run_single_fold(job) for job in jobs]

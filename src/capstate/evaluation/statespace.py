@@ -69,8 +69,6 @@ def classify_trajectory(c1, c2, c3) -> TrajectoryPattern:
         return TrajectoryPattern.PEAK_C2
     if c1[0] < c2[0] < c3[0] and c1[1] < c2[1] < c3[1]:
         return TrajectoryPattern.MONOTONIC
-    if du > 0 and do > 0:
-        return TrajectoryPattern.RISING
     if du + do > 0:
         return TrajectoryPattern.RISING
     if du + do < 0:

@@ -9,7 +9,7 @@ and stress probability O are the "high" class probabilities.
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,9 +46,9 @@ class ArchConfig:
 
     def __post_init__(self):
         if self.backbone not in ("lstm", "tcn"):
-            raise ValueError(f"unknown backbone {self.backbone!r}")
+            raise ValueError(f"backbone must be 'lstm' or 'tcn', got {self.backbone!r}")
         if self.activation not in ("relu", "tanh"):
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ValueError(f"activation must be 'relu' or 'tanh', got {self.activation!r}")
         if not self.modalities or any(m not in ("ibi", "eda") for m in self.modalities):
             raise ValueError("modalities must be a non-empty subset of {'ibi', 'eda'}")
         dil = self.tcn_dilations
@@ -63,16 +63,6 @@ class ArchConfig:
         for name in ("dropout_fusion", "dropout_head"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must lie in [0, 1)")
-
-    def with_ablation(self, backbone=None, modalities=None, use_handcrafted_features=None):
-        kw = {}
-        if backbone is not None:
-            kw["backbone"] = backbone
-        if modalities is not None:
-            kw["modalities"] = tuple(modalities)
-        if use_handcrafted_features is not None:
-            kw["use_handcrafted_features"] = use_handcrafted_features
-        return replace(self, **kw) if kw else self
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Training: masked multi-task objective, AdamW, plateau LR, early stopping.
 
-All randomness (init, shuffling, dropout) is derived from ``TrainConfig.seed``
-through named substreams, so two runs with the same seed and data produce
-bit-identical histories.
+All randomness (init, shuffling, dropout) is derived from ``train_fold``'s
+``seed`` through named substreams, so two runs with the same seed and data
+produce bit-identical histories.
 """
 
 import json
@@ -42,7 +42,6 @@ class TrainConfig:
     early_stop_patience: int = 25
     plateau_factor: float = 0.5
     plateau_patience: int = 8
-    seed: int = 42
     val_subjects: int = 3  # inner validation subjects held out of each LOSO training fold
 
     def __post_init__(self):
@@ -52,6 +51,8 @@ class TrainConfig:
             raise ValueError("label_smoothing must lie in [0, 0.5)")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if not (0.0 < self.plateau_factor <= 1.0):
+            raise ValueError("plateau_factor must lie in (0, 1]")
         for name in ("batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -117,6 +118,7 @@ def train_fold(
     val: Batch,
     arch: ArchConfig,
     cfg: TrainConfig,
+    seed: int = 42,
 ) -> tuple[dict[str, np.ndarray], TrainHistory]:
     """Mini-batch training with early stopping on mean validation BA
     (warmup + patience) and reduce-on-plateau LR; returns the parameters from
@@ -127,7 +129,7 @@ def train_fold(
     if not some_head_defined(val.stress, val.effort, val.mask):
         raise DataError("validation set has a single class on both heads; BA undefined")
 
-    params = init_params(arch, cfg.seed)
+    params = init_params(arch, seed)
     opt = AdamW(
         lr=cfg.lr,
         weight_decay=cfg.weight_decay,
@@ -143,14 +145,14 @@ def train_fold(
     n = len(train)
 
     for epoch in range(1, cfg.max_epochs + 1):
-        order = np.random.default_rng(substream_seed(cfg.seed, "shuffle", epoch)).permutation(n)
+        order = np.random.default_rng(substream_seed(seed, "shuffle", epoch)).permutation(n)
         loss_sum = 0.0
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             total, _, _, grads = loss_and_grads(
                 params, arch, cfg, train.select(idx),
                 train_mode=True,
-                dropout_seed=substream_seed(cfg.seed, "dropout", epoch, bi),
+                dropout_seed=substream_seed(seed, "dropout", epoch, bi),
             )
             opt.lr = lr
             params = opt.step(params, grads)

@@ -220,6 +220,22 @@ def synthetic_condition_spec(
     )
 
 
+# Seconds of a synthetic recording that fall outside the common 2 Hz span:
+# the first beat comes at 0.5 s and the IBI grid starts one beat later; the
+# last beat can come one beat plus 0.1 s before the end; and the crop to a
+# common grid can drop one more 2 Hz step. The slowest synthetic beat is
+# about 1.05 s, so the worst case is 3.2 s. (Measured over 30 seeds x 10
+# subjects x 3 conditions: 62.5 s gave one recording no window, 63 s none.)
+SYNTH_EDGE_S = 3.5
+
+
+def min_synthetic_duration_s(plan: WindowingPlan) -> float:
+    """Shortest synthetic recording that holds one complete window under
+    ``plan`` and is long enough for EDA conditioning, which measures a
+    series as (n - 1) steps of the synthetic 32 Hz EDA."""
+    return max(eda.MIN_DURATION_S + 1.0 / 32.0, plan.window_len_samples / GRID_HZ + SYNTH_EDGE_S)
+
+
 def make_synthetic_recordings(
     n_subjects: int,
     duration_s: float = 360.0,

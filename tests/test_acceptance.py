@@ -327,9 +327,9 @@ def test_criterion_7_end_to_end_synthetic_loso():
     )
     cfg = TrainConfig(
         max_epochs=60, lr=1e-3, batch_size=64, early_stop_warmup=20,
-        early_stop_patience=12, val_subjects=3, seed=42,
+        early_stop_patience=12, val_subjects=3,
     )
-    folds = run_loso(dataset, arch, cfg)
+    folds = run_loso(dataset, arch, cfg, seed=42)
     elapsed = time.perf_counter() - t0
     summary = summary_table(folds)
     mean_stress = summary["stress"]["mean"]
@@ -360,7 +360,7 @@ def test_criterion_8_protocol_integrity():
     )
     cfg = TrainConfig(
         max_epochs=5, lr=2e-3, batch_size=32, early_stop_warmup=3,
-        early_stop_patience=3, val_subjects=1, seed=5,
+        early_stop_patience=3, val_subjects=1,
     )
 
     def corrupt_if_target(held: WindowedDataset) -> WindowedDataset:
@@ -372,8 +372,8 @@ def test_criterion_8_protocol_integrity():
         out.f_eda = np.abs(out.f_eda * 2.0 + 1.0)
         return out
 
-    base = run_loso(ds, arch, cfg)
-    pert = run_loso(ds, arch, cfg, heldout_perturbation=corrupt_if_target)
+    base = run_loso(ds, arch, cfg, seed=5)
+    pert = run_loso(ds, arch, cfg, heldout_perturbation=corrupt_if_target, seed=5)
     leak_ok = True
     for b, p in zip(base, pert):
         if b.audit["params_digest"] != p.audit["params_digest"]:

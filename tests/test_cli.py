@@ -21,9 +21,11 @@ from capstate.config import (
     config_to_dict,
     load_config,
 )
+from capstate.dsp import WindowingPlan
 from capstate.errors import ConfigError, DataError
 from capstate.model import ArchConfig
 from capstate.model.train import TrainHistory
+from capstate.pipeline import min_synthetic_duration_s
 from capstate.storage import (
     HISTORY_COLUMNS,
     read_fold_csv,
@@ -88,15 +90,34 @@ class TestConfig:
             load_config("/definitely/not/here.json")
 
     def test_effective_arch_applies_ablation(self):
+        """The ablation.* values set are folded into ``cfg.arch`` at load."""
         cfg = apply_overrides(
             PipelineConfig(),
             ["ablation.modalities=[\"ibi\"]", "ablation.backbone=\"tcn\"",
              "ablation.use_handcrafted_features=false"],
         )
-        arch = cfg.effective_arch()
-        assert arch.modalities == ("ibi",)
-        assert arch.backbone == "tcn"
-        assert not arch.use_handcrafted_features
+        assert cfg.arch.modalities == ("ibi",)
+        assert cfg.arch.backbone == "tcn"
+        assert not cfg.arch.use_handcrafted_features
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    def test_default_leaf_override_is_identity(self):
+        """Every leaf key of the config, set to its own default, loads back
+        to an equal config: each section and tuple field goes through the
+        one loader without a hand-kept list."""
+        default = PipelineConfig()
+
+        def leaves(node, prefix=""):
+            for key, value in node.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, f"{prefix}{key}.")
+                else:
+                    yield f"{prefix}{key}", value
+
+        keys = dict(leaves(config_to_dict(default)))
+        assert {"arch.tcn_dilations", "arch.modalities", "synth.duration_s", "train.plateau_factor"} <= set(keys)
+        for key, value in keys.items():
+            assert apply_overrides(default, [f"{key}={json.dumps(value)}"]) == default, key
 
     @pytest.mark.parametrize("key, arch_value, ablation_value", [
         ("backbone", "tcn", "lstm"),
@@ -104,15 +125,17 @@ class TestConfig:
         ("use_handcrafted_features", False, True),
     ])
     def test_arch_key_reaches_effective_arch(self, key, arch_value, ablation_value):
-        assert PipelineConfig().effective_arch() == ArchConfig()
+        """``cfg.arch`` is the architecture a run trains: arch.* reaches it,
+        and ablation.* wins when set."""
+        assert PipelineConfig().arch == ArchConfig()
 
         def literal(value):
             return json.dumps(list(value) if isinstance(value, tuple) else value)
 
         cfg = apply_overrides(PipelineConfig(), [f"arch.{key}={literal(arch_value)}"])
-        assert getattr(cfg.effective_arch(), key) == arch_value
-        cfg = apply_overrides(cfg, [f"ablation.{key}={literal(ablation_value)}"])  # ablation.* wins when set
-        assert getattr(cfg.effective_arch(), key) == ablation_value
+        assert getattr(cfg.arch, key) == arch_value
+        cfg = apply_overrides(cfg, [f"ablation.{key}={literal(ablation_value)}"])
+        assert getattr(cfg.arch, key) == ablation_value
 
 
 @pytest.mark.parametrize("first", ["capstate.model", "capstate.evaluation", "capstate.storage",
@@ -302,11 +325,38 @@ class TestExitCodes:
         ("evaluate", "arch.tcn_kernel=0", "tcn_kernel"),
         ("evaluate", 'normalization_mode="zz"', "normalization_mode"),
         ("evaluate", "arch.dropout_fusion=1.5", "dropout_fusion"),
+        ("evaluate", "train.plateau_factor=2", "train.plateau_factor"),
+        ("preprocess", "ecg_nominal_hz=0", "ecg_nominal_hz"),
+        ("preprocess", "eda_nominal_hz=0", "eda_nominal_hz"),
+        ("evaluate", "parallel_folds=0", "parallel_folds"),
+        ("evaluate", f"parallel_folds={len(os.sched_getaffinity(0)) + 1}", "parallel_folds"),
+        ("synth", "synth.duration_s=61", "synth.duration_s"),
+        ("evaluate", 'ablation.backbone="gru"', "ablation.backbone"),
+        ("evaluate", 'ablation.modalities=["ecg"]', "ablation.modalities"),
+        ("preprocess", 'sensitivity_scheme="bogus"', "sensitivity_scheme"),
     ])
     def test_out_of_range_config_is_2(self, tmp_path, capsys, command, override, key):
         assert run_cli(tmp_path, command, "--set", 'ablation.backbone="tcn"', "--set", override) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists() and not (tmp_path / "out").exists()  # checked before any stage
+
+    def test_synth_at_shortest_duration_preprocesses(self, tmp_path):
+        shortest = min_synthetic_duration_s(WindowingPlan())
+        assert run_cli(tmp_path, "synth", "--set", f"synth.duration_s={shortest}") == 0
+        assert run_cli(tmp_path, "preprocess") == 0  # every recording holds a window
+        assert len(read_windows_dir(tmp_path / "out" / "windows").subjects()) == 3
+
+    def test_preprocess_removes_stale_windows(self, tmp_path):
+        assert run_cli(tmp_path, "synth", "--set", "synth.n_subjects=4") == 0
+        assert run_cli(tmp_path, "preprocess") == 0
+        sessions = tmp_path / "data" / "sessions.csv"
+        sessions.write_text("".join(line for line in sessions.read_text().splitlines(keepends=True)
+                                    if not line.startswith("sim04,")))
+        assert run_cli(tmp_path, "preprocess") == 0
+        manifest = json.loads((tmp_path / "out" / "manifest_preprocess.json").read_text())
+        written = sorted(f"windows/{p.name}" for p in (tmp_path / "out" / "windows").glob("windows_*.csv"))
+        assert written == sorted(manifest["outputs"]) == [f"windows/windows_sim0{i}.csv" for i in (1, 2, 3)]
 
     def test_data_error_is_3(self, tmp_path):
         assert run_cli(tmp_path, "preprocess") == 3  # no synth tree yet

@@ -26,14 +26,15 @@ from conftest import TINY_ARCH, make_feature_dataset, make_fold
 FAST_ARCH = ArchConfig(**TINY_ARCH)
 FAST_CFG = TrainConfig(
     max_epochs=6, lr=2e-3, batch_size=32, early_stop_warmup=3, early_stop_patience=3,
-    val_subjects=1, seed=5,
+    val_subjects=1,
 )
+FAST_SEED = 5
 
 
 class TestRunLoso:
     def test_one_fold_per_subject(self):
         ds = make_feature_dataset(n_subjects=4, per_cond=6, seed=1)
-        folds = run_loso(ds, FAST_ARCH, FAST_CFG)
+        folds = run_loso(ds, FAST_ARCH, FAST_CFG, seed=FAST_SEED)
         assert [f.subject_id for f in folds] == ds.subjects()
         for f in folds:
             assert f.subject_id not in f.audit["train_subjects"]
@@ -44,13 +45,13 @@ class TestRunLoso:
     def test_too_few_subjects_rejected(self):
         ds = make_feature_dataset(n_subjects=2, per_cond=4)
         with pytest.raises(DataError, match="at least 3 subjects, got 2"):
-            run_loso(ds, FAST_ARCH, FAST_CFG)
+            run_loso(ds, FAST_ARCH, FAST_CFG, seed=FAST_SEED)
 
     def test_single_condition_subject_rejected(self):
         ds = make_feature_dataset(n_subjects=3, per_cond=4)
         keep = ~((ds.subject == "s00") & (ds.condition != "c1"))
         with pytest.raises(DataError, match="subject 's00' has windows from fewer than 2 conditions"):
-            run_loso(ds.select(np.nonzero(keep)[0]), FAST_ARCH, FAST_CFG)
+            run_loso(ds.select(np.nonzero(keep)[0]), FAST_ARCH, FAST_CFG, seed=FAST_SEED)
 
     def test_no_viable_validation_split_names_fold(self):
         # c2 and c3 windows only: stress is always high and effort always high once
@@ -58,20 +59,20 @@ class TestRunLoso:
         ds = make_feature_dataset(n_subjects=3, per_cond=4)
         keep = np.nonzero(ds.condition != "c1")[0]
         with pytest.raises(DataError, match="no viable inner validation split for fold 's00'"):
-            run_loso(ds.select(keep), FAST_ARCH, FAST_CFG)
+            run_loso(ds.select(keep), FAST_ARCH, FAST_CFG, seed=FAST_SEED)
 
     def test_deterministic(self):
         ds = make_feature_dataset(n_subjects=3, per_cond=5, seed=3)
-        f1 = run_loso(ds, FAST_ARCH, FAST_CFG)
-        f2 = run_loso(ds, FAST_ARCH, FAST_CFG)
+        f1 = run_loso(ds, FAST_ARCH, FAST_CFG, seed=FAST_SEED)
+        f2 = run_loso(ds, FAST_ARCH, FAST_CFG, seed=FAST_SEED)
         for a, b in zip(f1, f2):
             assert np.array_equal(a.u, b.u)
             assert a.audit["params_digest"] == b.audit["params_digest"]
 
     def test_parallel_folds_match_sequential(self):
         ds = make_feature_dataset(n_subjects=3, per_cond=5, seed=3)
-        seq = run_loso(ds, FAST_ARCH, FAST_CFG, parallel_folds=1)
-        par = run_loso(ds, FAST_ARCH, FAST_CFG, parallel_folds=2)
+        seq = run_loso(ds, FAST_ARCH, FAST_CFG, seed=FAST_SEED, parallel_folds=1)
+        par = run_loso(ds, FAST_ARCH, FAST_CFG, seed=FAST_SEED, parallel_folds=2)
         for a, b in zip(seq, par):
             assert a.subject_id == b.subject_id
             assert np.array_equal(a.u, b.u)
@@ -92,8 +93,8 @@ class TestLeakage:
         def corrupt_if_target(held):
             return corrupt(held) if held.subject[0] == target else held
 
-        base = run_loso(ds, FAST_ARCH, FAST_CFG)
-        pert = run_loso(ds, FAST_ARCH, FAST_CFG, heldout_perturbation=corrupt_if_target)
+        base = run_loso(ds, FAST_ARCH, FAST_CFG, seed=FAST_SEED)
+        pert = run_loso(ds, FAST_ARCH, FAST_CFG, seed=FAST_SEED, heldout_perturbation=corrupt_if_target)
         for b, p in zip(base, pert):
             # training never sees the eval copy: parameters identical everywhere
             assert b.audit["params_digest"] == p.audit["params_digest"], b.subject_id
@@ -155,7 +156,7 @@ class TestFoldTransform:
 class TestSensitivity:
     def test_relabel_changes_only_stress_metrics(self):
         ds = make_feature_dataset(n_subjects=3, per_cond=6, seed=4)
-        folds = run_loso(ds, FAST_ARCH, FAST_CFG)
+        folds = run_loso(ds, FAST_ARCH, FAST_CFG, seed=FAST_SEED)
         for f in folds:
             re = resensitize_fold_metrics(f, LabelScheme.C2_STRESS_LOW)
             base_eff = f.metrics["effort"]
@@ -170,7 +171,7 @@ class TestSensitivity:
     def test_scheme_applied_to_dataset_labels(self):
         # run_loso trains and scores on relabel_stress(...); the fold labels show it
         ds = make_feature_dataset(n_subjects=3, per_cond=4, seed=4)
-        folds = run_loso(ds, FAST_ARCH, FAST_CFG, scheme=LabelScheme.C2_STRESS_LOW)
+        folds = run_loso(ds, FAST_ARCH, FAST_CFG, seed=FAST_SEED, scheme=LabelScheme.C2_STRESS_LOW)
         for f in folds:
             rows = ds.subject == f.subject_id
             c2 = f.condition == "c2"
@@ -184,7 +185,7 @@ class TestSensitivity:
 class TestReportAggregation:
     def test_summary_and_rows(self):
         ds = make_feature_dataset(n_subjects=3, per_cond=6, seed=6)
-        folds = run_loso(ds, FAST_ARCH, FAST_CFG)
+        folds = run_loso(ds, FAST_ARCH, FAST_CFG, seed=FAST_SEED)
         rows = per_subject_rows(folds)
         assert len(rows) == 3
         avg = [r["avg_ba"] for r in rows]
@@ -230,9 +231,9 @@ class TestRawPipelineIntegration:
         )
         cfg = TrainConfig(
             max_epochs=15, lr=2e-3, batch_size=32, early_stop_warmup=6,
-            early_stop_patience=5, val_subjects=1, seed=13,
+            early_stop_patience=5, val_subjects=1,
         )
-        folds = run_loso(ds, arch, cfg)
+        folds = run_loso(ds, arch, cfg, seed=13)
         summary = summary_table(folds)
         assert summary["effort"]["mean"] >= 0.7
         assert summary["stress"]["mean"] >= 0.55
@@ -244,7 +245,7 @@ class TestEdgeCases:
         # strip subject s00's c1 windows: stress labels become single-class (high)
         drop = (ds.subject == "s00") & (ds.condition == "c1")
         ds2 = ds.select(np.nonzero(~drop)[0])
-        folds = run_loso(ds2, FAST_ARCH, FAST_CFG)
+        folds = run_loso(ds2, FAST_ARCH, FAST_CFG, seed=FAST_SEED)
         fold0 = next(f for f in folds if f.subject_id == "s00")
         assert fold0.metrics["stress"] is None
         assert fold0.metrics["effort"] is None  # only c3 windows carry effort labels
@@ -254,7 +255,7 @@ class TestEdgeCases:
 
     def test_single_fold_summary_sd_is_none(self):
         ds = make_feature_dataset(n_subjects=3, per_cond=5, seed=12)
-        folds = run_loso(ds, FAST_ARCH, FAST_CFG)
+        folds = run_loso(ds, FAST_ARCH, FAST_CFG, seed=FAST_SEED)
         summary = summary_table(folds[:1])
         assert summary["stress"]["n"] == 1
         assert summary["stress"]["sd"] is None

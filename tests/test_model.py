@@ -312,9 +312,9 @@ class TestTrainFold:
     def test_deterministic_history(self):
         train, val = self._sets()
         arch = tiny_arch()
-        cfg = TrainConfig(max_epochs=4, lr=1e-3, batch_size=16, val_subjects=1, seed=11)
-        p1, h1 = train_fold(train, val, arch, cfg)
-        p2, h2 = train_fold(train, val, arch, cfg)
+        cfg = TrainConfig(max_epochs=4, lr=1e-3, batch_size=16, val_subjects=1)
+        p1, h1 = train_fold(train, val, arch, cfg, seed=11)
+        p2, h2 = train_fold(train, val, arch, cfg, seed=11)
         assert h1.rows == h2.rows
         for k in p1:
             assert np.array_equal(p1[k], p2[k])
@@ -331,8 +331,8 @@ class TestTrainFold:
 
         monkeypatch.setattr(train_mod, "evaluate_balanced_accuracy", fake_eval)
         cfg = TrainConfig(max_epochs=200, lr=1e-3, batch_size=32,
-                          early_stop_warmup=5, early_stop_patience=7, seed=1)
-        params, history = train_fold(train, val, tiny_arch(), cfg)
+                          early_stop_warmup=5, early_stop_patience=7)
+        params, history = train_fold(train, val, tiny_arch(), cfg, seed=1)
         assert history.stopped_epoch == 12  # warmup + patience
         assert history.best_epoch == 1
 
@@ -348,8 +348,8 @@ class TestTrainFold:
 
         monkeypatch.setattr(train_mod, "evaluate_balanced_accuracy", fake_eval)
         cfg = TrainConfig(max_epochs=9, lr=1e-3, batch_size=32,
-                          early_stop_warmup=3, early_stop_patience=2, seed=1)
-        params, history = train_fold(train, val, tiny_arch(), cfg)
+                          early_stop_warmup=3, early_stop_patience=2)
+        params, history = train_fold(train, val, tiny_arch(), cfg, seed=1)
         assert history.stopped_epoch == 9
         assert history.best_epoch == 9
 
@@ -360,8 +360,8 @@ class TestTrainFold:
         monkeypatch.setattr(train_mod, "evaluate_balanced_accuracy", lambda *a: (0.6, 0.6))
         cfg = TrainConfig(max_epochs=10, lr=8e-4, batch_size=32,
                           early_stop_warmup=50, early_stop_patience=50,
-                          plateau_patience=3, plateau_factor=0.5, seed=1)
-        _, history = train_fold(train, val, tiny_arch(), cfg)
+                          plateau_patience=3, plateau_factor=0.5)
+        _, history = train_fold(train, val, tiny_arch(), cfg, seed=1)
         lrs = [r["lr"] for r in history.rows]
         assert lrs[0] == 8e-4
         assert min(lrs) < 8e-4  # at least one halving fired
@@ -390,8 +390,8 @@ class TestTrainFold:
         train = ds.for_subjects(subs[:2])
         val = ds.for_subjects(subs[2:])
         cfg = TrainConfig(max_epochs=200, lr=3e-3, batch_size=30, early_stop_warmup=200,
-                          early_stop_patience=200, plateau_patience=1000, seed=2)
-        _, history = train_fold(train, val, tiny_arch(), cfg)
+                          early_stop_patience=200, plateau_patience=1000)
+        _, history = train_fold(train, val, tiny_arch(), cfg, seed=2)
         losses = [r["train_loss"] for r in history.rows]
         assert losses[-1] <= 0.1 * losses[0]
 
