@@ -145,14 +145,19 @@ def _moving_window_integral(x: np.ndarray, half_width: int) -> np.ndarray:
 
 
 def _centered_running_max(x: np.ndarray, half_width: int) -> np.ndarray:
-    """``max(x[i - half_width : i + half_width + 1])`` for every i in O(n):
-    block prefix and suffix maxima (van Herk 1992; Gil & Werman 1993)."""
+    """``max(x[i - half_width : i + half_width + 1])`` for every i in
+    O(n log w), w = 2 half_width + 1: doubling gives the max over every run of
+    ``span`` samples (1, 2, 4, ... up to the largest power of two <= w), and
+    two such runs, overlapping, cover each window. A max rounds nothing, so
+    the result is exact."""
     n, w = len(x), 2 * half_width + 1
-    padded = np.full(-(-(n + 2 * half_width) // w) * w, -np.inf)
-    padded[half_width : half_width + n] = x
-    prefix = np.maximum.accumulate(padded.reshape(-1, w), axis=1).ravel()
-    suffix = np.maximum.accumulate(padded[::-1].reshape(-1, w), axis=1).ravel()[::-1]
-    return np.maximum(suffix[:n], prefix[w - 1 : w - 1 + n])
+    pad = np.full(half_width, -np.inf)
+    m = np.concatenate([pad, x, pad])  # window i is m[i : i + w]
+    span = 1
+    while 2 * span <= w:
+        m = np.maximum(m[:-span], m[span:])  # m[i] = max of the 2 span samples from i
+        span *= 2
+    return np.maximum(m[:n], m[w - span : w - span + n])
 
 
 def detect_r_peaks(ecg: UniformSeries) -> PeakList:

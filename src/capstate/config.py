@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import types
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -107,7 +108,8 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 def _build(cls, data, path: str):
     """``cls`` from a JSON object: a field whose type is a dataclass is a
-    section, built the same way; every JSON array becomes a tuple. A
+    section, built the same way; every JSON array becomes a tuple, and every
+    other value must fit its field's annotation (:func:`_fits`). A
     ``__post_init__`` message starts with the field it names, so a
     ``ValueError`` becomes a ConfigError naming ``section.key``."""
     if not isinstance(data, dict):
@@ -119,14 +121,37 @@ def _build(cls, data, path: str):
     for key, value in data.items():
         if key not in fields:
             raise ConfigError(f"unknown config key {prefix + key!r}")
-        section = fields[key]
-        kwargs[key] = _build(section, value, prefix + key) if dataclasses.is_dataclass(section) else _tuples(value)
+        annotation = fields[key]
+        if dataclasses.is_dataclass(annotation):
+            kwargs[key] = _build(annotation, value, prefix + key)
+            continue
+        kwargs[key] = _tuples(value)
+        if not _fits(kwargs[key], annotation):
+            raise ConfigError(f"{prefix + key} must be {_type_name(annotation)}, got {value!r}")
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from exc
     except TypeError as exc:  # e.g. a string where a number is compared
         raise ConfigError(f"{path or 'config'}: {exc}") from exc
+
+
+def _fits(value, annotation) -> bool:
+    """Whether ``value`` is of the field type ``annotation``. An int is a
+    float; a bool is neither an int nor a float."""
+    if isinstance(annotation, types.UnionType):
+        return any(_fits(value, a) for a in annotation.__args__)
+    if isinstance(value, bool):
+        return annotation is bool
+    if annotation is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, annotation)
+
+
+def _type_name(annotation) -> str:
+    if isinstance(annotation, types.UnionType):
+        return " or ".join(_type_name(a) for a in annotation.__args__)
+    return {type(None): "null", tuple: "array"}.get(annotation, annotation.__name__)
 
 
 def _tuples(value):

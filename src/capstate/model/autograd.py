@@ -5,6 +5,19 @@ gradient; ``backward`` walks the tape in reverse topological order. Sequential
 hot paths (LSTM recurrence, dilated causal convolution) are fused single-node
 ops over vectorized numpy kernels.
 
+A graph is single-use. As ``backward`` runs each interior node's closure it
+drops that node's ``grad`` and the closure itself, and with the closure the
+arrays it saved (LSTM gate caches, relu masks), so the backward pass frees
+memory as it goes instead of doubling the forward tape. Leaves (parameters
+and inputs) keep their grads. A second ``backward`` on the same graph raises
+``ValueError``; build a new graph with a new forward pass.
+
+Ownership: an op hands :func:`_accum` an array that nothing else holds, and
+``_accum`` keeps it as the tensor's grad without a copy (later contributions
+are added to it in place). Every op builds a fresh array for each parent,
+except ``add``, which copies when both parents would get the same unsummed
+incoming gradient, and ``concat``, which copies its ``np.split`` views.
+
 Sequences are time-major, ``(T, B, C)``: one time step ``x[t]`` is a
 contiguous ``(B, C)`` block, so the LSTM reads and writes whole blocks per
 step, and a conv tap shifted by ``s`` steps is the flat row range
@@ -41,13 +54,20 @@ class Tensor:
             if id(node) in seen:
                 continue
             seen.add(id(node))
+            if node.parents and node._backward_fn is None:
+                raise ValueError("backward() already ran through this graph and freed it; "
+                                 "a graph is single-use, so run the forward pass again")
             stack.append((node, True))
             for p in node.parents:
                 stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
+            if node._backward_fn is None:
+                continue
+            if node.grad is not None:
                 node._backward_fn(node.grad)
+            node.grad = None
+            node._backward_fn = None
 
     def __add__(self, other):
         return add(self, other)
@@ -70,9 +90,10 @@ def _wrap(x) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    """Add ``g`` to ``t.grad``; the first ``g`` becomes ``t.grad`` itself, so
+    the caller must hand over an array nothing else holds."""
     if t.grad is None:
-        # a copy, because g may be shared with another parent or be a view
-        t.grad = np.array(g, dtype=np.float64).reshape(t.data.shape)
+        t.grad = g
     else:
         t.grad += g
 
@@ -90,8 +111,10 @@ def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        ga = _unbroadcast(g, a.data.shape)
+        gb = _unbroadcast(g, b.data.shape)
+        _accum(a, ga)
+        _accum(b, gb.copy() if np.may_share_memory(ga, gb) else gb)
 
     return Tensor(a.data + b.data, (a, b), bwd)
 
@@ -214,7 +237,7 @@ def concat(tensors, axis=-1) -> Tensor:
 
     def bwd(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
+            _accum(t, piece.copy())
 
     return Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bwd)
 
@@ -268,10 +291,14 @@ def _conv1d_fwd(x, w, b, dilation):
     xf = x.reshape(-1, ci)
     y = xf @ w[0]
     y += b
+    # one buffer for every tap's product: a fresh (T B, C_out) temporary per tap,
+    # freed at once, had the allocator return its pages and fault them in again
+    part = np.empty_like(y)
     for tap in range(1, k):
         s = dilation * tap
         if s < t:
-            y[s * bsz :] += xf[: (t - s) * bsz] @ w[tap]
+            n = (t - s) * bsz
+            y[s * bsz :] += np.matmul(xf[:n], w[tap], out=part[:n])
     return y.reshape(t, bsz, co)
 
 
@@ -283,11 +310,13 @@ def _conv1d_bwd(g, x, w, dilation):
     dx = gf @ w[0].T
     dw = np.zeros_like(w)
     dw[0] = xf.T @ gf
+    part = np.empty_like(dx)
     for tap in range(1, k):
         s = dilation * tap
         if s < t:
-            dx[: (t - s) * bsz] += gf[s * bsz :] @ w[tap].T
-            dw[tap] = xf[: (t - s) * bsz].T @ gf[s * bsz :]
+            n = (t - s) * bsz
+            dx[:n] += np.matmul(gf[s * bsz :], w[tap].T, out=part[:n])
+            dw[tap] = xf[:n].T @ gf[s * bsz :]
     db = gf.sum(axis=0)
     return dx.reshape(x.shape), dw, db
 

@@ -95,6 +95,48 @@ class TestElementwiseOps:
         assert t.grad[0] == pytest.approx(5.0)
 
 
+class TestTape:
+    """Backward frees the graph as it goes, and each op hands ``_accum`` an
+    array it owns: a tensor that feeds several consumers must still get the
+    finite-difference gradient."""
+
+    def test_shared_input_feeds_both_operands(self, rng):
+        check_op(lambda a: ag.add(a, a), rng.normal(size=(3, 4)))
+        check_op(lambda a: ag.mul(a, a), rng.normal(size=(3, 4)))
+        check_op(lambda a: ag.concat([a, a], axis=1), rng.normal(size=(3, 4)))
+
+    def test_same_shape_add_operand_used_again(self, rng):
+        # add hands one unsummed gradient to u and v; u's other consumer adds to
+        # u's grad before or after, depending on operand order, and v's must not move
+        def build(add_first, out_op):
+            def f(a, b):
+                u = ag.tanh(a)
+                s, m = ag.add(u, b), ag.mul(u, u)
+                return out_op(s, m) if add_first else out_op(m, s)
+            return f
+
+        for add_first in (True, False):
+            for out_op in (ag.add, ag.mul):
+                check_op(build(add_first, out_op), rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
+
+    def test_broadcast_add_of_shared_input(self, rng):
+        check_op(lambda a: ag.add(a, ag.tmean(a, axis=0)), rng.normal(size=(3, 4)))
+        check_op(lambda a, b: ag.mul(ag.add(a, b), b), rng.normal(size=(3, 4)), rng.normal(size=(4,)))
+
+    def test_reductions_of_shared_input(self, rng):
+        check_op(lambda a: ag.add(ag.tsum(a, axis=0), ag.tmean(a, axis=0)), rng.normal(size=(3, 4)))
+        check_op(lambda a: ag.mul(ag.tsum(a), ag.tmean(a)), rng.normal(size=(3, 4)))
+
+    def test_second_backward_raises(self, rng):
+        a = Tensor(rng.normal(size=(3, 4)))
+        loss = ag.tsum(ag.mul(a, a))
+        loss.backward()
+        first = a.grad.copy()
+        with pytest.raises(ValueError, match="single-use"):
+            loss.backward()
+        assert np.array_equal(a.grad, first)
+
+
 class TestFusedKernels:
     def test_conv1d_gradients(self, rng):
         for dilation in (1, 2, 4):

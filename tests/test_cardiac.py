@@ -83,11 +83,15 @@ class TestDetectRPeaks:
             errors = np.abs(truth.r_peak_times_s[:, None] - peaks[None, :]).min(axis=0)
             assert errors.max() <= 0.005
 
-    @pytest.mark.parametrize("n, half", [(1, 0), (1, 3), (50, 0), (97, 4), (200, 11), (31, 40)])
+    @pytest.mark.parametrize("n, half", [(1, 0), (1, 3), (50, 0), (97, 4), (200, 11), (31, 40),
+                                         (8, 4), (9, 4), (2, 1), (300, 64), (129, 63)])
     def test_centered_running_max_matches_brute_force(self, rng, n, half):
-        x = rng.normal(size=n)
-        expected = [x[max(i - half, 0) : i + half + 1].max() for i in range(n)]
-        assert np.array_equal(_centered_running_max(x, half), expected)
+        # half = 0 is w = 1; n < w = 2 half + 1 at (1, 3), (31, 40), (8, 4), (2, 1);
+        # w = 9 and 129, one above a power of two, at (8, 4) and (300, 64); w = 127 at (129, 63)
+        plateaus = np.repeat(rng.integers(0, 3, n), rng.integers(1, 6, n))[:n].astype(float)
+        for x in (rng.normal(size=n), rng.integers(0, 3, n).astype(float), plateaus, np.full(n, -2.5)):
+            expected = [x[max(i - half, 0) : i + half + 1].max() for i in range(n)]
+            assert np.array_equal(_centered_running_max(x, half), expected)
 
 
 class TestBuildIbi:

@@ -334,6 +334,11 @@ class TestExitCodes:
         ("evaluate", 'ablation.backbone="gru"', "ablation.backbone"),
         ("evaluate", 'ablation.modalities=["ecg"]', "ablation.modalities"),
         ("preprocess", 'sensitivity_scheme="bogus"', "sensitivity_scheme"),
+        # a value of the wrong JSON type
+        ("synth", "data_root=5", "data_root must be str"),
+        ("synth", "synth.n_subjects=1.5", "synth.n_subjects must be int"),
+        ("evaluate", 'train.max_epochs="10"', "train.max_epochs must be int"),
+        ("evaluate", "arch.use_handcrafted_features=1", "arch.use_handcrafted_features must be bool"),
     ])
     def test_out_of_range_config_is_2(self, tmp_path, capsys, command, override, key):
         assert run_cli(tmp_path, command, "--set", 'ablation.backbone="tcn"', "--set", override) == 2

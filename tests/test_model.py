@@ -1,6 +1,7 @@
 """Network forward contracts, losses, optimizer, and the training loop."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,14 @@ from capstate.model import (
 from capstate.model.losses import focal_loss_vector, masked_multitask_loss
 from capstate.model.autograd import Tensor
 from capstate.model.network import arch_from_json, arch_to_json, collect_activations
+from capstate.model import train as train_module
 from capstate.model.train import loss_and_grads
 from conftest import TINY_ARCH, digests_by_blas_threads, make_feature_dataset
+
+
+# the benchmark's LOSO architecture (LOSO_ARCH in perfbench/workloads.py)
+LOSO_ARCH = dict(conv_channels=8, lstm_hidden=16, feat_hidden=16, fusion_hidden=32,
+                 fusion_out=16, head_hidden=8)
 
 
 def tiny_arch(**kw):
@@ -267,6 +274,46 @@ class TestMaskedLoss:
         batch = rand_batch(rng)
         with pytest.raises((NumericalError, ValueError)):
             loss_and_grads(params, arch, TrainConfig(), batch, train_mode=False)
+
+
+class TestTapeMemory:
+    @pytest.mark.parametrize("backbone, bound_mib", [("tcn", 100), ("lstm", 32)])
+    def test_backward_frees_the_tape(self, backbone, bound_mib, monkeypatch):
+        """Peak traced memory of one training step at the benchmark's shape
+        (B = 64, T = 120). numpy reports its buffers to tracemalloc, so the peak
+        is deterministic: 86.6 / 27.2 MiB (TCN / LSTM) when backward frees each
+        interior gradient and closure once used, 159.2 / 37.7 MiB when every
+        interior gradient lives until backward returns."""
+        roots = []
+
+        def keep_root(*args):
+            out = masked_multitask_loss(*args)
+            roots.append(out[0])
+            return out
+
+        monkeypatch.setattr(train_module, "masked_multitask_loss", keep_root)
+        arch = ArchConfig(**LOSO_ARCH, backbone=backbone)
+        params = init_params(arch, 4)
+        batch = rand_batch(np.random.default_rng(3), n=64, t=120)
+        tracemalloc.start()
+        try:
+            _, _, _, grads = loss_and_grads(params, arch, TrainConfig(), batch, train_mode=True, dropout_seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20, f"{peak / 2**20:.1f} MiB"
+        assert all(np.any(g != 0.0) for g in grads.values())
+        stack, seen, interior = [roots[0]], set(), 0
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node.parents:
+                interior += 1
+                assert node.grad is None and node._backward_fn is None
+            stack.extend(node.parents)
+        assert interior > 20
 
 
 class TestAdamW:
