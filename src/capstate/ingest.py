@@ -156,6 +156,13 @@ def _raise_first_bad_line(path: Path, fh) -> NoReturn:
     raise DataError(f"{path}: unparseable data")
 
 
+def _check_not_flat(path: Path, v: np.ndarray) -> None:
+    """A channel whose samples all hold one value carries no signal (a
+    disconnected lead or a stuck logger); refuse it here, naming the file."""
+    if v.min() == v.max():
+        raise DataError(f"{path}: flat channel, every sample is {float(v[0])!r}")
+
+
 def _check_rate(path: Path, t: np.ndarray, nominal_hz: float) -> float:
     rate = (len(t) - 1) / (t[-1] - t[0])
     if abs(rate - nominal_hz) > 0.05 * nominal_hz:
@@ -219,8 +226,8 @@ def load_recording(
     """Load one subject/condition pair listed in ``sessions`` (see :func:`read_sessions`).
 
     Raises :class:`DataError` naming the offending file for a pair missing from
-    ``sessions.csv``, missing files, non-monotonic timestamps, or a sampling
-    rate off nominal by more than 5%.
+    ``sessions.csv``, missing files, non-monotonic timestamps, a channel whose
+    samples all hold one value, or a sampling rate off nominal by more than 5%.
     """
     root = sessions.root
     rows = [
@@ -235,6 +242,8 @@ def load_recording(
     row = rows[0]
     ecg_t, ecg_v = _read_two_column_csv(root / row["ecg_file"], "mv")
     eda_t, eda_v = _read_two_column_csv(root / row["eda_file"], "us")
+    _check_not_flat(root / row["ecg_file"], ecg_v)
+    _check_not_flat(root / row["eda_file"], eda_v)
     ecg_rate = _check_rate(root / row["ecg_file"], ecg_t, ecg_nominal_hz)
     eda_rate = _check_rate(root / row["eda_file"], eda_t, eda_nominal_hz)
     duration = max(ecg_t[-1] - ecg_t[0], eda_t[-1] - eda_t[0])

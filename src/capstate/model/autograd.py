@@ -22,6 +22,15 @@ Sequences are time-major, ``(T, B, C)``: one time step ``x[t]`` is a
 contiguous ``(B, C)`` block, so the LSTM reads and writes whole blocks per
 step, and a conv tap shifted by ``s`` steps is the flat row range
 ``x.reshape(-1, C)[: (T - s) * B]`` with no copy.
+
+Inside the LSTM kernel each step's gates are one contiguous feature-major
+``(4H, B)`` block in the order ``[i, f, o, g]``: on entry the kernel permutes
+the columns of ``Wx``, ``Wh`` and ``b`` (stored ``[i, f, g, o]``), so the
+three sigmoid gates are the first ``3H`` rows and take one sigmoid per step.
+The backward pass keeps only the recurrence in its time loop and writes each
+step's gate gradient over the gate block it has consumed, which the
+single-use graph allows; the weight and input gradients are batched
+products over that stack after the loop.
 """
 
 import numpy as np
@@ -343,78 +352,119 @@ def conv1d_causal(x, w, b, dilation: int = 1) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _ifog(a):
+    """Reorder the last axis from the parameter gate order ``[i, f, g, o]`` to
+    the kernel's ``[i, f, o, g]``; swapping the last two blocks is its own
+    inverse, so the same call maps kernel-order gradients back."""
+    h = a.shape[-1] // 4
+    return np.concatenate((a[..., : 2 * h], a[..., 3 * h :], a[..., 2 * h : 3 * h]), axis=-1)
+
+
 def _lstm_fwd(x, wx, wh, b):
+    """Forward over a (T, B, C) sequence. Returns the (T, B, H) hidden sequence
+    and the caches for BPTT: the activated gates ``gates[t]``, one contiguous
+    feature-major (4H, B) block per step in the order [i, f, o, g], and the
+    cell states ``cs[t]`` (H, B)."""
     t, bsz, _ = x.shape
     hdim = wh.shape[0]
-    hs = np.zeros((t, bsz, hdim))
-    gi = np.zeros((t, bsz, hdim))
-    gf = np.zeros((t, bsz, hdim))
-    gg = np.zeros((t, bsz, hdim))
-    go = np.zeros((t, bsz, hdim))
-    cs = np.zeros((t, bsz, hdim))
-    h = np.zeros((bsz, hdim))
-    c = np.zeros((bsz, hdim))
+    s3 = 3 * hdim
+    wxt = _ifog(wx).T
+    wht = _ifog(wh).T
+    bias = _ifog(b)[:, None]
+    hs = np.empty((t, bsz, hdim))
+    gates = np.empty((t, 4 * hdim, bsz))
+    cs = np.empty((t, hdim, bsz))
+    rec = np.empty((4 * hdim, bsz))
+    tmp = np.empty((hdim, bsz))
     for step in range(t):
-        z = x[step] @ wx + h @ wh + b
-        i = 1.0 / (1.0 + np.exp(-z[:, :hdim]))
-        f = 1.0 / (1.0 + np.exp(-z[:, hdim : 2 * hdim]))
-        g = np.tanh(z[:, 2 * hdim : 3 * hdim])
-        o = 1.0 / (1.0 + np.exp(-z[:, 3 * hdim :]))
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        gi[step] = i
-        gf[step] = f
-        gg[step] = g
-        go[step] = o
-        cs[step] = c
-        hs[step] = h
-    return hs, gi, gf, gg, go, cs
+        z = gates[step]
+        np.matmul(wxt, x[step].T, out=z)
+        if step:
+            z += np.matmul(wht, hs[step - 1].T, out=rec)
+        z += bias
+        sig = z[:s3]  # i, f, o: one sigmoid over the contiguous 3H rows
+        np.negative(sig, out=sig)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
+        i, f, o, g = z[:hdim], z[hdim : 2 * hdim], z[2 * hdim : s3], z[s3:]
+        np.tanh(g, out=g)
+        c = np.multiply(i, g, out=cs[step])
+        if step:
+            c += np.multiply(f, cs[step - 1], out=tmp)
+        np.multiply(o, np.tanh(c, out=tmp), out=hs[step].T)
+    return hs, gates, cs
 
 
-def _lstm_bwd(grad_hs, x, wx, wh, hs, gi, gf, gg, go, cs):
+def _lstm_bwd(grad_hs, x, wx, wh, hs, gates, cs):
+    """BPTT of ``grad_hs`` (T, B, H) through the caches of :func:`_lstm_fwd`;
+    returns (dx, dWx, dWh, db) in the parameter layout. Only the recurrence
+    runs in the time loop, and each step's gate gradient ``dz`` (4H, B)
+    overwrites the gate block it has just consumed, so ``gates`` leaves the
+    loop holding every step's ``dz``; the weight, bias and input gradients are
+    batched products over that stack."""
     t, bsz, _ = x.shape
     hdim = wh.shape[0]
-    dx = np.zeros_like(x)
-    dwx = np.zeros_like(wx)
-    dwh = np.zeros_like(wh)
-    db = np.zeros(4 * hdim)
-    dh_carry = np.zeros((bsz, hdim))
-    dc_carry = np.zeros((bsz, hdim))
-    dz = np.zeros((bsz, 4 * hdim))
+    s3 = 3 * hdim
+    wxp = _ifog(wx)
+    whp = _ifog(wh)
+    dh = np.empty((hdim, bsz))
+    dc = np.empty((hdim, bsz))
+    tc = np.empty((hdim, bsz))
+    tmp = np.empty((hdim, bsz))
+    up = np.empty((s3, bsz))  # dL/d(i, f, o): [dc g, dc c_prev, dh tanh(c)]
+    dh_carry = np.zeros((hdim, bsz))
+    dc_carry = np.zeros((hdim, bsz))
     for step in range(t - 1, -1, -1):
-        dh = grad_hs[step] + dh_carry
-        i = gi[step]
-        f = gf[step]
-        g = gg[step]
-        o = go[step]
-        tc = np.tanh(cs[step])
-        dc = dh * o * (1.0 - tc * tc) + dc_carry
-        c_prev = cs[step - 1] if step > 0 else np.zeros((bsz, hdim))
-        dz[:, :hdim] = dc * g * i * (1.0 - i)
-        dz[:, hdim : 2 * hdim] = dc * c_prev * f * (1.0 - f)
-        dz[:, 2 * hdim : 3 * hdim] = dc * i * (1.0 - g * g)
-        dz[:, 3 * hdim :] = dh * tc * o * (1.0 - o)
-        dwx += x[step].T @ dz
-        if step > 0:
-            dwh += hs[step - 1].T @ dz
-        db += dz.sum(axis=0)
-        dx[step] = dz @ wx.T
-        dh_carry = dz @ wh.T
-        dc_carry = dc * f
+        z = gates[step]
+        i, f, o, g = z[:hdim], z[hdim : 2 * hdim], z[2 * hdim : s3], z[s3:]
+        np.add(grad_hs[step].T, dh_carry, out=dh)
+        np.tanh(cs[step], out=tc)
+        np.multiply(dh, o, out=dc)  # dc = dh o (1 - tanh(c)^2) + dc_carry
+        np.multiply(tc, tc, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        dc *= tmp
+        dc += dc_carry
+        np.multiply(dc, g, out=up[:hdim])
+        if step:
+            np.multiply(dc, cs[step - 1], out=up[hdim : 2 * hdim])
+        else:
+            up[hdim : 2 * hdim] = 0.0
+        np.multiply(dh, tc, out=up[2 * hdim :])
+        # i and f are read here, before their rows are overwritten below
+        np.multiply(dc, i, out=tmp)
+        np.multiply(g, g, out=g)
+        np.subtract(1.0, g, out=g)
+        g *= tmp  # dz_g = dc i (1 - g^2)
+        np.multiply(dc, f, out=dc_carry)
+        sig = z[:s3]
+        up *= sig
+        np.subtract(1.0, sig, out=sig)
+        sig *= up  # dz_{i,f,o} = up s (1 - s)
+        np.matmul(whp, z, out=dh_carry)
+    dz = gates
+    dx = np.matmul(dz.transpose(0, 2, 1), wxp.T)
+    dwx = _ifog(np.matmul(dz, x).sum(axis=0).T)
+    dwh = _ifog(np.matmul(dz[1:], hs[:-1]).sum(axis=0).T)
+    db = _ifog(dz.sum(axis=(0, 2)))
     return dx, dwx, dwh, db
 
 
 def lstm(x, wx, wh, b) -> Tensor:
     """Full LSTM pass over a (T, B, C) sequence; returns the (T, B, H) hidden
-    sequence. Gates are cached inside the node for one-shot BPTT."""
+    sequence. Parameters keep the gate order [i, f, g, o] (``Wx`` (C, 4H),
+    ``Wh`` (H, 4H), ``b`` (4H,)); each kernel permutes their columns once per
+    call to [i, f, o, g], so the three sigmoid gates are one contiguous block.
+    The node caches the activated gates, one feature-major (4H, B) block per
+    step, and the cell states for one-shot BPTT; backward writes each step's
+    gate gradient over the gate block it consumed, which the single-use graph
+    allows."""
     x, wx, wh, b = _wrap(x), _wrap(wx), _wrap(wh), _wrap(b)
     xd = np.ascontiguousarray(x.data)
-    wxd = np.ascontiguousarray(wx.data)
-    whd = np.ascontiguousarray(wh.data)
-    hs, gi, gf, gg, go, cs = _lstm_fwd(xd, wxd, whd, b.data)
+    hs, gates, cs = _lstm_fwd(xd, wx.data, wh.data, b.data)
 
     def bwd(g):
-        dx, dwx, dwh, db = _lstm_bwd(np.ascontiguousarray(g), xd, wxd, whd, hs, gi, gf, gg, go, cs)
+        dx, dwx, dwh, db = _lstm_bwd(np.ascontiguousarray(g), xd, wx.data, wh.data, hs, gates, cs)
         _accum(x, dx)
         _accum(wx, dwx)
         _accum(wh, dwh)

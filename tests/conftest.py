@@ -49,8 +49,11 @@ def sosfilt_reference(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndar
 def lstm_reference(x, wx, wh, b, grad_hs):
     """Batch-major LSTM over (B, T, C): the forward caches (hs, i, f, g, o, c),
     each (B, T, H), and BPTT of ``grad_hs`` to (dx, dWx, dWh, db), one strided
-    ``[:, step, :]`` slice per step. Same arithmetic, step by step, as the
-    time-major kernel in ``capstate.model.autograd``."""
+    ``[:, step, :]`` slice per step, gates in the parameter order [i, f, g, o]
+    and every gradient accumulated inside the time loop: the plain textbook
+    recurrence, against which ``capstate.model.autograd.lstm`` (gates
+    reordered, feature-major, gradients batched after the loop) agrees to
+    rounding."""
     bsz, t, _ = x.shape
     hdim = wh.shape[0]
     hs, gi, gf, gg, go, cs = (np.zeros((bsz, t, hdim)) for _ in range(6))

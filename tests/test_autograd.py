@@ -244,22 +244,28 @@ class TestFusedKernels:
         got = ag.lstm(Tensor(x), Tensor(wx), Tensor(wh), Tensor(b)).data
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
-    def test_lstm_bit_identical_to_batch_major_reference(self, rng):
-        # same arithmetic per step, so the time-major layout must not move one bit
-        bsz, t, c, hdim = 5, 11, 3, 4
+    @pytest.mark.parametrize("bsz", [1, 5, 51, 64])
+    @pytest.mark.parametrize("t", [1, 11, 120])
+    def test_lstm_matches_batch_major_reference(self, bsz, t):
+        # The kernel reorders the gates, stores them feature-major and lifts the
+        # weight and input gradients out of the time loop, so sums run in another
+        # order than the reference's: allow 1e-13 of the largest reference value
+        # (measured: at most 1.1e-15). B = 1 is the last minibatch when n % 64 == 1.
+        rng = np.random.default_rng(1000 * bsz + t)
+        c, hdim = 8, 16
         x = rng.normal(size=(bsz, t, c))
         wx = rng.normal(size=(c, 4 * hdim)) * 0.5
         wh = rng.normal(size=(hdim, 4 * hdim)) * 0.5
         b = rng.normal(size=(4 * hdim,)) * 0.3
         grad_hs = rng.normal(size=(bsz, t, hdim))
-        want_caches, want_grads = lstm_reference(x, wx, wh, b, grad_hs)
-        caches = ag._lstm_fwd(x.transpose(1, 0, 2).copy(), wx, wh, b)
-        for got, want in zip(caches, want_caches, strict=True):
-            assert np.array_equal(got.transpose(1, 0, 2), want)
-        dx, dwx, dwh, db = ag._lstm_bwd(grad_hs.transpose(1, 0, 2).copy(), x.transpose(1, 0, 2).copy(),
-                                        wx, wh, *caches)
-        for got, want in zip((dx.transpose(1, 0, 2), dwx, dwh, db), want_grads, strict=True):
-            assert np.array_equal(got, want)
+        (want_hs, *_), want_grads = lstm_reference(x, wx, wh, b, grad_hs)
+        xt, wxt, wht, bt = Tensor(x.transpose(1, 0, 2).copy()), Tensor(wx), Tensor(wh), Tensor(b)
+        out = ag.lstm(xt, wxt, wht, bt)
+        ag.tsum(ag.mul(out, Tensor(grad_hs.transpose(1, 0, 2).copy()))).backward()
+        got = (out.data.transpose(1, 0, 2), xt.grad.transpose(1, 0, 2), wxt.grad, wht.grad, bt.grad)
+        for name, g, want in zip(("hs", "dx", "dWx", "dWh", "db"), got, (want_hs, *want_grads), strict=True):
+            assert g.shape == want.shape, name
+            assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max(), name
 
     def test_dropout_inverted_scaling(self, rng):
         x = np.ones((200, 50))

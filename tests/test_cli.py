@@ -375,7 +375,9 @@ class TestExitCodes:
              f"{eda}: non-finite sample on line 6"),
             (ecg, lambda lines: lines[:3] + [lines[3] + ",0.0"] + lines[4:], f"{ecg}: malformed line 4"),
             (ecg, lambda lines: lines[:1] + [line.split(",")[0] + ",0.0" for line in lines[1:]],
-             f"subject {subject} condition {cond} ({ecg}, {eda})"),  # a flat ECG has no beats
+             f"{ecg}: flat channel, every sample is 0.0"),
+            (eda, lambda lines: lines[:1] + [line.split(",")[0] + ",5.0" for line in lines[1:]],
+             f"{eda}: flat channel, every sample is 5.0"),
             ("sessions.csv", lambda lines: lines[:1] + [lines[1].replace(f",{cond},", ",c9,")] + lines[2:],
              "sessions.csv: row 2: unknown condition 'c9'"),
             ("sessions.csv", lambda lines: lines[:1] + ['"sim,01"' + lines[1][len(subject):]] + lines[2:],

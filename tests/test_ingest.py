@@ -113,7 +113,7 @@ class TestSyntheticGeneration:
 class TestLoadRecording:
     @pytest.fixture
     def tree(self, tmp_path):
-        spec = SyntheticSpec(duration_s=12.0, seed=5, ecg_rate_hz=256.0, eda_rate_hz=32.0)
+        spec = SyntheticSpec(duration_s=12.0, noise_sd=0.01, seed=5, ecg_rate_hz=256.0, eda_rate_hz=32.0)
         rec, _ = generate_synthetic_recording(spec)
         row = write_recording_csvs(tmp_path, "pp01", Condition.C1, rec)
         write_sessions_csv(tmp_path, [row])

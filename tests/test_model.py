@@ -283,7 +283,9 @@ class TestTapeMemory:
         (B = 64, T = 120). numpy reports its buffers to tracemalloc, so the peak
         is deterministic: 86.6 / 27.2 MiB (TCN / LSTM) when backward frees each
         interior gradient and closure once used, 159.2 / 37.7 MiB when every
-        interior gradient lives until backward returns."""
+        interior gradient lives until backward returns. Each LSTM node caches
+        six (T, B, H)-sized arrays: the four gate blocks, the cell states and
+        the output."""
         roots = []
 
         def keep_root(*args):
