@@ -3,7 +3,9 @@
 The R-peak detector follows the classic Pan-Tompkins stages (band-pass,
 derivative, squaring, moving-window integration, adaptive dual threshold with
 refractory and search-back), with the final peak time refined to the local ECG
-maximum.
+maximum. The IBI series is resampled to ``dsp.GRID_HZ``; the frequency-domain
+HRV features use Welch segments of ``HRV_SEGMENT_LEN`` samples zero-padded to
+``HRV_NFFT``.
 """
 
 from dataclasses import dataclass
@@ -11,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import (
+    GRID_HZ,
     NaturalCubicSpline,
-    Spectrum,
     UniformSeries,
-    _next_pow2,
     band_power,
     butterworth_bandpass,
     spline_fill,
@@ -27,6 +28,8 @@ IBI_MAX_MS = 2000.0
 LF_BAND = (0.04, 0.15)
 HF_BAND = (0.15, 0.40)
 TOTAL_BAND = (0.0033, 0.40)
+HRV_SEGMENT_LEN = 64  # Welch segment, 32 s at 2 Hz (shorter windows use their length)
+HRV_NFFT = 128
 
 HRV_FEATURE_NAMES = [
     "mean_ibi_ms",
@@ -231,11 +234,10 @@ def build_ibi(peaks: PeakList) -> IbiSeries:
     return IbiSeries(times, corrected, valid)
 
 
-def ibi_to_uniform(ibi: IbiSeries, grid_hz: float = 2.0) -> UniformSeries:
-    """Natural-spline interpolation of the corrected IBI series onto a uniform
-    grid (each IBI is anchored at its later beat time)."""
-    t = ibi.beat_times_s[1:]
-    return spline_fill(t, ibi.ibis_ms, np.zeros(len(t), dtype=bool), grid_hz)
+def ibi_to_uniform(ibi: IbiSeries) -> UniformSeries:
+    """Natural-spline interpolation of the corrected IBI series onto the
+    ``GRID_HZ`` grid (each IBI is anchored at its later beat time)."""
+    return spline_fill(ibi.beat_times_s[1:], ibi.ibis_ms, GRID_HZ)
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +265,10 @@ def hrv_time_features(window: np.ndarray) -> np.ndarray:
     return np.array([mean_ibi, sdnn, rmssd, pnn50, cv, hr.mean(), hr.std()])
 
 
-def hrv_frequency_features(window: UniformSeries, segment_len: int = 64, nfft: int = 128) -> np.ndarray:
+def hrv_frequency_features(window: UniformSeries) -> np.ndarray:
     """LF, HF, LF/HF and total band power of the mean-removed window."""
     centered = window.replace_values(window.values - window.values.mean())
-    seg = min(segment_len, len(centered.values))
-    spec = welch_psd(centered, seg, 0.5, nfft=max(nfft, _next_pow2(seg)))
-    return band_powers_from_spectrum(spec)
-
-
-def band_powers_from_spectrum(spec: Spectrum) -> np.ndarray:
+    spec = welch_psd(centered, min(HRV_SEGMENT_LEN, len(centered.values)), 0.5, nfft=HRV_NFFT)
     lf = band_power(spec, *LF_BAND)
     hf = band_power(spec, *HF_BAND)
     total = band_power(spec, *TOTAL_BAND)
@@ -304,34 +301,3 @@ def hrv_features(window: UniformSeries) -> np.ndarray:
     f4 = hrv_frequency_features(window)
     n3 = hrv_nonlinear_features(window.values)
     return np.concatenate([t7, f4, n3])
-
-
-# ---------------------------------------------------------------------------
-# Per-subject normalization
-# ---------------------------------------------------------------------------
-
-
-def normalize_per_subject(features: np.ndarray, subjects) -> tuple[np.ndarray, dict]:
-    """Z-score each feature dimension within each subject.
-
-    ``features`` has one row per window and the feature dimension last; the
-    statistics pool every other axis, so an (N, d) matrix gets per-column
-    stats and an (N, T, 1) series one scalar per subject. Uses the subject's
-    own label-free statistics (population SD, guarded at 1e-8 so constant
-    dimensions map to zero). Returns the normalized array and the per-subject
-    (mean, sd) audit record.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    subjects = np.asarray(subjects)
-    axes = tuple(range(features.ndim - 1))
-    out = np.empty_like(features)
-    stats = {}
-    for subj in np.unique(subjects):
-        rows = np.nonzero(subjects == subj)[0]
-        if len(rows) < 2:
-            raise ValueError(f"subject {subj!r} has fewer than 2 windows")
-        mu = features[rows].mean(axis=axes)
-        sd = features[rows].std(axis=axes)
-        out[rows] = (features[rows] - mu) / np.maximum(sd, 1e-8)
-        stats[str(subj)] = (mu, sd)
-    return out, stats

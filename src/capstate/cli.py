@@ -33,9 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="dotted-key config override")
-        if name == "report":
-            p.add_argument("--results-dir", type=str, default=None,
-                           help="directory with fold_*.csv (default: <output_root>/results)")
     return parser
 
 
@@ -141,9 +138,9 @@ def cmd_evaluate(cfg: cfgmod.PipelineConfig) -> int:
     return 0
 
 
-def cmd_report(cfg: cfgmod.PipelineConfig, results_dir: str | None) -> int:
+def cmd_report(cfg: cfgmod.PipelineConfig) -> int:
     started = cfgmod.now_iso()
-    rdir = Path(results_dir) if results_dir else Path(cfg.output_root) / "results"
+    rdir = Path(cfg.output_root) / "results"
     folds = storage.read_folds_dir(rdir)
     inputs = {p.name: cfgmod.sha256_file(p) for p in sorted(rdir.glob("fold_*.csv"))}
     paths = write_report(folds, rdir)
@@ -165,7 +162,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(cfg)
         if args.command == "report":
-            return cmd_report(cfg, args.results_dir)
+            return cmd_report(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

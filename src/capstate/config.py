@@ -51,6 +51,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_subjects < 1:
             raise ValueError("n_subjects must be >= 1")
+        if self.ecg_rate_hz <= 0:
+            raise ValueError("ecg_rate_hz must be > 0")
 
 
 @dataclass(frozen=True)

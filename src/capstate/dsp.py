@@ -1,12 +1,17 @@
 """Shared signal-processing primitives.
 
 Everything operates on :class:`UniformSeries` (a uniformly sampled float64
-trace with an absolute start time).
+trace with an absolute start time). ``GRID_HZ`` is the rate of every windowed
+stream; ``ANTIALIAS_ORDER`` is the order of the low-pass that
+:func:`resample_uniform` applies before it downsamples.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+GRID_HZ = 2.0  # the corrected IBI series and every EDA stream are resampled to it
+ANTIALIAS_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -300,11 +305,11 @@ def detrend_linear(x: UniformSeries) -> UniformSeries:
     return x.replace_values(x.values - mean - slope * t)
 
 
-def resample_uniform(x: UniformSeries, target_hz: float, antialias_order: int = 4) -> UniformSeries:
+def resample_uniform(x: UniformSeries, target_hz: float) -> UniformSeries:
     """Linear interpolation onto a uniform ``target_hz`` grid over the same span.
 
-    Downsampling first applies a zero-phase anti-alias low-pass at
-    0.45 * target_hz.
+    Downsampling first applies a zero-phase ``ANTIALIAS_ORDER`` anti-alias
+    low-pass at 0.45 * target_hz.
     """
     if target_hz <= 0:
         raise ValueError("target_hz must be positive")
@@ -312,7 +317,7 @@ def resample_uniform(x: UniformSeries, target_hz: float, antialias_order: int = 
         raise ValueError("cannot resample an empty series")
     y = x
     if target_hz < x.rate_hz:
-        y = butterworth_lowpass(x, antialias_order, 0.45 * target_hz)
+        y = butterworth_lowpass(x, ANTIALIAS_ORDER, 0.45 * target_hz)
     n = len(y.values)
     span = (n - 1) / y.rate_hz
     n_out = int(np.floor(span * target_hz)) + 1
@@ -392,22 +397,11 @@ def _thomas(lower, diag, upper, rhs):
     return x
 
 
-def spline_fill(t, v, invalid, grid_hz: float) -> UniformSeries:
-    """Natural cubic spline through the valid points, sampled on a uniform grid.
-
-    ``invalid`` marks points to be bridged by the spline. The grid spans the
-    valid-knot hull starting at the first valid time.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    invalid = np.asarray(invalid, dtype=bool)
-    valid = ~invalid
-    if valid.sum() < 4:
-        raise ValueError(f"spline_fill needs >= 4 valid points, got {int(valid.sum())}")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("event times must be strictly increasing")
-    spline = NaturalCubicSpline(t[valid], v[valid])
-    t0, t1 = t[valid][0], t[valid][-1]
+def spline_fill(t, v, grid_hz: float) -> UniformSeries:
+    """Natural cubic spline through the points ``(t, v)``, sampled on a
+    uniform ``grid_hz`` grid that spans the knots, starting at ``t[0]``."""
+    spline = NaturalCubicSpline(t, v)
+    t0, t1 = spline.t[0], spline.t[-1]
     n = int(np.floor((t1 - t0) * grid_hz)) + 1
     grid = t0 + np.arange(n) / grid_hz
     return UniformSeries(spline(grid), grid_hz, t0)

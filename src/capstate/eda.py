@@ -12,15 +12,25 @@ term, and D2 the second-difference curvature penalty. The tonic block is
 eliminated exactly through a precomputed pseudoinverse, and the reduced
 problem in r is solved by monotone FISTA (projection + soft-threshold), so
 the objective trace is non-increasing by construction.
+
+Conditioning resamples to ``dsp.GRID_HZ``. SCR detection counts a rise from
+above ``SCR_NOISE_FLOOR_US`` and keeps events of at least
+``SCR_MIN_AMPLITUDE_US``; the log transform flags a feature whose training
+coefficient of variation exceeds ``LOG_CV_THRESHOLD``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import UniformSeries, butterworth_lowpass, detrend_linear, linear_fit, resample_uniform
+from .dsp import GRID_HZ, UniformSeries, butterworth_lowpass, detrend_linear, linear_fit, resample_uniform
 from .errors import NumericalError
 from .ingest import bateman_kernel
+
+
+SCR_MIN_AMPLITUDE_US = 0.01
+SCR_NOISE_FLOOR_US = 1e-4
+LOG_CV_THRESHOLD = 0.8
 
 
 @dataclass(frozen=True)
@@ -37,9 +47,11 @@ class CvxEdaParams:
     def __post_init__(self):
         if not (self.tau1_s > self.tau0_s > 0):
             raise ValueError("tau1_s must exceed tau0_s, and tau0_s must be > 0")
-        for name in ("alpha", "gamma_tonic"):
+        for name in ("alpha", "gamma_tonic", "tonic_knot_spacing_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -88,17 +100,11 @@ EDA_FEATURE_NAMES = [
 MIN_DURATION_S = 60.0
 
 
-def preprocess_eda(raw: UniformSeries, target_hz: float = 2.0) -> UniformSeries:
-    """Detrend -> 4th-order 1 Hz Butterworth low-pass -> resample to 2 Hz."""
+def preprocess_eda(raw: UniformSeries) -> UniformSeries:
+    """Detrend -> 4th-order 1 Hz Butterworth low-pass -> resample to ``GRID_HZ``."""
     if raw.duration_s < MIN_DURATION_S:
         raise ValueError(f"EDA recording shorter than {MIN_DURATION_S:g} s")
-    return resample_uniform(butterworth_lowpass(detrend_linear(raw), 4, 1.0), target_hz)
-
-
-def downsample_eda_raw(raw: UniformSeries, target_hz: float = 2.0) -> UniformSeries:
-    """Anti-aliased downsample without detrending; keeps absolute uS levels for
-    the raw signal statistics."""
-    return resample_uniform(raw, target_hz)
+    return resample_uniform(butterworth_lowpass(detrend_linear(raw), 4, 1.0), GRID_HZ)
 
 
 # ---------------------------------------------------------------------------
@@ -276,26 +282,23 @@ def cvxeda_decompose(x: UniformSeries, params: CvxEdaParams = CvxEdaParams()) ->
 # ---------------------------------------------------------------------------
 
 
-def detect_scrs(
-    phasic: UniformSeries,
-    min_amplitude_us: float = 0.01,
-    noise_floor_us: float = 1e-4,
-) -> list[ScrEvent]:
+def detect_scrs(phasic: UniformSeries) -> list[ScrEvent]:
     """SCR events from the phasic trace.
 
-    An event onset is an upward crossing of the noise floor; within one
+    An event onset is an upward crossing of ``SCR_NOISE_FLOOR_US``; within one
     supra-floor excursion, compound responses are split at interior local
     minima (each subsequent rise gets the local minimum as its onset). The
     peak is the next local maximum, the amplitude is peak minus onset value,
-    and events below ``min_amplitude_us`` are dropped.
+    and events below ``SCR_MIN_AMPLITUDE_US`` are dropped.
     """
     v = phasic.values
+    floor = SCR_NOISE_FLOOR_US
     n = len(v)
     events = []
 
     def emit(onset: int, peak: int):
         amp = v[peak] - v[onset]
-        if peak > onset and amp >= min_amplitude_us:
+        if peak > onset and amp >= SCR_MIN_AMPLITUDE_US:
             events.append(
                 ScrEvent(
                     onset_s=phasic.start_s + onset / phasic.rate_hz,
@@ -306,21 +309,21 @@ def detect_scrs(
 
     i = 1
     while i < n:
-        if not (v[i] > noise_floor_us and v[i - 1] <= noise_floor_us):
+        if not (v[i] > floor and v[i - 1] <= floor):
             i += 1
             continue
         onset = i - 1
         j = i
-        while j < n and v[j] > noise_floor_us:
+        while j < n and v[j] > floor:
             # climb to the next local maximum
             while j + 1 < n and v[j + 1] >= v[j]:
                 j += 1
             peak = j
             # descend to the next local minimum (or below the floor)
-            while j + 1 < n and v[j + 1] < v[j] and v[j + 1] > noise_floor_us:
+            while j + 1 < n and v[j + 1] < v[j] and v[j + 1] > floor:
                 j += 1
             emit(onset, peak)
-            if j + 1 >= n or v[j + 1] <= noise_floor_us:
+            if j + 1 >= n or v[j + 1] <= floor:
                 j += 1
                 break
             onset = j  # interior local minimum starts the next compound rise
@@ -390,22 +393,20 @@ def events_in_window(events: list[ScrEvent], start_s: float, duration_s: float) 
 @dataclass(frozen=True)
 class LogTransform:
     """Per-dimension ln(1 + x - min_train) for dimensions whose training CV
-    exceeds the threshold. The argument is clamped at 1e-12 so held-out values
-    below the training minimum stay finite."""
+    exceeds ``LOG_CV_THRESHOLD``. The argument is clamped at 1e-12 so held-out
+    values below the training minimum stay finite."""
 
     flags: np.ndarray
     shifts: np.ndarray
-    cv_threshold: float = 0.8
 
     @classmethod
-    def fit(cls, train_features: np.ndarray, cv_threshold: float = 0.8) -> "LogTransform":
+    def fit(cls, train_features: np.ndarray) -> "LogTransform":
         f = np.asarray(train_features, dtype=np.float64)
         mu = f.mean(axis=0)
         sd = f.std(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             cv = np.where(np.abs(mu) > 0, sd / np.abs(mu), np.where(sd > 0, np.inf, 0.0))
-        flags = cv > cv_threshold
-        return cls(flags=flags, shifts=f.min(axis=0), cv_threshold=cv_threshold)
+        return cls(flags=cv > LOG_CV_THRESHOLD, shifts=f.min(axis=0))
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         f = np.asarray(features, dtype=np.float64).copy()

@@ -65,8 +65,7 @@ def _run_single_fold(args) -> FoldResult:
 
     # seeded inner validation split (subject-grouped, leak-free); redraw when a
     # pathological pick leaves balanced accuracy undefined on both heads
-    n_val = min(cfg.val_subjects, len(train_subjects) - 1)
-    n_val = max(n_val, 1)
+    n_val = min(cfg.val_subjects, len(train_subjects) - 1)  # >= 1: three subjects or more, val_subjects >= 1
     rng = np.random.default_rng(substream_seed(seed, "val-split", held))
     val_subjects = None
     for _ in range(64):
@@ -91,7 +90,7 @@ def _run_single_fold(args) -> FoldResult:
         seed=substream_seed(seed, "fold", held),
     )
 
-    out = forward(params, arch, held_norm, train_mode=False)
+    out = forward(params, arch, held_norm)
     return FoldResult(
         subject_id=held,
         condition=held_norm.condition.copy(),
@@ -103,7 +102,7 @@ def _run_single_fold(args) -> FoldResult:
         mask=held_norm.mask.copy(),
         history=history,
         audit={
-            "log_flags": transform.eda_log_flags(),
+            "log_flags": transform.log_transform.flags,
             "normalization_mode": normalization_mode,
             "train_subjects": inner_train,
             "val_subjects": val_subjects,

@@ -186,10 +186,11 @@ class Sessions:
 
 def read_sessions(root_path) -> Sessions:
     """Read ``<root>/sessions.csv``; every row must name a subject, a known
-    condition and both files, the subject id must hold no comma, double quote
-    or line break (it becomes a cell of the unquoted output tables), and no
-    subject/condition pair may appear twice, else :class:`DataError` names
-    the file and the rows."""
+    condition and both files, the subject id must hold no comma, double quote,
+    slash or non-printable character (it becomes a cell of the unquoted output
+    tables, which are split into lines by ``str.splitlines``, and part of a
+    file name), and no subject/condition pair may appear twice, else
+    :class:`DataError` names the file and the rows."""
     root = Path(root_path)
     manifest = root / "sessions.csv"
     if not manifest.exists():
@@ -202,9 +203,9 @@ def read_sessions(root_path) -> Sessions:
         if not needed.issubset(row.keys()) or any(row[k] in (None, "") for k in needed):
             raise DataError(f"{manifest}: malformed row {i}: {row}")
         subject = row["subject_id"]
-        if any(c in subject for c in ',"\r\n'):
-            raise DataError(f"{manifest}: row {i}: subject id {subject!r} holds a comma, a double quote "
-                            "or a line break")
+        if any(c in ',"/' or not c.isprintable() for c in subject):
+            raise DataError(f"{manifest}: row {i}: subject id {subject!r} holds a comma, a double quote, "
+                            "a slash or a non-printable character")
         try:
             pair = (subject, Condition.parse(row["condition"]))
         except DataError as exc:

@@ -78,21 +78,6 @@ class Tensor:
             node.grad = None
             node._backward_fn = None
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(_wrap(other)))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)

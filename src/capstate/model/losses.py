@@ -26,7 +26,7 @@ def focal_loss_vector(p: Tensor, y: np.ndarray, gamma: float, epsilon: float) ->
     """Per-sample focal losses as an autograd vector; p is (B, 2) softmax rows."""
     q = Tensor(_smoothed_targets(y, epsilon))
     pc = ag.clip_low(p, PROB_FLOOR)
-    weight = ag.pow_const(Tensor(1.0) - pc, gamma)
+    weight = ag.pow_const(ag.add(Tensor(1.0), ag.neg(pc)), gamma)
     return ag.neg(ag.tsum(ag.mul(ag.mul(q, weight), ag.log(pc)), axis=1))
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ..cardiac import HRV_FEATURE_NAMES
+from ..eda import EDA_FEATURE_NAMES
 from . import autograd as ag
 from .autograd import Tensor
 
@@ -100,8 +102,8 @@ class ForwardOutput:
         return self.p_stress[:, 1]
 
 
-N_HRV = 14
-N_EDA = 12
+N_HRV = len(HRV_FEATURE_NAMES)
+N_EDA = len(EDA_FEATURE_NAMES)
 
 
 def _param_specs(arch: ArchConfig):
@@ -272,27 +274,14 @@ def wrap_params(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
     return {k: Tensor(v) for k, v in params.items()}
 
 
-def forward(
-    params: dict[str, np.ndarray],
-    arch: ArchConfig,
-    batch: Batch,
-    train_mode: bool = False,
-    dropout_seed: int = 0,
-) -> ForwardOutput:
-    """Numpy-level forward pass. Dropout is active only in train mode, with a
-    mask fully determined by ``dropout_seed``."""
+def forward(params: dict[str, np.ndarray], arch: ArchConfig, batch: Batch) -> ForwardOutput:
+    """Numpy-level inference pass (no dropout)."""
     expected = {"x_ibi": batch.x_ibi, "x_eda": batch.x_eda, "f_hrv": batch.f_hrv, "f_eda": batch.f_eda}
     n = len(batch)
     for name, arr in expected.items():
         if arr is None or arr.shape[0] != n:
             raise ValueError(f"batch field {name} missing or batch-size mismatch")
-    p_s, p_e = build_graph(
-        wrap_params(params),
-        arch,
-        batch,
-        train_mode=train_mode,
-        dropout_rng=np.random.default_rng(dropout_seed),
-    )
+    p_s, p_e = build_graph(wrap_params(params), arch, batch)
     return ForwardOutput(p_stress=p_s.data, p_effort=p_e.data)
 
 

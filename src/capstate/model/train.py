@@ -53,7 +53,7 @@ class TrainConfig:
             raise ValueError("lr must be positive")
         if not (0.0 < self.plateau_factor <= 1.0):
             raise ValueError("plateau_factor must lie in (0, 1]")
-        for name in ("batch_size", "max_epochs"):
+        for name in ("batch_size", "max_epochs", "val_subjects"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -108,7 +108,7 @@ def loss_and_grads(
 def evaluate_balanced_accuracy(params, arch, val: Batch) -> tuple[float, float]:
     """(stress BA, effort BA) on a validation batch, scored by
     ``capstate.metrics.head_metrics``. NaN marks an undefined head."""
-    out: ForwardOutput = forward(params, arch, val, train_mode=False)
+    out: ForwardOutput = forward(params, arch, val)
     metrics = head_metrics(out.u, out.o, val.stress, val.effort, val.mask)
     return tuple(float("nan") if m is None else m.ba for m in metrics.values())
 

@@ -7,7 +7,7 @@ rows: it is a model :class:`~capstate.model.network.Batch` plus subject,
 condition and window start, so it goes straight into training and inference.
 Features stored on disk and in the table are raw; the CV-gated log transform
 and the per-subject z-scoring are applied per evaluation fold (they depend on
-fold membership).
+fold membership). Synthetic recordings write EDA at ``SYNTH_EDA_HZ``.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cardiac, eda
-from .dsp import UniformSeries, WindowingPlan
+from .dsp import GRID_HZ, UniformSeries, WindowingPlan, resample_uniform
 from .ingest import (
     Condition,
     RawRecording,
@@ -26,7 +26,7 @@ from .ingest import (
 )
 from .model.network import Batch
 
-GRID_HZ = 2.0
+SYNTH_EDA_HZ = 32.0
 NORMALIZATION_MODES = ("self_per_subject", "train_fold_stats")
 
 
@@ -69,16 +69,17 @@ def window_recording(
     labels = assign_labels(rec.condition)
     eda_raw = UniformSeries(rec.eda, rec.eda_rate_hz)
     peaks = cardiac.detect_r_peaks(UniformSeries(rec.ecg, rec.ecg_rate_hz))
-    ibi_2hz = cardiac.ibi_to_uniform(cardiac.build_ibi(peaks), GRID_HZ)
-    eda_proc = eda.preprocess_eda(eda_raw, GRID_HZ)
+    ibi_2hz = cardiac.ibi_to_uniform(cardiac.build_ibi(peaks))
+    eda_proc = eda.preprocess_eda(eda_raw)
     decomp = eda.cvxeda_decompose(eda_proc, cvx_params)
     events = eda.detect_scrs(decomp.phasic)
 
-    # crop every 2 Hz stream to the common span, then cut all of them at the same start indices
+    # crop every 2 Hz stream to the common span, then cut all of them at the same start indices;
+    # the raw EDA is downsampled without detrending, so its statistics keep absolute uS levels
     start = max(ibi_2hz.start_s, eda_proc.start_s)
     end = min(ibi_2hz.end_s, eda_proc.end_s)
     streams = [_crop(s, start, end) for s in
-               (ibi_2hz, eda_proc, eda.downsample_eda_raw(eda_raw, GRID_HZ), decomp.tonic, decomp.phasic)]
+               (ibi_2hz, eda_proc, resample_uniform(eda_raw, GRID_HZ), decomp.tonic, decomp.phasic)]
     n = min(len(s) for s in streams)
     first = plan.starts(n)
     if len(first) == 0:
@@ -131,9 +132,6 @@ class FoldTransform:
     normalization_mode: str  # "self_per_subject" or "train_fold_stats"
     pooled_stats: dict = field(default_factory=dict)
 
-    def eda_log_flags(self) -> np.ndarray:
-        return self.log_transform.flags.copy()
-
 
 def _fold_blocks(ds: WindowedDataset, log_tr: eda.LogTransform) -> dict[str, np.ndarray]:
     """The four blocks a fold transform z-scores, each normalized over every
@@ -159,6 +157,29 @@ def fit_fold_transform(train: WindowedDataset, normalization_mode: str = "self_p
     return FoldTransform(log_tr, normalization_mode, pooled)
 
 
+def normalize_per_subject(features: np.ndarray, subjects) -> np.ndarray:
+    """Z-score each feature dimension within each subject.
+
+    ``features`` has one row per window and the feature dimension last; the
+    statistics pool every other axis, so an (N, d) matrix gets per-column
+    stats and an (N, T, 1) series one scalar per subject. Uses the subject's
+    own label-free statistics (population SD, guarded at 1e-8 so constant
+    dimensions map to zero).
+    """
+    features = np.asarray(features, dtype=np.float64)
+    subjects = np.asarray(subjects)
+    axes = tuple(range(features.ndim - 1))
+    out = np.empty_like(features)
+    for subj in np.unique(subjects):
+        rows = np.nonzero(subjects == subj)[0]
+        if len(rows) < 2:
+            raise ValueError(f"subject {subj!r} has fewer than 2 windows")
+        mu = features[rows].mean(axis=axes)
+        sd = features[rows].std(axis=axes)
+        out[rows] = (features[rows] - mu) / np.maximum(sd, 1e-8)
+    return out
+
+
 def apply_fold_transform(ds: WindowedDataset, tr: FoldTransform) -> WindowedDataset:
     """Log-transform flagged EDA dims, then z-score features and time series.
 
@@ -169,7 +190,7 @@ def apply_fold_transform(ds: WindowedDataset, tr: FoldTransform) -> WindowedData
     normalized = {}
     for name, block in _fold_blocks(ds, tr.log_transform).items():
         if tr.normalization_mode == "self_per_subject":
-            z, _ = cardiac.normalize_per_subject(block, ds.subject)
+            z = normalize_per_subject(block, ds.subject)
         else:
             mu, sd = tr.pooled_stats[name]
             z = (block - mu) / sd
@@ -188,7 +209,6 @@ def synthetic_condition_spec(
     duration_s: float,
     seed: int,
     ecg_rate_hz: float = 512.0,
-    eda_rate_hz: float = 32.0,
 ) -> SyntheticSpec:
     """Demand-graded generator settings: c1 -> c2 -> c3 shortens the IBI,
     damps respiratory HRV, and raises SCR rate and tonic level, with a
@@ -216,7 +236,7 @@ def synthetic_condition_spec(
         ecg_noise_sd=0.02,
         seed=seed,
         ecg_rate_hz=ecg_rate_hz,
-        eda_rate_hz=eda_rate_hz,
+        eda_rate_hz=SYNTH_EDA_HZ,
     )
 
 
@@ -232,8 +252,8 @@ SYNTH_EDGE_S = 3.5
 def min_synthetic_duration_s(plan: WindowingPlan) -> float:
     """Shortest synthetic recording that holds one complete window under
     ``plan`` and is long enough for EDA conditioning, which measures a
-    series as (n - 1) steps of the synthetic 32 Hz EDA."""
-    return max(eda.MIN_DURATION_S + 1.0 / 32.0, plan.window_len_samples / GRID_HZ + SYNTH_EDGE_S)
+    series as (n - 1) steps of the synthetic ``SYNTH_EDA_HZ`` EDA."""
+    return max(eda.MIN_DURATION_S + 1.0 / SYNTH_EDA_HZ, plan.window_len_samples / GRID_HZ + SYNTH_EDGE_S)
 
 
 def make_synthetic_recordings(

@@ -339,6 +339,12 @@ class TestExitCodes:
         ("synth", "synth.n_subjects=1.5", "synth.n_subjects must be int"),
         ("evaluate", 'train.max_epochs="10"', "train.max_epochs must be int"),
         ("evaluate", "arch.use_handcrafted_features=1", "arch.use_handcrafted_features must be bool"),
+        # solver, synthetic and training settings outside the range the code can run
+        ("preprocess", "cvxeda.tonic_knot_spacing_s=0", "cvxeda.tonic_knot_spacing_s must be > 0"),
+        ("preprocess", "cvxeda.tonic_knot_spacing_s=-5", "cvxeda.tonic_knot_spacing_s must be > 0"),
+        ("preprocess", "cvxeda.max_iters=-1", "cvxeda.max_iters must be >= 1"),
+        ("synth", "synth.ecg_rate_hz=0", "synth.ecg_rate_hz must be > 0"),
+        ("evaluate", "train.val_subjects=0", "train.val_subjects must be >= 1"),
     ])
     def test_out_of_range_config_is_2(self, tmp_path, capsys, command, override, key):
         assert run_cli(tmp_path, command, "--set", 'ablation.backbone="tcn"', "--set", override) == 2
@@ -384,6 +390,9 @@ class TestExitCodes:
              "sessions.csv: row 2: subject id 'sim,01' holds a comma"),
             ("sessions.csv", lambda lines: lines[:1] + ['"sim""01"' + lines[1][len(subject):]] + lines[2:],
              "sessions.csv: row 2: subject id 'sim\"01' holds a comma, a double quote"),
+            *(("sessions.csv", lambda lines, bad=bad: lines[:1] + [bad + lines[1][len(subject):]] + lines[2:],
+               f"sessions.csv: row 2: subject id {bad!r} holds a comma, a double quote, a slash")
+              for bad in ("sim/01", "sim\x0c01", "sim\u202801")),
             ("sessions.csv", lambda lines: lines + [f"{subject},{cond},{subject}/ecg_c2.csv,{subject}/eda_c2.csv"],
              f"sessions.csv: rows 2 and 11 both list subject '{subject}' condition {cond}"),
         ):

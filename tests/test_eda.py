@@ -138,7 +138,7 @@ class TestDetectScrs:
     def test_below_threshold_dropped(self):
         n = 200
         phasic = UniformSeries(bateman(0.005, 50.0, n), 2.0)
-        assert detect_scrs(phasic, min_amplitude_us=0.01) == []
+        assert detect_scrs(phasic) == []
 
     def test_event_invariants_fuzzed(self, rng):
         for _ in range(30):
@@ -146,7 +146,7 @@ class TestDetectScrs:
             sig = np.zeros(n)
             for onset in rng.uniform(5, 120, 4):
                 sig += bateman(rng.uniform(0.02, 1.0), onset, n)
-            events = detect_scrs(UniformSeries(sig, 2.0), min_amplitude_us=0.01)
+            events = detect_scrs(UniformSeries(sig, 2.0))
             for e in events:
                 assert e.peak_s > e.onset_s
                 assert e.amplitude_us >= 0.01

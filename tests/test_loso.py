@@ -109,13 +109,13 @@ class TestLeakage:
         ds = make_feature_dataset(n_subjects=4, per_cond=6, seed=7)
         held = ds.subjects()[0]
         train = ds.for_subjects([s for s in ds.subjects() if s != held])
-        flags_train_only = fit_fold_transform(train).eda_log_flags()
+        flags_train_only = fit_fold_transform(train).log_transform.flags
         # fitting on train data is unaffected by whatever the held-out rows contain
         ds2 = ds.select(np.arange(len(ds)))
         ds2.f_eda = ds2.f_eda.copy()
         ds2.f_eda[ds2.subject == held] *= 100.0
         train2 = ds2.for_subjects([s for s in ds2.subjects() if s != held])
-        assert fit_fold_transform(train2).eda_log_flags().tolist() == flags_train_only.tolist()
+        assert fit_fold_transform(train2).log_transform.flags.tolist() == flags_train_only.tolist()
 
     def test_pooled_stats_exclude_heldout(self):
         ds = make_feature_dataset(n_subjects=4, per_cond=6, seed=8)
