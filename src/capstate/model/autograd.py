@@ -274,6 +274,23 @@ def last_step(a) -> Tensor:
     return Tensor(a.data[-1], (a,), bwd)
 
 
+def time_stride(a, stride: int) -> Tensor:
+    """Every ``stride``-th step of a (T, B, C) sequence, ending at the last:
+    steps (T - 1) % stride, ..., T - 1 as a contiguous sequence; ``a`` itself
+    when ``stride == 1``."""
+    a = _wrap(a)
+    if stride == 1:
+        return a
+    start = (a.data.shape[0] - 1) % stride
+
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        full[start::stride] = g
+        _accum(a, full)
+
+    return Tensor(np.ascontiguousarray(a.data[start::stride]), (a,), bwd)
+
+
 # ---------------------------------------------------------------------------
 # Fused causal dilated conv1d
 # ---------------------------------------------------------------------------

@@ -5,6 +5,14 @@ Each modality runs a small causal conv front-end into a temporal backbone
 MLP projection of its handcrafted features, fused through a dropout-regularized
 MLP, and decoded by two independent softmax heads. The effort probability U
 and stress probability O are the "high" class probabilities.
+
+The TCN is pooled by its last step, so it is computed only where that step
+reads it: block i, of dilation d_i, runs on the time grid t = T - 1 - k d_i
+(k >= 0) at dilation 1 over (T - 1) // d_i + 1 steps, which gives the same
+output at T - 1 as the full-length dilated stack (Paine et al., "Fast
+Wavenet Generation Algorithm", arXiv:1611.09482). The dilations are strictly
+increasing powers of two, so d_i divides d_{i+1} and each block's grid is a
+subgrid of the one before.
 """
 
 import hashlib
@@ -54,6 +62,8 @@ class ArchConfig:
         if not self.modalities or any(m not in ("ibi", "eda") for m in self.modalities):
             raise ValueError("modalities must be a non-empty subset of {'ibi', 'eda'}")
         dil = self.tcn_dilations
+        if not dil:
+            raise ValueError("tcn_dilations must be non-empty")
         if any(d <= 0 or (d & (d - 1)) != 0 for d in dil) or any(
             b <= a for a, b in zip(dil, dil[1:])
         ):
@@ -62,6 +72,8 @@ class ArchConfig:
                      "lstm_hidden", "feat_hidden", "fusion_hidden", "fusion_out", "head_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.conv_layers < 0:
+            raise ValueError("conv_layers must be >= 0")
         for name in ("dropout_fusion", "dropout_head"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must lie in [0, 1)")
@@ -207,10 +219,17 @@ def _lstm_attention(p, arch, mod, h, collect):
 
 
 def _tcn(p, arch, mod, h, collect):
+    # Block i runs on its dilation grid (module docstring): there its taps
+    # t - j d_i are neighbours, so its convs take dilation 1, and the causal
+    # zero padding falls where it did at full length. d_{i-1} divides d_i, so
+    # one thinning by d_i / d_{i-1} moves the sequence onto the next grid.
     act = _act(arch)
+    grid = 1
     for i, d in enumerate(arch.tcn_dilations):
-        u = act(ag.conv1d_causal(h, p[f"{mod}.tcn{i}.conv1.W"], p[f"{mod}.tcn{i}.conv1.b"], dilation=d))
-        u = ag.conv1d_causal(u, p[f"{mod}.tcn{i}.conv2.W"], p[f"{mod}.tcn{i}.conv2.b"], dilation=d)
+        h = ag.time_stride(h, d // grid)
+        grid = d
+        u = act(ag.conv1d_causal(h, p[f"{mod}.tcn{i}.conv1.W"], p[f"{mod}.tcn{i}.conv1.b"]))
+        u = ag.conv1d_causal(u, p[f"{mod}.tcn{i}.conv2.W"], p[f"{mod}.tcn{i}.conv2.b"])
         if f"{mod}.tcn{i}.res.W" in p:
             res = ag.conv1d_causal(h, p[f"{mod}.tcn{i}.res.W"], p[f"{mod}.tcn{i}.res.b"])
         else:
@@ -287,7 +306,10 @@ def forward(params: dict[str, np.ndarray], arch: ArchConfig, batch: Batch) -> Fo
 
 def collect_activations(params, arch, batch) -> dict[str, np.ndarray]:
     """Inference-mode forward that exposes internal sequence activations as
-    (B, T, C) arrays (used by the causality/receptive-field probes)."""
+    (B, T', C) arrays (used by the causality/receptive-field probes). Conv
+    front-end and LSTM activations cover every step (T' = T); TCN block i's
+    output ``{mod}.tcn{i}`` covers only its grid, steps (T - 1) % d_i, ...,
+    T - 1 in steps of d_i."""
     acts: dict = {}
     build_graph(wrap_params(params), arch, batch, train_mode=False, collect=acts)
     return {k: v.data.swapaxes(0, 1) for k, v in acts.items()}

@@ -10,6 +10,7 @@ import pytest
 
 import capstate
 from capstate.evaluation.loso import FoldResult
+from capstate.model import autograd as ag
 from capstate.pipeline import WindowedDataset
 
 
@@ -102,6 +103,25 @@ def lstm_reference(x, wx, wh, b, grad_hs):
         dh_carry = dz @ wh.T
         dc_carry = dc * f
     return (hs, gi, gf, gg, go, cs), (dx, dwx, dwh, db)
+
+
+def tcn_reference(p, arch, mod, h, collect):
+    """The TCN backbone at full length: every block's dilated causal convs over
+    all T steps (``conv1d_causal(..., dilation=d)``), pooled by the last step.
+    Same signature and parameters as ``capstate.model.network._tcn``, which
+    runs each block only on the time grid the last step reads."""
+    act = ag.tanh if arch.activation == "tanh" else ag.relu
+    for i, d in enumerate(arch.tcn_dilations):
+        u = act(ag.conv1d_causal(h, p[f"{mod}.tcn{i}.conv1.W"], p[f"{mod}.tcn{i}.conv1.b"], dilation=d))
+        u = ag.conv1d_causal(u, p[f"{mod}.tcn{i}.conv2.W"], p[f"{mod}.tcn{i}.conv2.b"], dilation=d)
+        if f"{mod}.tcn{i}.res.W" in p:
+            res = ag.conv1d_causal(h, p[f"{mod}.tcn{i}.res.W"], p[f"{mod}.tcn{i}.res.b"])
+        else:
+            res = h
+        h = act(ag.add(u, res))
+        if collect is not None:
+            collect[f"{mod}.tcn{i}"] = h
+    return ag.last_step(h)
 
 
 def digests_by_blas_threads(script: str) -> list[str]:

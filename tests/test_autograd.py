@@ -88,6 +88,25 @@ class TestElementwiseOps:
         assert np.array_equal(ag.last_step(Tensor(x)).data, x[4])
         check_op(ag.last_step, x)
 
+    @pytest.mark.parametrize("stride", [1, 2, 3, 7])
+    def test_time_stride(self, rng, stride):
+        x = rng.normal(size=(5, 2, 3))  # (T, B, C); stride 7 > T keeps only the last step
+        out = ag.time_stride(Tensor(x), stride)
+        assert np.array_equal(out.data, x[(5 - 1) % stride :: stride])  # starts at (T - 1) % stride
+        check_op(lambda a: ag.time_stride(a, stride), x)
+
+    def test_time_stride_identity_and_single_use(self, rng):
+        a = Tensor(rng.normal(size=(6, 2, 3)))
+        assert ag.time_stride(a, 1) is a
+        strided = ag.time_stride(a, 2)
+        loss = ag.tsum(ag.mul(strided, strided))
+        loss.backward()
+        assert strided.grad is None and strided._backward_fn is None
+        assert np.array_equal(a.grad[0::2], np.zeros((3, 2, 3)))  # (T - 1) % 2 = 1: odd steps only
+        assert np.array_equal(a.grad[1::2], 2.0 * a.data[1::2])
+        with pytest.raises(ValueError, match="single-use"):
+            loss.backward()
+
     def test_grad_accumulates_on_reuse(self):
         t = Tensor(np.array([2.0]))
         out = ag.add(ag.mul(t, t), t)  # x^2 + x -> grad 2x + 1

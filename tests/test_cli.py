@@ -345,6 +345,9 @@ class TestExitCodes:
         ("preprocess", "cvxeda.max_iters=-1", "cvxeda.max_iters must be >= 1"),
         ("synth", "synth.ecg_rate_hz=0", "synth.ecg_rate_hz must be > 0"),
         ("evaluate", "train.val_subjects=0", "train.val_subjects must be >= 1"),
+        # architectures that would build a network with no TCN block or a negative conv stack
+        ("evaluate", "arch.tcn_dilations=[]", "arch.tcn_dilations must be non-empty"),
+        ("evaluate", "arch.conv_layers=-3", "arch.conv_layers must be >= 0"),
     ])
     def test_out_of_range_config_is_2(self, tmp_path, capsys, command, override, key):
         assert run_cli(tmp_path, command, "--set", 'ablation.backbone="tcn"', "--set", override) == 2

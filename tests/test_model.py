@@ -23,9 +23,10 @@ from capstate.model import (
 from capstate.model.losses import focal_loss_vector, masked_multitask_loss
 from capstate.model.autograd import Tensor
 from capstate.model.network import arch_from_json, arch_to_json, collect_activations
+from capstate.model import network
 from capstate.model import train as train_module
 from capstate.model.train import loss_and_grads
-from conftest import TINY_ARCH, digests_by_blas_threads, make_feature_dataset
+from conftest import TINY_ARCH, digests_by_blas_threads, make_feature_dataset, tcn_reference
 
 
 # the benchmark's LOSO architecture (LOSO_ARCH in perfbench/workloads.py)
@@ -77,7 +78,10 @@ class TestForward:
 
     def _time_probe(self, backbone, t_perturb):
         """Activations before and after perturbing IBI step ``t_perturb`` of
-        sequence 1 of 3; with B = 3 and T = 20 the shape check pins axis 1 as time."""
+        sequence 1 of 3 (T = 20), and the time of each step on axis 1: conv
+        front-end and LSTM activations cover all 20 steps, TCN block i's output
+        only its grid t = 19 - k d_i. With B = 3 the shape check pins axis 1 as
+        time."""
         arch = tiny_arch(backbone=backbone)
         params = init_params(arch, 2)
         batch = rand_batch(rng=np.random.default_rng(9), n=3, t=20)
@@ -85,23 +89,29 @@ class TestForward:
         batch.x_ibi = batch.x_ibi.copy()
         batch.x_ibi[1, t_perturb] += 3.0
         acts2 = collect_activations(params, arch, batch)
+        times = {}
         for name, a in acts.items():
-            assert a.shape[:2] == (3, 20), name
-        return acts, acts2
+            block = name.split(".")[1]
+            d = arch.tcn_dilations[int(block[3:])] if block.startswith("tcn") else 1
+            times[name] = np.arange(19 % d, 20, d)
+            assert a.shape[:2] == (3, len(times[name])), name
+        return acts, acts2, times
 
     def test_tcn_causality_probe(self):
         t_perturb = 11
-        acts, acts2 = self._time_probe("tcn", t_perturb)
+        acts, acts2, times = self._time_probe("tcn", t_perturb)
+        assert list(times["ibi.tcn1"]) == list(range(1, 20, 2))  # TINY_ARCH dilations (1, 2)
         for name in acts:
+            before = times[name] < t_perturb
             if name.startswith("ibi."):
-                assert np.array_equal(acts[name][:, :t_perturb, :], acts2[name][:, :t_perturb, :]), name
+                assert np.array_equal(acts[name][:, before], acts2[name][:, before]), name
                 assert np.array_equal(acts[name][[0, 2]], acts2[name][[0, 2]]), name
-                assert not np.array_equal(acts[name][1, t_perturb:], acts2[name][1, t_perturb:]), name
+                assert not np.array_equal(acts[name][1, ~before], acts2[name][1, ~before]), name
             if name.startswith("eda."):
                 assert np.array_equal(acts[name], acts2[name]), name
 
     def test_lstm_cannot_see_future_either(self):
-        acts, acts2 = self._time_probe("lstm", 15)
+        acts, acts2, _ = self._time_probe("lstm", 15)
         seq, seq2 = acts["ibi.lstm_seq"], acts2["ibi.lstm_seq"]
         assert np.array_equal(seq[:, :15], seq2[:, :15])
         assert not np.array_equal(seq[1, 15:], seq2[1, 15:])
@@ -152,6 +162,42 @@ class TestForward:
             ArchConfig(tcn_dilations=(1, 3))
         with pytest.raises(ValueError):
             ArchConfig(modalities=())
+        with pytest.raises(ValueError, match="tcn_dilations must be non-empty"):
+            ArchConfig(tcn_dilations=())
+        with pytest.raises(ValueError, match="conv_layers must be >= 0"):
+            ArchConfig(conv_layers=-3)
+
+
+class TestTcnGrid:
+    """``network._tcn`` runs each block only on the time grid last-step pooling
+    reads; ``conftest.tcn_reference`` runs every block over all T steps. The
+    probabilities and every parameter gradient agree to 1e-12 of the largest
+    value. T = 7 is shorter than the receptive field and T = 121 is not a
+    multiple of any stride; T = 120 runs at the benchmark's batch size, where
+    BLAS may sum the weight gradients' rows in another order."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("t", [7, 20, 33, 120, 121])
+    @pytest.mark.parametrize("dilations", [(1, 2, 4, 8, 16), (1, 4, 16), (2, 8), (1, 2)])
+    def test_matches_full_length_reference(self, dilations, t, activation, monkeypatch):
+        # conv_channels != tcn_channels, so block 0 has a 1x1 residual conv
+        arch = ArchConfig(**LOSO_ARCH, backbone="tcn", tcn_dilations=dilations, activation=activation)
+        params = init_params(arch, 4)
+        batch = rand_batch(np.random.default_rng(t), n=64 if t == 120 else 6, t=t)
+
+        def run():
+            out = forward(params, arch, batch)
+            _, _, _, grads = loss_and_grads(params, arch, TrainConfig(), batch, train_mode=True, dropout_seed=6)
+            return out, grads
+
+        out, grads = run()
+        monkeypatch.setattr(network, "_tcn", tcn_reference)
+        ref, ref_grads = run()
+        for p, q in ((out.p_stress, ref.p_stress), (out.p_effort, ref.p_effort)):
+            assert np.abs(p - q).max() <= 1e-12 * np.abs(q).max()
+        assert grads.keys() == ref_grads.keys()
+        for key, g in grads.items():
+            assert np.abs(g - ref_grads[key]).max() <= 1e-12 * np.abs(ref_grads[key]).max(), key
 
 
 class TestFocalLoss:
@@ -277,15 +323,16 @@ class TestMaskedLoss:
 
 
 class TestTapeMemory:
-    @pytest.mark.parametrize("backbone, bound_mib", [("tcn", 100), ("lstm", 32)])
+    @pytest.mark.parametrize("backbone, bound_mib", [("tcn", 50), ("lstm", 32)])
     def test_backward_frees_the_tape(self, backbone, bound_mib, monkeypatch):
         """Peak traced memory of one training step at the benchmark's shape
         (B = 64, T = 120). numpy reports its buffers to tracemalloc, so the peak
-        is deterministic: 86.6 / 27.2 MiB (TCN / LSTM) when backward frees each
-        interior gradient and closure once used, 159.2 / 37.7 MiB when every
-        interior gradient lives until backward returns. Each LSTM node caches
-        six (T, B, H)-sized arrays: the four gate blocks, the cell states and
-        the output."""
+        is deterministic: 43.9 / 27.2 MiB (TCN / LSTM) when backward frees each
+        interior gradient and closure once used; the LSTM's is 37.7 MiB when
+        every interior gradient lives until backward returns. TCN block i keeps
+        about T / d_i steps, its dilation grid. Each LSTM node caches six
+        (T, B, H)-sized arrays: the four gate blocks, the cell states and the
+        output."""
         roots = []
 
         def keep_root(*args):
