@@ -47,7 +47,7 @@ class CvxEdaParams:
     def __post_init__(self):
         if not (self.tau1_s > self.tau0_s > 0):
             raise ValueError("tau1_s must exceed tau0_s, and tau0_s must be > 0")
-        for name in ("alpha", "gamma_tonic", "tonic_knot_spacing_s"):
+        for name in ("alpha", "gamma_tonic", "tonic_knot_spacing_s", "tol_objective", "tol_kkt"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.max_iters < 1:
@@ -225,7 +225,6 @@ def cvxeda_decompose(x: UniformSeries, params: CvxEdaParams = CvxEdaParams()) ->
     step = 1.0 / prob.lipschitz()
 
     r = np.zeros(prob.n)
-    r_prev = r.copy()
     y = r.copy()
     t_momentum = 1.0
     f_curr = prob.objective(r)
@@ -242,7 +241,7 @@ def cvxeda_decompose(x: UniformSeries, params: CvxEdaParams = CvxEdaParams()) ->
             rel = (f_curr - f_z) / max(abs(f_curr), 1e-15)
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
             y = z + ((t_momentum - 1.0) / t_next) * (z - r)
-            r_prev, r, t_momentum = r, z, t_next
+            r, t_momentum = z, t_next
             f_curr = f_z
             # the relative-change criterion only counts genuine descent steps
             if rel < params.tol_objective or iters % 25 == 0:
@@ -253,7 +252,6 @@ def cvxeda_decompose(x: UniformSeries, params: CvxEdaParams = CvxEdaParams()) ->
             # proximal descent from the current iterate (guaranteed decrease)
             t_momentum = 1.0
             y = r.copy()
-            r_prev = r.copy()
         trace.append(f_curr)
 
     if not converged:
@@ -272,7 +270,7 @@ def cvxeda_decompose(x: UniformSeries, params: CvxEdaParams = CvxEdaParams()) ->
         driver=x.replace_values(r),
         residual=x.replace_values(residual_vals),
         objective_trace=np.asarray(trace),
-        kkt_residual=float(prob.kkt_residual(r)),
+        kkt_residual=kkt,
         iterations=iters,
     )
 

@@ -16,7 +16,7 @@ from .statespace import (
     condition_centroids,
     map_state,
 )
-from .loso import FoldResult, resensitize_fold_metrics, run_loso
+from .loso import FoldResult, run_loso
 
 __all__ = [
     "Metrics",
@@ -35,6 +35,5 @@ __all__ = [
     "condition_centroids",
     "map_state",
     "FoldResult",
-    "resensitize_fold_metrics",
     "run_loso",
 ]

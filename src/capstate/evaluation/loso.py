@@ -147,10 +147,3 @@ def run_loso(
     else:
         results = [_run_single_fold(job) for job in jobs]
     return results
-
-
-def resensitize_fold_metrics(fold: FoldResult, scheme: LabelScheme) -> dict:
-    """Recompute a fold's metrics under a relabeling scheme without retraining:
-    only stress labels of c2 windows can change, so effort metrics are
-    untouched by construction."""
-    return replace(fold, stress=relabel_stress(fold.stress, fold.condition, scheme)).metrics

@@ -16,7 +16,6 @@ class Metrics:
     recall: float  # macro (== ba for binary labels)
     macro_f1: float
     per_class_recall: tuple
-    per_class_precision: tuple
     confusion: np.ndarray  # (2, 2) int counts
 
 
@@ -54,7 +53,6 @@ def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
         recall=float(recalls.mean()),
         macro_f1=float(f1s.mean()),
         per_class_recall=tuple(recalls.tolist()),
-        per_class_precision=tuple(precisions.tolist()),
         confusion=confusion,
     )
 

@@ -1,7 +1,7 @@
 from .network import ArchConfig, Batch, ForwardOutput, forward, init_params
 from .losses import focal_loss, masked_multitask_loss
 from .optim import AdamW, clip_global_norm
-from .train import TrainConfig, TrainHistory, train_fold, save_checkpoint, load_checkpoint
+from .train import TrainConfig, TrainHistory, train_fold
 
 __all__ = [
     "ArchConfig",
@@ -16,6 +16,4 @@ __all__ = [
     "TrainConfig",
     "TrainHistory",
     "train_fold",
-    "save_checkpoint",
-    "load_checkpoint",
 ]

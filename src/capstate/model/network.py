@@ -16,7 +16,6 @@ subgrid of the one before.
 """
 
 import hashlib
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -61,9 +60,13 @@ class ArchConfig:
             raise ValueError(f"activation must be 'relu' or 'tanh', got {self.activation!r}")
         if not self.modalities or any(m not in ("ibi", "eda") for m in self.modalities):
             raise ValueError("modalities must be a non-empty subset of {'ibi', 'eda'}")
+        if len(set(self.modalities)) != len(self.modalities):
+            raise ValueError(f"modalities must not repeat a modality, got {list(self.modalities)}")
         dil = self.tcn_dilations
         if not dil:
             raise ValueError("tcn_dilations must be non-empty")
+        if any(not isinstance(d, int) or isinstance(d, bool) for d in dil):
+            raise ValueError(f"tcn_dilations must be integers, got {list(dil)}")
         if any(d <= 0 or (d & (d - 1)) != 0 for d in dil) or any(
             b <= a for a, b in zip(dil, dil[1:])
         ):
@@ -244,13 +247,11 @@ def build_graph(
     params_t: dict[str, Tensor],
     arch: ArchConfig,
     batch: Batch,
-    train_mode: bool = False,
     dropout_rng: np.random.Generator | None = None,
     collect: dict | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """Autograd graph; returns (p_stress, p_effort) probability Tensors."""
-    if train_mode and dropout_rng is None:
-        dropout_rng = np.random.default_rng(0)
+    """Autograd graph; returns (p_stress, p_effort) probability Tensors.
+    Dropout runs when ``dropout_rng`` is given; None is inference."""
     streams = []
     for mod in arch.modalities:
         raw = batch.x_ibi if mod == "ibi" else batch.x_eda
@@ -274,16 +275,16 @@ def build_graph(
     fused = streams[0] if len(streams) == 1 else ag.concat(streams, axis=1)
     act = _act(arch)
     f1 = act(_linear(params_t, "fusion.fc1", fused))
-    if train_mode:
+    if dropout_rng is not None:
         f1 = ag.dropout(f1, arch.dropout_fusion, dropout_rng)
     f2 = act(_linear(params_t, "fusion.fc2", f1))
-    if train_mode:
+    if dropout_rng is not None:
         f2 = ag.dropout(f2, arch.dropout_fusion, dropout_rng)
 
     probs = []
     for head in ("head_stress", "head_effort"):
         hh = act(_linear(params_t, f"{head}.fc1", f2))
-        if train_mode:
+        if dropout_rng is not None:
             hh = ag.dropout(hh, arch.dropout_head, dropout_rng)
         probs.append(ag.softmax(_linear(params_t, f"{head}.fc2", hh), axis=1))
     return probs[0], probs[1]
@@ -311,23 +312,5 @@ def collect_activations(params, arch, batch) -> dict[str, np.ndarray]:
     output ``{mod}.tcn{i}`` covers only its grid, steps (T - 1) % d_i, ...,
     T - 1 in steps of d_i."""
     acts: dict = {}
-    build_graph(wrap_params(params), arch, batch, train_mode=False, collect=acts)
+    build_graph(wrap_params(params), arch, batch, collect=acts)
     return {k: v.data.swapaxes(0, 1) for k, v in acts.items()}
-
-
-def arch_to_json(arch: ArchConfig) -> str:
-    d = {k: (list(v) if isinstance(v, tuple) else v) for k, v in arch.__dict__.items()}
-    return json.dumps(d, sort_keys=True)
-
-
-def arch_from_json(text: str) -> ArchConfig:
-    """Inverse of :func:`arch_to_json`; keys ``ArchConfig`` does not have
-    (from a checkpoint of another version) raise ``ValueError`` naming them."""
-    d = json.loads(text)
-    unknown = sorted(set(d) - {f.name for f in fields(ArchConfig)})
-    if unknown:
-        raise ValueError(f"checkpoint architecture has unknown keys {unknown}")
-    for k in ("tcn_dilations", "modalities"):
-        if k in d:
-            d[k] = tuple(d[k])
-    return ArchConfig(**d)

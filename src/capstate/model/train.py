@@ -5,7 +5,6 @@ All randomness (init, shuffling, dropout) is derived from ``train_fold``'s
 produce bit-identical histories.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +16,6 @@ from .network import (
     ArchConfig,
     Batch,
     ForwardOutput,
-    arch_from_json,
-    arch_to_json,
     build_graph,
     forward,
     init_params,
@@ -53,7 +50,10 @@ class TrainConfig:
             raise ValueError("lr must be positive")
         if not (0.0 < self.plateau_factor <= 1.0):
             raise ValueError("plateau_factor must lie in (0, 1]")
-        for name in ("batch_size", "max_epochs", "val_subjects"):
+        for name in ("weight_decay", "lambda_effort", "early_stop_warmup"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("batch_size", "max_epochs", "val_subjects", "early_stop_patience", "plateau_patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -81,16 +81,15 @@ def loss_and_grads(
     arch: ArchConfig,
     cfg: TrainConfig,
     batch: Batch,
-    train_mode: bool = True,
-    dropout_seed: int = 0,
+    dropout_seed: int | None = None,
 ):
     """Forward + reverse pass. Returns (total, stress, effort, grads); the
     gradient map covers every parameter (zeros where the loss does not reach,
-    e.g. the effort head when all masks are 0)."""
+    e.g. the effort head when all masks are 0). Dropout runs, with masks drawn
+    from ``dropout_seed``, when a seed is given."""
     params_t = wrap_params(params)
-    p_s, p_e = build_graph(
-        params_t, arch, batch, train_mode=train_mode, dropout_rng=np.random.default_rng(dropout_seed)
-    )
+    dropout_rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+    p_s, p_e = build_graph(params_t, arch, batch, dropout_rng=dropout_rng)
     total_t, stress_val, effort_val = masked_multitask_loss(
         p_s, p_e, batch.stress, batch.effort, batch.mask,
         cfg.gamma, cfg.label_smoothing, cfg.lambda_effort,
@@ -151,7 +150,6 @@ def train_fold(
             idx = order[start : start + cfg.batch_size]
             total, _, _, grads = loss_and_grads(
                 params, arch, cfg, train.select(idx),
-                train_mode=True,
                 dropout_seed=substream_seed(seed, "dropout", epoch, bi),
             )
             opt.lr = lr
@@ -185,25 +183,3 @@ def train_fold(
     history.best_epoch = best_epoch
     history.stopped_epoch = history.rows[-1]["epoch"]
     return best_params, history
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-CHECKPOINT_VERSION = 1
-
-
-def save_checkpoint(path, params: dict[str, np.ndarray], arch: ArchConfig) -> None:
-    """Versioned npz map: parameter path -> array, plus the architecture."""
-    meta = json.dumps({"format_version": CHECKPOINT_VERSION, "arch": arch_to_json(arch)})
-    np.savez(path, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8), **params)
-
-
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ArchConfig]:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version: {meta.get('format_version')}")
-        params = {k: data[k] for k in data.files if k != "__meta__"}
-    return params, arch_from_json(meta["arch"])

@@ -70,7 +70,7 @@ def test_criterion_1_gradient_correctness():
     cfg = TrainConfig()
 
     def loss_only(params, arch):
-        p_s, p_e = build_graph(wrap_params(params), arch, batch, train_mode=False)
+        p_s, p_e = build_graph(wrap_params(params), arch, batch)
         total, _, _ = masked_multitask_loss(
             p_s, p_e, batch.stress, batch.effort, batch.mask,
             cfg.gamma, cfg.label_smoothing, cfg.lambda_effort,
@@ -84,7 +84,7 @@ def test_criterion_1_gradient_correctness():
     for backbone in ("lstm", "tcn"):
         arch = ArchConfig(backbone=backbone, activation="tanh", **tiny)
         params = init_params(arch, 7)
-        _, _, _, grads = loss_and_grads(params, arch, cfg, batch, train_mode=False)
+        _, _, _, grads = loss_and_grads(params, arch, cfg, batch)
         for key in params:
             p = params[key]
             it = np.nditer(p, flags=["multi_index"])

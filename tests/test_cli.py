@@ -348,6 +348,18 @@ class TestExitCodes:
         # architectures that would build a network with no TCN block or a negative conv stack
         ("evaluate", "arch.tcn_dilations=[]", "arch.tcn_dilations must be non-empty"),
         ("evaluate", "arch.conv_layers=-3", "arch.conv_layers must be >= 0"),
+        # a modality run twice with one set of weights, and a dilation that is a bool
+        ("evaluate", 'arch.modalities=["ibi", "ibi"]', "arch.modalities must not repeat"),
+        ("evaluate", 'ablation.modalities=["eda", "eda"]', "ablation.modalities must not repeat"),
+        ("evaluate", "arch.tcn_dilations=[true, 2]", "arch.tcn_dilations must be integers"),
+        # training and solver settings with no meaning below their bound
+        ("evaluate", "train.weight_decay=-1", "train.weight_decay must be >= 0"),
+        ("evaluate", "train.lambda_effort=-2", "train.lambda_effort must be >= 0"),
+        ("evaluate", "train.early_stop_warmup=-3", "train.early_stop_warmup must be >= 0"),
+        ("evaluate", "train.early_stop_patience=-5", "train.early_stop_patience must be >= 1"),
+        ("evaluate", "train.plateau_patience=-1", "train.plateau_patience must be >= 1"),
+        ("preprocess", "cvxeda.tol_kkt=-1", "cvxeda.tol_kkt must be > 0"),
+        ("preprocess", "cvxeda.tol_objective=-1", "cvxeda.tol_objective must be > 0"),
     ])
     def test_out_of_range_config_is_2(self, tmp_path, capsys, command, override, key):
         assert run_cli(tmp_path, command, "--set", 'ablation.backbone="tcn"', "--set", override) == 2

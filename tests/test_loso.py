@@ -8,9 +8,10 @@ from capstate.cardiac import build_ibi, detect_r_peaks, ibi_to_uniform
 from capstate.dsp import UniformSeries, WindowingPlan
 from capstate.eda import preprocess_eda
 from capstate.errors import DataError
-from capstate.evaluation import resensitize_fold_metrics, run_loso
+from capstate.evaluation import run_loso
 from capstate.evaluation.report import build_stats_report, per_subject_rows, summary_table
-from capstate.ingest import Condition, LabelScheme, generate_synthetic_recording
+from capstate.ingest import Condition, LabelScheme, generate_synthetic_recording, relabel_stress
+from capstate.metrics import head_metrics
 from capstate.model import ArchConfig, TrainConfig
 from capstate.pipeline import (
     WindowedDataset,
@@ -158,7 +159,8 @@ class TestSensitivity:
         ds = make_feature_dataset(n_subjects=3, per_cond=6, seed=4)
         folds = run_loso(ds, FAST_ARCH, FAST_CFG, seed=FAST_SEED)
         for f in folds:
-            re = resensitize_fold_metrics(f, LabelScheme.C2_STRESS_LOW)
+            stress = relabel_stress(f.stress, f.condition, LabelScheme.C2_STRESS_LOW)
+            re = head_metrics(f.u, f.o, stress, f.effort, f.mask)
             base_eff = f.metrics["effort"]
             assert (re["effort"] is None) == (base_eff is None)
             if base_eff is not None:

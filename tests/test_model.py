@@ -1,6 +1,5 @@
 """Network forward contracts, losses, optimizer, and the training loop."""
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -16,13 +15,11 @@ from capstate.model import (
     focal_loss,
     forward,
     init_params,
-    load_checkpoint,
-    save_checkpoint,
     train_fold,
 )
 from capstate.model.losses import focal_loss_vector, masked_multitask_loss
 from capstate.model.autograd import Tensor
-from capstate.model.network import arch_from_json, arch_to_json, collect_activations
+from capstate.model.network import collect_activations
 from capstate.model import network
 from capstate.model import train as train_module
 from capstate.model.train import loss_and_grads
@@ -187,7 +184,7 @@ class TestTcnGrid:
 
         def run():
             out = forward(params, arch, batch)
-            _, _, _, grads = loss_and_grads(params, arch, TrainConfig(), batch, train_mode=True, dropout_seed=6)
+            _, _, _, grads = loss_and_grads(params, arch, TrainConfig(), batch, dropout_seed=6)
             return out, grads
 
         out, grads = run()
@@ -267,7 +264,7 @@ class TestMaskedLoss:
         batch = rand_batch(rng)
         batch.mask = np.zeros(len(batch), dtype=int)
         batch.effort = np.full(len(batch), -1)
-        _, _, _, grads = loss_and_grads(params, arch, TrainConfig(), batch, train_mode=False)
+        _, _, _, grads = loss_and_grads(params, arch, TrainConfig(), batch)
         for key, g in grads.items():
             if key.startswith("head_effort."):
                 assert np.all(g == 0.0), key
@@ -285,8 +282,8 @@ class TestMaskedLoss:
             stress=np.tile(batch.stress, 2), effort=np.tile(batch.effort, 2),
             mask=np.tile(batch.mask, 2),
         )
-        _, _, _, g1 = loss_and_grads(params, arch, TrainConfig(), batch, train_mode=False)
-        _, _, _, g2 = loss_and_grads(params, arch, TrainConfig(), dup, train_mode=False)
+        _, _, _, g1 = loss_and_grads(params, arch, TrainConfig(), batch)
+        _, _, _, g2 = loss_and_grads(params, arch, TrainConfig(), dup)
         for key in g1:
             assert np.allclose(g1[key], g2[key], atol=1e-12), key
 
@@ -304,7 +301,7 @@ class TestMaskedLoss:
             "              mask=rng.integers(0, 2, n))\n"
             f"arch = ArchConfig(backbone={backbone!r})\n"
             "total, _, _, grads = loss_and_grads(init_params(arch, 4), arch, TrainConfig(), batch,\n"
-            "                                    train_mode=True, dropout_seed=6)\n"
+            "                                    dropout_seed=6)\n"
             "h = hashlib.sha256(np.float64(total).tobytes())\n"
             "for key in sorted(grads):\n"
             "    h.update(grads[key].tobytes())\n"
@@ -313,13 +310,14 @@ class TestMaskedLoss:
         one, two = digests_by_blas_threads(script)
         assert len(one) == 64 and one == two
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 1e308 weights overflow on purpose
     def test_nonfinite_gradient_names_parameter(self, rng):
         arch = tiny_arch()
         params = init_params(arch, 7)
         params["fusion.fc1.W"][:] = 1e308
         batch = rand_batch(rng)
         with pytest.raises((NumericalError, ValueError)):
-            loss_and_grads(params, arch, TrainConfig(), batch, train_mode=False)
+            loss_and_grads(params, arch, TrainConfig(), batch)
 
 
 class TestTapeMemory:
@@ -346,7 +344,7 @@ class TestTapeMemory:
         batch = rand_batch(np.random.default_rng(3), n=64, t=120)
         tracemalloc.start()
         try:
-            _, _, _, grads = loss_and_grads(params, arch, TrainConfig(), batch, train_mode=True, dropout_seed=6)
+            _, _, _, grads = loss_and_grads(params, arch, TrainConfig(), batch, dropout_seed=6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -490,23 +488,3 @@ class TestTrainFold:
         _, history = train_fold(train, val, tiny_arch(), cfg, seed=2)
         losses = [r["train_loss"] for r in history.rows]
         assert losses[-1] <= 0.1 * losses[0]
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path, rng):
-        arch = tiny_arch(backbone="tcn")
-        params = init_params(arch, 9)
-        path = tmp_path / "model.npz"
-        save_checkpoint(path, params, arch)
-        loaded, arch2 = load_checkpoint(path)
-        assert arch2 == arch
-        assert set(loaded) == set(params)
-        for k in params:
-            assert np.array_equal(loaded[k], params[k])
-
-    def test_unknown_arch_key_named(self):
-        # a checkpoint saved when ArchConfig still had tcn_pool
-        d = json.loads(arch_to_json(tiny_arch()))
-        d["tcn_pool"] = "last"
-        with pytest.raises(ValueError, match="tcn_pool"):
-            arch_from_json(json.dumps(d))
