@@ -97,64 +97,32 @@ def _butter_sos(order: int, cutoff_hz: float, rate_hz: float, btype: str) -> np.
     if btype not in ("lowpass", "highpass"):
         raise ValueError(f"unknown btype {btype!r}")
 
+    lowpass = btype == "lowpass"
+    sign = 1.0 if lowpass else -1.0  # b1's sign, and z = +1 (DC) or -1 (Nyquist) for the unit-gain rule
     k = np.arange(order)
     proto = np.exp(1j * np.pi * (2 * k + order + 1) / (2 * order))  # unit-circle LHP poles
     wc = 2.0 * rate_hz * np.tan(np.pi * cutoff_hz / rate_hz)  # pre-warped cutoff, rad/s
     big_k = 2.0 * rate_hz
-
-    if btype == "lowpass":
-        analog = wc * proto
-    else:
-        analog = wc / proto
+    analog = wc * proto if lowpass else wc / proto
+    num = wc if lowpass else big_k
 
     sections = []
-    # conjugate pairs first (poles come in conjugate pairs except one real pole for odd order)
-    used = np.zeros(order, dtype=bool)
-    for i in range(order):
-        if used[i]:
-            continue
+    # pole k pairs with its conjugate, pole order-1-k; an odd order leaves the
+    # real pole order//2 as the last section
+    for i in range((order + 1) // 2):
         p = analog[i]
-        if abs(p.imag) < 1e-12 * max(abs(p.real), 1.0):
-            used[i] = True
-            zp = (big_k + p) / (big_k - p)
-            if btype == "lowpass":
-                g = wc / (big_k - p)
-                b = np.array([g.real, g.real, 0.0])
-            else:
-                g = big_k / (big_k - p)
-                b = np.array([g.real, -g.real, 0.0])
-            a = np.array([1.0, -zp.real, 0.0])
+        zp = (big_k + p) / (big_k - p)
+        g = num / (big_k - p)
+        if 2 * i + 1 == order:
+            sections.append([g.real, sign * g.real, 0.0, 1.0, -zp.real, 0.0])
         else:
-            # locate the conjugate partner
-            j = None
-            for j2 in range(i + 1, order):
-                if not used[j2] and abs(analog[j2] - np.conj(p)) < 1e-8 * abs(p):
-                    j = j2
-                    break
-            used[i] = True
-            used[j] = True
-            zp = (big_k + p) / (big_k - p)
-            if btype == "lowpass":
-                g = wc / (big_k - p)
-                gain2 = (g * np.conj(g)).real
-                b = gain2 * np.array([1.0, 2.0, 1.0])
-            else:
-                g = big_k / (big_k - p)
-                gain2 = (g * np.conj(g)).real
-                b = gain2 * np.array([1.0, -2.0, 1.0])
-            a = np.array([1.0, -2.0 * zp.real, (zp * np.conj(zp)).real])
-        sections.append(np.concatenate([b, a]))
+            gain2 = (g * np.conj(g)).real
+            sections.append([gain2, sign * 2.0 * gain2, gain2, 1.0, -2.0 * zp.real, (zp * np.conj(zp)).real])
 
     sos = np.array(sections, dtype=np.float64)
-    # enforce exact unit gain at the reference frequency (DC for lowpass, Nyquist for highpass)
-    for s in range(sos.shape[0]):
-        b, a = sos[s, :3], sos[s, 3:]
-        if btype == "lowpass":
-            href = b.sum() / a.sum()
-        else:
-            alt = np.array([1.0, -1.0, 1.0])
-            href = (b * alt).sum() / (a * alt).sum()
-        sos[s, :3] /= href
+    # exact unit gain at the reference frequency: H(z) at z = sign
+    ref = np.array([1.0, sign, 1.0])
+    sos[:, :3] /= ((sos[:, :3] * ref).sum(axis=1) / (sos[:, 3:] * ref).sum(axis=1))[:, None]
     return sos
 
 

@@ -174,20 +174,20 @@ class _ReducedProblem:
         return np.convolve(v[::-1], self.kernel)[: self.n][::-1] * self.dt
 
     def tonic_fit(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = self.p1 @ (self.x - self.apply_m(r))
-        return self.basis @ z, z
+        """The optimal tonic coefficients z for driver r, and the residual
+        (x - M r) - B z they leave."""
+        w = self.x - self.apply_m(r)
+        z = self.p1 @ w
+        return z, w - self.basis @ z
 
     def objective(self, r: np.ndarray) -> float:
-        tonic, z = self.tonic_fit(r)
-        resid = self.x - self.apply_m(r) - tonic
+        z, resid = self.tonic_fit(r)
         curv = self.d2 @ z
         return float(0.5 * resid @ resid + self.gamma * curv @ curv + self.alpha * r.sum())
 
     def smooth_grad(self, r: np.ndarray) -> np.ndarray:
         """Gradient of the eliminated smooth part at r."""
-        w = self.x - self.apply_m(r)
-        z = self.p1 @ w
-        u1 = w - self.basis @ z
+        z, u1 = self.tonic_fit(r)
         u2 = self.d2 @ z
         back = u1 - self.p1.T @ (self.basis.T @ u1) + 2.0 * self.gamma * (self.p1.T @ (self.d2.T @ u2))
         return -self.apply_mt(back)
@@ -261,7 +261,7 @@ def cvxeda_decompose(x: UniformSeries, params: CvxEdaParams = CvxEdaParams()) ->
             f"(KKT residual {kkt:.3e})"
         )
 
-    tonic_vals, _ = prob.tonic_fit(r)
+    tonic_vals = prob.basis @ prob.tonic_fit(r)[0]
     phasic_vals = prob.apply_m(r)
     residual_vals = prob.x - tonic_vals - phasic_vals
     return EdaDecomposition(

@@ -1,4 +1,3 @@
-from ..metrics import Metrics, classification_metrics
 from .stats import (
     cohens_d,
     incomplete_beta,
@@ -19,8 +18,6 @@ from .statespace import (
 from .loso import FoldResult, run_loso
 
 __all__ = [
-    "Metrics",
-    "classification_metrics",
     "cohens_d",
     "incomplete_beta",
     "one_sample_t",

@@ -146,13 +146,7 @@ def matmul(a, b) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    a = _wrap(a)
-    pos = a.data > 0
-
-    def bwd(g):
-        _accum(a, g * pos)
-
-    return Tensor(np.where(pos, a.data, 0.0), (a,), bwd)
+    return clip_low(a, 0.0)
 
 
 def tanh(a) -> Tensor:
@@ -197,15 +191,18 @@ def clip_low(a, lo: float) -> Tensor:
     return Tensor(np.where(keep, a.data, lo), (a,), bwd)
 
 
+def _reduce_bwd(a, g, axis, keepdims) -> None:
+    """Spread a reduction's gradient ``g`` back over ``a``."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    _accum(a, np.broadcast_to(g, a.data.shape).copy())
+
+
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = _wrap(a)
 
     def bwd(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, a.data.shape).copy())
+        _reduce_bwd(a, g, axis, keepdims)
 
     return Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
@@ -215,11 +212,7 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
     count = a.data.size if axis is None else a.data.shape[axis]
 
     def bwd(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g / count, a.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg / count, a.data.shape).copy())
+        _reduce_bwd(a, g / count, axis, keepdims)
 
     return Tensor(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
 

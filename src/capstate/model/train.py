@@ -138,7 +138,6 @@ def train_fold(
     best_metric = -np.inf
     best_epoch = 0
     best_params = {k: v.copy() for k, v in params.items()}
-    plateau_best = -np.inf
     plateau_wait = 0
     lr = cfg.lr
     n = len(train)
@@ -165,9 +164,6 @@ def train_fold(
             best_metric = metric
             best_epoch = epoch
             best_params = {k: v.copy() for k, v in params.items()}
-
-        if metric > plateau_best:
-            plateau_best = metric
             plateau_wait = 0
         else:
             plateau_wait += 1

@@ -101,13 +101,16 @@ def write_windows_csv(path, ds: WindowedDataset) -> None:
 
 
 def read_windows_csv(path) -> WindowedDataset:
-    """One window table. Every series and feature value must be finite, and
-    the labels must keep the rules of ``_check_labels``."""
+    """One window table. It must hold series columns, every series and
+    feature value must be finite, and the labels must keep the rules of
+    ``_check_labels``."""
     columns = read_table(path, lambda header: _window_header(sum(n.startswith("x_ibi_") for n in header)))
     labels = {name: columns.pop(name) for name in _WINDOW_LABELS}
     values = np.column_stack(list(columns.values()))
     n_hrv, n_eda = len(HRV_FEATURE_NAMES), len(EDA_FEATURE_NAMES)
     window_len = (values.shape[1] - n_hrv - n_eda) // 2
+    if window_len == 0:
+        raise DataError(f"{path}: no x_ibi_* series columns")
     x_ibi, x_eda, f_hrv, f_eda = np.split(values, np.cumsum([window_len, window_len, n_hrv]), axis=1)
     ds = WindowedDataset(x_ibi=x_ibi, x_eda=x_eda, f_hrv=f_hrv, f_eda=f_eda, **labels)
     _reject_rows(path, ~np.isfinite(values).all(axis=1), "non-finite series or feature value")
@@ -116,10 +119,16 @@ def read_windows_csv(path) -> WindowedDataset:
 
 
 def read_windows_dir(windows_dir) -> WindowedDataset:
+    """Every window table in the directory; all must share one window length."""
     paths = sorted(Path(windows_dir).glob("windows_*.csv"))
     if not paths:
         raise DataError(f"no windows_*.csv files under {windows_dir}")
-    return concat_datasets([read_windows_csv(p) for p in paths])
+    parts = [read_windows_csv(p) for p in paths]
+    for path, part in zip(paths, parts):
+        if part.x_ibi.shape[1] != parts[0].x_ibi.shape[1]:
+            raise DataError(f"{path}: {part.x_ibi.shape[1]}-sample windows, but {paths[0]} has "
+                            f"{parts[0].x_ibi.shape[1]}-sample windows")
+    return concat_datasets(parts)
 
 
 FOLD_COLUMNS = dict(subject=object, condition=object, window_start_s=float, U=float, O=float,

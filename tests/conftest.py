@@ -33,6 +33,72 @@ def butterworth_power_response(f_hz: float, cutoff_hz: float, order: int, rate_h
     return 1.0 / (1.0 + (w / wc) ** (2 * order))
 
 
+def butter_sos_reference(order: int, cutoff_hz: float, rate_hz: float, btype: str) -> np.ndarray:
+    """Butterworth second-order sections that find each pole's conjugate
+    partner by search and test each section's gain per btype, one section at
+    a time: the design that ``capstate.dsp._butter_sos`` (closed-form pole
+    pairing, one unit-gain rule for all sections) reproduces bit for bit."""
+    k = np.arange(order)
+    proto = np.exp(1j * np.pi * (2 * k + order + 1) / (2 * order))  # unit-circle LHP poles
+    wc = 2.0 * rate_hz * np.tan(np.pi * cutoff_hz / rate_hz)  # pre-warped cutoff, rad/s
+    big_k = 2.0 * rate_hz
+
+    if btype == "lowpass":
+        analog = wc * proto
+    else:
+        analog = wc / proto
+
+    sections = []
+    # conjugate pairs first (poles come in conjugate pairs except one real pole for odd order)
+    used = np.zeros(order, dtype=bool)
+    for i in range(order):
+        if used[i]:
+            continue
+        p = analog[i]
+        if abs(p.imag) < 1e-12 * max(abs(p.real), 1.0):
+            used[i] = True
+            zp = (big_k + p) / (big_k - p)
+            if btype == "lowpass":
+                g = wc / (big_k - p)
+                b = np.array([g.real, g.real, 0.0])
+            else:
+                g = big_k / (big_k - p)
+                b = np.array([g.real, -g.real, 0.0])
+            a = np.array([1.0, -zp.real, 0.0])
+        else:
+            # locate the conjugate partner
+            j = None
+            for j2 in range(i + 1, order):
+                if not used[j2] and abs(analog[j2] - np.conj(p)) < 1e-8 * abs(p):
+                    j = j2
+                    break
+            used[i] = True
+            used[j] = True
+            zp = (big_k + p) / (big_k - p)
+            if btype == "lowpass":
+                g = wc / (big_k - p)
+                gain2 = (g * np.conj(g)).real
+                b = gain2 * np.array([1.0, 2.0, 1.0])
+            else:
+                g = big_k / (big_k - p)
+                gain2 = (g * np.conj(g)).real
+                b = gain2 * np.array([1.0, -2.0, 1.0])
+            a = np.array([1.0, -2.0 * zp.real, (zp * np.conj(zp)).real])
+        sections.append(np.concatenate([b, a]))
+
+    sos = np.array(sections, dtype=np.float64)
+    # enforce exact unit gain at the reference frequency (DC for lowpass, Nyquist for highpass)
+    for s in range(sos.shape[0]):
+        b, a = sos[s, :3], sos[s, 3:]
+        if btype == "lowpass":
+            href = b.sum() / a.sum()
+        else:
+            alt = np.array([1.0, -1.0, 1.0])
+            href = (b * alt).sum() / (a * alt).sum()
+        sos[s, :3] /= href
+    return sos
+
+
 def sosfilt_reference(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
     """Cascade of direct-form II transposed biquads, one sample at a time
     from per-section state ``zi`` (``scipy.signal.sosfilt(sos, x, zi=zi)``)."""

@@ -15,7 +15,6 @@ from capstate.cardiac import detect_r_peaks, hrv_nonlinear_features, hrv_time_fe
 from capstate.dsp import UniformSeries, butterworth_lowpass, welch_psd
 from capstate.eda import cvxeda_decompose
 from capstate.evaluation import (
-    classification_metrics,
     cohens_d,
     one_sample_t,
     paired_t,
@@ -25,6 +24,7 @@ from capstate.evaluation import (
 )
 from capstate.evaluation.report import summary_table, trajectory_summaries
 from capstate.ingest import SyntheticSpec, bateman_kernel, generate_synthetic_recording
+from capstate.metrics import classification_metrics
 from capstate.model import ArchConfig, Batch, TrainConfig, focal_loss, init_params
 from capstate.model.losses import masked_multitask_loss
 from capstate.model.network import build_graph, wrap_params

@@ -433,16 +433,25 @@ class TestExitCodes:
         windows.mkdir(parents=True)
         ds = make_feature_dataset(n_subjects=3, per_cond=3)
         one_condition = ~((ds.subject == "s02") & (ds.condition != "c1"))
-        for rows, expect in (
-            (ds.subject != "s02", "LOSO needs at least 3 subjects, got 2: ['s00', 's01']"),
-            (one_condition, "subject 's02' has windows from fewer than 2 conditions: ['c1']"),
+        everyone = np.ones(len(ds), dtype=bool)
+        for rows, window_len, expect in (
+            (ds.subject != "s02", {}, "LOSO needs at least 3 subjects, got 2: ['s00', 's01']"),
+            (one_condition, {}, "subject 's02' has windows from fewer than 2 conditions: ['c1']"),
+            # window files of two lengths, and window files with no series columns
+            (everyone, {"s00": 8, "s01": 8, "s02": 6},
+             f"{windows / 'windows_s02.csv'}: 6-sample windows, but {windows / 'windows_s00.csv'} "
+             "has 8-sample windows"),
+            (everyone, dict.fromkeys(ds.subjects(), 0), f"{windows / 'windows_s00.csv'}: no x_ibi_* series columns"),
         ):
             part = ds.select(np.nonzero(rows)[0])
             for p in windows.glob("windows_*.csv"):
                 p.unlink()
             for subject in part.subjects():
-                write_windows_csv(windows / f"windows_{subject}.csv",
-                                  part.select(np.nonzero(part.subject == subject)[0]))
+                table = part.select(np.nonzero(part.subject == subject)[0])
+                if subject in window_len:
+                    table.x_ibi = table.x_ibi[:, : window_len[subject]]
+                    table.x_eda = table.x_eda[:, : window_len[subject]]
+                write_windows_csv(windows / f"windows_{subject}.csv", table)
             capsys.readouterr()
             assert run_cli(tmp_path, "evaluate") == 3
             err = capsys.readouterr().err

@@ -18,7 +18,13 @@ from capstate.dsp import (
     spline_fill,
     welch_psd,
 )
-from conftest import butterworth_power_response, digests_by_blas_threads, direct_periodogram, sosfilt_reference
+from conftest import (
+    butter_sos_reference,
+    butterworth_power_response,
+    digests_by_blas_threads,
+    direct_periodogram,
+    sosfilt_reference,
+)
 
 
 def sine(f_hz, rate_hz, dur_s, amp=1.0, phase=0.0):
@@ -159,6 +165,31 @@ class TestIirOracle:
         _, h_ours = signal.sosfreqz(ours, worN=512, fs=rate)
         _, h_ref = signal.sosfreqz(ref, worN=512, fs=rate)
         assert np.abs(h_ours - h_ref).max() <= 1e-12
+
+
+    def test_closed_form_pairing_matches_search(self):
+        """The closed-form pole pairing against the conjugate search it
+        replaced (``conftest.butter_sos_reference``): every coefficient equal,
+        the signs of the zero coefficients included."""
+        for order in range(1, 11):
+            for btype in ("lowpass", "highpass"):
+                for rate in (2.0, 32.0, 100.0, 512.0, 1024.0, 2048.0):
+                    for ratio in (0.001, 0.01, 0.1, 0.2, 0.3, 0.45, 0.49):
+                        case = (order, ratio * rate, rate, btype)
+                        got, want = _butter_sos(*case), butter_sos_reference(*case)
+                        assert np.array_equal(got, want), case
+                        assert np.array_equal(np.signbit(got), np.signbit(want)), case
+
+    @pytest.mark.parametrize("cutoff,rate", [(0.5, 32.0), (5.0, 2048.0)])
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_highpass_design_matches_scipy(self, order, cutoff, rate):
+        # measured deviation: <= 1.1e-12 at 5 Hz / 2048 Hz, <= 4.1e-14 at 0.5 Hz / 32 Hz
+        signal = pytest.importorskip("scipy.signal")
+        ours = _butter_sos(order, cutoff, rate, "highpass")
+        ref = signal.butter(order, cutoff, btype="highpass", fs=rate, output="sos")
+        _, h_ours = signal.sosfreqz(ours, worN=512, fs=rate)
+        _, h_ref = signal.sosfreqz(ref, worN=512, fs=rate)
+        assert np.abs(h_ours - h_ref).max() <= 1e-10
 
 
 class TestDetrend:

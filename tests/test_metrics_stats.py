@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from capstate.evaluation import (
-    classification_metrics,
     cohens_d,
     one_sample_t,
     paired_t,
@@ -11,7 +10,13 @@ from capstate.evaluation import (
 )
 from capstate.evaluation.loso import FoldResult
 from capstate.evaluation.report import aggregate_classification
-from capstate.metrics import head_metrics, joint_ba, metrics_from_confusion, some_head_defined
+from capstate.metrics import (
+    classification_metrics,
+    head_metrics,
+    joint_ba,
+    metrics_from_confusion,
+    some_head_defined,
+)
 from capstate.evaluation.stats import f_p_value, incomplete_beta, t_p_two_sided
 
 

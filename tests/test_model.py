@@ -461,6 +461,22 @@ class TestTrainFold:
         assert min(lrs) < 8e-4  # at least one halving fired
         assert lrs[4] == 4e-4  # best at epoch 1; wait hits 3 at epoch 4 -> epoch 5 runs halved
 
+    def test_plateau_wait_resets_only_on_a_new_best(self, monkeypatch):
+        import capstate.model.train as train_mod
+
+        train, val = self._sets()
+        metrics = iter([0.6, 0.7, 0.65, 0.68, 0.66, 0.72, 0.71, 0.70, 0.69, 0.73])
+        monkeypatch.setattr(train_mod, "evaluate_balanced_accuracy", lambda *a: (m := next(metrics), m))
+        cfg = TrainConfig(max_epochs=10, lr=8e-4, batch_size=32,
+                          early_stop_warmup=50, early_stop_patience=50,
+                          plateau_patience=2, plateau_factor=0.5)
+        _, history = train_fold(train, val, tiny_arch(), cfg, seed=1)
+        # epoch 4 rises (0.65 -> 0.68) but stays below the best 0.7: the wait
+        # reaches 2 and epoch 5 runs halved; the new best at epoch 6 resets the
+        # wait, so the next halving follows epoch 8, not epoch 6
+        assert [r["lr"] for r in history.rows] == [8e-4] * 4 + [4e-4] * 4 + [2e-4] * 2
+        assert history.best_epoch == 10
+
     def test_empty_or_single_class_val_rejected(self):
         train, val = self._sets()
         arch = tiny_arch()
