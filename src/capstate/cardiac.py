@@ -245,59 +245,55 @@ def ibi_to_uniform(ibi: IbiSeries) -> UniformSeries:
 # ---------------------------------------------------------------------------
 
 
-def hrv_time_features(window: np.ndarray) -> np.ndarray:
-    """mean IBI, SDNN, RMSSD, pNN50, CV, mean HR, SD of HR.
+def hrv_time_features(windows: np.ndarray) -> np.ndarray:
+    """mean IBI, SDNN, RMSSD, pNN50, CV, mean HR, SD of HR per window (last axis).
 
     SDs are population SDs; pNN50 uses the standard 50 ms threshold.
     """
-    x = np.asarray(window, dtype=np.float64)
-    if len(x) < 2:
+    x = np.asarray(windows, dtype=np.float64)
+    if x.shape[-1] < 2:
         raise ValueError("window must have at least 2 samples")
     if not np.all(np.isfinite(x)) or np.any(x <= 0):
         raise ValueError("IBI window must be finite and positive")
-    d = np.diff(x)
-    mean_ibi = x.mean()
-    sdnn = x.std()
-    rmssd = np.sqrt(np.mean(d * d))
-    pnn50 = 100.0 * np.mean(np.abs(d) > 50.0)
+    d = np.diff(x, axis=-1)
+    mean_ibi = x.mean(axis=-1)
+    sdnn = x.std(axis=-1)
+    rmssd = np.sqrt(np.mean(d * d, axis=-1))
+    pnn50 = 100.0 * np.mean(np.abs(d) > 50.0, axis=-1)
     cv = sdnn / mean_ibi
     hr = 60000.0 / x
-    return np.array([mean_ibi, sdnn, rmssd, pnn50, cv, hr.mean(), hr.std()])
+    return np.stack([mean_ibi, sdnn, rmssd, pnn50, cv, hr.mean(axis=-1), hr.std(axis=-1)], axis=-1)
 
 
-def hrv_frequency_features(window: UniformSeries) -> np.ndarray:
-    """LF, HF, LF/HF and total band power of the mean-removed window."""
-    centered = window.replace_values(window.values - window.values.mean())
-    spec = welch_psd(centered, min(HRV_SEGMENT_LEN, len(centered.values)), 0.5, nfft=HRV_NFFT)
-    lf = band_power(spec, *LF_BAND)
-    hf = band_power(spec, *HF_BAND)
-    total = band_power(spec, *TOTAL_BAND)
-    ratio = lf / hf if hf > 1e-12 else 0.0
-    return np.array([lf, hf, ratio, total])
+def hrv_frequency_features(windows: np.ndarray) -> np.ndarray:
+    """LF, HF, LF/HF and total band power of each mean-removed 2 Hz window (last axis)."""
+    x = np.asarray(windows, dtype=np.float64)
+    centered = x - x.mean(axis=-1, keepdims=True)
+    spec = welch_psd(centered, GRID_HZ, min(HRV_SEGMENT_LEN, x.shape[-1]), 0.5, nfft=HRV_NFFT)
+    lf, hf, total = (band_power(spec, *band) for band in (LF_BAND, HF_BAND, TOTAL_BAND))
+    ratio = np.where(hf > 1e-12, lf / np.where(hf > 1e-12, hf, 1.0), 0.0)
+    return np.stack([lf, hf, ratio, total], axis=-1)
 
 
-def hrv_nonlinear_features(window: np.ndarray) -> np.ndarray:
-    """Poincare SD1, SD2, SD1/SD2.
+def hrv_nonlinear_features(windows: np.ndarray) -> np.ndarray:
+    """Poincare SD1, SD2, SD1/SD2 per window (last axis).
 
     SD1 is computed as the RMS of successive differences over sqrt(2), which
     makes SD1 == RMSSD/sqrt(2) an exact identity; SD2 is the population SD of
     successive sums over sqrt(2).
     """
-    x = np.asarray(window, dtype=np.float64)
-    if len(x) < 2:
+    x = np.asarray(windows, dtype=np.float64)
+    if x.shape[-1] < 2:
         raise ValueError("window must have at least 2 samples")
-    d = np.diff(x)
-    s = x[1:] + x[:-1]
-    sd1 = np.sqrt(np.mean(d * d) / 2.0)
-    sd2 = np.std(s) / np.sqrt(2.0)  # scale after std so constant windows give exactly 0
-    ratio = sd1 / sd2 if sd2 > 1e-12 else 0.0
-    return np.array([sd1, sd2, ratio])
+    d = np.diff(x, axis=-1)
+    s = x[..., 1:] + x[..., :-1]
+    sd1 = np.sqrt(np.mean(d * d, axis=-1) / 2.0)
+    sd2 = np.std(s, axis=-1) / np.sqrt(2.0)  # scale after std so constant windows give exactly 0
+    ratio = np.where(sd2 > 1e-12, sd1 / np.where(sd2 > 1e-12, sd2, 1.0), 0.0)
+    return np.stack([sd1, sd2, ratio], axis=-1)
 
 
-def hrv_features(window: UniformSeries) -> np.ndarray:
-    """All 14 HRV features for one 2 Hz IBI window, in ``HRV_FEATURE_NAMES``
-    order."""
-    t7 = hrv_time_features(window.values)
-    f4 = hrv_frequency_features(window)
-    n3 = hrv_nonlinear_features(window.values)
-    return np.concatenate([t7, f4, n3])
+def hrv_features(windows: np.ndarray) -> np.ndarray:
+    """The 14 ``HRV_FEATURE_NAMES`` of each 2 Hz IBI window (last axis)."""
+    return np.concatenate(
+        [hrv_time_features(windows), hrv_frequency_features(windows), hrv_nonlinear_features(windows)], axis=-1)

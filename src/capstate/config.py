@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 import types
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -140,20 +141,22 @@ def _build(cls, data, path: str):
 
 def _fits(value, annotation) -> bool:
     """Whether ``value`` is of the field type ``annotation``. An int is a
-    float; a bool is neither an int nor a float."""
+    float, and a float must be finite: ``json`` reads NaN, Infinity and 1e400
+    (as inf), and an int past the float range would become inf. A bool is
+    neither an int nor a float."""
     if isinstance(annotation, types.UnionType):
         return any(_fits(value, a) for a in annotation.__args__)
     if isinstance(value, bool):
         return annotation is bool
     if annotation is float:
-        return isinstance(value, (int, float))
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max  # False for NaN
     return isinstance(value, annotation)
 
 
 def _type_name(annotation) -> str:
     if isinstance(annotation, types.UnionType):
         return " or ".join(_type_name(a) for a in annotation.__args__)
-    return {type(None): "null", tuple: "array"}.get(annotation, annotation.__name__)
+    return {type(None): "null", tuple: "array", float: "finite float"}.get(annotation, annotation.__name__)
 
 
 def _tuples(value):
@@ -162,10 +165,12 @@ def _tuples(value):
 
 def load_config(path) -> PipelineConfig:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not a text file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
     return config_from_dict(data)

@@ -1,9 +1,10 @@
 """Shared signal-processing primitives.
 
-Everything operates on :class:`UniformSeries` (a uniformly sampled float64
-trace with an absolute start time). ``GRID_HZ`` is the rate of every windowed
-stream; ``ANTIALIAS_ORDER`` is the order of the low-pass that
-:func:`resample_uniform` applies before it downsamples.
+Filters and resamplers take a :class:`UniformSeries` (a uniformly sampled
+float64 trace with an absolute start time); :func:`welch_psd` and
+:func:`linear_fit` work along an array's last axis. ``GRID_HZ`` is the rate
+of every windowed stream; ``ANTIALIAS_ORDER`` is the order of the low-pass
+that :func:`resample_uniform` applies before it downsamples.
 """
 
 from dataclasses import dataclass, field
@@ -47,7 +48,7 @@ class UniformSeries:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """One-sided power spectral density in units²/Hz."""
+    """One-sided power spectral densities in units²/Hz, ``power`` (..., F) over ``freqs_hz`` (F,)."""
 
     freqs_hz: np.ndarray
     power: np.ndarray
@@ -55,8 +56,8 @@ class Spectrum:
     def __post_init__(self):
         object.__setattr__(self, "freqs_hz", np.asarray(self.freqs_hz, dtype=np.float64))
         object.__setattr__(self, "power", np.asarray(self.power, dtype=np.float64))
-        if self.freqs_hz.shape != self.power.shape:
-            raise ValueError("freqs_hz and power must have equal lengths")
+        if self.freqs_hz.shape != self.power.shape[-1:]:
+            raise ValueError("power's last axis must match freqs_hz")
 
 
 @dataclass(frozen=True)
@@ -251,18 +252,18 @@ def butterworth_bandpass(x: UniformSeries, order: int, low_hz: float, high_hz: f
 # ---------------------------------------------------------------------------
 
 
-def linear_fit(v: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Least-squares line through ``v``: the centred sample index ``t``, the
-    mean and the slope per sample (0 for fewer than 2 samples).
+def linear_fit(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares line through ``v`` along its last axis: the centred
+    sample index ``t``, the mean and the slope per sample (0 for fewer than 2 samples).
 
     The sums are numpy reductions, not ``t @ r``: OpenBLAS splits a long
     ``ddot`` over its threads, which makes the bits depend on the thread count.
     """
-    t = np.arange(len(v), dtype=np.float64)
+    t = np.arange(v.shape[-1], dtype=np.float64)
     t -= t.mean()
-    mean = v.mean()
-    slope = np.sum(t * (v - mean)) / np.sum(t * t) if len(v) > 1 else 0.0
-    return t, mean, slope
+    mean = v.mean(axis=-1, keepdims=True)
+    slope = np.sum(t * (v - mean), axis=-1) / (np.sum(t * t) or 1.0)  # one sample: t is 0, so is the slope
+    return t, mean[..., 0], slope
 
 
 def detrend_linear(x: UniformSeries) -> UniformSeries:
@@ -423,12 +424,14 @@ def _next_pow2(n: int) -> int:
 
 
 def welch_psd(
-    x: UniformSeries,
+    values: np.ndarray,
+    rate_hz: float,
     segment_len: int,
     segment_overlap: float,
     nfft: int | None = None,
 ) -> Spectrum:
-    """Welch PSD: averaged Hann-tapered periodograms of overlapping segments.
+    """Welch PSD along the last axis of ``values``, sampled at ``rate_hz``:
+    averaged Hann-tapered periodograms of overlapping segments.
 
     Each segment's mean is removed before tapering and reassigned to the
     zero-frequency bin, so a constant input registers as a pure DC line. For a
@@ -436,40 +439,37 @@ def welch_psd(
     zero-padded to ``nfft`` (default: next power of two) for the in-repo
     radix-2 FFT.
     """
-    n = len(x.values)
+    n = values.shape[-1]
     if segment_len > n:
         raise ValueError(f"segment_len {segment_len} exceeds signal length {n}")
     if not (0.0 <= segment_overlap < 1.0):
         raise ValueError("segment_overlap must lie in [0, 1)")
-    fs = x.rate_hz
     step = max(1, int(round(segment_len * (1.0 - segment_overlap))))
     nfft = _next_pow2(segment_len) if nfft is None else nfft
     if nfft < segment_len or (nfft & (nfft - 1)) != 0:
         raise ValueError("nfft must be a power of two >= segment_len")
 
     w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
-    wnorm = fs * (w @ w)
-    df = fs / nfft
+    wnorm = rate_hz * (w @ w)
+    df = rate_hz / nfft
 
-    starts = np.arange(0, n - segment_len + 1, step)
-    segs = np.stack([x.values[s : s + segment_len] for s in starts])
-    means = segs.mean(axis=1)
-    tapered = (segs - means[:, None]) * w
-    if nfft > segment_len:
-        tapered = np.pad(tapered, ((0, 0), (0, nfft - segment_len)))
+    segs = np.lib.stride_tricks.sliding_window_view(values, segment_len, axis=-1)[..., ::step, :]
+    means = segs.mean(axis=-1)
+    tapered = np.zeros(segs.shape[:-1] + (nfft,))
+    tapered[..., :segment_len] = (segs - means[..., None]) * w
     spec = fft_radix2(tapered)
     half = nfft // 2
-    p = (spec[:, : half + 1].real ** 2 + spec[:, : half + 1].imag ** 2) / wnorm
-    p[:, 1:half] *= 2.0
-    p[:, 0] += means**2 / df
-    power = p.mean(axis=0)
-    freqs = np.arange(half + 1) * df
-    return Spectrum(freqs, power)
+    p = (spec[..., : half + 1].real ** 2 + spec[..., : half + 1].imag ** 2) / wnorm
+    p[..., 1:half] *= 2.0
+    p[..., 0] += means**2 / df
+    return Spectrum(np.arange(half + 1) * df, p.mean(axis=-2))
 
 
-def band_power(spectrum: Spectrum, lo_hz: float, hi_hz: float) -> float:
-    """Trapezoidal integral of the PSD over bins with lo_hz <= f <= hi_hz."""
+def band_power(spectrum: Spectrum, lo_hz: float, hi_hz: float) -> np.ndarray:
+    """Trapezoidal integral of each PSD over bins with lo_hz <= f <= hi_hz."""
     sel = (spectrum.freqs_hz >= lo_hz) & (spectrum.freqs_hz <= hi_hz)
     if sel.sum() < 2:
-        return 0.0
-    return float(np.trapezoid(spectrum.power[sel], spectrum.freqs_hz[sel]))
+        return np.zeros(spectrum.power.shape[:-1])
+    # a C-ordered copy: numpy sums a strided band of a matrix in another order than each row alone
+    band = np.ascontiguousarray(spectrum.power[..., sel])
+    return np.trapezoid(band, spectrum.freqs_hz[sel], axis=-1)

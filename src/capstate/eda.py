@@ -335,52 +335,37 @@ def detect_scrs(phasic: UniformSeries) -> list[ScrEvent]:
 
 
 def eda_features(
-    window_raw: UniformSeries,
-    window_tonic: UniformSeries,
-    window_phasic: UniformSeries,
-    events_in_window: list[ScrEvent],
+    raw: np.ndarray,
+    tonic: np.ndarray,
+    phasic: np.ndarray,
+    events: list[ScrEvent],
+    starts_s: np.ndarray,
 ) -> np.ndarray:
-    """The 12 EDA features for aligned raw/tonic/phasic windows, in
-    ``EDA_FEATURE_NAMES`` order."""
-    for other in (window_tonic, window_phasic):
-        if len(other.values) != len(window_raw.values) or other.rate_hz != window_raw.rate_hz:
-            raise ValueError("raw/tonic/phasic windows are misaligned")
-        if abs(other.start_s - window_raw.start_s) > 0.5 / window_raw.rate_hz:
-            raise ValueError("raw/tonic/phasic windows are misaligned")
+    """The 12 EDA features, in ``EDA_FEATURE_NAMES`` order, of each row of
+    the aligned (N, T) ``GRID_HZ`` window matrices; row k starts at
+    ``starts_s[k]``. An SCR event belongs to window k when
+    ``starts_s[k] <= onset < starts_s[k] + T / GRID_HZ``."""
+    starts_s = np.asarray(starts_s, dtype=np.float64)
+    if raw.ndim != 2 or not raw.shape == tonic.shape == phasic.shape or starts_s.shape != raw.shape[:1]:
+        raise ValueError("raw/tonic/phasic windows and their starts are misaligned")
+    n_samples = raw.shape[1]
 
-    raw = window_raw.values
-    scl = window_tonic.values
+    onsets = np.array([e.onset_s for e in events])
+    peaks = np.array([e.peak_s for e in events])
+    amplitudes = np.array([e.amplitude_us for e in events])
+    member = (starts_s[:, None] <= onsets) & (onsets < starts_s[:, None] + n_samples / GRID_HZ)  # (N, events)
+    scr = np.zeros((len(raw), 4))  # amplitude mean and SD, count, phasic level at the peaks
+    for k in np.nonzero(member.any(axis=1))[0]:
+        amps = amplitudes[member[k]]
+        idx = np.clip(np.round((peaks[member[k]] - starts_s[k]) * GRID_HZ).astype(int), 0, n_samples - 1)
+        scr[k] = amps.mean(), amps.std(), len(amps), phasic[k, idx].mean()
 
-    amps = np.array([e.amplitude_us for e in events_in_window])
-    if len(events_in_window):
-        idx = np.clip(
-            np.round((np.array([e.peak_s for e in events_in_window]) - window_phasic.start_s) * window_phasic.rate_hz).astype(int),
-            0,
-            len(window_phasic.values) - 1,
-        )
-        peak_mean = float(window_phasic.values[idx].mean())
-    else:
-        peak_mean = 0.0
-
-    return np.array([
-        raw.mean(),
-        raw.std(),
-        raw.min(),
-        raw.max(),
-        scl.mean(),
-        scl.std(),
-        linear_fit(scl)[2] * window_raw.rate_hz,  # SCL slope in uS per second
-        scl.max() - scl.min(),
-        amps.mean() if len(amps) else 0.0,
-        amps.std() if len(amps) else 0.0,
-        len(amps),
-        peak_mean,
-    ], dtype=float)
-
-
-def events_in_window(events: list[ScrEvent], start_s: float, duration_s: float) -> list[ScrEvent]:
-    """Window a global event list by onset time: start_s <= onset < start_s + duration."""
-    return [e for e in events if start_s <= e.onset_s < start_s + duration_s]
+    scl_slope = linear_fit(tonic)[2] * GRID_HZ  # uS per second
+    return np.column_stack([
+        raw.mean(axis=1), raw.std(axis=1), raw.min(axis=1), raw.max(axis=1),
+        tonic.mean(axis=1), tonic.std(axis=1), scl_slope, tonic.max(axis=1) - tonic.min(axis=1),
+        scr,
+    ])
 
 
 # ---------------------------------------------------------------------------

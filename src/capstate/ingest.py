@@ -105,7 +105,7 @@ def _read_two_column_csv(path: Path, value_header: str):
     """``(t, v)`` from a ``t_s,<value_header>`` CSV with at least two rows of
     finite samples and strictly increasing timestamps; anything else raises
     :class:`DataError` naming the file (and its first bad line)."""
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"missing file: {path}")
     with open(path, encoding="utf-8", errors="replace") as fh:  # bad bytes fail as a bad field
         header = fh.readline().rstrip("\n").split(",")
@@ -193,10 +193,13 @@ def read_sessions(root_path) -> Sessions:
     :class:`DataError` names the file and the rows."""
     root = Path(root_path)
     manifest = root / "sessions.csv"
-    if not manifest.exists():
+    if not manifest.is_file():
         raise DataError(f"missing file: {manifest}")
-    with open(manifest, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    try:
+        with open(manifest, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{manifest}: not a text file: {exc}") from None
     needed = {"subject_id", "condition", "ecg_file", "eda_file"}
     seen = {}
     for i, row in enumerate(rows, start=2):

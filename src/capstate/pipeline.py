@@ -65,7 +65,10 @@ def window_recording(
     cvx_params: eda.CvxEdaParams = eda.CvxEdaParams(),
 ) -> WindowedDataset:
     """Full per-recording chain: R peaks -> corrected IBI at 2 Hz; EDA
-    conditioning -> cvxEDA split -> SCR events; aligned windowing; features."""
+    conditioning -> cvxEDA split -> SCR events; aligned windowing; then the
+    HRV and EDA features of all windows at once, from the window matrices.
+    ``window_start_s`` is the IBI stream's; an SCR belongs to the EDA window
+    that holds its onset."""
     labels = assign_labels(rec.condition)
     eda_raw = UniformSeries(rec.eda, rec.eda_rate_hz)
     peaks = cardiac.detect_r_peaks(UniformSeries(rec.ecg, rec.ecg_rate_hz))
@@ -85,29 +88,20 @@ def window_recording(
     if len(first) == 0:
         raise ValueError(f"the 2 Hz streams share {n} samples ({start:.1f}-{end:.1f} s), "
                          f"fewer than one {plan.window_len_samples}-sample window")
-    cuts = [sliding_window_view(s.values[:n], plan.window_len_samples)[first] for s in streams]
-    window_starts = [s.start_s + first / GRID_HZ for s in streams]
-    window_dur = plan.window_len_samples / GRID_HZ
+    x_ibi, x_eda, raw, tonic, phasic = (
+        sliding_window_view(s.values[:n], plan.window_len_samples)[first] for s in streams)
     rows = len(first)
-    f_hrv, f_eda = [], []
-    for k in range(rows):
-        ibi_w, raw_w, tonic_w, phasic_w = (
-            UniformSeries(cuts[j][k], GRID_HZ, window_starts[j][k]) for j in (0, 2, 3, 4)
-        )
-        evs = eda.events_in_window(events, ibi_w.start_s, window_dur)
-        f_hrv.append(cardiac.hrv_features(ibi_w))
-        f_eda.append(eda.eda_features(raw_w, tonic_w, phasic_w, evs))
     return WindowedDataset(
-        x_ibi=cuts[0],
-        x_eda=cuts[1],
-        f_hrv=np.array(f_hrv),
-        f_eda=np.array(f_eda),
+        x_ibi=x_ibi,
+        x_eda=x_eda,
+        f_hrv=cardiac.hrv_features(x_ibi),
+        f_eda=eda.eda_features(raw, tonic, phasic, events, streams[4].start_s + first / GRID_HZ),
         stress=np.full(rows, labels.stress.value, dtype=np.int64),
         effort=np.full(rows, labels.effort.value, dtype=np.int64),
         mask=np.full(rows, labels.mask, dtype=np.int64),
         subject=np.full(rows, rec.subject_id, dtype=object),
         condition=np.full(rows, rec.condition.value, dtype=object),
-        window_start_s=window_starts[0],
+        window_start_s=streams[0].start_s + first / GRID_HZ,
     )
 
 
@@ -277,11 +271,3 @@ def make_synthetic_recordings(
             rec, _ = generate_synthetic_recording(spec)
             recordings.append(replace(rec, subject_id=subject, condition=cond))
     return recordings
-
-
-def build_dataset(
-    recordings: list[RawRecording],
-    plan: WindowingPlan = WindowingPlan(),
-    cvx_params: eda.CvxEdaParams = eda.CvxEdaParams(),
-) -> WindowedDataset:
-    return concat_datasets([window_recording(rec, plan, cvx_params) for rec in recordings])

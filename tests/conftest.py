@@ -7,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import capstate
+from capstate import cardiac, eda, pipeline
+from capstate.dsp import GRID_HZ, UniformSeries, WindowingPlan, fft_radix2, resample_uniform
 from capstate.evaluation.loso import FoldResult
 from capstate.model import autograd as ag
 from capstate.pipeline import WindowedDataset
@@ -188,6 +191,89 @@ def tcn_reference(p, arch, mod, h, collect):
         if collect is not None:
             collect[f"{mod}.tcn{i}"] = h
     return ag.last_step(h)
+
+
+def _welch_reference(values, rate_hz, segment_len, segment_overlap, nfft):
+    """Welch PSD of one trace, its segments stacked one at a time."""
+    step = max(1, int(round(segment_len * (1.0 - segment_overlap))))
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+    segs = np.stack([values[s : s + segment_len] for s in range(0, len(values) - segment_len + 1, step)])
+    means = segs.mean(axis=1)
+    spec = fft_radix2(np.pad((segs - means[:, None]) * w, ((0, 0), (0, nfft - segment_len))))
+    half = nfft // 2
+    p = (spec[:, : half + 1].real ** 2 + spec[:, : half + 1].imag ** 2) / (rate_hz * (w @ w))
+    p[:, 1:half] *= 2.0
+    p[:, 0] += means**2 / (rate_hz / nfft)
+    return np.arange(half + 1) * rate_hz / nfft, p.mean(axis=0)
+
+
+def _hrv_window_reference(x):
+    """The 14 HRV features of one 2 Hz IBI window."""
+    d = np.diff(x)
+    hr = 60000.0 / x
+    freqs, power = _welch_reference(x - x.mean(), GRID_HZ, min(cardiac.HRV_SEGMENT_LEN, len(x)), 0.5,
+                                    cardiac.HRV_NFFT)
+
+    def band(lo, hi):
+        sel = (freqs >= lo) & (freqs <= hi)
+        return float(np.trapezoid(power[sel], freqs[sel])) if sel.sum() >= 2 else 0.0
+
+    lf, hf, total = band(*cardiac.LF_BAND), band(*cardiac.HF_BAND), band(*cardiac.TOTAL_BAND)
+    sd1 = np.sqrt(np.mean(d * d) / 2.0)
+    sd2 = np.std(x[1:] + x[:-1]) / np.sqrt(2.0)
+    return np.array([
+        x.mean(), x.std(), np.sqrt(np.mean(d * d)), 100.0 * np.mean(np.abs(d) > 50.0), x.std() / x.mean(),
+        hr.mean(), hr.std(),
+        lf, hf, lf / hf if hf > 1e-12 else 0.0, total,
+        sd1, sd2, sd1 / sd2 if sd2 > 1e-12 else 0.0,
+    ])
+
+
+def _eda_window_reference(raw, tonic, phasic, start_s, events):
+    """The 12 EDA features of one 2 Hz window that starts at ``start_s``,
+    given the SCR events that belong to it."""
+    amps = np.array([e.amplitude_us for e in events])
+    peak_mean = 0.0
+    if events:
+        idx = np.round((np.array([e.peak_s for e in events]) - start_s) * GRID_HZ).astype(int)
+        peak_mean = float(phasic[np.clip(idx, 0, len(phasic) - 1)].mean())
+    t = np.arange(len(tonic), dtype=np.float64)
+    t -= t.mean()
+    slope = np.sum(t * (tonic - tonic.mean())) / np.sum(t * t)
+    return np.array([
+        raw.mean(), raw.std(), raw.min(), raw.max(),
+        tonic.mean(), tonic.std(), slope * GRID_HZ, tonic.max() - tonic.min(),
+        amps.mean() if len(amps) else 0.0, amps.std() if len(amps) else 0.0, len(amps), peak_mean,
+    ], dtype=float)
+
+
+def window_features_reference(rec, plan: WindowingPlan = WindowingPlan(),
+                              cvx_params: eda.CvxEdaParams = eda.CvxEdaParams()):
+    """``(f_hrv, f_eda)`` of ``rec``'s windows, one window at a time: the
+    chain and cut of ``capstate.pipeline.window_recording``, then a loop over
+    the rows that windows the SCR list by onset from the IBI window's start
+    and runs one-trace feature bodies. ``window_recording`` computes the same
+    features on the window matrices and must match this bit for bit."""
+    eda_raw = UniformSeries(rec.eda, rec.eda_rate_hz)
+    ibi_2hz = cardiac.ibi_to_uniform(cardiac.build_ibi(cardiac.detect_r_peaks(UniformSeries(rec.ecg, rec.ecg_rate_hz))))
+    eda_proc = eda.preprocess_eda(eda_raw)
+    decomp = eda.cvxeda_decompose(eda_proc, cvx_params)
+    events = eda.detect_scrs(decomp.phasic)
+    start, end = max(ibi_2hz.start_s, eda_proc.start_s), min(ibi_2hz.end_s, eda_proc.end_s)
+    streams = [pipeline._crop(s, start, end) for s in
+               (ibi_2hz, eda_proc, resample_uniform(eda_raw, GRID_HZ), decomp.tonic, decomp.phasic)]
+    n = min(len(s) for s in streams)
+    first = plan.starts(n)
+    ibi, _, raw, tonic, phasic = (sliding_window_view(s.values[:n], plan.window_len_samples)[first]
+                                  for s in streams)
+    ibi_starts, eda_starts = (s.start_s + first / GRID_HZ for s in (streams[0], streams[4]))
+    duration_s = plan.window_len_samples / GRID_HZ
+    f_hrv, f_eda = [], []
+    for k in range(len(first)):
+        in_window = [e for e in events if ibi_starts[k] <= e.onset_s < ibi_starts[k] + duration_s]
+        f_hrv.append(_hrv_window_reference(ibi[k]))
+        f_eda.append(_eda_window_reference(raw[k], tonic[k], phasic[k], eda_starts[k], in_window))
+    return np.array(f_hrv), np.array(f_eda)
 
 
 def digests_by_blas_threads(script: str) -> list[str]:

@@ -32,9 +32,10 @@ from capstate.model.train import loss_and_grads
 from capstate.model.autograd import Tensor
 from capstate.pipeline import (
     WindowedDataset,
-    build_dataset,
+    concat_datasets,
     fit_fold_transform,
     make_synthetic_recordings,
+    window_recording,
 )
 from conftest import (
     butterworth_power_response,
@@ -172,7 +173,7 @@ def test_criterion_3_signal_oracles():
     shares = []
     for f in (0.1, 0.3):
         tt = np.arange(0, 60.0, 0.5)
-        spec_w = welch_psd(UniformSeries(np.sin(2 * np.pi * f * tt), 2.0), 64, 0.5, nfft=128)
+        spec_w = welch_psd(np.sin(2 * np.pi * f * tt), 2.0, 64, 0.5, nfft=128)
         nondc = spec_w.freqs_hz > 0
         band = nondc & (np.abs(spec_w.freqs_hz - f) <= 0.05)
         shares.append(spec_w.power[band].sum() / spec_w.power[nondc].sum())
@@ -320,7 +321,7 @@ def test_criterion_6_metrics_statistics():
 def test_criterion_7_end_to_end_synthetic_loso():
     t0 = time.perf_counter()
     recs = make_synthetic_recordings(10, duration_s=420.0, seed=42)
-    dataset = build_dataset(recs)
+    dataset = concat_datasets([window_recording(r) for r in recs])
     arch = ArchConfig(
         conv_channels=8, lstm_hidden=16, feat_hidden=16, fusion_hidden=32,
         fusion_out=16, head_hidden=8,

@@ -161,21 +161,19 @@ class TestHrvTime:
 
 class TestHrvFrequency:
     def test_constant_window_all_zero(self):
-        out = hrv_frequency_features(UniformSeries(np.full(120, 800.0), 2.0))
+        out = hrv_frequency_features(np.full(120, 800.0))
         assert np.allclose(out, 0.0)
 
     def test_lf_tone_dominates_lf(self):
         t = np.arange(120) / 2.0
-        w = UniformSeries(800.0 + 50.0 * np.sin(2 * np.pi * 0.1 * t), 2.0)
-        lf, hf, ratio, total = hrv_frequency_features(w)
+        lf, hf, ratio, total = hrv_frequency_features(800.0 + 50.0 * np.sin(2 * np.pi * 0.1 * t))
         assert lf / total >= 0.9
         assert hf / total <= 0.1
         assert ratio > 1.0
 
     def test_hf_tone_dominates_hf(self):
         t = np.arange(120) / 2.0
-        w = UniformSeries(800.0 + 50.0 * np.sin(2 * np.pi * 0.3 * t), 2.0)
-        lf, hf, ratio, total = hrv_frequency_features(w)
+        lf, hf, ratio, total = hrv_frequency_features(800.0 + 50.0 * np.sin(2 * np.pi * 0.3 * t))
         assert hf / total >= 0.9
 
 
@@ -206,15 +204,23 @@ class TestHrvNonlinear:
     def test_all_features_finite_on_fuzzed_windows(self, rng):
         for _ in range(200):
             vals = rng.uniform(350.0, 1800.0, 120)
-            feats = hrv_features(UniformSeries(vals, 2.0))
+            feats = hrv_features(vals)
             assert np.all(np.isfinite(feats))
 
     def test_hrv_features_is_time_frequency_nonlinear(self, rng):
-        w = UniformSeries(rng.uniform(600.0, 1100.0, 120), 2.0)
-        expected = np.concatenate(
-            [hrv_time_features(w.values), hrv_frequency_features(w), hrv_nonlinear_features(w.values)])
+        w = rng.uniform(600.0, 1100.0, 120)
+        expected = np.concatenate([hrv_time_features(w), hrv_frequency_features(w), hrv_nonlinear_features(w)])
         assert np.array_equal(hrv_features(w), expected)
         assert len(expected) == len(HRV_FEATURE_NAMES)
+
+    def test_matrix_equals_rows(self, rng):
+        """One call on an (8, 120) window matrix gives, bit for bit, what
+        eight one-window calls give (the band powers integrate a C-ordered
+        copy of each band; a strided band is summed in another order)."""
+        t = np.arange(120) / 2.0
+        windows = 800.0 + 50.0 * np.sin(2 * np.pi * 0.1 * t) + rng.normal(0.0, 30.0, (8, 120))
+        windows[3] = 800.0  # a constant window: both ratios take their zero branch
+        assert np.array_equal(hrv_features(windows), np.stack([hrv_features(w) for w in windows]))
 
 
 class TestNormalizePerSubject:

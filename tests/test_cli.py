@@ -360,12 +360,50 @@ class TestExitCodes:
         ("evaluate", "train.plateau_patience=-1", "train.plateau_patience must be >= 1"),
         ("preprocess", "cvxeda.tol_kkt=-1", "cvxeda.tol_kkt must be > 0"),
         ("preprocess", "cvxeda.tol_objective=-1", "cvxeda.tol_objective must be > 0"),
+        # numbers that are not finite: json reads NaN and Infinity, 1e400 overflows to inf, and so
+        # would a 401-digit integer once used as a float
+        ("synth", "synth.duration_s=NaN", "synth.duration_s must be finite float, got nan"),
+        ("evaluate", "train.lr=NaN", "train.lr must be finite float, got nan"),
+        ("evaluate", "train.gamma=Infinity", "train.gamma must be finite float, got inf"),
+        ("preprocess", "cvxeda.alpha=NaN", "cvxeda.alpha must be finite float, got nan"),
+        ("preprocess", "ecg_nominal_hz=NaN", "ecg_nominal_hz must be finite float, got nan"),
+        ("evaluate", "train.lr=1e400", "train.lr must be finite float, got inf"),
+        pytest.param("synth", f"synth.duration_s=1{'0' * 400}", "synth.duration_s must be finite float, got 1000",
+                     id="synth-synth.duration_s=1e400-as-int"),
     ])
     def test_out_of_range_config_is_2(self, tmp_path, capsys, command, override, key):
         assert run_cli(tmp_path, command, "--set", 'ablation.backbone="tcn"', "--set", override) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
         assert not (tmp_path / "data").exists() and not (tmp_path / "out").exists()  # checked before any stage
+
+    @pytest.mark.parametrize("target, kind", [
+        ("config", "directory"), ("config", "binary"), ("sessions", "directory"), ("sessions", "binary"),
+        ("recording", "directory"),
+    ])
+    def test_unreadable_input_names_the_file(self, tmp_path, capsys, target, kind):
+        """An input path that is a directory, or a file that is not UTF-8
+        text, exits 2 (the config) or 3 (data), naming the path, without a
+        traceback."""
+        extra = []
+        if target == "config":
+            path, want = tmp_path / "run.json", 2
+            extra = ["--config", str(path)]
+        else:
+            assert run_cli(tmp_path, "synth") == 0
+            rel = "sessions.csv"
+            if target == "recording":
+                rel = (tmp_path / "data" / "sessions.csv").read_text().splitlines()[1].split(",")[2]
+            path, want = tmp_path / "data" / rel, 3
+            path.unlink()
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"subject_id,condition\n\xff\xfe\n")
+        capsys.readouterr()
+        assert run_cli(tmp_path, "preprocess", *extra) == want
+        err = capsys.readouterr().err
+        assert f"{path}" in err and "Traceback" not in err
 
     def test_synth_at_shortest_duration_preprocesses(self, tmp_path):
         shortest = min_synthetic_duration_s(WindowingPlan())

@@ -10,7 +10,6 @@ from capstate.eda import (
     cvxeda_decompose,
     detect_scrs,
     eda_features,
-    events_in_window,
     preprocess_eda,
 )
 from capstate.ingest import bateman_kernel
@@ -151,38 +150,30 @@ class TestDetectScrs:
                 assert e.peak_s > e.onset_s
                 assert e.amplitude_us >= 0.01
 
-    def test_events_in_window_by_onset(self):
-        events = [
-            ScrEvent(onset_s=10.0, peak_s=11.0, amplitude_us=0.5),
-            ScrEvent(onset_s=70.0, peak_s=71.0, amplitude_us=0.3),
-        ]
-        selected = events_in_window(events, 0.0, 60.0)
-        assert len(selected) == 1 and selected[0].onset_s == 10.0
-
 
 class TestEdaFeatures:
-    def _series(self, values, start=0.0):
-        return UniformSeries(np.asarray(values, dtype=float), 2.0, start)
+    def _rows(self, *windows):
+        """(N, T) matrix of the given 1-D windows."""
+        return np.array([np.asarray(w, dtype=float) for w in windows])
 
-    def _named(self, *args):
-        return dict(zip(EDA_FEATURE_NAMES, eda_features(*args), strict=True))
+    def _named(self, raw, tonic, phasic, events, start=0.0):
+        rows = (self._rows(raw), self._rows(tonic), self._rows(phasic))
+        return dict(zip(EDA_FEATURE_NAMES, eda_features(*rows, events, [start])[0], strict=True))
 
     def test_constants_no_events(self):
-        w = self._series(np.full(120, 3.0))
-        out = eda_features(w, w, self._series(np.zeros(120)), [])
-        assert np.allclose(out, [3, 0, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0])
+        w = self._rows(np.full(120, 3.0))
+        out = eda_features(w, w, self._rows(np.zeros(120)), [], [0.0])
+        assert np.allclose(out, [[3, 0, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0]])
 
     def test_tonic_slope_and_range(self):
         t = np.arange(120) / 2.0
-        tonic = self._series(0.1 * t)
-        raw = self._series(np.full(120, 1.0))
-        out = self._named(raw, tonic, self._series(np.zeros(120)), [])
+        out = self._named(np.full(120, 1.0), 0.1 * t, np.zeros(120), [])
         assert out["scl_slope"] == pytest.approx(0.1, rel=1e-9)
         assert out["scl_range"] == pytest.approx(0.1 * 119 / 2.0, rel=1e-9)
 
     def test_two_events_amplitude_stats(self):
-        w = self._series(np.full(120, 1.0))
-        phasic = self._series(bateman(0.5, 10.0, 120) + bateman(0.8, 40.0, 120))
+        w = np.full(120, 1.0)
+        phasic = bateman(0.5, 10.0, 120) + bateman(0.8, 40.0, 120)
         events = [
             ScrEvent(onset_s=10.0, peak_s=11.0, amplitude_us=0.5),
             ScrEvent(onset_s=40.0, peak_s=41.0, amplitude_us=0.8),
@@ -193,14 +184,39 @@ class TestEdaFeatures:
         assert out["scr_amp_sd"] == pytest.approx(0.15)
         assert out["scr_peak_mean"] > 0
 
+    def test_events_assigned_by_onset(self):
+        """Each window counts the events whose onset lies in [start, start + 60 s)."""
+        w = self._rows(*([np.zeros(120)] * 3))
+        events = [
+            ScrEvent(onset_s=10.0, peak_s=11.0, amplitude_us=0.5),
+            ScrEvent(onset_s=50.0, peak_s=51.0, amplitude_us=0.3),
+        ]
+        out = eda_features(w, w, w, events, [0.0, 10.5, 100.0])
+        assert out[:, EDA_FEATURE_NAMES.index("scr_count")].tolist() == [2, 1, 0]
+        assert out[:, EDA_FEATURE_NAMES.index("scr_amp_mean")].tolist() == [0.4, 0.3, 0.0]
+
+    def test_event_window_edges(self):
+        """An onset at a window's start counts; one at start + duration
+        belongs to the next window; a peak after the window's last sample
+        reads that last sample."""
+        phasic = np.arange(120) / 100.0
+        start = 30.0
+        at_start = ScrEvent(onset_s=start, peak_s=start + 1.0, amplitude_us=0.2)
+        at_end = ScrEvent(onset_s=start + 60.0, peak_s=start + 61.0, amplitude_us=0.9)
+        late_peak = ScrEvent(onset_s=start + 59.0, peak_s=start + 75.0, amplitude_us=0.4)
+        out = self._named(np.zeros(120), np.zeros(120), phasic, [at_start, at_end], start)
+        assert out["scr_count"] == 1 and out["scr_amp_mean"] == 0.2
+        assert out["scr_peak_mean"] == phasic[2]
+        out = self._named(np.zeros(120), np.zeros(120), phasic, [late_peak], start)
+        assert out["scr_count"] == 1 and out["scr_peak_mean"] == phasic[-1]
+
     def test_misaligned_windows_rejected(self):
-        a = self._series(np.zeros(120))
-        b = self._series(np.zeros(119))
+        a = self._rows(np.zeros(120))
+        b = self._rows(np.zeros(119))
         with pytest.raises(ValueError):
-            eda_features(a, b, a, [])
-        c = self._series(np.zeros(120), start=5.0)
+            eda_features(a, b, a, [], [0.0])
         with pytest.raises(ValueError):
-            eda_features(a, a, c, [])
+            eda_features(a, a, a, [], [0.0, 15.0])
 
 
 class TestLogTransform:

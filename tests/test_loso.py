@@ -6,7 +6,7 @@ import pytest
 
 from capstate.cardiac import build_ibi, detect_r_peaks, ibi_to_uniform
 from capstate.dsp import UniformSeries, WindowingPlan
-from capstate.eda import preprocess_eda
+from capstate.eda import EDA_FEATURE_NAMES, preprocess_eda
 from capstate.errors import DataError
 from capstate.evaluation import run_loso
 from capstate.evaluation.report import build_stats_report, per_subject_rows, summary_table
@@ -16,13 +16,13 @@ from capstate.model import ArchConfig, TrainConfig
 from capstate.pipeline import (
     WindowedDataset,
     apply_fold_transform,
-    build_dataset,
+    concat_datasets,
     fit_fold_transform,
     make_synthetic_recordings,
     synthetic_condition_spec,
     window_recording,
 )
-from conftest import TINY_ARCH, make_feature_dataset, make_fold
+from conftest import TINY_ARCH, make_feature_dataset, make_fold, window_features_reference
 
 FAST_ARCH = ArchConfig(**TINY_ARCH)
 FAST_CFG = TrainConfig(
@@ -220,12 +220,25 @@ class TestWindowRecording:
         assert len(ds) in {len(plan.starts(n - 1)), len(plan.starts(n))}
         assert len(ds) > 10
 
+    @pytest.mark.parametrize("ecg_rate_hz", [512.0, 2048.0])
+    def test_features_match_per_window_reference(self, ecg_rate_hz):
+        """HRV and EDA features computed once on the window matrices equal,
+        bit for bit, the one-window-at-a-time path they replaced."""
+        spec = synthetic_condition_spec(1, Condition.C3, 240.0, seed=11, ecg_rate_hz=ecg_rate_hz)
+        rec, _ = generate_synthetic_recording(spec)
+        ds = window_recording(rec)
+        f_hrv, f_eda = window_features_reference(rec)
+        scr_count = f_eda[:, EDA_FEATURE_NAMES.index("scr_count")]
+        assert len(ds) >= 5 and np.count_nonzero(scr_count) >= 3 and scr_count.max() >= 2
+        assert np.array_equal(ds.f_hrv, f_hrv)
+        assert np.array_equal(ds.f_eda, f_eda)
+
 
 @pytest.mark.slow
 class TestRawPipelineIntegration:
     def test_small_raw_loso_beats_chance(self):
         recs = make_synthetic_recordings(3, duration_s=240.0, seed=9)
-        ds = build_dataset(recs)
+        ds = concat_datasets([window_recording(r) for r in recs])
         assert len(ds.subjects()) == 3
         arch = ArchConfig(
             conv_channels=6, lstm_hidden=8, feat_hidden=8, fusion_hidden=16,
