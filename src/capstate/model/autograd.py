@@ -20,8 +20,9 @@ incoming gradient, and ``concat``, which copies its ``np.split`` views.
 
 Sequences are time-major, ``(T, B, C)``: one time step ``x[t]`` is a
 contiguous ``(B, C)`` block, so the LSTM reads and writes whole blocks per
-step, and a conv tap shifted by ``s`` steps is the flat row range
-``x.reshape(-1, C)[: (T - s) * B]`` with no copy.
+step, and a conv tap shifted by ``s`` steps is the view ``x[: T - s]`` with
+no copy; at an output stride it is the strided view ``x[lo : T - s :
+stride]``, still a stack of whole ``(B, C)`` blocks.
 
 Inside the LSTM kernel each step's gates are one contiguous feature-major
 ``(4H, B)`` block in the order ``[i, f, o, g]``: on entry the kernel permutes
@@ -289,52 +290,73 @@ def time_stride(a, stride: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _conv1d_fwd(x, w, b, dilation):
-    t, bsz, ci = x.shape
-    k, _, co = w.shape
-    xf = x.reshape(-1, ci)
-    y = xf @ w[0]
+def _conv1d_taps(t, k, dilation, stride):
+    """``(tap, m0, rows)`` for each tap that sees input, for an output written
+    at every ``stride``-th of ``t`` steps, ending at the last: output rows m0,
+    m0 + 1, ... read, through that tap, the input steps ``rows``, one slice
+    with step ``stride``. At stride 1, m0 is the tap's shift and ``rows`` the
+    contiguous head of the sequence."""
+    start = (t - 1) % stride
+    taps = []
+    for tap in range(k):
+        s = dilation * tap
+        if s >= t:
+            break
+        m0 = max(0, -((start - s) // stride))
+        taps.append((tap, m0, slice(start + m0 * stride - s, t - s, stride)))
+    return taps
+
+
+def _conv1d_fwd(x, w, b, dilation, stride):
+    # x[rows] is a view, strided when stride > 1; matmul runs one GEMM per
+    # (B, C_in) step on it, so no tap copies its input (a copy into one flat
+    # GEMM was slower)
+    (_, _, rows), *taps = _conv1d_taps(x.shape[0], w.shape[0], dilation, stride)
+    y = np.matmul(x[rows], w[0])
     y += b
-    # one buffer for every tap's product: a fresh (T B, C_out) temporary per tap,
-    # freed at once, had the allocator return its pages and fault them in again
+    # one buffer for every tap's product: a fresh (T, B, C_out) temporary per
+    # tap, freed at once, had the allocator return its pages and fault them in again
     part = np.empty_like(y)
-    for tap in range(1, k):
-        s = dilation * tap
-        if s < t:
-            n = (t - s) * bsz
-            y[s * bsz :] += np.matmul(xf[:n], w[tap], out=part[:n])
-    return y.reshape(t, bsz, co)
+    for tap, m0, rows in taps:
+        y[m0:] += np.matmul(x[rows], w[tap], out=part[m0:])
+    return y
 
 
-def _conv1d_bwd(g, x, w, dilation):
+def _conv1d_bwd(g, x, w, dilation, stride):
     t, bsz, ci = x.shape
-    k, _, co = w.shape
-    xf = x.reshape(-1, ci)
-    gf = g.reshape(-1, co)
-    dx = gf @ w[0].T
+    gf = g.reshape(-1, w.shape[2])
+    (_, _, rows), *taps = _conv1d_taps(t, w.shape[0], dilation, stride)
+    d0 = gf @ w[0].T
+    if stride == 1:
+        dx = d0.reshape(x.shape)
+    else:  # only the rows the strided output read get a gradient
+        dx = np.zeros_like(x)
+        dx[rows] = d0.reshape(-1, bsz, ci)
     dw = np.zeros_like(w)
-    dw[0] = xf.T @ gf
-    part = np.empty_like(dx)
-    for tap in range(1, k):
-        s = dilation * tap
-        if s < t:
-            n = (t - s) * bsz
-            dx[:n] += np.matmul(gf[s * bsz :], w[tap].T, out=part[:n])
-            dw[tap] = xf[:n].T @ gf[s * bsz :]
+    # the weight gradient sums every row in one GEMM; at stride > 1 the
+    # reshape copies the tap's strided rows into one block
+    dw[0] = x[rows].reshape(-1, ci).T @ gf
+    part = np.empty_like(d0)
+    for tap, m0, rows in taps:
+        gs = gf[m0 * bsz :]
+        dx[rows] += np.matmul(gs, w[tap].T, out=part[: len(gs)]).reshape(-1, bsz, ci)
+        dw[tap] = x[rows].reshape(-1, ci).T @ gs
     db = gf.sum(axis=0)
-    return dx.reshape(x.shape), dw, db
+    return dx, dw, db
 
 
-def conv1d_causal(x, w, b, dilation: int = 1) -> Tensor:
+def conv1d_causal(x, w, b, dilation: int = 1, stride: int = 1) -> Tensor:
     """Causal dilated convolution over a (T, B, C_in) sequence with w of shape
-    (K, C_in, C_out): y[t] = b + sum_k x[t - d k] @ w[k]; returns (T, B, C_out)."""
+    (K, C_in, C_out): y[t] = b + sum_k x[t - d k] @ w[k], written only at the
+    steps t = (T - 1) % stride, ..., T - 1 (the steps ``time_stride`` keeps);
+    returns ((T - 1) // stride + 1, B, C_out)."""
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     xd = np.ascontiguousarray(x.data)
     wd = np.ascontiguousarray(w.data)
-    out = _conv1d_fwd(xd, wd, b.data, dilation)
+    out = _conv1d_fwd(xd, wd, b.data, dilation, stride)
 
     def bwd(g):
-        dx, dw, db = _conv1d_bwd(np.ascontiguousarray(g), xd, wd, dilation)
+        dx, dw, db = _conv1d_bwd(np.ascontiguousarray(g), xd, wd, dilation, stride)
         _accum(x, dx)
         _accum(w, dw)
         _accum(b, db)

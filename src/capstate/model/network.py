@@ -12,7 +12,10 @@ reads it: block i, of dilation d_i, runs on the time grid t = T - 1 - k d_i
 output at T - 1 as the full-length dilated stack (Paine et al., "Fast
 Wavenet Generation Algorithm", arXiv:1611.09482). The dilations are strictly
 increasing powers of two, so d_i divides d_{i+1} and each block's grid is a
-subgrid of the one before.
+subgrid of the one before. A block writes its output only on the next
+block's grid, and the last block only at T - 1: its first conv covers its
+own grid, whose neighbouring steps the second conv's taps read, and the
+second conv and the residual run at an output stride of d_{i+1} / d_i.
 """
 
 import hashlib
@@ -224,19 +227,20 @@ def _lstm_attention(p, arch, mod, h, collect):
 def _tcn(p, arch, mod, h, collect):
     # Block i runs on its dilation grid (module docstring): there its taps
     # t - j d_i are neighbours, so its convs take dilation 1, and the causal
-    # zero padding falls where it did at full length. d_{i-1} divides d_i, so
-    # one thinning by d_i / d_{i-1} moves the sequence onto the next grid.
+    # zero padding falls where it did at full length. conv2 and the residual
+    # write only the next grid; the last block's stride, its grid length,
+    # leaves only step T - 1.
     act = _act(arch)
-    grid = 1
-    for i, d in enumerate(arch.tcn_dilations):
-        h = ag.time_stride(h, d // grid)
-        grid = d
+    dil = arch.tcn_dilations
+    h = ag.time_stride(h, dil[0])
+    for i, d in enumerate(dil):
+        stride = dil[i + 1] // d if i + 1 < len(dil) else h.shape[0]
         u = act(ag.conv1d_causal(h, p[f"{mod}.tcn{i}.conv1.W"], p[f"{mod}.tcn{i}.conv1.b"]))
-        u = ag.conv1d_causal(u, p[f"{mod}.tcn{i}.conv2.W"], p[f"{mod}.tcn{i}.conv2.b"])
+        u = ag.conv1d_causal(u, p[f"{mod}.tcn{i}.conv2.W"], p[f"{mod}.tcn{i}.conv2.b"], stride=stride)
         if f"{mod}.tcn{i}.res.W" in p:
-            res = ag.conv1d_causal(h, p[f"{mod}.tcn{i}.res.W"], p[f"{mod}.tcn{i}.res.b"])
+            res = ag.conv1d_causal(h, p[f"{mod}.tcn{i}.res.W"], p[f"{mod}.tcn{i}.res.b"], stride=stride)
         else:
-            res = h
+            res = ag.time_stride(h, stride)
         h = act(ag.add(u, res))
         if collect is not None:
             collect[f"{mod}.tcn{i}"] = h
@@ -309,8 +313,9 @@ def collect_activations(params, arch, batch) -> dict[str, np.ndarray]:
     """Inference-mode forward that exposes internal sequence activations as
     (B, T', C) arrays (used by the causality/receptive-field probes). Conv
     front-end and LSTM activations cover every step (T' = T); TCN block i's
-    output ``{mod}.tcn{i}`` covers only its grid, steps (T - 1) % d_i, ...,
-    T - 1 in steps of d_i."""
+    output ``{mod}.tcn{i}`` covers only the next block's grid, steps
+    (T - 1) % d_{i+1}, ..., T - 1 in steps of d_{i+1}, and the last block's
+    only step T - 1."""
     acts: dict = {}
     build_graph(wrap_params(params), arch, batch, collect=acts)
     return {k: v.data.swapaxes(0, 1) for k, v in acts.items()}

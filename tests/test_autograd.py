@@ -216,14 +216,68 @@ class TestFusedKernels:
             if dilation == 5:
                 assert not wt.grad[2].any()
 
+    @pytest.mark.parametrize("stride", [2, 3])
+    def test_conv1d_strided_gradients(self, rng, stride):
+        for dilation in (1, 2):
+            x = rng.normal(size=(10, 2, 3))
+            w = rng.normal(size=(3, 3, 2))
+            b = rng.normal(size=(2,))
+            check_op(lambda xx, ww, bb: ag.conv1d_causal(xx, ww, bb, dilation, stride), x, w, b)
+
+    @pytest.mark.parametrize("stride", [2, 3])
+    def test_conv1d_strided_causality(self, rng, stride):
+        # output row m is step 11 % stride + m stride; perturbing input step 7 of
+        # sequence 1 changes exactly the rows whose taps t, t - 2, t - 4 meet step 7
+        x = rng.normal(size=(12, 3, 1))
+        w = rng.normal(size=(3, 1, 1))
+        b = np.zeros(1)
+        base = ag.conv1d_causal(Tensor(x), Tensor(w), Tensor(b), dilation=2, stride=stride).data
+        x2 = x.copy()
+        x2[7, 1, 0] += 5.0
+        pert = ag.conv1d_causal(Tensor(x2), Tensor(w), Tensor(b), dilation=2, stride=stride).data
+        steps = np.arange(11 % stride, 12, stride)
+        assert base.shape == (len(steps), 3, 1)
+        changed = np.any(base != pert, axis=2)
+        assert not changed[:, [0, 2]].any()
+        assert list(changed[:, 1]) == [t - 7 in (0, 2, 4) for t in steps]
+
+    @pytest.mark.parametrize("stride", [2, 3, 9, 12])
+    def test_conv1d_strided_matches_direct_sum(self, rng, stride):
+        # the output rows are steps 8 % stride, ..., 8 of T = 9; strides 9 and 12 keep only step 8
+        x = rng.normal(size=(9, 3, 2))  # (T, B, C)
+        w = rng.normal(size=(3, 2, 4))
+        b = rng.normal(size=(4,))
+        steps = range(8 % stride, 9, stride)
+        g = rng.normal(size=(len(steps), 3, 4))
+        for dilation in (1, 2):
+            want_y = np.zeros_like(g)
+            want_dx, want_dw, want_db = np.zeros_like(x), np.zeros_like(w), np.zeros_like(b)
+            for m, t in enumerate(steps):
+                want_y[m] = b
+                want_db += g[m].sum(axis=0)
+                for k in range(3):
+                    src = t - dilation * k
+                    if src >= 0:
+                        want_y[m] += x[src] @ w[k]
+                        want_dx[src] += g[m] @ w[k].T
+                        want_dw[k] += x[src].T @ g[m]
+            xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
+            y = ag.conv1d_causal(xt, wt, bt, dilation, stride)
+            assert y.shape == g.shape
+            ag.tsum(ag.mul(y, Tensor(g))).backward()
+            for got, want in ((y.data, want_y), (xt.grad, want_dx), (wt.grad, want_dw), (bt.grad, want_db)):
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
     def test_conv1d_backward_digest_independent_of_blas_threads(self):
+        # a stride-1 call at dilation 16 and a stride-2 call, whose gradient has
+        # the strided output's (T - 1) // 2 + 1 = 60 rows
         script = (
             "import hashlib, numpy as np\n"
             "from capstate.model.autograd import _conv1d_bwd\n"
             "rng = np.random.default_rng(5)\n"
             "x, g = rng.normal(size=(2, 120, 64, 24))\n"
             "w = rng.normal(size=(3, 24, 24))\n"
-            "parts = _conv1d_bwd(g, x, w, 16)\n"
+            "parts = _conv1d_bwd(g, x, w, 16, 1) + _conv1d_bwd(g[:60], x, w, 1, 2)\n"
             "print(hashlib.sha256(b''.join(p.tobytes() for p in parts)).hexdigest())\n"
         )
         one, two = digests_by_blas_threads(script)
