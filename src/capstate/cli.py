@@ -3,6 +3,12 @@
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure. Every stage writes a RunManifest with the resolved config hash and
 sha256 digests of its inputs and outputs.
+
+``preprocess`` keeps each input CSV's parsed samples in
+``<output_root>/parsed/<sha256>.npy``, keyed by the digest its manifest
+records, so a rerun on unchanged files reads the entry instead of parsing the
+CSV. Each run deletes every entry it did not use, and no other file there;
+the directory is safe to delete.
 """
 
 import argparse
@@ -69,21 +75,28 @@ def cmd_synth(cfg: cfgmod.PipelineConfig) -> int:
 def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
     started = cfgmod.now_iso()
     root = Path(cfg.data_root)
-    out_dir = Path(cfg.output_root) / "windows"
-    out_dir.mkdir(parents=True, exist_ok=True)
     sessions = ingest.read_sessions(root)
+    out_dir = Path(cfg.output_root) / "windows"
+    parsed_dir = Path(cfg.output_root) / "parsed"
+    for d in (out_dir, parsed_dir):
+        d.mkdir(parents=True, exist_ok=True)
     inputs = {"sessions.csv": cfgmod.sha256_file(sessions.path)}
+    parsed = {}  # CSV path -> the entry keeping its parsed samples
     by_subject: dict[str, list] = {}
     for row in sessions.rows:
         subject = row["subject_id"]
         cond = Condition.parse(row["condition"])
+        for key in ("ecg_file", "eda_file"):
+            path = root / row[key]
+            if path.is_file():  # else load_recording names the missing file
+                inputs[row[key]] = cfgmod.sha256_file(path)
+                parsed[path] = ingest.parsed_entry(parsed_dir, inputs[row[key]])
         rec = ingest.load_recording(
             sessions, subject, cond,
             ecg_nominal_hz=cfg.ecg_nominal_hz,
             eda_nominal_hz=cfg.eda_nominal_hz,
+            parsed=parsed,
         )
-        inputs[row["ecg_file"]] = cfgmod.sha256_file(root / row["ecg_file"])
-        inputs[row["eda_file"]] = cfgmod.sha256_file(root / row["eda_file"])
         where = f"subject {subject} condition {cond.value} ({row['ecg_file']}, {row['eda_file']})"
         try:
             part = pipeline.window_recording(rec, cfg.windowing, cfg.cvxeda)
@@ -92,6 +105,7 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
         except NumericalError as exc:
             raise NumericalError(f"{where}: {exc}") from exc
         by_subject.setdefault(subject, []).append(part)
+    ingest.prune_parsed(parsed_dir, set(parsed.values()))  # entries of files since edited or dropped
     for stale in out_dir.glob("windows_*.csv"):
         stale.unlink()  # evaluate trains on every windows_*.csv it finds
     outputs = {}

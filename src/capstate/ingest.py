@@ -10,6 +10,8 @@ On-disk layout (one directory per subject under the dataset root):
 import csv
 import enum
 import math
+import os
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,29 +103,86 @@ def relabel_stress(stress: np.ndarray, condition: np.ndarray, scheme: LabelSchem
 # ---------------------------------------------------------------------------
 
 
-def _read_two_column_csv(path: Path, value_header: str):
+def _is_sample_table(data) -> bool:
+    """True for finite float64 ``(t, v)`` rows, at least two, with strictly
+    increasing timestamps: what a parse must give and what an entry must hold."""
+    return (
+        isinstance(data, np.ndarray)
+        and data.dtype == np.float64
+        and data.ndim == 2
+        and data.shape[1] == 2
+        and len(data) >= 2
+        and bool(np.isfinite(data).all())
+        and bool(np.all(np.diff(data[:, 0]) > 0))
+    )
+
+
+def _read_entry(entry: Path | None):
+    """The samples kept at ``entry``, or None when it is absent, unreadable
+    or does not hold a sample table."""
+    if entry is None:
+        return None
+    try:
+        with open(entry, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    return data if _is_sample_table(data) else None
+
+
+def _write_entry(entry: Path, data: np.ndarray) -> None:
+    """Keep ``data`` at ``entry``; written under a temporary name and renamed,
+    so a reader sees the old entry, the new one or none, never a part."""
+    tmp = entry.with_name(entry.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        np.save(fh, data, allow_pickle=False)
+    os.replace(tmp, entry)
+
+
+_ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.npy(\.tmp)?")  # what parsed_entry and _write_entry name
+
+
+def parsed_entry(parsed_dir: Path, digest: str) -> Path:
+    """The entry under ``parsed_dir`` that keeps the parsed samples of the
+    CSV whose sha256 hex digest is ``digest``."""
+    return parsed_dir / f"{digest}.npy"
+
+
+def prune_parsed(parsed_dir: Path, kept) -> None:
+    """Delete every entry under ``parsed_dir`` that is not in ``kept``, and
+    any temporary file a write left; files of other names are left alone."""
+    for path in parsed_dir.iterdir():
+        if path not in kept and _ENTRY_NAME.fullmatch(path.name) and not path.is_dir():
+            path.unlink()
+
+
+def _read_two_column_csv(path: Path, value_header: str, entry: Path | None = None):
     """``(t, v)`` from a ``t_s,<value_header>`` CSV with at least two rows of
     finite samples and strictly increasing timestamps; anything else raises
-    :class:`DataError` naming the file (and its first bad line)."""
+    :class:`DataError` naming the file (and its first bad line).
+
+    ``entry`` is where this file's parsed samples are kept: an entry that
+    loads and holds a sample table stands in for the parse (the header is
+    still read from the file); otherwise the file is parsed and, once the
+    samples pass, written to ``entry``."""
     if not path.is_file():
         raise DataError(f"missing file: {path}")
     with open(path, encoding="utf-8", errors="replace") as fh:  # bad bytes fail as a bad field
         header = fh.readline().rstrip("\n").split(",")
         if [h.strip() for h in header] != ["t_s", value_header]:
             raise DataError(f"{path}: expected header 't_s,{value_header}', got {header}")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "no data": reported below
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            data = np.empty((0, 0))
-        if (
-            data.shape[1] != 2
-            or len(data) < 2
-            or not np.isfinite(data).all()
-            or np.any(np.diff(data[:, 0]) <= 0)
-        ):
-            _raise_first_bad_line(path, fh)
+        data = _read_entry(entry)
+        if data is None:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # "no data": reported below
+                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                data = np.empty((0, 0))
+            if not _is_sample_table(data):
+                _raise_first_bad_line(path, fh)
+            if entry is not None:
+                _write_entry(entry, data)
     return data[:, 0].copy(), data[:, 1].copy()
 
 
@@ -226,12 +285,20 @@ def load_recording(
     condition: Condition,
     ecg_nominal_hz: float = 2048.0,
     eda_nominal_hz: float = 32.0,
+    parsed: dict[Path, Path] | None = None,
 ) -> RawRecording:
     """Load one subject/condition pair listed in ``sessions`` (see :func:`read_sessions`).
 
     Raises :class:`DataError` naming the offending file for a pair missing from
     ``sessions.csv``, missing files, non-monotonic timestamps, a channel whose
     samples all hold one value, or a sampling rate off nominal by more than 5%.
+
+    ``parsed`` maps a CSV path (``sessions.root / <file>``) to the ``.npy``
+    entry that keeps its parsed samples; the caller keys entries by the
+    file's content, so an entry is only ever read for the bytes it was
+    parsed from. An entry that fails to load or to pass the parse checks is
+    rewritten from the CSV, and the header, flatness and rate checks run
+    on every load.
     """
     root = sessions.root
     rows = [
@@ -243,13 +310,14 @@ def load_recording(
         raise DataError(
             f"{sessions.path}: no entry for subject {subject_id!r} condition {condition.value}"
         )
-    row = rows[0]
-    ecg_t, ecg_v = _read_two_column_csv(root / row["ecg_file"], "mv")
-    eda_t, eda_v = _read_two_column_csv(root / row["eda_file"], "us")
-    _check_not_flat(root / row["ecg_file"], ecg_v)
-    _check_not_flat(root / row["eda_file"], eda_v)
-    ecg_rate = _check_rate(root / row["ecg_file"], ecg_t, ecg_nominal_hz)
-    eda_rate = _check_rate(root / row["eda_file"], eda_t, eda_nominal_hz)
+    ecg_path, eda_path = root / rows[0]["ecg_file"], root / rows[0]["eda_file"]
+    parsed = parsed or {}
+    ecg_t, ecg_v = _read_two_column_csv(ecg_path, "mv", parsed.get(ecg_path))
+    eda_t, eda_v = _read_two_column_csv(eda_path, "us", parsed.get(eda_path))
+    _check_not_flat(ecg_path, ecg_v)
+    _check_not_flat(eda_path, eda_v)
+    ecg_rate = _check_rate(ecg_path, ecg_t, ecg_nominal_hz)
+    eda_rate = _check_rate(eda_path, eda_t, eda_nominal_hz)
     duration = max(ecg_t[-1] - ecg_t[0], eda_t[-1] - eda_t[0])
     return RawRecording(subject_id, condition, ecg_v, ecg_rate, eda_v, eda_rate, float(duration))
 

@@ -238,7 +238,12 @@ class TestCommandChain:
         assert run_cli(tmp_path, "preprocess") == 0
         manifest2 = json.loads((out_dir / "manifest_preprocess.json").read_text())
         assert manifest1["outputs"] == manifest2["outputs"]
+        assert manifest1["inputs"] == manifest2["inputs"]
         assert manifest1["config_hash"] == manifest2["config_hash"]
+        # the rerun kept one parsed-samples entry per recording CSV, named by its digest, and nothing else
+        digests = [d for name, d in manifest2["inputs"].items() if name != "sessions.csv"]
+        assert len(digests) == 18
+        assert sorted(p.name for p in (out_dir / "parsed").iterdir()) == sorted(f"{d}.npy" for d in digests)
 
         ds = read_windows_dir(out_dir / "windows")
         assert len(ds.subjects()) == 3
@@ -280,6 +285,20 @@ class TestCommandChain:
         assert sorted(reported) == sorted(["stats.json", *(f"report/{p.name}" for p in report_dir.iterdir())])
         assert run_cli(tmp_path, "report") == 0
         assert json.loads((results / "manifest_report.json").read_text())["outputs"] == reported
+
+    def test_warm_preprocess_parses_no_csv(self, tmp_path, monkeypatch):
+        assert run_cli(tmp_path, "synth") == 0
+        assert run_cli(tmp_path, "preprocess") == 0
+        first = json.loads((tmp_path / "out" / "manifest_preprocess.json").read_text())
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("a CSV was parsed on a warm run")
+
+        monkeypatch.setattr(np, "loadtxt", no_parse)
+        assert run_cli(tmp_path, "preprocess") == 0
+        second = json.loads((tmp_path / "out" / "manifest_preprocess.json").read_text())
+        assert second["inputs"] == first["inputs"]
+        assert second["outputs"] == first["outputs"]
 
     def test_sensitivity_scheme_changes_fold_labels(self, tmp_path):
         assert run_cli(tmp_path, "synth") == 0
@@ -424,9 +443,25 @@ class TestExitCodes:
 
     def test_data_error_is_3(self, tmp_path):
         assert run_cli(tmp_path, "preprocess") == 3  # no synth tree yet
+        assert not (tmp_path / "out").exists()  # no output directory before the inputs check out
 
     def test_corrupted_tree_is_3(self, tmp_path, capsys):
         assert run_cli(tmp_path, "synth") == 0
+        self._assert_corruptions_are_3(tmp_path, capsys)
+
+    def test_corrupted_tree_is_3_on_warm_cache(self, tmp_path, capsys):
+        """The same faults, and a rate off nominal, give the same messages
+        once a clean run has kept every CSV's parsed samples."""
+        assert run_cli(tmp_path, "synth") == 0
+        assert run_cli(tmp_path, "preprocess") == 0
+        self._assert_corruptions_are_3(tmp_path, capsys)
+        ecg = (tmp_path / "data" / "sessions.csv").read_text().splitlines()[1].split(",")[2]
+        capsys.readouterr()
+        assert run_cli(tmp_path, "preprocess", "--set", "ecg_nominal_hz=1000") == 3
+        assert f"{ecg}: rate mismatch, measured 512.00 Hz vs nominal 1000.00 Hz" in capsys.readouterr().err
+
+    @staticmethod
+    def _assert_corruptions_are_3(tmp_path, capsys):
         first = (tmp_path / "data" / "sessions.csv").read_text().splitlines()[1].split(",")
         subject, cond, ecg, eda = first
         for rel, corrupt, expect in (

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -5,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capstate.cli as cli_mod
+from capstate.config import sha256_file
 from capstate.errors import DataError
 from capstate.ingest import (
+    _read_entry,
     _read_two_column_csv,
     Condition,
     LabelPair,
@@ -16,6 +20,7 @@ from capstate.ingest import (
     assign_labels,
     generate_synthetic_recording,
     load_recording,
+    parsed_entry,
     read_sessions,
     relabel_stress,
     write_recording_csvs,
@@ -110,15 +115,16 @@ class TestSyntheticGeneration:
             SyntheticSpec(duration_s=-1.0)
 
 
-class TestLoadRecording:
-    @pytest.fixture
-    def tree(self, tmp_path):
-        spec = SyntheticSpec(duration_s=12.0, noise_sd=0.01, seed=5, ecg_rate_hz=256.0, eda_rate_hz=32.0)
-        rec, _ = generate_synthetic_recording(spec)
-        row = write_recording_csvs(tmp_path, "pp01", Condition.C1, rec)
-        write_sessions_csv(tmp_path, [row])
-        return tmp_path
+@pytest.fixture
+def tree(tmp_path):
+    spec = SyntheticSpec(duration_s=12.0, noise_sd=0.01, seed=5, ecg_rate_hz=256.0, eda_rate_hz=32.0)
+    rec, _ = generate_synthetic_recording(spec)
+    row = write_recording_csvs(tmp_path, "pp01", Condition.C1, rec)
+    write_sessions_csv(tmp_path, [row])
+    return tmp_path
 
+
+class TestLoadRecording:
     def test_round_trip(self, tree):
         rec = load_recording(read_sessions(tree), "pp01", Condition.C1, ecg_nominal_hz=256.0, eda_nominal_hz=32.0)
         assert rec.subject_id == "pp01"
@@ -149,6 +155,121 @@ class TestLoadRecording:
         path.write_text("time,value\n" + "\n".join(body) + "\n")
         with pytest.raises(DataError, match="header"):
             load_recording(read_sessions(tree), "pp01", Condition.C1, ecg_nominal_hz=256.0)
+
+
+def _same_recording(a, b) -> bool:
+    """Bit-identical samples, rates and duration."""
+    return (a.ecg.tobytes() == b.ecg.tobytes() and a.eda.tobytes() == b.eda.tobytes()
+            and (a.ecg_rate_hz, a.eda_rate_hz, a.duration_s) == (b.ecg_rate_hz, b.eda_rate_hz, b.duration_s))
+
+
+def _cold_table(path, header) -> np.ndarray:
+    return np.column_stack(_read_two_column_csv(path, header))
+
+
+def _bad_entries(good: np.ndarray, entry):
+    """Entries a load must refuse, written over ``entry``; ``good`` is what
+    the entry should hold."""
+    nan = good.copy()
+    nan[len(nan) // 2, 1] = np.nan
+    return {
+        "truncated": lambda: entry.write_bytes(entry.read_bytes()[: len(entry.read_bytes()) // 2]),
+        "three-rows": lambda: np.save(entry, np.vstack([good[:, 0], good[:, 1], good[:, 1]])),
+        "int64": lambda: np.save(entry, good.astype(np.int64)),
+        "object": lambda: np.save(entry, good.astype(object), allow_pickle=True),
+        "nan": lambda: np.save(entry, nan),
+    }
+
+
+class TestParsedEntries:
+    """A parsed-samples entry stands in for its CSV's parse only when it loads
+    and holds a sample table; anything else is parsed again and rewritten."""
+
+    FILES = (("pp01/ecg_c1.csv", "mv"), ("pp01/eda_c1.csv", "us"))
+
+    def _load(self, tree, parsed=None):
+        return load_recording(read_sessions(tree), "pp01", Condition.C1, ecg_nominal_hz=256.0,
+                              eda_nominal_hz=32.0, parsed=parsed)
+
+    def _parsed(self, tree):
+        entries = tree / "parsed"
+        entries.mkdir(exist_ok=True)
+        return {tree / rel: parsed_entry(entries, sha256_file(tree / rel)) for rel, _ in self.FILES}
+
+    def test_entry_written_then_read(self, tree, monkeypatch):
+        cold = self._load(tree)
+        parsed = self._parsed(tree)
+        assert _same_recording(self._load(tree, parsed), cold)
+        for rel, header in self.FILES:
+            kept = np.load(parsed[tree / rel], allow_pickle=False)
+            assert kept.tobytes() == _cold_table(tree / rel, header).tobytes()
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: pytest.fail("parsed a CSV with its entry kept"))
+        assert _same_recording(self._load(tree, parsed), cold)
+
+    @pytest.mark.parametrize("kind", ["truncated", "three-rows", "int64", "object", "nan"])
+    def test_bad_entry_is_a_miss_and_rewritten(self, tree, kind):
+        cold = self._load(tree)
+        parsed = self._parsed(tree)
+        self._load(tree, parsed)
+        for rel, header in self.FILES:
+            entry = parsed[tree / rel]
+            _bad_entries(_cold_table(tree / rel, header), entry)[kind]()
+            assert _read_entry(entry) is None
+        assert _same_recording(self._load(tree, parsed), cold)
+        for rel, header in self.FILES:
+            assert np.load(parsed[tree / rel], allow_pickle=False).tobytes() == \
+                _cold_table(tree / rel, header).tobytes()
+        assert sorted(p.name for p in (tree / "parsed").iterdir()) == sorted(p.name for p in parsed.values())
+
+    def test_bad_csv_gets_no_entry(self, tree):
+        path = tree / "pp01" / "ecg_c1.csv"
+        lines = path.read_text().splitlines()
+        lines[5], lines[6] = lines[6], lines[5]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="non-monotonic"):
+            self._load(tree, self._parsed(tree))
+        assert not list((tree / "parsed").iterdir())
+
+    def test_stale_entry_pruned_after_an_edit(self, tmp_path, monkeypatch):
+        """Preprocess, edit one sample of one CSV, preprocess again: the edited
+        file misses (its digest moved), its loaded samples match a cold load,
+        its new entry holds them, and the old entry is gone, as is a stray
+        temporary file; a file of another name in ``parsed/`` is kept."""
+        args = ["--set", f"data_root={json.dumps(str(tmp_path / 'data'))}",
+                "--set", f"output_root={json.dumps(str(tmp_path / 'out'))}",
+                "--set", "synth.n_subjects=1", "--set", "synth.duration_s=150", "--set", "ecg_nominal_hz=512"]
+        assert cli_mod.main(["synth", *args]) == 0
+        assert cli_mod.main(["preprocess", *args]) == 0
+        entries = tmp_path / "out" / "parsed"
+        before = {p.name for p in entries.iterdir()}
+        (entries / "notes.txt").write_text("not an entry")
+        (entries / f"{'0' * 64}.npy.tmp").write_bytes(b"left by a write that stopped")
+        path = tmp_path / "data" / "sim01" / "ecg_c1.csv"
+        stale = f"{sha256_file(path)}.npy"
+        lines = path.read_text().splitlines()
+        t, v = lines[10].split(",")
+        lines[10] = f"{t},{float(v) + 0.5!r}"
+        path.write_text("\n".join(lines) + "\n")
+
+        loaded = []
+        real = cli_mod.ingest.load_recording
+
+        def keep(*args, **kwargs):
+            loaded.append(real(*args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli_mod.ingest, "load_recording", keep)
+        assert cli_mod.main(["preprocess", *args]) == 0
+        fresh = f"{sha256_file(path)}.npy"
+        after = {p.name for p in entries.iterdir()}
+        assert stale in before and stale not in after
+        assert after == before - {stale} | {fresh, "notes.txt"}
+        assert (entries / "notes.txt").read_text() == "not an entry"
+        assert np.load(entries / fresh, allow_pickle=False).tobytes() == _cold_table(path, "mv").tobytes()
+        sessions = read_sessions(tmp_path / "data")
+        for rec in loaded:
+            cold = real(sessions, rec.subject_id, rec.condition, ecg_nominal_hz=512.0)
+            assert _same_recording(rec, cold)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
