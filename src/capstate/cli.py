@@ -20,6 +20,7 @@ from . import ingest, pipeline, storage
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation.loso import run_loso
 from .evaluation.report import write_report
+from .heap import keep_heap
 from .ingest import Condition, LabelScheme
 
 
@@ -165,6 +166,7 @@ def cmd_report(cfg: cfgmod.PipelineConfig) -> int:
 
 
 def main(argv=None) -> int:
+    keep_heap()  # for the whole process, so callers of main in it keep the policy too
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -31,6 +31,10 @@ from .ingest import bateman_kernel
 SCR_MIN_AMPLITUDE_US = 0.01
 SCR_NOISE_FLOOR_US = 1e-4
 LOG_CV_THRESHOLD = 0.8
+# Two steps of the 2 Hz grid, where the tonic basis has about half as many
+# columns as the record has samples. Below one step it has more columns than
+# samples, and its pseudoinverse can exhaust memory.
+MIN_TONIC_KNOT_SPACING_S = 2.0 / GRID_HZ
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,8 @@ class CvxEdaParams:
         for name in ("alpha", "gamma_tonic", "tonic_knot_spacing_s", "tol_objective", "tol_kkt"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        if self.tonic_knot_spacing_s < MIN_TONIC_KNOT_SPACING_S:
+            raise ValueError(f"tonic_knot_spacing_s must be >= {MIN_TONIC_KNOT_SPACING_S:g} s")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

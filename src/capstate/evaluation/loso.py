@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..errors import DataError
+from ..heap import keep_heap
 from ..ingest import LabelScheme, relabel_stress
 from ..metrics import effort_scored, head_metrics, some_head_defined
 from ..model.network import ArchConfig, forward, substream_seed
@@ -142,7 +143,8 @@ def run_loso(
     jobs = [(dataset, held, arch, cfg, normalization_mode, heldout_perturbation, seed) for held in subjects]
     workers = min(parallel_folds, len(subjects))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # workers started by forkserver or spawn do not inherit the parent's allocator policy
+        with ProcessPoolExecutor(max_workers=workers, initializer=keep_heap) as pool:
             results = list(pool.map(_run_single_fold, jobs))
     else:
         results = [_run_single_fold(job) for job in jobs]

@@ -361,6 +361,8 @@ class TestExitCodes:
         # solver, synthetic and training settings outside the range the code can run
         ("preprocess", "cvxeda.tonic_knot_spacing_s=0", "cvxeda.tonic_knot_spacing_s must be > 0"),
         ("preprocess", "cvxeda.tonic_knot_spacing_s=-5", "cvxeda.tonic_knot_spacing_s must be > 0"),
+        ("preprocess", "cvxeda.tonic_knot_spacing_s=5e-324", "cvxeda.tonic_knot_spacing_s must be >= 1 s"),
+        ("preprocess", "cvxeda.tonic_knot_spacing_s=0.01", "cvxeda.tonic_knot_spacing_s must be >= 1 s"),
         ("preprocess", "cvxeda.max_iters=-1", "cvxeda.max_iters must be >= 1"),
         ("synth", "synth.ecg_rate_hz=0", "synth.ecg_rate_hz must be > 0"),
         ("evaluate", "train.val_subjects=0", "train.val_subjects must be >= 1"),
