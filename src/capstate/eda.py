@@ -3,15 +3,17 @@ SCR event detection, and the 12 EDA features.
 
 The decomposition solves
 
-    min_{r >= 0, c, d}  0.5 ||x - (M r + B c + U d)||^2
-                        + alpha * ||r||_1 + gamma * ||D2 c||^2
+    min_{r >= 0, z}  0.5 ||x - (M r + B z)||^2
+                     + alpha * ||r||_1 + gamma * ||D2 z||^2
 
 where M convolves the nonnegative neural driver r with a Bateman kernel,
-B is a uniform cubic B-spline basis for the tonic level, U an affine drift
-term, and D2 the second-difference curvature penalty. The tonic block is
-eliminated exactly through a precomputed pseudoinverse, and the reduced
-problem in r is solved by monotone FISTA (projection + soft-threshold), so
-the objective trace is non-increasing by construction.
+B is a uniform cubic B-spline basis for the tonic level, and D2 the
+second-difference curvature penalty. cvxEDA's affine drift term U d is
+left out: on the record the splines sum to 1 and reproduce t, so they
+already span it, and D2 does not charge it. The tonic block is eliminated
+exactly through a precomputed pseudoinverse, and the reduced problem in r
+is solved by monotone FISTA (projection + soft-threshold), so the
+objective trace is non-increasing by construction.
 
 Conditioning resamples to ``dsp.GRID_HZ``. SCR detection counts a rise from
 above ``SCR_NOISE_FLOOR_US`` and keeps events of at least
@@ -129,25 +131,12 @@ def _bspline3(u: np.ndarray) -> np.ndarray:
 
 
 def _tonic_basis(n: int, rate_hz: float, knot_spacing_s: float) -> np.ndarray:
-    """Columns: uniform cubic B-splines covering the record, plus offset and
-    normalized-time drift."""
+    """Columns: the uniform cubic B-splines that are nonzero on the record.
+    They have full column rank."""
     t = np.arange(n) / rate_hz
-    span = t[-1] if n > 1 else 1.0
-    n_knots = int(np.ceil(span / knot_spacing_s)) + 1
-    centers = np.arange(-1, n_knots + 2) * knot_spacing_s
-    cols = [_bspline3((t - c) / knot_spacing_s) for c in centers]
-    cols.append(np.ones(n))
-    cols.append(t / max(span, 1.0))
-    return np.column_stack(cols)
-
-
-def _second_difference(m: int) -> np.ndarray:
-    if m < 3:
-        return np.zeros((0, m))
-    d2 = np.zeros((m - 2, m))
-    for i in range(m - 2):
-        d2[i, i : i + 3] = (1.0, -2.0, 1.0)
-    return d2
+    n_knots = int(np.ceil(t[-1] / knot_spacing_s)) + 1
+    centers = np.arange(-1, n_knots + 1) * knot_spacing_s
+    return np.column_stack([_bspline3((t - c) / knot_spacing_s) for c in centers])
 
 
 class _ReducedProblem:
@@ -162,16 +151,13 @@ class _ReducedProblem:
         self.kernel = kernel[: self.n]
         self.alpha = params.alpha
 
-        basis = _tonic_basis(self.n, rate_hz, params.tonic_knot_spacing_s)
-        n_spline = basis.shape[1] - 2
-        d2 = np.zeros((max(n_spline - 2, 0), basis.shape[1]))
-        d2[:, :n_spline] = _second_difference(n_spline)
-        a_aug = np.vstack([basis, np.sqrt(2.0 * params.gamma_tonic) * d2])
-        self.basis = basis
-        self.d2 = d2
-        pinv = np.linalg.pinv(a_aug, rcond=1e-10)
+        self.basis = _tonic_basis(self.n, rate_hz, params.tonic_knot_spacing_s)
+        d2 = np.diff(np.eye(self.basis.shape[1]), 2, axis=0)
+        # pinv's rcond, not a normal-equations solve: at wide knot spacings
+        # the splines are nearly collinear, and the normal matrix would
+        # square their condition number
+        pinv = np.linalg.pinv(np.vstack([self.basis, np.sqrt(2.0 * params.gamma_tonic) * d2]), rcond=1e-10)
         self.p1 = pinv[:, : self.n]  # maps (x - M r) to the optimal tonic coefficients
-        self.gamma = params.gamma_tonic
 
     def apply_m(self, r: np.ndarray) -> np.ndarray:
         return np.convolve(r, self.kernel)[: self.n] * self.dt
@@ -179,24 +165,22 @@ class _ReducedProblem:
     def apply_mt(self, v: np.ndarray) -> np.ndarray:
         return np.convolve(v[::-1], self.kernel)[: self.n][::-1] * self.dt
 
-    def tonic_fit(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The optimal tonic coefficients z for driver r, and the residual
-        (x - M r) - B z they leave."""
+    def split(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """w = x - M r, what the tonic block fits for driver r, and the
+        residual u = w - B z its optimal coefficients z leave. The normal
+        equations give B^T u = 2 gamma D2^T D2 z, so w . u is
+        ||u||^2 + 2 gamma ||D2 z||^2."""
         w = self.x - self.apply_m(r)
-        z = self.p1 @ w
-        return z, w - self.basis @ z
+        return w, w - self.basis @ (self.p1 @ w)
 
     def objective(self, r: np.ndarray) -> float:
-        z, resid = self.tonic_fit(r)
-        curv = self.d2 @ z
-        return float(0.5 * resid @ resid + self.gamma * curv @ curv + self.alpha * r.sum())
+        w, u = self.split(r)
+        return float(0.5 * w @ u + self.alpha * r.sum())
 
     def smooth_grad(self, r: np.ndarray) -> np.ndarray:
-        """Gradient of the eliminated smooth part at r."""
-        z, u1 = self.tonic_fit(r)
-        u2 = self.d2 @ z
-        back = u1 - self.p1.T @ (self.basis.T @ u1) + 2.0 * self.gamma * (self.p1.T @ (self.d2.T @ u2))
-        return -self.apply_mt(back)
+        """Gradient of the eliminated smooth part at r: -M^T u, since z is
+        optimal for every r (the envelope theorem)."""
+        return -self.apply_mt(self.split(r)[1])
 
     def lipschitz(self) -> float:
         rng = np.random.default_rng(0)
@@ -267,14 +251,12 @@ def cvxeda_decompose(x: UniformSeries, params: CvxEdaParams = CvxEdaParams()) ->
             f"(KKT residual {kkt:.3e})"
         )
 
-    tonic_vals = prob.basis @ prob.tonic_fit(r)[0]
-    phasic_vals = prob.apply_m(r)
-    residual_vals = prob.x - tonic_vals - phasic_vals
+    w, u = prob.split(r)
     return EdaDecomposition(
-        tonic=x.replace_values(tonic_vals),
-        phasic=x.replace_values(phasic_vals),
+        tonic=x.replace_values(w - u),
+        phasic=x.replace_values(prob.x - w),
         driver=x.replace_values(r),
-        residual=x.replace_values(residual_vals),
+        residual=x.replace_values(u),
         objective_trace=np.asarray(trace),
         kkt_residual=kkt,
         iterations=iters,

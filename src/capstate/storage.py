@@ -20,6 +20,11 @@ from .ingest import Condition
 from .model.train import TrainHistory
 from .pipeline import WindowedDataset, concat_datasets
 
+# The largest |value| a window file may hold. A squared difference of two
+# such values is at most 4e300, so a sum of them over about 4e7 windows (a
+# fold's SD) stays finite; NaN and infinities fail the bound too.
+MAX_ABS_VALUE = 1e150
+
 
 def format_table(columns: dict[str, np.ndarray]) -> str:
     """Header line plus one line per row of equal-length 1-D columns."""
@@ -102,8 +107,8 @@ def write_windows_csv(path, ds: WindowedDataset) -> None:
 
 def read_windows_csv(path) -> WindowedDataset:
     """One window table. It must hold series columns, every series and
-    feature value must be finite, and the labels must keep the rules of
-    ``_check_labels``."""
+    feature value must be finite and at most ``MAX_ABS_VALUE`` in size, and
+    the labels must keep the rules of ``_check_labels``."""
     columns = read_table(path, lambda header: _window_header(sum(n.startswith("x_ibi_") for n in header)))
     labels = {name: columns.pop(name) for name in _WINDOW_LABELS}
     values = np.column_stack(list(columns.values()))
@@ -113,7 +118,8 @@ def read_windows_csv(path) -> WindowedDataset:
         raise DataError(f"{path}: no x_ibi_* series columns")
     x_ibi, x_eda, f_hrv, f_eda = np.split(values, np.cumsum([window_len, window_len, n_hrv]), axis=1)
     ds = WindowedDataset(x_ibi=x_ibi, x_eda=x_eda, f_hrv=f_hrv, f_eda=f_eda, **labels)
-    _reject_rows(path, ~np.isfinite(values).all(axis=1), "non-finite series or feature value")
+    _reject_rows(path, ~(np.abs(values) <= MAX_ABS_VALUE).all(axis=1),
+                 f"series or feature value not finite or above {MAX_ABS_VALUE:g} in size")
     _check_labels(path, ds.condition, ds.stress, ds.effort, ds.mask)
     return ds
 

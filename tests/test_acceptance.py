@@ -264,7 +264,9 @@ def test_criterion_5_cvxeda_solver():
         ok,
         f"objective non-increasing; reconstruction {recon:.1e} (<=1e-6); driver mass near onset "
         f"{mass_near:.2f}, peak offset {abs(int(np.argmax(drv)) - onset_idx)} sample(s) (<=1), "
-        f"amplitude error {amp_err:.3f} (<=0.10); 45-min trace {elapsed:.1f}s (<30s)",
+        f"amplitude error {amp_err:.3f} (<=0.10); 45-min trace {elapsed:.1f}s (<30s); "
+        f"iterations {dec.iterations} and {dec2.iterations}, final KKT residuals "
+        f"{dec.kkt_residual:.2e} and {dec2.kkt_residual:.2e}",
     )
 
 

@@ -546,9 +546,11 @@ class TestExitCodes:
         ("report", "fold", {"mask": "5"}),
         ("report", "fold", {"mask": "0"}),  # effort_label stays 0
         ("report", "fold", {"condition": "c9"}),
+        ("evaluate", "windows", {"hrv_mean_ibi_ms": "1e308"}),  # finite, but its fold SD overflows
     ], ids=["fold-U-1.5", "fold-U-abc", "windows-nan-series", "windows-stress-7", "windows-short-row",
             "fold-two-subjects", "windows-condition-c9", "windows-effort-without-mask", "windows-mask-2",
-            "fold-stress-7", "fold-mask-5", "fold-effort-without-mask", "fold-condition-c9"])
+            "fold-stress-7", "fold-mask-5", "fold-effort-without-mask", "fold-condition-c9",
+            "windows-feature-1e308"])
     def test_bad_table_is_3(self, tmp_path, capsys, command, table, edits):
         """One row of one subject's table is edited; the command exits 3,
         naming the file, without a traceback."""

@@ -7,12 +7,16 @@ from capstate.eda import (
     CvxEdaParams,
     LogTransform,
     ScrEvent,
+    _bspline3,
+    _ReducedProblem,
+    _tonic_basis,
     cvxeda_decompose,
     detect_scrs,
     eda_features,
     preprocess_eda,
 )
 from capstate.ingest import bateman_kernel
+from conftest import digests_by_blas_threads
 
 
 def bateman(amp, onset_s, n, rate=2.0):
@@ -119,6 +123,82 @@ class TestCvxEda:
             CvxEdaParams(tau0_s=2.0, tau1_s=0.7)
         with pytest.raises(ValueError):
             CvxEdaParams(alpha=0.0)
+
+
+class TestTonicElimination:
+    """The reduced problem against cvxEDA's tonic block written out in full:
+    every spline whose support meets [0, t_end] extended by one more centre
+    (zero on every sample), plus an offset and a normalized-time drift,
+    solved by least squares."""
+
+    def _stream(self, rng, n):
+        x = 1.5 + 0.002 * np.arange(n) + rng.normal(0, 0.01, n)
+        for onset in rng.uniform(0, n / 2.0 - 20, 3):
+            x += bateman(rng.uniform(0.2, 0.9), onset, n)
+        return x
+
+    def _full_objective(self, x, r, prob, params):
+        n, h = len(x), params.tonic_knot_spacing_s
+        t = np.arange(n) / 2.0
+        n_knots = int(np.ceil(t[-1] / h)) + 1
+        splines = [_bspline3((t - c) / h) for c in np.arange(-1, n_knots + 2) * h]
+        a = np.column_stack([*splines, np.ones(n), t / t[-1]])
+        d2 = np.zeros((len(splines) - 2, a.shape[1]))
+        d2[:, : len(splines)] = np.diff(np.eye(len(splines)), 2, axis=0)
+        w = x - prob.apply_m(r)
+        a_aug = np.vstack([a, np.sqrt(2.0 * params.gamma_tonic) * d2])
+        z = np.linalg.lstsq(a_aug, np.concatenate([w, np.zeros(len(d2))]), rcond=None)[0]
+        resid, curv = w - a @ z, d2 @ z
+        return 0.5 * resid @ resid + params.gamma_tonic * curv @ curv + params.alpha * r.sum()
+
+    @pytest.mark.parametrize("n,spacing_s", [(124, 1.0), (300, 10.0), (600, 1000.0)])
+    def test_objective_matches_the_full_tonic_block(self, rng, n, spacing_s):
+        x = self._stream(rng, n)
+        params = CvxEdaParams(tonic_knot_spacing_s=spacing_s)
+        prob = _ReducedProblem(x, 2.0, params)
+        for _ in range(3):
+            r = rng.exponential(0.05, n) * (rng.random(n) < 0.2)
+            assert prob.objective(r) == pytest.approx(self._full_objective(x, r, prob, params), rel=1e-10)
+
+    @pytest.mark.parametrize("n,spacing_s", [(124, 1.0), (300, 10.0), (600, 1000.0)])
+    def test_gradient_matches_central_differences(self, rng, n, spacing_s):
+        x = self._stream(rng, n)
+        params = CvxEdaParams(tonic_knot_spacing_s=spacing_s)
+        prob = _ReducedProblem(x, 2.0, params)
+        r = rng.exponential(0.05, n) * (rng.random(n) < 0.2)
+        grad = prob.smooth_grad(r) + params.alpha
+        eps = 1e-3
+        for i in rng.choice(n, 12, replace=False):
+            step = np.zeros(n)
+            step[i] = eps
+            fd = (prob.objective(r + step) - prob.objective(r - step)) / (2.0 * eps)
+            assert fd == pytest.approx(grad[i], abs=1e-7 * np.abs(grad).max())
+
+    # 5400 samples at 1 s spacing is left out: its 2703-column SVD takes
+    # about 7 s, and at 1 s spacing the basis's condition number is the same
+    # (4.2e2) from 140 samples up
+    @pytest.mark.parametrize("n,spacing_s", [
+        (n, spacing_s) for n in (30, 31, 121, 140, 200, 600, 1201, 5400)
+        for spacing_s in (1.0, 3.3, 10.0, 45.0, 1000.0) if (n, spacing_s) != (5400, 1.0)
+    ])
+    def test_basis_has_full_column_rank(self, n, spacing_s):
+        basis = _tonic_basis(n, 2.0, spacing_s)
+        assert np.linalg.matrix_rank(basis) == basis.shape[1]
+
+    def test_decomposition_digest_independent_of_blas_threads(self):
+        # holds up to 2400 samples; from 3600 samples (30 min at 2 Hz) the
+        # LAPACK SVD behind np.linalg.pinv gives other bits on 2 threads
+        script = (
+            "import hashlib, numpy as np\n"
+            "from capstate.dsp import UniformSeries\n"
+            "from capstate.eda import cvxeda_decompose\n"
+            "rng = np.random.default_rng(600)\n"
+            "x = 2.0 + 0.3 * np.sin(np.linspace(0, 2 * np.pi, 600)) + np.abs(rng.normal(0, 0.05, 600)).cumsum() % 0.7\n"
+            "d = cvxeda_decompose(UniformSeries(x, 2.0))\n"
+            "print(*(hashlib.sha256(s.values.tobytes()).hexdigest() for s in (d.tonic, d.phasic, d.driver)))\n"
+        )
+        one, two = digests_by_blas_threads(script)
+        assert len(one.split()) == 3 and one == two
 
 
 class TestDetectScrs:
