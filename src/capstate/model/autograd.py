@@ -22,7 +22,10 @@ Sequences are time-major, ``(T, B, C)``: one time step ``x[t]`` is a
 contiguous ``(B, C)`` block, so the LSTM reads and writes whole blocks per
 step, and a conv tap shifted by ``s`` steps is the view ``x[: T - s]`` with
 no copy; at an output stride it is the strided view ``x[lo : T - s :
-stride]``, still a stack of whole ``(B, C)`` blocks.
+stride]``, still a stack of whole ``(B, C)`` blocks. One kernel works
+channel-major inside: the conv forward of a single-channel input (the
+front-end's first layer) computes ``(C_out, T, B)`` and returns it
+time-major.
 
 Inside the LSTM kernel each step's gates are one contiguous feature-major
 ``(4H, B)`` block in the order ``[i, f, o, g]``: on entry the kernel permutes
@@ -182,14 +185,19 @@ def pow_const(a, exponent: float) -> Tensor:
 
 
 def clip_low(a, lo: float) -> Tensor:
-    """max(a, lo); gradient passes only where a > lo."""
+    """max(a, lo), with NaN mapped to ``lo`` and -0.0 to +0.0 (the values of
+    ``np.where(a > lo, a, lo)``); gradient passes only where a > lo."""
     a = _wrap(a)
     keep = a.data > lo
+    # fmax takes lo over NaN but may keep a -0.0 against lo = 0.0; adding
+    # +0.0 makes that +0.0 and leaves every other value as it is
+    out = np.fmax(a.data, lo)
+    out += 0.0
 
     def bwd(g):
         _accum(a, g * keep)
 
-    return Tensor(np.where(keep, a.data, lo), (a,), bwd)
+    return Tensor(out, (a,), bwd)
 
 
 def _reduce_bwd(a, g, axis, keepdims) -> None:
@@ -308,10 +316,21 @@ def _conv1d_taps(t, k, dilation, stride):
 
 
 def _conv1d_fwd(x, w, b, dilation, stride):
+    (_, _, rows), *taps = _conv1d_taps(x.shape[0], w.shape[0], dilation, stride)
+    if x.shape[2] == 1:
+        # one input channel: matmul would make each step's product a K = 1
+        # GEMM, a degenerate BLAS call per step and tap. Channel-major
+        # (C_out, T', B) broadcasts each tap as one multiply-add over the
+        # whole sequence, with the same products added in the same order
+        yt = w[0, 0, :, None, None] * x[rows, :, 0]
+        yt += b[:, None, None]
+        part = np.empty_like(yt)
+        for tap, m0, rows in taps:
+            yt[:, m0:] += np.multiply(w[tap, 0, :, None, None], x[rows, :, 0], out=part[:, m0:])
+        return np.ascontiguousarray(yt.transpose(1, 2, 0))
     # x[rows] is a view, strided when stride > 1; matmul runs one GEMM per
     # (B, C_in) step on it, so no tap copies its input (a copy into one flat
     # GEMM was slower)
-    (_, _, rows), *taps = _conv1d_taps(x.shape[0], w.shape[0], dilation, stride)
     y = np.matmul(x[rows], w[0])
     y += b
     # one buffer for every tap's product: a fresh (T, B, C_out) temporary per

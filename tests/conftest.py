@@ -174,6 +174,30 @@ def lstm_reference(x, wx, wh, b, grad_hs):
     return (hs, gi, gf, gg, go, cs), (dx, dwx, dwh, db)
 
 
+def conv1d_fwd_reference(x, w, b, dilation, stride):
+    """The causal conv forward over a time-major (T, B, C_in) sequence as one
+    ``np.matmul`` per tap: the output steps (T - 1) % stride, ..., T - 1 get
+    x[t] @ w[0], then ``b``, then x[t - d k] @ w[k] for k = 1, 2, ... where
+    t - d k >= 0, added in that order. With C_in = 1 every product is a
+    single multiply, so ``autograd._conv1d_fwd`` must match it bit for bit."""
+    t = x.shape[0]
+    steps = np.arange((t - 1) % stride, t, stride)
+    y = np.matmul(x[steps], w[0])
+    y += b
+    for k in range(1, w.shape[0]):
+        src = steps - dilation * k
+        m0 = int(np.searchsorted(src, 0))  # the first output step this tap reaches
+        if m0 < len(steps):
+            y[m0:] += np.matmul(x[src[m0:]], w[k])
+    return y
+
+
+def clip_low_reference(a, lo):
+    """max(a, lo) as a select: ``a`` where a > lo, else ``lo``; so NaN gives
+    ``lo`` and -0.0 gives +0.0 against lo = 0.0."""
+    return np.where(a > lo, a, lo)
+
+
 def tcn_reference(p, arch, mod, h, collect):
     """The TCN backbone at full length: every block's dilated causal convs over
     all T steps (``conv1d_causal(..., dilation=d)``), pooled by the last step.

@@ -1,13 +1,18 @@
 """Engine-level checks for the reverse-mode tape and its fused kernels."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import capstate.model.autograd as ag
 from capstate.model.autograd import Tensor
-from conftest import digests_by_blas_threads, lstm_reference
+from capstate.model.losses import PROB_FLOOR
+from conftest import clip_low_reference, conv1d_fwd_reference, digests_by_blas_threads, lstm_reference
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -38,6 +43,14 @@ def check_op(build, *arrays, h=1e-6, tol=1e-6):
 
         fd = fd_grad(scalar, a, h=h)
         assert np.abs(t.grad - fd).max() < tol * max(1.0, np.abs(fd).max())
+
+
+# the values where max(a, lo) forms differ: signed zeros, NaN, infinities,
+# subnormals, the loss floor itself, and ordinary floats
+_RELU_EDGES = st.sampled_from(
+    [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072e-308,
+     -2.2250738585072e-308, PROB_FLOOR, -PROB_FLOOR, np.nextafter(PROB_FLOOR, 1.0), 1.0, -1.0]
+) | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 
 
 class TestElementwiseOps:
@@ -82,6 +95,21 @@ class TestElementwiseOps:
         out = ag.tsum(ag.clip_low(t, 1.0))
         out.backward()
         assert np.array_equal(t.grad, [0.0, 1.0])
+
+    @given(
+        a=arrays(np.float64, st.integers(1, 80) | st.just(4097), elements=_RELU_EDGES, fill=_RELU_EDGES),
+        view=st.sampled_from([np.s_[:], np.s_[::2], np.s_[::-1]]),
+        lo=st.sampled_from([0.0, PROB_FLOOR]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_clip_low_matches_select_bits(self, a, view, lo):
+        # NaN maps to lo and -0.0 to +0.0, as the select does; 4097 runs past
+        # numpy's SIMD blocks into a tail
+        t = Tensor(a[view])
+        out = ag.clip_low(t, lo)
+        assert out.data.tobytes() == clip_low_reference(t.data, lo).tobytes()
+        out._backward_fn(np.ones(out.shape))  # a sum over these values could overflow
+        assert t.grad.tobytes() == (t.data > lo).astype(np.float64).tobytes()
 
     def test_last_step(self, rng):
         x = rng.normal(size=(5, 2, 3))  # (T, B, C)
@@ -179,42 +207,45 @@ class TestFusedKernels:
         assert not np.array_equal(base[7:, 1], pert[7:, 1])
 
     def test_conv1d_matches_direct_sum(self, rng):
-        x = rng.normal(size=(9, 3, 2))  # (T, B, C)
-        w = rng.normal(size=(3, 2, 4))
-        b = rng.normal(size=(4,))
-        for dilation in (1, 2, 4):
-            want = np.zeros((9, 3, 4))
-            for n in range(3):
-                for t in range(9):
-                    acc = b.copy()
-                    for k in range(3):
-                        if t - dilation * k >= 0:
-                            acc = acc + x[t - dilation * k, n] @ w[k]
-                    want[t, n] = acc
-            got = ag.conv1d_causal(Tensor(x), Tensor(w), Tensor(b), dilation).data
-            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        # C_in = 1 is the front-end's first layer, which the kernel runs channel-major
+        for c_in in (2, 1):
+            x = rng.normal(size=(9, 3, c_in))  # (T, B, C)
+            w = rng.normal(size=(3, c_in, 4))
+            b = rng.normal(size=(4,))
+            for dilation in (1, 2, 4):
+                want = np.zeros((9, 3, 4))
+                for n in range(3):
+                    for t in range(9):
+                        acc = b.copy()
+                        for k in range(3):
+                            if t - dilation * k >= 0:
+                                acc = acc + x[t - dilation * k, n] @ w[k]
+                        want[t, n] = acc
+                got = ag.conv1d_causal(Tensor(x), Tensor(w), Tensor(b), dilation).data
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_conv1d_backward_matches_direct_sum(self, rng):
         # dilation 5 puts the last tap at 10 >= T = 9: it sees no input, so its dw is exactly 0
-        x = rng.normal(size=(9, 3, 2))  # (T, B, C)
-        w = rng.normal(size=(3, 2, 4))
-        b = rng.normal(size=(4,))
-        g = rng.normal(size=(9, 3, 4))
-        for dilation in (1, 2, 4, 5):
-            want_dx, want_dw, want_db = np.zeros_like(x), np.zeros_like(w), np.zeros_like(b)
-            for n in range(3):
-                for t in range(9):
-                    want_db += g[t, n]
-                    for k in range(3):
-                        if t - dilation * k >= 0:
-                            want_dx[t - dilation * k, n] += w[k] @ g[t, n]
-                            want_dw[k] += np.outer(x[t - dilation * k, n], g[t, n])
-            xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
-            ag.tsum(ag.mul(ag.conv1d_causal(xt, wt, bt, dilation), Tensor(g))).backward()
-            for got, want in ((xt.grad, want_dx), (wt.grad, want_dw), (bt.grad, want_db)):
-                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
-            if dilation == 5:
-                assert not wt.grad[2].any()
+        for c_in in (2, 1):
+            x = rng.normal(size=(9, 3, c_in))  # (T, B, C)
+            w = rng.normal(size=(3, c_in, 4))
+            b = rng.normal(size=(4,))
+            g = rng.normal(size=(9, 3, 4))
+            for dilation in (1, 2, 4, 5):
+                want_dx, want_dw, want_db = np.zeros_like(x), np.zeros_like(w), np.zeros_like(b)
+                for n in range(3):
+                    for t in range(9):
+                        want_db += g[t, n]
+                        for k in range(3):
+                            if t - dilation * k >= 0:
+                                want_dx[t - dilation * k, n] += w[k] @ g[t, n]
+                                want_dw[k] += np.outer(x[t - dilation * k, n], g[t, n])
+                xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
+                ag.tsum(ag.mul(ag.conv1d_causal(xt, wt, bt, dilation), Tensor(g))).backward()
+                for got, want in ((xt.grad, want_dx), (wt.grad, want_dw), (bt.grad, want_db)):
+                    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+                if dilation == 5:
+                    assert not wt.grad[2].any()
 
     @pytest.mark.parametrize("stride", [2, 3])
     def test_conv1d_strided_gradients(self, rng, stride):
@@ -244,29 +275,60 @@ class TestFusedKernels:
     @pytest.mark.parametrize("stride", [2, 3, 9, 12])
     def test_conv1d_strided_matches_direct_sum(self, rng, stride):
         # the output rows are steps 8 % stride, ..., 8 of T = 9; strides 9 and 12 keep only step 8
-        x = rng.normal(size=(9, 3, 2))  # (T, B, C)
-        w = rng.normal(size=(3, 2, 4))
-        b = rng.normal(size=(4,))
         steps = range(8 % stride, 9, stride)
-        g = rng.normal(size=(len(steps), 3, 4))
-        for dilation in (1, 2):
-            want_y = np.zeros_like(g)
-            want_dx, want_dw, want_db = np.zeros_like(x), np.zeros_like(w), np.zeros_like(b)
-            for m, t in enumerate(steps):
-                want_y[m] = b
-                want_db += g[m].sum(axis=0)
-                for k in range(3):
-                    src = t - dilation * k
-                    if src >= 0:
-                        want_y[m] += x[src] @ w[k]
-                        want_dx[src] += g[m] @ w[k].T
-                        want_dw[k] += x[src].T @ g[m]
-            xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
-            y = ag.conv1d_causal(xt, wt, bt, dilation, stride)
-            assert y.shape == g.shape
-            ag.tsum(ag.mul(y, Tensor(g))).backward()
-            for got, want in ((y.data, want_y), (xt.grad, want_dx), (wt.grad, want_dw), (bt.grad, want_db)):
-                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        for c_in in (2, 1):
+            x = rng.normal(size=(9, 3, c_in))  # (T, B, C)
+            w = rng.normal(size=(3, c_in, 4))
+            b = rng.normal(size=(4,))
+            g = rng.normal(size=(len(steps), 3, 4))
+            for dilation in (1, 2):
+                want_y = np.zeros_like(g)
+                want_dx, want_dw, want_db = np.zeros_like(x), np.zeros_like(w), np.zeros_like(b)
+                for m, t in enumerate(steps):
+                    want_y[m] = b
+                    want_db += g[m].sum(axis=0)
+                    for k in range(3):
+                        src = t - dilation * k
+                        if src >= 0:
+                            want_y[m] += x[src] @ w[k]
+                            want_dx[src] += g[m] @ w[k].T
+                            want_dw[k] += x[src].T @ g[m]
+                xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
+                y = ag.conv1d_causal(xt, wt, bt, dilation, stride)
+                assert y.shape == g.shape
+                ag.tsum(ag.mul(y, Tensor(g))).backward()
+                for got, want in ((y.data, want_y), (xt.grad, want_dx), (wt.grad, want_dw), (bt.grad, want_db)):
+                    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("c_out", [1, 4, 8])
+    def test_conv1d_single_channel_forward_matches_matmul_bits(self, rng, c_out):
+        # the channel-major C_in = 1 forward adds the same single products in
+        # the same order as one matmul per tap, so every bit holds, signed zeros
+        # too; a nonzero bias pins where the bias joins the sum
+        for k, dilation, stride, t in itertools.product((1, 3, 5, 9), (1, 2, 4), (1, 2, 3), (1, 2, 7, 120)):
+            x = rng.normal(size=(t, 5, 1))
+            x[rng.random(x.shape) < 0.2] = 0.0
+            x[rng.random(x.shape) < 0.2] = -0.0
+            w = rng.normal(size=(k, 1, c_out))
+            for b in (np.zeros(c_out), rng.normal(size=c_out)):
+                got = ag.conv1d_causal(Tensor(x), Tensor(w), Tensor(b), dilation, stride).data
+                want = conv1d_fwd_reference(x, w, b, dilation, stride)
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes(), (k, dilation, stride, t)
+
+    def test_conv1d_forward_digest_independent_of_blas_threads(self):
+        # the front-end's first layer (C_in = 1, k = 9) and a stride-2 block conv
+        script = (
+            "import hashlib, numpy as np\n"
+            "from capstate.model.autograd import _conv1d_fwd\n"
+            "rng = np.random.default_rng(5)\n"
+            "x1, w1, b1 = rng.normal(size=(120, 64, 1)), rng.normal(size=(9, 1, 8)), rng.normal(size=8)\n"
+            "x, w, b = rng.normal(size=(120, 64, 24)), rng.normal(size=(3, 24, 24)), rng.normal(size=24)\n"
+            "parts = (_conv1d_fwd(x1, w1, b1, 1, 1), _conv1d_fwd(x, w, b, 1, 2))\n"
+            "print(hashlib.sha256(b''.join(p.tobytes() for p in parts)).hexdigest())\n"
+        )
+        one, two = digests_by_blas_threads(script)
+        assert len(one) == 64 and one == two
 
     def test_conv1d_backward_digest_independent_of_blas_threads(self):
         # a stride-1 call at dilation 16 and a stride-2 call, whose gradient has
