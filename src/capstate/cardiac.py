@@ -8,6 +8,7 @@ HRV features use Welch segments of ``HRV_SEGMENT_LEN`` samples zero-padded to
 ``HRV_NFFT``.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,56 +87,43 @@ class IbiSeries:
 def _pt_scan_loop(cand_idx, cand_val, refr_samples, spki0, npki0):
     """Adaptive dual-threshold scan over MWI local maxima with 200 ms
     refractory and RR-based search-back. Returns accepted candidate indices."""
-    m = cand_idx.shape[0]
-    accepted = np.empty(m, np.int64)
-    n_acc = 0
+    accepted = []
     spki = spki0
     npki = npki0
-    rr = np.zeros(8)
-    n_rr = 0
-    last_t = -1.0e18
+    rr = deque(maxlen=8)  # the last eight RR intervals, in samples
+    last_t = None  # sample of the last accepted QRS
     # best noise-classified candidate since the last accepted QRS
-    sb_idx = -1
+    sb_idx = None
     sb_val = 0.0
-    for i in range(m):
-        t = float(cand_idx[i])
-        v = cand_val[i]
+    for idx, v in zip(cand_idx.tolist(), cand_val.tolist()):
+        t = float(idx)
         th1 = npki + 0.25 * (spki - npki)
         th2 = 0.5 * th1
-        if n_rr >= 2 and n_acc > 0:
-            cnt = 8 if n_rr > 8 else n_rr
-            rr_avg = 0.0
-            for k in range(cnt):
-                rr_avg += rr[k]
-            rr_avg /= cnt
-            if (t - last_t) > 1.66 * rr_avg and sb_idx >= 0 and sb_val > th2:
-                accepted[n_acc] = sb_idx
-                n_acc += 1
-                spki = 0.25 * sb_val + 0.75 * spki
-                rr[(n_rr % 8)] = float(sb_idx) - last_t
-                n_rr += 1
-                last_t = float(sb_idx)
-                sb_idx = -1
-                sb_val = 0.0
-                th1 = npki + 0.25 * (spki - npki)
-        if t - last_t < refr_samples:
+        # RR values are whole samples, so their sum is exact in any order
+        if len(rr) >= 2 and (t - last_t) > 1.66 * (sum(rr) / len(rr)) and sb_idx is not None and sb_val > th2:
+            accepted.append(sb_idx)
+            spki = 0.25 * sb_val + 0.75 * spki
+            rr.append(sb_idx - last_t)
+            last_t = float(sb_idx)
+            sb_idx = None
+            sb_val = 0.0
+            th1 = npki + 0.25 * (spki - npki)
+        if last_t is not None and t - last_t < refr_samples:
             continue
         if v > th1:
-            accepted[n_acc] = cand_idx[i]
-            n_acc += 1
+            accepted.append(idx)
             spki = 0.125 * v + 0.875 * spki
-            if last_t > -1.0e17:
-                rr[(n_rr % 8)] = t - last_t
-                n_rr += 1
+            if last_t is not None:
+                rr.append(t - last_t)
             last_t = t
-            sb_idx = -1
+            sb_idx = None
             sb_val = 0.0
         else:
             npki = 0.125 * v + 0.875 * npki
             if v > sb_val:
                 sb_val = v
-                sb_idx = cand_idx[i]
-    return accepted[:n_acc]
+                sb_idx = idx
+    return np.array(accepted, dtype=np.int64)
 
 
 def _moving_window_integral(x: np.ndarray, half_width: int) -> np.ndarray:

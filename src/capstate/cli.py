@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .evaluation.loso import run_loso
 from .evaluation.report import write_report
 from .heap import keep_heap
-from .ingest import Condition, LabelScheme
+from .ingest import LabelScheme
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,31 +81,25 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
     parsed_dir = Path(cfg.output_root) / "parsed"
     for d in (out_dir, parsed_dir):
         d.mkdir(parents=True, exist_ok=True)
-    inputs = {"sessions.csv": cfgmod.sha256_file(sessions.path)}
+    inputs = {"sessions.csv": cfgmod.sha256_file(root / "sessions.csv")}
     parsed = {}  # CSV path -> the entry keeping its parsed samples
     by_subject: dict[str, list] = {}
-    for row in sessions.rows:
-        subject = row["subject_id"]
-        cond = Condition.parse(row["condition"])
-        for key in ("ecg_file", "eda_file"):
-            path = root / row[key]
+    for session in sessions:
+        for rel in (session.ecg_file, session.eda_file):
+            path = root / rel
             if path.is_file():  # else load_recording names the missing file
-                inputs[row[key]] = cfgmod.sha256_file(path)
-                parsed[path] = ingest.parsed_entry(parsed_dir, inputs[row[key]])
-        rec = ingest.load_recording(
-            sessions, subject, cond,
-            ecg_nominal_hz=cfg.ecg_nominal_hz,
-            eda_nominal_hz=cfg.eda_nominal_hz,
-            parsed=parsed,
-        )
-        where = f"subject {subject} condition {cond.value} ({row['ecg_file']}, {row['eda_file']})"
+                inputs[rel] = cfgmod.sha256_file(path)
+                parsed[path] = ingest.parsed_entry(parsed_dir, inputs[rel])
+        rec = ingest.load_recording(session, cfg.ecg_nominal_hz, cfg.eda_nominal_hz, parsed)
+        where = (f"subject {session.subject_id} condition {session.condition.value} "
+                 f"({session.ecg_file}, {session.eda_file})")
         try:
             part = pipeline.window_recording(rec, cfg.windowing, cfg.cvxeda)
         except ValueError as exc:  # a signal the chain cannot use, e.g. a flat ECG
             raise DataError(f"{where}: {exc}") from exc
         except NumericalError as exc:
             raise NumericalError(f"{where}: {exc}") from exc
-        by_subject.setdefault(subject, []).append(part)
+        by_subject.setdefault(session.subject_id, []).append(part)
     ingest.prune_parsed(parsed_dir, set(parsed.values()))  # entries of files since edited or dropped
     for stale in out_dir.glob("windows_*.csv"):
         stale.unlink()  # evaluate trains on every windows_*.csv it finds

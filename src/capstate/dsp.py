@@ -317,9 +317,7 @@ class NaturalCubicSpline:
         # tridiagonal system for interior second derivatives (natural: m0 = m_{n-1} = 0)
         rhs = 6.0 * ((v[2:] - v[1:-1]) / h[1:] - (v[1:-1] - v[:-2]) / h[:-1])
         diag = 2.0 * (h[:-1] + h[1:])
-        lower = h[:-1].copy()
-        upper = h[1:].copy()
-        m_int = _thomas(lower[1:], diag, upper[:-1], rhs)
+        m_int = _thomas(h[1:-1], diag, rhs)
         m = np.zeros(n)
         m[1:-1] = m_int
         self.m = m
@@ -349,20 +347,20 @@ class NaturalCubicSpline:
         return out
 
 
-def _thomas(lower, diag, upper, rhs):
-    """Solve a tridiagonal system in place (Thomas algorithm)."""
+def _thomas(off, diag, rhs):
+    """Solve the symmetric tridiagonal system with ``diag`` on the diagonal
+    and ``off`` on both off-diagonals (Thomas algorithm)."""
     n = len(diag)
-    c = upper.astype(np.float64).copy()
-    d = rhs.astype(np.float64).copy()
-    b = diag.astype(np.float64).copy()
+    b = diag.copy()
+    d = rhs.copy()
     for i in range(1, n):
-        w = lower[i - 1] / b[i - 1]
-        b[i] -= w * c[i - 1]
+        w = off[i - 1] / b[i - 1]
+        b[i] -= w * off[i - 1]
         d[i] -= w * d[i - 1]
     x = np.empty(n)
     x[-1] = d[-1] / b[-1]
     for i in range(n - 2, -1, -1):
-        x[i] = (d[i] - (c[i] * x[i + 1] if i < n - 1 else 0.0)) / b[i]
+        x[i] = (d[i] - off[i] * x[i + 1]) / b[i]
     return x
 
 

@@ -1,5 +1,9 @@
 """Recording ingest: canonical CSV loading, condition labels, synthetic generator.
 
+A :class:`Session` is one row of ``sessions.csv``: one subject under one
+condition, with its ECG and EDA files. :func:`read_sessions` returns them in
+file order and :func:`load_recording` loads one into a :class:`RawRecording`.
+
 On-disk layout (one directory per subject under the dataset root):
 
     <root>/sessions.csv                 header: subject_id,condition,ecg_file,eda_file
@@ -19,6 +23,7 @@ from typing import NoReturn
 
 import numpy as np
 
+from .dsp import UniformSeries
 from .errors import DataError
 
 
@@ -58,17 +63,9 @@ class LabelPair:
 class RawRecording:
     subject_id: str
     condition: Condition
-    ecg: np.ndarray
-    ecg_rate_hz: float
-    eda: np.ndarray
-    eda_rate_hz: float
+    ecg: UniformSeries
+    eda: UniformSeries
     duration_s: float
-
-    def __post_init__(self):
-        if self.ecg_rate_hz <= 0 or self.eda_rate_hz <= 0:
-            raise ValueError("sampling rates must be positive")
-        object.__setattr__(self, "ecg", np.asarray(self.ecg, dtype=np.float64))
-        object.__setattr__(self, "eda", np.asarray(self.eda, dtype=np.float64))
 
 
 def assign_labels(condition: Condition) -> LabelPair:
@@ -232,24 +229,24 @@ def _check_rate(path: Path, t: np.ndarray, nominal_hz: float) -> float:
 
 
 @dataclass(frozen=True)
-class Sessions:
-    """The checked rows of ``<root>/sessions.csv``; read once per dataset."""
+class Session:
+    """One row of ``<root>/sessions.csv``: a subject's recording under one
+    condition, its two files named relative to ``root`` as listed."""
 
     root: Path
-    rows: list[dict]
+    subject_id: str
+    condition: Condition
+    ecg_file: str
+    eda_file: str
 
-    @property
-    def path(self) -> Path:
-        return self.root / "sessions.csv"
 
-
-def read_sessions(root_path) -> Sessions:
-    """Read ``<root>/sessions.csv``; every row must name a subject, a known
-    condition and both files, the subject id must hold no comma, double quote,
-    slash or non-printable character (it becomes a cell of the unquoted output
-    tables, which are split into lines by ``str.splitlines``, and part of a
-    file name), and no subject/condition pair may appear twice, else
-    :class:`DataError` names the file and the rows."""
+def read_sessions(root_path) -> list[Session]:
+    """The sessions ``<root>/sessions.csv`` lists, in file order; every row
+    must name a subject, a known condition and both files, the subject id must
+    hold no comma, double quote, slash or non-printable character (it becomes
+    a cell of the unquoted output tables, which are split into lines by
+    ``str.splitlines``, and part of a file name), and no subject/condition
+    pair may appear twice, else :class:`DataError` names the file and the rows."""
     root = Path(root_path)
     manifest = root / "sessions.csv"
     if not manifest.is_file():
@@ -260,7 +257,7 @@ def read_sessions(root_path) -> Sessions:
     except UnicodeDecodeError as exc:
         raise DataError(f"{manifest}: not a text file: {exc}") from None
     needed = {"subject_id", "condition", "ecg_file", "eda_file"}
-    seen = {}
+    sessions, seen = [], {}
     for i, row in enumerate(rows, start=2):
         if not needed.issubset(row.keys()) or any(row[k] in (None, "") for k in needed):
             raise DataError(f"{manifest}: malformed row {i}: {row}")
@@ -269,57 +266,48 @@ def read_sessions(root_path) -> Sessions:
             raise DataError(f"{manifest}: row {i}: subject id {subject!r} holds a comma, a double quote, "
                             "a slash or a non-printable character")
         try:
-            pair = (subject, Condition.parse(row["condition"]))
+            condition = Condition.parse(row["condition"])
         except DataError as exc:
             raise DataError(f"{manifest}: row {i}: {exc}") from None
-        if pair in seen:
-            raise DataError(f"{manifest}: rows {seen[pair]} and {i} both list subject {subject!r} "
-                            f"condition {pair[1].value}")
-        seen[pair] = i
-    return Sessions(root, rows)
+        if (subject, condition) in seen:
+            raise DataError(f"{manifest}: rows {seen[subject, condition]} and {i} both list subject {subject!r} "
+                            f"condition {condition.value}")
+        seen[subject, condition] = i
+        sessions.append(Session(root, subject, condition, row["ecg_file"], row["eda_file"]))
+    return sessions
 
 
 def load_recording(
-    sessions: Sessions,
-    subject_id: str,
-    condition: Condition,
-    ecg_nominal_hz: float = 2048.0,
-    eda_nominal_hz: float = 32.0,
+    session: Session,
+    ecg_nominal_hz: float,
+    eda_nominal_hz: float,
     parsed: dict[Path, Path] | None = None,
 ) -> RawRecording:
-    """Load one subject/condition pair listed in ``sessions`` (see :func:`read_sessions`).
+    """Load the recording of one ``session`` (see :func:`read_sessions`).
 
-    Raises :class:`DataError` naming the offending file for a pair missing from
-    ``sessions.csv``, missing files, non-monotonic timestamps, a channel whose
-    samples all hold one value, or a sampling rate off nominal by more than 5%.
+    Raises :class:`DataError` naming the offending file for missing files,
+    non-monotonic timestamps, a channel whose samples all hold one value, or
+    a sampling rate off nominal by more than 5%.
 
-    ``parsed`` maps a CSV path (``sessions.root / <file>``) to the ``.npy``
+    ``parsed`` maps a CSV path (``session.root / <file>``) to the ``.npy``
     entry that keeps its parsed samples; the caller keys entries by the
     file's content, so an entry is only ever read for the bytes it was
     parsed from. An entry that fails to load or to pass the parse checks is
     rewritten from the CSV, and the header, flatness and rate checks run
     on every load.
     """
-    root = sessions.root
-    rows = [
-        r
-        for r in sessions.rows
-        if r["subject_id"] == subject_id and Condition.parse(r["condition"]) is condition
-    ]
-    if not rows:
-        raise DataError(
-            f"{sessions.path}: no entry for subject {subject_id!r} condition {condition.value}"
-        )
-    ecg_path, eda_path = root / rows[0]["ecg_file"], root / rows[0]["eda_file"]
     parsed = parsed or {}
-    ecg_t, ecg_v = _read_two_column_csv(ecg_path, "mv", parsed.get(ecg_path))
-    eda_t, eda_v = _read_two_column_csv(eda_path, "us", parsed.get(eda_path))
-    _check_not_flat(ecg_path, ecg_v)
-    _check_not_flat(eda_path, eda_v)
-    ecg_rate = _check_rate(ecg_path, ecg_t, ecg_nominal_hz)
-    eda_rate = _check_rate(eda_path, eda_t, eda_nominal_hz)
-    duration = max(ecg_t[-1] - ecg_t[0], eda_t[-1] - eda_t[0])
-    return RawRecording(subject_id, condition, ecg_v, ecg_rate, eda_v, eda_rate, float(duration))
+    ecg, ecg_span = _load_channel(session.root / session.ecg_file, "mv", ecg_nominal_hz, parsed)
+    eda, eda_span = _load_channel(session.root / session.eda_file, "us", eda_nominal_hz, parsed)
+    return RawRecording(session.subject_id, session.condition, ecg, eda, float(max(ecg_span, eda_span)))
+
+
+def _load_channel(path: Path, value_header: str, nominal_hz: float, parsed: dict[Path, Path]):
+    """One checked channel CSV: its samples at the measured rate, and the
+    seconds its timestamps span."""
+    t, v = _read_two_column_csv(path, value_header, parsed.get(path))
+    _check_not_flat(path, v)
+    return UniformSeries(v, _check_rate(path, t, nominal_hz)), t[-1] - t[0]
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +439,8 @@ def generate_synthetic_recording(spec: SyntheticSpec) -> tuple[RawRecording, Gro
     rec = RawRecording(
         subject_id="synthetic",
         condition=Condition.C1,
-        ecg=ecg,
-        ecg_rate_hz=spec.ecg_rate_hz,
-        eda=eda,
-        eda_rate_hz=spec.eda_rate_hz,
+        ecg=UniformSeries(ecg, spec.ecg_rate_hz),
+        eda=UniformSeries(eda, spec.eda_rate_hz),
         duration_s=spec.duration_s,
     )
     truth = GroundTruth(peak_times, true_ibis, tuple(spec.scr_events), tonic)
@@ -474,13 +460,11 @@ def write_recording_csvs(root_path, subject_id: str, condition: Condition, rec: 
     subdir.mkdir(parents=True, exist_ok=True)
     ecg_rel = f"{subject_id}/ecg_{condition.value}.csv"
     eda_rel = f"{subject_id}/eda_{condition.value}.csv"
-    for rel, header, values, rate in (
-        (ecg_rel, "mv", rec.ecg, rec.ecg_rate_hz),
-        (eda_rel, "us", rec.eda, rec.eda_rate_hz),
-    ):
+    for rel, header, series in ((ecg_rel, "mv", rec.ecg), (eda_rel, "us", rec.eda)):
+        rate = series.rate_hz  # read once: the loop below runs once per sample
         with open(root / rel, "w", newline="") as fh:
             fh.write(f"t_s,{header}\n")
-            for i, v in enumerate(values):
+            for i, v in enumerate(series.values):
                 fh.write(f"{i / rate!r},{float(v)!r}\n")
     return {
         "subject_id": subject_id,

@@ -24,7 +24,7 @@ from .ingest import (
     assign_labels,
     generate_synthetic_recording,
 )
-from .model.network import Batch
+from .model.network import Batch, substream_seed
 
 SYNTH_EDA_HZ = 32.0
 NORMALIZATION_MODES = ("self_per_subject", "train_fold_stats")
@@ -70,10 +70,9 @@ def window_recording(
     ``window_start_s`` is the IBI stream's; an SCR belongs to the EDA window
     that holds its onset."""
     labels = assign_labels(rec.condition)
-    eda_raw = UniformSeries(rec.eda, rec.eda_rate_hz)
-    peaks = cardiac.detect_r_peaks(UniformSeries(rec.ecg, rec.ecg_rate_hz))
+    peaks = cardiac.detect_r_peaks(rec.ecg)
     ibi_2hz = cardiac.ibi_to_uniform(cardiac.build_ibi(peaks))
-    eda_proc = eda.preprocess_eda(eda_raw)
+    eda_proc = eda.preprocess_eda(rec.eda)
     decomp = eda.cvxeda_decompose(eda_proc, cvx_params)
     events = eda.detect_scrs(decomp.phasic)
 
@@ -82,7 +81,7 @@ def window_recording(
     start = max(ibi_2hz.start_s, eda_proc.start_s)
     end = min(ibi_2hz.end_s, eda_proc.end_s)
     streams = [_crop(s, start, end) for s in
-               (ibi_2hz, eda_proc, resample_uniform(eda_raw, GRID_HZ), decomp.tonic, decomp.phasic)]
+               (ibi_2hz, eda_proc, resample_uniform(rec.eda, GRID_HZ), decomp.tonic, decomp.phasic)]
     n = min(len(s) for s in streams)
     first = plan.starts(n)
     if len(first) == 0:
@@ -257,8 +256,6 @@ def make_synthetic_recordings(
     ecg_rate_hz: float = 512.0,
 ) -> list[RawRecording]:
     """One recording per subject x condition, subjects named sim01..simNN."""
-    from .model.network import substream_seed
-
     recordings = []
     for si in range(n_subjects):
         subject = f"sim{si + 1:02d}"

@@ -11,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import capstate
 from capstate import cardiac, eda, pipeline
-from capstate.dsp import GRID_HZ, UniformSeries, WindowingPlan, fft_radix2, resample_uniform
+from capstate.dsp import GRID_HZ, WindowingPlan, fft_radix2, resample_uniform
 from capstate.evaluation.loso import FoldResult
 from capstate.model import autograd as ag
 from capstate.pipeline import WindowedDataset
@@ -278,14 +278,13 @@ def window_features_reference(rec, plan: WindowingPlan = WindowingPlan(),
     the rows that windows the SCR list by onset from the IBI window's start
     and runs one-trace feature bodies. ``window_recording`` computes the same
     features on the window matrices and must match this bit for bit."""
-    eda_raw = UniformSeries(rec.eda, rec.eda_rate_hz)
-    ibi_2hz = cardiac.ibi_to_uniform(cardiac.build_ibi(cardiac.detect_r_peaks(UniformSeries(rec.ecg, rec.ecg_rate_hz))))
-    eda_proc = eda.preprocess_eda(eda_raw)
+    ibi_2hz = cardiac.ibi_to_uniform(cardiac.build_ibi(cardiac.detect_r_peaks(rec.ecg)))
+    eda_proc = eda.preprocess_eda(rec.eda)
     decomp = eda.cvxeda_decompose(eda_proc, cvx_params)
     events = eda.detect_scrs(decomp.phasic)
     start, end = max(ibi_2hz.start_s, eda_proc.start_s), min(ibi_2hz.end_s, eda_proc.end_s)
     streams = [pipeline._crop(s, start, end) for s in
-               (ibi_2hz, eda_proc, resample_uniform(eda_raw, GRID_HZ), decomp.tonic, decomp.phasic)]
+               (ibi_2hz, eda_proc, resample_uniform(rec.eda, GRID_HZ), decomp.tonic, decomp.phasic)]
     n = min(len(s) for s in streams)
     first = plan.starts(n)
     ibi, _, raw, tonic, phasic = (sliding_window_view(s.values[:n], plan.window_len_samples)[first]
@@ -349,6 +348,61 @@ def brute_hrv_time(x: np.ndarray) -> np.ndarray:
     hr_mean = sum(hr) / n
     hr_sd = (sum((v - hr_mean) ** 2 for v in hr) / n) ** 0.5
     return np.array([mean, sdnn, rmssd, pnn50, cv, hr_mean, hr_sd])
+
+
+def pt_scan_reference(cand_idx, cand_val, refr_samples, spki0, npki0):
+    """The Pan-Tompkins threshold scan as first written, with a preallocated
+    output, an 8-slot RR ring buffer summed by hand and numeric sentinels;
+    ``capstate.cardiac._pt_scan_loop`` must accept the same candidates."""
+    m = cand_idx.shape[0]
+    accepted = np.empty(m, np.int64)
+    n_acc = 0
+    spki = spki0
+    npki = npki0
+    rr = np.zeros(8)
+    n_rr = 0
+    last_t = -1.0e18
+    sb_idx = -1
+    sb_val = 0.0
+    for i in range(m):
+        t = float(cand_idx[i])
+        v = cand_val[i]
+        th1 = npki + 0.25 * (spki - npki)
+        th2 = 0.5 * th1
+        if n_rr >= 2 and n_acc > 0:
+            cnt = 8 if n_rr > 8 else n_rr
+            rr_avg = 0.0
+            for k in range(cnt):
+                rr_avg += rr[k]
+            rr_avg /= cnt
+            if (t - last_t) > 1.66 * rr_avg and sb_idx >= 0 and sb_val > th2:
+                accepted[n_acc] = sb_idx
+                n_acc += 1
+                spki = 0.25 * sb_val + 0.75 * spki
+                rr[(n_rr % 8)] = float(sb_idx) - last_t
+                n_rr += 1
+                last_t = float(sb_idx)
+                sb_idx = -1
+                sb_val = 0.0
+                th1 = npki + 0.25 * (spki - npki)
+        if t - last_t < refr_samples:
+            continue
+        if v > th1:
+            accepted[n_acc] = cand_idx[i]
+            n_acc += 1
+            spki = 0.125 * v + 0.875 * spki
+            if last_t > -1.0e17:
+                rr[(n_rr % 8)] = t - last_t
+                n_rr += 1
+            last_t = t
+            sb_idx = -1
+            sb_val = 0.0
+        else:
+            npki = 0.125 * v + 0.875 * npki
+            if v > sb_val:
+                sb_val = v
+                sb_idx = cand_idx[i]
+    return accepted[:n_acc]
 
 
 def match_peaks_f1(detected: np.ndarray, truth: np.ndarray, tol_s: float = 0.02) -> float:

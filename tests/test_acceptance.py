@@ -152,8 +152,8 @@ def test_criterion_3_signal_oracles():
         seed=7, ecg_rate_hz=512.0,
     )
     rec, truth = generate_synthetic_recording(spec)
-    rms = np.sqrt(np.mean(rec.ecg**2))
-    noisy = rec.ecg + np.random.default_rng(8).normal(0, rms / 10 ** (10 / 20), len(rec.ecg))
+    rms = np.sqrt(np.mean(rec.ecg.values**2))
+    noisy = rec.ecg.values + np.random.default_rng(8).normal(0, rms / 10 ** (10 / 20), len(rec.ecg))
     peaks = detect_r_peaks(UniformSeries(noisy, 512.0))
     f1 = match_peaks_f1(peaks.times_s, truth.r_peak_times_s, tol_s=0.02)
 

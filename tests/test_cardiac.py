@@ -7,6 +7,7 @@ from capstate.cardiac import (
     IBI_MIN_MS,
     PeakList,
     _centered_running_max,
+    _pt_scan_loop,
     build_ibi,
     detect_r_peaks,
     hrv_features,
@@ -18,7 +19,7 @@ from capstate.cardiac import (
 from capstate.dsp import UniformSeries
 from capstate.ingest import Condition, SyntheticSpec, generate_synthetic_recording
 from capstate.pipeline import normalize_per_subject, synthetic_condition_spec
-from conftest import brute_hrv_time, match_peaks_f1
+from conftest import brute_hrv_time, match_peaks_f1, pt_scan_reference
 
 
 def synthetic_ecg(duration_s=60.0, ibi_ms=1000.0, jitter=0.0, snr_db=None, seed=1, rate=512.0):
@@ -30,7 +31,7 @@ def synthetic_ecg(duration_s=60.0, ibi_ms=1000.0, jitter=0.0, snr_db=None, seed=
         ecg_rate_hz=rate,
     )
     rec, truth = generate_synthetic_recording(spec)
-    ecg = rec.ecg
+    ecg = rec.ecg.values
     if snr_db is not None:
         rms = np.sqrt(np.mean(ecg**2))
         noise_sd = rms / (10.0 ** (snr_db / 20.0))
@@ -77,7 +78,7 @@ class TestDetectRPeaks:
         for cond in Condition:
             spec = synthetic_condition_spec(0, cond, 120.0, seed=100, ecg_rate_hz=rate)
             rec, truth = generate_synthetic_recording(spec)
-            peaks = detect_r_peaks(UniformSeries(rec.ecg, rate)).times_s
+            peaks = detect_r_peaks(rec.ecg).times_s
             assert match_peaks_f1(peaks, truth.r_peak_times_s, tol_s=0.02) >= 0.99
             errors = np.abs(truth.r_peak_times_s[:, None] - peaks[None, :]).min(axis=0)
             assert errors.max() <= 0.005
@@ -91,6 +92,17 @@ class TestDetectRPeaks:
         for x in (rng.normal(size=n), rng.integers(0, 3, n).astype(float), plateaus, np.full(n, -2.5)):
             expected = [x[max(i - half, 0) : i + half + 1].max() for i in range(n)]
             assert np.array_equal(_centered_running_max(x, half), expected)
+
+    def test_threshold_scan_matches_reference(self, rng):
+        # increasing candidate samples, some inside the refractory period, with values on both
+        # sides of the thresholds: several hundred search-back accepts over these 200 streams
+        for _ in range(200):
+            m = int(rng.integers(0, 120))
+            idx = np.cumsum(rng.integers(1, 400, m)).astype(np.int64)
+            val = rng.exponential(1.0, m) * rng.choice([0.2, 1.0], m)
+            refr = float(rng.choice([40.0, 102.4, 409.6]))
+            args = (idx, val, refr, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.0, 0.5)))
+            assert _pt_scan_loop(*args).tobytes() == pt_scan_reference(*args).tobytes()
 
 
 class TestBuildIbi:

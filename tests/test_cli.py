@@ -139,7 +139,7 @@ class TestConfig:
 
 
 @pytest.mark.parametrize("first", ["capstate.model", "capstate.evaluation", "capstate.storage",
-                                   "capstate.pipeline", "capstate.cli"])
+                                   "capstate.pipeline", "capstate.cli", "capstate.ingest", "capstate.dsp"])
 def test_numpy_is_the_only_runtime_dependency(first):
     """Every installed distribution that importing the package loads is numpy.
 
@@ -598,7 +598,7 @@ class TestExitCodes:
             monkeypatch.setattr(cli_mod.ingest, name, counting(name))
         assert run_cli(tmp_path, "preprocess") == 0
         # 3 subjects x 3 conditions, each loaded through the module, one sessions.csv read
-        assert sorted(calls) == [("load_recording", "RawRecording")] * 9 + [("read_sessions", "Sessions")]
+        assert sorted(calls) == [("load_recording", "RawRecording")] * 9 + [("read_sessions", "list")]
 
     def test_numerical_error_is_4(self, tmp_path, capsys):
         assert run_cli(tmp_path, "synth") == 0

@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 
 import numpy as np
@@ -16,6 +17,7 @@ from capstate.ingest import (
     LabelPair,
     LabelScheme,
     Level,
+    Session,
     SyntheticSpec,
     assign_labels,
     generate_synthetic_recording,
@@ -80,9 +82,9 @@ class TestSyntheticGeneration:
             duration_s=30.0, tonic_level_us=2.5, tonic_drift_slope=0.01, seed=0
         )
         rec, truth = generate_synthetic_recording(spec)
-        t = np.arange(len(rec.eda)) / rec.eda_rate_hz
-        assert np.abs(rec.eda - (2.5 + 0.01 * t)).max() < 1e-12
-        assert np.array_equal(truth.tonic_trace, rec.eda)
+        t = np.arange(len(rec.eda)) / rec.eda.rate_hz
+        assert np.abs(rec.eda.values - (2.5 + 0.01 * t)).max() < 1e-12
+        assert np.array_equal(truth.tonic_trace, rec.eda.values)
 
     def test_same_seed_bit_identical(self):
         spec = SyntheticSpec(
@@ -95,8 +97,8 @@ class TestSyntheticGeneration:
         )
         rec1, truth1 = generate_synthetic_recording(spec)
         rec2, truth2 = generate_synthetic_recording(spec)
-        assert np.array_equal(rec1.ecg, rec2.ecg)
-        assert np.array_equal(rec1.eda, rec2.eda)
+        assert np.array_equal(rec1.ecg.values, rec2.ecg.values)
+        assert np.array_equal(rec1.eda.values, rec2.eda.values)
         assert np.array_equal(truth1.r_peak_times_s, truth2.r_peak_times_s)
 
     def test_peak_count_covers_duration(self):
@@ -124,18 +126,39 @@ def tree(tmp_path):
     return tmp_path
 
 
+class TestReadSessions:
+    def test_one_record_per_row_in_file_order(self, tmp_path):
+        rows = [{"subject_id": s, "condition": c, "ecg_file": f"{s}/ecg_{i}.csv", "eda_file": f"{s}/eda_{i}.csv"}
+                for i, (s, c) in enumerate([("pp02", "c3"), ("pp01", " C2 "), ("pp02", "c1")])]
+        write_sessions_csv(tmp_path, rows)
+        sessions = read_sessions(tmp_path)
+        assert sessions == [
+            Session(tmp_path, "pp02", Condition.C3, "pp02/ecg_0.csv", "pp02/eda_0.csv"),
+            Session(tmp_path, "pp01", Condition.C2, "pp01/ecg_1.csv", "pp01/eda_1.csv"),
+            Session(tmp_path, "pp02", Condition.C1, "pp02/ecg_2.csv", "pp02/eda_2.csv"),
+        ]
+        assert pickle.loads(pickle.dumps(sessions)) == sessions
+
+
+def _load(tree, ecg_nominal_hz=256.0, eda_nominal_hz=32.0, parsed=None):
+    """The tree's one recording, pp01 under c1."""
+    return load_recording(read_sessions(tree)[0], ecg_nominal_hz, eda_nominal_hz, parsed)
+
+
 class TestLoadRecording:
     def test_round_trip(self, tree):
-        rec = load_recording(read_sessions(tree), "pp01", Condition.C1, ecg_nominal_hz=256.0, eda_nominal_hz=32.0)
+        rec = _load(tree)
         assert rec.subject_id == "pp01"
         assert rec.condition is Condition.C1
-        assert rec.ecg_rate_hz == pytest.approx(256.0, rel=1e-6)
-        assert rec.eda_rate_hz == pytest.approx(32.0, rel=1e-6)
+        assert rec.ecg.rate_hz == pytest.approx(256.0, rel=1e-6)
+        assert rec.eda.rate_hz == pytest.approx(32.0, rel=1e-6)
         assert len(rec.ecg) == 12 * 256
 
     def test_missing_file_reported_with_name(self, tree):
-        with pytest.raises(DataError, match="sessions.csv"):
-            load_recording(read_sessions(tree), "nobody", Condition.C1)
+        path = tree / "pp01" / "eda_c1.csv"
+        path.unlink()
+        with pytest.raises(DataError, match=f"missing file: {re.escape(str(path))}"):
+            _load(tree)
 
     def test_non_monotonic_timestamps_rejected(self, tree):
         path = tree / "pp01" / "ecg_c1.csv"
@@ -143,24 +166,24 @@ class TestLoadRecording:
         lines[5], lines[6] = lines[6], lines[5]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="non-monotonic"):
-            load_recording(read_sessions(tree), "pp01", Condition.C1, ecg_nominal_hz=256.0)
+            _load(tree)
 
     def test_rate_mismatch_rejected(self, tree):
         with pytest.raises(DataError, match="rate mismatch"):
-            load_recording(read_sessions(tree), "pp01", Condition.C1, ecg_nominal_hz=2048.0)
+            _load(tree, ecg_nominal_hz=2048.0)
 
     def test_bad_header_rejected(self, tree):
         path = tree / "pp01" / "eda_c1.csv"
         body = path.read_text().splitlines()[1:]
         path.write_text("time,value\n" + "\n".join(body) + "\n")
         with pytest.raises(DataError, match="header"):
-            load_recording(read_sessions(tree), "pp01", Condition.C1, ecg_nominal_hz=256.0)
+            _load(tree)
 
 
 def _same_recording(a, b) -> bool:
     """Bit-identical samples, rates and duration."""
-    return (a.ecg.tobytes() == b.ecg.tobytes() and a.eda.tobytes() == b.eda.tobytes()
-            and (a.ecg_rate_hz, a.eda_rate_hz, a.duration_s) == (b.ecg_rate_hz, b.eda_rate_hz, b.duration_s))
+    return (a.ecg.values.tobytes() == b.ecg.values.tobytes() and a.eda.values.tobytes() == b.eda.values.tobytes()
+            and (a.ecg.rate_hz, a.eda.rate_hz, a.duration_s) == (b.ecg.rate_hz, b.eda.rate_hz, b.duration_s))
 
 
 def _cold_table(path, header) -> np.ndarray:
@@ -187,35 +210,31 @@ class TestParsedEntries:
 
     FILES = (("pp01/ecg_c1.csv", "mv"), ("pp01/eda_c1.csv", "us"))
 
-    def _load(self, tree, parsed=None):
-        return load_recording(read_sessions(tree), "pp01", Condition.C1, ecg_nominal_hz=256.0,
-                              eda_nominal_hz=32.0, parsed=parsed)
-
     def _parsed(self, tree):
         entries = tree / "parsed"
         entries.mkdir(exist_ok=True)
         return {tree / rel: parsed_entry(entries, sha256_file(tree / rel)) for rel, _ in self.FILES}
 
     def test_entry_written_then_read(self, tree, monkeypatch):
-        cold = self._load(tree)
+        cold = _load(tree)
         parsed = self._parsed(tree)
-        assert _same_recording(self._load(tree, parsed), cold)
+        assert _same_recording(_load(tree, parsed=parsed), cold)
         for rel, header in self.FILES:
             kept = np.load(parsed[tree / rel], allow_pickle=False)
             assert kept.tobytes() == _cold_table(tree / rel, header).tobytes()
         monkeypatch.setattr(np, "loadtxt", lambda *a, **k: pytest.fail("parsed a CSV with its entry kept"))
-        assert _same_recording(self._load(tree, parsed), cold)
+        assert _same_recording(_load(tree, parsed=parsed), cold)
 
     @pytest.mark.parametrize("kind", ["truncated", "three-rows", "int64", "object", "nan"])
     def test_bad_entry_is_a_miss_and_rewritten(self, tree, kind):
-        cold = self._load(tree)
+        cold = _load(tree)
         parsed = self._parsed(tree)
-        self._load(tree, parsed)
+        _load(tree, parsed=parsed)
         for rel, header in self.FILES:
             entry = parsed[tree / rel]
             _bad_entries(_cold_table(tree / rel, header), entry)[kind]()
             assert _read_entry(entry) is None
-        assert _same_recording(self._load(tree, parsed), cold)
+        assert _same_recording(_load(tree, parsed=parsed), cold)
         for rel, header in self.FILES:
             assert np.load(parsed[tree / rel], allow_pickle=False).tobytes() == \
                 _cold_table(tree / rel, header).tobytes()
@@ -227,7 +246,7 @@ class TestParsedEntries:
         lines[5], lines[6] = lines[6], lines[5]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="non-monotonic"):
-            self._load(tree, self._parsed(tree))
+            _load(tree, parsed=self._parsed(tree))
         assert not list((tree / "parsed").iterdir())
 
     def test_stale_entry_pruned_after_an_edit(self, tmp_path, monkeypatch):
@@ -254,9 +273,9 @@ class TestParsedEntries:
         loaded = []
         real = cli_mod.ingest.load_recording
 
-        def keep(*args, **kwargs):
-            loaded.append(real(*args, **kwargs))
-            return loaded[-1]
+        def keep(session, *args, **kwargs):
+            loaded.append((session, real(session, *args, **kwargs)))
+            return loaded[-1][1]
 
         monkeypatch.setattr(cli_mod.ingest, "load_recording", keep)
         assert cli_mod.main(["preprocess", *args]) == 0
@@ -266,10 +285,8 @@ class TestParsedEntries:
         assert after == before - {stale} | {fresh, "notes.txt"}
         assert (entries / "notes.txt").read_text() == "not an entry"
         assert np.load(entries / fresh, allow_pickle=False).tobytes() == _cold_table(path, "mv").tobytes()
-        sessions = read_sessions(tmp_path / "data")
-        for rec in loaded:
-            cold = real(sessions, rec.subject_id, rec.condition, ecg_nominal_hz=512.0)
-            assert _same_recording(rec, cold)
+        for session, rec in loaded:
+            assert _same_recording(rec, real(session, 512.0, 32.0))
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from capstate.cardiac import build_ibi, detect_r_peaks, ibi_to_uniform
-from capstate.dsp import UniformSeries, WindowingPlan
+from capstate.dsp import WindowingPlan
 from capstate.eda import EDA_FEATURE_NAMES, preprocess_eda
 from capstate.errors import DataError
 from capstate.evaluation import run_loso
@@ -214,8 +214,8 @@ class TestWindowRecording:
         assert np.all(np.diff(ds.window_start_s) == 15.0)
         # as many rows as the plan fits in the common span of the IBI and EDA grids
         # (the crop to each grid can shorten it by one sample)
-        ibi = ibi_to_uniform(build_ibi(detect_r_peaks(UniformSeries(rec.ecg, rec.ecg_rate_hz))))
-        eda = preprocess_eda(UniformSeries(rec.eda, rec.eda_rate_hz))
+        ibi = ibi_to_uniform(build_ibi(detect_r_peaks(rec.ecg)))
+        eda = preprocess_eda(rec.eda)
         n = int((min(ibi.end_s, eda.end_s) - max(ibi.start_s, eda.start_s)) * 2.0) + 1
         assert len(ds) in {len(plan.starts(n - 1)), len(plan.starts(n))}
         assert len(ds) > 10
