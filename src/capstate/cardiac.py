@@ -3,9 +3,11 @@
 The R-peak detector follows the classic Pan-Tompkins stages (band-pass,
 derivative, squaring, moving-window integration, adaptive dual threshold with
 refractory and search-back), with the final peak time refined to the local ECG
-maximum. The IBI series is resampled to ``dsp.GRID_HZ``; the frequency-domain
-HRV features use Welch segments of ``HRV_SEGMENT_LEN`` samples zero-padded to
-``HRV_NFFT``.
+maximum. The moving-window integral is a difference of cumulative sums: one
+slice difference over the full-width windows, with clipped windows only at
+the two edges. The IBI series is resampled to ``dsp.GRID_HZ``; the
+frequency-domain HRV features use Welch segments of ``HRV_SEGMENT_LEN``
+samples zero-padded to ``HRV_NFFT``.
 """
 
 from collections import deque
@@ -127,12 +129,22 @@ def _pt_scan_loop(cand_idx, cand_val, refr_samples, spki0, npki0):
 
 
 def _moving_window_integral(x: np.ndarray, half_width: int) -> np.ndarray:
-    """Centered moving average via cumulative sums."""
-    n = len(x)
+    """Centered moving average via cumulative sums: the mean of
+    ``x[i - half_width : i + half_width + 1]``, the window clipped to the
+    signal at both ends. Interior windows, all ``w = 2 half_width + 1`` wide,
+    are one slice difference; only the ``half_width`` samples at each edge
+    index the sums through their clipped bounds."""
+    n, w = len(x), 2 * half_width + 1
     c = np.concatenate(([0.0], np.cumsum(x)))
-    lo = np.clip(np.arange(n) - half_width, 0, n)
-    hi = np.clip(np.arange(n) + half_width + 1, 0, n)
-    return (c[hi] - c[lo]) / (hi - lo)
+    out = np.empty(n)
+    head = min(half_width, n)
+    edges = np.concatenate([np.arange(head), np.arange(max(n - half_width, head), n)])
+    lo = np.maximum(edges - half_width, 0)
+    hi = np.minimum(edges + half_width + 1, n)
+    out[edges] = (c[hi] - c[lo]) / (hi - lo)
+    if n >= w:
+        out[half_width : n - half_width] = (c[w:] - c[: n + 1 - w]) / w
+    return out
 
 
 def _centered_running_max(x: np.ndarray, half_width: int) -> np.ndarray:

@@ -5,9 +5,17 @@ float64 trace with an absolute start time); :func:`welch_psd` and
 :func:`linear_fit` work along an array's last axis. ``GRID_HZ`` is the rate
 of every windowed stream; ``ANTIALIAS_ORDER`` is the order of the low-pass
 that :func:`resample_uniform` applies before it downsamples.
+
+The Butterworth filters run each biquad in block state-space form: a GEMM per
+block of ``_IIR_BLOCK`` samples and a 2-state carry between blocks. Each
+design (coefficients, steady state, block matrices) is built once per process
+for its ``(order, cutoff, rate, btype)``, the rate being the one the series
+measures, and kept as read-only arrays in a cache of ``_DESIGN_CACHE_SIZE``.
 """
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,6 +139,11 @@ def _butter_sos(order: int, cutoff_hz: float, rate_hz: float, btype: str) -> np.
 # Python carry loop with n / block; 128 was the fastest of 64-512 on 2048 Hz ECG.
 _IIR_BLOCK = 128
 
+# Butterworth designs kept per process. One recording needs four (the ECG
+# high-pass and low-pass, the EDA low-pass and the anti-alias low-pass), keyed
+# by its measured rates, so eight hold two recordings whose rates differ.
+_DESIGN_CACHE_SIZE = 8
+
 
 def _biquad_block_matrices(section: np.ndarray):
     """Block state-space form (Burrus 1972) of one DF2T biquad over blocks of
@@ -161,32 +174,7 @@ def _biquad_block_matrices(section: np.ndarray):
     pow_b = powers @ np.array([b1 - a1 * b0, b2 - a2 * b0])  # A^k B
     h = np.concatenate([np.zeros(n - 1), [b0], pow_b[: n - 1, 0]])  # h[k] at index n - 1 + k
     toeplitz = np.lib.stride_tricks.sliding_window_view(h, n)[::-1].copy()
-    return toeplitz, rows[:n].T.copy(), powers[n], pow_b[n - 1 :: -1].copy()
-
-
-def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    """Cascade of direct-form II transposed biquads from per-section state
-    ``zi`` (the semantics of ``scipy.signal.sosfilt(sos, x, zi=zi)``), in
-    blocks: per section, one GEMM for the zero-state response of every block,
-    a 2-state carry from block to block, and one GEMM for the carry's effect."""
-    n = x.shape[0]
-    n_blocks = -(-n // _IIR_BLOCK)
-    blocks = np.zeros(n_blocks * _IIR_BLOCK)
-    blocks[:n] = x
-    blocks = blocks.reshape(n_blocks, _IIR_BLOCK)
-    out = np.empty_like(blocks)
-    for s in range(sos.shape[0]):
-        toeplitz, carry_out, a_pow_l, drive = _biquad_block_matrices(sos[s])
-        (m00, m01), (m10, m11) = a_pow_l.tolist()
-        s0, s1 = zi[s].tolist()
-        states = []
-        for d0, d1 in (blocks @ drive).tolist():
-            states.append((s0, s1))
-            s0, s1 = m00 * s0 + m01 * s1 + d0, m10 * s0 + m11 * s1 + d1
-        np.matmul(blocks, toeplitz, out=out)
-        out += np.array(states).reshape(n_blocks, 2) @ carry_out
-        blocks, out = out, blocks
-    return blocks.reshape(-1)[:n].copy()
+    return toeplitz, rows[:n].T.copy(), powers[n].copy(), pow_b[n - 1 :: -1].copy()
 
 
 def _sos_steady_zi(sos: np.ndarray) -> np.ndarray:
@@ -202,21 +190,87 @@ def _sos_steady_zi(sos: np.ndarray) -> np.ndarray:
     return zi
 
 
-def _sosfiltfilt(sos: np.ndarray, x: np.ndarray, pad_samples: int = 0) -> np.ndarray:
-    """Forward-backward IIR cascade (zero phase) with odd-reflection padding
-    and steady-state initial conditions: constants pass through exactly."""
+class _IirDesign(NamedTuple):
+    """A biquad cascade ready to run: its coefficients ``sos``, the state
+    ``zi`` that makes a unit step transient-free, and each section's block
+    matrices (:func:`_biquad_block_matrices`)."""
+
+    sos: np.ndarray
+    zi: np.ndarray
+    sections: tuple
+
+
+def _iir_design(sos: np.ndarray) -> _IirDesign:
+    return _IirDesign(sos, _sos_steady_zi(sos), tuple(_biquad_block_matrices(row) for row in sos))
+
+
+@functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
+def _butter_design(order: int, cutoff_hz: float, rate_hz: float, btype: str) -> _IirDesign:
+    """The Butterworth cascade of :func:`_butter_sos`, built once per process
+    for each ``(order, cutoff_hz, rate_hz, btype)``. Every array is read-only,
+    since every caller shares it."""
+    design = _iir_design(_butter_sos(order, cutoff_hz, rate_hz, btype))
+    for arr in (design.sos, design.zi, *(m for mats in design.sections for m in mats)):
+        arr.flags.writeable = False
+    return design
+
+
+def _run_cascade(sections: tuple, blocks: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """Run the biquads ``sections`` over ``blocks`` (n_blocks, ``_IIR_BLOCK``),
+    the signal row by row, from per-section state ``zi``: per section, one GEMM
+    for the zero-state response of every block, a 2-state carry from block to
+    block, and one GEMM for the carry's effect. ``blocks`` serves as scratch:
+    the output comes back in a buffer of its shape, which may be ``blocks``."""
+    out = np.empty_like(blocks)
+    for (toeplitz, carry_out, a_pow_l, drive), (s0, s1) in zip(sections, zi.tolist()):
+        (m00, m01), (m10, m11) = a_pow_l.tolist()
+        states = []  # the state entering each block, flat: s0, s1, s0, s1, ...
+        push = states.append
+        for d0, d1 in (blocks @ drive).tolist():
+            push(s0)
+            push(s1)
+            s0, s1 = m00 * s0 + m01 * s1 + d0, m10 * s0 + m11 * s1 + d1
+        np.matmul(blocks, toeplitz, out=out)
+        out += np.array(states).reshape(-1, 2) @ carry_out
+        blocks, out = out, blocks
+    return blocks
+
+
+def _block_buffer(n: int) -> np.ndarray:
+    """Zeroed (n_blocks, ``_IIR_BLOCK``) buffer for ``n`` samples."""
+    return np.zeros((-(-n // _IIR_BLOCK), _IIR_BLOCK))
+
+
+def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """Cascade of direct-form II transposed biquads from per-section state
+    ``zi`` (the semantics of ``scipy.signal.sosfilt(sos, x, zi=zi)``), in
+    block state-space form (:func:`_run_cascade`)."""
     n = x.shape[0]
-    padlen = min(n - 1, max(pad_samples, 24 * sos.shape[0], 32))
-    if padlen > 0:
-        head = 2.0 * x[0] - x[padlen:0:-1]
-        tail = 2.0 * x[-1] - x[-2 : -padlen - 2 : -1]
-        ext = np.concatenate([head, x, tail])
-    else:
-        ext = x.astype(np.float64)
-    zi = _sos_steady_zi(sos)
-    y = _sosfilt(sos, ext, zi * ext[0])[::-1]
-    y = _sosfilt(sos, y, zi * y[0])[::-1]
-    return y[padlen : padlen + n].copy()
+    blocks = _block_buffer(n)
+    blocks.reshape(-1)[:n] = x
+    return _run_cascade(_iir_design(sos).sections, blocks, zi).reshape(-1)[:n]
+
+
+def _sosfiltfilt(design: _IirDesign, x: np.ndarray, pad_samples: int = 0) -> np.ndarray:
+    """Forward-backward IIR cascade (zero phase) with odd-reflection padding
+    and steady-state initial conditions: constants pass through exactly.
+
+    The padded signal is written straight into the first pass's block
+    buffer, and the first pass's output, reversed, into the second's."""
+    n = x.shape[0]
+    padlen = min(n - 1, max(pad_samples, 24 * design.sos.shape[0], 32))
+    m = n + 2 * padlen
+    forward = _block_buffer(m)
+    ext = forward.reshape(-1)
+    ext[:padlen] = 2.0 * x[0] - x[padlen:0:-1]
+    ext[padlen : padlen + n] = x
+    ext[padlen + n : m] = 2.0 * x[-1] - x[-2 : -padlen - 2 : -1]
+    y = _run_cascade(design.sections, forward, design.zi * ext[0]).reshape(-1)
+    backward = _block_buffer(m)
+    rev = backward.reshape(-1)
+    rev[:m] = y[m - 1 :: -1]
+    y = _run_cascade(design.sections, backward, design.zi * rev[0]).reshape(-1)
+    return y[m - 1 :: -1][padlen : padlen + n].copy()
 
 
 def butterworth_lowpass(x: UniformSeries, order: int, cutoff_hz: float) -> UniformSeries:
@@ -227,19 +281,19 @@ def butterworth_lowpass(x: UniformSeries, order: int, cutoff_hz: float) -> Unifo
     with unit DC gain and zero phase the filter leaves affine content
     untouched, and this suppresses edge transients on drifting signals.
     """
-    sos = _butter_sos(order, cutoff_hz, x.rate_hz, "lowpass")
+    design = _butter_design(order, cutoff_hz, x.rate_hz, "lowpass")
     t, mean, slope = linear_fit(x.values)
     line = mean + slope * t
     pad = int(3.0 * x.rate_hz / cutoff_hz)
-    resid = _sosfiltfilt(sos, x.values - line, pad_samples=pad)
+    resid = _sosfiltfilt(design, x.values - line, pad_samples=pad)
     return x.replace_values(resid + line)
 
 
 def butterworth_highpass(x: UniformSeries, order: int, cutoff_hz: float) -> UniformSeries:
     """Zero-phase Butterworth high-pass (internal helper for the cardiac band-pass)."""
-    sos = _butter_sos(order, cutoff_hz, x.rate_hz, "highpass")
+    design = _butter_design(order, cutoff_hz, x.rate_hz, "highpass")
     pad = int(3.0 * x.rate_hz / cutoff_hz)
-    return x.replace_values(_sosfiltfilt(sos, x.values, pad_samples=pad))
+    return x.replace_values(_sosfiltfilt(design, x.values, pad_samples=pad))
 
 
 def butterworth_bandpass(x: UniformSeries, order: int, low_hz: float, high_hz: float) -> UniformSeries:

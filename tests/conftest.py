@@ -405,6 +405,17 @@ def pt_scan_reference(cand_idx, cand_val, refr_samples, spki0, npki0):
     return accepted[:n_acc]
 
 
+def moving_window_integral_reference(x: np.ndarray, half_width: int) -> np.ndarray:
+    """The centered moving average as first written: every sample gathers its
+    cumulative sums through clipped index arrays;
+    ``capstate.cardiac._moving_window_integral`` must match it bit for bit."""
+    n = len(x)
+    c = np.concatenate(([0.0], np.cumsum(x)))
+    lo = np.clip(np.arange(n) - half_width, 0, n)
+    hi = np.clip(np.arange(n) + half_width + 1, 0, n)
+    return (c[hi] - c[lo]) / (hi - lo)
+
+
 def match_peaks_f1(detected: np.ndarray, truth: np.ndarray, tol_s: float = 0.02) -> float:
     """Greedy one-to-one matching within tol_s."""
     used = set()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capstate.cardiac import (
     HRV_FEATURE_NAMES,
@@ -7,6 +9,7 @@ from capstate.cardiac import (
     IBI_MIN_MS,
     PeakList,
     _centered_running_max,
+    _moving_window_integral,
     _pt_scan_loop,
     build_ibi,
     detect_r_peaks,
@@ -19,7 +22,7 @@ from capstate.cardiac import (
 from capstate.dsp import UniformSeries
 from capstate.ingest import Condition, SyntheticSpec, generate_synthetic_recording
 from capstate.pipeline import normalize_per_subject, synthetic_condition_spec
-from conftest import brute_hrv_time, match_peaks_f1, pt_scan_reference
+from conftest import brute_hrv_time, match_peaks_f1, moving_window_integral_reference, pt_scan_reference
 
 
 def synthetic_ecg(duration_s=60.0, ibi_ms=1000.0, jitter=0.0, snr_db=None, seed=1, rate=512.0):
@@ -92,6 +95,21 @@ class TestDetectRPeaks:
         for x in (rng.normal(size=n), rng.integers(0, 3, n).astype(float), plateaus, np.full(n, -2.5)):
             expected = [x[max(i - half, 0) : i + half + 1].max() for i in range(n)]
             assert np.array_equal(_centered_running_max(x, half), expected)
+
+    @given(
+        half=st.sampled_from([0, 1, 2, 5, 38, 154]),  # 38 and 154: the MWI half-widths at 512 and 2048 Hz
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_moving_window_integral_matches_gather(self, half, data, seed):
+        # n runs from 1 to 3 w, so n < w (edges only, no interior) and n == w are both drawn
+        w = 2 * half + 1
+        n = data.draw(st.integers(1, 3 * w), label="n")
+        x = np.random.default_rng(seed).normal(size=n) ** 2 * 1e3
+        got = _moving_window_integral(x, half)
+        assert got.shape == (n,)
+        assert np.array_equal(got, moving_window_integral_reference(x, half))
 
     def test_threshold_scan_matches_reference(self, rng):
         # increasing candidate samples, some inside the refractory period, with values on both

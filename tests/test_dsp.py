@@ -1,16 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import capstate
 from capstate.dsp import (
     NaturalCubicSpline,
     UniformSeries,
     WindowingPlan,
+    _DESIGN_CACHE_SIZE,
     _IIR_BLOCK,
+    _butter_design,
     _butter_sos,
     _sos_steady_zi,
     _sosfilt,
+    _sosfiltfilt,
     butterworth_lowpass,
     detrend_linear,
     fft_radix2,
@@ -141,10 +150,11 @@ class TestIirOracle:
         # neither the block GEMMs nor the band-pass line fit may depend on how BLAS splits them
         script = (
             "import hashlib, numpy as np\n"
-            "from capstate.dsp import UniformSeries, _butter_sos, _sosfiltfilt, butterworth_bandpass\n"
+            "from capstate.dsp import UniformSeries, _butter_sos, _iir_design, _sosfiltfilt\n"
+            "from capstate.dsp import butterworth_bandpass\n"
             f"sos = np.vstack([_butter_sos(*case) for case in {ECG_BAND_SECTIONS!r}])\n"
             "x = np.random.default_rng(3).normal(size=60 * 2048)\n"
-            "y = _sosfiltfilt(sos, x, pad_samples=1228)\n"
+            "y = _sosfiltfilt(_iir_design(sos), x, pad_samples=1228)\n"
             "band = butterworth_bandpass(UniformSeries(x, 2048.0), 2, 5.0, 15.0).values\n"
             "print(hashlib.sha256(y.tobytes()).hexdigest(), hashlib.sha256(band.tobytes()).hexdigest())\n"
         )
@@ -190,6 +200,70 @@ class TestIirOracle:
         _, h_ours = signal.sosfreqz(ours, worN=512, fs=rate)
         _, h_ref = signal.sosfreqz(ref, worN=512, fs=rate)
         assert np.abs(h_ours - h_ref).max() <= 1e-10
+
+
+class TestDesignCache:
+    """``_butter_design`` hands one design to every caller in the process, so
+    nothing a caller does may change it, and it must stay bounded."""
+
+    @staticmethod
+    def arrays(design):
+        return [design.sos, design.zi, *(m for mats in design.sections for m in mats)]
+
+    @pytest.mark.parametrize("order,cutoff,rate,btype", IIR_CASES + ECG_BAND_SECTIONS)
+    def test_cached_arrays_are_read_only(self, order, cutoff, rate, btype):
+        design = _butter_design(order, cutoff, rate, btype)
+        assert design is _butter_design(order, cutoff, rate, btype)
+        assert len(design.sections) == design.sos.shape[0] == design.zi.shape[0]
+        for arr in self.arrays(design):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+            with pytest.raises(ValueError):
+                arr += 1.0
+
+    def test_every_key_field_gives_its_own_design(self):
+        base = (2, 5.0, 2048.0, "highpass")
+        for other in [(2, 5.0, 2048.0, "lowpass"), (2, 5.0, 2047.5, "highpass"),
+                      (3, 5.0, 2048.0, "highpass"), (2, 5.5, 2048.0, "highpass")]:
+            a, b = _butter_design(*base), _butter_design(*other)
+            assert not np.array_equal(a.sos, b.sos), other
+            assert np.array_equal(b.sos, _butter_sos(*other))
+
+    def test_cache_stays_bounded(self):
+        for k in range(3 * _DESIGN_CACHE_SIZE):
+            _butter_design(2, 1.0 + 0.1 * k, 32.0, "lowpass")
+        assert _butter_design.cache_info().currsize <= _DESIGN_CACHE_SIZE
+
+    def test_butter_sos_stays_fresh_and_writable(self):
+        design = _butter_design(4, 15.0, 2048.0, "lowpass")
+        sos = _butter_sos(4, 15.0, 2048.0, "lowpass")
+        assert sos.flags.writeable
+        assert not np.shares_memory(sos, design.sos)
+        sos[...] = 0.0
+        assert np.array_equal(design.sos, _butter_sos(4, 15.0, 2048.0, "lowpass"))
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 5000])
+    def test_filtfilt_output_is_its_own(self, rng, n):
+        x = rng.normal(size=n)
+        y = _sosfiltfilt(_butter_design(2, 5.0, 2048.0, "highpass"), x, pad_samples=1228)
+        assert y.shape == (n,) and y.flags.writeable
+        assert not np.shares_memory(y, x)
+
+    def test_cold_and_warm_band_pass_agree(self):
+        # a fresh process starts with no designs: the first call builds them, the second reuses them
+        script = (
+            "import hashlib, numpy as np\n"
+            "from capstate.dsp import UniformSeries, butterworth_bandpass\n"
+            "x = UniformSeries(np.random.default_rng(5).normal(size=60 * 2048), 2048.0)\n"
+            "for _ in range(2):\n"
+            "    print(hashlib.sha256(butterworth_bandpass(x, 2, 5.0, 15.0).values.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(capstate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        cold, warm = proc.stdout.split()
+        assert cold == warm
 
 
 class TestDetrend:
