@@ -54,8 +54,7 @@ def cmd_synth(cfg: cfgmod.PipelineConfig) -> int:
         raise ConfigError(f"synth.duration_s must be >= {shortest:g}, the shortest synthetic recording "
                           f"that preprocesses into one {cfg.windowing.window_len_samples}-sample window")
     started = cfgmod.now_iso()
-    root = Path(cfg.data_root)
-    root.mkdir(parents=True, exist_ok=True)
+    root = cfgmod.make_stage_dir(cfg.data_root, "data_root")
     recs = pipeline.make_synthetic_recordings(
         cfg.synth.n_subjects,
         duration_s=cfg.synth.duration_s,
@@ -77,10 +76,8 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
     started = cfgmod.now_iso()
     root = Path(cfg.data_root)
     sessions = ingest.read_sessions(root)
-    out_dir = Path(cfg.output_root) / "windows"
-    parsed_dir = Path(cfg.output_root) / "parsed"
-    for d in (out_dir, parsed_dir):
-        d.mkdir(parents=True, exist_ok=True)
+    out_dir = cfgmod.make_stage_dir(Path(cfg.output_root) / "windows", "output_root")
+    parsed_dir = cfgmod.make_stage_dir(Path(cfg.output_root) / "parsed", "output_root")
     inputs = {"sessions.csv": cfgmod.sha256_file(root / "sessions.csv")}
     parsed = {}  # CSV path -> the entry keeping its parsed samples
     by_subject: dict[str, list] = {}
@@ -117,8 +114,7 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
 def cmd_evaluate(cfg: cfgmod.PipelineConfig) -> int:
     started = cfgmod.now_iso()
     windows_dir = Path(cfg.output_root) / "windows"
-    results_dir = Path(cfg.output_root) / "results"
-    results_dir.mkdir(parents=True, exist_ok=True)
+    results_dir = cfgmod.make_stage_dir(Path(cfg.output_root) / "results", "output_root")
     inputs = {
         f"windows/{p.name}": cfgmod.sha256_file(p) for p in sorted(windows_dir.glob("windows_*.csv"))
     }
@@ -152,6 +148,7 @@ def cmd_report(cfg: cfgmod.PipelineConfig) -> int:
     rdir = Path(cfg.output_root) / "results"
     folds = storage.read_folds_dir(rdir)
     inputs = {p.name: cfgmod.sha256_file(p) for p in sorted(rdir.glob("fold_*.csv"))}
+    cfgmod.make_stage_dir(rdir / "report", "output_root")
     paths = write_report(folds, rdir)
     outputs = {name: cfgmod.sha256_file(path) for name, path in sorted(paths.items())}
     cfgmod.write_manifest(rdir, "report", cfg, inputs, outputs, started)

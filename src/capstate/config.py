@@ -218,10 +218,20 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def make_stage_dir(path, key: str) -> Path:
+    """Create the stage directory ``path`` that config key ``key`` places, or
+    raise ConfigError naming both (a regular file on the path, no permission)."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{key}: cannot create directory {path}: {exc.strerror or exc}") from None
+    return path
+
+
 def write_manifest(out_dir, stage: str, cfg: PipelineConfig, inputs: dict, outputs: dict,
                    started_at: str) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """``manifest_<stage>.json`` in ``out_dir``, a directory the stage made."""
     manifest = {
         "stage": stage,
         "config_hash": config_hash(cfg),
@@ -232,7 +242,7 @@ def write_manifest(out_dir, stage: str, cfg: PipelineConfig, inputs: dict, outpu
         "inputs": dict(sorted(inputs.items())),
         "outputs": dict(sorted(outputs.items())),
     }
-    path = out_dir / f"manifest_{stage}.json"
+    path = Path(out_dir) / f"manifest_{stage}.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 

@@ -77,6 +77,8 @@ class WindowingPlan:
     step_samples: int = field(init=False)
 
     def __post_init__(self):
+        if self.window_len_samples < 2:  # the HRV and EDA features need two samples
+            raise ValueError("window_len_samples must be >= 2")
         if not (0.0 <= self.overlap_fraction < 1.0):
             raise ValueError("overlap_fraction must lie in [0, 1)")
         step = int(round(self.window_len_samples * (1.0 - self.overlap_fraction)))

@@ -21,6 +21,7 @@ above ``SCR_NOISE_FLOOR_US`` and keeps events of at least
 coefficient of variation exceeds ``LOG_CV_THRESHOLD``.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,9 +147,9 @@ class _ReducedProblem:
         self.x = x
         self.n = len(x)
         self.dt = 1.0 / rate_hz
-        t_k = np.arange(0.0, 12.0 * params.tau1_s, self.dt)
-        kernel = bateman_kernel(t_k, params.tau0_s, params.tau1_s)
-        self.kernel = kernel[: self.n]
+        # the kernel spans 12 tau1, cut to the record: only the samples a convolution reads
+        m = min(self.n, math.ceil(12.0 * params.tau1_s / self.dt))
+        self.kernel = bateman_kernel(np.arange(m) * self.dt, params.tau0_s, params.tau1_s)
         self.alpha = params.alpha
 
         self.basis = _tonic_basis(self.n, rate_hz, params.tonic_knot_spacing_s)

@@ -1,3 +1,7 @@
+"""Evaluation: LOSO folds (``loso``), the state-space and each subject's
+trajectory record (``statespace``), t-tests and RM-ANOVA (``stats``), and the
+report that aggregates the folds once (``report``)."""
+
 from .stats import (
     cohens_d,
     incomplete_beta,
@@ -10,7 +14,6 @@ from .statespace import (
     Quadrant,
     StateSpacePoint,
     TrajectoryPattern,
-    TrajectorySummary,
     classify_trajectory,
     condition_centroids,
     map_state,
@@ -27,7 +30,6 @@ __all__ = [
     "Quadrant",
     "StateSpacePoint",
     "TrajectoryPattern",
-    "TrajectorySummary",
     "classify_trajectory",
     "condition_centroids",
     "map_state",

@@ -1,8 +1,11 @@
 """Aggregation of fold results into summary tables and the statistics report,
 and their rendering. ``write_report`` is the one place that aggregates: it
-computes every statistic once and writes ``stats.json`` and ``report/``."""
+computes every statistic once and writes ``stats.json`` and ``report/``.
+Condition effects are paired statistics on per-subject centroids (Demšar,
+JMLR 7, 2006), and every CSV under ``report/`` is written by ``format_table``."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from .statespace import TrajectoryPattern, condition_centroids, quadrant_occupan
 CONDITIONS = ("c1", "c2", "c3")
 HEADS = ("stress", "effort")
 SUMMARY_KEYS = (*HEADS, "joint_average")
+CONTRAST_PAIRS = (("c1", "c2"), ("c1", "c3"), ("c2", "c3"))
 
 
 def _fold_bas(f: FoldResult) -> dict[str, float]:
@@ -101,10 +105,21 @@ def aggregate_classification(folds: list[FoldResult]) -> dict:
     return out
 
 
-def trajectory_summaries(folds: list[FoldResult]) -> list:
+def trajectory_summaries(folds: list[FoldResult]) -> list[dict]:
+    """Each fold's trajectory record (``condition_centroids``), by subject."""
     return [
         condition_centroids(f.subject_id, f.condition, f.u, f.o) for f in sorted(folds, key=lambda f: f.subject_id)
     ]
+
+
+def _contrast(a, b) -> dict | None:
+    """Paired t-test of ``a`` against ``b`` as ``{t, df, p}``, or None when
+    the differences have zero SD and t is undefined."""
+    try:
+        t, df, p = paired_t(a, b)
+    except ValueError:
+        return None
+    return {"t": t, "df": df, "p": p}
 
 
 def build_stats_report(folds: list[FoldResult]) -> dict:
@@ -129,7 +144,7 @@ def build_stats_report(folds: list[FoldResult]) -> dict:
             report[f"one_sample_vs_chance_{head}"] = None
 
     summaries = trajectory_summaries(folds)
-    centroid_map = {s.subject_id: s.centroids for s in summaries}
+    centroid_map = {s["subject_id"]: s["centroids"] for s in summaries}
 
     for axis in ("u", "o"):
         complete = [
@@ -140,21 +155,11 @@ def build_stats_report(folds: list[FoldResult]) -> dict:
         axis_report = {"n_complete_subjects": len(complete)}
         if len(complete) >= 2:
             matrix = np.asarray(complete)
-            try:
-                axis_report["rm_anova"] = rm_anova_oneway(matrix).as_dict()
-            except ValueError:
-                axis_report["rm_anova"] = None
+            axis_report["rm_anova"] = rm_anova_oneway(matrix).as_dict()
             contrasts = {}
-            pairs = [("c1", "c2"), ("c1", "c3"), ("c2", "c3")]
-            for a, b in pairs:
-                ia, ib = CONDITIONS.index(a), CONDITIONS.index(b)
-                try:
-                    t, df, p = paired_t(matrix[:, ia], matrix[:, ib])
-                    contrasts[f"{a}_vs_{b}_complete"] = {
-                        "t": t, "df": df, "p": p, "p_bonferroni": bonferroni(p, len(pairs)),
-                    }
-                except ValueError:
-                    contrasts[f"{a}_vs_{b}_complete"] = None
+            for a, b in CONTRAST_PAIRS:
+                c = _contrast(matrix[:, CONDITIONS.index(a)], matrix[:, CONDITIONS.index(b)])
+                contrasts[f"{a}_vs_{b}_complete"] = c and {**c, "p_bonferroni": bonferroni(c["p"], len(CONTRAST_PAIRS))}
             # full-sample c1 vs c3 over every subject that has both conditions
             full = [
                 (centroid_map[sid]["c1"][axis], centroid_map[sid]["c3"][axis])
@@ -162,26 +167,15 @@ def build_stats_report(folds: list[FoldResult]) -> dict:
                 if "c1" in centroid_map[sid] and "c3" in centroid_map[sid]
             ]
             if len(full) >= 2:
-                arr = np.asarray(full)
-                try:
-                    t, df, p = paired_t(arr[:, 0], arr[:, 1])
-                    contrasts["c1_vs_c3_full"] = {"t": t, "df": df, "p": p, "n": len(full)}
-                except ValueError:
-                    contrasts["c1_vs_c3_full"] = None
+                c = _contrast(*np.asarray(full).T)
+                contrasts["c1_vs_c3_full"] = c and {**c, "n": len(full)}
             axis_report["contrasts"] = contrasts
         report[f"condition_effects_{axis.upper()}"] = axis_report
 
-    patterns = {}
-    missing = []
-    for s in summaries:
-        if s.pattern is None:
-            missing.append(s.subject_id)
-        else:
-            patterns[s.pattern.value] = patterns.get(s.pattern.value, 0) + 1
     report["trajectory_patterns"] = {
-        "counts": patterns,
-        "subjects_without_pattern": missing,
-        "per_subject": [s.as_dict() for s in summaries],
+        "counts": dict(Counter(s["pattern"] for s in summaries if s["pattern"] is not None)),
+        "subjects_without_pattern": [s["subject_id"] for s in summaries if s["pattern"] is None],
+        "per_subject": summaries,
     }
 
     occupancy = {}
@@ -229,10 +223,14 @@ def _dist_cells(s: dict) -> list[str]:
     return [_fmt(v) for v in (s["mean"], s["sd"], s["median"], lo, hi)]
 
 
+def _text_table(header: list[str], rows: list[list[str]]) -> str:
+    """A table of text cells, one list per row, in the one table format."""
+    return format_table({name: np.array(cells, dtype=object) for name, cells in zip(header, zip(*rows))})
+
+
 def _table2(summary: dict) -> str:
-    lines = ["output,n,mean_ba,sd,median_ba,range_lo,range_hi"]
-    lines += [",".join([key, str(summary[key]["n"]), *_dist_cells(summary[key])]) for key in SUMMARY_KEYS]
-    return "\n".join(lines) + "\n"
+    rows = [[key, str(summary[key]["n"]), *_dist_cells(summary[key])] for key in SUMMARY_KEYS]
+    return _text_table(["output", "n", "mean_ba", "sd", "median_ba", "range_lo", "range_hi"], rows)
 
 
 def _table3(rows: list[dict]) -> str:
@@ -240,22 +238,26 @@ def _table3(rows: list[dict]) -> str:
     return format_table({c: np.array([r[c] for r in rows]) for c in cols})
 
 
-def _table4(agg: dict) -> str:
-    lines = ["axis,precision,recall,f1,recall_low,recall_high,ba,n_total"]
-    lines += [_pooled_lines(head, agg[head])[0] for head in HEADS]
-    return "\n".join(lines) + "\n"
-
-
-def _pooled_lines(head: str, a: dict) -> tuple[str, str]:
-    """One head's Table 4 CSV row and its report line."""
+def _pooled_cells(a: dict) -> list[str]:
+    """One head's formatted precision, recall, F1, per-class recalls and BA,
+    all n/a when the head is undefined."""
     if a.get("undefined"):
-        return f"{head},n/a,n/a,n/a,n/a,n/a,n/a,{a['n_total']}", f"  {head}: undefined (no complete folds)"
-    p, r, f1, ba = (_fmt(a[k]) for k in ("precision", "recall", "macro_f1", "ba"))
-    lo, hi = _fmt(a["recall_low"], 2), _fmt(a["recall_high"], 2)
-    return (
-        f"{head},{p},{r},{f1},{lo},{hi},{ba},{a['n_total']}",
-        f"  {head}: precision={p} recall={r} F1={f1} recall_low={lo} recall_high={hi} n={a['n_total']}",
-    )
+        return ["n/a"] * 6
+    return [*(_fmt(a[k]) for k in ("precision", "recall", "macro_f1")),
+            _fmt(a["recall_low"], 2), _fmt(a["recall_high"], 2), _fmt(a["ba"])]
+
+
+def _table4(agg: dict) -> str:
+    rows = [[head, *_pooled_cells(agg[head]), str(agg[head]["n_total"])] for head in HEADS]
+    return _text_table(["axis", "precision", "recall", "f1", "recall_low", "recall_high", "ba", "n_total"], rows)
+
+
+def _pooled_line(head: str, a: dict) -> str:
+    """One head's report.txt line on the pooled classification."""
+    if a.get("undefined"):
+        return f"  {head}: undefined (no complete folds)"
+    p, r, f1, lo, hi, _ = _pooled_cells(a)
+    return f"  {head}: precision={p} recall={r} F1={f1} recall_low={lo} recall_high={hi} n={a['n_total']}"
 
 
 def _pattern_counts(patterns: dict) -> tuple[dict[str, int], int]:
@@ -267,10 +269,9 @@ def _pattern_counts(patterns: dict) -> tuple[dict[str, int], int]:
 
 def _trajectory_table(patterns: dict) -> str:
     counts, n_classified = _pattern_counts(patterns)
-    lines = ["pattern,count,share_of_classified"]
-    lines += [f"{name},{c},{_fmt(c / n_classified if n_classified else 0.0)}" for name, c in counts.items()]
-    lines.append(f"unclassified,{len(patterns['subjects_without_pattern'])},n/a")
-    return "\n".join(lines) + "\n"
+    rows = [[name, str(c), _fmt(c / n_classified if n_classified else 0.0)] for name, c in counts.items()]
+    rows.append(["unclassified", str(len(patterns["subjects_without_pattern"])), "n/a"])
+    return _text_table(["pattern", "count", "share_of_classified"], rows)
 
 
 def _render_text_report(stats: dict, rows: list[dict]) -> str:
@@ -295,7 +296,7 @@ def _render_text_report(stats: dict, rows: list[dict]) -> str:
             f"{_fmt(r['avg_ba']):>7s} {_fmt(r['stress_f1']):>9s} {_fmt(r['effort_f1']):>9s} {r['n_eff']:5d}"
         )
     lines += ["", "== Aggregated per-class structure =="]
-    lines += [_pooled_lines(head, stats["aggregate_classification"][head])[1] for head in HEADS]
+    lines += [_pooled_line(head, stats["aggregate_classification"][head]) for head in HEADS]
     lines += ["", "== Trajectory patterns =="]
     counts, n_classified = _pattern_counts(stats["trajectory_patterns"])
     for name, c in counts.items():

@@ -1,5 +1,9 @@
 """Capacity state-space: quadrant mapping, per-condition centroids, and the
-five-way trajectory taxonomy over the c1 -> c2 -> c3 centroid path."""
+five-way trajectory taxonomy over the c1 -> c2 -> c3 centroid path.
+
+``map_state`` places one (U, O) point in a quadrant; ``condition_centroids``
+returns a subject's trajectory record as a plain dict, the form ``report``
+writes to ``stats.json``."""
 
 import enum
 from dataclasses import dataclass
@@ -76,27 +80,12 @@ def classify_trajectory(c1, c2, c3) -> TrajectoryPattern:
     return TrajectoryPattern.FLAT_CEILING
 
 
-@dataclass(frozen=True)
-class TrajectorySummary:
-    subject_id: str
-    centroids: dict  # condition -> {"u": mean, "o": mean, "u_sd": .., "o_sd": .., "n": count}
-    delta_u: float | None  # c3 - c1, None when a centroid is missing
-    delta_o: float | None
-    pattern: TrajectoryPattern | None
-
-    def as_dict(self) -> dict:
-        return {
-            "subject_id": self.subject_id,
-            "centroids": self.centroids,
-            "delta_u": self.delta_u,
-            "delta_o": self.delta_o,
-            "pattern": self.pattern.value if self.pattern else None,
-        }
-
-
-def condition_centroids(subject_id: str, conditions, u, o) -> TrajectorySummary:
-    """Per-condition mean/SD of (U, O). The pattern is classified only when all
-    three conditions have windows; missing conditions are recorded as absent."""
+def condition_centroids(subject_id: str, conditions, u, o) -> dict:
+    """One subject's trajectory record, as ``stats.json`` stores it:
+    ``subject_id``; ``centroids``, per condition with windows the mean and SD
+    of U and O and the window count ``n``; ``delta_u`` and ``delta_o``
+    (c3 - c1); and ``pattern``, the :class:`TrajectoryPattern` value. The
+    deltas and the pattern are None unless all three conditions have windows."""
     conditions = np.asarray(conditions)
     u = np.asarray(u, dtype=np.float64)
     o = np.asarray(o, dtype=np.float64)
@@ -111,18 +100,11 @@ def condition_centroids(subject_id: str, conditions, u, o) -> TrajectorySummary:
                 "o_sd": float(o[sel].std()),
                 "n": int(sel.sum()),
             }
+    record = {"subject_id": subject_id, "centroids": centroids, "delta_u": None, "delta_o": None, "pattern": None}
     if len(centroids) == 3:
-        c1 = (centroids["c1"]["u"], centroids["c1"]["o"])
-        c2 = (centroids["c2"]["u"], centroids["c2"]["o"])
-        c3 = (centroids["c3"]["u"], centroids["c3"]["o"])
-        pattern = classify_trajectory(c1, c2, c3)
-        delta_u = c3[0] - c1[0]
-        delta_o = c3[1] - c1[1]
-    else:
-        pattern = None
-        delta_u = None
-        delta_o = None
-    return TrajectorySummary(subject_id, centroids, delta_u, delta_o, pattern)
+        c1, c2, c3 = ((centroids[c]["u"], centroids[c]["o"]) for c in ("c1", "c2", "c3"))
+        record.update(delta_u=c3[0] - c1[0], delta_o=c3[1] - c1[1], pattern=classify_trajectory(c1, c2, c3).value)
+    return record
 
 
 def quadrant_occupancy(u, o) -> dict:

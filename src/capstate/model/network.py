@@ -19,6 +19,7 @@ second conv and the residual run at an output stride of d_{i+1} / d_i.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,6 +28,11 @@ from ..cardiac import HRV_FEATURE_NAMES
 from ..eda import EDA_FEATURE_NAMES
 from . import autograd as ag
 from .autograd import Tensor
+
+
+# The most learnable values an architecture may have: 16 MB per float64 copy,
+# about 40 times the default TCN network (README states why)
+MAX_PARAMETERS = 2_000_000
 
 
 def substream_seed(root_seed: int, *labels) -> int:
@@ -83,6 +89,9 @@ class ArchConfig:
         for name in ("dropout_fusion", "dropout_head"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must lie in [0, 1)")
+        n_params = sum(math.prod(shape) for _, shape, _ in _param_specs(self))
+        if n_params > MAX_PARAMETERS:
+            raise ValueError(f"* sizes imply {n_params:,} parameters, more than the bound of {MAX_PARAMETERS:,}")
 
 
 @dataclass

@@ -10,7 +10,7 @@ and the per-subject z-scoring are applied per evaluation fold (they depend on
 fold membership). Synthetic recordings write EDA at ``SYNTH_EDA_HZ``.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -119,11 +119,12 @@ def _crop(x: UniformSeries, start_s: float, end_s: float) -> UniformSeries:
 
 @dataclass(frozen=True)
 class FoldTransform:
-    """Fitted on the training fold only; applied identically to held-out data."""
+    """Fitted on the training fold only; applied identically to held-out data.
+    ``pooled_stats`` maps each block to its training (mean, SD) under
+    train_fold_stats, and is None under self_per_subject."""
 
     log_transform: eda.LogTransform
-    normalization_mode: str  # "self_per_subject" or "train_fold_stats"
-    pooled_stats: dict = field(default_factory=dict)
+    pooled_stats: dict | None = None
 
 
 def _fold_blocks(ds: WindowedDataset, log_tr: eda.LogTransform) -> dict[str, np.ndarray]:
@@ -138,16 +139,21 @@ def _fold_blocks(ds: WindowedDataset, log_tr: eda.LogTransform) -> dict[str, np.
     }
 
 
+def _zscore_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population SD over every axis but the last, the SD floored at
+    1e-8 so a constant dimension maps to zero."""
+    axes = tuple(range(block.ndim - 1))
+    return block.mean(axis=axes), np.maximum(block.std(axis=axes), 1e-8)
+
+
 def fit_fold_transform(train: WindowedDataset, normalization_mode: str = "self_per_subject") -> FoldTransform:
     if normalization_mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {normalization_mode!r}")
     log_tr = eda.LogTransform.fit(train.f_eda)
-    pooled = {}
+    pooled = None
     if normalization_mode == "train_fold_stats":
-        for name, block in _fold_blocks(train, log_tr).items():
-            axes = tuple(range(block.ndim - 1))
-            pooled[name] = (block.mean(axis=axes), np.maximum(block.std(axis=axes), 1e-8))
-    return FoldTransform(log_tr, normalization_mode, pooled)
+        pooled = {name: _zscore_stats(block) for name, block in _fold_blocks(train, log_tr).items()}
+    return FoldTransform(log_tr, pooled)
 
 
 def normalize_per_subject(features: np.ndarray, subjects) -> np.ndarray:
@@ -156,33 +162,28 @@ def normalize_per_subject(features: np.ndarray, subjects) -> np.ndarray:
     ``features`` has one row per window and the feature dimension last; the
     statistics pool every other axis, so an (N, d) matrix gets per-column
     stats and an (N, T, 1) series one scalar per subject. Uses the subject's
-    own label-free statistics (population SD, guarded at 1e-8 so constant
-    dimensions map to zero).
+    own label-free statistics (:func:`_zscore_stats`).
     """
     features = np.asarray(features, dtype=np.float64)
     subjects = np.asarray(subjects)
-    axes = tuple(range(features.ndim - 1))
     out = np.empty_like(features)
     for subj in np.unique(subjects):
         rows = np.nonzero(subjects == subj)[0]
         if len(rows) < 2:
             raise ValueError(f"subject {subj!r} has fewer than 2 windows")
-        mu = features[rows].mean(axis=axes)
-        sd = features[rows].std(axis=axes)
-        out[rows] = (features[rows] - mu) / np.maximum(sd, 1e-8)
+        block = features[rows]
+        mu, sd = _zscore_stats(block)
+        out[rows] = (block - mu) / sd
     return out
 
 
 def apply_fold_transform(ds: WindowedDataset, tr: FoldTransform) -> WindowedDataset:
-    """Log-transform flagged EDA dims, then z-score features and time series.
-
-    In self_per_subject mode every subject is normalized with its own
-    label-free statistics; in train_fold_stats mode pooled training statistics
-    are applied to everyone (held-out subjects included).
-    """
+    """Log-transform flagged EDA dims, then z-score features and time series:
+    with the pooled training statistics when the transform holds them
+    (held-out subjects included), else each subject with its own."""
     normalized = {}
     for name, block in _fold_blocks(ds, tr.log_transform).items():
-        if tr.normalization_mode == "self_per_subject":
+        if tr.pooled_stats is None:
             z = normalize_per_subject(block, ds.subject)
         else:
             mu, sd = tr.pooled_stats[name]

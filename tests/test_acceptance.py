@@ -338,8 +338,8 @@ def test_criterion_7_end_to_end_synthetic_loso():
     summary = summary_table(folds)
     mean_stress = summary["stress"]["mean"]
     mean_effort = summary["effort"]["mean"]
-    patterns = [s.pattern for s in trajectory_summaries(folds)]
-    n_monotonic = sum(1 for p in patterns if p is not None and p.value == "monotonic")
+    patterns = [s["pattern"] for s in trajectory_summaries(folds)]
+    n_monotonic = sum(1 for p in patterns if p == "monotonic")
     ok = mean_stress >= 0.95 and mean_effort >= 0.95 and n_monotonic >= 8 and elapsed < 900.0
     report(
         7,

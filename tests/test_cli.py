@@ -24,6 +24,7 @@ from capstate.config import (
 from capstate.dsp import WindowingPlan
 from capstate.errors import ConfigError, DataError
 from capstate.model import ArchConfig
+from capstate.model.network import MAX_PARAMETERS
 from capstate.model.train import TrainHistory
 from capstate.pipeline import min_synthetic_duration_s
 from capstate.storage import (
@@ -373,6 +374,13 @@ class TestExitCodes:
         ("evaluate", 'arch.modalities=["ibi", "ibi"]', "arch.modalities must not repeat"),
         ("evaluate", 'ablation.modalities=["eda", "eda"]', "ablation.modalities must not repeat"),
         ("evaluate", "arch.tcn_dilations=[true, 2]", "arch.tcn_dilations must be integers"),
+        # a window too short for the features, and networks past MAX_PARAMETERS, refused at load on
+        # an empty tree: arch.* is checked as given, then with the table's TCN ablation folded in
+        ("preprocess", "windowing.window_len_samples=1", "windowing.window_len_samples must be >= 2"),
+        ("evaluate", "arch.lstm_hidden=1000000",
+         f"arch.* sizes imply 10,000,068,000,774 parameters, more than the bound of {MAX_PARAMETERS:,}"),
+        ("evaluate", "arch.tcn_channels=100000",
+         f"sizes imply 540,007,800,774 parameters, more than the bound of {MAX_PARAMETERS:,}"),
         # training and solver settings with no meaning below their bound
         ("evaluate", "train.weight_decay=-1", "train.weight_decay must be >= 0"),
         ("evaluate", "train.lambda_effort=-2", "train.lambda_effort must be >= 0"),
@@ -397,6 +405,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
         assert not (tmp_path / "data").exists() and not (tmp_path / "out").exists()  # checked before any stage
+
+    @pytest.mark.parametrize("command", ["synth", "preprocess", "evaluate", "report"])
+    def test_stage_dir_that_cannot_be_made_is_2(self, tmp_path, capsys, command):
+        """A stage directory whose place a regular file holds exits 2, naming
+        the config key and the directory, without a traceback."""
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        results = tmp_path / "out" / "results"
+        if command == "synth":
+            key, target = "data_root", blocker / "d"
+            extra = ["--set", f"data_root={json.dumps(str(target))}"]
+        elif command == "report":  # folds to report on, and a file where report/ goes
+            results.mkdir(parents=True)
+            fold = make_fold("s00", {"c1": (0.2, 0.2), "c2": (0.4, 0.4), "c3": (0.6, 0.6)})
+            write_fold_csv(results / "fold_s00.csv", fold)
+            (results / "report").write_text("")
+            key, target, extra = "output_root", results / "report", []
+        else:
+            if command == "preprocess":
+                assert run_cli(tmp_path, "synth") == 0
+            subdir = "windows" if command == "preprocess" else "results"
+            key, target = "output_root", blocker / subdir
+            extra = ["--set", f"output_root={json.dumps(str(blocker))}"]
+        capsys.readouterr()
+        assert run_cli(tmp_path, command, *extra) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}: cannot create directory {target}: " in err and "Traceback" not in err
 
     @pytest.mark.parametrize("target, kind", [
         ("config", "directory"), ("config", "binary"), ("sessions", "directory"), ("sessions", "binary"),

@@ -466,4 +466,6 @@ class TestWindowing:
     def test_plan_invariants(self):
         with pytest.raises(ValueError):
             WindowingPlan(overlap_fraction=1.0)
+        with pytest.raises(ValueError, match="window_len_samples must be >= 2"):
+            WindowingPlan(window_len_samples=1, overlap_fraction=0.0)  # a step of 1, but no window features
         assert WindowingPlan().step_samples == 30

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,21 @@ class TestTonicElimination:
     def test_basis_has_full_column_rank(self, n, spacing_s):
         basis = _tonic_basis(n, 2.0, spacing_s)
         assert np.linalg.matrix_rank(basis) == basis.shape[1]
+
+    def test_long_slow_time_constant_allocates_only_the_record(self, rng):
+        """The Bateman kernel spans 12 tau1 but is built only as far as the
+        record reaches: at tau1 = 1e6 s a 140-sample record's reduced problem
+        stays under 1 MiB traced (24e6 kernel samples would take 183 MiB)."""
+        x = self._stream(rng, 140)
+        tracemalloc.start()
+        try:
+            prob = _ReducedProblem(x, 2.0, CvxEdaParams(tau1_s=1e6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"{peak / 2**20:.1f} MiB"
+        t = np.arange(140) / 2.0
+        assert np.array_equal(prob.kernel, bateman_kernel(t, 0.7, 1e6))
 
     def test_decomposition_digest_independent_of_blas_threads(self):
         # holds up to 2400 samples; from 3600 samples (30 min at 2 Hz) the

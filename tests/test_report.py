@@ -5,6 +5,8 @@ undefined."""
 import csv
 import json
 
+import pytest
+
 from capstate.evaluation.report import (
     aggregate_classification,
     build_stats_report,
@@ -123,3 +125,48 @@ class TestWriteReport:
         assert "  effort: undefined (no complete folds)" in text
         assert "vs chance" not in text and "theory-consistent" not in text
         assert "RM-ANOVA" not in text
+
+
+# The exact bytes of the CSVs written from text cells, on the two fold sets
+# above: defined cells, and n/a cells for an undefined head and a single fold.
+THREE_FOLDS_CSV = {
+    "report/table2_summary.csv": (
+        "output,n,mean_ba,sd,median_ba,range_lo,range_hi\n"
+        "stress,3,0.750,0.250,0.750,0.500,1.000\n"
+        "effort,2,1.000,0.000,1.000,1.000,1.000\n"
+        "joint_average,3,0.792,0.260,0.875,0.500,1.000\n"),
+    "report/table4_classification.csv": (
+        "axis,precision,recall,f1,recall_low,recall_high,ba,n_total\n"
+        "stress,0.800,0.800,0.750,1.00,0.60,0.800,32\n"
+        "effort,1.000,1.000,1.000,1.00,1.00,1.000,16\n"),
+    "report/trajectory_distribution.csv": (
+        "pattern,count,share_of_classified\n"
+        "monotonic,1,0.500\nrising,0,0.000\npeak_c2,1,0.500\nflat_ceiling,0,0.000\ninverted,0,0.000\n"
+        "unclassified,1,n/a\n"),
+}
+ONE_FOLD_CSV = {
+    "report/table2_summary.csv": (
+        "output,n,mean_ba,sd,median_ba,range_lo,range_hi\n"
+        "stress,1,0.500,n/a,0.500,0.500,0.500\n"
+        "effort,0,n/a,n/a,n/a,n/a,n/a\n"
+        "joint_average,1,0.500,n/a,0.500,0.500,0.500\n"),
+    "report/table4_classification.csv": (
+        "axis,precision,recall,f1,recall_low,recall_high,ba,n_total\n"
+        "stress,0.250,0.500,0.333,1.00,0.00,0.500,8\n"
+        "effort,n/a,n/a,n/a,n/a,n/a,n/a,0\n"),
+    "report/trajectory_distribution.csv": (
+        "pattern,count,share_of_classified\n"
+        "monotonic,0,0.000\nrising,0,0.000\npeak_c2,0,0.000\nflat_ceiling,0,0.000\ninverted,0,0.000\n"
+        "unclassified,1,n/a\n"),
+}
+
+
+@pytest.mark.parametrize("folds, expected", [
+    ([make_fold("a", MONOTONIC), make_fold("b", PEAK_C2), make_fold("c", MONOTONIC, ("c1", "c2"))], THREE_FOLDS_CSV),
+    ([make_fold("c", MONOTONIC, ("c1", "c2"))], ONE_FOLD_CSV),
+], ids=["three-folds", "one-fold"])
+def test_report_csv_bytes(tmp_path, folds, expected):
+    """Quoting, separators and line endings are pinned, not only the cells."""
+    paths = write_report(folds, tmp_path)
+    for name, text in expected.items():
+        assert paths[name].read_bytes() == text.encode(), name

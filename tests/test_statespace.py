@@ -85,11 +85,11 @@ class TestConditionCentroids:
         u = np.full(15, 0.7)
         o = np.full(15, 0.3)
         s = condition_centroids("pp01", conds, u, o)
-        assert s.pattern is TrajectoryPattern.FLAT_CEILING
-        assert s.delta_u == pytest.approx(0.0)
+        assert s["pattern"] == TrajectoryPattern.FLAT_CEILING.value
+        assert s["delta_u"] == pytest.approx(0.0)
         for c in ("c1", "c2", "c3"):
-            assert s.centroids[c]["u"] == pytest.approx(0.7)
-            assert s.centroids[c]["n"] == 5
+            assert s["centroids"][c]["u"] == pytest.approx(0.7)
+            assert s["centroids"][c]["n"] == 5
 
     def test_known_means_recovered(self, rng):
         conds = np.array(["c1"] * 10 + ["c2"] * 10 + ["c3"] * 10)
@@ -98,13 +98,13 @@ class TestConditionCentroids:
         u = u + rng.normal(0, 1e-9, 30)
         o = o + rng.normal(0, 1e-9, 30)
         s = condition_centroids("pp02", conds, u, o)
-        assert s.centroids["c2"]["u"] == pytest.approx(0.5, abs=1e-6)
-        assert s.pattern is TrajectoryPattern.MONOTONIC
-        assert s.delta_u == pytest.approx(0.6, abs=1e-6)
+        assert s["centroids"]["c2"]["u"] == pytest.approx(0.5, abs=1e-6)
+        assert s["pattern"] == TrajectoryPattern.MONOTONIC.value
+        assert s["delta_u"] == pytest.approx(0.6, abs=1e-6)
 
     def test_missing_condition_no_pattern(self):
         conds = np.array(["c1"] * 5 + ["c3"] * 5)
         s = condition_centroids("pp03", conds, np.full(10, 0.4), np.full(10, 0.4))
-        assert s.pattern is None
-        assert "c2" not in s.centroids
-        assert s.delta_u is None
+        assert s["pattern"] is None
+        assert "c2" not in s["centroids"]
+        assert s["delta_u"] is None
