@@ -5,9 +5,14 @@ derivative, squaring, moving-window integration, adaptive dual threshold with
 refractory and search-back), with the final peak time refined to the local ECG
 maximum. The moving-window integral is a difference of cumulative sums: one
 slice difference over the full-width windows, with clipped windows only at
-the two edges. The IBI series is resampled to ``dsp.GRID_HZ``; the
-frequency-domain HRV features use Welch segments of ``HRV_SEGMENT_LEN``
-samples zero-padded to ``HRV_NFFT``.
+the two edges. The chain runs in a fixed set of full-length buffers and
+frees each stage's input once the next stage has it: the band-pass holds its
+input and two padded block buffers (``dsp``), the derivative is squared in
+its own buffer, the integral takes one cumulative-sum buffer, and the
+running max swaps between two. Every step is the exact operation of the
+expression it replaced, so the peaks keep their bits. The IBI series is
+resampled to ``dsp.GRID_HZ``; the frequency-domain HRV features use Welch
+segments of ``HRV_SEGMENT_LEN`` samples zero-padded to ``HRV_NFFT``.
 """
 
 from collections import deque
@@ -128,6 +133,21 @@ def _pt_scan_loop(cand_idx, cand_val, refr_samples, spki0, npki0):
     return np.array(accepted, dtype=np.int64)
 
 
+def _squared_slope(band: np.ndarray, rate: float) -> np.ndarray:
+    """``(np.gradient(band) * rate) ** 2``, taken as ``deriv * deriv``, in
+    one new buffer: ``np.gradient``'s formula with unit spacing, central
+    differences halved inside and one-sided differences at the two ends,
+    then the scaling and the square in place."""
+    deriv = np.empty(len(band))
+    inner = deriv[1:-1]
+    np.subtract(band[2:], band[:-2], out=inner)
+    inner /= 2.0
+    deriv[0] = band[1] - band[0]  # np.gradient divides these by the unit spacing, 1.0
+    deriv[-1] = band[-1] - band[-2]
+    deriv *= rate
+    return np.multiply(deriv, deriv, out=deriv)
+
+
 def _moving_window_integral(x: np.ndarray, half_width: int) -> np.ndarray:
     """Centered moving average via cumulative sums: the mean of
     ``x[i - half_width : i + half_width + 1]``, the window clipped to the
@@ -135,7 +155,9 @@ def _moving_window_integral(x: np.ndarray, half_width: int) -> np.ndarray:
     are one slice difference; only the ``half_width`` samples at each edge
     index the sums through their clipped bounds."""
     n, w = len(x), 2 * half_width + 1
-    c = np.concatenate(([0.0], np.cumsum(x)))
+    c = np.empty(n + 1)
+    c[0] = 0.0
+    np.cumsum(x, out=c[1:])
     out = np.empty(n)
     head = min(half_width, n)
     edges = np.concatenate([np.arange(head), np.arange(max(n - half_width, head), n)])
@@ -143,7 +165,9 @@ def _moving_window_integral(x: np.ndarray, half_width: int) -> np.ndarray:
     hi = np.minimum(edges + half_width + 1, n)
     out[edges] = (c[hi] - c[lo]) / (hi - lo)
     if n >= w:
-        out[half_width : n - half_width] = (c[w:] - c[: n + 1 - w]) / w
+        inner = out[half_width : n - half_width]
+        np.subtract(c[w:], c[: n + 1 - w], out=inner)
+        inner /= w
     return out
 
 
@@ -154,13 +178,18 @@ def _centered_running_max(x: np.ndarray, half_width: int) -> np.ndarray:
     two such runs, overlapping, cover each window. A max rounds nothing, so
     the result is exact."""
     n, w = len(x), 2 * half_width + 1
-    pad = np.full(half_width, -np.inf)
-    m = np.concatenate([pad, x, pad])  # window i is m[i : i + w]
-    span = 1
+    m = np.empty(n + 2 * half_width)  # window i is m[i : i + w]
+    m[:half_width] = -np.inf
+    m[half_width : half_width + n] = x
+    m[half_width + n :] = -np.inf
+    other = np.empty_like(m)
+    size, span = len(m), 1
     while 2 * span <= w:
-        m = np.maximum(m[:-span], m[span:])  # m[i] = max of the 2 span samples from i
+        size -= span
+        np.maximum(m[:size], m[span : size + span], out=other[:size])  # other[i]: the 2 span samples from i
+        m, other = other, m
         span *= 2
-    return np.maximum(m[:n], m[w - span : w - span + n])
+    return np.maximum(m[:n], m[w - span : w - span + n], out=other[:n])
 
 
 def detect_r_peaks(ecg: UniformSeries) -> PeakList:
@@ -174,10 +203,9 @@ def detect_r_peaks(ecg: UniformSeries) -> PeakList:
     if ecg.duration_s < 10.0:
         raise ValueError("ECG shorter than 10 s")
 
-    band = butterworth_bandpass(ecg, 2, 5.0, 15.0).values
-    deriv = np.gradient(band) * rate
-    squared = deriv * deriv
+    squared = _squared_slope(butterworth_bandpass(ecg, 2, 5.0, 15.0).values, rate)
     mwi = _moving_window_integral(squared, int(round(0.075 * rate)))
+    del squared  # the running max's two buffers take its place
 
     widest = _centered_running_max(mwi, int(round(0.1 * rate)))
     interior = (mwi[1:-1] > mwi[:-2]) & (mwi[1:-1] >= mwi[2:]) & (mwi[1:-1] == widest[1:-1])

@@ -61,13 +61,14 @@ def cmd_synth(cfg: cfgmod.PipelineConfig) -> int:
         seed=cfg.seed,
         ecg_rate_hz=cfg.synth.ecg_rate_hz,
     )
-    rows = [ingest.write_recording_csvs(root, r.subject_id, r.condition, r) for r in recs]
-    ingest.write_sessions_csv(root, rows)
-    outputs = {"sessions.csv": cfgmod.sha256_file(root / "sessions.csv")}
-    for row in rows:
-        for key in ("ecg_file", "eda_file"):
-            outputs[row[key]] = cfgmod.sha256_file(root / row[key])
-    cfgmod.write_manifest(root, "synth", cfg, inputs={}, outputs=outputs, started_at=started)
+    with cfgmod.stage_outputs("data_root"):
+        rows = [ingest.write_recording_csvs(root, r.subject_id, r.condition, r) for r in recs]
+        ingest.write_sessions_csv(root, rows)
+        outputs = {"sessions.csv": cfgmod.sha256_file(root / "sessions.csv")}
+        for row in rows:
+            for key in ("ecg_file", "eda_file"):
+                outputs[row[key]] = cfgmod.sha256_file(root / row[key])
+        cfgmod.write_manifest(root, "synth", cfg, inputs={}, outputs=outputs, started_at=started)
     print(f"wrote {len(rows)} recordings for {cfg.synth.n_subjects} subjects under {root}")
     return 0
 
@@ -98,16 +99,17 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
             raise NumericalError(f"{where}: {exc}") from exc
         by_subject.setdefault(session.subject_id, []).append(part)
     ingest.prune_parsed(parsed_dir, set(parsed.values()))  # entries of files since edited or dropped
-    for stale in out_dir.glob("windows_*.csv"):
-        stale.unlink()  # evaluate trains on every windows_*.csv it finds
-    outputs = {}
-    for subject in sorted(by_subject):
-        ds = pipeline.concat_datasets(by_subject[subject])
-        path = out_dir / f"windows_{subject}.csv"
-        storage.write_windows_csv(path, ds)
-        outputs[f"windows/{path.name}"] = cfgmod.sha256_file(path)
-        print(f"{subject}: {len(ds)} windows")
-    cfgmod.write_manifest(Path(cfg.output_root), "preprocess", cfg, inputs, outputs, started)
+    with cfgmod.stage_outputs("output_root"):
+        for stale in out_dir.glob("windows_*.csv"):
+            stale.unlink()  # evaluate trains on every windows_*.csv it finds
+        outputs = {}
+        for subject in sorted(by_subject):
+            ds = pipeline.concat_datasets(by_subject[subject])
+            path = out_dir / f"windows_{subject}.csv"
+            storage.write_windows_csv(path, ds)
+            outputs[f"windows/{path.name}"] = cfgmod.sha256_file(path)
+            print(f"{subject}: {len(ds)} windows")
+        cfgmod.write_manifest(Path(cfg.output_root), "preprocess", cfg, inputs, outputs, started)
     return 0
 
 
@@ -128,18 +130,19 @@ def cmd_evaluate(cfg: cfgmod.PipelineConfig) -> int:
         parallel_folds=cfg.parallel_folds,
         seed=cfg.seed,
     )
-    for stale in [*results_dir.glob("fold_*.csv"), *results_dir.glob("history_*.csv")]:
-        stale.unlink()  # report aggregates every fold_*.csv it finds
-    outputs = {}
-    for fold in folds:
-        fpath = results_dir / f"fold_{fold.subject_id}.csv"
-        storage.write_fold_csv(fpath, fold)
-        outputs[f"results/{fpath.name}"] = cfgmod.sha256_file(fpath)
-        hpath = results_dir / f"history_{fold.subject_id}.csv"
-        storage.write_history_csv(hpath, fold.history)
-        outputs[f"results/{hpath.name}"] = cfgmod.sha256_file(hpath)
-        print(f"{fold.subject_id}: stress BA {fold.ba('stress'):.3f} effort BA {fold.ba('effort'):.3f}")
-    cfgmod.write_manifest(Path(cfg.output_root), "evaluate", cfg, inputs, outputs, started)
+    with cfgmod.stage_outputs("output_root"):
+        for stale in [*results_dir.glob("fold_*.csv"), *results_dir.glob("history_*.csv")]:
+            stale.unlink()  # report aggregates every fold_*.csv it finds
+        outputs = {}
+        for fold in folds:
+            fpath = results_dir / f"fold_{fold.subject_id}.csv"
+            storage.write_fold_csv(fpath, fold)
+            outputs[f"results/{fpath.name}"] = cfgmod.sha256_file(fpath)
+            hpath = results_dir / f"history_{fold.subject_id}.csv"
+            storage.write_history_csv(hpath, fold.history)
+            outputs[f"results/{hpath.name}"] = cfgmod.sha256_file(hpath)
+            print(f"{fold.subject_id}: stress BA {fold.ba('stress'):.3f} effort BA {fold.ba('effort'):.3f}")
+        cfgmod.write_manifest(Path(cfg.output_root), "evaluate", cfg, inputs, outputs, started)
     return 0
 
 
@@ -149,9 +152,10 @@ def cmd_report(cfg: cfgmod.PipelineConfig) -> int:
     folds = storage.read_folds_dir(rdir)
     inputs = {p.name: cfgmod.sha256_file(p) for p in sorted(rdir.glob("fold_*.csv"))}
     cfgmod.make_stage_dir(rdir / "report", "output_root")
-    paths = write_report(folds, rdir)
-    outputs = {name: cfgmod.sha256_file(path) for name, path in sorted(paths.items())}
-    cfgmod.write_manifest(rdir, "report", cfg, inputs, outputs, started)
+    with cfgmod.stage_outputs("output_root"):
+        paths = write_report(folds, rdir)
+        outputs = {name: cfgmod.sha256_file(path) for name, path in sorted(paths.items())}
+        cfgmod.write_manifest(rdir, "report", cfg, inputs, outputs, started)
     print(paths["report/report.txt"].read_text())
     return 0
 

@@ -9,6 +9,7 @@ embeds the full config in its RunManifest, and all randomness flows from
 identical output digests.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -75,7 +76,11 @@ class PipelineConfig:
 
     def __post_init__(self):
         # ablation.* wins over arch.*: fold it in once, so every stage reads cfg.arch
-        object.__setattr__(self, "arch", dataclasses.replace(self.arch, **self.ablation.overrides()))
+        try:
+            arch = dataclasses.replace(self.arch, **self.ablation.overrides())
+        except ValueError as exc:  # the folded-in arch fails a check: name its section, as _build does
+            raise ValueError(f"arch.{exc}") from None
+        object.__setattr__(self, "arch", arch)
         if self.normalization_mode not in NORMALIZATION_MODES:
             raise ValueError(f"normalization_mode must be one of {NORMALIZATION_MODES}, "
                              f"got {self.normalization_mode!r}")
@@ -227,6 +232,18 @@ def make_stage_dir(path, key: str) -> Path:
     except OSError as exc:
         raise ConfigError(f"{key}: cannot create directory {path}: {exc.strerror or exc}") from None
     return path
+
+
+@contextlib.contextmanager
+def stage_outputs(key: str):
+    """Turn an OSError while a stage deletes, writes or digests its output
+    files under the directory that config key ``key`` places (a directory
+    where a file goes, no permission) into a ConfigError naming the key and
+    the path, as :func:`make_stage_dir` does."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{key}: cannot write {exc.filename or 'an output'}: {exc.strerror or exc}") from None
 
 
 def write_manifest(out_dir, stage: str, cfg: PipelineConfig, inputs: dict, outputs: dict,

@@ -11,6 +11,19 @@ block of ``_IIR_BLOCK`` samples and a 2-state carry between blocks. Each
 design (coefficients, steady state, block matrices) is built once per process
 for its ``(order, cutoff, rate, btype)``, the rate being the one the series
 measures, and kept as read-only arrays in a cache of ``_DESIGN_CACHE_SIZE``.
+
+Who owns which buffer in a zero-phase pass: the caller's samples (and the
+line :func:`butterworth_lowpass` removes) are only read. :func:`_sosfiltfilt`
+allocates two block buffers of the padded length; :func:`_run_cascade`
+consumes the one it is given as input, writing each section's output into
+the other and the carry's product into the input it has finished reading.
+The result is the first ``len(x)`` samples of the buffer the last pass freed,
+so a filter holds at most two padded buffers beside its input, and its
+output keeps one alive. :func:`butterworth_lowpass` builds its line in the
+buffer of :func:`linear_fit`'s abscissa and has :func:`_sosfiltfilt`
+subtract it as it fills the first block buffer, so the residual takes no
+buffer of its own. Each in-place step is the exact operation of the
+expression it replaced, so every value keeps its bits.
 """
 
 import functools
@@ -217,13 +230,17 @@ def _butter_design(order: int, cutoff_hz: float, rate_hz: float, btype: str) -> 
     return design
 
 
-def _run_cascade(sections: tuple, blocks: np.ndarray, zi: np.ndarray) -> np.ndarray:
+def _run_cascade(sections: tuple, blocks: np.ndarray, zi: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """Run the biquads ``sections`` over ``blocks`` (n_blocks, ``_IIR_BLOCK``),
     the signal row by row, from per-section state ``zi``: per section, one GEMM
     for the zero-state response of every block, a 2-state carry from block to
-    block, and one GEMM for the carry's effect. ``blocks`` serves as scratch:
-    the output comes back in a buffer of its shape, which may be ``blocks``."""
-    out = np.empty_like(blocks)
+    block, and one GEMM for the carry's effect.
+
+    ``blocks`` is consumed and ``spare``, of its shape, is scratch: each
+    section writes its output into the buffer it does not read, and the
+    carry's product into the input it has finished reading. Returns the
+    buffer that holds the output: ``blocks`` after an even number of
+    sections, ``spare`` after an odd one."""
     for (toeplitz, carry_out, a_pow_l, drive), (s0, s1) in zip(sections, zi.tolist()):
         (m00, m01), (m10, m11) = a_pow_l.tolist()
         states = []  # the state entering each block, flat: s0, s1, s0, s1, ...
@@ -232,9 +249,9 @@ def _run_cascade(sections: tuple, blocks: np.ndarray, zi: np.ndarray) -> np.ndar
             push(s0)
             push(s1)
             s0, s1 = m00 * s0 + m01 * s1 + d0, m10 * s0 + m11 * s1 + d1
-        np.matmul(blocks, toeplitz, out=out)
-        out += np.array(states).reshape(-1, 2) @ carry_out
-        blocks, out = out, blocks
+        np.matmul(blocks, toeplitz, out=spare)
+        spare += np.matmul(np.array(states).reshape(-1, 2), carry_out, out=blocks)
+        blocks, spare = spare, blocks
     return blocks
 
 
@@ -250,29 +267,44 @@ def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     blocks = _block_buffer(n)
     blocks.reshape(-1)[:n] = x
-    return _run_cascade(_iir_design(sos).sections, blocks, zi).reshape(-1)[:n]
+    return _run_cascade(_iir_design(sos).sections, blocks, zi, np.empty_like(blocks)).reshape(-1)[:n]
 
 
-def _sosfiltfilt(design: _IirDesign, x: np.ndarray, pad_samples: int = 0) -> np.ndarray:
-    """Forward-backward IIR cascade (zero phase) with odd-reflection padding
-    and steady-state initial conditions: constants pass through exactly.
+def _sosfiltfilt(design: _IirDesign, x: np.ndarray, pad_samples: int = 0, line=None) -> np.ndarray:
+    """Forward-backward IIR cascade (zero phase) of ``x``, less ``line`` when
+    one is given, with odd-reflection padding and steady-state initial
+    conditions: constants pass through exactly.
 
-    The padded signal is written straight into the first pass's block
-    buffer, and the first pass's output, reversed, into the second's."""
+    Both passes run in two block buffers of the padded length ``m``; ``x``
+    and ``line`` are only read. The padded signal is written straight into
+    the first, the first pass's output, reversed, into the one it freed
+    (whose tail past ``m`` is zeroed: the block GEMMs multiply it by zeros,
+    and ``0 * garbage`` can be NaN or flip a -0.0), and the result, reversed
+    again, into the first ``len(x)`` samples of the buffer the second pass
+    freed. The result is that buffer's view, so one padded buffer outlives
+    the call."""
     n = x.shape[0]
     padlen = min(n - 1, max(pad_samples, 24 * design.sos.shape[0], 32))
     m = n + 2 * padlen
-    forward = _block_buffer(m)
-    ext = forward.reshape(-1)
-    ext[:padlen] = 2.0 * x[0] - x[padlen:0:-1]
-    ext[padlen : padlen + n] = x
-    ext[padlen + n : m] = 2.0 * x[-1] - x[-2 : -padlen - 2 : -1]
-    y = _run_cascade(design.sections, forward, design.zi * ext[0]).reshape(-1)
-    backward = _block_buffer(m)
-    rev = backward.reshape(-1)
-    rev[:m] = y[m - 1 :: -1]
-    y = _run_cascade(design.sections, backward, design.zi * rev[0]).reshape(-1)
-    return y[m - 1 :: -1][padlen : padlen + n].copy()
+    first = _block_buffer(m)
+    spare = np.empty_like(first)
+    ext = first.reshape(-1)
+    mid = ext[padlen : padlen + n]
+    if line is None:
+        mid[...] = x
+    else:
+        np.subtract(x, line, out=mid)
+    ext[:padlen] = 2.0 * mid[0] - mid[padlen:0:-1]
+    ext[padlen + n : m] = 2.0 * mid[-1] - mid[-2 : -padlen - 2 : -1]
+    y = _run_cascade(design.sections, first, design.zi * ext[0], spare)
+    free = spare if y is first else first
+    rev = free.reshape(-1)
+    rev[:m] = y.reshape(-1)[m - 1 :: -1]
+    rev[m:] = 0.0
+    z = _run_cascade(design.sections, free, design.zi * rev[0], y)
+    out = (y if z is free else free).reshape(-1)[:n]
+    out[...] = z.reshape(-1)[padlen : padlen + n][::-1]
+    return out
 
 
 def butterworth_lowpass(x: UniformSeries, order: int, cutoff_hz: float) -> UniformSeries:
@@ -284,11 +316,13 @@ def butterworth_lowpass(x: UniformSeries, order: int, cutoff_hz: float) -> Unifo
     untouched, and this suppresses edge transients on drifting signals.
     """
     design = _butter_design(order, cutoff_hz, x.rate_hz, "lowpass")
-    t, mean, slope = linear_fit(x.values)
-    line = mean + slope * t
+    line, mean, slope = linear_fit(x.values)
+    line *= slope  # line = mean + slope * t, in t's buffer
+    line += mean
     pad = int(3.0 * x.rate_hz / cutoff_hz)
-    resid = _sosfiltfilt(design, x.values - line, pad_samples=pad)
-    return x.replace_values(resid + line)
+    y = _sosfiltfilt(design, x.values, pad_samples=pad, line=line)
+    y += line
+    return x.replace_values(y)
 
 
 def butterworth_highpass(x: UniformSeries, order: int, cutoff_hz: float) -> UniformSeries:
@@ -318,7 +352,11 @@ def linear_fit(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t = np.arange(v.shape[-1], dtype=np.float64)
     t -= t.mean()
     mean = v.mean(axis=-1, keepdims=True)
-    slope = np.sum(t * (v - mean), axis=-1) / (np.sum(t * t) or 1.0)  # one sample: t is 0, so is the slope
+    centred = v - mean
+    centred *= t  # t * (v - mean), in place
+    moment = np.sum(centred, axis=-1)
+    del centred  # before t * t, so one full-length temporary at a time
+    slope = moment / (np.sum(t * t) or 1.0)  # one sample: t is 0, so is the slope
     return t, mean[..., 0], slope
 
 

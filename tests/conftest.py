@@ -416,6 +416,76 @@ def moving_window_integral_reference(x: np.ndarray, half_width: int) -> np.ndarr
     return (c[hi] - c[lo]) / (hi - lo)
 
 
+def centered_running_max_reference(x: np.ndarray, half_width: int) -> np.ndarray:
+    """The doubling running max with a fresh array per doubling;
+    ``capstate.cardiac._centered_running_max`` must match it bit for bit."""
+    n, w = len(x), 2 * half_width + 1
+    pad = np.full(half_width, -np.inf)
+    m = np.concatenate([pad, x, pad])
+    span = 1
+    while 2 * span <= w:
+        m = np.maximum(m[:-span], m[span:])
+        span *= 2
+    return np.maximum(m[:n], m[w - span : w - span + n])
+
+
+def linear_fit_reference(v: np.ndarray):
+    """The least-squares line with a fresh array per operation;
+    ``capstate.dsp.linear_fit`` must match it bit for bit."""
+    t = np.arange(v.shape[-1], dtype=np.float64)
+    t -= t.mean()
+    mean = v.mean(axis=-1, keepdims=True)
+    slope = np.sum(t * (v - mean), axis=-1) / (np.sum(t * t) or 1.0)
+    return t, mean[..., 0], slope
+
+
+def _run_cascade_reference(sections, blocks, zi):
+    """The block IIR cascade with a fresh output buffer and a fresh carry
+    product per section (the kernel of :func:`sosfiltfilt_reference`)."""
+    out = np.empty_like(blocks)
+    for (toeplitz, carry_out, a_pow_l, drive), (s0, s1) in zip(sections, zi.tolist()):
+        (m00, m01), (m10, m11) = a_pow_l.tolist()
+        states = []
+        for d0, d1 in (blocks @ drive).tolist():
+            states += [s0, s1]
+            s0, s1 = m00 * s0 + m01 * s1 + d0, m10 * s0 + m11 * s1 + d1
+        np.matmul(blocks, toeplitz, out=out)
+        out += np.array(states).reshape(-1, 2) @ carry_out
+        blocks, out = out, blocks
+    return blocks
+
+
+def sosfiltfilt_reference(design, x: np.ndarray, pad_samples: int = 0) -> np.ndarray:
+    """The zero-phase IIR in three padded buffers, a fresh one per pass
+    and a copy for the result; ``capstate.dsp._sosfiltfilt`` must match it
+    bit for bit."""
+    n = x.shape[0]
+    padlen = min(n - 1, max(pad_samples, 24 * design.sos.shape[0], 32))
+    m = n + 2 * padlen
+    n_blocks = -(-m // design.sections[0][0].shape[0])
+    forward = np.zeros((n_blocks, design.sections[0][0].shape[0]))
+    ext = forward.reshape(-1)
+    ext[:padlen] = 2.0 * x[0] - x[padlen:0:-1]
+    ext[padlen : padlen + n] = x
+    ext[padlen + n : m] = 2.0 * x[-1] - x[-2 : -padlen - 2 : -1]
+    y = _run_cascade_reference(design.sections, forward, design.zi * ext[0]).reshape(-1)
+    backward = np.zeros_like(forward)
+    rev = backward.reshape(-1)
+    rev[:m] = y[m - 1 :: -1]
+    y = _run_cascade_reference(design.sections, backward, design.zi * rev[0]).reshape(-1)
+    return y[m - 1 :: -1][padlen : padlen + n].copy()
+
+
+def butterworth_lowpass_reference(values: np.ndarray, design, pad_samples: int) -> np.ndarray:
+    """The zero-phase low-pass around its least-squares line, each step in
+    a fresh array; ``capstate.dsp.butterworth_lowpass`` must match it bit for
+    bit."""
+    t, mean, slope = linear_fit_reference(values)
+    line = mean + slope * t
+    resid = sosfiltfilt_reference(design, values - line, pad_samples)
+    return resid + line
+
+
 def match_peaks_f1(detected: np.ndarray, truth: np.ndarray, tol_s: float = 0.02) -> float:
     """Greedy one-to-one matching within tol_s."""
     used = set()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from capstate.cardiac import (
     _centered_running_max,
     _moving_window_integral,
     _pt_scan_loop,
+    _squared_slope,
     build_ibi,
     detect_r_peaks,
     hrv_features,
@@ -22,7 +25,13 @@ from capstate.cardiac import (
 from capstate.dsp import UniformSeries
 from capstate.ingest import Condition, SyntheticSpec, generate_synthetic_recording
 from capstate.pipeline import normalize_per_subject, synthetic_condition_spec
-from conftest import brute_hrv_time, match_peaks_f1, moving_window_integral_reference, pt_scan_reference
+from conftest import (
+    brute_hrv_time,
+    centered_running_max_reference,
+    match_peaks_f1,
+    moving_window_integral_reference,
+    pt_scan_reference,
+)
 
 
 def synthetic_ecg(duration_s=60.0, ibi_ms=1000.0, jitter=0.0, snr_db=None, seed=1, rate=512.0):
@@ -109,7 +118,49 @@ class TestDetectRPeaks:
         x = np.random.default_rng(seed).normal(size=n) ** 2 * 1e3
         got = _moving_window_integral(x, half)
         assert got.shape == (n,)
-        assert np.array_equal(got, moving_window_integral_reference(x, half))
+        assert got.tobytes() == moving_window_integral_reference(x, half).tobytes()
+
+    @pytest.mark.parametrize("n, half", [(1, 0), (1, 3), (50, 0), (97, 4), (31, 40), (9, 4), (300, 64),
+                                         (2000, 102), (2000, 205)])
+    def test_centered_running_max_matches_fresh_buffers(self, rng, n, half):
+        # 102 and 205: the half-widths at 1024 and 2048 Hz; -0.0 and +0.0 ties keep their order
+        signed_zeros = rng.choice([-0.0, 0.0], n)
+        for x in (rng.normal(size=n), signed_zeros, np.full(n, -0.0), 1e150 * rng.normal(size=n)):
+            kept = x.copy()
+            got = _centered_running_max(x, half)
+            assert got.tobytes() == centered_running_max_reference(x, half).tobytes()
+            assert x.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("rate", [200.0, 512.0, 2048.0])
+    def test_squared_slope_is_np_gradient_squared(self, rng, rate):
+        for band in (rng.normal(size=3001), 1e150 * rng.normal(size=2), np.full(40, -0.0),
+                     np.sin(np.arange(5000) * 0.01)):
+            kept = band.copy()
+            deriv = np.gradient(band) * rate
+            assert _squared_slope(band, rate).tobytes() == (deriv * deriv).tobytes()
+            assert band.tobytes() == kept.tobytes()
+
+    def test_chain_peak_memory_per_sample(self):
+        """Peak traced memory of ``detect_r_peaks`` on a 70 s, 2048 Hz ECG,
+        per input sample. numpy reports its buffers to tracemalloc, so the
+        peak is deterministic: 33.8 B/sample when the chain runs in a fixed
+        set of full-length buffers (at most the high-pass output, the line,
+        and the low-pass's two block buffers at once), 73.0 when every step
+        took a fresh array. The caller's samples are only read."""
+        spec = synthetic_condition_spec(0, Condition.C1, 70.0, seed=5, ecg_rate_hz=2048.0)
+        ecg = generate_synthetic_recording(spec)[0].ecg
+        kept = ecg.values.copy()
+        want = detect_r_peaks(ecg).times_s  # builds the cached designs outside the trace
+        tracemalloc.start()
+        try:
+            got = detect_r_peaks(ecg).times_s
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_sample = peak / len(ecg.values)
+        assert per_sample <= 36.0, f"{per_sample:.1f} B/sample"
+        assert got.tobytes() == want.tobytes() and len(got) > 60
+        assert ecg.values.tobytes() == kept.tobytes()
 
     def test_threshold_scan_matches_reference(self, rng):
         # increasing candidate samples, some inside the refractory period, with values on both

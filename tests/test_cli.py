@@ -379,8 +379,11 @@ class TestExitCodes:
         ("preprocess", "windowing.window_len_samples=1", "windowing.window_len_samples must be >= 2"),
         ("evaluate", "arch.lstm_hidden=1000000",
          f"arch.* sizes imply 10,000,068,000,774 parameters, more than the bound of {MAX_PARAMETERS:,}"),
-        ("evaluate", "arch.tcn_channels=100000",
-         f"sizes imply 540,007,800,774 parameters, more than the bound of {MAX_PARAMETERS:,}"),
+        # the ablation's fold-in names the arch section too; the id is the one the row had without it
+        pytest.param("evaluate", "arch.tcn_channels=100000",
+                     f"config error: arch.* sizes imply 540,007,800,774 parameters, more than the bound of "
+                     f"{MAX_PARAMETERS:,}", id="evaluate-arch.tcn_channels=100000-sizes imply 540,007,800,774 "
+                     f"parameters, more than the bound of {MAX_PARAMETERS:,}"),
         # training and solver settings with no meaning below their bound
         ("evaluate", "train.weight_decay=-1", "train.weight_decay must be >= 0"),
         ("evaluate", "train.lambda_effort=-2", "train.lambda_effort must be >= 0"),
@@ -432,6 +435,37 @@ class TestExitCodes:
         assert run_cli(tmp_path, command, *extra) == 2
         err = capsys.readouterr().err
         assert f"config error: {key}: cannot create directory {target}: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, target", [
+        ("synth", "data/sessions.csv"),
+        ("preprocess", "out/windows/windows_zz.csv"),
+        ("evaluate", "out/results/fold_zz.csv"),
+        ("report", "out/results/report/report.txt"),
+    ])
+    def test_directory_where_an_output_file_goes_is_2(self, tmp_path, capsys, command, target):
+        """A directory where a stage deletes or writes an output file (a
+        stale name, or the file itself) exits 2, naming the config key and
+        the path, without a traceback."""
+        ds = make_feature_dataset(n_subjects=3, per_cond=3)
+        if command == "preprocess":
+            assert run_cli(tmp_path, "synth") == 0
+        elif command == "evaluate":
+            windows = tmp_path / "out" / "windows"
+            windows.mkdir(parents=True)
+            for subject in ds.subjects():
+                write_windows_csv(windows / f"windows_{subject}.csv", ds.select(np.nonzero(ds.subject == subject)[0]))
+        elif command == "report":
+            results = tmp_path / "out" / "results"
+            results.mkdir(parents=True)
+            for subject in ds.subjects():
+                fold = make_fold(subject, {"c1": (0.2, 0.2), "c2": (0.4, 0.4), "c3": (0.6, 0.6)})
+                write_fold_csv(results / f"fold_{subject}.csv", fold)
+        (tmp_path / target).mkdir(parents=True)
+        capsys.readouterr()
+        assert run_cli(tmp_path, command) == 2
+        err = capsys.readouterr().err
+        key = "data_root" if command == "synth" else "output_root"
+        assert f"config error: {key}: cannot write {tmp_path / target}: " in err and "Traceback" not in err
 
     @pytest.mark.parametrize("target, kind", [
         ("config", "directory"), ("config", "binary"), ("sessions", "directory"), ("sessions", "binary"),

@@ -23,16 +23,20 @@ from capstate.dsp import (
     butterworth_lowpass,
     detrend_linear,
     fft_radix2,
+    linear_fit,
     resample_uniform,
     spline_fill,
     welch_psd,
 )
 from conftest import (
     butter_sos_reference,
+    butterworth_lowpass_reference,
     butterworth_power_response,
     digests_by_blas_threads,
     direct_periodogram,
+    linear_fit_reference,
     sosfilt_reference,
+    sosfiltfilt_reference,
 )
 
 
@@ -147,19 +151,26 @@ class TestIirOracle:
         assert np.abs(got - want).max() <= IIR_REL_TOL * max(np.abs(want).max(), 1.0)
 
     def test_filtered_digest_independent_of_blas_threads(self):
-        # neither the block GEMMs nor the band-pass line fit may depend on how BLAS splits them
+        # neither the block GEMMs, the carry GEMM written into its input, nor the band-pass line fit
+        # may depend on how BLAS splits them; nor may the R peaks they lead to
         script = (
             "import hashlib, numpy as np\n"
+            "from capstate.cardiac import detect_r_peaks\n"
             "from capstate.dsp import UniformSeries, _butter_sos, _iir_design, _sosfiltfilt\n"
             "from capstate.dsp import butterworth_bandpass\n"
+            "from capstate.ingest import Condition, generate_synthetic_recording\n"
+            "from capstate.pipeline import synthetic_condition_spec\n"
             f"sos = np.vstack([_butter_sos(*case) for case in {ECG_BAND_SECTIONS!r}])\n"
             "x = np.random.default_rng(3).normal(size=60 * 2048)\n"
             "y = _sosfiltfilt(_iir_design(sos), x, pad_samples=1228)\n"
             "band = butterworth_bandpass(UniformSeries(x, 2048.0), 2, 5.0, 15.0).values\n"
-            "print(hashlib.sha256(y.tobytes()).hexdigest(), hashlib.sha256(band.tobytes()).hexdigest())\n"
+            "spec = synthetic_condition_spec(0, Condition.C2, 60.0, seed=9, ecg_rate_hz=2048.0)\n"
+            "peaks = detect_r_peaks(generate_synthetic_recording(spec)[0].ecg).times_s\n"
+            "assert len(peaks) > 50\n"
+            "print(*(hashlib.sha256(a.tobytes()).hexdigest() for a in (y, band, peaks)))\n"
         )
         one, two = digests_by_blas_threads(script)
-        assert len(one.split()) == 2 and one == two
+        assert len(one.split()) == 3 and one == two
 
     @pytest.mark.parametrize("order,cutoff,rate,btype", IIR_CASES)
     def test_steady_state_matches_scipy(self, order, cutoff, rate, btype):
@@ -264,6 +275,63 @@ class TestDesignCache:
                               timeout=120, check=True)
         cold, warm = proc.stdout.split()
         assert cold == warm
+
+
+# The zero-phase IIR and the line fit against the code that gave each
+# result a fresh array (conftest oracles), bit for bit: one- and two-section
+# designs at each rate; lengths below one block, off the block grid, and so
+# short that padlen is clipped to n - 1 (n = 1 leaves no padding at all).
+ORACLE_RATES = (200.0, 512.0, 2048.0)
+ORACLE_DESIGNS = [(2, 15.0, "lowpass"), (4, 15.0, "lowpass"), (2, 5.0, "highpass"), (3, 5.0, "highpass")]
+ORACLE_LENGTHS = (1, 2, 50, 127, 300, 1001, 4999)
+
+
+def oracle_inputs(n, seed):
+    """Signals that would show a changed operation: noise with exact -0.0
+    samples, all -0.0, magnitudes of 1e150, and a drifting line plus sine."""
+    noise = np.random.default_rng(seed).normal(size=n)
+    noise[::7] = -0.0
+    drift = 3.0 + 0.01 * np.arange(n) + np.sin(0.05 * np.arange(n))
+    return [noise, np.full(n, -0.0), 1e150 * noise, drift]
+
+
+class TestBufferReuseOracles:
+    @pytest.mark.parametrize("rate", ORACLE_RATES)
+    @pytest.mark.parametrize("order, cutoff, btype", ORACLE_DESIGNS)
+    def test_filtfilt_matches_fresh_buffers(self, rate, order, cutoff, btype):
+        design = _butter_design(order, cutoff, rate, btype)
+        assert design.sos.shape[0] == (order + 1) // 2
+        pad = int(3.0 * rate / cutoff)
+        for n in ORACLE_LENGTHS:
+            for k, x in enumerate(oracle_inputs(n, n)):
+                line = oracle_inputs(n, n + 1)[3]
+                kept = x.copy(), line.copy()
+                got = _sosfiltfilt(design, x, pad_samples=pad)
+                assert got.tobytes() == sosfiltfilt_reference(design, x, pad).tobytes(), (n, k)
+                less_line = _sosfiltfilt(design, x, pad_samples=pad, line=line)
+                assert less_line.tobytes() == sosfiltfilt_reference(design, x - line, pad).tobytes(), (n, k)
+                assert (x.tobytes(), line.tobytes()) == tuple(a.tobytes() for a in kept)  # only read
+
+    @pytest.mark.parametrize("rate", ORACLE_RATES)
+    @pytest.mark.parametrize("order, cutoff", [(2, 15.0), (4, 15.0)])
+    def test_lowpass_matches_fresh_buffers(self, rate, order, cutoff):
+        design = _butter_design(order, cutoff, rate, "lowpass")
+        for n in ORACLE_LENGTHS:
+            for k, x in enumerate(oracle_inputs(n, 2 * n)):
+                series = UniformSeries(x.copy(), rate)
+                got = butterworth_lowpass(series, order, cutoff).values
+                want = butterworth_lowpass_reference(x, design, int(3.0 * rate / cutoff))
+                assert got.tobytes() == want.tobytes(), (n, k)
+                assert series.values.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("n", ORACLE_LENGTHS)
+    def test_linear_fit_matches_fresh_buffers_in_1d_and_2d(self, n):
+        rows = np.vstack(oracle_inputs(n, 3 * n))
+        for v in (*rows, rows):
+            kept = v.copy()
+            for got, want in zip(linear_fit(v), linear_fit_reference(v)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert v.tobytes() == kept.tobytes()
 
 
 class TestDetrend:
