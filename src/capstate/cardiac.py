@@ -297,8 +297,8 @@ def hrv_frequency_features(windows: np.ndarray) -> np.ndarray:
     """LF, HF, LF/HF and total band power of each mean-removed 2 Hz window (last axis)."""
     x = np.asarray(windows, dtype=np.float64)
     centered = x - x.mean(axis=-1, keepdims=True)
-    spec = welch_psd(centered, GRID_HZ, min(HRV_SEGMENT_LEN, x.shape[-1]), 0.5, nfft=HRV_NFFT)
-    lf, hf, total = (band_power(spec, *band) for band in (LF_BAND, HF_BAND, TOTAL_BAND))
+    freqs, power = welch_psd(centered, GRID_HZ, min(HRV_SEGMENT_LEN, x.shape[-1]), 0.5, nfft=HRV_NFFT)
+    lf, hf, total = (band_power(freqs, power, *band) for band in (LF_BAND, HF_BAND, TOTAL_BAND))
     ratio = np.where(hf > 1e-12, lf / np.where(hf > 1e-12, hf, 1.0), 0.0)
     return np.stack([lf, hf, ratio, total], axis=-1)
 

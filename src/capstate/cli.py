@@ -88,7 +88,9 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
             if path.is_file():  # else load_recording names the missing file
                 inputs[rel] = cfgmod.sha256_file(path)
                 parsed[path] = ingest.parsed_entry(parsed_dir, inputs[rel])
-        rec = ingest.load_recording(session, cfg.ecg_nominal_hz, cfg.eda_nominal_hz, parsed)
+        # an OSError here is a parsed entry's write: each input it opens was read whole by its digest above
+        with cfgmod.stage_outputs("output_root"):
+            rec = ingest.load_recording(session, cfg.ecg_nominal_hz, cfg.eda_nominal_hz, parsed)
         where = (f"subject {session.subject_id} condition {session.condition.value} "
                  f"({session.ecg_file}, {session.eda_file})")
         try:
@@ -117,10 +119,8 @@ def cmd_evaluate(cfg: cfgmod.PipelineConfig) -> int:
     started = cfgmod.now_iso()
     windows_dir = Path(cfg.output_root) / "windows"
     results_dir = cfgmod.make_stage_dir(Path(cfg.output_root) / "results", "output_root")
-    inputs = {
-        f"windows/{p.name}": cfgmod.sha256_file(p) for p in sorted(windows_dir.glob("windows_*.csv"))
-    }
-    dataset = storage.read_windows_dir(windows_dir)
+    dataset = storage.read_windows_dir(windows_dir)  # checks each file before it is digested
+    inputs = {f"windows/{p.name}": cfgmod.sha256_file(p) for p in sorted(windows_dir.glob("windows_*.csv"))}
     folds = run_loso(
         dataset,
         cfg.arch,

@@ -239,11 +239,12 @@ def stage_outputs(key: str):
     """Turn an OSError while a stage deletes, writes or digests its output
     files under the directory that config key ``key`` places (a directory
     where a file goes, no permission) into a ConfigError naming the key and
-    the path, as :func:`make_stage_dir` does."""
+    the path (a rename's target), as :func:`make_stage_dir` does."""
     try:
         yield
     except OSError as exc:
-        raise ConfigError(f"{key}: cannot write {exc.filename or 'an output'}: {exc.strerror or exc}") from None
+        path = exc.filename2 or exc.filename or "an output"
+        raise ConfigError(f"{key}: cannot write {path}: {exc.strerror or exc}") from None
 
 
 def write_manifest(out_dir, stage: str, cfg: PipelineConfig, inputs: dict, outputs: dict,

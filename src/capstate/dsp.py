@@ -68,20 +68,6 @@ class UniformSeries:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """One-sided power spectral densities in units²/Hz, ``power`` (..., F) over ``freqs_hz`` (F,)."""
-
-    freqs_hz: np.ndarray
-    power: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "freqs_hz", np.asarray(self.freqs_hz, dtype=np.float64))
-        object.__setattr__(self, "power", np.asarray(self.power, dtype=np.float64))
-        if self.freqs_hz.shape != self.power.shape[-1:]:
-            raise ValueError("power's last axis must match freqs_hz")
-
-
-@dataclass(frozen=True)
 class WindowingPlan:
     """Fixed-length sliding windows: 120 samples with 75% overlap -> step 30."""
 
@@ -521,9 +507,11 @@ def welch_psd(
     segment_len: int,
     segment_overlap: float,
     nfft: int | None = None,
-) -> Spectrum:
+) -> tuple[np.ndarray, np.ndarray]:
     """Welch PSD along the last axis of ``values``, sampled at ``rate_hz``:
-    averaged Hann-tapered periodograms of overlapping segments.
+    averaged Hann-tapered periodograms of overlapping segments, returned as
+    ``(freqs_hz, power)``, the one-sided densities in units²/Hz ``power``
+    (..., F) over the frequencies ``freqs_hz`` (F,).
 
     Each segment's mean is removed before tapering and reassigned to the
     zero-frequency bin, so a constant input registers as a pure DC line. For a
@@ -554,14 +542,14 @@ def welch_psd(
     p = (spec[..., : half + 1].real ** 2 + spec[..., : half + 1].imag ** 2) / wnorm
     p[..., 1:half] *= 2.0
     p[..., 0] += means**2 / df
-    return Spectrum(np.arange(half + 1) * df, p.mean(axis=-2))
+    return np.arange(half + 1) * df, p.mean(axis=-2)
 
 
-def band_power(spectrum: Spectrum, lo_hz: float, hi_hz: float) -> np.ndarray:
-    """Trapezoidal integral of each PSD over bins with lo_hz <= f <= hi_hz."""
-    sel = (spectrum.freqs_hz >= lo_hz) & (spectrum.freqs_hz <= hi_hz)
+def band_power(freqs_hz: np.ndarray, power: np.ndarray, lo_hz: float, hi_hz: float) -> np.ndarray:
+    """Trapezoidal integral of each PSD ``power`` (..., F) over the bins of
+    ``freqs_hz`` (F,) with lo_hz <= f <= hi_hz."""
+    sel = (freqs_hz >= lo_hz) & (freqs_hz <= hi_hz)
     if sel.sum() < 2:
-        return np.zeros(spectrum.power.shape[:-1])
+        return np.zeros(power.shape[:-1])
     # a C-ordered copy: numpy sums a strided band of a matrix in another order than each row alone
-    band = np.ascontiguousarray(spectrum.power[..., sel])
-    return np.trapezoid(band, spectrum.freqs_hz[sel], axis=-1)
+    return np.trapezoid(np.ascontiguousarray(power[..., sel]), freqs_hz[sel], axis=-1)

@@ -1,6 +1,8 @@
 """Evaluation: LOSO folds (``loso``), the state-space and each subject's
 trajectory record (``statespace``), t-tests and RM-ANOVA (``stats``), and the
-report that aggregates the folds once (``report``)."""
+report that aggregates the folds once (``report``). Results are the values
+``stats.json`` stores: ``map_state`` returns a :class:`Quadrant`,
+``rm_anova_oneway`` and ``condition_centroids`` return plain dicts."""
 
 from .stats import (
     cohens_d,
@@ -12,7 +14,6 @@ from .stats import (
 )
 from .statespace import (
     Quadrant,
-    StateSpacePoint,
     TrajectoryPattern,
     classify_trajectory,
     condition_centroids,
@@ -28,7 +29,6 @@ __all__ = [
     "partial_eta_sq_from_f",
     "rm_anova_oneway",
     "Quadrant",
-    "StateSpacePoint",
     "TrajectoryPattern",
     "classify_trajectory",
     "condition_centroids",

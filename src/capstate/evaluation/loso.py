@@ -91,13 +91,13 @@ def _run_single_fold(args) -> FoldResult:
         seed=substream_seed(seed, "fold", held),
     )
 
-    out = forward(params, arch, held_norm)
+    u, o = forward(params, arch, held_norm)
     return FoldResult(
         subject_id=held,
         condition=held_norm.condition.copy(),
         window_start_s=held_norm.window_start_s.copy(),
-        u=out.u.copy(),
-        o=out.o.copy(),
+        u=u.copy(),
+        o=o.copy(),
         stress=held_norm.stress.copy(),
         effort=held_norm.effort.copy(),
         mask=held_norm.mask.copy(),

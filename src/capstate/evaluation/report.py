@@ -155,7 +155,7 @@ def build_stats_report(folds: list[FoldResult]) -> dict:
         axis_report = {"n_complete_subjects": len(complete)}
         if len(complete) >= 2:
             matrix = np.asarray(complete)
-            axis_report["rm_anova"] = rm_anova_oneway(matrix).as_dict()
+            axis_report["rm_anova"] = rm_anova_oneway(matrix)
             contrasts = {}
             for a, b in CONTRAST_PAIRS:
                 c = _contrast(matrix[:, CONDITIONS.index(a)], matrix[:, CONDITIONS.index(b)])

@@ -1,14 +1,17 @@
 """Capacity state-space: quadrant mapping, per-condition centroids, and the
 five-way trajectory taxonomy over the c1 -> c2 -> c3 centroid path.
 
-``map_state`` places one (U, O) point in a quadrant; ``condition_centroids``
-returns a subject's trajectory record as a plain dict, the form ``report``
-writes to ``stats.json``."""
+``map_state`` returns the :class:`Quadrant` of one (U, O) point and
+``quadrant_occupancy`` counts many points per quadrant, both splitting each
+axis by the heads' decision rule, ``capstate.metrics.is_high``.
+``condition_centroids`` returns a subject's trajectory record as a plain
+dict, the form ``report`` writes to ``stats.json``."""
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
+
+from ..metrics import is_high
 
 FLAT_DELTA = 0.05  # |dU|, |dO| band for the flat/ceiling pattern
 
@@ -28,30 +31,24 @@ class TrajectoryPattern(enum.Enum):
     INVERTED = "inverted"
 
 
-@dataclass(frozen=True)
-class StateSpacePoint:
-    u: float
-    o: float
-    quadrant: Quadrant
-    c_ops: float
+# The quadrant of a point whose U and O are high or not, at 2 * high U + high O
+_BY_HIGH_UO = (Quadrant.UNDERUTILIZED, Quadrant.OVERLOAD_STRAIN, Quadrant.MOTIVATED_ENGAGEMENT,
+               Quadrant.BOUNDARY_HIGH_LOAD)
 
 
-def map_state(u: float, o: float) -> StateSpacePoint:
-    """Quadrants split at the 0.5 decision threshold on each axis; exact 0.5
-    counts as high. c_ops = (U + O) / 2 is a visualization aid only."""
-    if not (0.0 <= u <= 1.0 and 0.0 <= o <= 1.0):
-        raise ValueError(f"(U, O) must lie in [0,1]^2, got ({u}, {o})")
-    high_u = u >= 0.5
-    high_o = o >= 0.5
-    if high_u and not high_o:
-        quad = Quadrant.MOTIVATED_ENGAGEMENT
-    elif not high_u and not high_o:
-        quad = Quadrant.UNDERUTILIZED
-    elif high_u and high_o:
-        quad = Quadrant.BOUNDARY_HIGH_LOAD
-    else:
-        quad = Quadrant.OVERLOAD_STRAIN
-    return StateSpacePoint(u=float(u), o=float(o), quadrant=quad, c_ops=(float(u) + float(o)) / 2.0)
+def _high_uo(u, o) -> np.ndarray:
+    """2 * high U + high O of each point (an index into ``_BY_HIGH_UO``);
+    a point outside [0, 1]^2 raises."""
+    u, o = np.asarray(u, dtype=np.float64), np.asarray(o, dtype=np.float64)
+    outside = ~((u >= 0.0) & (u <= 1.0) & (o >= 0.0) & (o <= 1.0))
+    if outside.any():
+        raise ValueError(f"(U, O) must lie in [0,1]^2, got ({u[outside][0]}, {o[outside][0]})")
+    return 2 * is_high(u) + is_high(o)
+
+
+def map_state(u: float, o: float) -> Quadrant:
+    """The quadrant of one (U, O) point; an exact 0.5 counts as high."""
+    return _BY_HIGH_UO[int(_high_uo(u, o))]
 
 
 def classify_trajectory(c1, c2, c3) -> TrajectoryPattern:
@@ -108,8 +105,6 @@ def condition_centroids(subject_id: str, conditions, u, o) -> dict:
 
 
 def quadrant_occupancy(u, o) -> dict:
-    """Count of points per quadrant; counts always sum to len(u)."""
-    counts = {q.value: 0 for q in Quadrant}
-    for ui, oi in zip(np.asarray(u), np.asarray(o)):
-        counts[map_state(float(ui), float(oi)).quadrant.value] += 1
-    return counts
+    """Count of points per quadrant value; counts always sum to len(u)."""
+    counts = np.bincount(_high_uo(u, o), minlength=len(_BY_HIGH_UO))
+    return {q.value: int(n) for q, n in zip(_BY_HIGH_UO, counts)}

@@ -6,7 +6,6 @@ for the degrees of freedom used here).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,25 +104,14 @@ def paired_t(a, b) -> tuple[float, int, float]:
     return one_sample_t(a - b, 0.0)
 
 
-@dataclass(frozen=True)
-class AnovaResult:
-    f: float
-    df1: int
-    df2: int
-    p: float
-    partial_eta_sq: float
-
-    def as_dict(self) -> dict:
-        return {"F": self.f, "df1": self.df1, "df2": self.df2, "p": self.p,
-                "partial_eta_sq": self.partial_eta_sq}
-
-
 def partial_eta_sq_from_f(f: float, df1: float, df2: float) -> float:
     return f * df1 / (f * df1 + df2)
 
 
-def rm_anova_oneway(matrix) -> AnovaResult:
-    """One-way within-subject ANOVA on a complete subjects x conditions matrix.
+def rm_anova_oneway(matrix) -> dict:
+    """One-way within-subject ANOVA on a complete subjects x conditions matrix,
+    as ``stats.json`` stores it: ``F``, ``df1``, ``df2``, ``p`` and
+    ``partial_eta_sq``.
 
     SS_error = SS_total - SS_subjects - SS_conditions with
     df = (k-1, (k-1)(n-1)); eta_p^2 = SS_cond / (SS_cond + SS_err).
@@ -154,7 +142,7 @@ def rm_anova_oneway(matrix) -> AnovaResult:
         eta = ss_cond / (ss_cond + ss_err)
     else:
         eta = 0.0
-    return AnovaResult(f=float(f), df1=df1, df2=df2, p=float(p), partial_eta_sq=float(eta))
+    return {"F": float(f), "df1": df1, "df2": df2, "p": float(p), "partial_eta_sq": float(eta)}
 
 
 def bonferroni(p: float, m: int) -> float:

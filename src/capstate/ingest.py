@@ -40,23 +40,9 @@ class Condition(enum.Enum):
             raise DataError(f"unknown condition {text!r} (expected c1/c2/c3)") from None
 
 
-class Level(enum.Enum):
-    LOW = 0
-    HIGH = 1
-    UNDEFINED = -1
-
-
-@dataclass(frozen=True)
-class LabelPair:
-    stress: Level
-    effort: Level
-    mask: int
-
-    def __post_init__(self):
-        if self.stress is Level.UNDEFINED:
-            raise ValueError("stress label cannot be undefined")
-        if (self.mask == 0) != (self.effort is Level.UNDEFINED):
-            raise ValueError("mask must be 0 exactly when effort is undefined")
+# Theory-driven labels (stress, effort, mask) of every window of a condition:
+# c1 low/low, c2 high stress with effort undefined (-1) and masked out, c3 high/high
+CONDITION_LABELS = {Condition.C1: (0, 0, 1), Condition.C2: (1, -1, 0), Condition.C3: (1, 1, 1)}
 
 
 @dataclass(frozen=True)
@@ -66,18 +52,6 @@ class RawRecording:
     ecg: UniformSeries
     eda: UniformSeries
     duration_s: float
-
-
-def assign_labels(condition: Condition) -> LabelPair:
-    """Theory-driven labels: c1 low/low, c2 high stress with effort masked out,
-    c3 high/high."""
-    if condition is Condition.C1:
-        return LabelPair(Level.LOW, Level.LOW, 1)
-    if condition is Condition.C2:
-        return LabelPair(Level.HIGH, Level.UNDEFINED, 0)
-    if condition is Condition.C3:
-        return LabelPair(Level.HIGH, Level.HIGH, 1)
-    raise ValueError(f"unknown condition {condition!r}")
 
 
 class LabelScheme(enum.Enum):
@@ -91,7 +65,7 @@ def relabel_stress(stress: np.ndarray, condition: np.ndarray, scheme: LabelSchem
     effort and mask included, is untouched."""
     stress = np.array(stress, copy=True)
     if scheme is LabelScheme.C2_STRESS_LOW:
-        stress[np.asarray(condition) == Condition.C2.value] = Level.LOW.value
+        stress[np.asarray(condition) == Condition.C2.value] = 0
     return stress
 
 

@@ -57,6 +57,11 @@ def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
     )
 
 
+def is_high(p) -> np.ndarray:
+    """The decision rule of both heads: a probability of 0.5 or more is high."""
+    return np.asarray(p) >= 0.5
+
+
 def effort_scored(mask) -> np.ndarray:
     """The windows the effort head is scored on: those with mask 1."""
     return np.asarray(mask) > 0
@@ -76,12 +81,12 @@ def _both_classes(true: np.ndarray) -> bool:
 
 def head_metrics(u, o, stress, effort, mask) -> dict:
     """{"stress": Metrics | None, "effort": Metrics | None} of O and U
-    thresholded at 0.5. None marks a head whose true labels hold a single
+    decided by :func:`is_high`. None marks a head whose true labels hold a single
     class; labels other than 0/1 or columns of unequal length raise."""
     if not len(u) == len(o) == len(stress):
         raise ValueError("U, O and the labels must have equal lengths")
     outputs = {"stress": np.asarray(o), "effort": np.asarray(u)}
-    return {head: classification_metrics(outputs[head][rows] >= 0.5, true) if _both_classes(true) else None
+    return {head: classification_metrics(is_high(outputs[head][rows]), true) if _both_classes(true) else None
             for head, (rows, true) in _heads(stress, effort, mask).items()}
 
 

@@ -1,4 +1,4 @@
-from .network import ArchConfig, Batch, ForwardOutput, forward, init_params
+from .network import ArchConfig, Batch, forward, init_params
 from .losses import focal_loss, masked_multitask_loss
 from .optim import AdamW, clip_global_norm
 from .train import TrainConfig, TrainHistory, train_fold
@@ -6,7 +6,6 @@ from .train import TrainConfig, TrainHistory, train_fold
 __all__ = [
     "ArchConfig",
     "Batch",
-    "ForwardOutput",
     "forward",
     "init_params",
     "focal_loss",

@@ -60,13 +60,10 @@ class ArchConfig:
     dropout_head: float = 0.3
     modalities: tuple = ("ibi", "eda")
     use_handcrafted_features: bool = True
-    activation: str = "relu"  # "relu", or "tanh" for smooth finite-difference checks
 
     def __post_init__(self):
         if self.backbone not in ("lstm", "tcn"):
             raise ValueError(f"backbone must be 'lstm' or 'tcn', got {self.backbone!r}")
-        if self.activation not in ("relu", "tanh"):
-            raise ValueError(f"activation must be 'relu' or 'tanh', got {self.activation!r}")
         if not self.modalities or any(m not in ("ibi", "eda") for m in self.modalities):
             raise ValueError("modalities must be a non-empty subset of {'ibi', 'eda'}")
         if len(set(self.modalities)) != len(self.modalities):
@@ -111,22 +108,6 @@ class Batch:
         """The same table restricted to ``rows``; absent label fields stay None."""
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         return type(self)(**{k: v if v is None else v[rows] for k, v in values.items()})
-
-
-@dataclass(frozen=True)
-class ForwardOutput:
-    p_stress: np.ndarray  # (B, 2) softmax rows
-    p_effort: np.ndarray  # (B, 2)
-
-    @property
-    def u(self) -> np.ndarray:
-        """P(effort = high)."""
-        return self.p_effort[:, 1]
-
-    @property
-    def o(self) -> np.ndarray:
-        """P(stress = high)."""
-        return self.p_stress[:, 1]
 
 
 N_HRV = len(HRV_FEATURE_NAMES)
@@ -210,15 +191,10 @@ def _linear(p, prefix, x):
     return ag.add(ag.matmul(x, p[f"{prefix}.W"]), p[f"{prefix}.b"])
 
 
-def _act(arch):
-    return ag.tanh if arch.activation == "tanh" else ag.relu
-
-
 def _conv_stack(p, arch, mod, x, collect):
     h = x
-    act = _act(arch)
     for layer in range(arch.conv_layers):
-        h = act(ag.conv1d_causal(h, p[f"{mod}.conv{layer}.W"], p[f"{mod}.conv{layer}.b"]))
+        h = ag.relu(ag.conv1d_causal(h, p[f"{mod}.conv{layer}.W"], p[f"{mod}.conv{layer}.b"]))
         if collect is not None:
             collect[f"{mod}.conv{layer}"] = h
     return h
@@ -239,18 +215,17 @@ def _tcn(p, arch, mod, h, collect):
     # zero padding falls where it did at full length. conv2 and the residual
     # write only the next grid; the last block's stride, its grid length,
     # leaves only step T - 1.
-    act = _act(arch)
     dil = arch.tcn_dilations
     h = ag.time_stride(h, dil[0])
     for i, d in enumerate(dil):
         stride = dil[i + 1] // d if i + 1 < len(dil) else h.shape[0]
-        u = act(ag.conv1d_causal(h, p[f"{mod}.tcn{i}.conv1.W"], p[f"{mod}.tcn{i}.conv1.b"]))
+        u = ag.relu(ag.conv1d_causal(h, p[f"{mod}.tcn{i}.conv1.W"], p[f"{mod}.tcn{i}.conv1.b"]))
         u = ag.conv1d_causal(u, p[f"{mod}.tcn{i}.conv2.W"], p[f"{mod}.tcn{i}.conv2.b"], stride=stride)
         if f"{mod}.tcn{i}.res.W" in p:
             res = ag.conv1d_causal(h, p[f"{mod}.tcn{i}.res.W"], p[f"{mod}.tcn{i}.res.b"], stride=stride)
         else:
             res = ag.time_stride(h, stride)
-        h = act(ag.add(u, res))
+        h = ag.relu(ag.add(u, res))
         if collect is not None:
             collect[f"{mod}.tcn{i}"] = h
     return ag.last_step(h)  # causal pooling: the last step sees the whole window
@@ -280,23 +255,22 @@ def build_graph(
             feats = batch.f_hrv if mod == "ibi" else batch.f_eda
             if not np.all(np.isfinite(feats)):
                 raise ValueError(f"non-finite values in {mod} features")
-            z = _act(arch)(_linear(params_t, f"{mod}.feat", Tensor(feats)))
+            z = ag.relu(_linear(params_t, f"{mod}.feat", Tensor(feats)))
             streams.append(ag.concat([pooled, z], axis=1))
         else:
             streams.append(pooled)
 
     fused = streams[0] if len(streams) == 1 else ag.concat(streams, axis=1)
-    act = _act(arch)
-    f1 = act(_linear(params_t, "fusion.fc1", fused))
+    f1 = ag.relu(_linear(params_t, "fusion.fc1", fused))
     if dropout_rng is not None:
         f1 = ag.dropout(f1, arch.dropout_fusion, dropout_rng)
-    f2 = act(_linear(params_t, "fusion.fc2", f1))
+    f2 = ag.relu(_linear(params_t, "fusion.fc2", f1))
     if dropout_rng is not None:
         f2 = ag.dropout(f2, arch.dropout_fusion, dropout_rng)
 
     probs = []
     for head in ("head_stress", "head_effort"):
-        hh = act(_linear(params_t, f"{head}.fc1", f2))
+        hh = ag.relu(_linear(params_t, f"{head}.fc1", f2))
         if dropout_rng is not None:
             hh = ag.dropout(hh, arch.dropout_head, dropout_rng)
         probs.append(ag.softmax(_linear(params_t, f"{head}.fc2", hh), axis=1))
@@ -307,15 +281,16 @@ def wrap_params(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
     return {k: Tensor(v) for k, v in params.items()}
 
 
-def forward(params: dict[str, np.ndarray], arch: ArchConfig, batch: Batch) -> ForwardOutput:
-    """Numpy-level inference pass (no dropout)."""
+def forward(params: dict[str, np.ndarray], arch: ArchConfig, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+    """Numpy-level inference pass (no dropout): (U, O), each window's
+    probability of high effort and of high stress."""
     expected = {"x_ibi": batch.x_ibi, "x_eda": batch.x_eda, "f_hrv": batch.f_hrv, "f_eda": batch.f_eda}
     n = len(batch)
     for name, arr in expected.items():
         if arr is None or arr.shape[0] != n:
             raise ValueError(f"batch field {name} missing or batch-size mismatch")
     p_s, p_e = build_graph(wrap_params(params), arch, batch)
-    return ForwardOutput(p_stress=p_s.data, p_effort=p_e.data)
+    return p_e.data[:, 1], p_s.data[:, 1]
 
 
 def collect_activations(params, arch, batch) -> dict[str, np.ndarray]:

@@ -12,16 +12,7 @@ import numpy as np
 from ..errors import DataError, NumericalError
 from ..metrics import head_metrics, joint_ba, some_head_defined
 from .losses import masked_multitask_loss
-from .network import (
-    ArchConfig,
-    Batch,
-    ForwardOutput,
-    build_graph,
-    forward,
-    init_params,
-    substream_seed,
-    wrap_params,
-)
+from .network import ArchConfig, Batch, build_graph, forward, init_params, substream_seed, wrap_params
 from .optim import AdamW
 
 
@@ -107,8 +98,7 @@ def loss_and_grads(
 def evaluate_balanced_accuracy(params, arch, val: Batch) -> tuple[float, float]:
     """(stress BA, effort BA) on a validation batch, scored by
     ``capstate.metrics.head_metrics``. NaN marks an undefined head."""
-    out: ForwardOutput = forward(params, arch, val)
-    metrics = head_metrics(out.u, out.o, val.stress, val.effort, val.mask)
+    metrics = head_metrics(*forward(params, arch, val), val.stress, val.effort, val.mask)
     return tuple(float("nan") if m is None else m.ba for m in metrics.values())
 
 

@@ -17,13 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cardiac, eda
 from .dsp import GRID_HZ, UniformSeries, WindowingPlan, resample_uniform
-from .ingest import (
-    Condition,
-    RawRecording,
-    SyntheticSpec,
-    assign_labels,
-    generate_synthetic_recording,
-)
+from .ingest import CONDITION_LABELS, Condition, RawRecording, SyntheticSpec, generate_synthetic_recording
 from .model.network import Batch, substream_seed
 
 SYNTH_EDA_HZ = 32.0
@@ -69,7 +63,7 @@ def window_recording(
     HRV and EDA features of all windows at once, from the window matrices.
     ``window_start_s`` is the IBI stream's; an SCR belongs to the EDA window
     that holds its onset."""
-    labels = assign_labels(rec.condition)
+    stress, effort, mask = CONDITION_LABELS[rec.condition]
     peaks = cardiac.detect_r_peaks(rec.ecg)
     ibi_2hz = cardiac.ibi_to_uniform(cardiac.build_ibi(peaks))
     eda_proc = eda.preprocess_eda(rec.eda)
@@ -95,9 +89,9 @@ def window_recording(
         x_eda=x_eda,
         f_hrv=cardiac.hrv_features(x_ibi),
         f_eda=eda.eda_features(raw, tonic, phasic, events, streams[4].start_s + first / GRID_HZ),
-        stress=np.full(rows, labels.stress.value, dtype=np.int64),
-        effort=np.full(rows, labels.effort.value, dtype=np.int64),
-        mask=np.full(rows, labels.mask, dtype=np.int64),
+        stress=np.full(rows, stress, dtype=np.int64),
+        effort=np.full(rows, effort, dtype=np.int64),
+        mask=np.full(rows, mask, dtype=np.int64),
         subject=np.full(rows, rec.subject_id, dtype=object),
         condition=np.full(rows, rec.condition.value, dtype=object),
         window_start_s=streams[0].start_s + first / GRID_HZ,

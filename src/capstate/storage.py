@@ -43,12 +43,12 @@ def read_table(path, expected_header) -> dict[str, np.ndarray]:
     """The columns of a table file by name. ``expected_header`` maps each
     column name to the type its cells parse as (``float``, ``int`` or
     ``object`` for text); for a table whose width the file sets, it is a
-    function of the file's header row returning that map. A missing file,
-    another header, no rows, a row of the wrong width or a cell that does
+    function of the file's header row returning that map. A missing path or
+    one that is not a regular file, another header, no rows, a row of the wrong width or a cell that does
     not parse raises ``DataError`` naming the file."""
     path = Path(path)
     if not path.is_file():
-        raise DataError(f"missing file: {path}")
+        raise DataError(f"{path}: not a regular file" if path.exists() else f"missing file: {path}")
     try:
         text = path.read_text()
     except UnicodeDecodeError as exc:

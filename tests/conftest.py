@@ -203,15 +203,14 @@ def tcn_reference(p, arch, mod, h, collect):
     all T steps (``conv1d_causal(..., dilation=d)``), pooled by the last step.
     Same signature and parameters as ``capstate.model.network._tcn``, which
     runs each block only on the time grid the last step reads."""
-    act = ag.tanh if arch.activation == "tanh" else ag.relu
     for i, d in enumerate(arch.tcn_dilations):
-        u = act(ag.conv1d_causal(h, p[f"{mod}.tcn{i}.conv1.W"], p[f"{mod}.tcn{i}.conv1.b"], dilation=d))
+        u = ag.relu(ag.conv1d_causal(h, p[f"{mod}.tcn{i}.conv1.W"], p[f"{mod}.tcn{i}.conv1.b"], dilation=d))
         u = ag.conv1d_causal(u, p[f"{mod}.tcn{i}.conv2.W"], p[f"{mod}.tcn{i}.conv2.b"], dilation=d)
         if f"{mod}.tcn{i}.res.W" in p:
             res = ag.conv1d_causal(h, p[f"{mod}.tcn{i}.res.W"], p[f"{mod}.tcn{i}.res.b"])
         else:
             res = h
-        h = act(ag.add(u, res))
+        h = ag.relu(ag.add(u, res))
         if collect is not None:
             collect[f"{mod}.tcn{i}"] = h
     return ag.last_step(h)

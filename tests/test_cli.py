@@ -446,6 +446,18 @@ class TestExitCodes:
         """A directory where a stage deletes or writes an output file (a
         stale name, or the file itself) exits 2, naming the config key and
         the path, without a traceback."""
+        self._stage_inputs(tmp_path, command)
+        (tmp_path / target).mkdir(parents=True)
+        capsys.readouterr()
+        assert run_cli(tmp_path, command) == 2
+        err = capsys.readouterr().err
+        key = "data_root" if command == "synth" else "output_root"
+        assert f"config error: {key}: cannot write {tmp_path / target}: " in err and "Traceback" not in err
+
+    @staticmethod
+    def _stage_inputs(tmp_path, command):
+        """What ``command`` reads: a synthetic tree for preprocess, three
+        subjects' window files for evaluate, their fold files for report."""
         ds = make_feature_dataset(n_subjects=3, per_cond=3)
         if command == "preprocess":
             assert run_cli(tmp_path, "synth") == 0
@@ -460,12 +472,34 @@ class TestExitCodes:
             for subject in ds.subjects():
                 fold = make_fold(subject, {"c1": (0.2, 0.2), "c2": (0.4, 0.4), "c3": (0.6, 0.6)})
                 write_fold_csv(results / f"fold_{subject}.csv", fold)
-        (tmp_path / target).mkdir(parents=True)
+
+    @pytest.mark.parametrize("command, target", [
+        ("evaluate", "out/windows/windows_zz.csv"),
+        ("report", "out/results/fold_zz.csv"),
+    ])
+    def test_directory_among_the_input_files_is_3(self, tmp_path, capsys, command, target):
+        """A directory named like a stage's input files exits 3, naming the
+        path as not a regular file, without a traceback: the files are
+        checked before they are digested."""
+        self._stage_inputs(tmp_path, command)
+        (tmp_path / target).mkdir()
         capsys.readouterr()
-        assert run_cli(tmp_path, command) == 2
+        assert run_cli(tmp_path, command) == 3
         err = capsys.readouterr().err
-        key = "data_root" if command == "synth" else "output_root"
-        assert f"config error: {key}: cannot write {tmp_path / target}: " in err and "Traceback" not in err
+        assert f"data error: {tmp_path / target}: not a regular file" in err and "Traceback" not in err
+
+    def test_directory_at_a_parsed_entry_is_2(self, tmp_path, capsys):
+        """A directory where preprocess keeps a CSV's parsed samples exits 2,
+        naming output_root and the entry, without a traceback."""
+        self._stage_inputs(tmp_path, "preprocess")
+        assert run_cli(tmp_path, "preprocess") == 0
+        entry = sorted((tmp_path / "out" / "parsed").glob("*.npy"))[0]
+        entry.unlink()
+        entry.mkdir()
+        capsys.readouterr()
+        assert run_cli(tmp_path, "preprocess") == 2
+        err = capsys.readouterr().err
+        assert f"config error: output_root: cannot write {entry}: " in err and "Traceback" not in err
 
     @pytest.mark.parametrize("target, kind", [
         ("config", "directory"), ("config", "binary"), ("sessions", "directory"), ("sessions", "binary"),

@@ -13,13 +13,11 @@ from capstate.errors import DataError
 from capstate.ingest import (
     _read_entry,
     _read_two_column_csv,
+    CONDITION_LABELS,
     Condition,
-    LabelPair,
     LabelScheme,
-    Level,
     Session,
     SyntheticSpec,
-    assign_labels,
     generate_synthetic_recording,
     load_recording,
     parsed_entry,
@@ -32,20 +30,20 @@ from capstate.ingest import (
 
 class TestLabels:
     def test_assignment_exhaustive(self):
-        assert assign_labels(Condition.C1) == LabelPair(Level.LOW, Level.LOW, 1)
-        assert assign_labels(Condition.C2) == LabelPair(Level.HIGH, Level.UNDEFINED, 0)
-        assert assign_labels(Condition.C3) == LabelPair(Level.HIGH, Level.HIGH, 1)
+        assert CONDITION_LABELS == {Condition.C1: (0, 0, 1), Condition.C2: (1, -1, 0), Condition.C3: (1, 1, 1)}
 
-    def test_mask_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            LabelPair(Level.HIGH, Level.UNDEFINED, 1)
-        with pytest.raises(ValueError):
-            LabelPair(Level.HIGH, Level.LOW, 0)
+    def test_table_keeps_the_label_rules(self):
+        """Every condition has labels; stress is 0 or 1, the mask is 0
+        exactly when effort is undefined (-1), and effort is otherwise 0 or 1."""
+        assert set(CONDITION_LABELS) == set(Condition)
+        for stress, effort, mask in CONDITION_LABELS.values():
+            assert stress in (0, 1) and mask in (0, 1) and effort in (-1, 0, 1)
+            assert (mask == 0) == (effort == -1)
 
     CONDITIONS = np.array(["c1", "c2", "c3", "c2", "c1", "c3"], dtype=object)
 
     def _stress(self):
-        return np.array([assign_labels(Condition(c)).stress.value for c in self.CONDITIONS])
+        return np.array([CONDITION_LABELS[Condition(c)][0] for c in self.CONDITIONS])
 
     def test_relabel_c2_stress_low(self):
         out = relabel_stress(self._stress(), self.CONDITIONS, LabelScheme.C2_STRESS_LOW)
@@ -66,7 +64,7 @@ class TestLabels:
         out = relabel_stress(stress, self.CONDITIONS, LabelScheme.C2_STRESS_LOW)
         assert np.array_equal(stress, before)
         assert out is not stress
-        assert np.all(out[self.CONDITIONS == "c2"] == Level.LOW.value)
+        assert np.all(out[self.CONDITIONS == "c2"] == 0)
         assert np.array_equal(out[self.CONDITIONS != "c2"], before[self.CONDITIONS != "c2"])
 
 

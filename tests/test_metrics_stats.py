@@ -248,8 +248,8 @@ class TestAnova:
     def test_identical_rows_zero_f(self, rng):
         x = np.tile(rng.normal(size=(5, 1)), (1, 3))
         r = rm_anova_oneway(x)
-        assert r.f == 0.0
-        assert r.partial_eta_sq == pytest.approx(0.0, abs=1e-9)
+        assert r["F"] == 0.0
+        assert r["partial_eta_sq"] == pytest.approx(0.0, abs=1e-9)
 
     def test_paper_eta_relation(self):
         assert partial_eta_sq_from_f(6.26, 2, 38) == pytest.approx(0.248, abs=0.001)
@@ -259,17 +259,17 @@ class TestAnova:
             n = int(rng.integers(3, 12))
             x = rng.normal(size=(n, 3)) + np.array([0.0, 0.3, 0.8]) * rng.uniform(0, 2)
             r = rm_anova_oneway(x)
-            assert r.f == pytest.approx(brute_anova_f(x), rel=1e-9)
-            assert r.df1 == 2 and r.df2 == 2 * (n - 1)
-            assert r.partial_eta_sq == pytest.approx(
-                partial_eta_sq_from_f(r.f, r.df1, r.df2), abs=1e-12
+            assert r["F"] == pytest.approx(brute_anova_f(x), rel=1e-9)
+            assert r["df1"] == 2 and r["df2"] == 2 * (n - 1)
+            assert r["partial_eta_sq"] == pytest.approx(
+                partial_eta_sq_from_f(r["F"], r["df1"], r["df2"]), abs=1e-12
             )
 
     def test_hand_matrix(self):
         x = np.array([[1.0, 2.0, 3.0], [2.0, 3.0, 5.0], [1.5, 2.5, 3.5], [0.5, 1.5, 3.0]])
         r = rm_anova_oneway(x)
-        assert r.f == pytest.approx(brute_anova_f(x), rel=1e-12)
-        assert 0 < r.p < 0.05
+        assert r["F"] == pytest.approx(brute_anova_f(x), rel=1e-12)
+        assert 0 < r["p"] < 0.05
 
     def test_missing_cells_rejected(self):
         x = np.ones((4, 3))

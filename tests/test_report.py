@@ -3,6 +3,7 @@ report.txt show what the aggregates compute, with n/a where a statistic is
 undefined."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -161,12 +162,37 @@ ONE_FOLD_CSV = {
 }
 
 
-@pytest.mark.parametrize("folds, expected", [
-    ([make_fold("a", MONOTONIC), make_fold("b", PEAK_C2), make_fold("c", MONOTONIC, ("c1", "c2"))], THREE_FOLDS_CSV),
-    ([make_fold("c", MONOTONIC, ("c1", "c2"))], ONE_FOLD_CSV),
+# The sha256 of the exact stats.json text on the same two fold sets, and
+# the parts of it the three-folds set spells out: both axes' RM-ANOVA over
+# subjects a and b, and the quadrant counts per condition.
+THREE_FOLDS_STATS_SHA256 = "1112f4414a3bb1194935054e285a01ef9cdc52a4fcb17bc7317683f017626151"
+ONE_FOLD_STATS_SHA256 = "8a0dad58f18fcfe1761e61673790fdcd1417484ae1e48ad3c84570ef21fceb6e"
+THREE_FOLDS_RM_ANOVA = {"F": 3.000000000000005, "df1": 2, "df2": 2, "p": 0.2499999999999997,
+                        "partial_eta_sq": 0.7500000000000003}
+THREE_FOLDS_OCCUPANCY = {
+    cond: {"boundary_high_load": high, "motivated_engagement": 0, "overload_strain": 0, "underutilized": low}
+    for cond, (low, high) in {"c1": (12, 0), "c2": (8, 4), "c3": (0, 8)}.items()
+}
+THREE_FOLDS = [make_fold("a", MONOTONIC), make_fold("b", PEAK_C2), make_fold("c", MONOTONIC, ("c1", "c2"))]
+
+
+@pytest.mark.parametrize("folds, expected, stats_sha256", [
+    (THREE_FOLDS, THREE_FOLDS_CSV, THREE_FOLDS_STATS_SHA256),
+    ([make_fold("c", MONOTONIC, ("c1", "c2"))], ONE_FOLD_CSV, ONE_FOLD_STATS_SHA256),
 ], ids=["three-folds", "one-fold"])
-def test_report_csv_bytes(tmp_path, folds, expected):
-    """Quoting, separators and line endings are pinned, not only the cells."""
+def test_report_csv_bytes(tmp_path, folds, expected, stats_sha256):
+    """Quoting, separators and line endings are pinned, not only the cells;
+    stats.json is pinned by the digest of its text."""
     paths = write_report(folds, tmp_path)
     for name, text in expected.items():
         assert paths[name].read_bytes() == text.encode(), name
+    assert hashlib.sha256(paths["stats.json"].read_bytes()).hexdigest() == stats_sha256
+
+
+def test_stats_json_rm_anova_and_occupancy(tmp_path):
+    stats = json.loads(write_report(THREE_FOLDS, tmp_path)["stats.json"].read_text())
+    for axis in ("U", "O"):
+        anova = stats[f"condition_effects_{axis}"]["rm_anova"]
+        assert anova == THREE_FOLDS_RM_ANOVA
+        assert [type(anova[k]) for k in anova] == [float, int, int, float, float]
+    assert stats["quadrant_occupancy_by_condition"] == THREE_FOLDS_OCCUPANCY

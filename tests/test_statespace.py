@@ -13,18 +13,15 @@ from capstate.evaluation.statespace import quadrant_occupancy
 
 class TestMapState:
     def test_quadrant_assignment(self):
-        assert map_state(0.8, 0.2).quadrant is Quadrant.MOTIVATED_ENGAGEMENT
-        assert map_state(0.2, 0.2).quadrant is Quadrant.UNDERUTILIZED
-        assert map_state(0.8, 0.8).quadrant is Quadrant.BOUNDARY_HIGH_LOAD
-        assert map_state(0.2, 0.8).quadrant is Quadrant.OVERLOAD_STRAIN
+        assert map_state(0.8, 0.2) is Quadrant.MOTIVATED_ENGAGEMENT
+        assert map_state(0.2, 0.2) is Quadrant.UNDERUTILIZED
+        assert map_state(0.8, 0.8) is Quadrant.BOUNDARY_HIGH_LOAD
+        assert map_state(0.2, 0.8) is Quadrant.OVERLOAD_STRAIN
 
     def test_boundary_goes_high(self):
-        assert map_state(0.5, 0.5).quadrant is Quadrant.BOUNDARY_HIGH_LOAD
-        assert map_state(0.5, 0.2).quadrant is Quadrant.MOTIVATED_ENGAGEMENT
-        assert map_state(0.2, 0.5).quadrant is Quadrant.OVERLOAD_STRAIN
-
-    def test_c_ops(self):
-        assert map_state(0.6, 0.8).c_ops == pytest.approx(0.7)
+        assert map_state(0.5, 0.5) is Quadrant.BOUNDARY_HIGH_LOAD
+        assert map_state(0.5, 0.2) is Quadrant.MOTIVATED_ENGAGEMENT
+        assert map_state(0.2, 0.5) is Quadrant.OVERLOAD_STRAIN
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -37,6 +34,25 @@ class TestMapState:
         o = rng.uniform(0, 1, 500)
         counts = quadrant_occupancy(u, o)
         assert sum(counts.values()) == 500
+
+    def test_occupancy_counts_each_point_once(self, rng):
+        """The vectorised counts equal a per-point loop's: Python ints under
+        all four keys, exact 0.5 high, the edges of [0, 1] inside; an empty
+        set counts zeros and a point outside raises."""
+        u = np.concatenate([rng.uniform(0, 1, 300), [0.5, 0.5, 0.2, 0.0, 1.0, 0.5]])
+        o = np.concatenate([rng.uniform(0, 1, 300), [0.5, 0.2, 0.5, 1.0, 0.0, 0.0]])
+        quadrant = {(False, False): Quadrant.UNDERUTILIZED, (True, False): Quadrant.MOTIVATED_ENGAGEMENT,
+                    (True, True): Quadrant.BOUNDARY_HIGH_LOAD, (False, True): Quadrant.OVERLOAD_STRAIN}
+        want = dict.fromkeys((q.value for q in Quadrant), 0)
+        for ui, oi in zip(u.tolist(), o.tolist()):
+            want[quadrant[ui >= 0.5, oi >= 0.5].value] += 1
+            assert map_state(ui, oi) is quadrant[ui >= 0.5, oi >= 0.5]
+        counts = quadrant_occupancy(u, o)
+        assert counts == want and all(type(n) is int for n in counts.values())
+        assert quadrant_occupancy(np.empty(0), np.empty(0)) == dict.fromkeys(want, 0)
+        for bad in (1.0 + 1e-12, -0.0 - 1e-300, np.nan):
+            with pytest.raises(ValueError):
+                quadrant_occupancy(np.array([0.3, bad]), np.array([0.3, 0.3]))
 
 
 class TestClassifyTrajectory:
