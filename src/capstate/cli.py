@@ -1,8 +1,11 @@
 """Operator CLI: synth, preprocess, evaluate, report.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure. Every stage writes a RunManifest with the resolved config hash and
-sha256 digests of its inputs and outputs.
+failure. Every file a stage reads goes through ``errors.reading``, so a
+``--config`` path that is missing, not a regular file or unreadable exits
+2, and such a data file exits 3, naming the path. Every stage writes a
+RunManifest with the resolved config hash and sha256 digests of its inputs
+and outputs.
 
 ``preprocess`` keeps each input CSV's parsed samples in
 ``<output_root>/parsed/<sha256>.npy``, keyed by the digest its manifest
@@ -17,7 +20,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import ingest, pipeline, storage
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, reading
 from .evaluation.loso import run_loso
 from .evaluation.report import write_report
 from .heap import keep_heap
@@ -85,10 +88,10 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
     for session in sessions:
         for rel in (session.ecg_file, session.eda_file):
             path = root / rel
-            if path.is_file():  # else load_recording names the missing file
+            with reading(path):
                 inputs[rel] = cfgmod.sha256_file(path)
-                parsed[path] = ingest.parsed_entry(parsed_dir, inputs[rel])
-        # an OSError here is a parsed entry's write: each input it opens was read whole by its digest above
+            parsed[path] = ingest.parsed_entry(parsed_dir, inputs[rel])
+        # an OSError here is a parsed entry's write: a fault reading an input is a DataError
         with cfgmod.stage_outputs("output_root"):
             rec = ingest.load_recording(session, cfg.ecg_nominal_hz, cfg.eda_nominal_hz, parsed)
         where = (f"subject {session.subject_id} condition {session.condition.value} "

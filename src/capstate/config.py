@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .dsp import WindowingPlan
 from .eda import CvxEdaParams
-from .errors import ConfigError
+from .errors import ConfigError, reading
 from .ingest import LabelScheme
 from .model.network import ArchConfig
 from .model.train import TrainConfig
@@ -169,15 +169,12 @@ def _tuples(value):
 
 
 def load_config(path) -> PipelineConfig:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
+    with reading(path, ConfigError):
+        text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{p}: not a text file: {exc}") from None
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(data)
 
 

@@ -74,17 +74,6 @@ class EdaDecomposition:
     iterations: int = 0
 
 
-@dataclass(frozen=True)
-class ScrEvent:
-    onset_s: float
-    peak_s: float
-    amplitude_us: float
-
-    def __post_init__(self):
-        if self.peak_s <= self.onset_s:
-            raise ValueError("peak must come after onset")
-
-
 EDA_FEATURE_NAMES = [
     "raw_mean",
     "raw_sd",
@@ -269,31 +258,20 @@ def cvxeda_decompose(x: UniformSeries, params: CvxEdaParams = CvxEdaParams()) ->
 # ---------------------------------------------------------------------------
 
 
-def detect_scrs(phasic: UniformSeries) -> list[ScrEvent]:
-    """SCR events from the phasic trace.
+def detect_scrs(phasic: UniformSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SCR events from the phasic trace, as three arrays in time order: the
+    onset and peak times (s) and the amplitudes (uS).
 
     An event onset is an upward crossing of ``SCR_NOISE_FLOOR_US``; within one
     supra-floor excursion, compound responses are split at interior local
     minima (each subsequent rise gets the local minimum as its onset). The
-    peak is the next local maximum, the amplitude is peak minus onset value,
-    and events below ``SCR_MIN_AMPLITUDE_US`` are dropped.
+    peak is the next local maximum, after the onset; the amplitude is peak
+    minus onset value, and events below ``SCR_MIN_AMPLITUDE_US`` are dropped.
     """
     v = phasic.values
     floor = SCR_NOISE_FLOOR_US
     n = len(v)
-    events = []
-
-    def emit(onset: int, peak: int):
-        amp = v[peak] - v[onset]
-        if peak > onset and amp >= SCR_MIN_AMPLITUDE_US:
-            events.append(
-                ScrEvent(
-                    onset_s=phasic.start_s + onset / phasic.rate_hz,
-                    peak_s=phasic.start_s + peak / phasic.rate_hz,
-                    amplitude_us=float(amp),
-                )
-            )
-
+    rises = []  # (onset, peak) sample indices; the flat and the small are dropped at the end
     i = 1
     while i < n:
         if not (v[i] > floor and v[i - 1] <= floor):
@@ -309,13 +287,17 @@ def detect_scrs(phasic: UniformSeries) -> list[ScrEvent]:
             # descend to the next local minimum (or below the floor)
             while j + 1 < n and v[j + 1] < v[j] and v[j + 1] > floor:
                 j += 1
-            emit(onset, peak)
+            rises.append((onset, peak))
             if j + 1 >= n or v[j + 1] <= floor:
                 j += 1
                 break
             onset = j  # interior local minimum starts the next compound rise
         i = max(j, i) + 1
-    return events
+    onsets, peaks = np.array(rises, dtype=np.int64).reshape(-1, 2).T
+    amplitudes = v[peaks] - v[onsets]
+    keep = (peaks > onsets) & (amplitudes >= SCR_MIN_AMPLITUDE_US)
+    start, rate = phasic.start_s, phasic.rate_hz
+    return start + onsets[keep] / rate, start + peaks[keep] / rate, amplitudes[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +309,20 @@ def eda_features(
     raw: np.ndarray,
     tonic: np.ndarray,
     phasic: np.ndarray,
-    events: list[ScrEvent],
+    scrs: tuple[np.ndarray, np.ndarray, np.ndarray],
     starts_s: np.ndarray,
 ) -> np.ndarray:
     """The 12 EDA features, in ``EDA_FEATURE_NAMES`` order, of each row of
     the aligned (N, T) ``GRID_HZ`` window matrices; row k starts at
-    ``starts_s[k]``. An SCR event belongs to window k when
+    ``starts_s[k]``. ``scrs`` holds the onset, peak and amplitude arrays
+    :func:`detect_scrs` returns. An SCR event belongs to window k when
     ``starts_s[k] <= onset < starts_s[k] + T / GRID_HZ``."""
     starts_s = np.asarray(starts_s, dtype=np.float64)
     if raw.ndim != 2 or not raw.shape == tonic.shape == phasic.shape or starts_s.shape != raw.shape[:1]:
         raise ValueError("raw/tonic/phasic windows and their starts are misaligned")
     n_samples = raw.shape[1]
 
-    onsets = np.array([e.onset_s for e in events])
-    peaks = np.array([e.peak_s for e in events])
-    amplitudes = np.array([e.amplitude_us for e in events])
+    onsets, peaks, amplitudes = scrs
     member = (starts_s[:, None] <= onsets) & (onsets < starts_s[:, None] + n_samples / GRID_HZ)  # (N, events)
     scr = np.zeros((len(raw), 4))  # amplitude mean and SD, count, phasic level at the peaks
     for k in np.nonzero(member.any(axis=1))[0]:

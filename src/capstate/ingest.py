@@ -24,20 +24,13 @@ from typing import NoReturn
 import numpy as np
 
 from .dsp import UniformSeries
-from .errors import DataError
+from .errors import DataError, reading
 
 
 class Condition(enum.Enum):
     C1 = "c1"
     C2 = "c2"
     C3 = "c3"
-
-    @classmethod
-    def parse(cls, text: str) -> "Condition":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise DataError(f"unknown condition {text!r} (expected c1/c2/c3)") from None
 
 
 # Theory-driven labels (stress, effort, mask) of every window of a condition:
@@ -135,15 +128,16 @@ def _read_two_column_csv(path: Path, value_header: str, entry: Path | None = Non
     ``entry`` is where this file's parsed samples are kept: an entry that
     loads and holds a sample table stands in for the parse (the header is
     still read from the file); otherwise the file is parsed and, once the
-    samples pass, written to ``entry``."""
-    if not path.is_file():
-        raise DataError(f"missing file: {path}")
-    with open(path, encoding="utf-8", errors="replace") as fh:  # bad bytes fail as a bad field
+    samples pass, written to ``entry`` (outside the read, so a fault
+    there is the entry's, not the CSV's)."""
+    # utf-8-sig drops a byte-order mark; bad bytes fail as a bad field
+    with reading(path), open(path, encoding="utf-8-sig", errors="replace") as fh:
         header = fh.readline().rstrip("\n").split(",")
         if [h.strip() for h in header] != ["t_s", value_header]:
             raise DataError(f"{path}: expected header 't_s,{value_header}', got {header}")
         data = _read_entry(entry)
-        if data is None:
+        parse = data is None
+        if parse:
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # "no data": reported below
@@ -152,8 +146,8 @@ def _read_two_column_csv(path: Path, value_header: str, entry: Path | None = Non
                 data = np.empty((0, 0))
             if not _is_sample_table(data):
                 _raise_first_bad_line(path, fh)
-            if entry is not None:
-                _write_entry(entry, data)
+    if parse and entry is not None:
+        _write_entry(entry, data)
     return data[:, 0].copy(), data[:, 1].copy()
 
 
@@ -223,13 +217,9 @@ def read_sessions(root_path) -> list[Session]:
     pair may appear twice, else :class:`DataError` names the file and the rows."""
     root = Path(root_path)
     manifest = root / "sessions.csv"
-    if not manifest.is_file():
-        raise DataError(f"missing file: {manifest}")
-    try:
-        with open(manifest, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{manifest}: not a text file: {exc}") from None
+    # utf-8-sig drops the byte-order mark spreadsheet programs write
+    with reading(manifest), open(manifest, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.DictReader(fh))
     needed = {"subject_id", "condition", "ecg_file", "eda_file"}
     sessions, seen = [], {}
     for i, row in enumerate(rows, start=2):
@@ -240,9 +230,10 @@ def read_sessions(root_path) -> list[Session]:
             raise DataError(f"{manifest}: row {i}: subject id {subject!r} holds a comma, a double quote, "
                             "a slash or a non-printable character")
         try:
-            condition = Condition.parse(row["condition"])
-        except DataError as exc:
-            raise DataError(f"{manifest}: row {i}: {exc}") from None
+            condition = Condition(row["condition"].strip().lower())
+        except ValueError:
+            raise DataError(f"{manifest}: row {i}: unknown condition {row['condition']!r} "
+                            "(expected c1/c2/c3)") from None
         if (subject, condition) in seen:
             raise DataError(f"{manifest}: rows {seen[subject, condition]} and {i} both list subject {subject!r} "
                             f"condition {condition.value}")
@@ -259,9 +250,10 @@ def load_recording(
 ) -> RawRecording:
     """Load the recording of one ``session`` (see :func:`read_sessions`).
 
-    Raises :class:`DataError` naming the offending file for missing files,
-    non-monotonic timestamps, a channel whose samples all hold one value, or
-    a sampling rate off nominal by more than 5%.
+    Raises :class:`DataError` naming the offending file for a file that
+    breaks the input-file rule (:func:`capstate.errors.reading`), a bad
+    header or line, non-monotonic timestamps, a channel whose samples all
+    hold one value, or a sampling rate off nominal by more than 5%.
 
     ``parsed`` maps a CSV path (``session.root / <file>``) to the ``.npy``
     entry that keeps its parsed samples; the caller keys entries by the

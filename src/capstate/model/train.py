@@ -74,14 +74,14 @@ def loss_and_grads(
     batch: Batch,
     dropout_seed: int | None = None,
 ):
-    """Forward + reverse pass. Returns (total, stress, effort, grads); the
+    """Forward + reverse pass. Returns (total loss, grads); the
     gradient map covers every parameter (zeros where the loss does not reach,
     e.g. the effort head when all masks are 0). Dropout runs, with masks drawn
     from ``dropout_seed``, when a seed is given."""
     params_t = wrap_params(params)
     dropout_rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
     p_s, p_e = build_graph(params_t, arch, batch, dropout_rng=dropout_rng)
-    total_t, stress_val, effort_val = masked_multitask_loss(
+    total_t, _, _ = masked_multitask_loss(
         p_s, p_e, batch.stress, batch.effort, batch.mask,
         cfg.gamma, cfg.label_smoothing, cfg.lambda_effort,
     )
@@ -92,7 +92,7 @@ def loss_and_grads(
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for parameter {key!r}")
         grads[key] = g
-    return float(total_t.data), stress_val, effort_val, grads
+    return float(total_t.data), grads
 
 
 def evaluate_balanced_accuracy(params, arch, val: Batch) -> tuple[float, float]:
@@ -137,7 +137,7 @@ def train_fold(
         loss_sum = 0.0
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            total, _, _, grads = loss_and_grads(
+            total, grads = loss_and_grads(
                 params, arch, cfg, train.select(idx),
                 dropout_seed=substream_seed(seed, "dropout", epoch, bi),
             )

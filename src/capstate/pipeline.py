@@ -68,7 +68,7 @@ def window_recording(
     ibi_2hz = cardiac.ibi_to_uniform(cardiac.build_ibi(peaks))
     eda_proc = eda.preprocess_eda(rec.eda)
     decomp = eda.cvxeda_decompose(eda_proc, cvx_params)
-    events = eda.detect_scrs(decomp.phasic)
+    scrs = eda.detect_scrs(decomp.phasic)
 
     # crop every 2 Hz stream to the common span, then cut all of them at the same start indices;
     # the raw EDA is downsampled without detrending, so its statistics keep absolute uS levels
@@ -88,7 +88,7 @@ def window_recording(
         x_ibi=x_ibi,
         x_eda=x_eda,
         f_hrv=cardiac.hrv_features(x_ibi),
-        f_eda=eda.eda_features(raw, tonic, phasic, events, streams[4].start_s + first / GRID_HZ),
+        f_eda=eda.eda_features(raw, tonic, phasic, scrs, streams[4].start_s + first / GRID_HZ),
         stress=np.full(rows, stress, dtype=np.int64),
         effort=np.full(rows, effort, dtype=np.int64),
         mask=np.full(rows, mask, dtype=np.int64),

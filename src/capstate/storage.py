@@ -14,7 +14,7 @@ import numpy as np
 
 from .cardiac import HRV_FEATURE_NAMES
 from .eda import EDA_FEATURE_NAMES
-from .errors import DataError
+from .errors import DataError, reading
 from .evaluation.loso import FoldResult
 from .ingest import Condition
 from .model.train import TrainHistory
@@ -43,16 +43,12 @@ def read_table(path, expected_header) -> dict[str, np.ndarray]:
     """The columns of a table file by name. ``expected_header`` maps each
     column name to the type its cells parse as (``float``, ``int`` or
     ``object`` for text); for a table whose width the file sets, it is a
-    function of the file's header row returning that map. A missing path or
-    one that is not a regular file, another header, no rows, a row of the wrong width or a cell that does
-    not parse raises ``DataError`` naming the file."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"{path}: not a regular file" if path.exists() else f"missing file: {path}")
-    try:
-        text = path.read_text()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not a text file: {exc}") from None
+    function of the file's header row returning that map. A path that
+    breaks the input-file rule (``capstate.errors.reading``), another header,
+    no rows, a row of the wrong width or a cell that does not parse raises
+    ``DataError`` naming the file."""
+    with reading(path):
+        text = Path(path).read_text()
     header, *rows = [line.split(",") for line in text.splitlines()] or [[]]
     if callable(expected_header):
         expected_header = expected_header(header)

@@ -252,13 +252,12 @@ def _hrv_window_reference(x):
     ])
 
 
-def _eda_window_reference(raw, tonic, phasic, start_s, events):
+def _eda_window_reference(raw, tonic, phasic, start_s, peaks, amps):
     """The 12 EDA features of one 2 Hz window that starts at ``start_s``,
-    given the SCR events that belong to it."""
-    amps = np.array([e.amplitude_us for e in events])
+    given the peak times and amplitudes of the SCR events that belong to it."""
     peak_mean = 0.0
-    if events:
-        idx = np.round((np.array([e.peak_s for e in events]) - start_s) * GRID_HZ).astype(int)
+    if len(amps):
+        idx = np.round((peaks - start_s) * GRID_HZ).astype(int)
         peak_mean = float(phasic[np.clip(idx, 0, len(phasic) - 1)].mean())
     t = np.arange(len(tonic), dtype=np.float64)
     t -= t.mean()
@@ -280,7 +279,7 @@ def window_features_reference(rec, plan: WindowingPlan = WindowingPlan(),
     ibi_2hz = cardiac.ibi_to_uniform(cardiac.build_ibi(cardiac.detect_r_peaks(rec.ecg)))
     eda_proc = eda.preprocess_eda(rec.eda)
     decomp = eda.cvxeda_decompose(eda_proc, cvx_params)
-    events = eda.detect_scrs(decomp.phasic)
+    onsets, peaks, amplitudes = eda.detect_scrs(decomp.phasic)
     start, end = max(ibi_2hz.start_s, eda_proc.start_s), min(ibi_2hz.end_s, eda_proc.end_s)
     streams = [pipeline._crop(s, start, end) for s in
                (ibi_2hz, eda_proc, resample_uniform(rec.eda, GRID_HZ), decomp.tonic, decomp.phasic)]
@@ -292,9 +291,10 @@ def window_features_reference(rec, plan: WindowingPlan = WindowingPlan(),
     duration_s = plan.window_len_samples / GRID_HZ
     f_hrv, f_eda = [], []
     for k in range(len(first)):
-        in_window = [e for e in events if ibi_starts[k] <= e.onset_s < ibi_starts[k] + duration_s]
+        in_window = (ibi_starts[k] <= onsets) & (onsets < ibi_starts[k] + duration_s)
         f_hrv.append(_hrv_window_reference(ibi[k]))
-        f_eda.append(_eda_window_reference(raw[k], tonic[k], phasic[k], eda_starts[k], in_window))
+        f_eda.append(_eda_window_reference(raw[k], tonic[k], phasic[k], eda_starts[k], peaks[in_window],
+                                           amplitudes[in_window]))
     return np.array(f_hrv), np.array(f_eda)
 
 

@@ -88,7 +88,7 @@ def test_criterion_1_gradient_correctness(monkeypatch):
     for backbone in ("lstm", "tcn"):
         arch = ArchConfig(backbone=backbone, **tiny)
         params = init_params(arch, 7)
-        _, _, _, grads = loss_and_grads(params, arch, cfg, batch)
+        _, grads = loss_and_grads(params, arch, cfg, batch)
         for key in params:
             p = params[key]
             it = np.nditer(p, flags=["multi_index"])

@@ -1,7 +1,10 @@
 """CLI surface: config handling, command round-trips, digests, exit codes."""
 
+import builtins
+import errno
 import importlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -57,6 +60,16 @@ FAST_OVERRIDES = [
     "--set", "arch.fusion_out=6",
     "--set", "arch.head_hidden=4",
 ]
+
+
+def _denying(real_open, path):
+    """``real_open``, but opening ``path`` raises PermissionError as it does
+    for a file without read permission."""
+    def open_(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == os.fspath(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(file))
+        return real_open(file, *args, **kwargs)
+    return open_
 
 
 def run_cli(tmp_path, command, *extra):
@@ -301,6 +314,22 @@ class TestCommandChain:
         assert second["inputs"] == first["inputs"]
         assert second["outputs"] == first["outputs"]
 
+    def test_byte_order_mark_reads_as_without(self, tmp_path):
+        """A tree whose sessions.csv and channel CSVs start with a UTF-8
+        byte-order mark, as spreadsheet programs save them, gives the same
+        window files as the tree without the mark."""
+        assert run_cli(tmp_path, "synth") == 0
+        assert run_cli(tmp_path, "preprocess") == 0
+        plain = json.loads((tmp_path / "out" / "manifest_preprocess.json").read_text())
+        for name in plain["inputs"]:
+            path = tmp_path / "data" / name
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run_cli(tmp_path, "preprocess") == 0
+        marked = json.loads((tmp_path / "out" / "manifest_preprocess.json").read_text())
+        assert marked["outputs"] == plain["outputs"]
+        assert set(marked["inputs"]) == set(plain["inputs"])
+        assert all(marked["inputs"][name] != digest for name, digest in plain["inputs"].items())
+
     def test_sensitivity_scheme_changes_fold_labels(self, tmp_path):
         assert run_cli(tmp_path, "synth") == 0
         assert run_cli(tmp_path, "preprocess") == 0
@@ -528,6 +557,74 @@ class TestExitCodes:
         assert run_cli(tmp_path, "preprocess", *extra) == want
         err = capsys.readouterr().err
         assert f"{path}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fault", ["missing", "directory", "fifo", "long-name", "no-permission"])
+    @pytest.mark.parametrize("kind", ["config", "sessions", "channel", "window", "fold"])
+    def test_input_file_fault_names_the_file(self, tmp_path, capsys, monkeypatch, kind, fault):
+        """Each kind of file a stage reads, under each fault that keeps it
+        from being read, exits 2 (``--config``) or 3 (data), naming the path,
+        without a traceback. The window and fold files are found by name
+        pattern, so there a missing file and a name too long are links to
+        nothing and to a 300-character name; no permission is simulated, as
+        a root process is never denied."""
+        command, path = self._input_of_kind(tmp_path, kind)
+        extra = ["--config", str(path)] if kind == "config" else []
+        if fault == "no-permission":
+            monkeypatch.setattr(builtins, "open", _denying(builtins.open, path))
+            monkeypatch.setattr(io, "open", _denying(io.open, path))  # what pathlib opens with
+        else:
+            path.unlink()
+            if fault == "missing" and kind in ("window", "fold"):
+                path.symlink_to(tmp_path / "gone.csv")
+            elif fault == "directory":
+                path.mkdir()
+            elif fault == "fifo":
+                os.mkfifo(path)
+            elif fault == "long-name":
+                path.symlink_to(tmp_path / ("n" * 300))
+        capsys.readouterr()
+        assert run_cli(tmp_path, command, *extra) == (2 if kind == "config" else 3)
+        err = capsys.readouterr().err
+        says = {"missing": f"missing file: {path}", "directory": f"{path}: not a regular file",
+                "fifo": f"{path}: not a regular file", "long-name": f"{path}: File name too long",
+                "no-permission": f"{path}: Permission denied"}[fault]
+        prefix = "config error: " if kind == "config" else "data error: "
+        assert prefix + says in err and "Traceback" not in err
+
+    def test_input_path_with_a_long_name_is_named(self, tmp_path, capsys):
+        """A 300-character name given directly, not through a link: a
+        ``--config`` path, a data_root and an ``ecg_file`` in sessions.csv."""
+        long = "n" * 300
+        assert run_cli(tmp_path, "report", "--config", str(tmp_path / long)) == 2
+        assert f"config error: {tmp_path / long}: File name too long" in capsys.readouterr().err
+        assert run_cli(tmp_path, "preprocess", "--set", f"data_root={json.dumps(str(tmp_path / long))}") == 3
+        assert f"data error: {tmp_path / long / 'sessions.csv'}: File name too long" in capsys.readouterr().err
+        self._stage_inputs(tmp_path, "preprocess")
+        sessions = tmp_path / "data" / "sessions.csv"
+        rel = sessions.read_text().splitlines()[1].split(",")[2]
+        sessions.write_text(sessions.read_text().replace(rel, long))
+        capsys.readouterr()
+        assert run_cli(tmp_path, "preprocess") == 3
+        err = capsys.readouterr().err
+        assert f"data error: {tmp_path / 'data' / long}: File name too long" in err and "Traceback" not in err
+
+    def _input_of_kind(self, tmp_path, kind):
+        """The command that reads a file of ``kind``, and that file's path,
+        set up to hold valid contents."""
+        if kind == "config":
+            path = tmp_path / "run.json"
+            path.write_text("{}\n")
+            return "report", path
+        if kind in ("sessions", "channel"):
+            self._stage_inputs(tmp_path, "preprocess")
+            rel = "sessions.csv"
+            if kind == "channel":
+                rel = (tmp_path / "data" / "sessions.csv").read_text().splitlines()[1].split(",")[2]
+            return "preprocess", tmp_path / "data" / rel
+        command = "evaluate" if kind == "window" else "report"
+        self._stage_inputs(tmp_path, command)
+        name = "windows/windows_s00.csv" if kind == "window" else "results/fold_s00.csv"
+        return command, tmp_path / "out" / name
 
     def test_synth_at_shortest_duration_preprocesses(self, tmp_path):
         shortest = min_synthetic_duration_s(WindowingPlan())

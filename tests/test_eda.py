@@ -8,7 +8,6 @@ from capstate.eda import (
     EDA_FEATURE_NAMES,
     CvxEdaParams,
     LogTransform,
-    ScrEvent,
     _bspline3,
     _ReducedProblem,
     _tonic_basis,
@@ -220,21 +219,21 @@ class TestTonicElimination:
 
 class TestDetectScrs:
     def test_flat_empty(self):
-        assert detect_scrs(UniformSeries(np.zeros(100), 2.0)) == []
+        assert all(len(a) == 0 for a in detect_scrs(UniformSeries(np.zeros(100), 2.0)))
 
     def test_two_separated_pulses(self, rng):
         n = 480
         sig = np.full(n, 1.0) + bateman(0.5, 50.0, n) + bateman(0.8, 150.0, n) + rng.normal(0, 0.003, n)
         dec = cvxeda_decompose(UniformSeries(sig, 2.0))
-        events = detect_scrs(dec.phasic)
-        assert len(events) == 2
-        assert events[0].amplitude_us == pytest.approx(0.5, rel=0.10)
-        assert events[1].amplitude_us == pytest.approx(0.8, rel=0.10)
+        _, _, amplitudes = detect_scrs(dec.phasic)
+        assert len(amplitudes) == 2
+        assert amplitudes[0] == pytest.approx(0.5, rel=0.10)
+        assert amplitudes[1] == pytest.approx(0.8, rel=0.10)
 
     def test_below_threshold_dropped(self):
         n = 200
         phasic = UniformSeries(bateman(0.005, 50.0, n), 2.0)
-        assert detect_scrs(phasic) == []
+        assert all(len(a) == 0 for a in detect_scrs(phasic))
 
     def test_event_invariants_fuzzed(self, rng):
         for _ in range(30):
@@ -242,10 +241,17 @@ class TestDetectScrs:
             sig = np.zeros(n)
             for onset in rng.uniform(5, 120, 4):
                 sig += bateman(rng.uniform(0.02, 1.0), onset, n)
-            events = detect_scrs(UniformSeries(sig, 2.0))
-            for e in events:
-                assert e.peak_s > e.onset_s
-                assert e.amplitude_us >= 0.01
+            onsets, peaks, amplitudes = detect_scrs(UniformSeries(sig, 2.0))
+            assert len(onsets) == len(peaks) == len(amplitudes)
+            assert np.all(np.diff(onsets) > 0)
+            assert np.all(peaks > onsets)
+            assert np.all(amplitudes >= 0.01)
+
+
+def _scrs(*events):
+    """The (onsets, peaks, amplitudes) arrays ``detect_scrs`` returns, from
+    (onset_s, peak_s, amplitude_us) triples."""
+    return tuple(np.array(events, dtype=float).reshape(-1, 3).T)
 
 
 class TestEdaFeatures:
@@ -255,11 +261,11 @@ class TestEdaFeatures:
 
     def _named(self, raw, tonic, phasic, events, start=0.0):
         rows = (self._rows(raw), self._rows(tonic), self._rows(phasic))
-        return dict(zip(EDA_FEATURE_NAMES, eda_features(*rows, events, [start])[0], strict=True))
+        return dict(zip(EDA_FEATURE_NAMES, eda_features(*rows, _scrs(*events), [start])[0], strict=True))
 
     def test_constants_no_events(self):
         w = self._rows(np.full(120, 3.0))
-        out = eda_features(w, w, self._rows(np.zeros(120)), [], [0.0])
+        out = eda_features(w, w, self._rows(np.zeros(120)), _scrs(), [0.0])
         assert np.allclose(out, [[3, 0, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0]])
 
     def test_tonic_slope_and_range(self):
@@ -271,10 +277,7 @@ class TestEdaFeatures:
     def test_two_events_amplitude_stats(self):
         w = np.full(120, 1.0)
         phasic = bateman(0.5, 10.0, 120) + bateman(0.8, 40.0, 120)
-        events = [
-            ScrEvent(onset_s=10.0, peak_s=11.0, amplitude_us=0.5),
-            ScrEvent(onset_s=40.0, peak_s=41.0, amplitude_us=0.8),
-        ]
+        events = [(10.0, 11.0, 0.5), (40.0, 41.0, 0.8)]
         out = self._named(w, w, phasic, events)
         assert out["scr_amp_mean"] == pytest.approx(0.65)
         assert out["scr_count"] == 2
@@ -284,10 +287,7 @@ class TestEdaFeatures:
     def test_events_assigned_by_onset(self):
         """Each window counts the events whose onset lies in [start, start + 60 s)."""
         w = self._rows(*([np.zeros(120)] * 3))
-        events = [
-            ScrEvent(onset_s=10.0, peak_s=11.0, amplitude_us=0.5),
-            ScrEvent(onset_s=50.0, peak_s=51.0, amplitude_us=0.3),
-        ]
+        events = _scrs((10.0, 11.0, 0.5), (50.0, 51.0, 0.3))
         out = eda_features(w, w, w, events, [0.0, 10.5, 100.0])
         assert out[:, EDA_FEATURE_NAMES.index("scr_count")].tolist() == [2, 1, 0]
         assert out[:, EDA_FEATURE_NAMES.index("scr_amp_mean")].tolist() == [0.4, 0.3, 0.0]
@@ -298,9 +298,9 @@ class TestEdaFeatures:
         reads that last sample."""
         phasic = np.arange(120) / 100.0
         start = 30.0
-        at_start = ScrEvent(onset_s=start, peak_s=start + 1.0, amplitude_us=0.2)
-        at_end = ScrEvent(onset_s=start + 60.0, peak_s=start + 61.0, amplitude_us=0.9)
-        late_peak = ScrEvent(onset_s=start + 59.0, peak_s=start + 75.0, amplitude_us=0.4)
+        at_start = (start, start + 1.0, 0.2)
+        at_end = (start + 60.0, start + 61.0, 0.9)
+        late_peak = (start + 59.0, start + 75.0, 0.4)
         out = self._named(np.zeros(120), np.zeros(120), phasic, [at_start, at_end], start)
         assert out["scr_count"] == 1 and out["scr_amp_mean"] == 0.2
         assert out["scr_peak_mean"] == phasic[2]
@@ -311,9 +311,9 @@ class TestEdaFeatures:
         a = self._rows(np.zeros(120))
         b = self._rows(np.zeros(119))
         with pytest.raises(ValueError):
-            eda_features(a, b, a, [], [0.0])
+            eda_features(a, b, a, _scrs(), [0.0])
         with pytest.raises(ValueError):
-            eda_features(a, a, a, [], [0.0, 15.0])
+            eda_features(a, a, a, _scrs(), [0.0, 15.0])
 
 
 class TestLogTransform:

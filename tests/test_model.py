@@ -193,7 +193,7 @@ class TestTcnGrid:
 
         def run():
             out = [p.data for p in build_graph(wrap_params(params), arch, batch)]  # (p_stress, p_effort)
-            _, _, _, grads = loss_and_grads(params, arch, TrainConfig(), batch, dropout_seed=6)
+            _, grads = loss_and_grads(params, arch, TrainConfig(), batch, dropout_seed=6)
             return out, grads
 
         out, grads = run()
@@ -273,7 +273,7 @@ class TestMaskedLoss:
         batch = rand_batch(rng)
         batch.mask = np.zeros(len(batch), dtype=int)
         batch.effort = np.full(len(batch), -1)
-        _, _, _, grads = loss_and_grads(params, arch, TrainConfig(), batch)
+        _, grads = loss_and_grads(params, arch, TrainConfig(), batch)
         for key, g in grads.items():
             if key.startswith("head_effort."):
                 assert np.all(g == 0.0), key
@@ -291,8 +291,8 @@ class TestMaskedLoss:
             stress=np.tile(batch.stress, 2), effort=np.tile(batch.effort, 2),
             mask=np.tile(batch.mask, 2),
         )
-        _, _, _, g1 = loss_and_grads(params, arch, TrainConfig(), batch)
-        _, _, _, g2 = loss_and_grads(params, arch, TrainConfig(), dup)
+        _, g1 = loss_and_grads(params, arch, TrainConfig(), batch)
+        _, g2 = loss_and_grads(params, arch, TrainConfig(), dup)
         for key in g1:
             assert np.allclose(g1[key], g2[key], atol=1e-12), key
 
@@ -309,7 +309,7 @@ class TestMaskedLoss:
             "              stress=rng.integers(0, 2, n), effort=rng.integers(0, 2, n),\n"
             "              mask=rng.integers(0, 2, n))\n"
             f"arch = ArchConfig(backbone={backbone!r})\n"
-            "total, _, _, grads = loss_and_grads(init_params(arch, 4), arch, TrainConfig(), batch,\n"
+            "total, grads = loss_and_grads(init_params(arch, 4), arch, TrainConfig(), batch,\n"
             "                                    dropout_seed=6)\n"
             "h = hashlib.sha256(np.float64(total).tobytes())\n"
             "for key in sorted(grads):\n"
@@ -355,7 +355,7 @@ class TestTapeMemory:
         batch = rand_batch(np.random.default_rng(3), n=64, t=120)
         tracemalloc.start()
         try:
-            _, _, _, grads = loss_and_grads(params, arch, TrainConfig(), batch, dropout_seed=6)
+            _, grads = loss_and_grads(params, arch, TrainConfig(), batch, dropout_seed=6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
