@@ -22,7 +22,7 @@ from . import config as cfgmod
 from . import ingest, pipeline, storage
 from .errors import ConfigError, DataError, NumericalError, reading
 from .evaluation.loso import run_loso
-from .evaluation.report import write_report
+from .evaluation.report import render_report
 from .heap import keep_heap
 from .ingest import LabelScheme
 
@@ -110,9 +110,8 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
         outputs = {}
         for subject in sorted(by_subject):
             ds = pipeline.concat_datasets(by_subject[subject])
-            path = out_dir / f"windows_{subject}.csv"
-            storage.write_windows_csv(path, ds)
-            outputs[f"windows/{path.name}"] = cfgmod.sha256_file(path)
+            name = f"windows_{subject}.csv"
+            outputs[f"windows/{name}"] = storage.write_windows_csv(out_dir / name, ds)
             print(f"{subject}: {len(ds)} windows")
         cfgmod.write_manifest(Path(cfg.output_root), "preprocess", cfg, inputs, outputs, started)
     return 0
@@ -121,8 +120,8 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
 def cmd_evaluate(cfg: cfgmod.PipelineConfig) -> int:
     started = cfgmod.now_iso()
     windows_dir = Path(cfg.output_root) / "windows"
-    results_dir = cfgmod.make_stage_dir(Path(cfg.output_root) / "results", "output_root")
     dataset = storage.read_windows_dir(windows_dir)  # checks each file before it is digested
+    results_dir = cfgmod.make_stage_dir(Path(cfg.output_root) / "results", "output_root")
     inputs = {f"windows/{p.name}": cfgmod.sha256_file(p) for p in sorted(windows_dir.glob("windows_*.csv"))}
     folds = run_loso(
         dataset,
@@ -138,12 +137,9 @@ def cmd_evaluate(cfg: cfgmod.PipelineConfig) -> int:
             stale.unlink()  # report aggregates every fold_*.csv it finds
         outputs = {}
         for fold in folds:
-            fpath = results_dir / f"fold_{fold.subject_id}.csv"
-            storage.write_fold_csv(fpath, fold)
-            outputs[f"results/{fpath.name}"] = cfgmod.sha256_file(fpath)
-            hpath = results_dir / f"history_{fold.subject_id}.csv"
-            storage.write_history_csv(hpath, fold.history)
-            outputs[f"results/{hpath.name}"] = cfgmod.sha256_file(hpath)
+            fold_name, history_name = f"fold_{fold.subject_id}.csv", f"history_{fold.subject_id}.csv"
+            outputs[f"results/{fold_name}"] = storage.write_fold_csv(results_dir / fold_name, fold)
+            outputs[f"results/{history_name}"] = storage.write_history_csv(results_dir / history_name, fold.history)
             print(f"{fold.subject_id}: stress BA {fold.ba('stress'):.3f} effort BA {fold.ba('effort'):.3f}")
         cfgmod.write_manifest(Path(cfg.output_root), "evaluate", cfg, inputs, outputs, started)
     return 0
@@ -155,11 +151,11 @@ def cmd_report(cfg: cfgmod.PipelineConfig) -> int:
     folds = storage.read_folds_dir(rdir)
     inputs = {p.name: cfgmod.sha256_file(p) for p in sorted(rdir.glob("fold_*.csv"))}
     cfgmod.make_stage_dir(rdir / "report", "output_root")
+    texts = render_report(folds)
     with cfgmod.stage_outputs("output_root"):
-        paths = write_report(folds, rdir)
-        outputs = {name: cfgmod.sha256_file(path) for name, path in sorted(paths.items())}
+        outputs = {name: storage.write_text(rdir / name, text) for name, text in texts.items()}
         cfgmod.write_manifest(rdir, "report", cfg, inputs, outputs, started)
-    print(paths["report/report.txt"].read_text())
+    print(texts["report/report.txt"])
     return 0
 
 
@@ -169,15 +165,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "preprocess":
-            return cmd_preprocess(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        if args.command == "report":
-            return cmd_report(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        command = {"synth": cmd_synth, "preprocess": cmd_preprocess, "evaluate": cmd_evaluate, "report": cmd_report}
+        return command[args.command](cfg)  # argparse has rejected any other name
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

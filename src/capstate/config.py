@@ -31,17 +31,13 @@ from .pipeline import NORMALIZATION_MODES
 
 @dataclass(frozen=True)
 class AblationConfig:
-    """Each field overrides the same ``arch`` field when set; None keeps it."""
+    """``backbone``, when set, overrides ``arch.backbone``; None keeps it."""
 
     backbone: str | None = None
-    modalities: tuple | None = None
-    use_handcrafted_features: bool | None = None
 
     def __post_init__(self):
-        ArchConfig(**self.overrides())  # each value set must be one ``arch`` accepts
-
-    def overrides(self) -> dict:
-        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
+        if self.backbone is not None:
+            ArchConfig(backbone=self.backbone)  # a value ``arch.backbone`` accepts
 
 
 @dataclass(frozen=True)
@@ -75,12 +71,13 @@ class PipelineConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
 
     def __post_init__(self):
-        # ablation.* wins over arch.*: fold it in once, so every stage reads cfg.arch
-        try:
-            arch = dataclasses.replace(self.arch, **self.ablation.overrides())
-        except ValueError as exc:  # the folded-in arch fails a check: name its section, as _build does
-            raise ValueError(f"arch.{exc}") from None
-        object.__setattr__(self, "arch", arch)
+        # ablation.backbone wins over arch.backbone: fold it in once, so every stage reads cfg.arch
+        if self.ablation.backbone is not None:
+            try:
+                arch = dataclasses.replace(self.arch, backbone=self.ablation.backbone)
+            except ValueError as exc:  # the folded-in arch fails a check: name its section, as _build does
+                raise ValueError(f"arch.{exc}") from None
+            object.__setattr__(self, "arch", arch)
         if self.normalization_mode not in NORMALIZATION_MODES:
             raise ValueError(f"normalization_mode must be one of {NORMALIZATION_MODES}, "
                              f"got {self.normalization_mode!r}")

@@ -60,9 +60,6 @@ class UniformSeries:
     def end_s(self) -> float:
         return self.start_s + self.duration_s
 
-    def times(self) -> np.ndarray:
-        return self.start_s + np.arange(len(self.values)) / self.rate_hz
-
     def replace_values(self, values) -> "UniformSeries":
         return UniformSeries(values, self.rate_hz, self.start_s)
 
@@ -494,19 +491,12 @@ def fft_radix2(x: np.ndarray) -> np.ndarray:
     return _fft_stages(a).reshape(x.shape)
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 def welch_psd(
     values: np.ndarray,
     rate_hz: float,
     segment_len: int,
     segment_overlap: float,
-    nfft: int | None = None,
+    nfft: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Welch PSD along the last axis of ``values``, sampled at ``rate_hz``:
     averaged Hann-tapered periodograms of overlapping segments, returned as
@@ -516,8 +506,7 @@ def welch_psd(
     Each segment's mean is removed before tapering and reassigned to the
     zero-frequency bin, so a constant input registers as a pure DC line. For a
     unit-variance white input the integrated density is ~1. Segments are
-    zero-padded to ``nfft`` (default: next power of two) for the in-repo
-    radix-2 FFT.
+    zero-padded to ``nfft``, a power of two, for the in-repo radix-2 FFT.
     """
     n = values.shape[-1]
     if segment_len > n:
@@ -525,7 +514,6 @@ def welch_psd(
     if not (0.0 <= segment_overlap < 1.0):
         raise ValueError("segment_overlap must lie in [0, 1)")
     step = max(1, int(round(segment_len * (1.0 - segment_overlap))))
-    nfft = _next_pow2(segment_len) if nfft is None else nfft
     if nfft < segment_len or (nfft & (nfft - 1)) != 0:
         raise ValueError("nfft must be a power of two >= segment_len")
 

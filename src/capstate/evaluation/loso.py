@@ -104,7 +104,6 @@ def _run_single_fold(args) -> FoldResult:
         history=history,
         audit={
             "log_flags": transform.log_transform.flags,
-            "normalization_mode": normalization_mode,
             "train_subjects": inner_train,
             "val_subjects": val_subjects,
             "params_digest": _params_digest(params),

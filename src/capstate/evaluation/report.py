@@ -1,12 +1,12 @@
 """Aggregation of fold results into summary tables and the statistics report,
-and their rendering. ``write_report`` is the one place that aggregates: it
-computes every statistic once and writes ``stats.json`` and ``report/``.
-Condition effects are paired statistics on per-subject centroids (Demšar,
-JMLR 7, 2006), and every CSV under ``report/`` is written by ``format_table``."""
+and their rendering. ``render_report`` is the one place that aggregates: it
+computes every statistic once and returns the texts of ``stats.json`` and
+``report/``; it reads and writes no file. Condition effects are paired
+statistics on per-subject centroids (Demšar, JMLR 7, 2006), and every CSV
+under ``report/`` is formatted by ``format_table``."""
 
 import json
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 
@@ -99,7 +99,7 @@ def aggregate_classification(folds: list[FoldResult]) -> dict:
             "recall_high": pooled.per_class_recall[1],
             "ba": pooled.ba,
             "precision": pooled.precision,
-            "recall": pooled.recall,
+            "recall": pooled.ba,  # macro recall is the mean per-class recall, the BA
             "macro_f1": pooled.macro_f1,
         }
     return out
@@ -187,16 +187,15 @@ def build_stats_report(folds: list[FoldResult]) -> dict:
     return report
 
 
-def write_report(folds: list[FoldResult], results_dir) -> dict[str, Path]:
-    """Aggregate the folds once and write ``stats.json`` (every statistic)
-    and the ``report/`` tables and text. Returns {name under
-    ``results_dir``: path}."""
-    results_dir = Path(results_dir)
+def render_report(folds: list[FoldResult]) -> dict[str, str]:
+    """Aggregate the folds once and return {name under the results
+    directory: text} for ``stats.json`` (every statistic) and the
+    ``report/`` tables and text."""
     summary = summary_table(folds)
     agg = aggregate_classification(folds)
     stats = {"summary": summary, "aggregate_classification": agg, **build_stats_report(folds)}
     rows = per_subject_rows(folds)
-    texts = {
+    return {
         "stats.json": json.dumps(stats, indent=2, sort_keys=True) + "\n",
         "report/table2_summary.csv": _table2(summary),
         "report/table3_per_subject.csv": _table3(rows),
@@ -204,11 +203,6 @@ def write_report(folds: list[FoldResult], results_dir) -> dict[str, Path]:
         "report/trajectory_distribution.csv": _trajectory_table(stats["trajectory_patterns"]),
         "report/report.txt": _render_text_report(stats, rows),
     }
-    (results_dir / "report").mkdir(parents=True, exist_ok=True)
-    paths = {name: results_dir / name for name in texts}
-    for name, text in texts.items():
-        paths[name].write_text(text)
-    return paths
 
 
 def _fmt(v, digits=3) -> str:

@@ -313,7 +313,6 @@ class SyntheticSpec:
 class GroundTruth:
     r_peak_times_s: np.ndarray
     true_ibis_ms: np.ndarray
-    scr_events: tuple
     tonic_trace: np.ndarray
 
     def __post_init__(self):
@@ -409,7 +408,7 @@ def generate_synthetic_recording(spec: SyntheticSpec) -> tuple[RawRecording, Gro
         eda=UniformSeries(eda, spec.eda_rate_hz),
         duration_s=spec.duration_s,
     )
-    truth = GroundTruth(peak_times, true_ibis, tuple(spec.scr_events), tonic)
+    truth = GroundTruth(peak_times, true_ibis, tonic)
     return rec, truth
 
 

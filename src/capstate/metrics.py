@@ -1,8 +1,9 @@
 """How a head is scored. Binary classification metrics (balanced accuracy,
-macro precision/recall/F1, the 2x2 confusion matrix with rows = true class)
-and the one rule that applies them to the two heads: stress is scored on
-every window, effort on mask=1 windows only, and a head whose true labels
-hold a single class has no balanced accuracy (undefined)."""
+which is also the macro recall, macro precision and F1, the 2x2 confusion
+matrix with rows = true class) and the one rule that applies them to the two
+heads: stress is scored on every window, effort on mask=1 windows only, and
+a head whose true labels hold a single class has no balanced accuracy
+(undefined)."""
 
 from dataclasses import dataclass
 
@@ -11,9 +12,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Metrics:
-    ba: float
+    ba: float  # macro recall
     precision: float  # macro
-    recall: float  # macro (== ba for binary labels)
     macro_f1: float
     per_class_recall: tuple
     confusion: np.ndarray  # (2, 2) int counts
@@ -50,7 +50,6 @@ def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
     return Metrics(
         ba=float(recalls.mean()),
         precision=float(precisions.mean()),
-        recall=float(recalls.mean()),
         macro_f1=float(f1s.mean()),
         per_class_recall=tuple(recalls.tolist()),
         confusion=confusion,

@@ -53,7 +53,6 @@ class TrainConfig:
 class TrainHistory:
     rows: list = field(default_factory=list)
     best_epoch: int = 0
-    stopped_epoch: int = 0
 
     def append(self, epoch, train_loss, val_ba_stress, val_ba_effort, lr):
         self.rows.append(
@@ -167,5 +166,4 @@ def train_fold(
             break
 
     history.best_epoch = best_epoch
-    history.stopped_epoch = history.rows[-1]["epoch"]
     return best_params, history

@@ -4,9 +4,11 @@ histories, written by ``format_table`` and read back by ``read_table``.
 A table is a header line and one unquoted line per row. Each column's cells
 are formatted by its dtype: floats with ``repr`` (the shortest form that
 reads back to the same float), everything else with ``str``, so identical
-runs produce byte-identical files and manifest digests.
+runs produce byte-identical files and manifest digests. Each writer returns
+the sha256 of the bytes it wrote, the digest a manifest records.
 """
 
+import hashlib
 from itertools import groupby
 from pathlib import Path
 
@@ -35,8 +37,15 @@ def format_table(columns: dict[str, np.ndarray]) -> str:
     return "".join(",".join(line) + "\n" for line in [list(columns), *zip(*runs)])
 
 
-def write_table(path, columns: dict[str, np.ndarray]) -> None:
-    Path(path).write_text(format_table(columns))
+def write_text(path, text: str) -> str:
+    """Write ``text`` to ``path`` as UTF-8; return the sha256 of its bytes."""
+    data = text.encode("utf-8")
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_table(path, columns: dict[str, np.ndarray]) -> str:
+    return write_text(path, format_table(columns))
 
 
 def read_table(path, expected_header) -> dict[str, np.ndarray]:
@@ -94,11 +103,11 @@ def _window_header(window_len: int) -> dict:
     return {**_WINDOW_LABELS, **dict.fromkeys(values, float)}
 
 
-def write_windows_csv(path, ds: WindowedDataset) -> None:
+def write_windows_csv(path, ds: WindowedDataset) -> str:
     columns = {name: getattr(ds, name) for name in _WINDOW_LABELS}
     value_names = list(_window_header(ds.x_ibi.shape[1]))[len(columns):]
     columns.update(zip(value_names, np.hstack([ds.x_ibi, ds.x_eda, ds.f_hrv, ds.f_eda]).T))
-    write_table(path, columns)
+    return write_table(path, columns)
 
 
 def read_windows_csv(path) -> WindowedDataset:
@@ -138,10 +147,11 @@ FOLD_COLUMNS = dict(subject=object, condition=object, window_start_s=float, U=fl
 HISTORY_COLUMNS = dict(epoch=int, train_loss=float, val_ba_stress=float, val_ba_effort=float, lr=float)
 
 
-def write_fold_csv(path, fold: FoldResult) -> None:
+def write_fold_csv(path, fold: FoldResult) -> str:
     values = (np.full(len(fold.u), fold.subject_id, dtype=object), fold.condition, fold.window_start_s,
               fold.u, fold.o, fold.stress, fold.effort, fold.mask)
-    write_table(path, {name: np.asarray(v, dtype=kind) for (name, kind), v in zip(FOLD_COLUMNS.items(), values)})
+    return write_table(path, {name: np.asarray(v, dtype=kind)
+                              for (name, kind), v in zip(FOLD_COLUMNS.items(), values)})
 
 
 def read_fold_csv(path) -> FoldResult:
@@ -161,7 +171,7 @@ def read_folds_dir(results_dir) -> list[FoldResult]:
     return [read_fold_csv(p) for p in paths]
 
 
-def write_history_csv(path, history: TrainHistory) -> None:
+def write_history_csv(path, history: TrainHistory) -> str:
     """One row per epoch: training loss, validation BA per head, learning rate."""
-    write_table(path, {name: np.array([r[name] for r in history.rows], dtype=kind)
-                       for name, kind in HISTORY_COLUMNS.items()})
+    return write_table(path, {name: np.array([r[name] for r in history.rows], dtype=kind)
+                              for name, kind in HISTORY_COLUMNS.items()})

@@ -311,6 +311,11 @@ def digests_by_blas_threads(script: str) -> list[str]:
     return out
 
 
+def sample_times(series) -> np.ndarray:
+    """The time of each sample of a ``UniformSeries``."""
+    return series.start_s + np.arange(len(series)) / series.rate_hz
+
+
 def direct_periodogram(x: np.ndarray, fs: float, nfft: int) -> tuple[np.ndarray, np.ndarray]:
     """Single-segment Hann periodogram by explicit DFT sums, mean removed and
     reassigned to the DC bin (same spectral conventions as welch_psd, but an

@@ -2,6 +2,7 @@
 
 import builtins
 import errno
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -104,11 +105,11 @@ class TestConfig:
             load_config("/definitely/not/here.json")
 
     def test_effective_arch_applies_ablation(self):
-        """The ablation.* values set are folded into ``cfg.arch`` at load."""
+        """A set ablation.backbone is folded into ``cfg.arch`` at load; the
+        modality and feature ablations are spelled only as arch.* keys."""
         cfg = apply_overrides(
             PipelineConfig(),
-            ["ablation.modalities=[\"ibi\"]", "ablation.backbone=\"tcn\"",
-             "ablation.use_handcrafted_features=false"],
+            ["arch.modalities=[\"ibi\"]", "ablation.backbone=\"tcn\"", "arch.use_handcrafted_features=false"],
         )
         assert cfg.arch.modalities == ("ibi",)
         assert cfg.arch.backbone == "tcn"
@@ -140,7 +141,7 @@ class TestConfig:
     ])
     def test_arch_key_reaches_effective_arch(self, key, arch_value, ablation_value):
         """``cfg.arch`` is the architecture a run trains: arch.* reaches it,
-        and ablation.* wins when set."""
+        ablation.backbone wins when set, and no other ablation.* key exists."""
         assert PipelineConfig().arch == ArchConfig()
 
         def literal(value):
@@ -148,6 +149,10 @@ class TestConfig:
 
         cfg = apply_overrides(PipelineConfig(), [f"arch.{key}={literal(arch_value)}"])
         assert getattr(cfg.arch, key) == arch_value
+        if key != "backbone":
+            with pytest.raises(ConfigError, match=f"unknown config key 'ablation.{key}'"):
+                apply_overrides(cfg, [f"ablation.{key}={literal(ablation_value)}"])
+            return
         cfg = apply_overrides(cfg, [f"ablation.{key}={literal(ablation_value)}"])
         assert getattr(cfg.arch, key) == ablation_value
 
@@ -201,7 +206,8 @@ class TestWindowsCsv:
     @pytest.mark.parametrize("table", ["windows", "fold", "history"])
     def test_round_trip(self, tmp_path, table):
         """Write, read and write again: the values read back equal the ones
-        written, and the two files are byte-identical."""
+        written, the two files are byte-identical, and each write returns
+        the sha256 of the bytes it wrote."""
         make, write, read, write_again, values = {
             "windows": (lambda: make_feature_dataset(n_subjects=2, per_cond=3, seed=1),
                         write_windows_csv, read_windows_csv, write_windows_csv,
@@ -216,7 +222,7 @@ class TestWindowsCsv:
         }[table]
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
         original = make()
-        write(first, original)
+        assert write(first, original) == hashlib.sha256(first.read_bytes()).hexdigest()
         back = read(first)
         for want, got in zip(values(original), values(back), strict=True):
             np.testing.assert_array_equal(got, want)
@@ -345,7 +351,7 @@ class TestCommandChain:
     def test_modality_ablation_probe(self, tmp_path):
         assert run_cli(tmp_path, "synth") == 0
         assert run_cli(tmp_path, "preprocess") == 0
-        assert run_cli(tmp_path, "evaluate", "--set", 'ablation.modalities=["ibi"]') == 0
+        assert run_cli(tmp_path, "evaluate", "--set", 'arch.modalities=["ibi"]') == 0
         base = {p.name: read_fold_csv(p) for p in (tmp_path / "out" / "results").glob("fold_*.csv")}
         # corrupt every EDA channel in the windows, re-evaluate: identical predictions
         windows_dir = tmp_path / "out" / "windows"
@@ -354,7 +360,7 @@ class TestCommandChain:
             ds.x_eda = ds.x_eda + 25.0
             ds.f_eda = np.abs(ds.f_eda * 3.0 + 1.0)
             write_windows_csv(p, ds)
-        assert run_cli(tmp_path, "evaluate", "--set", 'ablation.modalities=["ibi"]') == 0
+        assert run_cli(tmp_path, "evaluate", "--set", 'arch.modalities=["ibi"]') == 0
         for p in (tmp_path / "out" / "results").glob("fold_*.csv"):
             again = read_fold_csv(p)
             assert np.allclose(again.u, base[p.name].u, atol=1e-12)
@@ -381,7 +387,11 @@ class TestExitCodes:
         ("evaluate", f"parallel_folds={len(os.sched_getaffinity(0)) + 1}", "parallel_folds"),
         ("synth", "synth.duration_s=61", "synth.duration_s"),
         ("evaluate", 'ablation.backbone="gru"', "ablation.backbone"),
-        ("evaluate", 'ablation.modalities=["ecg"]', "ablation.modalities"),
+        ("evaluate", 'arch.modalities=["ecg"]', "arch.modalities"),
+        # the modality and feature ablations have one spelling, arch.*
+        ("evaluate", 'ablation.modalities=["ibi"]', "unknown config key 'ablation.modalities'"),
+        ("evaluate", "ablation.use_handcrafted_features=false",
+         "unknown config key 'ablation.use_handcrafted_features'"),
         ("preprocess", 'sensitivity_scheme="bogus"', "sensitivity_scheme"),
         # a value of the wrong JSON type
         ("synth", "data_root=5", "data_root must be str"),
@@ -401,7 +411,7 @@ class TestExitCodes:
         ("evaluate", "arch.conv_layers=-3", "arch.conv_layers must be >= 0"),
         # a modality run twice with one set of weights, and a dilation that is a bool
         ("evaluate", 'arch.modalities=["ibi", "ibi"]', "arch.modalities must not repeat"),
-        ("evaluate", 'ablation.modalities=["eda", "eda"]', "ablation.modalities must not repeat"),
+        ("evaluate", 'arch.modalities=["eda", "eda"]', "arch.modalities must not repeat"),
         ("evaluate", "arch.tcn_dilations=[true, 2]", "arch.tcn_dilations must be integers"),
         # a window too short for the features, and networks past MAX_PARAMETERS, refused at load on
         # an empty tree: arch.* is checked as given, then with the table's TCN ablation folded in
@@ -448,18 +458,14 @@ class TestExitCodes:
         if command == "synth":
             key, target = "data_root", blocker / "d"
             extra = ["--set", f"data_root={json.dumps(str(target))}"]
-        elif command == "report":  # folds to report on, and a file where report/ goes
-            results.mkdir(parents=True)
-            fold = make_fold("s00", {"c1": (0.2, 0.2), "c2": (0.4, 0.4), "c3": (0.6, 0.6)})
-            write_fold_csv(results / "fold_s00.csv", fold)
-            (results / "report").write_text("")
-            key, target, extra = "output_root", results / "report", []
-        else:
-            if command == "preprocess":
-                assert run_cli(tmp_path, "synth") == 0
-            subdir = "windows" if command == "preprocess" else "results"
-            key, target = "output_root", blocker / subdir
+        elif command == "preprocess":
+            assert run_cli(tmp_path, "synth") == 0
+            key, target = "output_root", blocker / "windows"
             extra = ["--set", f"output_root={json.dumps(str(blocker))}"]
+        else:  # the stage's inputs, and a file where its directory goes: it makes none before they check out
+            self._stage_inputs(tmp_path, command)
+            key, target, extra = "output_root", results if command == "evaluate" else results / "report", []
+            target.write_text("")
         capsys.readouterr()
         assert run_cli(tmp_path, command, *extra) == 2
         err = capsys.readouterr().err
@@ -646,6 +652,40 @@ class TestExitCodes:
     def test_data_error_is_3(self, tmp_path):
         assert run_cli(tmp_path, "preprocess") == 3  # no synth tree yet
         assert not (tmp_path / "out").exists()  # no output directory before the inputs check out
+
+    @pytest.mark.parametrize("case", ["invalid-json", "section-not-object", "override-without-equals",
+                                      "sessions-row-without-eda-file", "report-without-folds",
+                                      "evaluate-without-windows"])
+    def test_documented_exit_names_the_key_or_file(self, tmp_path, capsys, case):
+        """Each documented exit names the key or the file, without a
+        traceback, and leaves ``output_root`` as empty as it found it: no
+        stage makes an output directory before its inputs check out."""
+        out, config = tmp_path / "out", tmp_path / "run.json"
+        sessions = tmp_path / "data" / "sessions.csv"
+        command, extra = "evaluate", []
+        if case == "invalid-json":
+            config.write_text('{"seed": ')
+            extra, want, says = ["--config", str(config)], 2, f"config error: {config}: invalid JSON"
+        elif case == "section-not-object":
+            config.write_text('{"train": 3}')
+            extra, want, says = ["--config", str(config)], 2, "config error: config section 'train' must be an object"
+        elif case == "override-without-equals":
+            extra, want, says = ["--set", "seed"], 2, "config error: override 'seed' must look like key=value"
+        elif case == "sessions-row-without-eda-file":
+            assert run_cli(tmp_path, "synth") == 0
+            header, first, *rest = sessions.read_text().splitlines()
+            sessions.write_text("\n".join([header, first.rsplit(",", 1)[0], *rest]) + "\n")
+            command, want, says = "preprocess", 3, f"data error: {sessions}: malformed row 2"
+        elif case == "report-without-folds":
+            command, want, says = "report", 3, f"data error: no fold_*.csv files under {out / 'results'}"
+        else:
+            want, says = 3, f"data error: no windows_*.csv files under {out / 'windows'}"
+        out.mkdir()
+        capsys.readouterr()
+        assert run_cli(tmp_path, command, *extra) == want
+        err = capsys.readouterr().err
+        assert says in err and "Traceback" not in err
+        assert not any(out.iterdir())
 
     def test_corrupted_tree_is_3(self, tmp_path, capsys):
         assert run_cli(tmp_path, "synth") == 0

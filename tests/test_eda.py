@@ -17,7 +17,7 @@ from capstate.eda import (
     preprocess_eda,
 )
 from capstate.ingest import bateman_kernel
-from conftest import digests_by_blas_threads
+from conftest import digests_by_blas_threads, sample_times
 
 
 def bateman(amp, onset_s, n, rate=2.0):
@@ -42,7 +42,7 @@ class TestPreprocess:
         t = np.arange(0, 300, 1 / 32.0)
         x = UniformSeries(2.0 + 0.01 * t + 0.5 * np.sin(2 * np.pi * 0.1 * t), 32.0)
         out = preprocess_eda(x)
-        to = out.times()
+        to = sample_times(out)
         lo, hi = len(to) // 4, 3 * len(to) // 4
         z = np.exp(-2j * np.pi * 0.1 * to[lo:hi])
         amp = 2.0 * abs(np.sum(out.values[lo:hi] * z)) / (hi - lo)

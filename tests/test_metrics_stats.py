@@ -169,7 +169,7 @@ class TestAggregateClassification:
                 assert a["n_total"] == 30
                 assert (a["recall_low"], a["recall_high"]) == m.per_class_recall
                 assert (a["ba"], a["precision"], a["recall"], a["macro_f1"]) == (
-                    m.ba, m.precision, m.recall, m.macro_f1)
+                    m.ba, m.precision, m.ba, m.macro_f1)
 
     def test_undefined_head(self, rng):
         f = _fold(rng, 12, np.zeros(12, dtype=int))  # effort masked out everywhere

@@ -438,7 +438,7 @@ class TestTrainFold:
         cfg = TrainConfig(max_epochs=200, lr=1e-3, batch_size=32,
                           early_stop_warmup=5, early_stop_patience=7)
         params, history = train_fold(train, val, tiny_arch(), cfg, seed=1)
-        assert history.stopped_epoch == 12  # warmup + patience
+        assert history.rows[-1]["epoch"] == 12  # warmup + patience
         assert history.best_epoch == 1
 
     def test_strictly_improving_runs_to_max(self, monkeypatch):
@@ -455,7 +455,7 @@ class TestTrainFold:
         cfg = TrainConfig(max_epochs=9, lr=1e-3, batch_size=32,
                           early_stop_warmup=3, early_stop_patience=2)
         params, history = train_fold(train, val, tiny_arch(), cfg, seed=1)
-        assert history.stopped_epoch == 9
+        assert history.rows[-1]["epoch"] == 9
         assert history.best_epoch == 9
 
     def test_plateau_halves_lr(self, monkeypatch):
