@@ -12,10 +12,19 @@ and outputs.
 records, so a rerun on unchanged files reads the entry instead of parsing the
 CSV. Each run deletes every entry it did not use, and no other file there;
 the directory is safe to delete.
+
+``preprocess`` hashes its input CSVs, in session order, on one helper
+thread while the main thread loads and windows the recordings; hashing
+releases the GIL, so the two overlap on two cores. The main thread takes
+each digest when it reaches that file, so a fault in a file is reported at
+the point the file is reached, after any earlier recording's fault, and the
+thread is gone when the stage returns or fails. Every other call of the
+stage runs on the main thread.
 """
 
 import argparse
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import config as cfgmod
@@ -76,6 +85,13 @@ def cmd_synth(cfg: cfgmod.PipelineConfig) -> int:
     return 0
 
 
+def _digest(path: Path) -> str:
+    """``path``'s sha256, once it is found to be a regular file (a FIFO is
+    never opened, so the hashing thread cannot block on one)."""
+    with reading(path):
+        return cfgmod.sha256_file(path)
+
+
 def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
     started = cfgmod.now_iso()
     root = Path(cfg.data_root)
@@ -85,24 +101,28 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
     inputs = {"sessions.csv": cfgmod.sha256_file(root / "sessions.csv")}
     parsed = {}  # CSV path -> the entry keeping its parsed samples
     by_subject: dict[str, list] = {}
-    for session in sessions:
-        for rel in (session.ecg_file, session.eda_file):
-            path = root / rel
-            with reading(path):
-                inputs[rel] = cfgmod.sha256_file(path)
-            parsed[path] = ingest.parsed_entry(parsed_dir, inputs[rel])
-        # an OSError here is a parsed entry's write: a fault reading an input is a DataError
-        with cfgmod.stage_outputs("output_root"):
-            rec = ingest.load_recording(session, cfg.ecg_nominal_hz, cfg.eda_nominal_hz, parsed)
-        where = (f"subject {session.subject_id} condition {session.condition.value} "
-                 f"({session.ecg_file}, {session.eda_file})")
-        try:
-            part = pipeline.window_recording(rec, cfg.windowing, cfg.cvxeda)
-        except ValueError as exc:  # a signal the chain cannot use, e.g. a flat ECG
-            raise DataError(f"{where}: {exc}") from exc
-        except NumericalError as exc:
-            raise NumericalError(f"{where}: {exc}") from exc
-        by_subject.setdefault(session.subject_id, []).append(part)
+    hasher = ThreadPoolExecutor(max_workers=1)
+    try:
+        rels = dict.fromkeys(rel for session in sessions for rel in (session.ecg_file, session.eda_file))
+        digests = {rel: hasher.submit(_digest, root / rel) for rel in rels}
+        for session in sessions:
+            for rel in (session.ecg_file, session.eda_file):
+                inputs[rel] = digests[rel].result()  # raises the file's DataError here, in session order
+                parsed[root / rel] = ingest.parsed_entry(parsed_dir, inputs[rel])
+            # an OSError here is a parsed entry's write: a fault reading an input is a DataError
+            with cfgmod.stage_outputs("output_root"):
+                rec = ingest.load_recording(session, cfg.ecg_nominal_hz, cfg.eda_nominal_hz, parsed)
+            where = (f"subject {session.subject_id} condition {session.condition.value} "
+                     f"({session.ecg_file}, {session.eda_file})")
+            try:
+                part = pipeline.window_recording(rec, cfg.windowing, cfg.cvxeda)
+            except ValueError as exc:  # a signal the chain cannot use, e.g. a flat ECG
+                raise DataError(f"{where}: {exc}") from exc
+            except NumericalError as exc:
+                raise NumericalError(f"{where}: {exc}") from exc
+            by_subject.setdefault(session.subject_id, []).append(part)
+    finally:
+        hasher.shutdown(cancel_futures=True)  # an error waits for one file's hash, not the rest
     ingest.prune_parsed(parsed_dir, set(parsed.values()))  # entries of files since edited or dropped
     with cfgmod.stage_outputs("output_root"):
         for stale in out_dir.glob("windows_*.csv"):

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -73,10 +74,23 @@ def _denying(real_open, path):
     return open_
 
 
-def run_cli(tmp_path, command, *extra):
-    args = [command, "--set", f"data_root={json.dumps(str(tmp_path / 'data'))}",
+def _cli_args(tmp_path, command, *extra):
+    return [command, "--set", f"data_root={json.dumps(str(tmp_path / 'data'))}",
             "--set", f"output_root={json.dumps(str(tmp_path / 'out'))}", *FAST_OVERRIDES, *extra]
-    return main(args)
+
+
+def run_cli(tmp_path, command, *extra):
+    return main(_cli_args(tmp_path, command, *extra))
+
+
+def run_cli_in_child(tmp_path, command, *extra, timeout_s=120):
+    """``run_cli`` in a fresh interpreter that is killed after ``timeout_s``:
+    (exit code, stderr). A stage that blocks, say on a FIFO it opened, then
+    fails its test instead of stalling the suite."""
+    src = str(Path(capstate.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "capstate.cli", *_cli_args(tmp_path, command, *extra)],
+                         capture_output=True, text=True, timeout=timeout_s, env=dict(os.environ, PYTHONPATH=src))
+    return out.returncode, out.stderr
 
 
 class TestConfig:
@@ -588,14 +602,63 @@ class TestExitCodes:
                 os.mkfifo(path)
             elif fault == "long-name":
                 path.symlink_to(tmp_path / ("n" * 300))
-        capsys.readouterr()
-        assert run_cli(tmp_path, command, *extra) == (2 if kind == "config" else 3)
-        err = capsys.readouterr().err
+        if fault == "fifo":  # a stage that opened it would block
+            rc, err = run_cli_in_child(tmp_path, command, *extra)
+        else:
+            capsys.readouterr()
+            rc, err = run_cli(tmp_path, command, *extra), capsys.readouterr().err
+        assert rc == (2 if kind == "config" else 3)
         says = {"missing": f"missing file: {path}", "directory": f"{path}: not a regular file",
                 "fifo": f"{path}: not a regular file", "long-name": f"{path}: File name too long",
                 "no-permission": f"{path}: Permission denied"}[fault]
         prefix = "config error: " if kind == "config" else "data error: "
         assert prefix + says in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fault", ["missing", "directory", "fifo"])
+    def test_input_file_fault_in_a_later_recording_is_3(self, tmp_path, fault):
+        """The last session's ECG, hashed while earlier recordings are
+        windowed, exits 3 under each fault with the message it has as the
+        first session's file, without a traceback or a hang."""
+        assert run_cli(tmp_path, "synth") == 0
+        rel = (tmp_path / "data" / "sessions.csv").read_text().splitlines()[-1].split(",")[2]
+        path = tmp_path / "data" / rel
+        path.unlink()
+        if fault == "directory":
+            path.mkdir()
+        elif fault == "fifo":
+            os.mkfifo(path)
+        rc, err = run_cli_in_child(tmp_path, "preprocess")
+        says = f"missing file: {path}" if fault == "missing" else f"{path}: not a regular file"
+        assert rc == 3 and f"data error: {says}" in err and "Traceback" not in err
+
+    def test_earlier_recording_fault_is_reported_first(self, tmp_path, capsys):
+        """A flat ECG in the first session is reported, not the second
+        session's missing ECG, though the hashing thread reaches that file
+        before the first recording is loaded: faults surface in session
+        order."""
+        assert run_cli(tmp_path, "synth") == 0
+        data = tmp_path / "data"
+        first, second = [line.split(",")[2] for line in (data / "sessions.csv").read_text().splitlines()[1:3]]
+        lines = (data / first).read_text().splitlines()
+        (data / first).write_text("\n".join(lines[:1] + [line.split(",")[0] + ",0.0" for line in lines[1:]]) + "\n")
+        (data / second).unlink()
+        capsys.readouterr()
+        assert run_cli(tmp_path, "preprocess") == 3
+        err = capsys.readouterr().err
+        assert f"data error: {data / first}: flat channel, every sample is 0.0" in err
+        assert second not in err and "Traceback" not in err
+
+    def test_preprocess_leaves_no_thread_running(self, tmp_path):
+        """No thread outlives preprocess: not after a clean run, and not
+        after the first file fails while the others are still being hashed."""
+        assert run_cli(tmp_path, "synth") == 0
+        before = threading.enumerate()
+        assert run_cli(tmp_path, "preprocess") == 0
+        assert [t for t in threading.enumerate() if t not in before] == []
+        data = tmp_path / "data"
+        (data / (data / "sessions.csv").read_text().splitlines()[1].split(",")[2]).unlink()
+        assert run_cli(tmp_path, "preprocess") == 3
+        assert [t for t in threading.enumerate() if t not in before] == []
 
     def test_input_path_with_a_long_name_is_named(self, tmp_path, capsys):
         """A 300-character name given directly, not through a link: a
