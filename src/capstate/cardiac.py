@@ -3,16 +3,21 @@
 The R-peak detector follows the classic Pan-Tompkins stages (band-pass,
 derivative, squaring, moving-window integration, adaptive dual threshold with
 refractory and search-back), with the final peak time refined to the local ECG
-maximum. The moving-window integral is a difference of cumulative sums: one
-slice difference over the full-width windows, with clipped windows only at
-the two edges. The chain runs in a fixed set of full-length buffers and
-frees each stage's input once the next stage has it: the band-pass holds its
-input and two padded block buffers (``dsp``), the derivative is squared in
-its own buffer, the integral takes one cumulative-sum buffer, and the
-running max swaps between two. Every step is the exact operation of the
-expression it replaced, so the peaks keep their bits. The IBI series is
-resampled to ``dsp.GRID_HZ``; the frequency-domain HRV features use Welch
-segments of ``HRV_SEGMENT_LEN`` samples zero-padded to ``HRV_NFFT``.
+maximum. The scan, from the band-pass to the threshold scan, runs at
+``rate / q`` with q = ``rate // SCAN_HZ`` (at least 1): on the means of
+consecutive blocks of q samples, 256 Hz for 2048 Hz ECG. That keeps the
+detector's 5-15 Hz band and costs an eighth of the full-rate work; only the
++/-50 ms refinement of each accepted mark reads the ECG at its own rate, so
+on the generator's ECG the peaks are those of the full-rate scan bit for bit
+(``tests/conftest.detect_r_peaks_full_rate``). The moving-window integral is
+a difference of cumulative sums: one slice difference over the full-width
+windows, with clipped windows only at the two edges. The scan frees each
+stage's input once the next stage has it: the band-pass holds its input and
+two padded block buffers (``dsp``), the derivative is squared in its own
+buffer, the integral takes one cumulative-sum buffer, and the running max
+swaps between two. The IBI series is resampled to ``dsp.GRID_HZ``; the
+frequency-domain HRV features use Welch segments of ``HRV_SEGMENT_LEN``
+samples zero-padded to ``HRV_NFFT``.
 """
 
 from collections import deque
@@ -29,6 +34,12 @@ from .dsp import (
     spline_fill,
     welch_psd,
 )
+
+# The Pan-Tompkins scan runs on block means of q = rate // SCAN_HZ samples (at
+# least 1), so between SCAN_HZ and twice it; ECG below 500 Hz is scanned at
+# its own rate. Pan & Tompkins (IEEE TBME 32(3), 1985) designed the detector
+# at 200 Hz, and its band is 5-15 Hz.
+SCAN_HZ = 250.0
 
 IBI_MIN_MS = 300.0
 IBI_MAX_MS = 2000.0
@@ -192,32 +203,47 @@ def _centered_running_max(x: np.ndarray, half_width: int) -> np.ndarray:
     return np.maximum(m[:n], m[w - span : w - span + n], out=other[:n])
 
 
+def _block_means(ecg: UniformSeries, q: int) -> UniformSeries:
+    """The mean of each run of ``q`` consecutive samples, at ``rate / q``;
+    a trailing partial run is dropped. The series itself when ``q`` is 1."""
+    if q == 1:
+        return ecg
+    n = len(ecg.values) // q * q
+    return UniformSeries(ecg.values[:n].reshape(-1, q).mean(axis=1), ecg.rate_hz / q, ecg.start_s)
+
+
 def detect_r_peaks(ecg: UniformSeries) -> PeakList:
-    """Pan-Tompkins-style R-peak detection. Only MWI local maxima that are
-    the largest MWI value within +/-100 ms enter the threshold scan (at high
-    rates one QRS gives several); peak times are refined to the local ECG
-    maximum within +/-50 ms of each accepted fiducial mark."""
+    """Pan-Tompkins-style R-peak detection. The scan (band-pass to the
+    integral's candidate marks and the threshold scan) runs on block means
+    of the ECG at ``rate / q``, q = ``rate // SCAN_HZ``, at least 1. Only MWI
+    local maxima that are the largest MWI value within +/-100 ms enter the
+    threshold scan (at high rates one QRS gives several); each accepted mark
+    is mapped to the middle sample of its block, and peak times are refined
+    to the full-rate ECG maximum within +/-50 ms of it."""
     rate = ecg.rate_hz
     if rate < 200.0:
         raise ValueError(f"ECG rate {rate} Hz is below the 200 Hz minimum")
     if ecg.duration_s < 10.0:
         raise ValueError("ECG shorter than 10 s")
 
-    squared = _squared_slope(butterworth_bandpass(ecg, 2, 5.0, 15.0).values, rate)
-    mwi = _moving_window_integral(squared, int(round(0.075 * rate)))
+    q = max(1, int(rate // SCAN_HZ))
+    scan_rate = rate / q
+    squared = _squared_slope(butterworth_bandpass(_block_means(ecg, q), 2, 5.0, 15.0).values, scan_rate)
+    mwi = _moving_window_integral(squared, int(round(0.075 * scan_rate)))
     del squared  # the running max's two buffers take its place
 
-    widest = _centered_running_max(mwi, int(round(0.1 * rate)))
+    widest = _centered_running_max(mwi, int(round(0.1 * scan_rate)))
     interior = (mwi[1:-1] > mwi[:-2]) & (mwi[1:-1] >= mwi[2:]) & (mwi[1:-1] == widest[1:-1])
     cand_idx = np.nonzero(interior)[0] + 1
     if len(cand_idx) == 0:
         return PeakList(np.empty(0))
     cand_val = mwi[cand_idx]
 
-    init = mwi[: int(2.0 * rate)]
+    init = mwi[: int(2.0 * scan_rate)]
     spki0 = 0.5 * init.max()
     npki0 = 0.5 * init.mean()
-    fiducials = np.sort(_pt_scan_loop(cand_idx, cand_val, 0.2 * rate, float(spki0), float(npki0)))
+    marks = np.sort(_pt_scan_loop(cand_idx, cand_val, 0.2 * scan_rate, float(spki0), float(npki0)))
+    fiducials = marks * q + (q - 1) // 2
 
     half = int(round(0.05 * rate))
     near = np.clip(fiducials[:, None] + np.arange(-half, half + 1), 0, len(ecg.values) - 1)

@@ -134,12 +134,14 @@ def _butter_sos(order: int, cutoff_hz: float, rate_hz: float, btype: str) -> np.
 
 
 # Samples per block of the state-space IIR. GEMM work grows with it and the
-# Python carry loop with n / block; 128 was the fastest of 64-512 on 2048 Hz ECG.
+# Python carry loop with n / block; 128 was the fastest of 64-512 on 2048 Hz ECG,
+# and of 32-256 on the 256 Hz block means the R-peak scan filters.
 _IIR_BLOCK = 128
 
 # Butterworth designs kept per process. One recording needs four (the ECG
-# high-pass and low-pass, the EDA low-pass and the anti-alias low-pass), keyed
-# by its measured rates, so eight hold two recordings whose rates differ.
+# high-pass and low-pass at the R-peak scan's rate, the EDA low-pass and the
+# anti-alias low-pass), keyed by rates derived from its measured ones, so eight
+# hold two recordings whose rates differ.
 _DESIGN_CACHE_SIZE = 8
 
 

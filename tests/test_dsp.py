@@ -99,7 +99,9 @@ class TestButterworth:
 IIR_CASES = [(4, 15.0, 2048.0, "lowpass"), (2, 5.0, 512.0, "highpass"), (3, 1.0, 32.0, "lowpass")]
 
 
-# The ECG band-pass of cardiac.detect_r_peaks at the SWELL-KW rate.
+# The ECG band-pass of cardiac.detect_r_peaks on SWELL-KW's 2048 Hz ECG: the scan filters block
+# means at 2048 / 8 = 256 Hz. ECG_BAND_SECTIONS is the same band at the full 2048 Hz.
+ECG_SCAN_SECTIONS = [(2, 5.0, 256.0, "highpass"), (2, 15.0, 256.0, "lowpass")]
 ECG_BAND_SECTIONS = [(2, 5.0, 2048.0, "highpass"), (2, 15.0, 2048.0, "lowpass")]
 # The block kernel sums each block's impulse response in another order than
 # the per-sample recursion; measured deviation is <= 1e-13 of max|y|.
@@ -126,7 +128,7 @@ class TestIirOracle:
         zi = rng.normal(size=(sos.shape[0], 2))
         assert np.abs(_sosfilt(sos, x, zi) - sosfilt_reference(sos, x, zi)).max() <= 1e-12
 
-    @pytest.mark.parametrize("order,cutoff,rate,btype", ECG_BAND_SECTIONS)
+    @pytest.mark.parametrize("order,cutoff,rate,btype", ECG_SCAN_SECTIONS + ECG_BAND_SECTIONS)
     def test_ecg_band_sections_match_reference(self, rng, order, cutoff, rate, btype):
         sos = _butter_sos(order, cutoff, rate, btype)
         n = 20 * 2048 + 77  # not a whole number of blocks
@@ -137,7 +139,7 @@ class TestIirOracle:
 
     @given(
         n=st.integers(1, 3 * _IIR_BLOCK + 7),
-        case=st.sampled_from(IIR_CASES + ECG_BAND_SECTIONS),
+        case=st.sampled_from(IIR_CASES + ECG_SCAN_SECTIONS + ECG_BAND_SECTIONS),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
@@ -222,7 +224,7 @@ class TestDesignCache:
     def arrays(design):
         return [design.sos, design.zi, *(m for mats in design.sections for m in mats)]
 
-    @pytest.mark.parametrize("order,cutoff,rate,btype", IIR_CASES + ECG_BAND_SECTIONS)
+    @pytest.mark.parametrize("order,cutoff,rate,btype", IIR_CASES + ECG_SCAN_SECTIONS + ECG_BAND_SECTIONS)
     def test_cached_arrays_are_read_only(self, order, cutoff, rate, btype):
         design = _butter_design(order, cutoff, rate, btype)
         assert design is _butter_design(order, cutoff, rate, btype)
