@@ -219,7 +219,10 @@ def detect_r_peaks(ecg: UniformSeries) -> PeakList:
     local maxima that are the largest MWI value within +/-100 ms enter the
     threshold scan (at high rates one QRS gives several); each accepted mark
     is mapped to the middle sample of its block, and peak times are refined
-    to the full-rate ECG maximum within +/-50 ms of it."""
+    to the full-rate ECG maximum within +/-50 ms of it. An end sample the MWI
+    rises toward is a candidate too, so a beat just inside either end of the
+    record is found; a refined maximum on the record's first or last sample
+    is a QRS cut before its apex, and is dropped."""
     rate = ecg.rate_hz
     if rate < 200.0:
         raise ValueError(f"ECG rate {rate} Hz is below the 200 Hz minimum")
@@ -233,8 +236,10 @@ def detect_r_peaks(ecg: UniformSeries) -> PeakList:
     del squared  # the running max's two buffers take its place
 
     widest = _centered_running_max(mwi, int(round(0.1 * scan_rate)))
-    interior = (mwi[1:-1] > mwi[:-2]) & (mwi[1:-1] >= mwi[2:]) & (mwi[1:-1] == widest[1:-1])
-    cand_idx = np.nonzero(interior)[0] + 1
+    peak = np.empty(len(mwi), dtype=bool)
+    peak[1:-1] = (mwi[1:-1] > mwi[:-2]) & (mwi[1:-1] >= mwi[2:])
+    peak[0], peak[-1] = mwi[0] > mwi[1], mwi[-1] > mwi[-2]
+    cand_idx = np.nonzero(peak & (mwi == widest))[0]
     if len(cand_idx) == 0:
         return PeakList(np.empty(0))
     cand_val = mwi[cand_idx]
@@ -248,6 +253,7 @@ def detect_r_peaks(ecg: UniformSeries) -> PeakList:
     half = int(round(0.05 * rate))
     near = np.clip(fiducials[:, None] + np.arange(-half, half + 1), 0, len(ecg.values) - 1)
     refined = near[np.arange(len(near)), np.argmax(ecg.values[near], axis=1)]
+    refined = refined[(refined > 0) & (refined < len(ecg.values) - 1)]
 
     # collapse refinements that collided within the refractory window
     if len(refined) > 1:

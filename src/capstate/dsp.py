@@ -245,16 +245,6 @@ def _block_buffer(n: int) -> np.ndarray:
     return np.zeros((-(-n // _IIR_BLOCK), _IIR_BLOCK))
 
 
-def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    """Cascade of direct-form II transposed biquads from per-section state
-    ``zi`` (the semantics of ``scipy.signal.sosfilt(sos, x, zi=zi)``), in
-    block state-space form (:func:`_run_cascade`)."""
-    n = x.shape[0]
-    blocks = _block_buffer(n)
-    blocks.reshape(-1)[:n] = x
-    return _run_cascade(_iir_design(sos).sections, blocks, zi, np.empty_like(blocks)).reshape(-1)[:n]
-
-
 def _sosfiltfilt(design: _IirDesign, x: np.ndarray, pad_samples: int = 0, line=None) -> np.ndarray:
     """Forward-backward IIR cascade (zero phase) of ``x``, less ``line`` when
     one is given, with odd-reflection padding and steady-state initial

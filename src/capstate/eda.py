@@ -13,7 +13,11 @@ left out: on the record the splines sum to 1 and reproduce t, so they
 already span it, and D2 does not charge it. The tonic block is eliminated
 exactly through a precomputed pseudoinverse, and the reduced problem in r
 is solved by monotone FISTA (projection + soft-threshold), so the
-objective trace is non-increasing by construction.
+objective trace is non-increasing by construction. The tonic fit is affine
+in r, so the loop carries the residual of the extrapolated point with the
+point itself: each iteration runs one split (M, then the tonic fit) at the
+new iterate, for its objective, and one adjoint M^T at the extrapolated
+residual, for the gradient.
 
 Conditioning resamples to ``dsp.GRID_HZ``. SCR detection counts a rise from
 above ``SCR_NOISE_FLOOR_US`` and keeps events of at least
@@ -135,10 +139,12 @@ class _ReducedProblem:
     def __init__(self, x: np.ndarray, rate_hz: float, params: CvxEdaParams):
         self.x = x
         self.n = len(x)
-        self.dt = 1.0 / rate_hz
+        dt = 1.0 / rate_hz
         # the kernel spans 12 tau1, cut to the record: only the samples a convolution reads
-        m = min(self.n, math.ceil(12.0 * params.tau1_s / self.dt))
-        self.kernel = bateman_kernel(np.arange(m) * self.dt, params.tau0_s, params.tau1_s)
+        m = min(self.n, math.ceil(12.0 * params.tau1_s / dt))
+        # scaled by dt once; the forward correlates with it reversed
+        self.kernel = bateman_kernel(np.arange(m) * dt, params.tau0_s, params.tau1_s) * dt
+        self._reversed = self.kernel[::-1].copy()
         self.alpha = params.alpha
 
         self.basis = _tonic_basis(self.n, rate_hz, params.tonic_knot_spacing_s)
@@ -149,28 +155,33 @@ class _ReducedProblem:
         pinv = np.linalg.pinv(np.vstack([self.basis, np.sqrt(2.0 * params.gamma_tonic) * d2]), rcond=1e-10)
         self.p1 = pinv[:, : self.n]  # maps (x - M r) to the optimal tonic coefficients
 
-    def apply_m(self, r: np.ndarray) -> np.ndarray:
-        return np.convolve(r, self.kernel)[: self.n] * self.dt
+    def forward(self, r: np.ndarray) -> np.ndarray:
+        """M r: the driver convolved with the kernel."""
+        return np.correlate(r, self._reversed, "full")[: self.n]
 
-    def apply_mt(self, v: np.ndarray) -> np.ndarray:
-        return np.convolve(v[::-1], self.kernel)[: self.n][::-1] * self.dt
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        """M^T v."""
+        m = len(self.kernel)
+        return np.correlate(v, self.kernel, "full")[m - 1 : m - 1 + self.n]
 
     def split(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """w = x - M r, what the tonic block fits for driver r, and the
         residual u = w - B z its optimal coefficients z leave. The normal
         equations give B^T u = 2 gamma D2^T D2 z, so w . u is
-        ||u||^2 + 2 gamma ||D2 z||^2."""
-        w = self.x - self.apply_m(r)
+        ||u||^2 + 2 gamma ||D2 z||^2. Both are affine in r."""
+        w = self.x - self.forward(r)
         return w, w - self.basis @ (self.p1 @ w)
 
-    def objective(self, r: np.ndarray) -> float:
-        w, u = self.split(r)
+    def objective(self, r: np.ndarray, w: np.ndarray, u: np.ndarray) -> float:
+        """The objective at r, from r's split (w, u)."""
         return float(0.5 * w @ u + self.alpha * r.sum())
 
-    def smooth_grad(self, r: np.ndarray) -> np.ndarray:
-        """Gradient of the eliminated smooth part at r: -M^T u, since z is
-        optimal for every r (the envelope theorem)."""
-        return -self.apply_mt(self.split(r)[1])
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        """alpha - M^T u, the objective's gradient on r >= 0 at the driver
+        whose residual is u: z is optimal for every r (the envelope
+        theorem)."""
+        g = self.adjoint(u)
+        return np.subtract(self.alpha, g, out=g)
 
     def lipschitz(self) -> float:
         rng = np.random.default_rng(0)
@@ -178,15 +189,16 @@ class _ReducedProblem:
         v /= np.linalg.norm(v)
         lam = 1.0
         for _ in range(30):
-            w = self.apply_mt(self.apply_m(v))
+            w = self.adjoint(self.forward(v))
             lam = np.linalg.norm(w)
             if lam == 0.0:
                 return 1.0
             v = w / lam
         return float(lam) * 1.05
 
-    def kkt_residual(self, r: np.ndarray) -> float:
-        g = self.smooth_grad(r) + self.alpha
+    def kkt_residual(self, r: np.ndarray, u: np.ndarray) -> float:
+        """The KKT residual at r, from r's residual u."""
+        g = self.gradient(u)
         active = r > 1e-12
         res_active = np.abs(g[active]).max() if active.any() else 0.0
         res_bound = np.maximum(-g[~active], 0.0).max() if (~active).any() else 0.0
@@ -195,6 +207,8 @@ class _ReducedProblem:
 
 def cvxeda_decompose(x: UniformSeries, params: CvxEdaParams = CvxEdaParams()) -> EdaDecomposition:
     """Tonic/phasic split by monotone proximal iterations on the driver.
+    The extrapolated point y = z + beta (z - r) gets the residual
+    u_z + beta (u_z - u_r), exact since the split is affine in the driver.
 
     Raises :class:`NumericalError` with the final KKT residual when neither
     the relative-objective nor the KKT tolerance is met within ``max_iters``.
@@ -205,48 +219,54 @@ def cvxeda_decompose(x: UniformSeries, params: CvxEdaParams = CvxEdaParams()) ->
     step = 1.0 / prob.lipschitz()
 
     r = np.zeros(prob.n)
-    y = r.copy()
+    w_r, u_r = prob.split(r)
+    y, u_y = r, u_r  # the extrapolated point and its residual
     t_momentum = 1.0
-    f_curr = prob.objective(r)
+    f_curr = prob.objective(r, w_r, u_r)
     trace = [f_curr]
-    kkt = prob.kkt_residual(r)
+    kkt = prob.kkt_residual(r, u_r)
     converged = kkt < params.tol_kkt
     iters = 0
 
     while not converged and iters < params.max_iters:
         iters += 1
-        z = np.maximum(y - step * (prob.smooth_grad(y) + params.alpha), 0.0)
-        f_z = prob.objective(z)
+        z = prob.gradient(u_y)
+        z *= -step
+        z += y
+        np.maximum(z, 0.0, out=z)
+        w_z, u_z = prob.split(z)
+        f_z = prob.objective(z, w_z, u_z)
         if f_z <= f_curr:
             rel = (f_curr - f_z) / max(abs(f_curr), 1e-15)
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
-            y = z + ((t_momentum - 1.0) / t_next) * (z - r)
-            r, t_momentum = z, t_next
+            beta = (t_momentum - 1.0) / t_next
+            y = z + beta * (z - r)
+            u_y = u_z + beta * (u_z - u_r)
+            r, w_r, u_r, t_momentum = z, w_z, u_z, t_next
             f_curr = f_z
             # the relative-change criterion only counts genuine descent steps
             if rel < params.tol_objective or iters % 25 == 0:
-                kkt = prob.kkt_residual(r)
+                kkt = prob.kkt_residual(r, u_r)
                 converged = kkt < params.tol_kkt or rel < params.tol_objective
         else:
             # overshoot from momentum: restart so the next step is plain
             # proximal descent from the current iterate (guaranteed decrease)
             t_momentum = 1.0
-            y = r.copy()
+            y, u_y = r, u_r
         trace.append(f_curr)
 
     if not converged:
-        kkt = prob.kkt_residual(r)
+        kkt = prob.kkt_residual(r, u_r)
         raise NumericalError(
             f"cvxeda_decompose: no convergence in {params.max_iters} iterations "
             f"(KKT residual {kkt:.3e})"
         )
 
-    w, u = prob.split(r)
     return EdaDecomposition(
-        tonic=x.replace_values(w - u),
-        phasic=x.replace_values(prob.x - w),
+        tonic=x.replace_values(w_r - u_r),
+        phasic=x.replace_values(prob.x - w_r),
         driver=x.replace_values(r),
-        residual=x.replace_values(u),
+        residual=x.replace_values(u_r),
         objective_trace=np.asarray(trace),
         kkt_residual=kkt,
         iterations=iters,

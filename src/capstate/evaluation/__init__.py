@@ -9,7 +9,6 @@ from .stats import (
     incomplete_beta,
     one_sample_t,
     paired_t,
-    partial_eta_sq_from_f,
     rm_anova_oneway,
 )
 from .statespace import (
@@ -26,7 +25,6 @@ __all__ = [
     "incomplete_beta",
     "one_sample_t",
     "paired_t",
-    "partial_eta_sq_from_f",
     "rm_anova_oneway",
     "Quadrant",
     "TrajectoryPattern",

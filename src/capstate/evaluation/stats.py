@@ -104,10 +104,6 @@ def paired_t(a, b) -> tuple[float, int, float]:
     return one_sample_t(a - b, 0.0)
 
 
-def partial_eta_sq_from_f(f: float, df1: float, df2: float) -> float:
-    return f * df1 / (f * df1 + df2)
-
-
 def rm_anova_oneway(matrix) -> dict:
     """One-way within-subject ANOVA on a complete subjects x conditions matrix,
     as ``stats.json`` stores it: ``F``, ``df1``, ``df2``, ``p`` and

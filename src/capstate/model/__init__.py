@@ -1,5 +1,5 @@
 from .network import ArchConfig, Batch, forward, init_params
-from .losses import focal_loss, masked_multitask_loss
+from .losses import masked_multitask_loss
 from .optim import AdamW, clip_global_norm
 from .train import TrainConfig, TrainHistory, train_fold
 
@@ -8,7 +8,6 @@ __all__ = [
     "Batch",
     "forward",
     "init_params",
-    "focal_loss",
     "masked_multitask_loss",
     "AdamW",
     "clip_global_norm",

@@ -14,14 +14,6 @@ def _smoothed_targets(y: np.ndarray, epsilon: float) -> np.ndarray:
     return q
 
 
-def focal_loss(p, y: int, gamma: float, epsilon: float) -> float:
-    """Scalar focal loss for one probability pair:
-    -sum_c q_c (1 - p_c)^gamma ln p_c with q the smoothed one-hot target."""
-    p = np.clip(np.asarray(p, dtype=np.float64), PROB_FLOOR, 1.0)
-    q = _smoothed_targets(np.array([y]), epsilon)[0]
-    return float(-(q * (1.0 - p) ** gamma * np.log(p)).sum())
-
-
 def focal_loss_vector(p: Tensor, y: np.ndarray, gamma: float, epsilon: float) -> Tensor:
     """Per-sample focal losses as an autograd vector; p is (B, 2) softmax rows."""
     q = Tensor(_smoothed_targets(y, epsilon))

@@ -291,15 +291,3 @@ def forward(params: dict[str, np.ndarray], arch: ArchConfig, batch: Batch) -> tu
             raise ValueError(f"batch field {name} missing or batch-size mismatch")
     p_s, p_e = build_graph(wrap_params(params), arch, batch)
     return p_e.data[:, 1], p_s.data[:, 1]
-
-
-def collect_activations(params, arch, batch) -> dict[str, np.ndarray]:
-    """Inference-mode forward that exposes internal sequence activations as
-    (B, T', C) arrays (used by the causality/receptive-field probes). Conv
-    front-end and LSTM activations cover every step (T' = T); TCN block i's
-    output ``{mod}.tcn{i}`` covers only the next block's grid, steps
-    (T - 1) % d_{i+1}, ..., T - 1 in steps of d_{i+1}, and the last block's
-    only step T - 1."""
-    acts: dict = {}
-    build_graph(wrap_params(params), arch, batch, collect=acts)
-    return {k: v.data.swapaxes(0, 1) for k, v in acts.items()}

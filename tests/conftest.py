@@ -1,5 +1,6 @@
 """Shared fixtures and independent reference implementations (oracles)."""
 
+import math
 import os
 import subprocess
 import sys
@@ -12,9 +13,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 import capstate
 from capstate import cardiac, eda, pipeline
 from capstate.cardiac import PeakList, _centered_running_max, _moving_window_integral, _pt_scan_loop, _squared_slope
-from capstate.dsp import GRID_HZ, WindowingPlan, butterworth_bandpass, fft_radix2, resample_uniform
+from capstate.dsp import (
+    GRID_HZ, UniformSeries, WindowingPlan, _block_buffer, _iir_design, _run_cascade, butterworth_bandpass, fft_radix2,
+    resample_uniform,
+)
+from capstate.eda import CvxEdaParams, EdaDecomposition, _tonic_basis
+from capstate.errors import NumericalError
+from capstate.ingest import bateman_kernel
 from capstate.evaluation.loso import FoldResult
 from capstate.model import autograd as ag
+from capstate.model.losses import PROB_FLOOR, _smoothed_targets
+from capstate.model.network import build_graph, wrap_params
 from capstate.pipeline import WindowedDataset
 
 
@@ -117,6 +126,17 @@ def sosfilt_reference(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndar
     return y
 
 
+def sosfilt_blocks(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """Cascade of direct-form II transposed biquads from per-section state
+    ``zi`` (the semantics of ``scipy.signal.sosfilt(sos, x, zi=zi)``), in
+    the block state-space form of ``capstate.dsp._run_cascade``: the one-pass
+    filter the zero-phase filter's kernel is checked through."""
+    n = x.shape[0]
+    blocks = _block_buffer(n)
+    blocks.reshape(-1)[:n] = x
+    return _run_cascade(_iir_design(sos).sections, blocks, zi, np.empty_like(blocks)).reshape(-1)[:n]
+
+
 def lstm_reference(x, wx, wh, b, grad_hs):
     """Batch-major LSTM over (B, T, C): the forward caches (hs, i, f, g, o, c),
     each (B, T, H), and BPTT of ``grad_hs`` to (dx, dWx, dWh, db), one strided
@@ -191,6 +211,34 @@ def conv1d_fwd_reference(x, w, b, dilation, stride):
         if m0 < len(steps):
             y[m0:] += np.matmul(x[src[m0:]], w[k])
     return y
+
+
+def collect_activations(params, arch, batch) -> dict[str, np.ndarray]:
+    """Inference-mode forward that exposes internal sequence activations as
+    (B, T', C) arrays (used by the causality/receptive-field probes). Conv
+    front-end and LSTM activations cover every step (T' = T); TCN block i's
+    output ``{mod}.tcn{i}`` covers only the next block's grid, steps
+    (T - 1) % d_{i+1}, ..., T - 1 in steps of d_{i+1}, and the last block's
+    only step T - 1."""
+    acts: dict = {}
+    build_graph(wrap_params(params), arch, batch, collect=acts)
+    return {k: v.data.swapaxes(0, 1) for k, v in acts.items()}
+
+
+def focal_loss(p, y: int, gamma: float, epsilon: float) -> float:
+    """Scalar focal loss for one probability pair:
+    -sum_c q_c (1 - p_c)^gamma ln p_c with q the smoothed one-hot target;
+    the oracle of ``capstate.model.losses.focal_loss_vector``."""
+    p = np.clip(np.asarray(p, dtype=np.float64), PROB_FLOOR, 1.0)
+    q = _smoothed_targets(np.array([y]), epsilon)[0]
+    return float(-(q * (1.0 - p) ** gamma * np.log(p)).sum())
+
+
+def partial_eta_sq_from_f(f: float, df1: float, df2: float) -> float:
+    """Partial eta squared from an F statistic and its degrees of freedom,
+    against which RM-ANOVA's ``partial_eta_sq`` (from sums of squares) is
+    checked."""
+    return f * df1 / (f * df1 + df2)
 
 
 def clip_low_reference(a, lo):
@@ -297,6 +345,154 @@ def window_features_reference(rec, plan: WindowingPlan = WindowingPlan(),
         f_eda.append(_eda_window_reference(raw[k], tonic[k], phasic[k], eda_starts[k], peaks[in_window],
                                            amplitudes[in_window]))
     return np.array(f_hrv), np.array(f_eda)
+
+
+class ReducedProblemReference:
+    """``capstate.eda._ReducedProblem`` as it was when each iteration ran two
+    splits: the oracle of :func:`cvxeda_decompose_reference`."""
+
+    def __init__(self, x: np.ndarray, rate_hz: float, params: CvxEdaParams):
+        self.x = x
+        self.n = len(x)
+        self.dt = 1.0 / rate_hz
+        # the kernel spans 12 tau1, cut to the record: only the samples a convolution reads
+        m = min(self.n, math.ceil(12.0 * params.tau1_s / self.dt))
+        self.kernel = bateman_kernel(np.arange(m) * self.dt, params.tau0_s, params.tau1_s)
+        self.alpha = params.alpha
+
+        self.basis = _tonic_basis(self.n, rate_hz, params.tonic_knot_spacing_s)
+        d2 = np.diff(np.eye(self.basis.shape[1]), 2, axis=0)
+        # pinv's rcond, not a normal-equations solve: at wide knot spacings
+        # the splines are nearly collinear, and the normal matrix would
+        # square their condition number
+        pinv = np.linalg.pinv(np.vstack([self.basis, np.sqrt(2.0 * params.gamma_tonic) * d2]), rcond=1e-10)
+        self.p1 = pinv[:, : self.n]  # maps (x - M r) to the optimal tonic coefficients
+
+    def apply_m(self, r: np.ndarray) -> np.ndarray:
+        return np.convolve(r, self.kernel)[: self.n] * self.dt
+
+    def apply_mt(self, v: np.ndarray) -> np.ndarray:
+        return np.convolve(v[::-1], self.kernel)[: self.n][::-1] * self.dt
+
+    def split(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """w = x - M r, what the tonic block fits for driver r, and the
+        residual u = w - B z its optimal coefficients z leave. The normal
+        equations give B^T u = 2 gamma D2^T D2 z, so w . u is
+        ||u||^2 + 2 gamma ||D2 z||^2."""
+        w = self.x - self.apply_m(r)
+        return w, w - self.basis @ (self.p1 @ w)
+
+    def objective(self, r: np.ndarray) -> float:
+        w, u = self.split(r)
+        return float(0.5 * w @ u + self.alpha * r.sum())
+
+    def smooth_grad(self, r: np.ndarray) -> np.ndarray:
+        """Gradient of the eliminated smooth part at r: -M^T u, since z is
+        optimal for every r (the envelope theorem)."""
+        return -self.apply_mt(self.split(r)[1])
+
+    def lipschitz(self) -> float:
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=self.n)
+        v /= np.linalg.norm(v)
+        lam = 1.0
+        for _ in range(30):
+            w = self.apply_mt(self.apply_m(v))
+            lam = np.linalg.norm(w)
+            if lam == 0.0:
+                return 1.0
+            v = w / lam
+        return float(lam) * 1.05
+
+    def kkt_residual(self, r: np.ndarray) -> float:
+        g = self.smooth_grad(r) + self.alpha
+        active = r > 1e-12
+        res_active = np.abs(g[active]).max() if active.any() else 0.0
+        res_bound = np.maximum(-g[~active], 0.0).max() if (~active).any() else 0.0
+        return float(max(res_active, res_bound))
+
+
+def cvxeda_decompose_reference(x: UniformSeries, params: CvxEdaParams = CvxEdaParams()) -> EdaDecomposition:
+    """``capstate.eda.cvxeda_decompose`` as it was when each iteration ran
+    ``smooth_grad(y)`` and ``objective(z)``, each with its own split (two
+    forward operators, two tonic fits and one adjoint), and a last split
+    for the result: the oracle of the loop that carries the residual.
+
+    Raises :class:`NumericalError` with the final KKT residual when neither
+    the relative-objective nor the KKT tolerance is met within ``max_iters``.
+    """
+    if len(x.values) < 30:
+        raise ValueError("decomposition needs at least 30 samples")
+    prob = ReducedProblemReference(np.asarray(x.values, dtype=np.float64), x.rate_hz, params)
+    step = 1.0 / prob.lipschitz()
+
+    r = np.zeros(prob.n)
+    y = r.copy()
+    t_momentum = 1.0
+    f_curr = prob.objective(r)
+    trace = [f_curr]
+    kkt = prob.kkt_residual(r)
+    converged = kkt < params.tol_kkt
+    iters = 0
+
+    while not converged and iters < params.max_iters:
+        iters += 1
+        z = np.maximum(y - step * (prob.smooth_grad(y) + params.alpha), 0.0)
+        f_z = prob.objective(z)
+        if f_z <= f_curr:
+            rel = (f_curr - f_z) / max(abs(f_curr), 1e-15)
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
+            y = z + ((t_momentum - 1.0) / t_next) * (z - r)
+            r, t_momentum = z, t_next
+            f_curr = f_z
+            # the relative-change criterion only counts genuine descent steps
+            if rel < params.tol_objective or iters % 25 == 0:
+                kkt = prob.kkt_residual(r)
+                converged = kkt < params.tol_kkt or rel < params.tol_objective
+        else:
+            # overshoot from momentum: restart so the next step is plain
+            # proximal descent from the current iterate (guaranteed decrease)
+            t_momentum = 1.0
+            y = r.copy()
+        trace.append(f_curr)
+
+    if not converged:
+        kkt = prob.kkt_residual(r)
+        raise NumericalError(
+            f"cvxeda_decompose: no convergence in {params.max_iters} iterations "
+            f"(KKT residual {kkt:.3e})"
+        )
+
+    w, u = prob.split(r)
+    return EdaDecomposition(
+        tonic=x.replace_values(w - u),
+        phasic=x.replace_values(prob.x - w),
+        driver=x.replace_values(r),
+        residual=x.replace_values(u),
+        objective_trace=np.asarray(trace),
+        kkt_residual=kkt,
+        iterations=iters,
+    )
+
+
+def criterion_5_traces() -> tuple[tuple[np.ndarray, int], np.ndarray]:
+    """Acceptance criterion 5's two 2 Hz EDA traces: a single unit pulse on
+    a flat tonic with light noise (240 samples) with its onset sample, and
+    a 45-minute trace of 60 pulses on a slow sine (5400 samples)."""
+    rng = np.random.default_rng(5)
+    kernel = bateman_kernel(np.arange(0.0, 40.0, 0.5), 0.7, 2.0)
+    kernel = kernel / kernel.max()
+    n, onset_idx = 240, 60
+    sig = np.full(n, 2.0)
+    sig[onset_idx : onset_idx + len(kernel)] += kernel[: n - onset_idx]
+    sig = sig + rng.normal(0, 0.005, n)
+    n2 = 5400
+    sig2 = 2.0 + 0.3 * np.sin(2 * np.pi * np.arange(n2) / n2)
+    for onset in rng.uniform(0, 2600, 60):
+        i0 = int(onset * 2)
+        seg = min(len(kernel), n2 - i0)
+        sig2[i0 : i0 + seg] += rng.uniform(0.2, 0.9) * kernel[:seg]
+    return (sig, onset_idx), sig2 + rng.normal(0, 0.01, n2)
 
 
 def digests_by_blas_threads(script: str) -> list[str]:
@@ -436,8 +632,11 @@ def centered_running_max_reference(x: np.ndarray, half_width: int) -> np.ndarray
 
 def detect_r_peaks_full_rate(ecg):
     """``capstate.cardiac.detect_r_peaks`` as it was when every stage ran at
-    the ECG's own rate: the oracle for the block-mean scan, which must give
-    the same peak times on clean ECG and about the same F1 on noisy ECG."""
+    the ECG's own rate, with its rule for a beat at either end of the record
+    (an end sample the MWI rises toward is a candidate; a refined maximum
+    on the first or last sample is dropped): the oracle for the block-mean
+    scan, which must give the same peak times on clean ECG and about the
+    same F1 on noisy ECG."""
     rate = ecg.rate_hz
     if rate < 200.0:
         raise ValueError(f"ECG rate {rate} Hz is below the 200 Hz minimum")
@@ -449,8 +648,10 @@ def detect_r_peaks_full_rate(ecg):
     del squared  # the running max's two buffers take its place
 
     widest = _centered_running_max(mwi, int(round(0.1 * rate)))
-    interior = (mwi[1:-1] > mwi[:-2]) & (mwi[1:-1] >= mwi[2:]) & (mwi[1:-1] == widest[1:-1])
-    cand_idx = np.nonzero(interior)[0] + 1
+    peak = np.empty(len(mwi), dtype=bool)
+    peak[1:-1] = (mwi[1:-1] > mwi[:-2]) & (mwi[1:-1] >= mwi[2:])
+    peak[0], peak[-1] = mwi[0] > mwi[1], mwi[-1] > mwi[-2]
+    cand_idx = np.nonzero(peak & (mwi == widest))[0]
     if len(cand_idx) == 0:
         return PeakList(np.empty(0))
     cand_val = mwi[cand_idx]
@@ -463,6 +664,7 @@ def detect_r_peaks_full_rate(ecg):
     half = int(round(0.05 * rate))
     near = np.clip(fiducials[:, None] + np.arange(-half, half + 1), 0, len(ecg.values) - 1)
     refined = near[np.arange(len(near)), np.argmax(ecg.values[near], axis=1)]
+    refined = refined[(refined > 0) & (refined < len(ecg.values) - 1)]
 
     # collapse refinements that collided within the refractory window
     if len(refined) > 1:

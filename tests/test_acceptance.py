@@ -18,14 +18,13 @@ from capstate.evaluation import (
     cohens_d,
     one_sample_t,
     paired_t,
-    partial_eta_sq_from_f,
     rm_anova_oneway,
     run_loso,
 )
 from capstate.evaluation.report import summary_table, trajectory_summaries
-from capstate.ingest import SyntheticSpec, bateman_kernel, generate_synthetic_recording
+from capstate.ingest import SyntheticSpec, generate_synthetic_recording
 from capstate.metrics import classification_metrics
-from capstate.model import ArchConfig, Batch, TrainConfig, focal_loss, init_params
+from capstate.model import ArchConfig, Batch, TrainConfig, init_params
 from capstate.model.losses import masked_multitask_loss
 from capstate.model.network import build_graph, wrap_params
 from capstate.model.train import loss_and_grads
@@ -40,8 +39,11 @@ from capstate.pipeline import (
 )
 from conftest import (
     butterworth_power_response,
+    criterion_5_traces,
+    focal_loss,
     make_feature_dataset,
     match_peaks_f1,
+    partial_eta_sq_from_f,
 )
 from test_metrics_stats import brute_anova_f, brute_metrics, brute_t
 
@@ -225,17 +227,8 @@ def test_criterion_4_feature_identities():
 
 
 def test_criterion_5_cvxeda_solver():
-    rng = np.random.default_rng(5)
-    t_k = np.arange(0.0, 40.0, 0.5)
-    kernel = bateman_kernel(t_k, 0.7, 2.0)
-    kernel = kernel / kernel.max()
-
-    # single pulse on flat tonic with light noise
-    n = 240
-    sig = np.full(n, 2.0)
-    onset_idx = 60
-    sig[onset_idx : onset_idx + len(kernel)] += kernel[: n - onset_idx]
-    sig = sig + rng.normal(0, 0.005, n)
+    # single pulse on flat tonic with light noise, and a 45-minute trace
+    (sig, onset_idx), sig2 = criterion_5_traces()
     dec = cvxeda_decompose(UniformSeries(sig, 2.0))
     monotone = bool(np.all(np.diff(dec.objective_trace) <= 1e-12))
     recon = np.abs(
@@ -246,13 +239,6 @@ def test_criterion_5_cvxeda_solver():
     amp_err = abs(dec.phasic.values.max() - 1.0)
 
     # 45-minute trace timing
-    n2 = 5400
-    sig2 = 2.0 + 0.3 * np.sin(2 * np.pi * np.arange(n2) / n2)
-    for onset in rng.uniform(0, 2600, 60):
-        i0 = int(onset * 2)
-        seg = min(len(kernel), n2 - i0)
-        sig2[i0 : i0 + seg] += rng.uniform(0.2, 0.9) * kernel[:seg]
-    sig2 = sig2 + rng.normal(0, 0.01, n2)
     t0 = time.perf_counter()
     dec2 = cvxeda_decompose(UniformSeries(sig2, 2.0))
     elapsed = time.perf_counter() - t0

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -263,6 +264,68 @@ class TestBlockMeanScan:
 
         assert len(inner(base)) > 45
         np.testing.assert_array_equal(inner(moved), inner(base))
+
+
+class TestBeatsAtTheEnds:
+    """A beat just inside either end of the record: its MWI maximum can fall
+    on the record's first or last scan sample, which is a candidate when
+    the MWI rises toward it; a refined maximum on the record's first or last
+    sample is a QRS cut before its apex, and no beat. The record is
+    subject 0's c2 at seed 4, 30 s."""
+
+    LAST, FIRST = 27.619, 4.721  # the beats the record is cut after and before (s)
+
+    def _record(self, rate):
+        rec, truth = condition_ecg(rate, Condition.C2, 4)
+        beats = truth.r_peak_times_s
+        for beat in (self.LAST, self.FIRST):
+            assert np.abs(beats - beat).min() < 1e-3
+        return rec.ecg, beats
+
+    def _cut(self, ecg, start_s, end_s):
+        rate = ecg.rate_hz
+        lo, hi = int(np.ceil(start_s * rate)), int(np.floor(end_s * rate)) + 1
+        return UniformSeries(ecg.values[lo:hi], rate, start_s=lo / rate)
+
+    @pytest.mark.parametrize("rate", [512.0, 1000.0, 2048.0])
+    @pytest.mark.parametrize("cut_ms", [5, 10, 20, 30, 40, 50])
+    def test_a_beat_just_inside_either_end_is_found(self, rate, cut_ms):
+        ecg, _ = self._record(rate)
+        ends = detect_r_peaks(self._cut(ecg, 0.0, self.LAST + cut_ms / 1000.0)).times_s
+        assert abs(ends[-1] - self.LAST) <= 0.025
+        starts = detect_r_peaks(self._cut(ecg, self.FIRST - cut_ms / 1000.0, 30.0)).times_s
+        assert abs(starts[0] - self.FIRST) <= 0.025
+
+    @pytest.mark.parametrize("rate", [512.0, 1000.0, 2048.0])
+    def test_a_qrs_cut_before_its_apex_adds_no_peak(self, rate):
+        """The noise-free record ends 2-40 ms before an R peak, on the QRS
+        upslope, or starts 2-40 ms after one: the ECG maximum near the cut
+        is the end sample, and the peaks are those of the beats inside."""
+        spec = synthetic_condition_spec(0, Condition.C2, 30.0, seed=4, ecg_rate_hz=rate)
+        rec, truth = generate_synthetic_recording(replace(spec, ecg_noise_sd=0.0))
+        beats = truth.r_peak_times_s
+        for beat in beats[(beats > 10.5) & (beats < 14.5)]:
+            for cut_ms in (2, 5, 10, 20, 40):
+                for start_s, end_s in ((0.0, beat - cut_ms / 1000.0), (beat + cut_ms / 1000.0, 30.0)):
+                    got = detect_r_peaks(self._cut(rec.ecg, start_s, end_s)).times_s
+                    inside = beats[(beats > start_s) & (beats < end_s)]
+                    assert len(got) == len(inside), (beat, cut_ms, start_s)
+                    assert np.abs(got - inside).max() <= 0.025
+
+    @pytest.mark.parametrize("rate", [512.0, 1000.0, 2048.0])
+    def test_every_peak_of_a_cut_record_is_a_beat(self, rate):
+        """With the generator's ECG noise, a cut within about 12 ms of an
+        apex can leave the maximum a sample or two inside the record, and
+        the cut beat is then found there; every peak is still within 25 ms
+        of a true beat, and every beat inside is found."""
+        ecg, beats = self._record(rate)
+        for beat in beats[(beats > 10.5) & (beats < 14.5)]:
+            for cut_ms in (1, 2, 5, 10, 15, 20, 40):
+                for start_s, end_s in ((0.0, beat - cut_ms / 1000.0), (beat + cut_ms / 1000.0, 30.0)):
+                    got = detect_r_peaks(self._cut(ecg, start_s, end_s)).times_s
+                    assert np.abs(got[:, None] - beats[None, :]).min(axis=1).max() <= 0.025
+                    inside = beats[(beats > start_s) & (beats < end_s)]
+                    assert np.abs(inside[:, None] - got[None, :]).min(axis=1).max() <= 0.025
 
 
 class TestBuildIbi:

@@ -18,7 +18,6 @@ from capstate.dsp import (
     _butter_design,
     _butter_sos,
     _sos_steady_zi,
-    _sosfilt,
     _sosfiltfilt,
     butterworth_lowpass,
     detrend_linear,
@@ -36,6 +35,7 @@ from conftest import (
     direct_periodogram,
     linear_fit_reference,
     sample_times,
+    sosfilt_blocks,
     sosfilt_reference,
     sosfiltfilt_reference,
 )
@@ -119,14 +119,14 @@ class TestIirOracle:
         x = rng.normal(size=4096) + np.sin(np.arange(4096) * 0.01)
         zi = rng.normal(size=(sos.shape[0], 2))
         want, _ = signal.sosfilt(sos, x, zi=zi)
-        assert np.abs(_sosfilt(sos, x, zi) - want).max() <= 1e-12
+        assert np.abs(sosfilt_blocks(sos, x, zi) - want).max() <= 1e-12
 
     @pytest.mark.parametrize("order,cutoff,rate,btype", IIR_CASES)
     def test_sosfilt_matches_reference(self, rng, order, cutoff, rate, btype):
         sos = _butter_sos(order, cutoff, rate, btype)
         x = rng.normal(size=4096) + np.sin(np.arange(4096) * 0.01)
         zi = rng.normal(size=(sos.shape[0], 2))
-        assert np.abs(_sosfilt(sos, x, zi) - sosfilt_reference(sos, x, zi)).max() <= 1e-12
+        assert np.abs(sosfilt_blocks(sos, x, zi) - sosfilt_reference(sos, x, zi)).max() <= 1e-12
 
     @pytest.mark.parametrize("order,cutoff,rate,btype", ECG_SCAN_SECTIONS + ECG_BAND_SECTIONS)
     def test_ecg_band_sections_match_reference(self, rng, order, cutoff, rate, btype):
@@ -135,7 +135,7 @@ class TestIirOracle:
         x = rng.normal(size=n) + 5.0 * np.sin(2 * np.pi * 1.2 * np.arange(n) / rate)
         zi = rng.normal(size=(sos.shape[0], 2))
         want = sosfilt_reference(sos, x, zi)
-        assert np.abs(_sosfilt(sos, x, zi) - want).max() <= IIR_REL_TOL * np.abs(want).max()
+        assert np.abs(sosfilt_blocks(sos, x, zi) - want).max() <= IIR_REL_TOL * np.abs(want).max()
 
     @given(
         n=st.integers(1, 3 * _IIR_BLOCK + 7),
@@ -148,7 +148,7 @@ class TestIirOracle:
         sos = _butter_sos(*case)
         x = rng.normal(size=n)
         zi = rng.normal(size=(sos.shape[0], 2))
-        got = _sosfilt(sos, x, zi)
+        got = sosfilt_blocks(sos, x, zi)
         want = sosfilt_reference(sos, x, zi)
         assert got.shape == (n,)
         assert np.abs(got - want).max() <= IIR_REL_TOL * max(np.abs(want).max(), 1.0)

@@ -17,7 +17,8 @@ from capstate.eda import (
     preprocess_eda,
 )
 from capstate.ingest import bateman_kernel
-from conftest import digests_by_blas_threads, sample_times
+from capstate.pipeline import make_synthetic_recordings
+from conftest import criterion_5_traces, cvxeda_decompose_reference, digests_by_blas_threads, sample_times
 
 
 def bateman(amp, onset_s, n, rate=2.0):
@@ -146,7 +147,7 @@ class TestTonicElimination:
         a = np.column_stack([*splines, np.ones(n), t / t[-1]])
         d2 = np.zeros((len(splines) - 2, a.shape[1]))
         d2[:, : len(splines)] = np.diff(np.eye(len(splines)), 2, axis=0)
-        w = x - prob.apply_m(r)
+        w = x - prob.forward(r)
         a_aug = np.vstack([a, np.sqrt(2.0 * params.gamma_tonic) * d2])
         z = np.linalg.lstsq(a_aug, np.concatenate([w, np.zeros(len(d2))]), rcond=None)[0]
         resid, curv = w - a @ z, d2 @ z
@@ -159,7 +160,8 @@ class TestTonicElimination:
         prob = _ReducedProblem(x, 2.0, params)
         for _ in range(3):
             r = rng.exponential(0.05, n) * (rng.random(n) < 0.2)
-            assert prob.objective(r) == pytest.approx(self._full_objective(x, r, prob, params), rel=1e-10)
+            assert prob.objective(r, *prob.split(r)) == pytest.approx(self._full_objective(x, r, prob, params),
+                                                                     rel=1e-10)
 
     @pytest.mark.parametrize("n,spacing_s", [(124, 1.0), (300, 10.0), (600, 1000.0)])
     def test_gradient_matches_central_differences(self, rng, n, spacing_s):
@@ -167,13 +169,40 @@ class TestTonicElimination:
         params = CvxEdaParams(tonic_knot_spacing_s=spacing_s)
         prob = _ReducedProblem(x, 2.0, params)
         r = rng.exponential(0.05, n) * (rng.random(n) < 0.2)
-        grad = prob.smooth_grad(r) + params.alpha
+        grad = prob.gradient(prob.split(r)[1])
         eps = 1e-3
         for i in rng.choice(n, 12, replace=False):
             step = np.zeros(n)
             step[i] = eps
-            fd = (prob.objective(r + step) - prob.objective(r - step)) / (2.0 * eps)
+            up, down = r + step, r - step
+            fd = (prob.objective(up, *prob.split(up)) - prob.objective(down, *prob.split(down))) / (2.0 * eps)
             assert fd == pytest.approx(grad[i], abs=1e-7 * np.abs(grad).max())
+
+    @pytest.mark.parametrize("n", [30, 47, 48, 49, 140, 600])
+    def test_operators_are_the_convolution_and_its_transpose(self, rng, n):
+        """``forward`` is the causal convolution with the kernel times dt,
+        cut to the record, and ``adjoint`` its transpose: v . M r = r . M^T v.
+        n runs across the 48-sample kernel's length."""
+        prob = _ReducedProblem(1.0 + rng.normal(0, 0.01, n), 2.0, CvxEdaParams())
+        r, v = rng.normal(size=n), rng.normal(size=n)
+        kernel = bateman_kernel(np.arange(min(n, 48)) / 2.0, 0.7, 2.0)
+        want = np.convolve(r, kernel)[:n] * 0.5
+        assert np.abs(prob.forward(r) - want).max() <= 1e-14 * np.abs(want).max()
+        assert v @ prob.forward(r) == pytest.approx(r @ prob.adjoint(v), rel=1e-12)
+
+    @pytest.mark.parametrize("spacing_s", [1.0, 10.0, 1000.0])
+    def test_split_is_affine_in_the_driver(self, rng, spacing_s):
+        """The loop carries the extrapolated residual u(z) + beta (u(z) - u(r))
+        in place of a split at y = z + beta (z - r); the two agree to
+        rounding."""
+        n = 300
+        prob = _ReducedProblem(self._stream(rng, n), 2.0, CvxEdaParams(tonic_knot_spacing_s=spacing_s))
+        r, z = (rng.exponential(0.05, n) * (rng.random(n) < 0.2) for _ in range(2))
+        beta = 0.7
+        (w_r, u_r), (w_z, u_z) = prob.split(r), prob.split(z)
+        w_y, u_y = prob.split(z + beta * (z - r))
+        assert np.abs(u_y - (u_z + beta * (u_z - u_r))).max() <= 1e-12 * np.abs(prob.x).max()
+        assert np.abs(w_y - (w_z + beta * (w_z - w_r))).max() <= 1e-12 * np.abs(prob.x).max()
 
     # 5400 samples at 1 s spacing is left out: its 2703-column SVD takes
     # about 7 s, and at 1 s spacing the basis's condition number is the same
@@ -199,7 +228,7 @@ class TestTonicElimination:
             tracemalloc.stop()
         assert peak < 2**20, f"{peak / 2**20:.1f} MiB"
         t = np.arange(140) / 2.0
-        assert np.array_equal(prob.kernel, bateman_kernel(t, 0.7, 1e6))
+        assert np.array_equal(prob.kernel, bateman_kernel(t, 0.7, 1e6) * 0.5)
 
     def test_decomposition_digest_independent_of_blas_threads(self):
         # holds up to 2400 samples; from 3600 samples (30 min at 2 Hz) the
@@ -215,6 +244,95 @@ class TestTonicElimination:
         )
         one, two = digests_by_blas_threads(script)
         assert len(one.split()) == 3 and one == two
+
+
+def _sweep_stream(seed: int, n: int) -> np.ndarray:
+    """A 2 Hz stream of ``n`` samples: a slow drift, three SCRs and noise."""
+    rng = np.random.default_rng(seed)
+    x = 1.5 + 0.002 * np.arange(n) + rng.normal(0, 0.01, n)
+    for onset in rng.uniform(0, n / 2.0 - 20, 3):
+        x += bateman(rng.uniform(0.2, 0.9), onset, n)
+    return x
+
+
+@pytest.fixture(scope="module")
+def generator_streams() -> dict[str, UniformSeries]:
+    """The criterion-7 generator's conditioned EDA: 4 subjects x 3
+    conditions at 70 s and 3 x 3 at 300 s."""
+    streams = {}
+    for duration_s, n_subjects in ((70.0, 4), (300.0, 3)):
+        for rec in make_synthetic_recordings(n_subjects, duration_s=duration_s, seed=42):
+            streams[f"{rec.subject_id}-{rec.condition.value}-{duration_s:g}s"] = preprocess_eda(rec.eda)
+    return streams
+
+
+# of max|x|, over tonic, phasic and driver; the measured worst is 1.4e-14 on
+# the generator streams, 4.8e-14 on the knot-spacing sweep and 1.6e-14 on
+# criterion 5's traces, all 38 at the oracle's iteration counts
+ORACLE_TOL = 1e-12
+
+
+class TestCarriedResidual:
+    """The loop that carries the split of the accepted iterate and the
+    extrapolated residual, against the loop that ran a fresh split for the
+    gradient at y and another for the objective at z (``conftest``'s
+    oracle): the same iterations, and the same outputs to rounding."""
+
+    def _assert_matches_oracle(self, series, params=CvxEdaParams()):
+        got, want = cvxeda_decompose(series, params), cvxeda_decompose_reference(series, params)
+        assert got.iterations == want.iterations
+        scale = np.abs(series.values).max()
+        for name in ("tonic", "phasic", "driver"):
+            assert np.abs(getattr(got, name).values - getattr(want, name).values).max() <= ORACLE_TOL * scale, name
+
+    def test_generator_streams_match_the_oracle(self, generator_streams):
+        for series in generator_streams.values():
+            self._assert_matches_oracle(series)
+
+    @pytest.mark.parametrize("duration_s", [62, 150, 300])
+    @pytest.mark.parametrize("spacing_s", [1.0, 3.3, 10.0, 45.0, 1000.0])
+    def test_knot_spacing_sweep_matches_the_oracle(self, duration_s, spacing_s):
+        series = UniformSeries(_sweep_stream(duration_s, 2 * duration_s), 2.0)
+        self._assert_matches_oracle(series, CvxEdaParams(tonic_knot_spacing_s=spacing_s))
+
+    def test_criterion_5_traces_match_the_oracle(self):
+        (pulse, _), long_trace = criterion_5_traces()
+        for values in (pulse, long_trace):
+            self._assert_matches_oracle(UniformSeries(values, 2.0))
+
+    def test_carried_split_is_the_split_of_the_result(self, generator_streams):
+        """What the loop carried to its end is what a fresh split of the
+        returned driver gives, and the last objective is the objective
+        recomputed there. The stream restarts (a repeated trace value), so
+        the reset of the extrapolated residual is exercised too."""
+        series = generator_streams["sim01-c1-70s"]
+        dec = cvxeda_decompose(series)
+        assert np.any(np.diff(dec.objective_trace) == 0.0), "no restart on this stream"
+        prob = _ReducedProblem(series.values, series.rate_hz, CvxEdaParams())
+        r = dec.driver.values
+        w, u = prob.split(r)
+        scale = np.abs(series.values).max()
+        for got, want in ((dec.residual.values, u), (dec.tonic.values, w - u), (dec.phasic.values, prob.x - w)):
+            assert np.abs(got - want).max() <= 1e-12 * scale
+        assert dec.objective_trace[-1] == pytest.approx(prob.objective(r, w, u), rel=1e-12)
+
+    def test_one_forward_and_one_adjoint_per_iteration(self, generator_streams, monkeypatch):
+        """``lipschitz`` runs 30 of each; the start point's split one forward;
+        each iteration one forward (its split) and one adjoint (its
+        gradient); each KKT check one adjoint."""
+        calls = {"forward": 0, "adjoint": 0, "kkt_residual": 0}
+        for name in calls:
+            method = getattr(_ReducedProblem, name)
+
+            def counted(self, *args, _method=method, _name=name):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(_ReducedProblem, name, counted)
+        dec = cvxeda_decompose(generator_streams["sim02-c2-70s"])
+        assert calls["kkt_residual"] >= 2
+        assert calls["forward"] == 30 + 1 + dec.iterations
+        assert calls["adjoint"] == 30 + dec.iterations + calls["kkt_residual"]
 
 
 class TestDetectScrs:

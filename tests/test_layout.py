@@ -11,11 +11,7 @@ PACKAGE = Path(capstate.__file__).resolve().parent
 
 # Kept without a caller in the package, each for the reason given
 EXEMPT = {
-    ("dsp", "_sosfilt"): "the IIR oracle of the block filter's tests",
-    ("model.network", "collect_activations"): "the causality probe's entry point in the tests",
     ("evaluation.statespace", "map_state"): "a library entry point README documents",
-    ("evaluation.stats", "partial_eta_sq_from_f"): "an oracle the RM-ANOVA tests compare against",
-    ("model.losses", "focal_loss"): "the scalar oracle the tests compare focal_loss_vector against",
 }
 
 

@@ -5,7 +5,6 @@ from capstate.evaluation import (
     cohens_d,
     one_sample_t,
     paired_t,
-    partial_eta_sq_from_f,
     rm_anova_oneway,
 )
 from capstate.evaluation.loso import FoldResult
@@ -18,6 +17,7 @@ from capstate.metrics import (
     some_head_defined,
 )
 from capstate.evaluation.stats import f_p_value, incomplete_beta, t_p_two_sided
+from conftest import partial_eta_sq_from_f
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from capstate.model import (
     Batch,
     TrainConfig,
     clip_global_norm,
-    focal_loss,
     forward,
     init_params,
     train_fold,
@@ -20,11 +19,13 @@ from capstate.model import (
 from capstate.model.losses import focal_loss_vector, masked_multitask_loss
 from capstate.model import autograd as ag
 from capstate.model.autograd import Tensor
-from capstate.model.network import build_graph, collect_activations, wrap_params
+from capstate.model.network import build_graph, wrap_params
 from capstate.model import network
 from capstate.model import train as train_module
 from capstate.model.train import loss_and_grads
-from conftest import TINY_ARCH, digests_by_blas_threads, make_feature_dataset, tcn_reference
+from conftest import (
+    TINY_ARCH, collect_activations, digests_by_blas_threads, focal_loss, make_feature_dataset, tcn_reference,
+)
 
 
 # the benchmark's LOSO architecture (LOSO_ARCH in perfbench/workloads.py)
