@@ -418,19 +418,19 @@ class NaturalCubicSpline:
 
 def _thomas(off, diag, rhs):
     """Solve the symmetric tridiagonal system with ``diag`` on the diagonal
-    and ``off`` on both off-diagonals (Thomas algorithm)."""
-    n = len(diag)
-    b = diag.copy()
-    d = rhs.copy()
+    and ``off`` on both off-diagonals (Thomas algorithm). The sweeps run on
+    Python floats, which round as float64 does."""
+    off, b, d = off.tolist(), diag.tolist(), rhs.tolist()
+    n = len(b)
     for i in range(1, n):
         w = off[i - 1] / b[i - 1]
         b[i] -= w * off[i - 1]
         d[i] -= w * d[i - 1]
-    x = np.empty(n)
-    x[-1] = d[-1] / b[-1]
+    # the back substitution overwrites d with the solution
+    d[-1] /= b[-1]
     for i in range(n - 2, -1, -1):
-        x[i] = (d[i] - off[i] * x[i + 1]) / b[i]
-    return x
+        d[i] = (d[i] - off[i] * d[i + 1]) / b[i]
+    return np.array(d)
 
 
 def spline_fill(t, v, grid_hz: float) -> UniformSeries:

@@ -130,7 +130,7 @@ def _tonic_basis(n: int, rate_hz: float, knot_spacing_s: float) -> np.ndarray:
     t = np.arange(n) / rate_hz
     n_knots = int(np.ceil(t[-1] / knot_spacing_s)) + 1
     centers = np.arange(-1, n_knots + 1) * knot_spacing_s
-    return np.column_stack([_bspline3((t - c) / knot_spacing_s) for c in centers])
+    return _bspline3((t[:, None] - centers) / knot_spacing_s)
 
 
 class _ReducedProblem:
@@ -164,17 +164,17 @@ class _ReducedProblem:
         m = len(self.kernel)
         return np.correlate(v, self.kernel, "full")[m - 1 : m - 1 + self.n]
 
-    def split(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def split(self, r: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """w = x - M r, what the tonic block fits for driver r, and the
-        residual u = w - B z its optimal coefficients z leave. The normal
-        equations give B^T u = 2 gamma D2^T D2 z, so w . u is
-        ||u||^2 + 2 gamma ||D2 z||^2. Both are affine in r."""
+        residual u = w - B z its optimal coefficients z leave, written to
+        ``out`` when given. The normal equations give B^T u = 2 gamma D2^T D2 z,
+        so w . u is ||u||^2 + 2 gamma ||D2 z||^2. Both are affine in r."""
         w = self.x - self.forward(r)
-        return w, w - self.basis @ (self.p1 @ w)
+        return w, np.subtract(w, self.basis @ (self.p1 @ w), out=out)
 
     def objective(self, r: np.ndarray, w: np.ndarray, u: np.ndarray) -> float:
         """The objective at r, from r's split (w, u)."""
-        return float(0.5 * w @ u + self.alpha * r.sum())
+        return 0.5 * float(w @ u) + self.alpha * float(np.add.reduce(r))
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """alpha - M^T u, the objective's gradient on r >= 0 at the driver
@@ -209,6 +209,8 @@ def cvxeda_decompose(x: UniformSeries, params: CvxEdaParams = CvxEdaParams()) ->
     """Tonic/phasic split by monotone proximal iterations on the driver.
     The extrapolated point y = z + beta (z - r) gets the residual
     u_z + beta (u_z - u_r), exact since the split is affine in the driver.
+    Each point is kept with its residual in one ``[driver | residual]``
+    buffer, so the extrapolation runs over both at once.
 
     Raises :class:`NumericalError` with the final KKT residual when neither
     the relative-objective nor the KKT tolerance is met within ``max_iters``.
@@ -216,49 +218,59 @@ def cvxeda_decompose(x: UniformSeries, params: CvxEdaParams = CvxEdaParams()) ->
     if len(x.values) < 30:
         raise ValueError("decomposition needs at least 30 samples")
     prob = _ReducedProblem(np.asarray(x.values, dtype=np.float64), x.rate_hz, params)
-    step = 1.0 / prob.lipschitz()
+    n = prob.n
+    neg_step = -1.0 / prob.lipschitz()
+    gradient, split, objective, kkt_residual = prob.gradient, prob.split, prob.objective, prob.kkt_residual
+    maximum, subtract, copyto, sqrt = np.maximum, np.subtract, np.copyto, math.sqrt
+    tol_objective, tol_kkt, max_iters = params.tol_objective, params.tol_kkt, params.max_iters
 
-    r = np.zeros(prob.n)
-    w_r, u_r = prob.split(r)
-    y, u_y = r, u_r  # the extrapolated point and its residual
+    # the accepted iterate, the new one and the extrapolated point, each a
+    # [driver | residual] buffer with a view on either half
+    r_buf, z_buf, y_buf = np.zeros(2 * n), np.empty(2 * n), np.empty(2 * n)
+    r, u_r = r_buf[:n], r_buf[n:]
+    z, u_z = z_buf[:n], z_buf[n:]
+    y, u_y = y_buf[:n], y_buf[n:]
+    w_r, _ = split(r, out=u_r)
+    copyto(y_buf, r_buf)
     t_momentum = 1.0
-    f_curr = prob.objective(r, w_r, u_r)
+    f_curr = objective(r, w_r, u_r)
     trace = [f_curr]
-    kkt = prob.kkt_residual(r, u_r)
-    converged = kkt < params.tol_kkt
+    kkt = kkt_residual(r, u_r)
+    converged = kkt < tol_kkt
     iters = 0
 
-    while not converged and iters < params.max_iters:
+    while not converged and iters < max_iters:
         iters += 1
-        z = prob.gradient(u_y)
-        z *= -step
-        z += y
-        np.maximum(z, 0.0, out=z)
-        w_z, u_z = prob.split(z)
-        f_z = prob.objective(z, w_z, u_z)
+        g = gradient(u_y)
+        g *= neg_step
+        g += y
+        maximum(g, 0.0, out=z)
+        w_z, _ = split(z, out=u_z)
+        f_z = objective(z, w_z, u_z)
         if f_z <= f_curr:
             rel = (f_curr - f_z) / max(abs(f_curr), 1e-15)
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
-            beta = (t_momentum - 1.0) / t_next
-            y = z + beta * (z - r)
-            u_y = u_z + beta * (u_z - u_r)
-            r, w_r, u_r, t_momentum = z, w_z, u_z, t_next
-            f_curr = f_z
+            t_next = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t_momentum**2))
+            subtract(z_buf, r_buf, out=y_buf)
+            y_buf *= (t_momentum - 1.0) / t_next
+            y_buf += z_buf
+            # the new iterate is accepted; the old one's buffer takes the next
+            r_buf, r, u_r, z_buf, z, u_z = z_buf, z, u_z, r_buf, r, u_r
+            w_r, t_momentum, f_curr = w_z, t_next, f_z
             # the relative-change criterion only counts genuine descent steps
-            if rel < params.tol_objective or iters % 25 == 0:
-                kkt = prob.kkt_residual(r, u_r)
-                converged = kkt < params.tol_kkt or rel < params.tol_objective
+            if rel < tol_objective or iters % 25 == 0:
+                kkt = kkt_residual(r, u_r)
+                converged = kkt < tol_kkt or rel < tol_objective
         else:
             # overshoot from momentum: restart so the next step is plain
             # proximal descent from the current iterate (guaranteed decrease)
             t_momentum = 1.0
-            y, u_y = r, u_r
+            copyto(y_buf, r_buf)
         trace.append(f_curr)
 
     if not converged:
-        kkt = prob.kkt_residual(r, u_r)
+        kkt = kkt_residual(r, u_r)
         raise NumericalError(
-            f"cvxeda_decompose: no convergence in {params.max_iters} iterations "
+            f"cvxeda_decompose: no convergence in {max_iters} iterations "
             f"(KKT residual {kkt:.3e})"
         )
 

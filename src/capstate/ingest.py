@@ -129,7 +129,10 @@ def _read_two_column_csv(path: Path, value_header: str, entry: Path | None = Non
     loads and holds a sample table stands in for the parse (the header is
     still read from the file); otherwise the file is parsed and, once the
     samples pass, written to ``entry`` (outside the read, so a fault
-    there is the entry's, not the CSV's)."""
+    there is the entry's, not the CSV's).
+
+    ``v`` is a copy of the value column, which the recording keeps; ``t``
+    is a view of the parsed table, which callers only check and drop."""
     # utf-8-sig drops a byte-order mark; bad bytes fail as a bad field
     with reading(path), open(path, encoding="utf-8-sig", errors="replace") as fh:
         header = fh.readline().rstrip("\n").split(",")
@@ -148,7 +151,7 @@ def _read_two_column_csv(path: Path, value_header: str, entry: Path | None = Non
                 _raise_first_bad_line(path, fh)
     if parse and entry is not None:
         _write_entry(entry, data)
-    return data[:, 0].copy(), data[:, 1].copy()
+    return data[:, 0], data[:, 1].copy()
 
 
 def _raise_first_bad_line(path: Path, fh) -> NoReturn:

@@ -17,7 +17,7 @@ from capstate.dsp import (
     GRID_HZ, UniformSeries, WindowingPlan, _block_buffer, _iir_design, _run_cascade, butterworth_bandpass, fft_radix2,
     resample_uniform,
 )
-from capstate.eda import CvxEdaParams, EdaDecomposition, _tonic_basis
+from capstate.eda import CvxEdaParams, EdaDecomposition, _bspline3, _tonic_basis
 from capstate.errors import NumericalError
 from capstate.ingest import bateman_kernel
 from capstate.evaluation.loso import FoldResult
@@ -469,6 +469,175 @@ def cvxeda_decompose_reference(x: UniformSeries, params: CvxEdaParams = CvxEdaPa
         phasic=x.replace_values(prob.x - w),
         driver=x.replace_values(r),
         residual=x.replace_values(u),
+        objective_trace=np.asarray(trace),
+        kkt_residual=kkt,
+        iterations=iters,
+    )
+
+
+def tonic_basis_by_column(n: int, rate_hz: float, knot_spacing_s: float) -> np.ndarray:
+    """``capstate.eda._tonic_basis`` as it was when it evaluated the splines
+    one column at a time: its byte oracle."""
+    t = np.arange(n) / rate_hz
+    n_knots = int(np.ceil(t[-1] / knot_spacing_s)) + 1
+    centers = np.arange(-1, n_knots + 1) * knot_spacing_s
+    return np.column_stack([_bspline3((t - c) / knot_spacing_s) for c in centers])
+
+
+def thomas_reference(off, diag, rhs):
+    """``capstate.dsp._thomas`` as it was when both sweeps indexed numpy
+    arrays: its byte oracle."""
+    n = len(diag)
+    b = diag.copy()
+    d = rhs.copy()
+    for i in range(1, n):
+        w = off[i - 1] / b[i - 1]
+        b[i] -= w * off[i - 1]
+        d[i] -= w * d[i - 1]
+    x = np.empty(n)
+    x[-1] = d[-1] / b[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (d[i] - off[i] * x[i + 1]) / b[i]
+    return x
+
+
+class ReducedProblemUnstacked:
+    """``capstate.eda._ReducedProblem`` as it was when the loop kept each
+    point and its residual in separate arrays: the oracle of
+    :func:`cvxeda_decompose_unstacked`, on the column-by-column basis."""
+
+    def __init__(self, x: np.ndarray, rate_hz: float, params: CvxEdaParams):
+        self.x = x
+        self.n = len(x)
+        dt = 1.0 / rate_hz
+        # the kernel spans 12 tau1, cut to the record: only the samples a convolution reads
+        m = min(self.n, math.ceil(12.0 * params.tau1_s / dt))
+        # scaled by dt once; the forward correlates with it reversed
+        self.kernel = bateman_kernel(np.arange(m) * dt, params.tau0_s, params.tau1_s) * dt
+        self._reversed = self.kernel[::-1].copy()
+        self.alpha = params.alpha
+
+        self.basis = tonic_basis_by_column(self.n, rate_hz, params.tonic_knot_spacing_s)
+        d2 = np.diff(np.eye(self.basis.shape[1]), 2, axis=0)
+        # pinv's rcond, not a normal-equations solve: at wide knot spacings
+        # the splines are nearly collinear, and the normal matrix would
+        # square their condition number
+        pinv = np.linalg.pinv(np.vstack([self.basis, np.sqrt(2.0 * params.gamma_tonic) * d2]), rcond=1e-10)
+        self.p1 = pinv[:, : self.n]  # maps (x - M r) to the optimal tonic coefficients
+
+    def forward(self, r: np.ndarray) -> np.ndarray:
+        """M r: the driver convolved with the kernel."""
+        return np.correlate(r, self._reversed, "full")[: self.n]
+
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        """M^T v."""
+        m = len(self.kernel)
+        return np.correlate(v, self.kernel, "full")[m - 1 : m - 1 + self.n]
+
+    def split(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """w = x - M r, what the tonic block fits for driver r, and the
+        residual u = w - B z its optimal coefficients z leave. The normal
+        equations give B^T u = 2 gamma D2^T D2 z, so w . u is
+        ||u||^2 + 2 gamma ||D2 z||^2. Both are affine in r."""
+        w = self.x - self.forward(r)
+        return w, w - self.basis @ (self.p1 @ w)
+
+    def objective(self, r: np.ndarray, w: np.ndarray, u: np.ndarray) -> float:
+        """The objective at r, from r's split (w, u)."""
+        return float(0.5 * w @ u + self.alpha * r.sum())
+
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        """alpha - M^T u, the objective's gradient on r >= 0 at the driver
+        whose residual is u: z is optimal for every r (the envelope
+        theorem)."""
+        g = self.adjoint(u)
+        return np.subtract(self.alpha, g, out=g)
+
+    def lipschitz(self) -> float:
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=self.n)
+        v /= np.linalg.norm(v)
+        lam = 1.0
+        for _ in range(30):
+            w = self.adjoint(self.forward(v))
+            lam = np.linalg.norm(w)
+            if lam == 0.0:
+                return 1.0
+            v = w / lam
+        return float(lam) * 1.05
+
+    def kkt_residual(self, r: np.ndarray, u: np.ndarray) -> float:
+        """The KKT residual at r, from r's residual u."""
+        g = self.gradient(u)
+        active = r > 1e-12
+        res_active = np.abs(g[active]).max() if active.any() else 0.0
+        res_bound = np.maximum(-g[~active], 0.0).max() if (~active).any() else 0.0
+        return float(max(res_active, res_bound))
+
+
+def cvxeda_decompose_unstacked(x: UniformSeries, params: CvxEdaParams = CvxEdaParams()) -> EdaDecomposition:
+    """``capstate.eda.cvxeda_decompose`` as it was when the loop kept the
+    iterate, the extrapolated point and their residuals in separate arrays
+    and built each extrapolation from temporaries: the byte oracle of the
+    loop on stacked ``[driver | residual]`` buffers.
+
+    Raises :class:`NumericalError` with the final KKT residual when neither
+    the relative-objective nor the KKT tolerance is met within ``max_iters``.
+    """
+    if len(x.values) < 30:
+        raise ValueError("decomposition needs at least 30 samples")
+    prob = ReducedProblemUnstacked(np.asarray(x.values, dtype=np.float64), x.rate_hz, params)
+    step = 1.0 / prob.lipschitz()
+
+    r = np.zeros(prob.n)
+    w_r, u_r = prob.split(r)
+    y, u_y = r, u_r  # the extrapolated point and its residual
+    t_momentum = 1.0
+    f_curr = prob.objective(r, w_r, u_r)
+    trace = [f_curr]
+    kkt = prob.kkt_residual(r, u_r)
+    converged = kkt < params.tol_kkt
+    iters = 0
+
+    while not converged and iters < params.max_iters:
+        iters += 1
+        z = prob.gradient(u_y)
+        z *= -step
+        z += y
+        np.maximum(z, 0.0, out=z)
+        w_z, u_z = prob.split(z)
+        f_z = prob.objective(z, w_z, u_z)
+        if f_z <= f_curr:
+            rel = (f_curr - f_z) / max(abs(f_curr), 1e-15)
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
+            beta = (t_momentum - 1.0) / t_next
+            y = z + beta * (z - r)
+            u_y = u_z + beta * (u_z - u_r)
+            r, w_r, u_r, t_momentum = z, w_z, u_z, t_next
+            f_curr = f_z
+            # the relative-change criterion only counts genuine descent steps
+            if rel < params.tol_objective or iters % 25 == 0:
+                kkt = prob.kkt_residual(r, u_r)
+                converged = kkt < params.tol_kkt or rel < params.tol_objective
+        else:
+            # overshoot from momentum: restart so the next step is plain
+            # proximal descent from the current iterate (guaranteed decrease)
+            t_momentum = 1.0
+            y, u_y = r, u_r
+        trace.append(f_curr)
+
+    if not converged:
+        kkt = prob.kkt_residual(r, u_r)
+        raise NumericalError(
+            f"cvxeda_decompose: no convergence in {params.max_iters} iterations "
+            f"(KKT residual {kkt:.3e})"
+        )
+
+    return EdaDecomposition(
+        tonic=x.replace_values(w_r - u_r),
+        phasic=x.replace_values(prob.x - w_r),
+        driver=x.replace_values(r),
+        residual=x.replace_values(u_r),
         objective_trace=np.asarray(trace),
         kkt_residual=kkt,
         iterations=iters,

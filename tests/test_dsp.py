@@ -19,6 +19,7 @@ from capstate.dsp import (
     _butter_sos,
     _sos_steady_zi,
     _sosfiltfilt,
+    _thomas,
     butterworth_lowpass,
     detrend_linear,
     fft_radix2,
@@ -38,6 +39,7 @@ from conftest import (
     sosfilt_blocks,
     sosfilt_reference,
     sosfiltfilt_reference,
+    thomas_reference,
 )
 
 
@@ -445,6 +447,20 @@ class TestSpline:
         v = rng.normal(size=40) * 100
         s = NaturalCubicSpline(t, v)
         assert np.abs(s(t) - v).max() < 1e-8
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 117, 1000])
+    def test_thomas_on_python_floats_is_the_array_sweep(self, rng, n):
+        """The solve on Python floats gives the bytes of the sweeps that
+        indexed numpy arrays, on systems shaped like a spline's (positive
+        gaps, dominant diagonal) and on arbitrary ones; the inputs are not
+        modified."""
+        h = rng.uniform(0.3, 1.5, n + 1)
+        systems = [(h[1:-1], 2.0 * (h[:-1] + h[1:]), rng.normal(size=n)),
+                   (rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n))]
+        for off, diag, rhs in systems:
+            before = [a.copy() for a in (off, diag, rhs)]
+            assert _thomas(off, diag, rhs).tobytes() == thomas_reference(off, diag, rhs).tobytes()
+            assert all(np.array_equal(a, b) for a, b in zip((off, diag, rhs), before))
 
 
 class TestFft:

@@ -18,7 +18,14 @@ from capstate.eda import (
 )
 from capstate.ingest import bateman_kernel
 from capstate.pipeline import make_synthetic_recordings
-from conftest import criterion_5_traces, cvxeda_decompose_reference, digests_by_blas_threads, sample_times
+from conftest import (
+    criterion_5_traces,
+    cvxeda_decompose_reference,
+    cvxeda_decompose_unstacked,
+    digests_by_blas_threads,
+    sample_times,
+    tonic_basis_by_column,
+)
 
 
 def bateman(amp, onset_s, n, rate=2.0):
@@ -215,6 +222,14 @@ class TestTonicElimination:
         basis = _tonic_basis(n, 2.0, spacing_s)
         assert np.linalg.matrix_rank(basis) == basis.shape[1]
 
+    @pytest.mark.parametrize("n", [30, 31, 140, 600, 1201])
+    @pytest.mark.parametrize("spacing_s", [1.0, 3.3, 10.0, 45.0, 1000.0])
+    def test_basis_on_the_grid_is_the_basis_by_column(self, n, spacing_s):
+        """The splines evaluated once over the (n, k) grid give the bytes of
+        the basis built one column at a time."""
+        got, want = _tonic_basis(n, 2.0, spacing_s), tonic_basis_by_column(n, 2.0, spacing_s)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_long_slow_time_constant_allocates_only_the_record(self, rng):
         """The Bateman kernel spans 12 tau1 but is built only as far as the
         record reaches: at tau1 = 1e6 s a 140-sample record's reduced problem
@@ -333,6 +348,42 @@ class TestCarriedResidual:
         assert calls["kkt_residual"] >= 2
         assert calls["forward"] == 30 + 1 + dec.iterations
         assert calls["adjoint"] == 30 + dec.iterations + calls["kkt_residual"]
+
+
+class TestStackedBuffers:
+    """The loop on three ``[driver | residual]`` buffers, against the loop
+    that kept each point and its residual in separate arrays (``conftest``'s
+    byte oracle): the same bytes in every output, the same iterations and
+    the same KKT residual."""
+
+    def _assert_same_bytes(self, series, params=CvxEdaParams()):
+        got, want = cvxeda_decompose(series, params), cvxeda_decompose_unstacked(series, params)
+        assert (got.iterations, got.kkt_residual) == (want.iterations, want.kkt_residual)
+        assert got.objective_trace.tobytes() == want.objective_trace.tobytes()
+        for name in ("tonic", "phasic", "driver", "residual"):
+            assert getattr(got, name).values.tobytes() == getattr(want, name).values.tobytes(), name
+        return got
+
+    def test_generator_streams(self, generator_streams):
+        for series in generator_streams.values():
+            self._assert_same_bytes(series)
+
+    @pytest.mark.parametrize("duration_s", [62, 150, 300])
+    @pytest.mark.parametrize("spacing_s", [1.0, 3.3, 10.0, 45.0, 1000.0])
+    def test_knot_spacing_sweep(self, duration_s, spacing_s):
+        series = UniformSeries(_sweep_stream(duration_s, 2 * duration_s), 2.0)
+        self._assert_same_bytes(series, CvxEdaParams(tonic_knot_spacing_s=spacing_s))
+
+    def test_criterion_5_traces(self):
+        (pulse, _), long_trace = criterion_5_traces()
+        for values in (pulse, long_trace):
+            self._assert_same_bytes(UniformSeries(values, 2.0))
+
+    def test_a_stream_that_restarts(self, generator_streams):
+        """A restart copies the accepted buffer into the extrapolated one;
+        the stream restarts (a repeated trace value) and still matches."""
+        dec = self._assert_same_bytes(generator_streams["sim03-c3-70s"])
+        assert np.any(np.diff(dec.objective_trace) == 0.0), "no restart on this stream"
 
 
 class TestDetectScrs:
