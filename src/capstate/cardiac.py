@@ -247,7 +247,7 @@ def detect_r_peaks(ecg: UniformSeries) -> PeakList:
     init = mwi[: int(2.0 * scan_rate)]
     spki0 = 0.5 * init.max()
     npki0 = 0.5 * init.mean()
-    marks = np.sort(_pt_scan_loop(cand_idx, cand_val, 0.2 * scan_rate, float(spki0), float(npki0)))
+    marks = _pt_scan_loop(cand_idx, cand_val, 0.2 * scan_rate, float(spki0), float(npki0))  # increasing
     fiducials = marks * q + (q - 1) // 2
 
     half = int(round(0.05 * rate))

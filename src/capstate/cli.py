@@ -5,7 +5,9 @@ failure. Every file a stage reads goes through ``errors.reading``, so a
 ``--config`` path that is missing, not a regular file or unreadable exits
 2, and such a data file exits 3, naming the path. Every stage writes a
 RunManifest with the resolved config hash and sha256 digests of its inputs
-and outputs.
+and outputs. ``evaluate`` and ``report`` digest the bytes they parse, reading
+each input once; ``preprocess`` hashes ``sessions.csv`` after parsing it, and
+each channel CSV on its helper thread (below), maybe long before parsing it.
 
 ``preprocess`` keeps each input CSV's parsed samples in
 ``<output_root>/parsed/<sha256>.npy``, keyed by the digest its manifest
@@ -139,10 +141,9 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
 
 def cmd_evaluate(cfg: cfgmod.PipelineConfig) -> int:
     started = cfgmod.now_iso()
-    windows_dir = Path(cfg.output_root) / "windows"
-    dataset = storage.read_windows_dir(windows_dir)  # checks each file before it is digested
+    dataset, digests = storage.read_windows_dir(Path(cfg.output_root) / "windows")
+    inputs = {f"windows/{name}": digest for name, digest in digests.items()}
     results_dir = cfgmod.make_stage_dir(Path(cfg.output_root) / "results", "output_root")
-    inputs = {f"windows/{p.name}": cfgmod.sha256_file(p) for p in sorted(windows_dir.glob("windows_*.csv"))}
     folds = run_loso(
         dataset,
         cfg.arch,
@@ -168,8 +169,7 @@ def cmd_evaluate(cfg: cfgmod.PipelineConfig) -> int:
 def cmd_report(cfg: cfgmod.PipelineConfig) -> int:
     started = cfgmod.now_iso()
     rdir = Path(cfg.output_root) / "results"
-    folds = storage.read_folds_dir(rdir)
-    inputs = {p.name: cfgmod.sha256_file(p) for p in sorted(rdir.glob("fold_*.csv"))}
+    folds, inputs = storage.read_folds_dir(rdir)
     cfgmod.make_stage_dir(rdir / "report", "output_root")
     texts = render_report(folds)
     with cfgmod.stage_outputs("output_root"):

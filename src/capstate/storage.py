@@ -5,7 +5,7 @@ A table is a header line and one unquoted line per row. Each column's cells
 are formatted by its dtype: floats with ``repr`` (the shortest form that
 reads back to the same float), everything else with ``str``, so identical
 runs produce byte-identical files and manifest digests. Each writer returns
-the sha256 of the bytes it wrote, the digest a manifest records.
+the sha256 of the bytes it wrote, and each reader that of the bytes it parsed.
 """
 
 import hashlib
@@ -44,21 +44,17 @@ def write_text(path, text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def write_table(path, columns: dict[str, np.ndarray]) -> str:
-    return write_text(path, format_table(columns))
-
-
-def read_table(path, expected_header) -> dict[str, np.ndarray]:
-    """The columns of a table file by name. ``expected_header`` maps each
-    column name to the type its cells parse as (``float``, ``int`` or
-    ``object`` for text); for a table whose width the file sets, it is a
-    function of the file's header row returning that map. A path that
-    breaks the input-file rule (``capstate.errors.reading``), another header,
-    no rows, a row of the wrong width or a cell that does not parse raises
-    ``DataError`` naming the file."""
+def read_table(path, expected_header) -> tuple[dict[str, np.ndarray], str]:
+    """The columns of a table file by name, and the sha256 of its bytes, read once
+    and decoded as UTF-8. ``expected_header`` maps each column name to the type
+    its cells parse as (``float``, ``int`` or ``object`` for text); for a table
+    whose width the file sets, it is a function of the header row returning that
+    map. A path that breaks the input-file rule (``capstate.errors.reading``),
+    another header, no rows, a row of the wrong width or a cell that does not
+    parse raises ``DataError`` naming the file."""
     with reading(path):
-        text = Path(path).read_text()
-    header, *rows = [line.split(",") for line in text.splitlines()] or [[]]
+        data = Path(path).read_bytes()
+        header, *rows = [line.split(",") for line in data.decode("utf-8").splitlines()] or [[]]
     if callable(expected_header):
         expected_header = expected_header(header)
     if header != list(expected_header):
@@ -74,7 +70,7 @@ def read_table(path, expected_header) -> dict[str, np.ndarray]:
             columns[name] = np.array(cells, dtype=kind)
         except (ValueError, OverflowError) as exc:
             raise DataError(f"{path}: column {name}: {exc}") from None
-    return columns
+    return columns, hashlib.sha256(data).hexdigest()
 
 
 def _reject_rows(path, bad: np.ndarray, what: str) -> None:
@@ -107,14 +103,14 @@ def write_windows_csv(path, ds: WindowedDataset) -> str:
     columns = {name: getattr(ds, name) for name in _WINDOW_LABELS}
     value_names = list(_window_header(ds.x_ibi.shape[1]))[len(columns):]
     columns.update(zip(value_names, np.hstack([ds.x_ibi, ds.x_eda, ds.f_hrv, ds.f_eda]).T))
-    return write_table(path, columns)
+    return write_text(path, format_table(columns))
 
 
-def read_windows_csv(path) -> WindowedDataset:
-    """One window table. It must hold series columns, every series and
-    feature value must be finite and at most ``MAX_ABS_VALUE`` in size, and
-    the labels must keep the rules of ``_check_labels``."""
-    columns = read_table(path, lambda header: _window_header(sum(n.startswith("x_ibi_") for n in header)))
+def read_windows_csv(path) -> tuple[WindowedDataset, str]:
+    """One window table and its sha256. It must hold series columns, every
+    series and feature value must be finite and at most ``MAX_ABS_VALUE`` in
+    size, and the labels must keep the rules of ``_check_labels``."""
+    columns, digest = read_table(path, lambda header: _window_header(sum(n.startswith("x_ibi_") for n in header)))
     labels = {name: columns.pop(name) for name in _WINDOW_LABELS}
     values = np.column_stack(list(columns.values()))
     n_hrv, n_eda = len(HRV_FEATURE_NAMES), len(EDA_FEATURE_NAMES)
@@ -126,20 +122,26 @@ def read_windows_csv(path) -> WindowedDataset:
     _reject_rows(path, ~(np.abs(values) <= MAX_ABS_VALUE).all(axis=1),
                  f"series or feature value not finite or above {MAX_ABS_VALUE:g} in size")
     _check_labels(path, ds.condition, ds.stress, ds.effort, ds.mask)
-    return ds
+    return ds, digest
 
 
-def read_windows_dir(windows_dir) -> WindowedDataset:
-    """Every window table in the directory; all must share one window length."""
-    paths = sorted(Path(windows_dir).glob("windows_*.csv"))
+def _read_set(directory, pattern: str, read_one) -> tuple[list[Path], list, dict[str, str]]:
+    """Each ``pattern`` file in ``directory``, read once by ``read_one``: sorted paths, parts, sha256s by name."""
+    paths = sorted(Path(directory).glob(pattern))
     if not paths:
-        raise DataError(f"no windows_*.csv files under {windows_dir}")
-    parts = [read_windows_csv(p) for p in paths]
+        raise DataError(f"no {pattern} files under {directory}")
+    parts, digests = zip(*map(read_one, paths))
+    return paths, list(parts), {p.name: d for p, d in zip(paths, digests)}
+
+
+def read_windows_dir(windows_dir) -> tuple[WindowedDataset, dict[str, str]]:
+    """One dataset of every window table in the directory (all one window length), and each sha256 by name."""
+    paths, parts, digests = _read_set(windows_dir, "windows_*.csv", read_windows_csv)
     for path, part in zip(paths, parts):
         if part.x_ibi.shape[1] != parts[0].x_ibi.shape[1]:
             raise DataError(f"{path}: {part.x_ibi.shape[1]}-sample windows, but {paths[0]} has "
                             f"{parts[0].x_ibi.shape[1]}-sample windows")
-    return concat_datasets(parts)
+    return concat_datasets(parts), digests
 
 
 FOLD_COLUMNS = dict(subject=object, condition=object, window_start_s=float, U=float, O=float,
@@ -150,28 +152,27 @@ HISTORY_COLUMNS = dict(epoch=int, train_loss=float, val_ba_stress=float, val_ba_
 def write_fold_csv(path, fold: FoldResult) -> str:
     values = (np.full(len(fold.u), fold.subject_id, dtype=object), fold.condition, fold.window_start_s,
               fold.u, fold.o, fold.stress, fold.effort, fold.mask)
-    return write_table(path, {name: np.asarray(v, dtype=kind)
-                              for (name, kind), v in zip(FOLD_COLUMNS.items(), values)})
+    return write_text(path, format_table({name: np.asarray(v, dtype=kind)
+                                          for (name, kind), v in zip(FOLD_COLUMNS.items(), values)}))
 
 
-def read_fold_csv(path) -> FoldResult:
-    """One fold table. U and O must lie in [0, 1], every row must name the
-    same subject, and the labels must keep the rules of ``_check_labels``."""
-    subject, condition, start, u, o, stress, effort, mask = read_table(path, FOLD_COLUMNS).values()
+def read_fold_csv(path) -> tuple[FoldResult, str]:
+    """One fold table and its sha256. U and O must lie in [0, 1], every row must
+    name the same subject, and the labels must keep ``_check_labels``."""
+    columns, digest = read_table(path, FOLD_COLUMNS)
+    subject, condition, start, u, o, stress, effort, mask = columns.values()
     _reject_rows(path, ~((u >= 0) & (u <= 1) & (o >= 0) & (o <= 1)), "U or O outside [0, 1]")
     _reject_rows(path, subject != subject[0], f"subject differs from {subject[0]!r} on line 2")
     _check_labels(path, condition, stress, effort, mask)
-    return FoldResult(subject[0], condition, start, u, o, stress, effort, mask)
+    return FoldResult(subject[0], condition, start, u, o, stress, effort, mask), digest
 
 
-def read_folds_dir(results_dir) -> list[FoldResult]:
-    paths = sorted(Path(results_dir).glob("fold_*.csv"))
-    if not paths:
-        raise DataError(f"no fold_*.csv files under {results_dir}")
-    return [read_fold_csv(p) for p in paths]
+def read_folds_dir(results_dir) -> tuple[list[FoldResult], dict[str, str]]:
+    """Every fold table in the directory, and each sha256 by name."""
+    return _read_set(results_dir, "fold_*.csv", read_fold_csv)[1:]
 
 
 def write_history_csv(path, history: TrainHistory) -> str:
     """One row per epoch: training loss, validation BA per head, learning rate."""
-    return write_table(path, {name: np.array([r[name] for r in history.rows], dtype=kind)
-                              for name, kind in HISTORY_COLUMNS.items()})
+    return write_text(path, format_table({name: np.array([r[name] for r in history.rows], dtype=kind)
+                                          for name, kind in HISTORY_COLUMNS.items()}))

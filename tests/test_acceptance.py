@@ -414,7 +414,7 @@ def test_criterion_9_real_dataset_optional():
         pytest.skip("real dataset not available")
     from capstate.storage import read_windows_dir
 
-    dataset = read_windows_dir(root)
+    dataset, _ = read_windows_dir(root)
     folds = run_loso(dataset, ArchConfig(), TrainConfig())
     summary = summary_table(folds)
     stress_ok = abs(summary["stress"]["mean"] - 0.700) <= 0.07

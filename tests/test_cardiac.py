@@ -143,15 +143,21 @@ class TestDetectRPeaks:
             assert _squared_slope(band, rate).tobytes() == (deriv * deriv).tobytes()
             assert band.tobytes() == kept.tobytes()
 
-    def test_chain_peak_memory_per_sample(self):
-        """Peak traced memory of ``detect_r_peaks`` on a 70 s, 2048 Hz ECG,
-        per input sample. numpy reports its buffers to tracemalloc, so the
-        peak is deterministic: 5.2 B/sample when the scan runs on block means
-        at 256 Hz (an eighth of the samples) and only the refinement reads the
-        ECG at 2048 Hz. It was 33.8 when the chain's buffers were full length
-        and 73.0 when every step took a fresh array as well. The bound is the
-        measured 5.2 plus about 15%. The caller's samples are only read."""
-        spec = synthetic_condition_spec(0, Condition.C1, 70.0, seed=5, ecg_rate_hz=2048.0)
+    # measured: 33.93, 20.97 and 5.24 B/sample; each bound is about 15% above
+    @pytest.mark.parametrize("rate, bound", [(256.0, 39.0), (512.0, 24.1), (2048.0, 6.0)],
+                             ids=["256Hz", "512Hz", "2048Hz"])
+    def test_chain_peak_memory_per_sample(self, rate, bound):
+        """Peak traced memory of ``detect_r_peaks`` on a 70 s ECG per input
+        sample, at the rates the product runs: 512 Hz in criterion 7, the CLI
+        tests and the LOSO benchmarks' set-up, 2048 Hz in SWELL-rate
+        preprocess. numpy reports its buffers to tracemalloc, so the peak is
+        deterministic. At 2048 Hz it is 5.2 B/sample, as the scan runs on
+        block means at 256 Hz (an eighth of the samples) and only the
+        refinement reads the ECG at 2048 Hz; it was 33.8 when the chain's
+        buffers were full length and 73.0 when every step took a fresh array
+        as well. At 256 Hz the scan runs on the samples themselves, and at
+        512 Hz on pairs. The caller's samples are only read."""
+        spec = synthetic_condition_spec(0, Condition.C1, 70.0, seed=5, ecg_rate_hz=rate)
         ecg = generate_synthetic_recording(spec)[0].ecg
         kept = ecg.values.copy()
         want = detect_r_peaks(ecg).times_s  # builds the cached designs outside the trace
@@ -162,7 +168,7 @@ class TestDetectRPeaks:
         finally:
             tracemalloc.stop()
         per_sample = peak / len(ecg.values)
-        assert per_sample <= 6.0, f"{per_sample:.1f} B/sample"
+        assert per_sample <= bound, f"{per_sample:.2f} B/sample"
         assert got.tobytes() == want.tobytes() and len(got) > 60
         assert ecg.values.tobytes() == kept.tobytes()
 
@@ -175,7 +181,9 @@ class TestDetectRPeaks:
             val = rng.exponential(1.0, m) * rng.choice([0.2, 1.0], m)
             refr = float(rng.choice([40.0, 102.4, 409.6]))
             args = (idx, val, refr, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.0, 0.5)))
-            assert _pt_scan_loop(*args).tobytes() == pt_scan_reference(*args).tobytes()
+            marks = _pt_scan_loop(*args)
+            assert marks.tobytes() == pt_scan_reference(*args).tobytes()
+            assert np.all(np.diff(marks) > 0)  # detect_r_peaks takes them in order, unsorted
 
 
 def condition_ecg(rate, cond, seed, duration_s=30.0):

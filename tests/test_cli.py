@@ -34,13 +34,14 @@ from capstate.model.train import TrainHistory
 from capstate.pipeline import min_synthetic_duration_s
 from capstate.storage import (
     HISTORY_COLUMNS,
+    format_table,
     read_fold_csv,
     read_table,
     read_windows_csv,
     read_windows_dir,
     write_fold_csv,
     write_history_csv,
-    write_table,
+    write_text,
     write_windows_csv,
 )
 from conftest import make_feature_dataset, make_fold
@@ -220,8 +221,9 @@ class TestWindowsCsv:
     @pytest.mark.parametrize("table", ["windows", "fold", "history"])
     def test_round_trip(self, tmp_path, table):
         """Write, read and write again: the values read back equal the ones
-        written, the two files are byte-identical, and each write returns
-        the sha256 of the bytes it wrote."""
+        written, the two files are byte-identical, each write returns the
+        sha256 of the bytes it wrote, and the read the sha256 of the bytes it
+        parsed."""
         make, write, read, write_again, values = {
             "windows": (lambda: make_feature_dataset(n_subjects=2, per_cond=3, seed=1),
                         write_windows_csv, read_windows_csv, write_windows_csv,
@@ -230,14 +232,17 @@ class TestWindowsCsv:
             "fold": (lambda: make_fold("s07", {"c1": (0.1, 0.7), "c2": (1 / 3, 2 / 3), "c3": (0.1 + 0.2, 1.0)}),
                      write_fold_csv, read_fold_csv, write_fold_csv,
                      lambda f: [[f.subject_id], f.condition, f.window_start_s, f.u, f.o, f.stress, f.effort, f.mask]),
-            "history": (_history, write_history_csv, lambda p: read_table(p, HISTORY_COLUMNS), write_table,
+            "history": (_history, write_history_csv, lambda p: read_table(p, HISTORY_COLUMNS),
+                        lambda p, columns: write_text(p, format_table(columns)),
                         lambda h: [[r[k] for r in h.rows] for k in HISTORY_COLUMNS] if isinstance(h, TrainHistory)
                         else list(h.values())),
         }[table]
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
         original = make()
-        assert write(first, original) == hashlib.sha256(first.read_bytes()).hexdigest()
-        back = read(first)
+        written = write(first, original)
+        assert written == hashlib.sha256(first.read_bytes()).hexdigest()
+        back, parsed = read(first)
+        assert parsed == written
         for want, got in zip(values(original), values(back), strict=True):
             np.testing.assert_array_equal(got, want)
         write_again(second, back)
@@ -279,7 +284,7 @@ class TestCommandChain:
         assert len(digests) == 18
         assert sorted(p.name for p in (out_dir / "parsed").iterdir()) == sorted(f"{d}.npy" for d in digests)
 
-        ds = read_windows_dir(out_dir / "windows")
+        ds, _ = read_windows_dir(out_dir / "windows")
         assert len(ds.subjects()) == 3
 
         results = out_dir / "results"
@@ -295,7 +300,7 @@ class TestCommandChain:
         assert sorted(evaluated) == sorted(f"results/{p.name}" for p in results.glob("*_*.csv"))
         assert not (results / "stats.json").exists()  # evaluate trains; report aggregates
 
-        fold = read_fold_csv(folds[0])
+        fold, _ = read_fold_csv(folds[0])
         assert np.all((fold.u >= 0) & (fold.u <= 1))
 
         assert run_cli(tmp_path, "report") == 0
@@ -354,9 +359,9 @@ class TestCommandChain:
         assert run_cli(tmp_path, "synth") == 0
         assert run_cli(tmp_path, "preprocess") == 0
         assert run_cli(tmp_path, "evaluate") == 0
-        base = read_fold_csv(next((tmp_path / "out" / "results").glob("fold_*.csv")))
+        base, _ = read_fold_csv(next((tmp_path / "out" / "results").glob("fold_*.csv")))
         assert run_cli(tmp_path, "evaluate", "--set", 'sensitivity_scheme="c2_stress_low"') == 0
-        flipped = read_fold_csv(next((tmp_path / "out" / "results").glob("fold_*.csv")))
+        flipped, _ = read_fold_csv(next((tmp_path / "out" / "results").glob("fold_*.csv")))
         c2 = flipped.condition == "c2"
         assert np.all(flipped.stress[c2] == 0)
         assert np.any(base.stress[base.condition == "c2"] == 1)
@@ -366,19 +371,70 @@ class TestCommandChain:
         assert run_cli(tmp_path, "synth") == 0
         assert run_cli(tmp_path, "preprocess") == 0
         assert run_cli(tmp_path, "evaluate", "--set", 'arch.modalities=["ibi"]') == 0
-        base = {p.name: read_fold_csv(p) for p in (tmp_path / "out" / "results").glob("fold_*.csv")}
+        base = {p.name: read_fold_csv(p)[0] for p in (tmp_path / "out" / "results").glob("fold_*.csv")}
         # corrupt every EDA channel in the windows, re-evaluate: identical predictions
         windows_dir = tmp_path / "out" / "windows"
         for p in windows_dir.glob("windows_*.csv"):
-            ds = read_windows_csv(p)
+            ds, _ = read_windows_csv(p)
             ds.x_eda = ds.x_eda + 25.0
             ds.f_eda = np.abs(ds.f_eda * 3.0 + 1.0)
             write_windows_csv(p, ds)
         assert run_cli(tmp_path, "evaluate", "--set", 'arch.modalities=["ibi"]') == 0
         for p in (tmp_path / "out" / "results").glob("fold_*.csv"):
-            again = read_fold_csv(p)
+            again, _ = read_fold_csv(p)
             assert np.allclose(again.u, base[p.name].u, atol=1e-12)
             assert np.allclose(again.o, base[p.name].o, atol=1e-12)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestStageInputs:
+    """A stage's manifest lists exactly the files it read, each under the
+    digest of the bytes it parsed, though the directory changes after the
+    read and before the manifest is written."""
+
+    def test_evaluate_records_the_windows_it_trained_on(self, tmp_path, monkeypatch):
+        TestExitCodes._stage_inputs(tmp_path, "evaluate")
+        windows = tmp_path / "out" / "windows"
+        read = {f"windows/{p.name}": _sha256(p) for p in windows.glob("windows_*.csv")}
+        real = capstate.config.make_stage_dir
+        rewritten = windows / "windows_s01.csv"
+
+        def make_stage_dir(path, key):  # evaluate makes results/ after reading the windows
+            if Path(path).name == "results":
+                (windows / "windows_zz.csv").write_bytes((windows / "windows_s00.csv").read_bytes())
+                ds, _ = read_windows_csv(rewritten)
+                ds.x_eda = ds.x_eda + 1.0
+                write_windows_csv(rewritten, ds)
+            return real(path, key)
+
+        monkeypatch.setattr(capstate.config, "make_stage_dir", make_stage_dir)
+        assert run_cli(tmp_path, "evaluate") == 0
+        inputs = json.loads((tmp_path / "out" / "manifest_evaluate.json").read_text())["inputs"]
+        assert "windows/windows_zz.csv" not in inputs
+        assert _sha256(rewritten) != read["windows/windows_s01.csv"]
+        assert inputs == read
+
+    def test_report_records_the_folds_it_read(self, tmp_path, monkeypatch):
+        TestExitCodes._stage_inputs(tmp_path, "report")
+        results = tmp_path / "out" / "results"
+        read = {p.name: _sha256(p) for p in results.glob("fold_*.csv")}
+        real = capstate.storage.read_folds_dir
+
+        def read_folds_dir(results_dir):
+            out = real(results_dir)
+            write_fold_csv(results / "fold_ghost.csv", make_fold("ghost", {c: (0.5, 0.5) for c in ("c1", "c2", "c3")}))
+            write_fold_csv(results / "fold_s01.csv", make_fold("s01", {c: (0.9, 0.1) for c in ("c1", "c2", "c3")}))
+            return out
+
+        monkeypatch.setattr(capstate.storage, "read_folds_dir", read_folds_dir)
+        assert run_cli(tmp_path, "report") == 0
+        inputs = json.loads((results / "manifest_report.json").read_text())["inputs"]
+        assert "fold_ghost.csv" not in inputs
+        assert _sha256(results / "fold_s01.csv") != read["fold_s01.csv"]
+        assert inputs == read
 
 
 class TestExitCodes:
@@ -699,7 +755,7 @@ class TestExitCodes:
         shortest = min_synthetic_duration_s(WindowingPlan())
         assert run_cli(tmp_path, "synth", "--set", f"synth.duration_s={shortest}") == 0
         assert run_cli(tmp_path, "preprocess") == 0  # every recording holds a window
-        assert len(read_windows_dir(tmp_path / "out" / "windows").subjects()) == 3
+        assert len(read_windows_dir(tmp_path / "out" / "windows")[0].subjects()) == 3
 
     def test_preprocess_removes_stale_windows(self, tmp_path):
         assert run_cli(tmp_path, "synth", "--set", "synth.n_subjects=4") == 0
