@@ -5,9 +5,8 @@ failure. Every file a stage reads goes through ``errors.reading``, so a
 ``--config`` path that is missing, not a regular file or unreadable exits
 2, and such a data file exits 3, naming the path. Every stage writes a
 RunManifest with the resolved config hash and sha256 digests of its inputs
-and outputs. ``evaluate`` and ``report`` digest the bytes they parse, reading
-each input once; ``preprocess`` hashes ``sessions.csv`` after parsing it, and
-each channel CSV on its helper thread (below), maybe long before parsing it.
+and outputs. Each stage reads each input once and digests the bytes it
+parses, so a file rewritten during a run is recorded by the bytes used.
 
 ``preprocess`` keeps each input CSV's parsed samples in
 ``<output_root>/parsed/<sha256>.npy``, keyed by the digest its manifest
@@ -15,13 +14,13 @@ records, so a rerun on unchanged files reads the entry instead of parsing the
 CSV. Each run deletes every entry it did not use, and no other file there;
 the directory is safe to delete.
 
-``preprocess`` hashes its input CSVs, in session order, on one helper
-thread while the main thread loads and windows the recordings; hashing
-releases the GIL, so the two overlap on two cores. The main thread takes
-each digest when it reaches that file, so a fault in a file is reported at
-the point the file is reached, after any earlier recording's fault, and the
-thread is gone when the stage returns or fails. Every other call of the
-stage runs on the main thread.
+``preprocess`` reads and hashes the next session's channel CSVs on one
+helper thread while the main thread windows the current recording (the read
+and the hash release the GIL), and the main thread checks and parses those
+same bytes. It takes a session's bytes when it reaches that session, so a
+fault in a file is reported after any earlier recording's fault, and the
+thread is gone when the stage returns or fails. A file that several sessions
+list is read once. Every other call of the stage runs on the main thread.
 """
 
 import argparse
@@ -31,7 +30,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import ingest, pipeline, storage
-from .errors import ConfigError, DataError, NumericalError, reading
+from .errors import ConfigError, DataError, NumericalError, read_input
 from .evaluation.loso import run_loso
 from .evaluation.report import render_report
 from .heap import keep_heap
@@ -87,33 +86,29 @@ def cmd_synth(cfg: cfgmod.PipelineConfig) -> int:
     return 0
 
 
-def _digest(path: Path) -> str:
-    """``path``'s sha256, once it is found to be a regular file (a FIFO is
-    never opened, so the hashing thread cannot block on one)."""
-    with reading(path):
-        return cfgmod.sha256_file(path)
-
-
 def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
     started = cfgmod.now_iso()
     root = Path(cfg.data_root)
-    sessions = ingest.read_sessions(root)
+    sessions, sessions_digest = ingest.read_sessions(root)
     out_dir = cfgmod.make_stage_dir(Path(cfg.output_root) / "windows", "output_root")
     parsed_dir = cfgmod.make_stage_dir(Path(cfg.output_root) / "parsed", "output_root")
-    inputs = {"sessions.csv": cfgmod.sha256_file(root / "sessions.csv")}
-    parsed = {}  # CSV path -> the entry keeping its parsed samples
+    inputs = {"sessions.csv": sessions_digest}
+    # each session's files, then none: the read-ahead after the last session reads nothing
+    listed = [dict.fromkeys((session.ecg_file, session.eda_file)) for session in sessions] + [{}]
+    last = {rel: k for k, rels in enumerate(listed) for rel in rels}  # the last session that lists each file
+    contents = {}  # file name -> (bytes, sha256), while a session still to load lists the file
     by_subject: dict[str, list] = {}
-    hasher = ThreadPoolExecutor(max_workers=1)
-    try:
-        rels = dict.fromkeys(rel for session in sessions for rel in (session.ecg_file, session.eda_file))
-        digests = {rel: hasher.submit(_digest, root / rel) for rel in rels}
-        for session in sessions:
-            for rel in (session.ecg_file, session.eda_file):
-                inputs[rel] = digests[rel].result()  # raises the file's DataError here, in session order
-                parsed[root / rel] = ingest.parsed_entry(parsed_dir, inputs[rel])
+    with ThreadPoolExecutor(max_workers=1) as reader:
+        ahead = {rel: reader.submit(read_input, root / rel) for rel in listed[0]}
+        for k, session in enumerate(sessions):
+            contents.update((rel, read.result()) for rel, read in ahead.items())  # a read's DataError, in session order
+            inputs.update((rel, contents[rel][1]) for rel in listed[k])
             # an OSError here is a parsed entry's write: a fault reading an input is a DataError
             with cfgmod.stage_outputs("output_root"):
-                rec = ingest.load_recording(session, cfg.ecg_nominal_hz, cfg.eda_nominal_hz, parsed)
+                rec = ingest.load_recording(session, cfg.ecg_nominal_hz, cfg.eda_nominal_hz, contents, parsed_dir)
+            contents = {rel: content for rel, content in contents.items() if last[rel] > k}
+            # the next session's new files are read while this recording is windowed
+            ahead = {rel: reader.submit(read_input, root / rel) for rel in listed[k + 1] if rel not in contents}
             where = (f"subject {session.subject_id} condition {session.condition.value} "
                      f"({session.ecg_file}, {session.eda_file})")
             try:
@@ -123,9 +118,8 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
             except NumericalError as exc:
                 raise NumericalError(f"{where}: {exc}") from exc
             by_subject.setdefault(session.subject_id, []).append(part)
-    finally:
-        hasher.shutdown(cancel_futures=True)  # an error waits for one file's hash, not the rest
-    ingest.prune_parsed(parsed_dir, set(parsed.values()))  # entries of files since edited or dropped
+    kept = {ingest.parsed_entry(parsed_dir, inputs[rel]) for rel in last}
+    ingest.prune_parsed(parsed_dir, kept)  # entries of files since edited or dropped
     with cfgmod.stage_outputs("output_root"):
         for stale in out_dir.glob("windows_*.csv"):
             stale.unlink()  # evaluate trains on every windows_*.csv it finds

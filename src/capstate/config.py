@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .dsp import WindowingPlan
 from .eda import CvxEdaParams
-from .errors import ConfigError, reading
+from .errors import ConfigError, read_input
 from .ingest import LabelScheme
 from .model.network import ArchConfig
 from .model.train import TrainConfig
@@ -166,8 +166,7 @@ def _tuples(value):
 
 
 def load_config(path) -> PipelineConfig:
-    with reading(path, ConfigError):
-        text = Path(path).read_text(encoding="utf-8")
+    text, _ = read_input(path, "utf-8", ConfigError)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -209,15 +208,16 @@ def config_hash(cfg: PipelineConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-# 256 KiB: 64 KiB and 1 MiB hashed no faster, and 1 MiB added ~0.7 MB of peak RSS
+# sha256_file's read size for synth's digests: 64 KiB and 1 MiB hashed no faster, and 1 MiB added ~0.7 MB of peak RSS
 _HASH_CHUNK = 1 << 18
 
 
 def sha256_file(path) -> str:
     """The sha256 hex digest of the file at ``path``, read chunk by chunk into
-    one buffer per call, so no chunk makes a new object. The read and the
-    update each release the GIL for one chunk; a large chunk means a thread
-    hashing beside another takes the GIL back seldom."""
+    one buffer per call, so no chunk makes a new object and a file of any size
+    is hashed through one 256 KiB buffer. ``synth`` digests the files it has
+    just written with it; a stage digests the bytes it parsed instead
+    (``errors.read_input``)."""
     h = hashlib.sha256()
     buf = bytearray(_HASH_CHUNK)
     view = memoryview(buf)

@@ -2,11 +2,13 @@
 
 ``ValueError`` is raised for plain API misuse (bad parameters, wrong shapes).
 The classes below mark conditions the CLI maps to distinct exit codes.
-:func:`reading` holds the rule every file a stage reads goes through; it
-lives here because every reader can import this module.
+:func:`reading` holds the rule every file a stage reads goes through and
+:func:`read_input` reads a file under it; they live here because every
+reader can import this module.
 """
 
 import contextlib
+import hashlib
 import os
 import stat
 
@@ -46,3 +48,13 @@ def reading(path, error=DataError):
         raise error(f"{path}: not a text file: {exc}") from None
     except OSError as exc:
         raise error(f"{path}: {exc.strerror or exc}") from None
+
+
+def read_input(path, encoding=None, error=DataError) -> tuple[bytes | str, str]:
+    """The bytes of the input file ``path`` (their text with an ``encoding``)
+    and their sha256 hex digest, read once under :func:`reading`: a path that
+    breaks its rule (a FIFO is never opened) or bytes that do not decode
+    raise ``error``."""
+    with reading(path, error), open(path, "rb") as fh:
+        data = fh.read()
+        return data.decode(encoding) if encoding else data, hashlib.sha256(data).hexdigest()

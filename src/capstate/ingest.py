@@ -2,7 +2,8 @@
 
 A :class:`Session` is one row of ``sessions.csv``: one subject under one
 condition, with its ECG and EDA files. :func:`read_sessions` returns them in
-file order and :func:`load_recording` loads one into a :class:`RawRecording`.
+file order, with the sha256 of the bytes it parsed, and :func:`load_recording`
+loads one into a :class:`RawRecording` from the bytes of its two files.
 
 On-disk layout (one directory per subject under the dataset root):
 
@@ -13,6 +14,7 @@ On-disk layout (one directory per subject under the dataset root):
 
 import csv
 import enum
+import io
 import math
 import os
 import re
@@ -24,7 +26,7 @@ from typing import NoReturn
 import numpy as np
 
 from .dsp import UniformSeries
-from .errors import DataError, reading
+from .errors import DataError, read_input
 
 
 class Condition(enum.Enum):
@@ -120,43 +122,41 @@ def prune_parsed(parsed_dir: Path, kept) -> None:
             path.unlink()
 
 
-def _read_two_column_csv(path: Path, value_header: str, entry: Path | None = None):
-    """``(t, v)`` from a ``t_s,<value_header>`` CSV with at least two rows of
-    finite samples and strictly increasing timestamps; anything else raises
-    :class:`DataError` naming the file (and its first bad line).
+def _read_two_column_csv(path: Path, value_header: str, data: bytes, entry: Path | None = None):
+    """``(t, v)`` from ``data``, the bytes of the ``t_s,<value_header>`` CSV
+    at ``path``, which must hold at least two rows of finite samples with
+    strictly increasing timestamps; anything else raises :class:`DataError`
+    naming the file (and its first bad line).
 
-    ``entry`` is where this file's parsed samples are kept: an entry that
-    loads and holds a sample table stands in for the parse (the header is
-    still read from the file); otherwise the file is parsed and, once the
-    samples pass, written to ``entry`` (outside the read, so a fault
-    there is the entry's, not the CSV's).
+    Once the header checks out, ``entry``, where these bytes' parsed samples
+    are kept, stands in for the parse if it loads and holds a sample table;
+    otherwise ``data`` is parsed and, once the samples pass, written there.
 
     ``v`` is a copy of the value column, which the recording keeps; ``t``
     is a view of the parsed table, which callers only check and drop."""
     # utf-8-sig drops a byte-order mark; bad bytes fail as a bad field
-    with reading(path), open(path, encoding="utf-8-sig", errors="replace") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if [h.strip() for h in header] != ["t_s", value_header]:
-            raise DataError(f"{path}: expected header 't_s,{value_header}', got {header}")
-        data = _read_entry(entry)
-        parse = data is None
-        if parse:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # "no data": reported below
-                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                data = np.empty((0, 0))
-            if not _is_sample_table(data):
-                _raise_first_bad_line(path, fh)
-    if parse and entry is not None:
-        _write_entry(entry, data)
-    return data[:, 0], data[:, 1].copy()
+    fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", errors="replace")
+    header = fh.readline().rstrip("\n").split(",")
+    if [h.strip() for h in header] != ["t_s", value_header]:
+        raise DataError(f"{path}: expected header 't_s,{value_header}', got {header}")
+    table = _read_entry(entry)
+    if table is None:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "no data": reported below
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            table = np.empty((0, 0))
+        if not _is_sample_table(table):
+            _raise_first_bad_line(path, fh)
+        if entry is not None:
+            _write_entry(entry, table)
+    return table[:, 0], table[:, 1].copy()
 
 
 def _raise_first_bad_line(path: Path, fh) -> NoReturn:
-    """Re-read a file the vectorised parse rejected, one line at a time, and
-    raise :class:`DataError` for the first line at fault."""
+    """Re-read, one line at a time, the text of a file the vectorised parse
+    rejected, and raise :class:`DataError` for the first line at fault."""
     fh.seek(0)
     next(fh)
     prev_t = -math.inf
@@ -211,9 +211,10 @@ class Session:
     eda_file: str
 
 
-def read_sessions(root_path) -> list[Session]:
-    """The sessions ``<root>/sessions.csv`` lists, in file order; every row
-    must name a subject, a known condition and both files, the subject id must
+def read_sessions(root_path) -> tuple[list[Session], str]:
+    """The sessions ``<root>/sessions.csv`` lists, in file order, and the
+    sha256 of the bytes parsed. There must be at least one; every row must
+    name a subject, a known condition and both files, the subject id must
     hold no comma, double quote, slash or non-printable character (it becomes
     a cell of the unquoted output tables, which are split into lines by
     ``str.splitlines``, and part of a file name), and no subject/condition
@@ -221,8 +222,10 @@ def read_sessions(root_path) -> list[Session]:
     root = Path(root_path)
     manifest = root / "sessions.csv"
     # utf-8-sig drops the byte-order mark spreadsheet programs write
-    with reading(manifest), open(manifest, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.DictReader(fh))
+    text, digest = read_input(manifest, "utf-8-sig")
+    rows = list(csv.DictReader(io.StringIO(text, newline="")))
+    if not rows:
+        raise DataError(f"{manifest}: no rows")
     needed = {"subject_id", "condition", "ecg_file", "eda_file"}
     sessions, seen = [], {}
     for i, row in enumerate(rows, start=2):
@@ -242,39 +245,39 @@ def read_sessions(root_path) -> list[Session]:
                             f"condition {condition.value}")
         seen[subject, condition] = i
         sessions.append(Session(root, subject, condition, row["ecg_file"], row["eda_file"]))
-    return sessions
+    return sessions, digest
 
 
-def load_recording(
-    session: Session,
-    ecg_nominal_hz: float,
-    eda_nominal_hz: float,
-    parsed: dict[Path, Path] | None = None,
-) -> RawRecording:
-    """Load the recording of one ``session`` (see :func:`read_sessions`).
+def load_recording(session: Session, ecg_nominal_hz: float, eda_nominal_hz: float,
+                   contents: dict | None = None, parsed_dir: Path | None = None) -> RawRecording:
+    """Load the recording of one ``session`` (see :func:`read_sessions`) from
+    ``contents``, which maps a file name as the session lists it to its bytes
+    and their sha256 (:func:`capstate.errors.read_input`); a file not in it
+    is read here.
 
     Raises :class:`DataError` naming the offending file for a file that
     breaks the input-file rule (:func:`capstate.errors.reading`), a bad
     header or line, non-monotonic timestamps, a channel whose samples all
     hold one value, or a sampling rate off nominal by more than 5%.
 
-    ``parsed`` maps a CSV path (``session.root / <file>``) to the ``.npy``
-    entry that keeps its parsed samples; the caller keys entries by the
-    file's content, so an entry is only ever read for the bytes it was
+    With ``parsed_dir``, each file's parsed samples are kept there under the
+    sha256 of its bytes, so an entry is only ever read for the bytes it was
     parsed from. An entry that fails to load or to pass the parse checks is
-    rewritten from the CSV, and the header, flatness and rate checks run
-    on every load.
+    rewritten from the bytes; the header, flatness and rate checks run on
+    every load.
     """
-    parsed = parsed or {}
-    ecg, ecg_span = _load_channel(session.root / session.ecg_file, "mv", ecg_nominal_hz, parsed)
-    eda, eda_span = _load_channel(session.root / session.eda_file, "us", eda_nominal_hz, parsed)
+    contents = contents or {}
+    ecg, ecg_span = _load_channel(session, session.ecg_file, "mv", ecg_nominal_hz, contents, parsed_dir)
+    eda, eda_span = _load_channel(session, session.eda_file, "us", eda_nominal_hz, contents, parsed_dir)
     return RawRecording(session.subject_id, session.condition, ecg, eda, float(max(ecg_span, eda_span)))
 
 
-def _load_channel(path: Path, value_header: str, nominal_hz: float, parsed: dict[Path, Path]):
-    """One checked channel CSV: its samples at the measured rate, and the
-    seconds its timestamps span."""
-    t, v = _read_two_column_csv(path, value_header, parsed.get(path))
+def _load_channel(session: Session, rel: str, value_header: str, nominal_hz: float, contents, parsed_dir):
+    """The checked channel CSV ``rel``: its samples at the measured rate, and
+    the seconds its timestamps span."""
+    path = session.root / rel
+    data, digest = contents.get(rel) or read_input(path)
+    t, v = _read_two_column_csv(path, value_header, data, parsed_dir and parsed_entry(parsed_dir, digest))
     _check_not_flat(path, v)
     return UniformSeries(v, _check_rate(path, t, nominal_hz)), t[-1] - t[0]
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cardiac import HRV_FEATURE_NAMES
 from .eda import EDA_FEATURE_NAMES
-from .errors import DataError, reading
+from .errors import DataError, read_input
 from .evaluation.loso import FoldResult
 from .ingest import Condition
 from .model.train import TrainHistory
@@ -52,9 +52,8 @@ def read_table(path, expected_header) -> tuple[dict[str, np.ndarray], str]:
     map. A path that breaks the input-file rule (``capstate.errors.reading``),
     another header, no rows, a row of the wrong width or a cell that does not
     parse raises ``DataError`` naming the file."""
-    with reading(path):
-        data = Path(path).read_bytes()
-        header, *rows = [line.split(",") for line in data.decode("utf-8").splitlines()] or [[]]
+    text, digest = read_input(path, "utf-8")
+    header, *rows = [line.split(",") for line in text.splitlines()] or [[]]
     if callable(expected_header):
         expected_header = expected_header(header)
     if header != list(expected_header):
@@ -70,7 +69,7 @@ def read_table(path, expected_header) -> tuple[dict[str, np.ndarray], str]:
             columns[name] = np.array(cells, dtype=kind)
         except (ValueError, OverflowError) as exc:
             raise DataError(f"{path}: column {name}: {exc}") from None
-    return columns, hashlib.sha256(data).hexdigest()
+    return columns, digest
 
 
 def _reject_rows(path, bad: np.ndarray, what: str) -> None:

@@ -1,6 +1,7 @@
 """CLI surface: config handling, command round-trips, digests, exit codes."""
 
 import builtins
+import collections
 import errno
 import hashlib
 import importlib
@@ -71,6 +72,15 @@ def _denying(real_open, path):
     def open_(file, *args, **kwargs):
         if isinstance(file, (str, os.PathLike)) and os.fspath(file) == os.fspath(path):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(file))
+        return real_open(file, *args, **kwargs)
+    return open_
+
+
+def _counting(real_open, opened):
+    """``real_open``, noting in ``opened`` the path of each file it opens."""
+    def open_(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(os.fspath(file))
         return real_open(file, *args, **kwargs)
     return open_
 
@@ -437,6 +447,90 @@ class TestStageInputs:
         assert inputs == read
 
 
+    def test_preprocess_records_the_bytes_it_windowed(self, tmp_path, monkeypatch):
+        """An EDA CSV rewritten after the stage starts and before that file is
+        parsed is recorded under the digest of the bytes whose samples are in
+        the windows (told apart by clean runs on the old and the new bytes),
+        and once the old bytes are back, a warm rerun gives a clean run's
+        outputs."""
+        assert run_cli(tmp_path, "synth") == 0
+        rel = (tmp_path / "data" / "sessions.csv").read_text().splitlines()[1].split(",")[3]
+        path = tmp_path / "data" / rel
+        old = path.read_bytes()
+        header, *rows = old.decode().splitlines()
+        new = "".join(f"{line}\n" for line in [header, *(f"{t},{float(v) + 0.5!r}"
+                                                         for t, v in (row.split(",") for row in rows))]).encode()
+
+        def preprocess(out):
+            assert run_cli(tmp_path, "preprocess", "--set", f"output_root={json.dumps(str(tmp_path / out))}") == 0
+            return json.loads((tmp_path / out / "manifest_preprocess.json").read_text())
+
+        path.write_bytes(new)
+        clean_new = preprocess("clean_new")["outputs"]
+        path.write_bytes(old)
+        clean_old = preprocess("clean_old")["outputs"]
+        assert clean_new != clean_old
+        real = capstate.ingest.load_recording
+
+        def load_recording(session, *args, **kwargs):
+            if session.eda_file == rel:
+                path.write_bytes(new)
+            return real(session, *args, **kwargs)
+
+        monkeypatch.setattr(capstate.ingest, "load_recording", load_recording)
+        hooked = preprocess("out")
+        monkeypatch.undo()
+        assert hooked["outputs"] in (clean_old, clean_new)
+        windowed = old if hooked["outputs"] == clean_old else new
+        assert hooked["inputs"][rel] == hashlib.sha256(windowed).hexdigest()
+        path.write_bytes(old)
+        assert preprocess("out")["outputs"] == clean_old
+
+    @staticmethod
+    def _preprocess_opening(tmp_path, monkeypatch):
+        """Run preprocess: its manifest's inputs, and how often it opened each
+        file under ``data/``, by name relative to it."""
+        opened, data = [], tmp_path / "data"
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", _counting(builtins.open, opened))
+            patch.setattr(io, "open", _counting(io.open, opened))  # what pathlib opens with
+            assert run_cli(tmp_path, "preprocess") == 0
+        inputs = json.loads((tmp_path / "out" / "manifest_preprocess.json").read_text())["inputs"]
+        return inputs, collections.Counter(Path(p).relative_to(data).as_posix() for p in opened
+                                           if Path(p).is_relative_to(data))
+
+    def test_preprocess_opens_each_input_once(self, tmp_path, monkeypatch):
+        """Cold and warm, preprocess opens sessions.csv and each channel CSV
+        exactly once."""
+        assert run_cli(tmp_path, "synth") == 0
+        for run in ("cold", "warm"):
+            inputs, opened = self._preprocess_opening(tmp_path, monkeypatch)
+            assert len(inputs) == 19 and opened == dict.fromkeys(inputs, 1), run
+
+    def test_csv_two_sessions_list_is_read_once(self, tmp_path, monkeypatch):
+        """Two sessions list one EDA CSV: cold and warm, it is opened once and
+        recorded once, and both recordings hold its samples."""
+        assert run_cli(tmp_path, "synth") == 0
+        sessions = tmp_path / "data" / "sessions.csv"
+        header, first, second, *rest = sessions.read_text().splitlines()
+        shared, dropped = first.split(",")[3], second.split(",")[3]
+        sessions.write_text("\n".join([header, first, second.replace(dropped, shared), *rest]) + "\n")
+        samples = np.loadtxt(tmp_path / "data" / shared, delimiter=",", skiprows=1)[:, 1].tobytes()
+        real, loaded = capstate.ingest.load_recording, []
+
+        def load_recording(*args, **kwargs):
+            loaded.append(real(*args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(capstate.ingest, "load_recording", load_recording)
+        for run in ("cold", "warm"):
+            loaded.clear()
+            inputs, opened = self._preprocess_opening(tmp_path, monkeypatch)
+            assert shared in inputs and dropped not in inputs and len(inputs) == 18, run
+            assert opened == dict.fromkeys(inputs, 1), run
+            assert [rec.eda.values.tobytes() for rec in loaded[:2]] == [samples, samples], run
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
         assert main(["evaluate", "--set", "not.a.key=1"]) == 2
@@ -689,9 +783,8 @@ class TestExitCodes:
 
     def test_earlier_recording_fault_is_reported_first(self, tmp_path, capsys):
         """A flat ECG in the first session is reported, not the second
-        session's missing ECG, though the hashing thread reaches that file
-        before the first recording is loaded: faults surface in session
-        order."""
+        session's missing ECG, which the reading thread would reach next:
+        faults surface in session order."""
         assert run_cli(tmp_path, "synth") == 0
         data = tmp_path / "data"
         first, second = [line.split(",")[2] for line in (data / "sessions.csv").read_text().splitlines()[1:3]]
@@ -767,6 +860,22 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "out" / "manifest_preprocess.json").read_text())
         written = sorted(f"windows/{p.name}" for p in (tmp_path / "out" / "windows").glob("windows_*.csv"))
         assert written == sorted(manifest["outputs"]) == [f"windows/windows_sim0{i}.csv" for i in (1, 2, 3)]
+
+    @pytest.mark.parametrize("text", ["subject_id,condition,ecg_file,eda_file\n", ""], ids=["header-only", "empty"])
+    def test_sessions_without_rows_is_3(self, tmp_path, capsys, text):
+        """A sessions.csv that lists no session exits 3, naming it, without a
+        traceback, and leaves an earlier run's outputs as they were."""
+        assert run_cli(tmp_path, "synth") == 0
+        assert run_cli(tmp_path, "preprocess") == 0
+        out = tmp_path / "out"
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        sessions = tmp_path / "data" / "sessions.csv"
+        sessions.write_text(text)
+        capsys.readouterr()
+        assert run_cli(tmp_path, "preprocess") == 3
+        err = capsys.readouterr().err
+        assert f"data error: {sessions}: no rows" in err and "Traceback" not in err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_data_error_is_3(self, tmp_path):
         assert run_cli(tmp_path, "preprocess") == 3  # no synth tree yet
@@ -957,7 +1066,7 @@ class TestExitCodes:
             monkeypatch.setattr(cli_mod.ingest, name, counting(name))
         assert run_cli(tmp_path, "preprocess") == 0
         # 3 subjects x 3 conditions, each loaded through the module, one sessions.csv read
-        assert sorted(calls) == [("load_recording", "RawRecording")] * 9 + [("read_sessions", "list")]
+        assert sorted(calls) == [("load_recording", "RawRecording")] * 9 + [("read_sessions", "tuple")]
 
     def test_numerical_error_is_4(self, tmp_path, capsys):
         assert run_cli(tmp_path, "synth") == 0

@@ -129,7 +129,8 @@ class TestReadSessions:
         rows = [{"subject_id": s, "condition": c, "ecg_file": f"{s}/ecg_{i}.csv", "eda_file": f"{s}/eda_{i}.csv"}
                 for i, (s, c) in enumerate([("pp02", "c3"), ("pp01", " C2 "), ("pp02", "c1")])]
         write_sessions_csv(tmp_path, rows)
-        sessions = read_sessions(tmp_path)
+        sessions, digest = read_sessions(tmp_path)
+        assert digest == sha256_file(tmp_path / "sessions.csv")
         assert sessions == [
             Session(tmp_path, "pp02", Condition.C3, "pp02/ecg_0.csv", "pp02/eda_0.csv"),
             Session(tmp_path, "pp01", Condition.C2, "pp01/ecg_1.csv", "pp01/eda_1.csv"),
@@ -138,9 +139,9 @@ class TestReadSessions:
         assert pickle.loads(pickle.dumps(sessions)) == sessions
 
 
-def _load(tree, ecg_nominal_hz=256.0, eda_nominal_hz=32.0, parsed=None):
+def _load(tree, ecg_nominal_hz=256.0, eda_nominal_hz=32.0, parsed_dir=None):
     """The tree's one recording, pp01 under c1."""
-    return load_recording(read_sessions(tree)[0], ecg_nominal_hz, eda_nominal_hz, parsed)
+    return load_recording(read_sessions(tree)[0][0], ecg_nominal_hz, eda_nominal_hz, parsed_dir=parsed_dir)
 
 
 class TestLoadRecording:
@@ -185,7 +186,7 @@ def _same_recording(a, b) -> bool:
 
 
 def _cold_table(path, header) -> np.ndarray:
-    return np.column_stack(_read_two_column_csv(path, header))
+    return np.column_stack(_read_two_column_csv(path, header, path.read_bytes()))
 
 
 def _bad_entries(good: np.ndarray, entry):
@@ -209,30 +210,31 @@ class TestParsedEntries:
     FILES = (("pp01/ecg_c1.csv", "mv"), ("pp01/eda_c1.csv", "us"))
 
     def _parsed(self, tree):
+        """The entries' directory, and each CSV's entry in it by path."""
         entries = tree / "parsed"
         entries.mkdir(exist_ok=True)
-        return {tree / rel: parsed_entry(entries, sha256_file(tree / rel)) for rel, _ in self.FILES}
+        return entries, {tree / rel: parsed_entry(entries, sha256_file(tree / rel)) for rel, _ in self.FILES}
 
     def test_entry_written_then_read(self, tree, monkeypatch):
         cold = _load(tree)
-        parsed = self._parsed(tree)
-        assert _same_recording(_load(tree, parsed=parsed), cold)
+        entries, parsed = self._parsed(tree)
+        assert _same_recording(_load(tree, parsed_dir=entries), cold)
         for rel, header in self.FILES:
             kept = np.load(parsed[tree / rel], allow_pickle=False)
             assert kept.tobytes() == _cold_table(tree / rel, header).tobytes()
         monkeypatch.setattr(np, "loadtxt", lambda *a, **k: pytest.fail("parsed a CSV with its entry kept"))
-        assert _same_recording(_load(tree, parsed=parsed), cold)
+        assert _same_recording(_load(tree, parsed_dir=entries), cold)
 
     @pytest.mark.parametrize("kind", ["truncated", "three-rows", "int64", "object", "nan"])
     def test_bad_entry_is_a_miss_and_rewritten(self, tree, kind):
         cold = _load(tree)
-        parsed = self._parsed(tree)
-        _load(tree, parsed=parsed)
+        entries, parsed = self._parsed(tree)
+        _load(tree, parsed_dir=entries)
         for rel, header in self.FILES:
             entry = parsed[tree / rel]
             _bad_entries(_cold_table(tree / rel, header), entry)[kind]()
             assert _read_entry(entry) is None
-        assert _same_recording(_load(tree, parsed=parsed), cold)
+        assert _same_recording(_load(tree, parsed_dir=entries), cold)
         for rel, header in self.FILES:
             assert np.load(parsed[tree / rel], allow_pickle=False).tobytes() == \
                 _cold_table(tree / rel, header).tobytes()
@@ -244,7 +246,7 @@ class TestParsedEntries:
         lines[5], lines[6] = lines[6], lines[5]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="non-monotonic"):
-            _load(tree, parsed=self._parsed(tree))
+            _load(tree, parsed_dir=self._parsed(tree)[0])
         assert not list((tree / "parsed").iterdir())
 
     def test_stale_entry_pruned_after_an_edit(self, tmp_path, monkeypatch):
@@ -324,7 +326,7 @@ class TestCsvReader:
         fmt = data.draw(st.sampled_from(FORMATS))
         fields = [(repr(t), fmt.format(v)) for t, v in zip(times, values)]
         path = _write(tmp_path_factory.mktemp("csv") / "x.csv", [f"{a},{b}" for a, b in fields])
-        t, v = _read_two_column_csv(path, "mv")
+        t, v = _read_two_column_csv(path, "mv", path.read_bytes())
         assert t.tobytes() == np.array([float(a) for a, _ in fields]).tobytes()
         assert v.tobytes() == np.array([float(b) for _, b in fields]).tobytes()
 
@@ -339,27 +341,27 @@ class TestCsvReader:
         rows[i] = make(times[i], times[i - 1])
         path = _write(tmp_path_factory.mktemp("csv") / "x.csv", rows)
         with pytest.raises(DataError, match=re.escape(str(path))) as err:
-            _read_two_column_csv(path, "mv")
+            _read_two_column_csv(path, "mv", path.read_bytes())
         assert f"{reason}" in str(err.value) and f"line {i + 2}" in str(err.value)
 
     def test_extra_field_on_every_row_rejected(self, tmp_path):
         path = _write(tmp_path / "x.csv", ["0.0,1.0,9", "0.5,1.0,9", "1.0,1.0,9"])
         with pytest.raises(DataError, match="malformed line 2"):
-            _read_two_column_csv(path, "mv")
+            _read_two_column_csv(path, "mv", path.read_bytes())
 
     def test_undecodable_bytes_name_the_line(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_bytes(b"t_s,mv\n0.0,1.0\n0.5,\xff\xfe\n1.0,1.0\n")
         with pytest.raises(DataError, match="malformed line 3"):
-            _read_two_column_csv(path, "mv")
+            _read_two_column_csv(path, "mv", path.read_bytes())
 
     def test_wrong_header_rejected(self, tmp_path):
         path = _write(tmp_path / "x.csv", ["0.0,1.0", "0.5,1.0"], header="t_s,us")
         with pytest.raises(DataError, match=re.escape(str(path)) + ".*header"):
-            _read_two_column_csv(path, "mv")
+            _read_two_column_csv(path, "mv", path.read_bytes())
 
     @pytest.mark.parametrize("rows", [[], ["0.0,1.0"]])
     def test_fewer_than_two_rows_rejected(self, tmp_path, rows):
         path = _write(tmp_path / "x.csv", rows)
         with pytest.raises(DataError, match=re.escape(str(path)) + ".*fewer than 2 samples"):
-            _read_two_column_csv(path, "mv")
+            _read_two_column_csv(path, "mv", path.read_bytes())
