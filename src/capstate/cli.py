@@ -8,6 +8,11 @@ RunManifest with the resolved config hash and sha256 digests of its inputs
 and outputs. Each stage reads each input once and digests the bytes it
 parses, so a file rewritten during a run is recorded by the bytes used.
 
+Each command is straight-line calls on one ``config.Stage``, the one place
+that knows where its manifest goes, which config key an output fault names
+(exit 2) and the stale-file rule: outputs an earlier run left, which the
+next stage would read, are deleted before the new ones are written.
+
 ``preprocess`` keeps each input CSV's parsed samples in
 ``<output_root>/parsed/<sha256>.npy``, keyed by the digest its manifest
 records, so a rerun on unchanged files reads the entry instead of parsing the
@@ -66,33 +71,30 @@ def cmd_synth(cfg: cfgmod.PipelineConfig) -> int:
     if cfg.synth.duration_s < shortest:
         raise ConfigError(f"synth.duration_s must be >= {shortest:g}, the shortest synthetic recording "
                           f"that preprocesses into one {cfg.windowing.window_len_samples}-sample window")
-    started = cfgmod.now_iso()
-    root = cfgmod.make_stage_dir(cfg.data_root, "data_root")
+    stage = cfgmod.Stage("synth", cfg, cfg.data_root, key="data_root")
+    root = stage.dir()
     recs = pipeline.make_synthetic_recordings(
         cfg.synth.n_subjects,
         duration_s=cfg.synth.duration_s,
         seed=cfg.seed,
         ecg_rate_hz=cfg.synth.ecg_rate_hz,
     )
-    with cfgmod.stage_outputs("data_root"):
+    with stage.writing():
         rows = [ingest.write_recording_csvs(root, r.subject_id, r.condition, r) for r in recs]
         ingest.write_sessions_csv(root, rows)
-        outputs = {"sessions.csv": cfgmod.sha256_file(root / "sessions.csv")}
-        for row in rows:
-            for key in ("ecg_file", "eda_file"):
-                outputs[row[key]] = cfgmod.sha256_file(root / row[key])
-        cfgmod.write_manifest(root, "synth", cfg, inputs={}, outputs=outputs, started_at=started)
+        for rel in ["sessions.csv", *(row[key] for row in rows for key in ("ecg_file", "eda_file"))]:
+            stage.outputs[rel] = cfgmod.sha256_file(root / rel)
+    stage.finish()
     print(f"wrote {len(rows)} recordings for {cfg.synth.n_subjects} subjects under {root}")
     return 0
 
 
 def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
-    started = cfgmod.now_iso()
+    stage = cfgmod.Stage("preprocess", cfg, cfg.output_root)
     root = Path(cfg.data_root)
-    sessions, sessions_digest = ingest.read_sessions(root)
-    out_dir = cfgmod.make_stage_dir(Path(cfg.output_root) / "windows", "output_root")
-    parsed_dir = cfgmod.make_stage_dir(Path(cfg.output_root) / "parsed", "output_root")
-    inputs = {"sessions.csv": sessions_digest}
+    sessions, stage.inputs["sessions.csv"] = ingest.read_sessions(root)
+    stage.dir("windows")
+    parsed_dir = stage.dir("parsed")
     # each session's files, then none: the read-ahead after the last session reads nothing
     listed = [dict.fromkeys((session.ecg_file, session.eda_file)) for session in sessions] + [{}]
     last = {rel: k for k, rels in enumerate(listed) for rel in rels}  # the last session that lists each file
@@ -102,9 +104,9 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
         ahead = {rel: reader.submit(read_input, root / rel) for rel in listed[0]}
         for k, session in enumerate(sessions):
             contents.update((rel, read.result()) for rel, read in ahead.items())  # a read's DataError, in session order
-            inputs.update((rel, contents[rel][1]) for rel in listed[k])
+            stage.inputs.update((rel, contents[rel][1]) for rel in listed[k])
             # an OSError here is a parsed entry's write: a fault reading an input is a DataError
-            with cfgmod.stage_outputs("output_root"):
+            with stage.writing():
                 rec = ingest.load_recording(session, cfg.ecg_nominal_hz, cfg.eda_nominal_hz, contents, parsed_dir)
             contents = {rel: content for rel, content in contents.items() if last[rel] > k}
             # the next session's new files are read while this recording is windowed
@@ -118,26 +120,22 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
             except NumericalError as exc:
                 raise NumericalError(f"{where}: {exc}") from exc
             by_subject.setdefault(session.subject_id, []).append(part)
-    kept = {ingest.parsed_entry(parsed_dir, inputs[rel]) for rel in last}
-    ingest.prune_parsed(parsed_dir, kept)  # entries of files since edited or dropped
-    with cfgmod.stage_outputs("output_root"):
-        for stale in out_dir.glob("windows_*.csv"):
-            stale.unlink()  # evaluate trains on every windows_*.csv it finds
-        outputs = {}
-        for subject in sorted(by_subject):
-            ds = pipeline.concat_datasets(by_subject[subject])
-            name = f"windows_{subject}.csv"
-            outputs[f"windows/{name}"] = storage.write_windows_csv(out_dir / name, ds)
-            print(f"{subject}: {len(ds)} windows")
-        cfgmod.write_manifest(Path(cfg.output_root), "preprocess", cfg, inputs, outputs, started)
+    with stage.writing():  # drop the entries of files since edited or dropped
+        ingest.prune_parsed(parsed_dir, {ingest.parsed_entry(parsed_dir, stage.inputs[rel]) for rel in last})
+    stage.clear("windows", "windows_*.csv")  # evaluate trains on every windows_*.csv it finds
+    for subject in sorted(by_subject):
+        ds = pipeline.concat_datasets(by_subject[subject])
+        stage.write(f"windows/windows_{subject}.csv", storage.write_windows_csv, ds)
+        print(f"{subject}: {len(ds)} windows")
+    stage.finish()
     return 0
 
 
 def cmd_evaluate(cfg: cfgmod.PipelineConfig) -> int:
-    started = cfgmod.now_iso()
-    dataset, digests = storage.read_windows_dir(Path(cfg.output_root) / "windows")
-    inputs = {f"windows/{name}": digest for name, digest in digests.items()}
-    results_dir = cfgmod.make_stage_dir(Path(cfg.output_root) / "results", "output_root")
+    stage = cfgmod.Stage("evaluate", cfg, cfg.output_root)
+    dataset, digests = storage.read_windows_dir(stage.root / "windows")
+    stage.inputs = {f"windows/{name}": digest for name, digest in digests.items()}
+    stage.dir("results")
     folds = run_loso(
         dataset,
         cfg.arch,
@@ -147,30 +145,29 @@ def cmd_evaluate(cfg: cfgmod.PipelineConfig) -> int:
         parallel_folds=cfg.parallel_folds,
         seed=cfg.seed,
     )
-    with cfgmod.stage_outputs("output_root"):
-        for stale in [*results_dir.glob("fold_*.csv"), *results_dir.glob("history_*.csv")]:
-            stale.unlink()  # report aggregates every fold_*.csv it finds
-        outputs = {}
-        for fold in folds:
-            fold_name, history_name = f"fold_{fold.subject_id}.csv", f"history_{fold.subject_id}.csv"
-            outputs[f"results/{fold_name}"] = storage.write_fold_csv(results_dir / fold_name, fold)
-            outputs[f"results/{history_name}"] = storage.write_history_csv(results_dir / history_name, fold.history)
-            print(f"{fold.subject_id}: stress BA {fold.ba('stress'):.3f} effort BA {fold.ba('effort'):.3f}")
-        cfgmod.write_manifest(Path(cfg.output_root), "evaluate", cfg, inputs, outputs, started)
+    stage.clear("results", "fold_*.csv", "history_*.csv")  # report aggregates every fold_*.csv it finds
+    for fold in folds:
+        stage.write(f"results/fold_{fold.subject_id}.csv", storage.write_fold_csv, fold)
+        stage.write(f"results/history_{fold.subject_id}.csv", storage.write_history_csv, fold.history)
+        print(f"{fold.subject_id}: stress BA {fold.ba('stress'):.3f} effort BA {fold.ba('effort'):.3f}")
+    stage.finish()
     return 0
 
 
 def cmd_report(cfg: cfgmod.PipelineConfig) -> int:
-    started = cfgmod.now_iso()
-    rdir = Path(cfg.output_root) / "results"
-    folds, inputs = storage.read_folds_dir(rdir)
-    cfgmod.make_stage_dir(rdir / "report", "output_root")
+    stage = cfgmod.Stage("report", cfg, Path(cfg.output_root) / "results")
+    folds, stage.inputs = storage.read_folds_dir(stage.root)
+    stage.dir("report")
     texts = render_report(folds)
-    with cfgmod.stage_outputs("output_root"):
-        outputs = {name: storage.write_text(rdir / name, text) for name, text in texts.items()}
-        cfgmod.write_manifest(rdir, "report", cfg, inputs, outputs, started)
+    for name, text in texts.items():
+        stage.write(name, storage.write_text, text)
+    stage.finish()
     print(texts["report/report.txt"])
     return 0
+
+
+# each error a stage raises: its exit code and the start of its line on stderr
+_EXITS = {ConfigError: (2, "config error"), DataError: (3, "data error"), NumericalError: (4, "numerical failure")}
 
 
 def main(argv=None) -> int:
@@ -181,15 +178,10 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         command = {"synth": cmd_synth, "preprocess": cmd_preprocess, "evaluate": cmd_evaluate, "report": cmd_report}
         return command[args.command](cfg)  # argparse has rejected any other name
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
+    except tuple(_EXITS) as exc:
+        code, prefix = _EXITS[type(exc)]
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -238,36 +238,63 @@ def make_stage_dir(path, key: str) -> Path:
     return path
 
 
-@contextlib.contextmanager
-def stage_outputs(key: str):
-    """Turn an OSError while a stage deletes, writes or digests its output
-    files under the directory that config key ``key`` places (a directory
-    where a file goes, no permission) into a ConfigError naming the key and
-    the path (a rename's target), as :func:`make_stage_dir` does."""
-    try:
-        yield
-    except OSError as exc:
-        path = exc.filename2 or exc.filename or "an output"
-        raise ConfigError(f"{key}: cannot write {path}: {exc.strerror or exc}") from None
+class Stage:
+    """One stage's run: the inputs it read and the outputs it wrote, by path
+    and sha256, and the one place that knows three things. Its manifest is
+    ``manifest_<name>.json`` in ``root``; an output fault names config key
+    ``key``, the key that places ``root``; and a stale output is deleted by
+    :meth:`clear` before the outputs are written. Making one notes the start
+    time and touches no file, so a stage reads and checks its inputs before
+    it makes any directory. Callers fill ``inputs`` from the digests their
+    readers return."""
 
+    def __init__(self, name: str, cfg: PipelineConfig, root, key: str = "output_root"):
+        self.name, self.cfg, self.root, self.key = name, cfg, Path(root), key
+        self.started_at = datetime.now(timezone.utc).isoformat()
+        self.inputs, self.outputs = {}, {}
 
-def write_manifest(out_dir, stage: str, cfg: PipelineConfig, inputs: dict, outputs: dict,
-                   started_at: str) -> Path:
-    """``manifest_<stage>.json`` in ``out_dir``, a directory the stage made."""
-    manifest = {
-        "stage": stage,
-        "config_hash": config_hash(cfg),
-        "config": config_to_dict(cfg),
-        "seed": cfg.seed,
-        "started_at": started_at,
-        "finished_at": now_iso(),
-        "inputs": dict(sorted(inputs.items())),
-        "outputs": dict(sorted(outputs.items())),
-    }
-    path = Path(out_dir) / f"manifest_{stage}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    def dir(self, rel: str = "") -> Path:
+        """The stage directory ``root / rel``, made (:func:`make_stage_dir`)."""
+        return make_stage_dir(self.root / rel, self.key)
 
+    @contextlib.contextmanager
+    def writing(self):
+        """Turn an OSError while the block deletes, writes or digests output
+        files (a directory where a file goes, no permission) into a
+        ConfigError naming the key and the path (a rename's target), as
+        :func:`make_stage_dir` does."""
+        try:
+            yield
+        except OSError as exc:
+            path = exc.filename2 or exc.filename or "an output"
+            raise ConfigError(f"{self.key}: cannot write {path}: {exc.strerror or exc}") from None
 
-def now_iso() -> str:
-    return datetime.now(timezone.utc).isoformat()
+    def clear(self, rel: str, *patterns: str) -> None:
+        """Delete the files in ``root / rel`` that ``patterns`` match: outputs
+        of an earlier run, which the next stage would read as this one's."""
+        with self.writing():
+            for pattern in patterns:
+                for stale in (self.root / rel).glob(pattern):
+                    stale.unlink()
+
+    def write(self, rel: str, writer, obj) -> None:
+        """``writer(root / rel, obj)``, recording the sha256 it returns as output ``rel``."""
+        with self.writing():
+            self.outputs[rel] = writer(self.root / rel, obj)
+
+    def finish(self) -> None:
+        """Write the manifest: the config, its hash, the seed, the start and
+        finish times, and the inputs and outputs in path order."""
+        manifest = {
+            "stage": self.name,
+            "config_hash": config_hash(self.cfg),
+            "config": config_to_dict(self.cfg),
+            "seed": self.cfg.seed,
+            "started_at": self.started_at,
+            "finished_at": datetime.now(timezone.utc).isoformat(),
+            "inputs": dict(sorted(self.inputs.items())),
+            "outputs": dict(sorted(self.outputs.items())),
+        }
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        with self.writing():
+            (self.root / f"manifest_{self.name}.json").write_text(text)

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import threading
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,15 @@ class TestCommandChain:
         assert sorted(reported) == sorted(["stats.json", *(f"report/{p.name}" for p in report_dir.iterdir())])
         assert run_cli(tmp_path, "report") == 0
         assert json.loads((results / "manifest_report.json").read_text())["outputs"] == reported
+        # every stage's manifest has one schema
+        for stage, where in (("synth", tmp_path / "data"), ("preprocess", out_dir), ("evaluate", out_dir),
+                             ("report", results)):
+            manifest = json.loads((where / f"manifest_{stage}.json").read_text())
+            assert set(manifest) == {"stage", "config_hash", "config", "seed", "started_at", "finished_at",
+                                     "inputs", "outputs"}, stage
+            assert manifest["stage"] == stage
+            assert (datetime.fromisoformat(manifest["started_at"])
+                    <= datetime.fromisoformat(manifest["finished_at"])), stage
 
     def test_warm_preprocess_parses_no_csv(self, tmp_path, monkeypatch):
         assert run_cli(tmp_path, "synth") == 0
@@ -640,6 +650,10 @@ class TestExitCodes:
         ("preprocess", "out/windows/windows_zz.csv"),
         ("evaluate", "out/results/fold_zz.csv"),
         ("report", "out/results/report/report.txt"),
+        ("synth", "data/manifest_synth.json"),
+        ("preprocess", "out/manifest_preprocess.json"),
+        ("evaluate", "out/manifest_evaluate.json"),
+        ("report", "out/results/manifest_report.json"),
     ])
     def test_directory_where_an_output_file_goes_is_2(self, tmp_path, capsys, command, target):
         """A directory where a stage deletes or writes an output file (a
@@ -699,6 +713,27 @@ class TestExitCodes:
         assert run_cli(tmp_path, "preprocess") == 2
         err = capsys.readouterr().err
         assert f"config error: output_root: cannot write {entry}: " in err and "Traceback" not in err
+
+    def test_parsed_entry_that_cannot_be_deleted_is_2(self, tmp_path, capsys, monkeypatch):
+        """A stale parsed entry that preprocess cannot delete exits 2, naming
+        output_root and the entry, without a traceback. A root process is
+        never denied, so the denial is simulated."""
+        self._stage_inputs(tmp_path, "preprocess")
+        assert run_cli(tmp_path, "preprocess") == 0
+        stale = tmp_path / "out" / "parsed" / f"{'0' * 64}.npy"
+        stale.write_bytes(b"")
+        real_unlink = Path.unlink
+
+        def unlink(path, *args, **kwargs):
+            if path == stale:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", unlink)
+        capsys.readouterr()
+        assert run_cli(tmp_path, "preprocess") == 2
+        err = capsys.readouterr().err
+        assert f"config error: output_root: cannot write {stale}: Permission denied" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("target, kind", [
         ("config", "directory"), ("config", "binary"), ("sessions", "directory"), ("sessions", "binary"),
