@@ -1,7 +1,7 @@
 """Operator CLI: synth, preprocess, evaluate, report.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure. Every file a stage reads goes through ``errors.reading``, so a
+failure. Every file a stage reads goes through ``errors.read_input``, so a
 ``--config`` path that is missing, not a regular file or unreadable exits
 2, and such a data file exits 3, naming the path. Every stage writes a
 RunManifest with the resolved config hash and sha256 digests of its inputs
@@ -19,13 +19,16 @@ records, so a rerun on unchanged files reads the entry instead of parsing the
 CSV. Each run deletes every entry it did not use, and no other file there;
 the directory is safe to delete.
 
-``preprocess`` reads and hashes the next session's channel CSVs on one
-helper thread while the main thread windows the current recording (the read
-and the hash release the GIL), and the main thread checks and parses those
-same bytes. It takes a session's bytes when it reaches that session, so a
-fault in a file is reported after any earlier recording's fault, and the
-thread is gone when the stage returns or fails. A file that several sessions
-list is read once. Every other call of the stage runs on the main thread.
+Each channel CSV belongs to one session (``sessions.csv`` names it once),
+so ``preprocess`` reads one session's two files at a time. It reads and
+hashes the next session's files on one helper thread while the main thread
+windows the current recording (the read and the hash release the GIL), and
+the main thread checks and parses those same bytes. Those reads start once
+the current session's bytes are dropped, so at most one session's bytes are
+held. It takes a session's bytes when it reaches that session, so a fault in
+a file is reported after any earlier recording's fault, and the thread is
+gone when the stage returns or fails. Every other call of the stage runs on
+the main thread.
 """
 
 import argparse
@@ -95,22 +98,18 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
     sessions, stage.inputs["sessions.csv"] = ingest.read_sessions(root)
     stage.dir("windows")
     parsed_dir = stage.dir("parsed")
-    # each session's files, then none: the read-ahead after the last session reads nothing
-    listed = [dict.fromkeys((session.ecg_file, session.eda_file)) for session in sessions] + [{}]
-    last = {rel: k for k, rels in enumerate(listed) for rel in rels}  # the last session that lists each file
-    contents = {}  # file name -> (bytes, sha256), while a session still to load lists the file
     by_subject: dict[str, list] = {}
     with ThreadPoolExecutor(max_workers=1) as reader:
-        ahead = {rel: reader.submit(read_input, root / rel) for rel in listed[0]}
-        for k, session in enumerate(sessions):
-            contents.update((rel, read.result()) for rel, read in ahead.items())  # a read's DataError, in session order
-            stage.inputs.update((rel, contents[rel][1]) for rel in listed[k])
-            # an OSError here is a parsed entry's write: a fault reading an input is a DataError
+        ahead = [reader.submit(read_input, root / rel) for rel in (sessions[0].ecg_file, sessions[0].eda_file)]
+        for session, after in zip(sessions, [*sessions[1:], None]):
+            files = [read.result() for read in ahead]  # a read's DataError, in session order
+            stage.inputs[session.ecg_file], stage.inputs[session.eda_file] = (digest for _, digest in files)
+            # an OSError here is a parsed entry's write: the inputs were read above
             with stage.writing():
-                rec = ingest.load_recording(session, cfg.ecg_nominal_hz, cfg.eda_nominal_hz, contents, parsed_dir)
-            contents = {rel: content for rel, content in contents.items() if last[rel] > k}
-            # the next session's new files are read while this recording is windowed
-            ahead = {rel: reader.submit(read_input, root / rel) for rel in listed[k + 1] if rel not in contents}
+                rec = ingest.load_recording(session, cfg.ecg_nominal_hz, cfg.eda_nominal_hz, files, parsed_dir)
+            del files, ahead  # this session's bytes go before the next session's are read
+            if after:  # read while this recording is windowed
+                ahead = [reader.submit(read_input, root / rel) for rel in (after.ecg_file, after.eda_file)]
             where = (f"subject {session.subject_id} condition {session.condition.value} "
                      f"({session.ecg_file}, {session.eda_file})")
             try:
@@ -121,7 +120,7 @@ def cmd_preprocess(cfg: cfgmod.PipelineConfig) -> int:
                 raise NumericalError(f"{where}: {exc}") from exc
             by_subject.setdefault(session.subject_id, []).append(part)
     with stage.writing():  # drop the entries of files since edited or dropped
-        ingest.prune_parsed(parsed_dir, {ingest.parsed_entry(parsed_dir, stage.inputs[rel]) for rel in last})
+        ingest.prune_parsed(parsed_dir, (stage.inputs[rel] for s in sessions for rel in (s.ecg_file, s.eda_file)))
     stage.clear("windows", "windows_*.csv")  # evaluate trains on every windows_*.csv it finds
     for subject in sorted(by_subject):
         ds = pipeline.concat_datasets(by_subject[subject])

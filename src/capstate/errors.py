@@ -2,12 +2,10 @@
 
 ``ValueError`` is raised for plain API misuse (bad parameters, wrong shapes).
 The classes below mark conditions the CLI maps to distinct exit codes.
-:func:`reading` holds the rule every file a stage reads goes through and
-:func:`read_input` reads a file under it; they live here because every
-reader can import this module.
+:func:`read_input` holds the one rule every file a stage reads goes through;
+it lives here because every reader can import this module.
 """
 
-import contextlib
 import hashlib
 import os
 import stat
@@ -29,32 +27,23 @@ class NumericalError(CapstateError):
     """A numerical procedure failed (non-convergence, non-finite values)."""
 
 
-@contextlib.contextmanager
-def reading(path, error=DataError):
-    """Run a block that opens and reads the input file ``path``, which must
-    name a regular file. Otherwise ``error`` is raised naming the path:
-    ``missing file: <path>``; ``<path>: not a regular file`` (a directory,
-    a FIFO, a device); ``<path>: not a text file: ...`` when the block
-    decodes bytes that are not UTF-8; or ``<path>: <strerror>`` for any
-    other OSError while the block opens or reads it (no permission, a name
-    too long). Whatever else the block raises passes through."""
+def read_input(path, encoding=None, error=DataError) -> tuple[bytes | str, str]:
+    """The bytes of the input file ``path`` (their text with an ``encoding``)
+    and their sha256 hex digest, read once. ``path`` must name a regular
+    file, else ``error`` is raised naming it: ``missing file: <path>``;
+    ``<path>: not a regular file`` (a directory, a FIFO, which is never
+    opened, a device); ``<path>: not a text file: ...`` for bytes that do not
+    decode; or ``<path>: <strerror>`` for any other OSError while opening or
+    reading it (no permission, a name too long)."""
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise error(f"{path}: not a regular file")
-        yield
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data.decode(encoding) if encoding else data, hashlib.sha256(data).hexdigest()
     except FileNotFoundError:
         raise error(f"missing file: {path}") from None
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not a text file: {exc}") from None
     except OSError as exc:
         raise error(f"{path}: {exc.strerror or exc}") from None
-
-
-def read_input(path, encoding=None, error=DataError) -> tuple[bytes | str, str]:
-    """The bytes of the input file ``path`` (their text with an ``encoding``)
-    and their sha256 hex digest, read once under :func:`reading`: a path that
-    breaks its rule (a FIFO is never opened) or bytes that do not decode
-    raise ``error``."""
-    with reading(path, error), open(path, "rb") as fh:
-        data = fh.read()
-        return data.decode(encoding) if encoding else data, hashlib.sha256(data).hexdigest()

@@ -10,6 +10,8 @@ On-disk layout (one directory per subject under the dataset root):
     <root>/sessions.csv                 header: subject_id,condition,ecg_file,eda_file
     <root>/<subject>/ecg_<cond>.csv     header: t_s,mv   (uniform step, nominally 2048 Hz)
     <root>/<subject>/eda_<cond>.csv     header: t_s,us   (uniform step, nominally 32 Hz)
+
+Each channel file belongs to one session: ``sessions.csv`` names it once.
 """
 
 import csv
@@ -83,11 +85,9 @@ def _is_sample_table(data) -> bool:
     )
 
 
-def _read_entry(entry: Path | None):
+def _read_entry(entry: Path):
     """The samples kept at ``entry``, or None when it is absent, unreadable
     or does not hold a sample table."""
-    if entry is None:
-        return None
     try:
         with open(entry, "rb") as fh:
             data = np.load(fh, allow_pickle=False)
@@ -114,15 +114,17 @@ def parsed_entry(parsed_dir: Path, digest: str) -> Path:
     return parsed_dir / f"{digest}.npy"
 
 
-def prune_parsed(parsed_dir: Path, kept) -> None:
-    """Delete every entry under ``parsed_dir`` that is not in ``kept``, and
-    any temporary file a write left; files of other names are left alone."""
+def prune_parsed(parsed_dir: Path, digests) -> None:
+    """Delete every entry under ``parsed_dir`` that keeps no CSV of the sha256
+    hex ``digests``, and any temporary file a write left; files of other
+    names are left alone."""
+    kept = {parsed_entry(parsed_dir, digest) for digest in digests}
     for path in parsed_dir.iterdir():
         if path not in kept and _ENTRY_NAME.fullmatch(path.name) and not path.is_dir():
             path.unlink()
 
 
-def _read_two_column_csv(path: Path, value_header: str, data: bytes, entry: Path | None = None):
+def _read_two_column_csv(path: Path, value_header: str, data: bytes, entry: Path):
     """``(t, v)`` from ``data``, the bytes of the ``t_s,<value_header>`` CSV
     at ``path``, which must hold at least two rows of finite samples with
     strictly increasing timestamps; anything else raises :class:`DataError`
@@ -149,8 +151,7 @@ def _read_two_column_csv(path: Path, value_header: str, data: bytes, entry: Path
             table = np.empty((0, 0))
         if not _is_sample_table(table):
             _raise_first_bad_line(path, fh)
-        if entry is not None:
-            _write_entry(entry, table)
+        _write_entry(entry, table)
     return table[:, 0], table[:, 1].copy()
 
 
@@ -217,8 +218,11 @@ def read_sessions(root_path) -> tuple[list[Session], str]:
     name a subject, a known condition and both files, the subject id must
     hold no comma, double quote, slash or non-printable character (it becomes
     a cell of the unquoted output tables, which are split into lines by
-    ``str.splitlines``, and part of a file name), and no subject/condition
-    pair may appear twice, else :class:`DataError` names the file and the rows."""
+    ``str.splitlines``, and part of a file name), no subject/condition pair
+    may appear twice, and no file may be named twice, by two rows or as both
+    channels of one (compared as listed), else :class:`DataError` names the
+    file and the rows. So each channel file belongs to one session, and a
+    held-out subject's samples cannot reach another subject's windows."""
     root = Path(root_path)
     manifest = root / "sessions.csv"
     # utf-8-sig drops the byte-order mark spreadsheet programs write
@@ -227,7 +231,7 @@ def read_sessions(root_path) -> tuple[list[Session], str]:
     if not rows:
         raise DataError(f"{manifest}: no rows")
     needed = {"subject_id", "condition", "ecg_file", "eda_file"}
-    sessions, seen = [], {}
+    sessions, seen, listed = [], {}, {}
     for i, row in enumerate(rows, start=2):
         if not needed.issubset(row.keys()) or any(row[k] in (None, "") for k in needed):
             raise DataError(f"{manifest}: malformed row {i}: {row}")
@@ -244,40 +248,42 @@ def read_sessions(root_path) -> tuple[list[Session], str]:
             raise DataError(f"{manifest}: rows {seen[subject, condition]} and {i} both list subject {subject!r} "
                             f"condition {condition.value}")
         seen[subject, condition] = i
+        if row["ecg_file"] == row["eda_file"]:
+            raise DataError(f"{manifest}: row {i} lists file {row['ecg_file']!r} as both ECG and EDA")
+        for rel in (row["ecg_file"], row["eda_file"]):
+            if rel in listed:
+                raise DataError(f"{manifest}: rows {listed[rel]} and {i} both list file {rel!r}")
+            listed[rel] = i
         sessions.append(Session(root, subject, condition, row["ecg_file"], row["eda_file"]))
     return sessions, digest
 
 
 def load_recording(session: Session, ecg_nominal_hz: float, eda_nominal_hz: float,
-                   contents: dict | None = None, parsed_dir: Path | None = None) -> RawRecording:
+                   files, parsed_dir: Path) -> RawRecording:
     """Load the recording of one ``session`` (see :func:`read_sessions`) from
-    ``contents``, which maps a file name as the session lists it to its bytes
-    and their sha256 (:func:`capstate.errors.read_input`); a file not in it
-    is read here.
+    ``files``, the bytes and sha256 of its ECG file, then of its EDA file, as
+    :func:`capstate.errors.read_input` returns them; no file is read here.
 
-    Raises :class:`DataError` naming the offending file for a file that
-    breaks the input-file rule (:func:`capstate.errors.reading`), a bad
-    header or line, non-monotonic timestamps, a channel whose samples all
-    hold one value, or a sampling rate off nominal by more than 5%.
+    Raises :class:`DataError` naming the offending file for a bad header or
+    line, non-monotonic timestamps, a channel whose samples all hold one
+    value, or a sampling rate off nominal by more than 5%.
 
-    With ``parsed_dir``, each file's parsed samples are kept there under the
+    Each file's parsed samples are kept under ``parsed_dir``, named by the
     sha256 of its bytes, so an entry is only ever read for the bytes it was
     parsed from. An entry that fails to load or to pass the parse checks is
     rewritten from the bytes; the header, flatness and rate checks run on
     every load.
     """
-    contents = contents or {}
-    ecg, ecg_span = _load_channel(session, session.ecg_file, "mv", ecg_nominal_hz, contents, parsed_dir)
-    eda, eda_span = _load_channel(session, session.eda_file, "us", eda_nominal_hz, contents, parsed_dir)
+    ecg, ecg_span = _load_channel(session.root / session.ecg_file, "mv", ecg_nominal_hz, files[0], parsed_dir)
+    eda, eda_span = _load_channel(session.root / session.eda_file, "us", eda_nominal_hz, files[1], parsed_dir)
     return RawRecording(session.subject_id, session.condition, ecg, eda, float(max(ecg_span, eda_span)))
 
 
-def _load_channel(session: Session, rel: str, value_header: str, nominal_hz: float, contents, parsed_dir):
-    """The checked channel CSV ``rel``: its samples at the measured rate, and
-    the seconds its timestamps span."""
-    path = session.root / rel
-    data, digest = contents.get(rel) or read_input(path)
-    t, v = _read_two_column_csv(path, value_header, data, parsed_dir and parsed_entry(parsed_dir, digest))
+def _load_channel(path: Path, value_header: str, nominal_hz: float, file, parsed_dir: Path):
+    """The checked channel CSV at ``path`` from ``file``, its bytes and their
+    sha256: its samples at the measured rate, and the seconds its timestamps span."""
+    data, digest = file
+    t, v = _read_two_column_csv(path, value_header, data, parsed_entry(parsed_dir, digest))
     _check_not_flat(path, v)
     return UniformSeries(v, _check_rate(path, t, nominal_hz)), t[-1] - t[0]
 

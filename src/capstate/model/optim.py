@@ -24,14 +24,11 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str,
 
 
 class AdamW:
-    """theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)."""
+    """theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta).
 
-    def __init__(
-        self,
-        lr: float = 2e-4,
-        weight_decay: float = 1e-3,
-        grad_clip_norm: float = 1.0,
-    ):
+    The three settings have no defaults here; ``TrainConfig`` holds them."""
+
+    def __init__(self, lr: float, weight_decay: float, grad_clip_norm: float):
         self.lr = lr
         self.weight_decay = weight_decay
         self.grad_clip_norm = grad_clip_norm

@@ -49,7 +49,7 @@ def read_table(path, expected_header) -> tuple[dict[str, np.ndarray], str]:
     and decoded as UTF-8. ``expected_header`` maps each column name to the type
     its cells parse as (``float``, ``int`` or ``object`` for text); for a table
     whose width the file sets, it is a function of the header row returning that
-    map. A path that breaks the input-file rule (``capstate.errors.reading``),
+    map. A path that breaks the input-file rule (``capstate.errors.read_input``),
     another header, no rows, a row of the wrong width or a cell that does not
     parse raises ``DataError`` naming the file."""
     text, digest = read_input(path, "utf-8")
@@ -167,8 +167,13 @@ def read_fold_csv(path) -> tuple[FoldResult, str]:
 
 
 def read_folds_dir(results_dir) -> tuple[list[FoldResult], dict[str, str]]:
-    """Every fold table in the directory, and each sha256 by name."""
-    return _read_set(results_dir, "fold_*.csv", read_fold_csv)[1:]
+    """Every fold table in the directory, one per subject, and each sha256 by name."""
+    paths, folds, digests = _read_set(results_dir, "fold_*.csv", read_fold_csv)
+    owner = {}  # the first file that holds each subject
+    for path, fold in zip(paths, folds):
+        if owner.setdefault(fold.subject_id, path) != path:
+            raise DataError(f"{owner[fold.subject_id]} and {path} both hold subject {fold.subject_id!r}")
+    return folds, digests
 
 
 def write_history_csv(path, history: TrainHistory) -> str:

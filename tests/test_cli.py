@@ -86,6 +86,11 @@ def _counting(real_open, opened):
     return open_
 
 
+def _snapshot(root) -> dict:
+    """Each path under ``root`` by name relative to it: a file's bytes, or None for a directory."""
+    return {p.relative_to(root).as_posix(): None if p.is_dir() else p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
 def _cli_args(tmp_path, command, *extra):
     return [command, "--set", f"data_root={json.dumps(str(tmp_path / 'data'))}",
             "--set", f"output_root={json.dumps(str(tmp_path / 'out'))}", *FAST_OVERRIDES, *extra]
@@ -516,29 +521,6 @@ class TestStageInputs:
         for run in ("cold", "warm"):
             inputs, opened = self._preprocess_opening(tmp_path, monkeypatch)
             assert len(inputs) == 19 and opened == dict.fromkeys(inputs, 1), run
-
-    def test_csv_two_sessions_list_is_read_once(self, tmp_path, monkeypatch):
-        """Two sessions list one EDA CSV: cold and warm, it is opened once and
-        recorded once, and both recordings hold its samples."""
-        assert run_cli(tmp_path, "synth") == 0
-        sessions = tmp_path / "data" / "sessions.csv"
-        header, first, second, *rest = sessions.read_text().splitlines()
-        shared, dropped = first.split(",")[3], second.split(",")[3]
-        sessions.write_text("\n".join([header, first, second.replace(dropped, shared), *rest]) + "\n")
-        samples = np.loadtxt(tmp_path / "data" / shared, delimiter=",", skiprows=1)[:, 1].tobytes()
-        real, loaded = capstate.ingest.load_recording, []
-
-        def load_recording(*args, **kwargs):
-            loaded.append(real(*args, **kwargs))
-            return loaded[-1]
-
-        monkeypatch.setattr(capstate.ingest, "load_recording", load_recording)
-        for run in ("cold", "warm"):
-            loaded.clear()
-            inputs, opened = self._preprocess_opening(tmp_path, monkeypatch)
-            assert shared in inputs and dropped not in inputs and len(inputs) == 18, run
-            assert opened == dict.fromkeys(inputs, 1), run
-            assert [rec.eda.values.tobytes() for rec in loaded[:2]] == [samples, samples], run
 
 
 class TestExitCodes:
@@ -988,13 +970,20 @@ class TestExitCodes:
               for bad in ("sim/01", "sim\x0c01", "sim\u202801")),
             ("sessions.csv", lambda lines: lines + [f"{subject},{cond},{subject}/ecg_c2.csv,{subject}/eda_c2.csv"],
              f"sessions.csv: rows 2 and 11 both list subject '{subject}' condition {cond}"),
+            ("sessions.csv", lambda lines: lines + [f"new01,{cond},{ecg},new01/eda_{cond}.csv"],
+             f"sessions.csv: rows 2 and 11 both list file '{ecg}'"),
+            ("sessions.csv", lambda lines: lines + [f"new01,{cond},new01/{cond}.csv,new01/{cond}.csv"],
+             f"sessions.csv: row 11 lists file 'new01/{cond}.csv' as both ECG and EDA"),
         ):
             path = tmp_path / "data" / rel
             original = path.read_text()
             path.write_text("\n".join(corrupt(original.splitlines())) + "\n")
+            before = _snapshot(tmp_path / "out")
             capsys.readouterr()
             assert run_cli(tmp_path, "preprocess") == 3
             assert expect in capsys.readouterr().err
+            if rel == "sessions.csv":  # refused before any output is touched
+                assert _snapshot(tmp_path / "out") == before
             path.write_text(original)
 
     def test_recording_without_a_window_is_3(self, tmp_path, capsys):
@@ -1080,6 +1069,20 @@ class TestExitCodes:
         assert run_cli(tmp_path, command) == 3
         err = capsys.readouterr().err
         assert f"{path}: " in err and "Traceback" not in err
+
+    def test_two_fold_files_of_one_subject_are_3(self, tmp_path, capsys):
+        """A copy of a fold file, say a backup, would count its subject twice in
+        the BA summary: report exits 3 naming both files and writes nothing."""
+        self._stage_inputs(tmp_path, "report")
+        results = tmp_path / "out" / "results"
+        (results / "fold_s00_copy.csv").write_bytes((results / "fold_s00.csv").read_bytes())
+        before = _snapshot(tmp_path / "out")
+        capsys.readouterr()
+        assert run_cli(tmp_path, "report") == 3
+        err = capsys.readouterr().err
+        assert (f"data error: {results / 'fold_s00.csv'} and {results / 'fold_s00_copy.csv'} "
+                "both hold subject 's00'") in err and "Traceback" not in err
+        assert _snapshot(tmp_path / "out") == before
 
     def test_preprocess_reads_sessions_once(self, tmp_path, monkeypatch):
         import capstate.cli as cli_mod

@@ -1,6 +1,8 @@
 import json
 import pickle
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import capstate.cli as cli_mod
 from capstate.config import sha256_file
-from capstate.errors import DataError
+from capstate.errors import DataError, read_input
 from capstate.ingest import (
     _read_entry,
     _read_two_column_csv,
@@ -138,10 +140,29 @@ class TestReadSessions:
         ]
         assert pickle.loads(pickle.dumps(sessions)) == sessions
 
+    def test_two_subjects_sharing_one_eda_file_rejected(self, tmp_path):
+        """A file two sessions list would put one subject's samples into the
+        other's windows, across the leave-one-subject-out split."""
+        rows = [{"subject_id": s, "condition": "c1", "ecg_file": f"{s}/ecg_c1.csv", "eda_file": "shared/eda_c1.csv"}
+                for s in ("pp01", "pp02")]
+        write_sessions_csv(tmp_path, rows)
+        with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'sessions.csv'}: rows 2 and 3 both list "
+                                                      "file 'shared/eda_c1.csv'")):
+            read_sessions(tmp_path)
+
+
+def _load_session(session, ecg_nominal_hz, eda_nominal_hz, parsed_dir=None):
+    """``session``'s recording, loaded as preprocess loads it: the bytes of its
+    two files from ``read_input``, and its entries kept under ``parsed_dir``,
+    by default an empty temporary directory (a cold load)."""
+    files = [read_input(session.root / rel) for rel in (session.ecg_file, session.eda_file)]
+    with tempfile.TemporaryDirectory() as empty:
+        return load_recording(session, ecg_nominal_hz, eda_nominal_hz, files, parsed_dir or Path(empty))
+
 
 def _load(tree, ecg_nominal_hz=256.0, eda_nominal_hz=32.0, parsed_dir=None):
     """The tree's one recording, pp01 under c1."""
-    return load_recording(read_sessions(tree)[0][0], ecg_nominal_hz, eda_nominal_hz, parsed_dir=parsed_dir)
+    return _load_session(read_sessions(tree)[0][0], ecg_nominal_hz, eda_nominal_hz, parsed_dir)
 
 
 class TestLoadRecording:
@@ -185,8 +206,16 @@ def _same_recording(a, b) -> bool:
             and (a.ecg.rate_hz, a.eda.rate_hz, a.duration_s) == (b.ecg.rate_hz, b.eda.rate_hz, b.duration_s))
 
 
+def _parse(path, header="mv"):
+    """``(t, v)`` of the CSV at ``path``, parsed as preprocess parses it: its
+    bytes from ``read_input``, its entry kept in an empty temporary directory."""
+    data, digest = read_input(path)
+    with tempfile.TemporaryDirectory() as empty:
+        return _read_two_column_csv(path, header, data, parsed_entry(Path(empty), digest))
+
+
 def _cold_table(path, header) -> np.ndarray:
-    return np.column_stack(_read_two_column_csv(path, header, path.read_bytes()))
+    return np.column_stack(_parse(path, header))
 
 
 def _bad_entries(good: np.ndarray, entry):
@@ -286,7 +315,7 @@ class TestParsedEntries:
         assert (entries / "notes.txt").read_text() == "not an entry"
         assert np.load(entries / fresh, allow_pickle=False).tobytes() == _cold_table(path, "mv").tobytes()
         for session, rec in loaded:
-            assert _same_recording(rec, real(session, 512.0, 32.0))
+            assert _same_recording(rec, _load_session(session, 512.0, 32.0))
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -326,7 +355,7 @@ class TestCsvReader:
         fmt = data.draw(st.sampled_from(FORMATS))
         fields = [(repr(t), fmt.format(v)) for t, v in zip(times, values)]
         path = _write(tmp_path_factory.mktemp("csv") / "x.csv", [f"{a},{b}" for a, b in fields])
-        t, v = _read_two_column_csv(path, "mv", path.read_bytes())
+        t, v = _parse(path)
         assert t.tobytes() == np.array([float(a) for a, _ in fields]).tobytes()
         assert v.tobytes() == np.array([float(b) for _, b in fields]).tobytes()
 
@@ -341,27 +370,27 @@ class TestCsvReader:
         rows[i] = make(times[i], times[i - 1])
         path = _write(tmp_path_factory.mktemp("csv") / "x.csv", rows)
         with pytest.raises(DataError, match=re.escape(str(path))) as err:
-            _read_two_column_csv(path, "mv", path.read_bytes())
+            _parse(path)
         assert f"{reason}" in str(err.value) and f"line {i + 2}" in str(err.value)
 
     def test_extra_field_on_every_row_rejected(self, tmp_path):
         path = _write(tmp_path / "x.csv", ["0.0,1.0,9", "0.5,1.0,9", "1.0,1.0,9"])
         with pytest.raises(DataError, match="malformed line 2"):
-            _read_two_column_csv(path, "mv", path.read_bytes())
+            _parse(path)
 
     def test_undecodable_bytes_name_the_line(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_bytes(b"t_s,mv\n0.0,1.0\n0.5,\xff\xfe\n1.0,1.0\n")
         with pytest.raises(DataError, match="malformed line 3"):
-            _read_two_column_csv(path, "mv", path.read_bytes())
+            _parse(path)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = _write(tmp_path / "x.csv", ["0.0,1.0", "0.5,1.0"], header="t_s,us")
         with pytest.raises(DataError, match=re.escape(str(path)) + ".*header"):
-            _read_two_column_csv(path, "mv", path.read_bytes())
+            _parse(path)
 
     @pytest.mark.parametrize("rows", [[], ["0.0,1.0"]])
     def test_fewer_than_two_rows_rejected(self, tmp_path, rows):
         path = _write(tmp_path / "x.csv", rows)
         with pytest.raises(DataError, match=re.escape(str(path)) + ".*fewer than 2 samples"):
-            _read_two_column_csv(path, "mv", path.read_bytes())
+            _parse(path)

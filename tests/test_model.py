@@ -377,7 +377,7 @@ class TestTapeMemory:
 
 class TestAdamW:
     def test_lr_zero_keeps_parameters(self, rng):
-        opt = AdamW(lr=0.0, weight_decay=1e-3)
+        opt = AdamW(lr=0.0, weight_decay=1e-3, grad_clip_norm=1.0)
         params = {"w": rng.normal(size=(3, 3))}
         grads = {"w": rng.normal(size=(3, 3))}
         out = opt.step(params, grads)
