@@ -19,16 +19,16 @@ records, so a rerun on unchanged files reads the entry instead of parsing the
 CSV. Each run deletes every entry it did not use, and no other file there;
 the directory is safe to delete.
 
-Each channel CSV belongs to one session (``sessions.csv`` names it once),
-so ``preprocess`` reads one session's two files at a time. It reads and
-hashes the next session's files on one helper thread while the main thread
-windows the current recording (the read and the hash release the GIL), and
-the main thread checks and parses those same bytes. Those reads start once
-the current session's bytes are dropped, so at most one session's bytes are
-held. It takes a session's bytes when it reaches that session, so a fault in
-a file is reported after any earlier recording's fault, and the thread is
-gone when the stage returns or fails. Every other call of the stage runs on
-the main thread.
+Each channel CSV belongs to one session (``sessions.csv`` names it once,
+compared by the path a name resolves to), so ``preprocess`` reads one
+session's two files at a time. It reads and hashes the next session's files
+on one helper thread while the main thread windows the current recording
+(the read and the hash release the GIL), and the main thread checks and
+parses those same bytes. Those reads start once the current session's bytes
+are dropped, so at most one session's bytes are held. It takes a session's
+bytes when it reaches that session, so a fault in a file is reported after
+any earlier recording's fault, and the thread is gone when the stage returns
+or fails. Every other call of the stage runs on the main thread.
 """
 
 import argparse

@@ -11,7 +11,8 @@ On-disk layout (one directory per subject under the dataset root):
     <root>/<subject>/ecg_<cond>.csv     header: t_s,mv   (uniform step, nominally 2048 Hz)
     <root>/<subject>/eda_<cond>.csv     header: t_s,us   (uniform step, nominally 32 Hz)
 
-Each channel file belongs to one session: ``sessions.csv`` names it once.
+Each channel file belongs to one session: ``sessions.csv`` names it once,
+by whatever spelling, since a name is identified by the path it resolves to.
 """
 
 import csv
@@ -168,7 +169,8 @@ def _raise_first_bad_line(path: Path, fh) -> NoReturn:
             continue  # blank lines are skipped by the parse as well
         fields = text.split(",")
         try:
-            if len(fields) != 2 or "_" in text:  # float() takes "1_0", the parse does not
+            # float() takes "1_0" and non-ASCII digits such as "١٢" or "１"; the parse takes neither
+            if len(fields) != 2 or "_" in text or not all(f.strip().isascii() for f in fields):
                 raise ValueError
             t, v = float(fields[0]), float(fields[1])
         except ValueError:
@@ -220,9 +222,17 @@ def read_sessions(root_path) -> tuple[list[Session], str]:
     a cell of the unquoted output tables, which are split into lines by
     ``str.splitlines``, and part of a file name), no subject/condition pair
     may appear twice, and no file may be named twice, by two rows or as both
-    channels of one (compared as listed), else :class:`DataError` names the
-    file and the rows. So each channel file belongs to one session, and a
-    held-out subject's samples cannot reach another subject's windows."""
+    channels of one, else :class:`DataError` names the file and the rows (and
+    both spellings when they differ). So each channel file belongs to one
+    session, and a held-out subject's samples cannot reach another subject's
+    windows.
+
+    A file is identified by the path its name resolves to (``os.path.realpath``
+    under ``root``), so ``a/x.csv``, ``./a/x.csv`` and a name through a
+    symlinked directory are one file; the sessions keep the names as listed.
+    Nothing is opened or stat-ed here, so a missing file fails when its
+    session is read, and two hard links to one file, or two names that differ
+    only in case on a case-insensitive file system, are not detected."""
     root = Path(root_path)
     manifest = root / "sessions.csv"
     # utf-8-sig drops the byte-order mark spreadsheet programs write
@@ -248,12 +258,13 @@ def read_sessions(root_path) -> tuple[list[Session], str]:
             raise DataError(f"{manifest}: rows {seen[subject, condition]} and {i} both list subject {subject!r} "
                             f"condition {condition.value}")
         seen[subject, condition] = i
-        if row["ecg_file"] == row["eda_file"]:
-            raise DataError(f"{manifest}: row {i} lists file {row['ecg_file']!r} as both ECG and EDA")
-        for rel in (row["ecg_file"], row["eda_file"]):
-            if rel in listed:
-                raise DataError(f"{manifest}: rows {listed[rel]} and {i} both list file {rel!r}")
-            listed[rel] = i
+        for channel, rel in enumerate((row["ecg_file"], row["eda_file"])):
+            # the row, channel and name that first list the path this name resolves to
+            j, first_channel, first = listed.setdefault(os.path.realpath(root / rel), (i, channel, rel))
+            if (j, first_channel) != (i, channel):
+                named = repr(first) if rel == first else f"{first!r} (as {rel!r})"
+                raise DataError(f"{manifest}: row {i} lists file {named} as both ECG and EDA" if j == i
+                                else f"{manifest}: rows {j} and {i} both list file {named}")
         sessions.append(Session(root, subject, condition, row["ecg_file"], row["eda_file"]))
     return sessions, digest
 

@@ -124,18 +124,28 @@ def read_windows_csv(path) -> tuple[WindowedDataset, str]:
     return ds, digest
 
 
-def _read_set(directory, pattern: str, read_one) -> tuple[list[Path], list, dict[str, str]]:
-    """Each ``pattern`` file in ``directory``, read once by ``read_one``: sorted paths, parts, sha256s by name."""
+def _read_set(directory, pattern: str, read_one, subjects_of) -> tuple[list[Path], list, dict[str, str]]:
+    """Each ``pattern`` file in ``directory``, read once by ``read_one``: sorted paths, parts, sha256s by name.
+
+    A subject's rows come from one file of the set: when ``subjects_of(part)``
+    names a subject an earlier file holds, :class:`DataError` names both files.
+    A second file of one subject, say a backup copy, would count its rows twice."""
     paths = sorted(Path(directory).glob(pattern))
     if not paths:
         raise DataError(f"no {pattern} files under {directory}")
     parts, digests = zip(*map(read_one, paths))
+    owner = {}  # the first file that holds each subject
+    for path, part in zip(paths, parts):
+        for subject in subjects_of(part):
+            if owner.setdefault(subject, path) != path:
+                raise DataError(f"{owner[subject]} and {path} both hold subject {subject!r}")
     return paths, list(parts), {p.name: d for p, d in zip(paths, digests)}
 
 
 def read_windows_dir(windows_dir) -> tuple[WindowedDataset, dict[str, str]]:
-    """One dataset of every window table in the directory (all one window length), and each sha256 by name."""
-    paths, parts, digests = _read_set(windows_dir, "windows_*.csv", read_windows_csv)
+    """One dataset of every window table in the directory (all one window length,
+    each subject's windows in one file), and each sha256 by name."""
+    paths, parts, digests = _read_set(windows_dir, "windows_*.csv", read_windows_csv, lambda ds: np.unique(ds.subject))
     for path, part in zip(paths, parts):
         if part.x_ibi.shape[1] != parts[0].x_ibi.shape[1]:
             raise DataError(f"{path}: {part.x_ibi.shape[1]}-sample windows, but {paths[0]} has "
@@ -168,11 +178,7 @@ def read_fold_csv(path) -> tuple[FoldResult, str]:
 
 def read_folds_dir(results_dir) -> tuple[list[FoldResult], dict[str, str]]:
     """Every fold table in the directory, one per subject, and each sha256 by name."""
-    paths, folds, digests = _read_set(results_dir, "fold_*.csv", read_fold_csv)
-    owner = {}  # the first file that holds each subject
-    for path, fold in zip(paths, folds):
-        if owner.setdefault(fold.subject_id, path) != path:
-            raise DataError(f"{owner[fold.subject_id]} and {path} both hold subject {fold.subject_id!r}")
+    _, folds, digests = _read_set(results_dir, "fold_*.csv", read_fold_csv, lambda fold: [fold.subject_id])
     return folds, digests
 
 

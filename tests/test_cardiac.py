@@ -62,6 +62,23 @@ class TestDetectRPeaks:
         for p in peaks.times_s:
             assert np.abs(truth.r_peak_times_s - p).min() <= 0.02
 
+    @pytest.mark.parametrize("higher", ["first", "second"])
+    def test_colliding_refinements_keep_the_higher_apex(self, monkeypatch, higher):
+        """Two accepted marks 220 ms apart whose +/-50 ms maxima lie 140 ms
+        apart, inside the 200 ms refractory window, give one peak at the
+        higher apex, whichever of the two it is; a third mark far from both
+        gives its own peak, and the times increase strictly."""
+        rate = 1000.0  # q = 4, so mark m is refined around sample 4 m + 1
+        marks = np.array([1000, 1055, 2000], dtype=np.intp)
+        apexes = [4001 + 40, 4221 - 40, 8001]
+        values = np.zeros(12 * int(rate))
+        values[apexes] = [1.0, 0.8, 1.0] if higher == "first" else [0.8, 1.0, 1.0]
+        monkeypatch.setattr(cardiac, "_pt_scan_loop", lambda *args: marks)
+        times = detect_r_peaks(UniformSeries(values, rate)).times_s
+        kept = apexes[0] if higher == "first" else apexes[1]
+        np.testing.assert_array_equal(times, np.array([kept, apexes[2]]) / rate)
+        assert np.all(np.diff(times) > 0)
+
     def test_flat_zero_gives_empty(self):
         assert len(detect_r_peaks(UniformSeries(np.zeros(512 * 20), 512.0))) == 0
 

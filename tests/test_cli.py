@@ -125,6 +125,19 @@ class TestConfig:
         assert out.arch.backbone == "tcn"
         assert out.seed == 3
 
+    def test_bare_string_override_is_a_json_string(self):
+        """A value that is not a JSON literal is taken as the string it spells."""
+        cfg = apply_overrides(PipelineConfig(), ["output_root=out"])
+        assert cfg.output_root == "out"
+        assert cfg == apply_overrides(PipelineConfig(), ['output_root="out"'])
+
+    def test_override_of_the_wrong_type_names_the_union(self, tmp_path, capsys):
+        assert main(["evaluate", "--set", f"output_root={json.dumps(str(tmp_path / 'out'))}",
+                     "--set", "ablation.backbone=5"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: ablation.backbone must be str or null, got 5" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             apply_overrides(PipelineConfig(), ["nope.key=1"])
@@ -224,6 +237,19 @@ def test_perfbench_targets_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{module}.{attr}"
+
+
+def test_readme_library_entry_points_import():
+    """The python block under README's "Library entry points" runs in a
+    fresh interpreter: every name it documents still exists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library entry points\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "import" in code
+    src = str(Path(capstate.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
 
 
 def _history() -> TrainHistory:
@@ -951,6 +977,7 @@ class TestExitCodes:
     def _assert_corruptions_are_3(tmp_path, capsys):
         first = (tmp_path / "data" / "sessions.csv").read_text().splitlines()[1].split(",")
         subject, cond, ecg, eda = first
+        (tmp_path / "data" / "link").symlink_to(subject, target_is_directory=True)
         for rel, corrupt, expect in (
             (eda, lambda lines: lines[:5] + [lines[5].split(",")[0] + ",nan"] + lines[6:],
              f"{eda}: non-finite sample on line 6"),
@@ -974,6 +1001,11 @@ class TestExitCodes:
              f"sessions.csv: rows 2 and 11 both list file '{ecg}'"),
             ("sessions.csv", lambda lines: lines + [f"new01,{cond},new01/{cond}.csv,new01/{cond}.csv"],
              f"sessions.csv: row 11 lists file 'new01/{cond}.csv' as both ECG and EDA"),
+            # two spellings of row 2's EDA file: a name is compared by the path it resolves to
+            ("sessions.csv", lambda lines: lines + [f"new01,{cond},new01/ecg_{cond}.csv,./{eda}"],
+             f"sessions.csv: rows 2 and 11 both list file '{eda}' (as './{eda}')"),
+            ("sessions.csv", lambda lines: lines + [f"new01,{cond},new01/ecg_{cond}.csv,link{eda[len(subject):]}"],
+             f"sessions.csv: rows 2 and 11 both list file '{eda}' (as 'link{eda[len(subject):]}')"),
         ):
             path = tmp_path / "data" / rel
             original = path.read_text()
@@ -1081,6 +1113,31 @@ class TestExitCodes:
         assert run_cli(tmp_path, "report") == 3
         err = capsys.readouterr().err
         assert (f"data error: {results / 'fold_s00.csv'} and {results / 'fold_s00_copy.csv'} "
+                "both hold subject 's00'") in err and "Traceback" not in err
+        assert _snapshot(tmp_path / "out") == before
+
+    @pytest.mark.parametrize("case", ["backup-copy", "rows-of-other-subjects"])
+    def test_two_window_files_of_one_subject_are_3(self, tmp_path, capsys, case):
+        """A subject's windows come from one file: a backup copy, or a file
+        that also holds rows of subjects other files hold, would count those
+        windows twice, held out and in every other fold's training set.
+        evaluate exits 3 naming both files and the first such subject in
+        sorted order, and writes nothing."""
+        self._stage_inputs(tmp_path, "evaluate")
+        windows = tmp_path / "out" / "windows"
+        if case == "backup-copy":
+            second = windows / "windows_s00_copy.csv"
+            second.write_bytes((windows / "windows_s00.csv").read_bytes())
+        else:  # rows of s02, then of s01 and s00, which windows_s00.csv and windows_s01.csv hold
+            ds = make_feature_dataset(n_subjects=3, per_cond=3)
+            rows = np.concatenate([np.nonzero(ds.subject == s)[0] for s in ("s02", "s01", "s00")])
+            second = windows / "windows_s02.csv"
+            write_windows_csv(second, ds.select(rows))
+        before = _snapshot(tmp_path / "out")
+        capsys.readouterr()
+        assert run_cli(tmp_path, "evaluate") == 3
+        err = capsys.readouterr().err
+        assert (f"data error: {windows / 'windows_s00.csv'} and {second} "
                 "both hold subject 's00'") in err and "Traceback" not in err
         assert _snapshot(tmp_path / "out") == before
 

@@ -1,3 +1,4 @@
+import io
 import json
 import pickle
 import re
@@ -148,6 +149,28 @@ class TestReadSessions:
         write_sessions_csv(tmp_path, rows)
         with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'sessions.csv'}: rows 2 and 3 both list "
                                                       "file 'shared/eda_c1.csv'")):
+            read_sessions(tmp_path)
+
+    @pytest.mark.parametrize("first, second", [("shared/eda_c1.csv", "./shared/eda_c1.csv"),
+                                               ("real/eda_c1.csv", "link/eda_c1.csv")],
+                             ids=["dot-slash", "symlinked-directory"])
+    def test_one_file_under_two_spellings_rejected(self, tmp_path, first, second):
+        """Names are compared by the path they resolve to, so a second
+        spelling of a listed file is refused too, and both spellings are named."""
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to("real", target_is_directory=True)
+        rows = [{"subject_id": s, "condition": "c1", "ecg_file": f"{s}/ecg_c1.csv", "eda_file": eda}
+                for s, eda in (("pp01", first), ("pp02", second))]
+        write_sessions_csv(tmp_path, rows)
+        with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'sessions.csv'}: rows 2 and 3 both list "
+                                                      f"file '{first}' (as '{second}')")):
+            read_sessions(tmp_path)
+
+    def test_one_file_as_both_channels_under_two_spellings_rejected(self, tmp_path):
+        rows = [{"subject_id": "pp01", "condition": "c1", "ecg_file": "pp01/x.csv", "eda_file": "pp01/./x.csv"}]
+        write_sessions_csv(tmp_path, rows)
+        with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'sessions.csv'}: row 2 lists file "
+                                                      "'pp01/x.csv' (as 'pp01/./x.csv') as both ECG and EDA")):
             read_sessions(tmp_path)
 
 
@@ -382,6 +405,20 @@ class TestCsvReader:
         path = tmp_path / "x.csv"
         path.write_bytes(b"t_s,mv\n0.0,1.0\n0.5,\xff\xfe\n1.0,1.0\n")
         with pytest.raises(DataError, match="malformed line 3"):
+            _parse(path)
+
+    @pytest.mark.parametrize("cell", ["\u0661\u0662", "\uff11"], ids=["arabic-indic", "full-width"])
+    def test_non_ascii_digits_name_their_line(self, tmp_path, cell):
+        """float() reads non-ASCII digits but the parse does not, so such a
+        cell is named as malformed, on a line number that counts the blank
+        line before it; a no-break space after a number, which both accept,
+        is not reported."""
+        with pytest.raises(ValueError):
+            np.loadtxt(io.StringIO(f"1.0,{cell}\n"), delimiter=",", comments=None)
+        assert np.loadtxt(io.StringIO("0.5,2.0\xa0\n"), delimiter=",", comments=None).tolist() == [0.5, 2.0]
+        path = tmp_path / "x.csv"
+        path.write_bytes(f"t_s,mv\n0.0,1.0\n0.5,2.0\xa0\n\n1.0,{cell}\n1.5,1.0\n".encode("utf-8"))
+        with pytest.raises(DataError, match=re.escape(f"{path}: malformed line 5")):
             _parse(path)
 
     def test_wrong_header_rejected(self, tmp_path):
