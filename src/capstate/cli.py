@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure. Every file a stage reads goes through ``errors.read_input``, so a
-``--config`` path that is missing, not a regular file or unreadable exits
-2, and such a data file exits 3, naming the path. Every stage writes a
-RunManifest with the resolved config hash and sha256 digests of its inputs
-and outputs. Each stage reads each input once and digests the bytes it
+``--config`` path that is missing, not a regular file, unreadable or holds
+NUL exits 2, and such a data file exits 3, naming the path. Every stage
+writes a RunManifest with the resolved config hash and sha256 digests of its
+inputs and outputs. Each stage reads each input once and digests the bytes it
 parses, so a file rewritten during a run is recorded by the bytes used.
 
 Each command is straight-line calls on one ``config.Stage``, the one place

@@ -33,8 +33,9 @@ def read_input(path, encoding=None, error=DataError) -> tuple[bytes | str, str]:
     file, else ``error`` is raised naming it: ``missing file: <path>``;
     ``<path>: not a regular file`` (a directory, a FIFO, which is never
     opened, a device); ``<path>: not a text file: ...`` for bytes that do not
-    decode; or ``<path>: <strerror>`` for any other OSError while opening or
-    reading it (no permission, a name too long)."""
+    decode; ``<path>: embedded null byte`` for a name holding NUL, which no
+    path can hold; or ``<path>: <strerror>`` for any other OSError while
+    opening or reading it (no permission, a name too long)."""
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise error(f"{path}: not a regular file")
@@ -45,5 +46,7 @@ def read_input(path, encoding=None, error=DataError) -> tuple[bytes | str, str]:
         raise error(f"missing file: {path}") from None
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not a text file: {exc}") from None
+    except ValueError as exc:  # after UnicodeDecodeError, a subclass: os.stat refuses a name holding NUL
+        raise error(f"{path}: {exc}") from None
     except OSError as exc:
         raise error(f"{path}: {exc.strerror or exc}") from None

@@ -92,15 +92,17 @@ def _run_single_fold(args) -> FoldResult:
     )
 
     u, o = forward(params, arch, held_norm)
+    # for_subjects made the held-out columns by fancy indexing, so the fold owns them; u and o are
+    # views into the (N, 2) head outputs, so they are copied
     return FoldResult(
         subject_id=held,
-        condition=held_norm.condition.copy(),
-        window_start_s=held_norm.window_start_s.copy(),
+        condition=held_norm.condition,
+        window_start_s=held_norm.window_start_s,
         u=u.copy(),
         o=o.copy(),
-        stress=held_norm.stress.copy(),
-        effort=held_norm.effort.copy(),
-        mask=held_norm.mask.copy(),
+        stress=held_norm.stress,
+        effort=held_norm.effort,
+        mask=held_norm.mask,
         history=history,
         audit={
             "log_flags": transform.log_transform.flags,

@@ -13,6 +13,10 @@ On-disk layout (one directory per subject under the dataset root):
 
 Each channel file belongs to one session: ``sessions.csv`` names it once,
 by whatever spelling, since a name is identified by the path it resolves to.
+
+Each channel keeps its own time axis: a file's first timestamp is its
+series' ``start_s`` and its timestamps' span gives its ``rate_hz``, so two
+channels that start at different times stay aligned by their timestamps.
 """
 
 import csv
@@ -49,7 +53,11 @@ class RawRecording:
     condition: Condition
     ecg: UniformSeries
     eda: UniformSeries
-    duration_s: float
+
+    @property
+    def duration_s(self) -> float:
+        """Seconds the longer of the two channels spans."""
+        return max(self.ecg.duration_s, self.eda.duration_s)
 
 
 class LabelScheme(enum.Enum):
@@ -82,7 +90,7 @@ def _is_sample_table(data) -> bool:
         and data.shape[1] == 2
         and len(data) >= 2
         and bool(np.isfinite(data).all())
-        and bool(np.all(np.diff(data[:, 0]) > 0))
+        and bool(np.all(data[1:, 0] > data[:-1, 0]))  # compared, not subtracted: a difference can overflow
     )
 
 
@@ -136,7 +144,8 @@ def _read_two_column_csv(path: Path, value_header: str, data: bytes, entry: Path
     otherwise ``data`` is parsed and, once the samples pass, written there.
 
     ``v`` is a copy of the value column, which the recording keeps; ``t``
-    is a view of the parsed table, which callers only check and drop."""
+    is a view of the parsed table, of which :func:`_load_channel` keeps only
+    the first and last timestamps, as its series' origin and rate."""
     # utf-8-sig drops a byte-order mark; bad bytes fail as a bad field
     fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", errors="replace")
     header = fh.readline().rstrip("\n").split(",")
@@ -186,22 +195,6 @@ def _raise_first_bad_line(path: Path, fh) -> NoReturn:
     raise DataError(f"{path}: unparseable data")
 
 
-def _check_not_flat(path: Path, v: np.ndarray) -> None:
-    """A channel whose samples all hold one value carries no signal (a
-    disconnected lead or a stuck logger); refuse it here, naming the file."""
-    if v.min() == v.max():
-        raise DataError(f"{path}: flat channel, every sample is {float(v[0])!r}")
-
-
-def _check_rate(path: Path, t: np.ndarray, nominal_hz: float) -> float:
-    rate = (len(t) - 1) / (t[-1] - t[0])
-    if abs(rate - nominal_hz) > 0.05 * nominal_hz:
-        raise DataError(
-            f"{path}: rate mismatch, measured {rate:.2f} Hz vs nominal {nominal_hz:.2f} Hz (>5%)"
-        )
-    return float(rate)
-
-
 @dataclass(frozen=True)
 class Session:
     """One row of ``<root>/sessions.csv``: a subject's recording under one
@@ -221,11 +214,11 @@ def read_sessions(root_path) -> tuple[list[Session], str]:
     hold no comma, double quote, slash or non-printable character (it becomes
     a cell of the unquoted output tables, which are split into lines by
     ``str.splitlines``, and part of a file name), no subject/condition pair
-    may appear twice, and no file may be named twice, by two rows or as both
-    channels of one, else :class:`DataError` names the file and the rows (and
-    both spellings when they differ). So each channel file belongs to one
-    session, and a held-out subject's samples cannot reach another subject's
-    windows.
+    may appear twice, no file name may hold NUL, and no file may be named
+    twice, by two rows or as both channels of one, else :class:`DataError`
+    names the file and the rows (and both spellings when they differ). So
+    each channel file belongs to one session, and a held-out subject's
+    samples cannot reach another subject's windows.
 
     A file is identified by the path its name resolves to (``os.path.realpath``
     under ``root``), so ``a/x.csv``, ``./a/x.csv`` and a name through a
@@ -259,6 +252,8 @@ def read_sessions(root_path) -> tuple[list[Session], str]:
                             f"condition {condition.value}")
         seen[subject, condition] = i
         for channel, rel in enumerate((row["ecg_file"], row["eda_file"])):
+            if "\0" in rel:  # no path can hold one, and os.path.realpath raises ValueError on it
+                raise DataError(f"{manifest}: row {i}: file name {rel!r} holds a NUL character")
             # the row, channel and name that first list the path this name resolves to
             j, first_channel, first = listed.setdefault(os.path.realpath(root / rel), (i, channel, rel))
             if (j, first_channel) != (i, channel):
@@ -279,24 +274,38 @@ def load_recording(session: Session, ecg_nominal_hz: float, eda_nominal_hz: floa
     line, non-monotonic timestamps, a channel whose samples all hold one
     value, or a sampling rate off nominal by more than 5%.
 
+    Each channel becomes a series on its file's own time axis (see
+    :func:`_load_channel`), so the two keep their timestamps' offset and
+    ``window_recording`` cuts windows on their common span. The recording's
+    ``duration_s`` is the longer channel's.
+
     Each file's parsed samples are kept under ``parsed_dir``, named by the
     sha256 of its bytes, so an entry is only ever read for the bytes it was
     parsed from. An entry that fails to load or to pass the parse checks is
     rewritten from the bytes; the header, flatness and rate checks run on
     every load.
     """
-    ecg, ecg_span = _load_channel(session.root / session.ecg_file, "mv", ecg_nominal_hz, files[0], parsed_dir)
-    eda, eda_span = _load_channel(session.root / session.eda_file, "us", eda_nominal_hz, files[1], parsed_dir)
-    return RawRecording(session.subject_id, session.condition, ecg, eda, float(max(ecg_span, eda_span)))
+    ecg = _load_channel(session.root / session.ecg_file, "mv", ecg_nominal_hz, files[0], parsed_dir)
+    eda = _load_channel(session.root / session.eda_file, "us", eda_nominal_hz, files[1], parsed_dir)
+    return RawRecording(session.subject_id, session.condition, ecg, eda)
 
 
-def _load_channel(path: Path, value_header: str, nominal_hz: float, file, parsed_dir: Path):
+def _load_channel(path: Path, value_header: str, nominal_hz: float, file, parsed_dir: Path) -> UniformSeries:
     """The checked channel CSV at ``path`` from ``file``, its bytes and their
-    sha256: its samples at the measured rate, and the seconds its timestamps span."""
+    sha256, as one series: its first timestamp is the series' ``start_s``,
+    and its number of sample steps over the seconds its timestamps span is the
+    measured ``rate_hz``, which must lie within 5% of ``nominal_hz``. A channel whose
+    samples all hold one value carries no signal (a disconnected lead or a
+    stuck logger) and is refused as well, naming the file."""
     data, digest = file
     t, v = _read_two_column_csv(path, value_header, data, parsed_entry(parsed_dir, digest))
-    _check_not_flat(path, v)
-    return UniformSeries(v, _check_rate(path, t, nominal_hz)), t[-1] - t[0]
+    if v.min() == v.max():
+        raise DataError(f"{path}: flat channel, every sample is {float(v[0])!r}")
+    # in Python floats, a span past the largest float is inf, with no warning, and so the rate is 0
+    rate = (len(t) - 1) / (float(t[-1]) - float(t[0]))
+    if abs(rate - nominal_hz) > 0.05 * nominal_hz:
+        raise DataError(f"{path}: rate mismatch, measured {rate:.2f} Hz vs nominal {nominal_hz:.2f} Hz (>5%)")
+    return UniformSeries(v, rate, float(t[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +438,6 @@ def generate_synthetic_recording(spec: SyntheticSpec) -> tuple[RawRecording, Gro
         condition=Condition.C1,
         ecg=UniformSeries(ecg, spec.ecg_rate_hz),
         eda=UniformSeries(eda, spec.eda_rate_hz),
-        duration_s=spec.duration_s,
     )
     truth = GroundTruth(peak_times, true_ibis, tonic)
     return rec, truth

@@ -126,7 +126,7 @@ def train_fold(
     history = TrainHistory()
     best_metric = -np.inf
     best_epoch = 0
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_params = params  # kept by reference: AdamW.step returns fresh arrays, and nothing writes into them
     plateau_wait = 0
     lr = cfg.lr
     n = len(train)
@@ -152,7 +152,7 @@ def train_fold(
         if metric > best_metric:
             best_metric = metric
             best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_params = params
             plateau_wait = 0
         else:
             plateau_wait += 1

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from numpy.lib.stride_tricks import sliding_window_view
 
 import capstate
@@ -25,6 +26,12 @@ from capstate.model import autograd as ag
 from capstate.model.losses import PROB_FLOOR, _smoothed_targets
 from capstate.model.network import build_graph, wrap_params
 from capstate.pipeline import WindowedDataset
+
+# A failing property prints the @reproduce_failure line that replays it, so a
+# failure in a run that keeps no example database can be replayed from its log;
+# every other setting stays as the loaded profile had it.
+settings.register_profile("print-blob", print_blob=True)
+settings.load_profile("print-blob")
 
 
 @pytest.fixture

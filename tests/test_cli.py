@@ -925,8 +925,8 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()  # no output directory before the inputs check out
 
     @pytest.mark.parametrize("case", ["invalid-json", "section-not-object", "override-without-equals",
-                                      "sessions-row-without-eda-file", "report-without-folds",
-                                      "evaluate-without-windows"])
+                                      "config-name-with-nul", "sessions-row-without-eda-file",
+                                      "report-without-folds", "evaluate-without-windows"])
     def test_documented_exit_names_the_key_or_file(self, tmp_path, capsys, case):
         """Each documented exit names the key or the file, without a
         traceback, and leaves ``output_root`` as empty as it found it: no
@@ -942,6 +942,9 @@ class TestExitCodes:
             extra, want, says = ["--config", str(config)], 2, "config error: config section 'train' must be an object"
         elif case == "override-without-equals":
             extra, want, says = ["--set", "seed"], 2, "config error: override 'seed' must look like key=value"
+        elif case == "config-name-with-nul":
+            name = f"{config}\0b"
+            extra, want, says = ["--config", name], 2, f"config error: {name}: embedded null byte"
         elif case == "sessions-row-without-eda-file":
             assert run_cli(tmp_path, "synth") == 0
             header, first, *rest = sessions.read_text().splitlines()
@@ -1001,6 +1004,9 @@ class TestExitCodes:
              f"sessions.csv: rows 2 and 11 both list file '{ecg}'"),
             ("sessions.csv", lambda lines: lines + [f"new01,{cond},new01/{cond}.csv,new01/{cond}.csv"],
              f"sessions.csv: row 11 lists file 'new01/{cond}.csv' as both ECG and EDA"),
+            # no path can hold NUL: refused as a name, before any path is resolved
+            ("sessions.csv", lambda lines: lines + [f"new01,{cond},new01/ecg\0.csv,new01/eda_{cond}.csv"],
+             f"sessions.csv: row 11: file name {'new01/ecg' + chr(0) + '.csv'!r} holds a NUL character"),
             # two spellings of row 2's EDA file: a name is compared by the path it resolves to
             ("sessions.csv", lambda lines: lines + [f"new01,{cond},new01/ecg_{cond}.csv,./{eda}"],
              f"sessions.csv: rows 2 and 11 both list file '{eda}' (as './{eda}')"),
@@ -1017,6 +1023,17 @@ class TestExitCodes:
             if rel == "sessions.csv":  # refused before any output is touched
                 assert _snapshot(tmp_path / "out") == before
             path.write_text(original)
+
+    def test_timestamps_whose_difference_overflows_are_3(self, tmp_path):
+        """An ECG file whose two timestamps lie further apart than the largest
+        float exits 3 naming it, and its error is the one line on stderr: run
+        in a child, without pytest's warning filters, no numpy warning shows."""
+        assert run_cli(tmp_path, "synth") == 0
+        ecg = tmp_path / "data" / (tmp_path / "data" / "sessions.csv").read_text().splitlines()[1].split(",")[2]
+        ecg.write_text("t_s,mv\n-2.9937604643020797e+292,0.0\n1.7976931348623155e+308,1.0\n")
+        code, err = run_cli_in_child(tmp_path, "preprocess")
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith(f"data error: {ecg}: rate mismatch")
 
     def test_recording_without_a_window_is_3(self, tmp_path, capsys):
         assert run_cli(tmp_path, "synth") == 0

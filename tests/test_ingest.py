@@ -29,6 +29,7 @@ from capstate.ingest import (
     write_recording_csvs,
     write_sessions_csv,
 )
+from capstate.storage import read_windows_csv
 
 
 class TestLabels:
@@ -221,6 +222,50 @@ class TestLoadRecording:
         path.write_text("time,value\n" + "\n".join(body) + "\n")
         with pytest.raises(DataError, match="header"):
             _load(tree)
+
+    def test_each_series_starts_at_its_first_timestamp(self, tree):
+        """A channel's first timestamp is its series' origin, so an EDA file
+        whose clock starts 10 s after its ECG's keeps that offset; the
+        recording's duration is the longer channel's."""
+        _shift(tree / "pp01" / "eda_c1.csv", 10.0)
+        rec = _load(tree)
+        for series, name, header in ((rec.ecg, "ecg_c1.csv", "mv"), (rec.eda, "eda_c1.csv", "us")):
+            assert series.start_s == _parse(tree / "pp01" / name, header)[0][0]
+        assert (rec.ecg.start_s, rec.eda.start_s) == (0.0, 10.0)
+        assert rec.eda.rate_hz == pytest.approx(32.0, rel=1e-9)
+        assert rec.duration_s == max(rec.ecg.duration_s, rec.eda.duration_s) == rec.ecg.duration_s
+
+    def test_windows_follow_the_later_channel(self, tmp_path):
+        """Windows are cut on the two channels' common span by their
+        timestamps: with one recording's EDA starting 10 s after its ECG, its
+        windows start at 10 s or later and differ from the unshifted
+        recording's, and the other recordings' windows keep their bytes."""
+        args = ["--set", f"data_root={json.dumps(str(tmp_path / 'data'))}",
+                "--set", f"output_root={json.dumps(str(tmp_path / 'out'))}",
+                "--set", "synth.n_subjects=1", "--set", "synth.duration_s=150", "--set", "ecg_nominal_hz=512"]
+        assert cli_mod.main(["synth", *args]) == 0
+        windows = tmp_path / "out" / "windows" / "windows_sim01.csv"
+        assert cli_mod.main(["preprocess", *args]) == 0
+        before, _ = read_windows_csv(windows)
+        _shift(tmp_path / "data" / "sim01" / "eda_c1.csv", 10.0)
+        assert cli_mod.main(["preprocess", *args]) == 0
+        after, _ = read_windows_csv(windows)
+        shifted = after.select(after.condition == "c1")
+        assert len(shifted) and shifted.window_start_s.min() >= 10.0
+        unshifted = before.select(before.condition == "c1")
+        assert unshifted.window_start_s.min() < 10.0
+        assert len(shifted) != len(unshifted) or not np.array_equal(shifted.x_eda, unshifted.x_eda)
+        for cond in ("c2", "c3"):
+            kept, was = after.select(after.condition == cond), before.select(before.condition == cond)
+            for column in ("x_ibi", "x_eda", "f_hrv", "f_eda", "window_start_s"):
+                assert np.array_equal(getattr(kept, column), getattr(was, column))
+
+
+def _shift(path, seconds: float) -> None:
+    """Rewrite the channel CSV at ``path`` with every timestamp ``seconds`` later."""
+    header, *rows = path.read_text().splitlines()
+    shifted = [f"{float(t) + seconds!r},{v}" for t, v in (row.split(",") for row in rows)]
+    path.write_text("\n".join([header, *shifted]) + "\n")
 
 
 def _same_recording(a, b) -> bool:
@@ -425,6 +470,14 @@ class TestCsvReader:
         path = _write(tmp_path / "x.csv", ["0.0,1.0", "0.5,1.0"], header="t_s,us")
         with pytest.raises(DataError, match=re.escape(str(path)) + ".*header"):
             _parse(path)
+
+    def test_timestamps_whose_difference_overflows_parse(self, tmp_path):
+        """Two timestamps further apart than the largest float: the order
+        check compares neighbours, so no difference overflows to a warning."""
+        times = [-2.9937604643020797e+292, 1.7976931348623155e+308]
+        path = _write(tmp_path / "x.csv", [f"{t!r},{i}.0" for i, t in enumerate(times)])
+        t, v = _parse(path)
+        assert t.tolist() == times and v.tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize("rows", [[], ["0.0,1.0"]])
     def test_fewer_than_two_rows_rejected(self, tmp_path, rows):
