@@ -5,21 +5,23 @@ computes every statistic once and returns the texts of ``stats.json`` and
 statistics on per-subject centroids (Demšar, JMLR 7, 2006), and every CSV
 under ``report/`` is formatted by ``format_table``."""
 
+import itertools
 import json
 from collections import Counter
 
 import numpy as np
 
+from ..ingest import Condition
 from ..metrics import Metrics, joint_ba, metrics_from_confusion
 from ..storage import format_table
 from .loso import FoldResult
 from .stats import bonferroni, cohens_d, one_sample_t, paired_t, rm_anova_oneway
 from .statespace import TrajectoryPattern, condition_centroids, quadrant_occupancy
 
-CONDITIONS = ("c1", "c2", "c3")
+CONDITIONS = tuple(c.value for c in Condition)
 HEADS = ("stress", "effort")
 SUMMARY_KEYS = (*HEADS, "joint_average")
-CONTRAST_PAIRS = (("c1", "c2"), ("c1", "c3"), ("c2", "c3"))
+CONTRAST_PAIRS = tuple(itertools.combinations(CONDITIONS, 2))
 
 
 def _fold_bas(f: FoldResult) -> dict[str, float]:

@@ -11,6 +11,7 @@ import enum
 
 import numpy as np
 
+from ..ingest import Condition
 from ..metrics import is_high
 
 FLAT_DELTA = 0.05  # |dU|, |dO| band for the flat/ceiling pattern
@@ -87,7 +88,7 @@ def condition_centroids(subject_id: str, conditions, u, o) -> dict:
     u = np.asarray(u, dtype=np.float64)
     o = np.asarray(o, dtype=np.float64)
     centroids = {}
-    for cond in ("c1", "c2", "c3"):
+    for cond in (c.value for c in Condition):
         sel = conditions == cond
         if sel.any():
             centroids[cond] = {
@@ -99,7 +100,7 @@ def condition_centroids(subject_id: str, conditions, u, o) -> dict:
             }
     record = {"subject_id": subject_id, "centroids": centroids, "delta_u": None, "delta_o": None, "pattern": None}
     if len(centroids) == 3:
-        c1, c2, c3 = ((centroids[c]["u"], centroids[c]["o"]) for c in ("c1", "c2", "c3"))
+        c1, c2, c3 = ((centroids[c.value]["u"], centroids[c.value]["o"]) for c in Condition)
         record.update(delta_u=c3[0] - c1[0], delta_o=c3[1] - c1[1], pattern=classify_trajectory(c1, c2, c3).value)
     return record
 

@@ -294,18 +294,22 @@ def _load_channel(path: Path, value_header: str, nominal_hz: float, file, parsed
     """The checked channel CSV at ``path`` from ``file``, its bytes and their
     sha256, as one series: its first timestamp is the series' ``start_s``,
     and its number of sample steps over the seconds its timestamps span is the
-    measured ``rate_hz``, which must lie within 5% of ``nominal_hz``. A channel whose
+    measured ``rate_hz``, which must lie within 5% of ``nominal_hz``; a span
+    past the largest float gives no rate and is refused. A channel whose
     samples all hold one value carries no signal (a disconnected lead or a
     stuck logger) and is refused as well, naming the file."""
     data, digest = file
     t, v = _read_two_column_csv(path, value_header, data, parsed_entry(parsed_dir, digest))
     if v.min() == v.max():
         raise DataError(f"{path}: flat channel, every sample is {float(v[0])!r}")
-    # in Python floats, a span past the largest float is inf, with no warning, and so the rate is 0
-    rate = (len(t) - 1) / (float(t[-1]) - float(t[0]))
+    first, last = float(t[0]), float(t[-1])
+    span = last - first  # Python floats overflow to inf without a warning
+    if not math.isfinite(span):
+        raise DataError(f"{path}: timestamps {first!r} to {last!r}: their span is not finite")
+    rate = (len(t) - 1) / span
     if abs(rate - nominal_hz) > 0.05 * nominal_hz:
         raise DataError(f"{path}: rate mismatch, measured {rate:.2f} Hz vs nominal {nominal_hz:.2f} Hz (>5%)")
-    return UniformSeries(v, rate, float(t[0]))
+    return UniformSeries(v, rate, first)
 
 
 # ---------------------------------------------------------------------------

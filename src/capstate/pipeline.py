@@ -203,7 +203,7 @@ def synthetic_condition_spec(
     deterministic per-subject baseline offset."""
     rng = np.random.default_rng(seed)
     base_ibi = 880.0 + 12.0 * (subject_idx % 7) + rng.uniform(-15.0, 15.0)
-    grade = {"c1": 0.0, "c2": 0.4, "c3": 1.0}[condition.value]
+    grade = {Condition.C1: 0.0, Condition.C2: 0.4, Condition.C3: 1.0}[condition]
     mean_ibi = base_ibi - 180.0 * grade
     hrv_amp = 55.0 - 35.0 * grade
     profile = []

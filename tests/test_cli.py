@@ -9,6 +9,7 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -108,6 +109,37 @@ def run_cli_in_child(tmp_path, command, *extra, timeout_s=120):
     out = subprocess.run([sys.executable, "-m", "capstate.cli", *_cli_args(tmp_path, command, *extra)],
                          capture_output=True, text=True, timeout=timeout_s, env=dict(os.environ, PYTHONPATH=src))
     return out.returncode, out.stderr
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="session")
+def fast_tree(tmp_path_factory):
+    """The ``data/`` tree that ``synth`` with ``FAST_OVERRIDES`` writes, built
+    once per session; tests take copies of it and never touch it. At teardown
+    every file of it must still have the digest its ``manifest_synth.json``
+    records, so a test that wrote into it fails the session, naming the file."""
+    root = tmp_path_factory.mktemp("fast")
+    assert run_cli(root, "synth") == 0
+    data = root / "data"
+    yield data
+    outputs = json.loads((data / "manifest_synth.json").read_text())["outputs"]
+    found = {p.relative_to(data).as_posix(): _sha256(p) for p in data.rglob("*")
+             if p.is_file() and p.name != "manifest_synth.json"}
+    for rel in sorted(set(outputs) | set(found)):
+        assert found.get(rel) == outputs.get(rel), f"the session's FAST tree changed: {data / rel}"
+
+
+@pytest.fixture
+def synthesized(fast_tree, tmp_path):
+    """Write ``tmp_path / "data"`` as ``run_cli(tmp_path, "synth")`` would,
+    by copying the session's FAST tree file by file, with no link to it:
+    tests rewrite, delete and replace its files in place. The copy's
+    ``manifest_synth.json`` names the session tree's ``data_root``, so a
+    test that reads synth's own manifest runs ``synth`` instead."""
+    return lambda: shutil.copytree(fast_tree, tmp_path / "data")
 
 
 class TestConfig:
@@ -376,8 +408,8 @@ class TestCommandChain:
             assert (datetime.fromisoformat(manifest["started_at"])
                     <= datetime.fromisoformat(manifest["finished_at"])), stage
 
-    def test_warm_preprocess_parses_no_csv(self, tmp_path, monkeypatch):
-        assert run_cli(tmp_path, "synth") == 0
+    def test_warm_preprocess_parses_no_csv(self, tmp_path, monkeypatch, synthesized):
+        synthesized()
         assert run_cli(tmp_path, "preprocess") == 0
         first = json.loads((tmp_path / "out" / "manifest_preprocess.json").read_text())
 
@@ -390,11 +422,11 @@ class TestCommandChain:
         assert second["inputs"] == first["inputs"]
         assert second["outputs"] == first["outputs"]
 
-    def test_byte_order_mark_reads_as_without(self, tmp_path):
+    def test_byte_order_mark_reads_as_without(self, tmp_path, synthesized):
         """A tree whose sessions.csv and channel CSVs start with a UTF-8
         byte-order mark, as spreadsheet programs save them, gives the same
         window files as the tree without the mark."""
-        assert run_cli(tmp_path, "synth") == 0
+        synthesized()
         assert run_cli(tmp_path, "preprocess") == 0
         plain = json.loads((tmp_path / "out" / "manifest_preprocess.json").read_text())
         for name in plain["inputs"]:
@@ -406,8 +438,8 @@ class TestCommandChain:
         assert set(marked["inputs"]) == set(plain["inputs"])
         assert all(marked["inputs"][name] != digest for name, digest in plain["inputs"].items())
 
-    def test_sensitivity_scheme_changes_fold_labels(self, tmp_path):
-        assert run_cli(tmp_path, "synth") == 0
+    def test_sensitivity_scheme_changes_fold_labels(self, tmp_path, synthesized):
+        synthesized()
         assert run_cli(tmp_path, "preprocess") == 0
         assert run_cli(tmp_path, "evaluate") == 0
         base, _ = read_fold_csv(next((tmp_path / "out" / "results").glob("fold_*.csv")))
@@ -418,8 +450,8 @@ class TestCommandChain:
         assert np.any(base.stress[base.condition == "c2"] == 1)
         assert np.array_equal(flipped.mask, base.mask)
 
-    def test_modality_ablation_probe(self, tmp_path):
-        assert run_cli(tmp_path, "synth") == 0
+    def test_modality_ablation_probe(self, tmp_path, synthesized):
+        synthesized()
         assert run_cli(tmp_path, "preprocess") == 0
         assert run_cli(tmp_path, "evaluate", "--set", 'arch.modalities=["ibi"]') == 0
         base = {p.name: read_fold_csv(p)[0] for p in (tmp_path / "out" / "results").glob("fold_*.csv")}
@@ -435,10 +467,6 @@ class TestCommandChain:
             again, _ = read_fold_csv(p)
             assert np.allclose(again.u, base[p.name].u, atol=1e-12)
             assert np.allclose(again.o, base[p.name].o, atol=1e-12)
-
-
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class TestStageInputs:
@@ -488,13 +516,13 @@ class TestStageInputs:
         assert inputs == read
 
 
-    def test_preprocess_records_the_bytes_it_windowed(self, tmp_path, monkeypatch):
+    def test_preprocess_records_the_bytes_it_windowed(self, tmp_path, monkeypatch, synthesized):
         """An EDA CSV rewritten after the stage starts and before that file is
         parsed is recorded under the digest of the bytes whose samples are in
         the windows (told apart by clean runs on the old and the new bytes),
         and once the old bytes are back, a warm rerun gives a clean run's
         outputs."""
-        assert run_cli(tmp_path, "synth") == 0
+        synthesized()
         rel = (tmp_path / "data" / "sessions.csv").read_text().splitlines()[1].split(",")[3]
         path = tmp_path / "data" / rel
         old = path.read_bytes()
@@ -540,10 +568,10 @@ class TestStageInputs:
         return inputs, collections.Counter(Path(p).relative_to(data).as_posix() for p in opened
                                            if Path(p).is_relative_to(data))
 
-    def test_preprocess_opens_each_input_once(self, tmp_path, monkeypatch):
+    def test_preprocess_opens_each_input_once(self, tmp_path, monkeypatch, synthesized):
         """Cold and warm, preprocess opens sessions.csv and each channel CSV
         exactly once."""
-        assert run_cli(tmp_path, "synth") == 0
+        synthesized()
         for run in ("cold", "warm"):
             inputs, opened = self._preprocess_opening(tmp_path, monkeypatch)
             assert len(inputs) == 19 and opened == dict.fromkeys(inputs, 1), run
@@ -631,7 +659,7 @@ class TestExitCodes:
         assert not (tmp_path / "data").exists() and not (tmp_path / "out").exists()  # checked before any stage
 
     @pytest.mark.parametrize("command", ["synth", "preprocess", "evaluate", "report"])
-    def test_stage_dir_that_cannot_be_made_is_2(self, tmp_path, capsys, command):
+    def test_stage_dir_that_cannot_be_made_is_2(self, tmp_path, capsys, command, synthesized):
         """A stage directory whose place a regular file holds exits 2, naming
         the config key and the directory, without a traceback."""
         blocker = tmp_path / "afile"
@@ -641,7 +669,7 @@ class TestExitCodes:
             key, target = "data_root", blocker / "d"
             extra = ["--set", f"data_root={json.dumps(str(target))}"]
         elif command == "preprocess":
-            assert run_cli(tmp_path, "synth") == 0
+            synthesized()
             key, target = "output_root", blocker / "windows"
             extra = ["--set", f"output_root={json.dumps(str(blocker))}"]
         else:  # the stage's inputs, and a file where its directory goes: it makes none before they check out
@@ -663,11 +691,11 @@ class TestExitCodes:
         ("evaluate", "out/manifest_evaluate.json"),
         ("report", "out/results/manifest_report.json"),
     ])
-    def test_directory_where_an_output_file_goes_is_2(self, tmp_path, capsys, command, target):
+    def test_directory_where_an_output_file_goes_is_2(self, tmp_path, capsys, command, target, synthesized):
         """A directory where a stage deletes or writes an output file (a
         stale name, or the file itself) exits 2, naming the config key and
         the path, without a traceback."""
-        self._stage_inputs(tmp_path, command)
+        self._stage_inputs(tmp_path, command, synthesized)
         (tmp_path / target).mkdir(parents=True)
         capsys.readouterr()
         assert run_cli(tmp_path, command) == 2
@@ -676,12 +704,13 @@ class TestExitCodes:
         assert f"config error: {key}: cannot write {tmp_path / target}: " in err and "Traceback" not in err
 
     @staticmethod
-    def _stage_inputs(tmp_path, command):
-        """What ``command`` reads: a synthetic tree for preprocess, three
-        subjects' window files for evaluate, their fold files for report."""
+    def _stage_inputs(tmp_path, command, synthesized=None):
+        """What ``command`` reads: a copy of the FAST tree for preprocess, from
+        the ``synthesized`` fixture, three subjects' window files for
+        evaluate, their fold files for report."""
         ds = make_feature_dataset(n_subjects=3, per_cond=3)
         if command == "preprocess":
-            assert run_cli(tmp_path, "synth") == 0
+            synthesized()
         elif command == "evaluate":
             windows = tmp_path / "out" / "windows"
             windows.mkdir(parents=True)
@@ -709,10 +738,10 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"data error: {tmp_path / target}: not a regular file" in err and "Traceback" not in err
 
-    def test_directory_at_a_parsed_entry_is_2(self, tmp_path, capsys):
+    def test_directory_at_a_parsed_entry_is_2(self, tmp_path, capsys, synthesized):
         """A directory where preprocess keeps a CSV's parsed samples exits 2,
         naming output_root and the entry, without a traceback."""
-        self._stage_inputs(tmp_path, "preprocess")
+        synthesized()
         assert run_cli(tmp_path, "preprocess") == 0
         entry = sorted((tmp_path / "out" / "parsed").glob("*.npy"))[0]
         entry.unlink()
@@ -722,11 +751,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"config error: output_root: cannot write {entry}: " in err and "Traceback" not in err
 
-    def test_parsed_entry_that_cannot_be_deleted_is_2(self, tmp_path, capsys, monkeypatch):
+    def test_parsed_entry_that_cannot_be_deleted_is_2(self, tmp_path, capsys, monkeypatch, synthesized):
         """A stale parsed entry that preprocess cannot delete exits 2, naming
         output_root and the entry, without a traceback. A root process is
         never denied, so the denial is simulated."""
-        self._stage_inputs(tmp_path, "preprocess")
+        synthesized()
         assert run_cli(tmp_path, "preprocess") == 0
         stale = tmp_path / "out" / "parsed" / f"{'0' * 64}.npy"
         stale.write_bytes(b"")
@@ -747,7 +776,7 @@ class TestExitCodes:
         ("config", "directory"), ("config", "binary"), ("sessions", "directory"), ("sessions", "binary"),
         ("recording", "directory"),
     ])
-    def test_unreadable_input_names_the_file(self, tmp_path, capsys, target, kind):
+    def test_unreadable_input_names_the_file(self, tmp_path, capsys, target, kind, synthesized):
         """An input path that is a directory, or a file that is not UTF-8
         text, exits 2 (the config) or 3 (data), naming the path, without a
         traceback."""
@@ -756,7 +785,7 @@ class TestExitCodes:
             path, want = tmp_path / "run.json", 2
             extra = ["--config", str(path)]
         else:
-            assert run_cli(tmp_path, "synth") == 0
+            synthesized()
             rel = "sessions.csv"
             if target == "recording":
                 rel = (tmp_path / "data" / "sessions.csv").read_text().splitlines()[1].split(",")[2]
@@ -773,14 +802,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fault", ["missing", "directory", "fifo", "long-name", "no-permission"])
     @pytest.mark.parametrize("kind", ["config", "sessions", "channel", "window", "fold"])
-    def test_input_file_fault_names_the_file(self, tmp_path, capsys, monkeypatch, kind, fault):
+    def test_input_file_fault_names_the_file(self, tmp_path, capsys, monkeypatch, kind, fault, synthesized):
         """Each kind of file a stage reads, under each fault that keeps it
         from being read, exits 2 (``--config``) or 3 (data), naming the path,
         without a traceback. The window and fold files are found by name
         pattern, so there a missing file and a name too long are links to
         nothing and to a 300-character name; no permission is simulated, as
         a root process is never denied."""
-        command, path = self._input_of_kind(tmp_path, kind)
+        command, path = self._input_of_kind(tmp_path, kind, synthesized)
         extra = ["--config", str(path)] if kind == "config" else []
         if fault == "no-permission":
             monkeypatch.setattr(builtins, "open", _denying(builtins.open, path))
@@ -808,11 +837,11 @@ class TestExitCodes:
         assert prefix + says in err and "Traceback" not in err
 
     @pytest.mark.parametrize("fault", ["missing", "directory", "fifo"])
-    def test_input_file_fault_in_a_later_recording_is_3(self, tmp_path, fault):
+    def test_input_file_fault_in_a_later_recording_is_3(self, tmp_path, fault, synthesized):
         """The last session's ECG, hashed while earlier recordings are
         windowed, exits 3 under each fault with the message it has as the
         first session's file, without a traceback or a hang."""
-        assert run_cli(tmp_path, "synth") == 0
+        synthesized()
         rel = (tmp_path / "data" / "sessions.csv").read_text().splitlines()[-1].split(",")[2]
         path = tmp_path / "data" / rel
         path.unlink()
@@ -824,11 +853,11 @@ class TestExitCodes:
         says = f"missing file: {path}" if fault == "missing" else f"{path}: not a regular file"
         assert rc == 3 and f"data error: {says}" in err and "Traceback" not in err
 
-    def test_earlier_recording_fault_is_reported_first(self, tmp_path, capsys):
+    def test_earlier_recording_fault_is_reported_first(self, tmp_path, capsys, synthesized):
         """A flat ECG in the first session is reported, not the second
         session's missing ECG, which the reading thread would reach next:
         faults surface in session order."""
-        assert run_cli(tmp_path, "synth") == 0
+        synthesized()
         data = tmp_path / "data"
         first, second = [line.split(",")[2] for line in (data / "sessions.csv").read_text().splitlines()[1:3]]
         lines = (data / first).read_text().splitlines()
@@ -840,10 +869,10 @@ class TestExitCodes:
         assert f"data error: {data / first}: flat channel, every sample is 0.0" in err
         assert second not in err and "Traceback" not in err
 
-    def test_preprocess_leaves_no_thread_running(self, tmp_path):
+    def test_preprocess_leaves_no_thread_running(self, tmp_path, synthesized):
         """No thread outlives preprocess: not after a clean run, and not
         after the first file fails while the others are still being hashed."""
-        assert run_cli(tmp_path, "synth") == 0
+        synthesized()
         before = threading.enumerate()
         assert run_cli(tmp_path, "preprocess") == 0
         assert [t for t in threading.enumerate() if t not in before] == []
@@ -852,7 +881,7 @@ class TestExitCodes:
         assert run_cli(tmp_path, "preprocess") == 3
         assert [t for t in threading.enumerate() if t not in before] == []
 
-    def test_input_path_with_a_long_name_is_named(self, tmp_path, capsys):
+    def test_input_path_with_a_long_name_is_named(self, tmp_path, capsys, synthesized):
         """A 300-character name given directly, not through a link: a
         ``--config`` path, a data_root and an ``ecg_file`` in sessions.csv."""
         long = "n" * 300
@@ -860,7 +889,7 @@ class TestExitCodes:
         assert f"config error: {tmp_path / long}: File name too long" in capsys.readouterr().err
         assert run_cli(tmp_path, "preprocess", "--set", f"data_root={json.dumps(str(tmp_path / long))}") == 3
         assert f"data error: {tmp_path / long / 'sessions.csv'}: File name too long" in capsys.readouterr().err
-        self._stage_inputs(tmp_path, "preprocess")
+        synthesized()
         sessions = tmp_path / "data" / "sessions.csv"
         rel = sessions.read_text().splitlines()[1].split(",")[2]
         sessions.write_text(sessions.read_text().replace(rel, long))
@@ -869,7 +898,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"data error: {tmp_path / 'data' / long}: File name too long" in err and "Traceback" not in err
 
-    def _input_of_kind(self, tmp_path, kind):
+    def _input_of_kind(self, tmp_path, kind, synthesized):
         """The command that reads a file of ``kind``, and that file's path,
         set up to hold valid contents."""
         if kind == "config":
@@ -877,7 +906,7 @@ class TestExitCodes:
             path.write_text("{}\n")
             return "report", path
         if kind in ("sessions", "channel"):
-            self._stage_inputs(tmp_path, "preprocess")
+            synthesized()
             rel = "sessions.csv"
             if kind == "channel":
                 rel = (tmp_path / "data" / "sessions.csv").read_text().splitlines()[1].split(",")[2]
@@ -905,10 +934,10 @@ class TestExitCodes:
         assert written == sorted(manifest["outputs"]) == [f"windows/windows_sim0{i}.csv" for i in (1, 2, 3)]
 
     @pytest.mark.parametrize("text", ["subject_id,condition,ecg_file,eda_file\n", ""], ids=["header-only", "empty"])
-    def test_sessions_without_rows_is_3(self, tmp_path, capsys, text):
+    def test_sessions_without_rows_is_3(self, tmp_path, capsys, text, synthesized):
         """A sessions.csv that lists no session exits 3, naming it, without a
         traceback, and leaves an earlier run's outputs as they were."""
-        assert run_cli(tmp_path, "synth") == 0
+        synthesized()
         assert run_cli(tmp_path, "preprocess") == 0
         out = tmp_path / "out"
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
@@ -927,7 +956,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", ["invalid-json", "section-not-object", "override-without-equals",
                                       "config-name-with-nul", "sessions-row-without-eda-file",
                                       "report-without-folds", "evaluate-without-windows"])
-    def test_documented_exit_names_the_key_or_file(self, tmp_path, capsys, case):
+    def test_documented_exit_names_the_key_or_file(self, tmp_path, capsys, case, synthesized):
         """Each documented exit names the key or the file, without a
         traceback, and leaves ``output_root`` as empty as it found it: no
         stage makes an output directory before its inputs check out."""
@@ -946,7 +975,7 @@ class TestExitCodes:
             name = f"{config}\0b"
             extra, want, says = ["--config", name], 2, f"config error: {name}: embedded null byte"
         elif case == "sessions-row-without-eda-file":
-            assert run_cli(tmp_path, "synth") == 0
+            synthesized()
             header, first, *rest = sessions.read_text().splitlines()
             sessions.write_text("\n".join([header, first.rsplit(",", 1)[0], *rest]) + "\n")
             command, want, says = "preprocess", 3, f"data error: {sessions}: malformed row 2"
@@ -961,14 +990,14 @@ class TestExitCodes:
         assert says in err and "Traceback" not in err
         assert not any(out.iterdir())
 
-    def test_corrupted_tree_is_3(self, tmp_path, capsys):
-        assert run_cli(tmp_path, "synth") == 0
+    def test_corrupted_tree_is_3(self, tmp_path, capsys, synthesized):
+        synthesized()
         self._assert_corruptions_are_3(tmp_path, capsys)
 
-    def test_corrupted_tree_is_3_on_warm_cache(self, tmp_path, capsys):
+    def test_corrupted_tree_is_3_on_warm_cache(self, tmp_path, capsys, synthesized):
         """The same faults, and a rate off nominal, give the same messages
         once a clean run has kept every CSV's parsed samples."""
-        assert run_cli(tmp_path, "synth") == 0
+        synthesized()
         assert run_cli(tmp_path, "preprocess") == 0
         self._assert_corruptions_are_3(tmp_path, capsys)
         ecg = (tmp_path / "data" / "sessions.csv").read_text().splitlines()[1].split(",")[2]
@@ -1024,19 +1053,20 @@ class TestExitCodes:
                 assert _snapshot(tmp_path / "out") == before
             path.write_text(original)
 
-    def test_timestamps_whose_difference_overflows_are_3(self, tmp_path):
+    def test_timestamps_whose_difference_overflows_are_3(self, tmp_path, synthesized):
         """An ECG file whose two timestamps lie further apart than the largest
         float exits 3 naming it, and its error is the one line on stderr: run
         in a child, without pytest's warning filters, no numpy warning shows."""
-        assert run_cli(tmp_path, "synth") == 0
+        synthesized()
         ecg = tmp_path / "data" / (tmp_path / "data" / "sessions.csv").read_text().splitlines()[1].split(",")[2]
         ecg.write_text("t_s,mv\n-2.9937604643020797e+292,0.0\n1.7976931348623155e+308,1.0\n")
         code, err = run_cli_in_child(tmp_path, "preprocess")
         assert code == 3
-        assert len(err.splitlines()) == 1 and err.startswith(f"data error: {ecg}: rate mismatch")
+        assert len(err.splitlines()) == 1 and err.startswith(f"data error: {ecg}: timestamps ")
+        assert err.rstrip().endswith(": their span is not finite")
 
-    def test_recording_without_a_window_is_3(self, tmp_path, capsys):
-        assert run_cli(tmp_path, "synth") == 0
+    def test_recording_without_a_window_is_3(self, tmp_path, capsys, synthesized):
+        synthesized()
         capsys.readouterr()
         assert run_cli(tmp_path, "preprocess", "--set", "windowing.window_len_samples=1000") == 3
         err = capsys.readouterr().err
@@ -1158,10 +1188,10 @@ class TestExitCodes:
                 "both hold subject 's00'") in err and "Traceback" not in err
         assert _snapshot(tmp_path / "out") == before
 
-    def test_preprocess_reads_sessions_once(self, tmp_path, monkeypatch):
+    def test_preprocess_reads_sessions_once(self, tmp_path, monkeypatch, synthesized):
         import capstate.cli as cli_mod
 
-        assert run_cli(tmp_path, "synth") == 0
+        synthesized()
         calls = []
 
         def counting(name):
@@ -1180,8 +1210,8 @@ class TestExitCodes:
         # 3 subjects x 3 conditions, each loaded through the module, one sessions.csv read
         assert sorted(calls) == [("load_recording", "RawRecording")] * 9 + [("read_sessions", "tuple")]
 
-    def test_numerical_error_is_4(self, tmp_path, capsys):
-        assert run_cli(tmp_path, "synth") == 0
+    def test_numerical_error_is_4(self, tmp_path, capsys, synthesized):
+        synthesized()
         capsys.readouterr()
         assert run_cli(tmp_path, "preprocess", "--set", "cvxeda.max_iters=2") == 4
         err = capsys.readouterr().err

@@ -216,6 +216,15 @@ class TestLoadRecording:
         with pytest.raises(DataError, match="rate mismatch"):
             _load(tree, ecg_nominal_hz=2048.0)
 
+    def test_span_past_the_largest_float_rejected(self, tree):
+        """Timestamps further apart than the largest float span no finite
+        number of seconds, so no rate can be measured: the load is refused,
+        naming the file and both timestamps, not as a rate of 0 Hz."""
+        path = _write(tree / "pp01" / "ecg_c1.csv", ["-2.9937604643020797e+292,0.0", "1.7976931348623155e+308,1.0"])
+        says = f"{path}: timestamps -2.9937604643020797e+292 to 1.7976931348623155e+308: their span is not finite"
+        with pytest.raises(DataError, match=re.escape(says)):
+            _load(tree)
+
     def test_bad_header_rejected(self, tree):
         path = tree / "pp01" / "eda_c1.csv"
         body = path.read_text().splitlines()[1:]
